@@ -197,8 +197,7 @@ def param_count(params: dict[str, np.ndarray]) -> int:
 
 
 def _normal(rng: SplitMix64, shape: tuple[int, ...], std: float, dtype) -> np.ndarray:
-    flat = np.fromiter((rng.next_normal() for _ in range(int(np.prod(shape)))), dtype=np.float64)
-    return (flat.reshape(shape) * std).astype(dtype)
+    return (rng.next_normal_array(math.prod(shape)).reshape(shape) * std).astype(dtype)
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
@@ -309,6 +308,12 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
+def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient of ``x @ w`` with respect to ``w``: the sum over every leading
+    axis of the outer products x ⊗ dy, as one matrix product so BLAS runs it."""
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+
 def _attn_fwd(xq, xkv, params, prefix, cfg, add_mask, bias):
     """add_mask: additive [B, 1, Q, K]; bias: additive [H, Q, K] or None."""
     h = cfg.n_heads
@@ -331,7 +336,7 @@ def _attn_bwd(dout, params, prefix, cfg, cache, grads):
     xq, xkv, q, k, v, a, ctx = cache
     h = cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_head)
-    grads[prefix + ".wo"] += np.einsum("bqd,bqe->de", ctx, dout)
+    grads[prefix + ".wo"] += _weight_grad(ctx, dout)
     dctx = _split_heads(dout @ params[prefix + ".wo"].T, h)
     da = dctx @ v.transpose(0, 1, 3, 2)
     dv = a.transpose(0, 1, 3, 2) @ dctx
@@ -339,9 +344,9 @@ def _attn_bwd(dout, params, prefix, cfg, cache, grads):
     dq = ds @ k * scale
     dk = ds.transpose(0, 1, 3, 2) @ q * scale
     dq_flat, dk_flat, dv_flat = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-    grads[prefix + ".wq"] += np.einsum("bqd,bqe->de", xq, dq_flat)
-    grads[prefix + ".wk"] += np.einsum("bkd,bke->de", xkv, dk_flat)
-    grads[prefix + ".wv"] += np.einsum("bkd,bke->de", xkv, dv_flat)
+    grads[prefix + ".wq"] += _weight_grad(xq, dq_flat)
+    grads[prefix + ".wk"] += _weight_grad(xkv, dk_flat)
+    grads[prefix + ".wv"] += _weight_grad(xkv, dv_flat)
     dxq = dq_flat @ params[prefix + ".wq"].T
     dxkv = dk_flat @ params[prefix + ".wk"].T + dv_flat @ params[prefix + ".wv"].T
     return dxq, dxkv, ds
@@ -361,10 +366,10 @@ def _ff_fwd(x, params, prefix):
 
 def _ff_bwd(dy, params, prefix, cache, grads):
     x, h1, hr = cache
-    grads[prefix + ".w2"] += np.einsum("blf,bld->fd", hr, dy)
+    grads[prefix + ".w2"] += _weight_grad(hr, dy)
     dhr = dy @ params[prefix + ".w2"].T
     dh1 = dhr * (h1 > 0)
-    grads[prefix + ".w1"] += np.einsum("bld,blf->df", x, dh1)
+    grads[prefix + ".w1"] += _weight_grad(x, dh1)
     return dh1 @ params[prefix + ".w1"].T
 
 
@@ -443,7 +448,7 @@ def _decode(params, cfg, decoder_ids, enc_out, encoder_valid, dec_valid):
         x = x2 + f_out
         layer_caches.append((c_n1, c_self, c_n2, c_cross, c_n3, c_ff))
     h, c_final = _rms_norm_fwd(x, params["dec.norm"])
-    logits = h @ params["embedding"].T.astype(dt)
+    logits = h @ params["embedding"].T.astype(dt, copy=False)
     cache = {"ids": decoder_ids, "layers": layer_caches, "final": c_final, "h": h, "bucket": bucket}
     return logits, cache
 
@@ -451,8 +456,8 @@ def _decode(params, cfg, decoder_ids, enc_out, encoder_valid, dec_valid):
 def _decode_bwd(dlogits, params, cfg, cache, grads):
     """Returns the gradient flowing into the encoder output."""
     h = cache["h"]
-    grads["embedding"] += np.einsum("btv,btd->vd", dlogits, h)
-    dh = dlogits @ params["embedding"].astype(dlogits.dtype)
+    grads["embedding"] += _weight_grad(dlogits, h)
+    dh = dlogits @ params["embedding"].astype(dlogits.dtype, copy=False)
     dx, dg = _rms_norm_bwd(dh, params["dec.norm"], cache["final"])
     grads["dec.norm"] += dg
     d_enc_out = None

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -31,6 +33,24 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def next_u64_array(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs of ``next_u64`` as a uint64 array.
+
+        The state after n draws is seed + n * gamma (mod 2**64), so the whole
+        stream is one vector of counters pushed through the mix function;
+        uint64 arithmetic wraps exactly like the masked Python integers.
+        """
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        self.state = (self.state + count * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n). Plain modulo; bias is negligible for desk-scale n."""
@@ -58,6 +78,13 @@ class SplitMix64:
         # avoid log(0)
         u1 = max(u1, 5e-324)
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def next_normal_array(self, count: int) -> np.ndarray:
+        """``count`` draws of ``next_normal`` as a float64 array, from the same
+        stream. numpy's log and cos may differ from ``math``'s in the last ulp."""
+        u = (self.next_u64_array(2 * count) >> np.uint64(11)) * (1.0 / (1 << 53))
+        u1 = np.maximum(u[0::2], 5e-324)
+        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u[1::2])
 
     def getstate(self) -> int:
         return self.state

@@ -96,7 +96,11 @@ def optimizer_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One Adam update with bias-corrected moments; params updated in place."""
+    """One Adam update with bias-corrected moments; params updated in place.
+
+    The work goes through one scratch buffer per tensor, in the same order of
+    float operations as ``p -= (lr / bc1) * m / (sqrt(v / bc2) + eps)`` with
+    freshly allocated temporaries, so the result is bit-equal to that form."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
@@ -107,11 +111,18 @@ def optimizer_step(
             state.v[name] = np.zeros_like(params[name])
         m = state.m[name]
         v = state.v[name]
+        buf = np.multiply(g, 1.0 - beta1)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += buf
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - beta2
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        params[name] -= (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
+        v += buf
+        np.divide(v, bc2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += eps
+        np.divide(np.multiply(m, lr / bc1), buf, out=buf)
+        params[name] -= buf
     return params, state
 
 

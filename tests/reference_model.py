@@ -1,8 +1,9 @@
-"""Straight-line reference forward pass used as an oracle for the model module.
+"""Straight-line references used as oracles for the model module.
 
-Everything here is written with explicit per-head, per-position loops and
-scalar bucket arithmetic, sharing no code with t2tbio.model beyond the config
-and the parameter dictionary contents.
+The forward pass is written with explicit per-head, per-position loops and
+scalar bucket arithmetic; the initializer draws one scalar normal at a time;
+the weight gradient is the einsum contraction. None of them shares code with
+t2tbio.model beyond the config and the parameter dictionary contents.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from t2tbio.rng import SplitMix64
 
 EPS = 1e-6
 NEG = -1e9
@@ -137,3 +140,33 @@ def reference_forward(params, cfg, batch) -> np.ndarray:
         y = y + hidden @ p[pre + ".ff.w2"]
     h = _rms(y, p["dec.norm"])
     return h @ p["embedding"].T
+
+
+def scalar_init_params(shapes: dict, cfg, seed: int) -> dict:
+    """Initial parameters drawn one ``SplitMix64.next_normal`` at a time, over
+    the tensors in sorted name order: norms at one, relative-position biases at
+    zero, the embedding at std 0.05, ``w2`` at 1/sqrt(d_ff), the rest at
+    1/sqrt(d_model)."""
+    rng = SplitMix64(seed)
+    params = {}
+    for name, shape in sorted(shapes.items()):
+        if name.endswith("norm"):
+            params[name] = np.ones(shape, dtype=cfg.np_dtype)
+        elif name.endswith("rel_bias"):
+            params[name] = np.zeros(shape, dtype=cfg.np_dtype)
+        else:
+            if name == "embedding":
+                std = 0.05
+            elif name.endswith(".w2"):
+                std = 1.0 / math.sqrt(cfg.d_ff)
+            else:
+                std = 1.0 / math.sqrt(cfg.d_model)
+            flat = np.array([rng.next_normal() for _ in range(math.prod(shape))], dtype=np.float64)
+            params[name] = (flat.reshape(shape) * std).astype(cfg.np_dtype)
+    return params
+
+
+def einsum_weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient of ``x @ w`` with respect to ``w`` for [B, L, *] activations,
+    contracted by einsum over batch and position."""
+    return np.einsum("bld,ble->de", x, dy)

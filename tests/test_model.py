@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from t2tbio import model
 from t2tbio.errors import ConfigError, ModelError
 from t2tbio.model import (
     Batch,
@@ -21,7 +22,17 @@ from t2tbio.model import (
 )
 from t2tbio.rng import SplitMix64
 
-from reference_model import bucket_scalar, reference_forward
+from reference_model import bucket_scalar, einsum_weight_grad, reference_forward, scalar_init_params
+
+SMOKE = ModelConfig(
+    vocab_size=256,
+    d_model=64,
+    n_heads=4,
+    d_ff=128,
+    rel_pos_buckets=16,
+    rel_pos_max_distance=32,
+    max_seq_len=64,
+)
 
 TINY = ModelConfig(
     vocab_size=23,
@@ -276,6 +287,31 @@ class TestParams:
     def test_shapes_cover_all_names(self):
         params = init_params(TINY, seed=0)
         assert set(params) == set(expected_shapes(TINY))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_float32_init_bit_equal_to_scalar_draws(self, seed):
+        params = init_params(SMOKE, seed=seed)
+        reference = scalar_init_params(expected_shapes(SMOKE), SMOKE, seed)
+        assert params.keys() == reference.keys()
+        for name in params:
+            assert params[name].dtype == reference[name].dtype
+            assert params[name].tobytes() == reference[name].tobytes(), name
+
+
+class TestWeightGradients:
+    # BLAS and einsum sum the same products in different orders; the bounds
+    # allow that reordering at each dtype's precision and nothing more
+    @pytest.mark.parametrize("cfg, tol", [(TINY, 1e-12), (SMOKE, 1e-5)])
+    def test_matches_einsum_contraction(self, cfg, tol, monkeypatch):
+        params = randomized_params(cfg, seed=5)
+        batch = tiny_batch(seed=5, b=4, s=12, t=9, cfg=cfg)
+        loss, grads = loss_and_grads(params, cfg, batch)
+        monkeypatch.setattr(model, "_weight_grad", einsum_weight_grad)
+        ref_loss, ref_grads = loss_and_grads(params, cfg, batch)
+        assert loss == ref_loss
+        for name, g in grads.items():
+            err = np.linalg.norm(g - ref_grads[name]) / max(np.linalg.norm(ref_grads[name]), 1e-30)
+            assert err < tol, (name, err)
 
 
 class TestConfigValidation:

@@ -63,6 +63,38 @@ class TestAdam:
         np.testing.assert_array_equal(params["w"], [1.5, -2.0])
         assert state.step == 1
 
+    def test_bit_equal_to_the_plain_expression(self):
+        def plain_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+            state.step += 1
+            bc1 = 1.0 - beta1**state.step
+            bc2 = 1.0 - beta2**state.step
+            for name, g in grads.items():
+                m = state.m.setdefault(name, np.zeros_like(params[name]))
+                v = state.v.setdefault(name, np.zeros_like(params[name]))
+                m *= beta1
+                m += (1.0 - beta1) * g
+                v *= beta2
+                v += (1.0 - beta2) * (g * g)
+                params[name] -= (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
+
+        cfg = small_cfg(31)
+        params = init_params(cfg, seed=3)
+        reference = {k: x.copy() for k, x in params.items()}
+        state, ref_state = AdamState(), AdamState()
+        rng = SplitMix64(11)
+        for _ in range(3):
+            grads = {k: (rng.next_normal_array(x.size) * 0.1).astype(x.dtype).reshape(x.shape)
+                     for k, x in params.items()}
+            snapshot = {k: g.copy() for k, g in grads.items()}
+            optimizer_step(params, grads, state, lr=0.01)
+            plain_step(reference, grads, ref_state, lr=0.01)
+            for name in params:
+                assert grads[name].tobytes() == snapshot[name].tobytes(), name
+                assert params[name].tobytes() == reference[name].tobytes(), name
+                assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+                assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+        assert state.step == ref_state.step == 3
+
     def test_zero_lr_freezes_params(self):
         params = {"w": np.array([1.0])}
         state = AdamState()
@@ -248,6 +280,18 @@ class TestCheckpointing:
             assert loaded[name].tobytes() == params[name].tobytes()
         assert manifest["step"] == 7
 
+    def test_blobs_are_tensor_bytes_in_name_order(self, tmp_path):
+        cfg = small_cfg(31)
+        params = init_params(cfg, seed=4)
+        state = AdamState(step=2)
+        state.m = {k: np.full_like(x, 0.5) + x for k, x in params.items()}
+        state.v = {k: x * x for k, x in params.items()}
+        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state)
+        opt = {f"m.{k}": x for k, x in state.m.items()} | {f"v.{k}": x for k, x in state.v.items()}
+        for blob, tensors in (("weights.bin", params), ("optimizer.bin", opt)):
+            expected = b"".join(tensors[name].astype("<f4").tobytes() for name in sorted(tensors))
+            assert (tmp_path / "ck" / blob).read_bytes() == expected
+
     def test_non_finite_rejected_on_load(self, tmp_path):
         cfg = small_cfg(31)
         params = init_params(cfg, seed=4)
@@ -255,6 +299,60 @@ class TestCheckpointing:
         save_checkpoint(tmp_path / "ck", params, cfg)
         with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize(
+        "mutate, file, names",
+        [
+            pytest.param(lambda m: m["model"].update(bogus=1), "manifest.json", "bogus", id="unknown-model-key"),
+            pytest.param(lambda m: m.pop("model"), "manifest.json", "model", id="no-model"),
+            pytest.param(lambda m: m["model"].update(vocab_size="31"), "manifest.json", "model config",
+                         id="string-vocab-size"),
+            pytest.param(lambda m: m.update(step=-1), "manifest.json", "step", id="negative-step"),
+            pytest.param(lambda m: m.pop("tensors"), "weights.bin", "tensor list", id="no-tensors"),
+            pytest.param(lambda m: m["tensors"][3].update(shape=[17]), "weights.bin", "dec.0.cross.wq",
+                         id="shape-disagrees-with-nbytes"),
+            pytest.param(lambda m: m["tensors"][3].update(shape=[16, -16]), "weights.bin", "dec.0.cross.wq",
+                         id="negative-dim"),
+            pytest.param(lambda m: m["tensors"][3].update(offset="0"), "weights.bin", "dec.0.cross.wq",
+                         id="string-offset"),
+            pytest.param(lambda m: m["tensors"][3].update(nbytes=True), "weights.bin", "dec.0.cross.wq",
+                         id="bool-nbytes"),
+            pytest.param(lambda m: m["tensors"][3].update(dtype="<i4"), "weights.bin", "dec.0.cross.wq",
+                         id="int-dtype"),
+            pytest.param(lambda m: m["tensors"][3].pop("name"), "weights.bin", "manifest entry", id="no-name"),
+            pytest.param(lambda m: m["tensors"].append(dict(m["tensors"][3])), "weights.bin", "dec.0.cross.wq",
+                         id="duplicate-tensor"),
+            pytest.param(lambda m: m["optimizer"].update(step="7"), "optimizer.bin", "optimizer record",
+                         id="string-optimizer-step"),
+            pytest.param(lambda m: m["optimizer"]["tensors"][0].update(offset=-4), "optimizer.bin",
+                         "m.dec.0.cross.norm", id="negative-optimizer-offset"),
+        ],
+    )
+    def test_mutated_manifest_raises_checkpoint_error(self, tmp_path, mutate, file, names):
+        from t2tbio.checkpoint import load_optimizer
+
+        cfg = small_cfg(31)
+        params = init_params(cfg, seed=4)
+        state = AdamState(step=7, m={k: x * 0.5 for k, x in params.items()},
+                          v={k: x * x for k, x in params.items()})
+        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=7)
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        mutate(manifest)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CheckpointError) as info:
+            _, _, loaded = load_checkpoint(tmp_path / "ck")
+            load_optimizer(tmp_path / "ck", loaded)
+        message = str(info.value)
+        assert str(tmp_path / "ck" / file) in message and names in message, message
+
+    @pytest.mark.parametrize("payload", ['{"algo": "splitmix64", "state": "12"}', '[1]', '{"state": 12}'])
+    def test_malformed_rng_state_raises_checkpoint_error(self, tmp_path, payload):
+        from t2tbio.checkpoint import load_rng_state
+
+        (tmp_path / "rng_state").write_text(payload, encoding="utf-8")
+        with pytest.raises(CheckpointError, match="rng_state"):
+            load_rng_state(tmp_path)
 
     def test_resume_equivalence(self, tmp_path):
         path, v = corpus_fixture(tmp_path)
