@@ -34,6 +34,16 @@ EXIT_FLOOR = 3
 TASK_TYPES = ("ner", "re", "nli", "doc", "qa", "match")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the base random seed")
     p.add_argument(
@@ -91,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True, help="vocabulary file")
     p.add_argument("--in", dest="input", required=True, help="TaskExample JSONL")
     p.add_argument("--out", required=True, help="output predictions JSONL")
-    p.add_argument("--max-len", type=int, default=64, help="maximum generated tokens")
+    p.add_argument("--max-len", type=_positive_int, default=64, help="maximum generated tokens (at least 1)")
     _common_flags(p)
 
     p = sub.add_parser("evaluate", help="score predictions against gold TaskExamples")

@@ -337,6 +337,21 @@ def _check_keys(section, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
 
 
+def _number(convert, value, where: str):
+    """``convert(value)`` (``int`` or ``float``), with a failure named by field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{where}: cannot read {value!r} as {convert.__name__}") from e
+
+
+def _entries(payload: dict, key: str) -> list:
+    entries = payload.get(key, [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"{key} must be a JSON list")
+    return entries
+
+
 def _build(cls, section: dict, where: str):
     try:
         return cls(**section)
@@ -375,22 +390,20 @@ def load_config(path) -> RunConfig:
     corruption = _build(SpanCorruptionConfig, corruption_section, "corruption")
 
     corpora = []
-    for i, entry in enumerate(payload.get("corpora", [])):
+    for i, entry in enumerate(_entries(payload, "corpora")):
         _check_keys(entry, {"path", "weight"}, f"corpora[{i}]")
         if "path" not in entry:
             raise ConfigError(f"corpora[{i}] needs a path")
-        corpora.append(CorpusEntry(path=entry["path"], weight=float(entry.get("weight", 1.0))))
+        weight = _number(float, entry.get("weight", 1.0), f"corpora[{i}].weight")
+        corpora.append(CorpusEntry(path=entry["path"], weight=weight))
 
     mixture = []
-    for i, entry in enumerate(payload.get("mixture", [])):
+    for i, entry in enumerate(_entries(payload, "mixture")):
         _check_keys(entry, {"task", "path", "weight"}, f"mixture[{i}]")
         if "task" not in entry or "path" not in entry:
             raise ConfigError(f"mixture[{i}] needs task and path")
-        mixture.append(
-            MixtureEntry(
-                task_name=entry["task"], path=entry["path"], weight=float(entry.get("weight", 1.0))
-            )
-        )
+        weight = _number(float, entry.get("weight", 1.0), f"mixture[{i}].weight")
+        mixture.append(MixtureEntry(task_name=entry["task"], path=entry["path"], weight=weight))
 
     cfg = RunConfig(
         model=model,
@@ -398,14 +411,14 @@ def load_config(path) -> RunConfig:
         corruption=corruption,
         vocab_path=payload.get("vocab_path", ""),
         out_dir=payload.get("out_dir", "runs/default"),
-        seed=int(payload.get("seed", 0)),
+        seed=_number(int, payload.get("seed", 0), "seed"),
         corpora=corpora,
         mixture=mixture,
     )
     if ENV_OUT_DIR in os.environ:
         cfg.out_dir = os.environ[ENV_OUT_DIR]
     if ENV_SEED in os.environ:
-        cfg.seed = int(os.environ[ENV_SEED])
+        cfg.seed = _number(int, os.environ[ENV_SEED], ENV_SEED)
 
     if cfg.train.input_len > cfg.model.max_seq_len:
         raise ConfigError(

@@ -234,10 +234,6 @@ def validate_params(params: dict[str, np.ndarray], cfg: ModelConfig) -> None:
             raise ConfigError(f"non-finite values in parameter {name}")
 
 
-def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(t) for name, t in params.items()}
-
-
 # ---------------------------------------------------------------------------
 # primitive ops with explicit backward passes
 # ---------------------------------------------------------------------------
@@ -278,7 +274,9 @@ def _bias_matrix(table: np.ndarray, q_len: int, k_len: int, cfg: ModelConfig, bi
 
 
 def _rms_norm_fwd(x: np.ndarray, g: np.ndarray):
-    ms = np.mean(x * x, axis=-1, keepdims=True)
+    # np.mean's own sum-then-divide, bit for bit, without its Python wrapper,
+    # which costs more than the arithmetic on a one-token decode row
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
     r = 1.0 / np.sqrt(ms + NORM_EPS)
     return x * r * g, (x, r)
 
@@ -336,7 +334,7 @@ def _attn_bwd(dout, params, prefix, cfg, cache, grads):
     xq, xkv, q, k, v, a, ctx = cache
     h = cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_head)
-    grads[prefix + ".wo"] += _weight_grad(ctx, dout)
+    grads[prefix + ".wo"] = _weight_grad(ctx, dout)
     dctx = _split_heads(dout @ params[prefix + ".wo"].T, h)
     da = dctx @ v.transpose(0, 1, 3, 2)
     dv = a.transpose(0, 1, 3, 2) @ dctx
@@ -344,9 +342,9 @@ def _attn_bwd(dout, params, prefix, cfg, cache, grads):
     dq = ds @ k * scale
     dk = ds.transpose(0, 1, 3, 2) @ q * scale
     dq_flat, dk_flat, dv_flat = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-    grads[prefix + ".wq"] += _weight_grad(xq, dq_flat)
-    grads[prefix + ".wk"] += _weight_grad(xkv, dk_flat)
-    grads[prefix + ".wv"] += _weight_grad(xkv, dv_flat)
+    grads[prefix + ".wq"] = _weight_grad(xq, dq_flat)
+    grads[prefix + ".wk"] = _weight_grad(xkv, dk_flat)
+    grads[prefix + ".wv"] = _weight_grad(xkv, dv_flat)
     dxq = dq_flat @ params[prefix + ".wq"].T
     dxkv = dk_flat @ params[prefix + ".wk"].T + dv_flat @ params[prefix + ".wv"].T
     return dxq, dxkv, ds
@@ -366,10 +364,10 @@ def _ff_fwd(x, params, prefix):
 
 def _ff_bwd(dy, params, prefix, cache, grads):
     x, h1, hr = cache
-    grads[prefix + ".w2"] += _weight_grad(hr, dy)
+    grads[prefix + ".w2"] = _weight_grad(hr, dy)
     dhr = dy @ params[prefix + ".w2"].T
     dh1 = dhr * (h1 > 0)
-    grads[prefix + ".w1"] += _weight_grad(x, dh1)
+    grads[prefix + ".w1"] = _weight_grad(x, dh1)
     return dh1 @ params[prefix + ".w1"].T
 
 
@@ -407,18 +405,18 @@ def _encode(params, cfg, encoder_ids, encoder_valid):
 
 def _encode_bwd(dout, params, cfg, cache, grads):
     dx, dg = _rms_norm_bwd(dout, params["enc.norm"], cache["final"])
-    grads["enc.norm"] += dg
+    grads["enc.norm"] = dg
     for i in range(cfg.n_encoder_layers - 1, -1, -1):
         pre = f"enc.{i}"
         c_n1, c_attn, c_n2, c_ff = cache["layers"][i]
         dn2 = _ff_bwd(dx, params, pre + ".ff", c_ff, grads)
         dx1, dg2 = _rms_norm_bwd(dn2, params[pre + ".ff.norm"], c_n2)
-        grads[pre + ".ff.norm"] += dg2
+        grads[pre + ".ff.norm"] = dg2
         dx1 = dx1 + dx
         dxq, dxkv, ds = _attn_bwd(dx1, params, pre + ".attn", cfg, c_attn, grads)
         _accumulate_bias_grad(grads, "enc.rel_bias", cache["bucket"], ds)
         dn1, dg1 = _rms_norm_bwd(dxq + dxkv, params[pre + ".attn.norm"], c_n1)
-        grads[pre + ".attn.norm"] += dg1
+        grads[pre + ".attn.norm"] = dg1
         dx = dn1 + dx1
     np.add.at(
         grads["embedding"], cache["ids"].ravel(), dx.reshape(-1, cfg.d_model).astype(grads["embedding"].dtype)
@@ -456,27 +454,27 @@ def _decode(params, cfg, decoder_ids, enc_out, encoder_valid, dec_valid):
 def _decode_bwd(dlogits, params, cfg, cache, grads):
     """Returns the gradient flowing into the encoder output."""
     h = cache["h"]
-    grads["embedding"] += _weight_grad(dlogits, h)
+    grads["embedding"] = _weight_grad(dlogits, h)
     dh = dlogits @ params["embedding"].astype(dlogits.dtype, copy=False)
     dx, dg = _rms_norm_bwd(dh, params["dec.norm"], cache["final"])
-    grads["dec.norm"] += dg
+    grads["dec.norm"] = dg
     d_enc_out = None
     for i in range(cfg.n_decoder_layers - 1, -1, -1):
         pre = f"dec.{i}"
         c_n1, c_self, c_n2, c_cross, c_n3, c_ff = cache["layers"][i]
         dn3 = _ff_bwd(dx, params, pre + ".ff", c_ff, grads)
         dx2, dg3 = _rms_norm_bwd(dn3, params[pre + ".ff.norm"], c_n3)
-        grads[pre + ".ff.norm"] += dg3
+        grads[pre + ".ff.norm"] = dg3
         dx2 = dx2 + dx
         dxq, dxkv, _ = _attn_bwd(dx2, params, pre + ".cross", cfg, c_cross, grads)
         d_enc_out = dxkv if d_enc_out is None else d_enc_out + dxkv
         dn2, dg2 = _rms_norm_bwd(dxq, params[pre + ".cross.norm"], c_n2)
-        grads[pre + ".cross.norm"] += dg2
+        grads[pre + ".cross.norm"] = dg2
         dx1 = dn2 + dx2
         dxq, dxkv, ds = _attn_bwd(dx1, params, pre + ".self", cfg, c_self, grads)
         _accumulate_bias_grad(grads, "dec.rel_bias", cache["bucket"], ds)
         dn1, dg1 = _rms_norm_bwd(dxq + dxkv, params[pre + ".self.norm"], c_n1)
-        grads[pre + ".self.norm"] += dg1
+        grads[pre + ".self.norm"] = dg1
         dx = dn1 + dx1
     np.add.at(
         grads["embedding"], cache["ids"].ravel(), dx.reshape(-1, cfg.d_model).astype(grads["embedding"].dtype)
@@ -549,10 +547,13 @@ def loss_and_grads(params: dict[str, np.ndarray], cfg: ModelConfig, batch: Batch
     parameter tensor."""
     logits, (enc_cache, dec_cache) = _forward_with_cache(params, cfg, batch)
     loss, dlogits = cross_entropy(logits, batch.target_ids, batch.loss_mask)
-    grads = zero_grads(params)
+    # the backward pass assigns each weight gradient on its first write; only
+    # the relative-position biases, shared by every layer of a stack, are
+    # scattered into a zeroed buffer
+    grads = {name: np.zeros_like(params[name]) for name in ("enc.rel_bias", "dec.rel_bias")}
     d_enc_out = _decode_bwd(dlogits.astype(cfg.np_dtype), params, cfg, dec_cache, grads)
     _encode_bwd(d_enc_out, params, cfg, enc_cache, grads)
-    return loss, grads
+    return loss, {name: grads[name] for name in params}
 
 
 def greedy_decode(
@@ -564,6 +565,13 @@ def greedy_decode(
     """Argmax decoding (ties break to the lowest id); stops at eos or max_len.
 
     Returns the generated ids without the start token or the terminating eos.
+
+    Incremental: the encoder runs once, each decoder layer's cross-attention
+    keys and values are projected once, and each step embeds only the newest
+    token, appends its self-attention key/value row to the layer's cache and
+    scores that one query against the cache. The caches grow with the tokens
+    generated, never with ``max_len``. The logits are those of the last
+    position of a full teacher-forced decoder pass over the prefix.
     """
     if not encoder_ids:
         raise ModelError("cannot decode from an empty input")
@@ -572,13 +580,48 @@ def greedy_decode(
     if not enc_valid.any():
         raise ModelError("cannot decode from an all-pad input")
     enc_out, _ = _encode(params, cfg, enc, enc_valid)
+    dt = cfg.np_dtype
+    h = cfg.n_heads
+    scale = 1.0 / math.sqrt(cfg.d_head)
+    embedding = params["embedding"].astype(dt, copy=False)
+    cross_mask = np.where(enc_valid[:, None, None, :], 0.0, NEG_INF).astype(dt)
+    layers = []  # per layer: [self keys, self values, cross keys^T, cross values]
+    for i in range(cfg.n_decoder_layers):
+        pre = f"dec.{i}.cross"
+        k = _split_heads(enc_out @ params[pre + ".wk"], h)
+        v = _split_heads(enc_out @ params[pre + ".wv"], h)
+        empty = np.empty((1, h, 0, cfg.d_head), dtype=dt)
+        layers.append([empty, empty, k.transpose(0, 1, 3, 2), v])
+
+    def attend(x, prefix, k_t, v, add):
+        q = _split_heads(x @ params[prefix + ".wq"], h)
+        a = _softmax(q @ k_t * scale + add)
+        return _merge_heads(a @ v) @ params[prefix + ".wo"]
+
     out: list[int] = []
-    for _ in range(max_len):
-        dec = np.asarray([[PAD_ID] + out], dtype=np.int64)
-        dec_valid = np.ones_like(dec, dtype=bool)
-        logits, _ = _decode(params, cfg, dec, enc_out, enc_valid, dec_valid)
-        nxt = int(np.argmax(logits[0, -1]))
-        if nxt == EOS_ID:
+    token = PAD_ID
+    by_distance = params["dec.rel_bias"][:0]  # [n, H]: bias of a key d positions back
+    for t in range(max_len):
+        if t == len(by_distance):  # double the table as the prefix outgrows it
+            bucket = relative_position_bucket(
+                -np.arange(2 * t + 1), cfg.rel_pos_buckets, cfg.rel_pos_max_distance, bidirectional=False
+            )
+            by_distance = params["dec.rel_bias"][bucket]
+        bias = by_distance[t::-1].T[None, :, None, :]  # row t of the causal bias, [1, H, 1, t + 1]
+        x = embedding[token][None, None, :]
+        for i, cache in enumerate(layers):
+            pre = f"dec.{i}"
+            n1, _ = _rms_norm_fwd(x, params[pre + ".self.norm"])
+            cache[0] = np.concatenate([cache[0], _split_heads(n1 @ params[pre + ".self.wk"], h)], axis=2)
+            cache[1] = np.concatenate([cache[1], _split_heads(n1 @ params[pre + ".self.wv"], h)], axis=2)
+            x = x + attend(n1, pre + ".self", cache[0].transpose(0, 1, 3, 2), cache[1], bias)
+            n2, _ = _rms_norm_fwd(x, params[pre + ".cross.norm"])
+            x = x + attend(n2, pre + ".cross", cache[2], cache[3], cross_mask)
+            n3, _ = _rms_norm_fwd(x, params[pre + ".ff.norm"])
+            x = x + _ff_fwd(n3, params, pre + ".ff")[0]
+        final, _ = _rms_norm_fwd(x[0, 0], params["dec.norm"])
+        token = int(np.argmax(embedding @ final))
+        if token == EOS_ID:
             break
-        out.append(nxt)
+        out.append(token)
     return out

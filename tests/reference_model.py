@@ -4,6 +4,11 @@ The forward pass is written with explicit per-head, per-position loops and
 scalar bucket arithmetic; the initializer draws one scalar normal at a time;
 the weight gradient is the einsum contraction. None of them shares code with
 t2tbio.model beyond the config and the parameter dictionary contents.
+
+``rerun_greedy_decode`` is the exception: it is the greedy decoder that
+re-runs the full teacher-forced decoder stack over the whole prefix for every
+new token, built from the model's own encoder and decoder, and is the oracle
+for the incremental ``greedy_decode``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ import math
 
 import numpy as np
 
+from t2tbio.model import _decode, _encode
 from t2tbio.rng import SplitMix64
+from t2tbio.vocab import EOS_ID, PAD_ID
 
 EPS = 1e-6
 NEG = -1e9
@@ -170,3 +177,29 @@ def einsum_weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Gradient of ``x @ w`` with respect to ``w`` for [B, L, *] activations,
     contracted by einsum over batch and position."""
     return np.einsum("bld,ble->de", x, dy)
+
+
+def rerun_greedy_decode(params, cfg, encoder_ids: list[int], max_len: int) -> tuple[list[int], list[float]]:
+    """Greedy decoding by one full decoder pass over ``[pad] + prefix`` per
+    step, reading the last row of the T x V logits.
+
+    Returns the generated ids without the terminating eos, as ``greedy_decode``
+    does, and for each step the margin between the best and the second-best
+    logit of that row."""
+    enc = np.asarray([encoder_ids], dtype=np.int64)
+    enc_valid = enc != PAD_ID
+    enc_out, _ = _encode(params, cfg, enc, enc_valid)
+    out: list[int] = []
+    margins: list[float] = []
+    for _ in range(max_len):
+        dec = np.asarray([[PAD_ID] + out], dtype=np.int64)
+        dec_valid = np.ones_like(dec, dtype=bool)
+        logits, _ = _decode(params, cfg, dec, enc_out, enc_valid, dec_valid)
+        row = logits[0, -1]
+        second, best = np.partition(row, -2)[-2:]
+        margins.append(float(best - second))
+        nxt = int(np.argmax(row))
+        if nxt == EOS_ID:
+            break
+        out.append(nxt)
+    return out, margins

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, build_parser, run
+import t2tbio
+from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, build_parser, run
 from t2tbio.corruption import read_shard
 from t2tbio.data_io import read_task_examples
 from t2tbio.vocab import EOS_ID, load_vocab
@@ -377,3 +382,57 @@ class TestEvaluate:
         write_predictions(preds, [{"prediction": "x"}])
         rc = run(["evaluate", "--task-type", "nli", "--pred", str(preds), "--gold", str(gold)])
         assert rc == EXIT_DATA_ERROR
+
+
+class TestRunConfigErrors:
+    """Malformed run-config values reach the user as a data error naming the
+    field, from the installed entry point, never as a traceback."""
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize(
+        "overrides, env, field",
+        [
+            ({"corpora": [{"path": "c.txt", "weight": "heavy"}]}, {}, "corpora[0].weight"),
+            ({"mixture": [{"task": "a", "path": "a.jsonl", "weight": "w"}]}, {}, "mixture[0].weight"),
+            ({"seed": "x"}, {}, "seed"),
+            ({}, {"T2TBIO_SEED": "abc"}, "T2TBIO_SEED"),
+            ({"mixture": None}, {}, "mixture"),
+        ],
+        ids=["corpora-weight", "mixture-weight", "seed", "env-seed", "mixture-not-a-list"],
+    )
+    def test_bad_number_exits_1_naming_the_field(self, tmp_path, command, overrides, env, field):
+        payload = {
+            "vocab_path": str(tmp_path / "vocab.txt"),
+            "out_dir": str(tmp_path / "out"),
+            "model": {"vocab_size": 64, "d_model": 16, "n_heads": 2, "d_ff": 32, "max_seq_len": 32},
+            "train": {"num_steps": 1, "input_len": 16, "target_len": 16},
+            **overrides,
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        src = str(Path(t2tbio.__file__).resolve().parent.parent)
+        child_env = {k: v for k, v in os.environ.items() if not k.startswith("T2TBIO_")}
+        child_env.update(env, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "t2tbio.cli", command, "--config", str(config)],
+            capture_output=True,
+            text=True,
+            env=child_env,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestPredictMaxLen:
+    @pytest.mark.parametrize("max_len", ["0", "-3", "two"])
+    def test_below_one_is_a_usage_error(self, tmp_path, max_len, capsys):
+        out = tmp_path / "preds.jsonl"
+        argv = ["predict", "--checkpoint", str(tmp_path), "--vocab", str(tmp_path / "v.txt"),
+                "--in", str(tmp_path / "in.jsonl"), "--out", str(out), "--max-len", max_len]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "--max-len" in capsys.readouterr().err
+        assert not out.exists()

@@ -56,7 +56,10 @@ def test_gradients_cover_every_parameter():
     params = randomized_params(TINY, seed=1)
     batch = tiny_batch(seed=1)
     _, grads = loss_and_grads(params, TINY, batch)
-    assert set(grads) == set(params)
+    # in the parameters' order, which the optimizer state and its file follow
+    assert list(grads) == list(params)
+    for name, g in grads.items():
+        assert g.shape == params[name].shape and g.dtype == params[name].dtype, name
     # every tensor that feeds the loss should receive some signal
     silent = [n for n, g in grads.items() if np.all(g == 0.0)]
     assert silent == []

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from t2tbio import model
 from t2tbio.errors import ConfigError, ModelError
@@ -21,8 +24,15 @@ from t2tbio.model import (
     validate_params,
 )
 from t2tbio.rng import SplitMix64
+from t2tbio.vocab import EOS_ID, PAD_ID
 
-from reference_model import bucket_scalar, einsum_weight_grad, reference_forward, scalar_init_params
+from reference_model import (
+    bucket_scalar,
+    einsum_weight_grad,
+    reference_forward,
+    rerun_greedy_decode,
+    scalar_init_params,
+)
 
 SMOKE = ModelConfig(
     vocab_size=256,
@@ -231,7 +241,79 @@ class TestLoss:
         assert abs(loss - loss2) < 1e-12
 
 
+SMOKE64 = ModelConfig(**{**SMOKE.to_dict(), "dtype": "float64"})
+
+# a float32 decode may leave the re-run reference only at a step whose best two
+# logits are this close, where summation order alone can pick either
+TIE_MARGIN = 1e-3
+
+
+def assert_same_decode(params, cfg, ids, max_len):
+    got = greedy_decode(params, cfg, ids, max_len)
+    ref, margins = rerun_greedy_decode(params, cfg, ids, max_len)
+    if got == ref:
+        return
+    assert cfg.dtype == "float32", (ids, max_len, got, ref)
+    # first step at which the two differ, an eos on one side included
+    k = next((i for i, (a, b) in enumerate(zip(got, ref)) if a != b), min(len(got), len(ref)))
+    assert margins[k] < TIE_MARGIN, (ids, max_len, k, got, ref)
+
+
+def decode_inputs(seed):
+    rng = SplitMix64(seed + 100)
+
+    def draw(n):
+        return [3 + rng.next_below(SMOKE.vocab_size - 3) for _ in range(n)]
+
+    return [
+        (draw(20) + [EOS_ID], 1),
+        (draw(6) + [PAD_ID] + draw(5) + [EOS_ID], 64),  # the cross mask drops the middle pad
+        (draw(30) + [EOS_ID], SMOKE.max_seq_len + 16),  # decoded past the training length cap
+        ([EOS_ID] + draw(8), 12),
+    ]
+
+
 class TestGreedyDecode:
+    @pytest.mark.parametrize("cfg", [SMOKE64, SMOKE], ids=["float64", "float32"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_rerun_reference(self, cfg, seed):
+        params = randomized_params(cfg, seed=seed)
+        for ids, max_len in decode_inputs(seed):
+            assert_same_decode(params, cfg, ids, max_len)
+
+    @given(
+        seed=st.integers(0, 4),
+        double=st.booleans(),
+        ids=st.lists(st.integers(0, SMOKE.vocab_size - 1), min_size=1, max_size=12).filter(
+            lambda ids: any(i != PAD_ID for i in ids)
+        ),
+        max_len=st.integers(1, 12),
+    )
+    def test_matches_the_rerun_reference_on_random_inputs(self, seed, double, ids, max_len):
+        cfg = SMOKE64 if double else SMOKE
+        assert_same_decode(randomized_params(cfg, seed=seed), cfg, ids, max_len)
+
+    def test_memory_follows_generated_tokens_not_max_len(self):
+        params = randomized_params(SMOKE, seed=1)
+        ids = list(range(3, 40)) + [EOS_ID]
+        embedding = params["embedding"]
+        for scale in (1e3, -1e3):  # whichever sign makes eos the first argmax
+            params["embedding"] = embedding.copy()
+            params["embedding"][EOS_ID] *= scale
+            if greedy_decode(params, SMOKE, ids, max_len=1) == []:
+                break
+        assert greedy_decode(params, SMOKE, ids, max_len=64) == []
+
+        def peak(max_len):
+            tracemalloc.start()
+            try:
+                assert greedy_decode(params, SMOKE, ids, max_len=max_len) == []
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4096) <= 2 * peak(64)
+
     def test_deterministic(self):
         params = randomized_params(TINY, seed=8)
         a = greedy_decode(params, TINY, [3, 4, 5], max_len=6)
