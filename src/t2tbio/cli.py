@@ -82,19 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default=None, help="comma-separated closed label set (re)")
     _common_flags(p)
 
-    p = sub.add_parser("pretrain", help="span-infilling pretraining from a run config")
-    p.add_argument("--config", required=True, help="run config JSON")
-    p.add_argument("--out-dir", default=None, help="override the config output directory")
-    p.add_argument("--warm-start", default=None, help="checkpoint directory to initialize weights from")
-    p.add_argument("--resume", default=None, help="checkpoint directory to resume training from")
-    _common_flags(p)
-
-    p = sub.add_parser("finetune", help="supervised fine-tuning from a run config")
-    p.add_argument("--config", required=True, help="run config JSON")
-    p.add_argument("--out-dir", default=None, help="override the config output directory")
-    p.add_argument("--warm-start", default=None, help="checkpoint directory to initialize weights from")
-    p.add_argument("--resume", default=None, help="checkpoint directory to resume training from")
-    _common_flags(p)
+    for name, what in (("pretrain", "span-infilling pretraining"), ("finetune", "supervised fine-tuning")):
+        p = sub.add_parser(name, help=f"{what} from a run config")
+        p.add_argument("--config", required=True, help="run config JSON")
+        p.add_argument("--out-dir", default=None, help="override the config output directory")
+        start = p.add_mutually_exclusive_group()
+        start.add_argument("--warm-start", help="checkpoint directory to initialize weights from")
+        start.add_argument("--resume", help="checkpoint directory to resume training from")
+        _common_flags(p)
 
     p = sub.add_parser("predict", help="greedy-decode a TaskExample file with a checkpoint")
     p.add_argument("--checkpoint", required=True, help="checkpoint directory")
@@ -245,44 +240,19 @@ def _initial_params(cfg: data_io.RunConfig, warm_start: str | None):
     return init_params(cfg.model, seed=cfg.seed)
 
 
-def _cmd_pretrain(args) -> int:
+def _cmd_train(args) -> int:
     cfg = _load_run_config(args)
     if not cfg.vocab_path:
-        raise ConfigError("config needs vocab_path for pretraining")
+        raise ConfigError(f"config needs vocab_path for {args.command}")
     v = load_vocab(cfg.vocab_path)
     os.makedirs(cfg.out_dir, exist_ok=True)
     params = None if args.resume else _initial_params(cfg, args.warm_start)
-    result = pretrain(
-        cfg.model,
-        params,
-        cfg.corpora,
-        cfg.corruption,
-        cfg.train,
-        v,
-        out_dir=cfg.out_dir,
-        resume=args.resume,
-    )
-    log.info("pretraining finished at step %d; checkpoints under %s", result.final_step, cfg.out_dir)
-    return EXIT_OK
-
-
-def _cmd_finetune(args) -> int:
-    cfg = _load_run_config(args)
-    if not cfg.vocab_path:
-        raise ConfigError("config needs vocab_path for fine-tuning")
-    v = load_vocab(cfg.vocab_path)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    params = None if args.resume else _initial_params(cfg, args.warm_start)
-    result = finetune(
-        params,
-        cfg.mixture,
-        cfg.model,
-        cfg.train,
-        v,
-        out_dir=cfg.out_dir,
-        resume=args.resume,
-    )
-    log.info("fine-tuning finished at step %d; checkpoints under %s", result.final_step, cfg.out_dir)
+    io = {"out_dir": cfg.out_dir, "resume": args.resume}
+    if args.command == "pretrain":
+        result = pretrain(cfg.model, params, cfg.corpora, cfg.corruption, cfg.train, v, **io)
+    else:
+        result = finetune(params, cfg.mixture, cfg.model, cfg.train, v, **io)
+    log.info("%s finished at step %d; checkpoints under %s", args.command, result.final_step, cfg.out_dir)
     return EXIT_OK
 
 
@@ -449,8 +419,8 @@ _COMMANDS = {
     "vocab-train": _cmd_vocab_train,
     "corrupt": _cmd_corrupt,
     "encode-task": _cmd_encode_task,
-    "pretrain": _cmd_pretrain,
-    "finetune": _cmd_finetune,
+    "pretrain": _cmd_train,
+    "finetune": _cmd_train,
     "predict": _cmd_predict,
     "evaluate": _cmd_evaluate,
     "inspect-checkpoint": _cmd_inspect_checkpoint,

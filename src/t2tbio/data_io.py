@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .corruption import SpanCorruptionConfig
 from .errors import ConfigError, DataFormatError
@@ -294,7 +296,7 @@ def read_task_examples(path) -> list[TaskExample]:
 @dataclass
 class RunConfig:
     model: ModelConfig
-    train: TrainConfig
+    train: TrainConfig = field(default_factory=TrainConfig)
     corruption: SpanCorruptionConfig = field(default_factory=SpanCorruptionConfig)
     vocab_path: str = ""
     out_dir: str = "runs/default"
@@ -303,122 +305,70 @@ class RunConfig:
     mixture: list[MixtureEntry] = field(default_factory=list)
 
 
-_TOP_KEYS = {"model", "train", "corruption", "vocab_path", "out_dir", "seed", "corpora", "mixture"}
-_MODEL_KEYS = {
-    "vocab_size",
-    "d_model",
-    "n_heads",
-    "d_ff",
-    "n_encoder_layers",
-    "n_decoder_layers",
-    "rel_pos_buckets",
-    "rel_pos_max_distance",
-    "max_seq_len",
-    "dropout_rate",
-    "dtype",
-}
-_TRAIN_KEYS = {
-    "learning_rate",
-    "batch_size",
-    "num_steps",
-    "input_len",
-    "target_len",
-    "seed",
-    "checkpoint_every",
-}
-_CORRUPTION_KEYS = {"corruption_rate", "mean_span_length", "max_sentinels", "seed"}
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _check_keys(section, allowed: set[str], where: str) -> None:
+def _value(kind, value, where: str):
+    """``value`` read as a field of type ``kind``: an int is a JSON integer (not
+    a bool), a float a finite number, a str a string, a dataclass a JSON object
+    and ``list[X]`` a JSON list of X."""
+    if is_dataclass(kind):
+        return _build(kind, value, where)
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a JSON list")
+        (item,) = typing.get_args(kind)
+        return [_value(item, x, f"{where}[{i}]") for i, x in enumerate(value)]
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is not float and type(value) is kind:
+        return value
+    raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
+
+
+def _build(cls, section, where: str):
+    """``cls`` from a JSON object. Its keys are the dataclass's field names (or a
+    field's ``metadata["key"]``); fields without a default are required."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(section) - allowed)
+    by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    unknown = sorted(set(section) - set(by_key))
     if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
-
-
-def _number(convert, value, where: str):
-    """``convert(value)`` (``int`` or ``float``), with a failure named by field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"{where}: cannot read {value!r} as {convert.__name__}") from e
-
-
-def _entries(payload: dict, key: str) -> list:
-    entries = payload.get(key, [])
-    if not isinstance(entries, list):
-        raise ConfigError(f"{key} must be a JSON list")
-    return entries
-
-
-def _build(cls, section: dict, where: str):
-    try:
-        return cls(**section)
-    except TypeError as e:
-        raise ConfigError(f"bad {where} section: {e}") from e
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where or 'config'}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, f in by_key.items():
+        if key in section:
+            values[f.name] = _value(hints[f.name], section[key], f"{where}.{key}" if where else key)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where or 'config'} needs {key!r}")
+    return cls(**values)
 
 
 def load_config(path) -> RunConfig:
     """Load and validate a run config JSON document.
 
-    Unknown keys are rejected by name; cross-field constraints (length caps vs
-    model max_seq_len) are enforced here. ``T2TBIO_OUT_DIR`` and
-    ``T2TBIO_SEED`` environment variables override those two fields only.
+    The schema is ``RunConfig`` and the dataclasses it holds: unknown keys are
+    rejected by name and every value is checked against its field's type.
+    Cross-field constraints (length caps vs model max_seq_len) are enforced
+    here. ``T2TBIO_OUT_DIR`` and ``T2TBIO_SEED`` environment variables override
+    those two fields only.
     """
     text = _read_text(path)
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an integer literal beyond Python's digit limit
         raise ConfigError(f"{path}: bad JSON: {e}") from e
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    _check_keys(payload, _TOP_KEYS, "config")
-    if "model" not in payload:
-        raise ConfigError(f"{path}: missing required section 'model'")
-
-    model_section = payload["model"]
-    _check_keys(model_section, _MODEL_KEYS, "model")
-    model = _build(ModelConfig, model_section, "model")
-
-    train_section = payload.get("train", {})
-    _check_keys(train_section, _TRAIN_KEYS, "train")
-    train = _build(TrainConfig, train_section, "train")
-
-    corruption_section = payload.get("corruption", {})
-    _check_keys(corruption_section, _CORRUPTION_KEYS, "corruption")
-    corruption = _build(SpanCorruptionConfig, corruption_section, "corruption")
-
-    corpora = []
-    for i, entry in enumerate(_entries(payload, "corpora")):
-        _check_keys(entry, {"path", "weight"}, f"corpora[{i}]")
-        if "path" not in entry:
-            raise ConfigError(f"corpora[{i}] needs a path")
-        weight = _number(float, entry.get("weight", 1.0), f"corpora[{i}].weight")
-        corpora.append(CorpusEntry(path=entry["path"], weight=weight))
-
-    mixture = []
-    for i, entry in enumerate(_entries(payload, "mixture")):
-        _check_keys(entry, {"task", "path", "weight"}, f"mixture[{i}]")
-        if "task" not in entry or "path" not in entry:
-            raise ConfigError(f"mixture[{i}] needs task and path")
-        weight = _number(float, entry.get("weight", 1.0), f"mixture[{i}].weight")
-        mixture.append(MixtureEntry(task_name=entry["task"], path=entry["path"], weight=weight))
-
-    cfg = RunConfig(
-        model=model,
-        train=train,
-        corruption=corruption,
-        vocab_path=payload.get("vocab_path", ""),
-        out_dir=payload.get("out_dir", "runs/default"),
-        seed=_number(int, payload.get("seed", 0), "seed"),
-        corpora=corpora,
-        mixture=mixture,
-    )
+    cfg = _build(RunConfig, payload, "")
     if ENV_OUT_DIR in os.environ:
         cfg.out_dir = os.environ[ENV_OUT_DIR]
     if ENV_SEED in os.environ:
-        cfg.seed = _number(int, os.environ[ENV_SEED], ENV_SEED)
+        try:
+            cfg.seed = int(os.environ[ENV_SEED])
+        except ValueError as e:
+            raise ConfigError(f"{ENV_SEED}: cannot read {os.environ[ENV_SEED]!r} as int") from e
 
     if cfg.train.input_len > cfg.model.max_seq_len:
         raise ConfigError(

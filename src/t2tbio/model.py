@@ -18,7 +18,7 @@ H heads, Dh = D // H, F d_ff, V vocab size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,19 +78,7 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "n_encoder_layers": self.n_encoder_layers,
-            "n_decoder_layers": self.n_decoder_layers,
-            "rel_pos_buckets": self.rel_pos_buckets,
-            "rel_pos_max_distance": self.rel_pos_max_distance,
-            "max_seq_len": self.max_seq_len,
-            "dropout_rate": self.dropout_rate,
-            "dtype": self.dtype,
-        }
+        return asdict(self)
 
 
 @dataclass

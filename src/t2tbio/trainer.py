@@ -1,10 +1,18 @@
-"""Training loops: self-supervised pretraining and (multi-task) fine-tuning.
+"""Training: self-supervised pretraining and (multi-task) fine-tuning.
 
-Both loops share the same skeleton: sample a source by weight, assemble a
-teacher-forcing batch, take one Adam step, log "step=<n> task=<name>
-loss=<float>". Everything random flows through one SplitMix64 stream seeded
-from TrainConfig, so a run is bit-reproducible and a checkpoint (params +
-optimizer moments + rng state + step) resumes exactly where it left off.
+``pretrain`` and ``finetune`` differ only in their sources. Each validates its
+mixture, loads its corpus windows or task pairs, and hands one step loop a
+per-source ``draw(rng, i)`` that returns a batch of (input ids, target ids)
+pairs. The loop samples a source by weight, assembles a teacher-forcing batch,
+takes one Adam step and logs "step=<n> task=<name> loss=<float>". Everything
+random flows through one SplitMix64 stream seeded from TrainConfig, so a run is
+bit-reproducible and a checkpoint (params + optimizer moments + rng state +
+step) resumes exactly where it left off.
+
+With an ``out_dir``, a run writes ``step_<n>/`` every ``checkpoint_every``
+steps, ``final/``, and ``loss_curve.json``:
+``{"curves": {source: [[step, loss], ...]}, "losses": [loss, ...]}``, where
+``losses`` holds every step this call ran, in order.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ class CorpusEntry:
 
 @dataclass(frozen=True)
 class MixtureEntry:
-    task_name: str
+    task_name: str = field(metadata={"key": "task"})  # its key in a run config
     path: str
     weight: float = 1.0
 
@@ -224,17 +232,61 @@ def _resume_state(resume_dir, model_cfg: ModelConfig):
     return params, opt, rng_state, step
 
 
-def _maybe_checkpoint(out_dir, tag, params, model_cfg, opt, rng, step):
-    if out_dir is None:
-        return
-    save_checkpoint(
-        os.path.join(out_dir, tag),
-        params,
-        model_cfg,
-        opt_state=opt,
-        rng_state=rng.getstate(),
-        step=step,
+def _train(
+    params: dict[str, np.ndarray] | None,
+    model_cfg: ModelConfig,
+    train_cfg: TrainConfig,
+    names: list[str],
+    weights: list[float],
+    draw,
+    ensure_eos: bool,
+    out_dir: str | None,
+    resume: str | None,
+) -> TrainResult:
+    """The step loop both phases share. Each step picks source ``i`` by weight,
+    takes its (input ids, target ids) pairs from ``draw(rng, i)``, and takes one
+    Adam step on them; all randomness comes from the one SplitMix64 stream."""
+    rng = SplitMix64(train_cfg.seed)
+    opt = AdamState()
+    start_step = 0
+    if resume is not None:
+        params, opt, rng_state, start_step = _resume_state(resume, model_cfg)
+        if rng_state is not None:
+            rng.setstate(rng_state)
+        if start_step > train_cfg.num_steps:
+            raise ConfigError(
+                f"resume checkpoint {resume} is at step {start_step}, past num_steps {train_cfg.num_steps}"
+            )
+    if params is None:
+        raise ConfigError("params are required unless resuming from a checkpoint")
+
+    def save(tag: str, step: int) -> None:
+        if out_dir is not None:
+            path = os.path.join(out_dir, tag)
+            save_checkpoint(path, params, model_cfg, opt_state=opt, rng_state=rng.getstate(), step=step)
+
+    result = TrainResult(
+        params=params, loss_curves={n: [] for n in names}, sample_counts={n: 0 for n in names}
     )
+    for step in range(start_step, train_cfg.num_steps):
+        i = weighted_index(rng, weights)
+        batch = make_batch(draw(rng, i), ensure_eos=ensure_eos)
+        loss, grads = loss_and_grads(params, model_cfg, batch)
+        optimizer_step(params, grads, opt, train_cfg.learning_rate)
+        result.losses.append(loss)
+        result.loss_curves[names[i]].append((step, loss))
+        result.sample_counts[names[i]] += 1
+        log.info("step=%d task=%s loss=%.6f", step, names[i], loss)
+        if train_cfg.checkpoint_every and (step + 1) % train_cfg.checkpoint_every == 0:
+            save(f"step_{step + 1:06d}", step + 1)
+    result.final_step = train_cfg.num_steps
+    save("final", train_cfg.num_steps)
+    if out_dir is not None:
+        curves = {n: [[s, x] for s, x in curve] for n, curve in result.loss_curves.items()}
+        with open(os.path.join(out_dir, "loss_curve.json"), "w", encoding="utf-8") as f:
+            json.dump({"curves": curves, "losses": result.losses}, f, sort_keys=True)
+            f.write("\n")
+    return result
 
 
 def pretrain(
@@ -247,12 +299,19 @@ def pretrain(
     out_dir: str | None = None,
     resume: str | None = None,
 ) -> TrainResult:
-    """Span-infilling pretraining over a weighted corpus mixture."""
+    """Span-infilling pretraining over a weighted corpus mixture; a corpus is
+    named by its file name without the extension."""
     if not corpus_mix:
         raise ConfigError("corpus mixture must contain at least one corpus")
+    names: list[str] = []
     for entry in corpus_mix:
         if not (entry.weight >= 0 and math.isfinite(entry.weight)):
             raise ConfigError(f"corpus weight for {entry.path} must be finite and non-negative")
+        name = os.path.splitext(os.path.basename(entry.path))[0]
+        if name in names:
+            other = corpus_mix[names.index(name)].path
+            raise ConfigError(f"corpora {other} and {entry.path} share the name {name!r}")
+        names.append(name)
     if train_cfg.input_len + 1 > model_cfg.max_seq_len:
         raise ConfigError("input_len + 1 exceeds the model's max_seq_len")
     worst_target = 2 * int(train_cfg.input_len * corruption_cfg.corruption_rate + 0.5) + 2
@@ -260,43 +319,20 @@ def pretrain(
         raise ConfigError("corruption_rate could produce targets beyond max_seq_len")
 
     windows = load_corpus_windows(corpus_mix, v, train_cfg.input_len)
-    names = [os.path.splitext(os.path.basename(e.path))[0] for e in corpus_mix]
-    weights = [e.weight for e in corpus_mix]
 
-    rng = SplitMix64(train_cfg.seed)
-    opt = AdamState()
-    start_step = 0
-    if resume is not None:
-        params, opt, rng_state, start_step = _resume_state(resume, model_cfg)
-        if rng_state is not None:
-            rng.setstate(rng_state)
-    if params is None:
-        raise ConfigError("params are required unless resuming from a checkpoint")
-
-    result = TrainResult(params=params, sample_counts={n: 0 for n in names})
-    for step in range(start_step, train_cfg.num_steps):
-        ci = weighted_index(rng, weights)
+    def draw(rng: SplitMix64, i: int) -> list[tuple[list[int], list[int]]]:
+        pool = windows[i]
         pairs = []
         for _ in range(train_cfg.batch_size):
-            pool = windows[ci]
             tokens = pool[rng.next_below(len(pool))]
             ex = corrupt(tokens, replace(corruption_cfg, seed=rng.next_u64()), v)
             pairs.append((list(ex.input_ids), list(ex.target_ids)))
-        batch = make_batch(pairs, ensure_eos=True)
-        loss, grads = loss_and_grads(params, model_cfg, batch)
-        optimizer_step(params, grads, opt, train_cfg.learning_rate)
-        result.losses.append(loss)
-        result.sample_counts[names[ci]] += 1
-        log.info("step=%d task=%s loss=%.6f", step, names[ci], loss)
-        if train_cfg.checkpoint_every and (step + 1) % train_cfg.checkpoint_every == 0:
-            _maybe_checkpoint(out_dir, f"step_{step + 1:06d}", params, model_cfg, opt, rng, step + 1)
-    result.final_step = train_cfg.num_steps
-    _maybe_checkpoint(out_dir, "final", params, model_cfg, opt, rng, train_cfg.num_steps)
-    if out_dir is not None:
-        with open(os.path.join(out_dir, "loss_curve.json"), "w", encoding="utf-8") as f:
-            json.dump({"losses": result.losses}, f, sort_keys=True)
-            f.write("\n")
-    return result
+        return pairs
+
+    weights = [e.weight for e in corpus_mix]
+    return _train(
+        params, model_cfg, train_cfg, names, weights, draw, ensure_eos=True, out_dir=out_dir, resume=resume
+    )
 
 
 def finetune(
@@ -314,50 +350,25 @@ def finetune(
     if train_cfg.input_len > model_cfg.max_seq_len or train_cfg.target_len > model_cfg.max_seq_len:
         raise ConfigError("length caps exceed the model's max_seq_len")
 
-    datasets: list[list[tuple[list[int], list[int]]]] = []
-    result = TrainResult(params=params if params is not None else {})
+    datasets = []
+    truncated: dict[str, int] = {}
+    dropped: dict[str, int] = {}
     for entry in mixture:
-        pairs, truncated, dropped = load_task_pairs(entry, v, train_cfg.input_len, train_cfg.target_len)
+        pairs, truncated[entry.task_name], dropped[entry.task_name] = load_task_pairs(
+            entry, v, train_cfg.input_len, train_cfg.target_len
+        )
         datasets.append(pairs)
-        result.truncated[entry.task_name] = truncated
-        result.dropped[entry.task_name] = dropped
-        result.sample_counts[entry.task_name] = 0
-        result.loss_curves[entry.task_name] = []
 
-    rng = SplitMix64(train_cfg.seed)
-    opt = AdamState()
-    start_step = 0
-    if resume is not None:
-        params, opt, rng_state, start_step = _resume_state(resume, model_cfg)
-        result.params = params
-        if rng_state is not None:
-            rng.setstate(rng_state)
-    if params is None:
-        raise ConfigError("params are required unless resuming from a checkpoint")
-    result.params = params
+    def draw(rng: SplitMix64, i: int) -> list[tuple[list[int], list[int]]]:
+        pool = datasets[i]
+        return [pool[rng.next_below(len(pool))] for _ in range(train_cfg.batch_size)]
 
+    names = [e.task_name for e in mixture]
     weights = [e.weight for e in mixture]
-    for step in range(start_step, train_cfg.num_steps):
-        ti = weighted_index(rng, weights)
-        pool = datasets[ti]
-        pairs = [pool[rng.next_below(len(pool))] for _ in range(train_cfg.batch_size)]
-        batch = make_batch(pairs, ensure_eos=False)
-        loss, grads = loss_and_grads(params, model_cfg, batch)
-        optimizer_step(params, grads, opt, train_cfg.learning_rate)
-        name = mixture[ti].task_name
-        result.losses.append(loss)
-        result.loss_curves[name].append((step, loss))
-        result.sample_counts[name] += 1
-        log.info("step=%d task=%s loss=%.6f", step, name, loss)
-        if train_cfg.checkpoint_every and (step + 1) % train_cfg.checkpoint_every == 0:
-            _maybe_checkpoint(out_dir, f"step_{step + 1:06d}", params, model_cfg, opt, rng, step + 1)
-    result.final_step = train_cfg.num_steps
-    _maybe_checkpoint(out_dir, "final", params, model_cfg, opt, rng, train_cfg.num_steps)
-    if out_dir is not None:
-        curves = {k: [[s, l] for s, l in v_] for k, v_ in result.loss_curves.items()}
-        with open(os.path.join(out_dir, "loss_curve.json"), "w", encoding="utf-8") as f:
-            json.dump({"curves": curves}, f, sort_keys=True)
-            f.write("\n")
+    result = _train(
+        params, model_cfg, train_cfg, names, weights, draw, ensure_eos=False, out_dir=out_dir, resume=resume
+    )
+    result.truncated, result.dropped = truncated, dropped
     return result
 
 

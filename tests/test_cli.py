@@ -384,6 +384,10 @@ class TestEvaluate:
         assert rc == EXIT_DATA_ERROR
 
 
+MODEL = {"vocab_size": 64, "d_model": 16, "n_heads": 2, "d_ff": 32, "max_seq_len": 32}
+TRAIN = {"num_steps": 1, "input_len": 16, "target_len": 16}
+
+
 class TestRunConfigErrors:
     """Malformed run-config values reach the user as a data error naming the
     field, from the installed entry point, never as a traceback."""
@@ -397,19 +401,27 @@ class TestRunConfigErrors:
             ({"seed": "x"}, {}, "seed"),
             ({}, {"T2TBIO_SEED": "abc"}, "T2TBIO_SEED"),
             ({"mixture": None}, {}, "mixture"),
+            ({"model": {**MODEL, "max_seq_len": float("inf")}}, {}, "model.max_seq_len"),
+            ({"out_dir": 5}, {}, "out_dir"),
+            ({"vocab_path": [1]}, {}, "vocab_path"),
+            ({"train": {**TRAIN, "learning_rate": float("nan")}}, {}, "train.learning_rate"),
+            ({"model": {**MODEL, "n_heads": True}}, {}, "model.n_heads"),
+            ({"train": {**TRAIN, "num_steps": 2.5}}, {}, "train.num_steps"),
         ],
-        ids=["corpora-weight", "mixture-weight", "seed", "env-seed", "mixture-not-a-list"],
+        ids=["corpora-weight", "mixture-weight", "seed", "env-seed", "mixture-not-a-list", "inf-max-seq-len",
+             "int-out-dir", "list-vocab-path", "nan-learning-rate", "bool-n-heads", "fractional-num-steps"],
     )
     def test_bad_number_exits_1_naming_the_field(self, tmp_path, command, overrides, env, field):
         payload = {
             "vocab_path": str(tmp_path / "vocab.txt"),
             "out_dir": str(tmp_path / "out"),
-            "model": {"vocab_size": 64, "d_model": 16, "n_heads": 2, "d_ff": 32, "max_seq_len": 32},
-            "train": {"num_steps": 1, "input_len": 16, "target_len": 16},
+            "model": MODEL,
+            "train": TRAIN,
             **overrides,
         }
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(payload), encoding="utf-8")
+        # inf goes in as the literal 1e999 (json.dumps writes Infinity); both parse to inf
+        config.write_text(json.dumps(payload).replace("Infinity", "1e999"), encoding="utf-8")
         src = str(Path(t2tbio.__file__).resolve().parent.parent)
         child_env = {k: v for k, v in os.environ.items() if not k.startswith("T2TBIO_")}
         child_env.update(env, PYTHONPATH=src)
@@ -423,6 +435,17 @@ class TestRunConfigErrors:
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
         assert field in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestResumeWarmStart:
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_both_flags_are_a_usage_error(self, tmp_path, command, capsys):
+        argv = [command, "--config", str(tmp_path / "config.json"),
+                "--resume", str(tmp_path / "a"), "--warm-start", str(tmp_path / "b")]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestPredictMaxLen:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,6 +205,25 @@ class TestPretrain:
         assert result.sample_counts["corpus"] == 6
         assert result.sample_counts["other"] == 0
 
+    def test_duplicate_corpus_names_rejected(self, tmp_path):
+        path, v = corpus_fixture(tmp_path)
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "corpus.txt")
+            paths[-1].write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+        cfg = small_cfg(v.size)
+        with pytest.raises(ConfigError) as info:
+            pretrain(
+                cfg,
+                init_params(cfg, seed=0),
+                [CorpusEntry(str(p)) for p in paths],
+                SpanCorruptionConfig(max_sentinels=14),
+                TrainConfig(num_steps=6, input_len=24, target_len=24, batch_size=2),
+                v,
+            )
+        assert str(paths[0]) in str(info.value) and str(paths[1]) in str(info.value)
+
     def test_deterministic_given_seed(self, tmp_path):
         path, v = corpus_fixture(tmp_path)
         cfg = small_cfg(v.size)
@@ -218,21 +238,42 @@ class TestPretrain:
             np.testing.assert_array_equal(results[0].params[name], results[1].params[name])
 
 
-class TestFinetune:
-    def make_dataset(self, tmp_path, name, n=6):
-        examples = [
-            TaskExample(
-                task_name=name,
-                input_text=f"{name}: w{i} w{i + 1}",
-                target_text=f"w{i} w{i + 1}",
-                gold={},
-            )
-            for i in range(n)
-        ]
-        path = tmp_path / f"{name}.jsonl"
-        write_task_examples(path, examples)
-        return MixtureEntry(name, str(path))
+def task_entry(tmp_path, name, n=6, weight=1.0):
+    examples = [
+        TaskExample(
+            task_name=name,
+            input_text=f"{name}: w{i} w{i + 1}",
+            target_text=f"w{i} w{i + 1}",
+            gold={},
+        )
+        for i in range(n)
+    ]
+    path = tmp_path / f"{name}.jsonl"
+    write_task_examples(path, examples)
+    return MixtureEntry(name, str(path), weight)
 
+
+def phase_fixture(tmp_path, phase):
+    """(model config, train) for one phase on a small fixture; ``train(params,
+    train_cfg, out_name, resume=None)`` writes under ``tmp_path / out_name``."""
+    if phase == "pretrain":
+        path, v = corpus_fixture(tmp_path)
+        cfg = small_cfg(v.size)
+
+        def train(params, t_cfg, out_name, resume=None):
+            return pretrain(cfg, params, [CorpusEntry(str(path))], SpanCorruptionConfig(max_sentinels=14),
+                            t_cfg, v, out_dir=str(tmp_path / out_name), resume=resume)
+    else:
+        v = word_vocab([f"w{i}" for i in range(10)] + ["copy:", "other:"])
+        cfg = small_cfg(v.size)
+        mixture = [task_entry(tmp_path, "copy"), task_entry(tmp_path, "other", weight=2.0)]
+
+        def train(params, t_cfg, out_name, resume=None):
+            return finetune(params, mixture, cfg, t_cfg, v, out_dir=str(tmp_path / out_name), resume=resume)
+    return cfg, train
+
+
+class TestFinetune:
     def test_empty_mixture_rejected(self, tmp_path):
         v = word_vocab(["a"])
         cfg = small_cfg(v.size)
@@ -243,7 +284,7 @@ class TestFinetune:
         words = [f"w{i}" for i in range(10)] + ["copy:", "other:"]
         v = word_vocab(words)
         cfg = small_cfg(v.size)
-        mixture = [self.make_dataset(tmp_path, "copy"), self.make_dataset(tmp_path, "other")]
+        mixture = [task_entry(tmp_path, "copy"), task_entry(tmp_path, "other")]
         t_cfg = TrainConfig(num_steps=8, batch_size=2, input_len=16, target_len=16, seed=0)
         result = finetune(init_params(cfg, 0), mixture, cfg, t_cfg, v)
         assert len(result.losses) == 8
@@ -354,34 +395,28 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError, match="rng_state"):
             load_rng_state(tmp_path)
 
-    def test_resume_equivalence(self, tmp_path):
-        path, v = corpus_fixture(tmp_path)
-        cfg = small_cfg(v.size)
-        corr = SpanCorruptionConfig(max_sentinels=14)
-
+    @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+    def test_resume_equivalence(self, tmp_path, phase):
+        cfg, train = phase_fixture(tmp_path, phase)
         full_cfg = TrainConfig(num_steps=10, input_len=24, target_len=24, batch_size=2, seed=9)
-        full = pretrain(
-            cfg, init_params(cfg, 2), [CorpusEntry(str(path))], corr, full_cfg, v,
-            out_dir=str(tmp_path / "full"),
-        )
-
-        part_cfg = TrainConfig(
-            num_steps=6, input_len=24, target_len=24, batch_size=2, seed=9, checkpoint_every=6
-        )
-        pretrain(
-            cfg, init_params(cfg, 2), [CorpusEntry(str(path))], corr, part_cfg, v,
-            out_dir=str(tmp_path / "part"),
-        )
-        resumed = pretrain(
-            cfg, None, [CorpusEntry(str(path))], corr, full_cfg, v,
-            out_dir=str(tmp_path / "resumed"),
-            resume=str(tmp_path / "part" / "step_000006"),
-        )
+        full = train(init_params(cfg, 2), full_cfg, "full")
+        train(init_params(cfg, 2), replace(full_cfg, num_steps=6, checkpoint_every=6), "part")
+        resumed = train(None, full_cfg, "resumed", resume=str(tmp_path / "part" / "step_000006"))
+        assert resumed.losses == full.losses[6:]
         for name in full.params:
             np.testing.assert_array_equal(full.params[name], resumed.params[name])
-        full_bytes = (tmp_path / "full" / "final" / "weights.bin").read_bytes()
-        resumed_bytes = (tmp_path / "resumed" / "final" / "weights.bin").read_bytes()
-        assert full_bytes == resumed_bytes
+        for blob in ("weights.bin", "optimizer.bin"):
+            full_bytes = (tmp_path / "full" / "final" / blob).read_bytes()
+            assert (tmp_path / "resumed" / "final" / blob).read_bytes() == full_bytes, blob
+
+    @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+    def test_resume_past_num_steps_rejected(self, tmp_path, phase):
+        cfg, train = phase_fixture(tmp_path, phase)
+        t_cfg = TrainConfig(num_steps=8, input_len=24, target_len=24, batch_size=2, checkpoint_every=8)
+        train(init_params(cfg, 0), t_cfg, "run")
+        with pytest.raises(ConfigError, match="at step 8, past num_steps 3"):
+            train(None, replace(t_cfg, num_steps=3), "again", resume=str(tmp_path / "run" / "step_000008"))
+        assert not (tmp_path / "again" / "final").exists()
 
     def test_log_line_format(self, tmp_path, caplog):
         import logging
@@ -418,3 +453,4 @@ class TestCheckpointing:
         )
         curve = json.loads((out / "loss_curve.json").read_text(encoding="utf-8"))
         assert len(curve["losses"]) == 3
+        assert curve["curves"] == {"corpus": [[step, loss] for step, loss in enumerate(curve["losses"])]}
