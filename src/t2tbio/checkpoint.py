@@ -153,7 +153,7 @@ def load_manifest(ckpt_dir) -> dict:
             manifest = json.load(f)
     except FileNotFoundError as e:
         raise CheckpointError(f"no manifest at {path}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also non-UTF-8 bytes or an integer beyond Python's digit limit
         raise CheckpointError(f"{path}: bad manifest JSON: {e}") from e
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is {type(manifest).__name__}, not an object")
@@ -221,7 +221,7 @@ def load_rng_state(ckpt_dir) -> int | None:
     with open(path, encoding="utf-8") as f:
         try:
             payload = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # also non-UTF-8 bytes or an integer beyond Python's digit limit
             raise CheckpointError(f"{path}: bad rng_state JSON: {e}") from e
     if not isinstance(payload, dict) or payload.get("algo") != "splitmix64":
         raise CheckpointError(f"{path}: not a splitmix64 rng state")

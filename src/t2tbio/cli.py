@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import data_io, metrics, task_codec
-from .checkpoint import load_checkpoint, load_manifest
+from .checkpoint import load_checkpoint
 from .corruption import SpanCorruptionConfig, corrupt, derive_seed, write_shard
 from .errors import ConfigError, DataFormatError, T2TBioError
 from .model import greedy_decode, init_params, param_count
@@ -148,8 +148,7 @@ def _apply_determinism(args) -> None:
 def _cmd_vocab_train(args) -> int:
     lines: list[str] = []
     for path in args.corpus:
-        with open(path, encoding="utf-8") as f:
-            lines.extend(line.rstrip("\n") for line in f)
+        lines.extend(data_io.read_text(path).splitlines())
     v = train_vocab(lines, target_size=args.size, num_sentinels=args.sentinels)
     save_vocab(v, args.out)
     log.info("wrote vocabulary: %d pieces (%d sentinels) -> %s", v.size, v.num_sentinels, args.out)
@@ -166,17 +165,15 @@ def _cmd_corrupt(args) -> int:
         seed=seed,
     )
     examples = []
-    with open(args.input, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            ids = v.encode(line)
-            if args.input_len is not None:
-                ids = ids[: args.input_len]
-            if not ids:
-                continue
-            examples.append(corrupt(ids, derive_seed(cfg, len(examples)), v))
+    for line in data_io.read_text(args.input).splitlines():
+        if not line.strip():
+            continue
+        ids = v.encode(line)
+        if args.input_len is not None:
+            ids = ids[: args.input_len]
+        if not ids:
+            continue
+        examples.append(corrupt(ids, derive_seed(cfg, len(examples)), v))
     write_shard(args.out, examples, cfg)
     log.info("wrote %d corruption records -> %s", len(examples), args.out)
     return EXIT_OK
@@ -282,17 +279,16 @@ def _cmd_predict(args) -> int:
 
 def read_predictions(path) -> list[dict]:
     records = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataFormatError(f"bad JSON: {e}", path=str(path), line=lineno) from e
-            if not isinstance(record, dict) or "prediction" not in record:
-                raise DataFormatError("prediction record malformed", path=str(path), line=lineno)
-            records.append(record)
+    for lineno, line in enumerate(data_io.read_text(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as e:  # also an integer literal beyond Python's digit limit
+            raise DataFormatError(f"bad JSON: {e}", path=str(path), line=lineno) from e
+        if not isinstance(record, dict) or "prediction" not in record:
+            raise DataFormatError("prediction record malformed", path=str(path), line=lineno)
+        records.append(record)
     return records
 
 
@@ -402,8 +398,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_inspect_checkpoint(args) -> int:
-    manifest = load_manifest(args.checkpoint)
-    params, cfg, _ = load_checkpoint(args.checkpoint)
+    params, cfg, manifest = load_checkpoint(args.checkpoint)
     summary = {
         "model": cfg.to_dict(),
         "tensors": len(manifest["tensors"]),

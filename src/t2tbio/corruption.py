@@ -251,11 +251,12 @@ def read_shard(path) -> list[CorruptionExample]:
         with open(manifest_path, encoding="utf-8") as f:
             try:
                 manifest = json.load(f)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # also non-UTF-8 bytes or an integer beyond Python's digit limit
                 raise DataFormatError(f"bad manifest JSON: {e}", path=manifest_path) from e
-        if manifest.get("records") != len(examples):
+        records = manifest.get("records") if isinstance(manifest, dict) else None
+        if records != len(examples):
             raise DataFormatError(
-                f"manifest says {manifest.get('records')} records, shard has {len(examples)}",
+                f"manifest says {records} records, shard has {len(examples)}",
                 path=str(path),
             )
     return examples

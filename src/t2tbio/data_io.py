@@ -24,7 +24,9 @@ ENV_OUT_DIR = "T2TBIO_OUT_DIR"
 ENV_SEED = "T2TBIO_SEED"
 
 
-def _read_text(path) -> str:
+def read_text(path) -> str:
+    """The whole file as text; DataFormatError naming the path if it cannot be
+    read or is not UTF-8."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -48,7 +50,7 @@ def read_conll_ner(path, diagnostics: dict | None = None) -> list[tuple[list[str
     An I- tag without a preceding B- of the same type is healed to a span
     start (counted under ``healed_i_tags`` in ``diagnostics``).
     """
-    text = _read_text(path)
+    text = read_text(path)
     sentences: list[tuple[list[str], list[EntitySpan]]] = []
     words: list[str] = []
     tags: list[str] = []
@@ -115,7 +117,7 @@ def read_tsv_pairs(path, columns: list[str]) -> list[dict[str, str]]:
     """Verbatim tab-split records; no quoting rules, quoted tabs split anyway."""
     if not columns:
         raise ConfigError("columns must be declared")
-    text = _read_text(path)
+    text = read_text(path)
     records: list[dict[str, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line == "":
@@ -144,10 +146,10 @@ def read_qa_json(path, diagnostics: dict | None = None) -> list[QAExample]:
     no snippets are skipped with a warning count; duplicate ids merge snippet
     and answer lists.
     """
-    text = _read_text(path)
+    text = read_text(path)
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an integer literal beyond Python's digit limit
         raise DataFormatError(f"bad JSON: {e}", path=str(path)) from e
     if isinstance(payload, dict):
         questions = payload.get("questions")
@@ -253,14 +255,14 @@ def write_task_examples(path, examples: list[TaskExample]) -> None:
 
 
 def read_task_examples(path) -> list[TaskExample]:
-    text = _read_text(path)
+    text = read_text(path)
     out: list[TaskExample] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # also an integer literal beyond Python's digit limit
             raise DataFormatError(f"bad JSON: {e}", path=str(path), line=lineno) from e
         if not isinstance(record, dict):
             raise DataFormatError("record must be an object", path=str(path), line=lineno)
@@ -354,7 +356,7 @@ def load_config(path) -> RunConfig:
     here. ``T2TBIO_OUT_DIR`` and ``T2TBIO_SEED`` environment variables override
     those two fields only.
     """
-    text = _read_text(path)
+    text = read_text(path)
     try:
         payload = json.loads(text)
     except ValueError as e:  # also an integer literal beyond Python's digit limit

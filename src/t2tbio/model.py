@@ -7,6 +7,13 @@ projection, and ReLU feed-forward layers. Gradients are computed analytically
 by reverse-mode accumulation through every forward operation; the finite
 difference check in the test suite is the contract for that code.
 
+Both stacks run from one table, ``SUBLAYERS``: each stack is a sequence of
+pre-norm residual sublayers (an RMS norm, then self-attention, cross-attention
+or a feed-forward, then an add to the residual stream). One forward loop,
+``_stack_fwd``, and one backward loop, ``_stack_bwd``, serve the encoder and
+the decoder, and ``expected_shapes`` derives the parameter names from the same
+table.
+
 Parameters live in a plain ``dict[str, np.ndarray]``. Shapes are fully
 determined by ``ModelConfig``; use ``expected_shapes`` / ``validate_params``
 to check a loaded store.
@@ -139,6 +146,22 @@ def make_batch(
 # ---------------------------------------------------------------------------
 
 
+# Each stack's residual sublayers, in the order they run: (name, kind). Layer
+# i of a stack runs them under the prefix "{stack}.{i}.{name}"; kind "self" is
+# self-attention with the stack's rel-bias, "cross" attention over the encoder
+# output, "ff" the feed-forward.
+SUBLAYERS = {
+    "enc": (("attn", "self"), ("ff", "ff")),
+    "dec": (("self", "self"), ("cross", "cross"), ("ff", "ff")),
+}
+
+
+def _sublayers(cfg: ModelConfig, stack: str) -> list[tuple[str, str]]:
+    """(prefix, kind) of every residual sublayer of a stack, in run order."""
+    n = cfg.n_encoder_layers if stack == "enc" else cfg.n_decoder_layers
+    return [(f"{stack}.{i}.{name}", kind) for i in range(n) for name, kind in SUBLAYERS[stack]]
+
+
 def expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     d, f, h = cfg.d_model, cfg.d_ff, cfg.n_heads
     shapes: dict[str, tuple[int, ...]] = {
@@ -148,36 +171,16 @@ def expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         "enc.norm": (d,),
         "dec.norm": (d,),
     }
-    for i in range(cfg.n_encoder_layers):
-        for w in ("wq", "wk", "wv", "wo"):
-            shapes[f"enc.{i}.attn.{w}"] = (d, d)
-        shapes[f"enc.{i}.attn.norm"] = (d,)
-        shapes[f"enc.{i}.ff.w1"] = (d, f)
-        shapes[f"enc.{i}.ff.w2"] = (f, d)
-        shapes[f"enc.{i}.ff.norm"] = (d,)
-    for i in range(cfg.n_decoder_layers):
-        for blk in ("self", "cross"):
-            for w in ("wq", "wk", "wv", "wo"):
-                shapes[f"dec.{i}.{blk}.{w}"] = (d, d)
-            shapes[f"dec.{i}.{blk}.norm"] = (d,)
-        shapes[f"dec.{i}.ff.w1"] = (d, f)
-        shapes[f"dec.{i}.ff.w2"] = (f, d)
-        shapes[f"dec.{i}.ff.norm"] = (d,)
+    for stack in SUBLAYERS:
+        for prefix, kind in _sublayers(cfg, stack):
+            if kind == "ff":
+                shapes[prefix + ".w1"] = (d, f)
+                shapes[prefix + ".w2"] = (f, d)
+            else:
+                for w in ("wq", "wk", "wv", "wo"):
+                    shapes[f"{prefix}.{w}"] = (d, d)
+            shapes[prefix + ".norm"] = (d,)
     return shapes
-
-
-def param_count_formula(cfg: ModelConfig) -> int:
-    """Closed-form parameter count implied by the config."""
-    d, f, h = cfg.d_model, cfg.d_ff, cfg.n_heads
-    enc_layer = 4 * d * d + d + 2 * d * f + d
-    dec_layer = 2 * (4 * d * d + d) + 2 * d * f + d
-    return (
-        cfg.vocab_size * d
-        + 2 * cfg.rel_pos_buckets * h
-        + 2 * d
-        + cfg.n_encoder_layers * enc_layer
-        + cfg.n_decoder_layers * dec_layer
-    )
 
 
 def param_count(params: dict[str, np.ndarray]) -> int:
@@ -364,110 +367,76 @@ def _ff_bwd(dy, params, prefix, cache, grads):
 # ---------------------------------------------------------------------------
 
 
-def _encode(params, cfg, encoder_ids, encoder_valid):
-    dt = cfg.np_dtype
-    b, s = encoder_ids.shape
-    x = params["embedding"][encoder_ids].astype(dt, copy=True)
-    key_mask = np.where(encoder_valid[:, None, None, :], 0.0, NEG_INF).astype(dt)
-    bias, bucket = _bias_matrix(params["enc.rel_bias"], s, s, cfg, bidirectional=True)
-    layer_caches = []
-    for i in range(cfg.n_encoder_layers):
-        pre = f"enc.{i}"
-        n1, c_n1 = _rms_norm_fwd(x, params[pre + ".attn.norm"])
-        a_out, c_attn = _attn_fwd(n1, n1, params, pre + ".attn", cfg, key_mask, bias)
-        x1 = x + a_out
-        n2, c_n2 = _rms_norm_fwd(x1, params[pre + ".ff.norm"])
-        f_out, c_ff = _ff_fwd(n2, params, pre + ".ff")
-        x = x1 + f_out
-        layer_caches.append((c_n1, c_attn, c_n2, c_ff))
-    out, c_final = _rms_norm_fwd(x, params["enc.norm"])
-    cache = {
-        "ids": encoder_ids,
-        "layers": layer_caches,
-        "final": c_final,
-        "bucket": bucket,
-        "key_mask": key_mask,
-    }
+def _stack_fwd(params, cfg, stack, ids, self_mask, bias, bucket, enc_out=None, cross_mask=None):
+    """Embedding lookup, every residual sublayer of ``stack`` in order (each
+    adds its output to the residual stream), then the stack's final norm."""
+    x = params["embedding"][ids].astype(cfg.np_dtype, copy=True)
+    sublayers = []
+    for prefix, kind in _sublayers(cfg, stack):
+        n, c_norm = _rms_norm_fwd(x, params[prefix + ".norm"])
+        if kind == "ff":
+            out, c = _ff_fwd(n, params, prefix)
+        elif kind == "cross":
+            out, c = _attn_fwd(n, enc_out, params, prefix, cfg, cross_mask, None)
+        else:
+            out, c = _attn_fwd(n, n, params, prefix, cfg, self_mask, bias)
+        x = x + out
+        sublayers.append((prefix, kind, c_norm, c))
+    out, c_final = _rms_norm_fwd(x, params[stack + ".norm"])
+    cache = {"stack": stack, "ids": ids, "sublayers": sublayers, "final": c_final, "bucket": bucket}
     return out, cache
 
 
-def _encode_bwd(dout, params, cfg, cache, grads):
-    dx, dg = _rms_norm_bwd(dout, params["enc.norm"], cache["final"])
-    grads["enc.norm"] = dg
-    for i in range(cfg.n_encoder_layers - 1, -1, -1):
-        pre = f"enc.{i}"
-        c_n1, c_attn, c_n2, c_ff = cache["layers"][i]
-        dn2 = _ff_bwd(dx, params, pre + ".ff", c_ff, grads)
-        dx1, dg2 = _rms_norm_bwd(dn2, params[pre + ".ff.norm"], c_n2)
-        grads[pre + ".ff.norm"] = dg2
-        dx1 = dx1 + dx
-        dxq, dxkv, ds = _attn_bwd(dx1, params, pre + ".attn", cfg, c_attn, grads)
-        _accumulate_bias_grad(grads, "enc.rel_bias", cache["bucket"], ds)
-        dn1, dg1 = _rms_norm_bwd(dxq + dxkv, params[pre + ".attn.norm"], c_n1)
-        grads[pre + ".attn.norm"] = dg1
-        dx = dn1 + dx1
+def _stack_bwd(dout, params, cfg, cache, grads):
+    """Backward of ``_stack_fwd``: the final norm, the sublayers in reverse,
+    then the embedding scatter. Returns the gradient flowing into the encoder
+    output (None for a stack without cross-attention)."""
+    stack = cache["stack"]
+    dx, grads[stack + ".norm"] = _rms_norm_bwd(dout, params[stack + ".norm"], cache["final"])
+    d_enc_out = None
+    for prefix, kind, c_norm, c in reversed(cache["sublayers"]):
+        if kind == "ff":
+            dn = _ff_bwd(dx, params, prefix, c, grads)
+        elif kind == "cross":
+            dn, dxkv, _ = _attn_bwd(dx, params, prefix, cfg, c, grads)
+            d_enc_out = dxkv if d_enc_out is None else d_enc_out + dxkv
+        else:
+            dxq, dxkv, ds = _attn_bwd(dx, params, prefix, cfg, c, grads)
+            _accumulate_bias_grad(grads, stack + ".rel_bias", cache["bucket"], ds)
+            dn = dxq + dxkv
+        dn, grads[prefix + ".norm"] = _rms_norm_bwd(dn, params[prefix + ".norm"], c_norm)
+        dx = dn + dx
     np.add.at(
         grads["embedding"], cache["ids"].ravel(), dx.reshape(-1, cfg.d_model).astype(grads["embedding"].dtype)
     )
+    return d_enc_out
+
+
+def _encode(params, cfg, encoder_ids, encoder_valid):
+    s = encoder_ids.shape[1]
+    key_mask = np.where(encoder_valid[:, None, None, :], 0.0, NEG_INF).astype(cfg.np_dtype)
+    bias, bucket = _bias_matrix(params["enc.rel_bias"], s, s, cfg, bidirectional=True)
+    return _stack_fwd(params, cfg, "enc", encoder_ids, key_mask, bias, bucket)
 
 
 def _decode(params, cfg, decoder_ids, enc_out, encoder_valid, dec_valid):
     dt = cfg.np_dtype
-    b, t = decoder_ids.shape
-    x = params["embedding"][decoder_ids].astype(dt, copy=True)
+    t = decoder_ids.shape[1]
     causal = np.tril(np.ones((t, t), dtype=bool))
     self_allowed = causal[None, :, :] & dec_valid[:, None, :]  # [B, T(q), T(k)]
     self_mask = np.where(self_allowed[:, None, :, :], 0.0, NEG_INF).astype(dt)
     cross_mask = np.where(encoder_valid[:, None, None, :], 0.0, NEG_INF).astype(dt)
     bias, bucket = _bias_matrix(params["dec.rel_bias"], t, t, cfg, bidirectional=False)
-    layer_caches = []
-    for i in range(cfg.n_decoder_layers):
-        pre = f"dec.{i}"
-        n1, c_n1 = _rms_norm_fwd(x, params[pre + ".self.norm"])
-        a_out, c_self = _attn_fwd(n1, n1, params, pre + ".self", cfg, self_mask, bias)
-        x1 = x + a_out
-        n2, c_n2 = _rms_norm_fwd(x1, params[pre + ".cross.norm"])
-        c_out, c_cross = _attn_fwd(n2, enc_out, params, pre + ".cross", cfg, cross_mask, None)
-        x2 = x1 + c_out
-        n3, c_n3 = _rms_norm_fwd(x2, params[pre + ".ff.norm"])
-        f_out, c_ff = _ff_fwd(n3, params, pre + ".ff")
-        x = x2 + f_out
-        layer_caches.append((c_n1, c_self, c_n2, c_cross, c_n3, c_ff))
-    h, c_final = _rms_norm_fwd(x, params["dec.norm"])
-    logits = h @ params["embedding"].T.astype(dt, copy=False)
-    cache = {"ids": decoder_ids, "layers": layer_caches, "final": c_final, "h": h, "bucket": bucket}
-    return logits, cache
+    h, cache = _stack_fwd(params, cfg, "dec", decoder_ids, self_mask, bias, bucket, enc_out, cross_mask)
+    cache["h"] = h
+    return h @ params["embedding"].T.astype(dt, copy=False), cache
 
 
-def _decode_bwd(dlogits, params, cfg, cache, grads):
-    """Returns the gradient flowing into the encoder output."""
-    h = cache["h"]
-    grads["embedding"] = _weight_grad(dlogits, h)
-    dh = dlogits @ params["embedding"].astype(dlogits.dtype, copy=False)
-    dx, dg = _rms_norm_bwd(dh, params["dec.norm"], cache["final"])
-    grads["dec.norm"] = dg
-    d_enc_out = None
-    for i in range(cfg.n_decoder_layers - 1, -1, -1):
-        pre = f"dec.{i}"
-        c_n1, c_self, c_n2, c_cross, c_n3, c_ff = cache["layers"][i]
-        dn3 = _ff_bwd(dx, params, pre + ".ff", c_ff, grads)
-        dx2, dg3 = _rms_norm_bwd(dn3, params[pre + ".ff.norm"], c_n3)
-        grads[pre + ".ff.norm"] = dg3
-        dx2 = dx2 + dx
-        dxq, dxkv, _ = _attn_bwd(dx2, params, pre + ".cross", cfg, c_cross, grads)
-        d_enc_out = dxkv if d_enc_out is None else d_enc_out + dxkv
-        dn2, dg2 = _rms_norm_bwd(dxq, params[pre + ".cross.norm"], c_n2)
-        grads[pre + ".cross.norm"] = dg2
-        dx1 = dn2 + dx2
-        dxq, dxkv, ds = _attn_bwd(dx1, params, pre + ".self", cfg, c_self, grads)
-        _accumulate_bias_grad(grads, "dec.rel_bias", cache["bucket"], ds)
-        dn1, dg1 = _rms_norm_bwd(dxq + dxkv, params[pre + ".self.norm"], c_n1)
-        grads[pre + ".self.norm"] = dg1
-        dx = dn1 + dx1
-    np.add.at(
-        grads["embedding"], cache["ids"].ravel(), dx.reshape(-1, cfg.d_model).astype(grads["embedding"].dtype)
-    )
-    return d_enc_out
+def _decode_bwd(dlogits, params, cache, grads):
+    """Output-layer backward: sets the embedding's gradient and returns the
+    gradient flowing into the decoder stack's output."""
+    grads["embedding"] = _weight_grad(dlogits, cache["h"])
+    return dlogits @ params["embedding"].astype(dlogits.dtype, copy=False)
 
 
 def _check_batch(cfg: ModelConfig, batch: Batch) -> None:
@@ -539,8 +508,9 @@ def loss_and_grads(params: dict[str, np.ndarray], cfg: ModelConfig, batch: Batch
     # the relative-position biases, shared by every layer of a stack, are
     # scattered into a zeroed buffer
     grads = {name: np.zeros_like(params[name]) for name in ("enc.rel_bias", "dec.rel_bias")}
-    d_enc_out = _decode_bwd(dlogits.astype(cfg.np_dtype), params, cfg, dec_cache, grads)
-    _encode_bwd(d_enc_out, params, cfg, enc_cache, grads)
+    dh = _decode_bwd(dlogits.astype(cfg.np_dtype), params, dec_cache, grads)
+    d_enc_out = _stack_bwd(dh, params, cfg, dec_cache, grads)
+    _stack_bwd(d_enc_out, params, cfg, enc_cache, grads)
     return loss, {name: grads[name] for name in params}
 
 

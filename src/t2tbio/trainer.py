@@ -28,7 +28,7 @@ import numpy as np
 from .checkpoint import AdamState, load_checkpoint, load_optimizer, load_rng_state, save_checkpoint
 from .corruption import SpanCorruptionConfig, corrupt
 from .errors import ConfigError, DataFormatError
-from .model import ModelConfig, greedy_decode, loss_and_grads, make_batch
+from .model import ModelConfig, loss_and_grads, make_batch
 from .rng import SplitMix64
 from .vocab import EOS_ID, Vocabulary
 
@@ -370,22 +370,3 @@ def finetune(
     )
     result.truncated, result.dropped = truncated, dropped
     return result
-
-
-def exact_match_rate(
-    params: dict[str, np.ndarray],
-    model_cfg: ModelConfig,
-    pairs: list[tuple[list[int], list[int]]],
-    max_len: int,
-) -> float:
-    """Fraction of pairs whose greedy decode reproduces the target exactly."""
-    if not pairs:
-        raise ConfigError("no pairs to evaluate")
-    hits = 0
-    for enc, tgt in pairs:
-        expect = list(tgt)
-        if expect and expect[-1] == EOS_ID:
-            expect = expect[:-1]
-        if greedy_decode(params, model_cfg, list(enc), max_len) == expect:
-            hits += 1
-    return hits / len(pairs)

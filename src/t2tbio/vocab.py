@@ -286,13 +286,16 @@ def save_vocab(v: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        m = VOCAB_HEADER_RE.match(header)
-        if not m:
-            raise VocabError(f"bad vocabulary header: {header!r}")
-        size, sentinels = int(m.group(1)), int(m.group(2))
-        pieces = [_unescape(line.rstrip("\n")) for line in f]
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().rstrip("\n")
+            m = VOCAB_HEADER_RE.match(header)
+            if not m:
+                raise VocabError(f"{path}: bad vocabulary header: {header!r}")
+            size, sentinels = int(m.group(1)), int(m.group(2))
+            pieces = [_unescape(line.rstrip("\n")) for line in f]
+    except ValueError as e:  # not UTF-8, or a count beyond Python's digit limit
+        raise VocabError(f"{path}: {e}") from e
     if len(pieces) != size:
-        raise VocabError(f"vocabulary file lists {len(pieces)} pieces, header says {size}")
+        raise VocabError(f"{path}: vocabulary file lists {len(pieces)} pieces, header says {size}")
     return Vocabulary(pieces=tuple(pieces), num_sentinels=sentinels)

@@ -1,10 +1,15 @@
-"""Shared test utilities: hand-built vocabularies and random example builders."""
+"""Shared test utilities: hand-built vocabularies, random example builders,
+the closed-form parameter count and the greedy exact-match rate."""
 
 from __future__ import annotations
 
+import numpy as np
+
+from t2tbio.errors import ConfigError
+from t2tbio.model import ModelConfig, greedy_decode
 from t2tbio.rng import SplitMix64
 from t2tbio.task_codec import EntitySpan
-from t2tbio.vocab import BOUNDARY, EOS_PIECE, PAD_PIECE, UNK_PIECE, Vocabulary, sentinel_piece
+from t2tbio.vocab import BOUNDARY, EOS_ID, EOS_PIECE, PAD_PIECE, UNK_PIECE, Vocabulary, sentinel_piece
 
 
 def word_vocab(words: list[str], num_sentinels: int = 8) -> Vocabulary:
@@ -44,3 +49,36 @@ def random_spans(rng: SplitMix64, n_words: int, max_spans: int, entity_type: str
         pos = end + 2  # leave a gap so spans stay non-adjacent-safe and non-overlapping
     k = rng.next_below(len(spans) + 1) if spans else 0
     return spans[:k]
+
+
+def param_count_formula(cfg: ModelConfig) -> int:
+    """Closed-form parameter count implied by the config."""
+    d, f, h = cfg.d_model, cfg.d_ff, cfg.n_heads
+    enc_layer = 4 * d * d + d + 2 * d * f + d
+    dec_layer = 2 * (4 * d * d + d) + 2 * d * f + d
+    return (
+        cfg.vocab_size * d
+        + 2 * cfg.rel_pos_buckets * h
+        + 2 * d
+        + cfg.n_encoder_layers * enc_layer
+        + cfg.n_decoder_layers * dec_layer
+    )
+
+
+def exact_match_rate(
+    params: dict[str, np.ndarray],
+    model_cfg: ModelConfig,
+    pairs: list[tuple[list[int], list[int]]],
+    max_len: int,
+) -> float:
+    """Fraction of pairs whose greedy decode reproduces the target exactly."""
+    if not pairs:
+        raise ConfigError("no pairs to evaluate")
+    hits = 0
+    for enc, tgt in pairs:
+        expect = list(tgt)
+        if expect and expect[-1] == EOS_ID:
+            expect = expect[:-1]
+        if greedy_decode(params, model_cfg, list(enc), max_len) == expect:
+            hits += 1
+    return hits / len(pairs)

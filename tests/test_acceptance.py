@@ -37,14 +37,13 @@ from t2tbio.trainer import (
     CorpusEntry,
     MixtureEntry,
     TrainConfig,
-    exact_match_rate,
     finetune,
     load_task_pairs,
     pretrain,
 )
 from t2tbio.vocab import train_vocab
 
-from helpers import random_sentence, random_spans, random_token_sequence, word_vocab
+from helpers import exact_match_rate, random_sentence, random_spans, random_token_sequence, word_vocab
 from oracles import (
     accuracy_oracle,
     classification_oracle,

@@ -10,7 +10,9 @@ import t2tbio
 from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, build_parser, run
 from t2tbio.corruption import read_shard
 from t2tbio.data_io import read_task_examples
-from t2tbio.vocab import EOS_ID, load_vocab
+from t2tbio.vocab import EOS_ID, load_vocab, save_vocab
+
+from helpers import word_vocab
 
 SUBCOMMANDS = [
     "vocab-train",
@@ -384,6 +386,17 @@ class TestEvaluate:
         assert rc == EXIT_DATA_ERROR
 
 
+def run_entry_point(argv: list[str], env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run ``python -m t2tbio.cli`` in a child process, with no inherited
+    T2TBIO_* variables beyond ``env``."""
+    src = str(Path(t2tbio.__file__).resolve().parent.parent)
+    child_env = {k: v for k, v in os.environ.items() if not k.startswith("T2TBIO_")}
+    child_env.update(env or {}, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "t2tbio.cli", *argv], capture_output=True, text=True, env=child_env, timeout=120
+    )
+
+
 MODEL = {"vocab_size": 64, "d_model": 16, "n_heads": 2, "d_ff": 32, "max_seq_len": 32}
 TRAIN = {"num_steps": 1, "input_len": 16, "target_len": 16}
 
@@ -422,18 +435,60 @@ class TestRunConfigErrors:
         config = tmp_path / "config.json"
         # inf goes in as the literal 1e999 (json.dumps writes Infinity); both parse to inf
         config.write_text(json.dumps(payload).replace("Infinity", "1e999"), encoding="utf-8")
-        src = str(Path(t2tbio.__file__).resolve().parent.parent)
-        child_env = {k: v for k, v in os.environ.items() if not k.startswith("T2TBIO_")}
-        child_env.update(env, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "t2tbio.cli", command, "--config", str(config)],
-            capture_output=True,
-            text=True,
-            env=child_env,
-            timeout=120,
-        )
+        proc = run_entry_point([command, "--config", str(config)], env)
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
         assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+NOT_UTF8 = b"\xff\xfe not UTF-8\n"
+HUGE_INT_JSON = b'{"prediction": ' + b"9" * 5000 + b"}\n"  # beyond Python's 4300-digit limit
+EVALUATE = "evaluate --task-type match --pred {pred} --gold {gold}"
+
+
+class TestUnreadableInputs:
+    """An input file that is not UTF-8, or JSON holding an integer literal
+    too long for Python to parse, is a data error naming the file, from the
+    installed entry point, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, bad, content",
+        [
+            pytest.param("vocab-train --corpus {corpus} --out {out}", "corpus", NOT_UTF8, id="vocab-train-corpus"),
+            pytest.param("corrupt --vocab {vocab} --in {corpus} --out {out}", "corpus", NOT_UTF8, id="corrupt-corpus"),
+            pytest.param("corrupt --vocab {vocab} --in {corpus} --out {out}", "vocab", NOT_UTF8, id="corrupt-vocab"),
+            pytest.param(EVALUATE, "pred", NOT_UTF8, id="evaluate-pred-not-utf8"),
+            pytest.param(EVALUATE, "pred", HUGE_INT_JSON, id="evaluate-pred-huge-int"),
+            pytest.param(EVALUATE, "gold", NOT_UTF8, id="evaluate-gold-not-utf8"),
+            pytest.param(EVALUATE, "gold", HUGE_INT_JSON, id="evaluate-gold-huge-int"),
+            pytest.param("encode-task --task-type qa --task-name q --in {qa} --out {out}", "qa", HUGE_INT_JSON,
+                         id="encode-task-qa-huge-int"),
+            pytest.param("inspect-checkpoint --checkpoint {ckpt}", "manifest", NOT_UTF8,
+                         id="inspect-manifest-not-utf8"),
+            pytest.param("inspect-checkpoint --checkpoint {ckpt}", "manifest", HUGE_INT_JSON,
+                         id="inspect-manifest-huge-int"),
+        ],
+    )
+    def test_exits_1_naming_the_file(self, tmp_path, argv, bad, content):
+        files = {
+            "corpus": tmp_path / "corpus.txt",
+            "vocab": tmp_path / "vocab.txt",
+            "pred": tmp_path / "pred.jsonl",
+            "gold": tmp_path / "gold.jsonl",
+            "qa": tmp_path / "qa.json",
+            "manifest": tmp_path / "ckpt" / "manifest.json",
+        }
+        files["corpus"].write_text("alpha beta\n", encoding="utf-8")
+        save_vocab(word_vocab(["alpha", "beta"]), files["vocab"])
+        write_predictions(files["pred"], [{"prediction": "beta"}])
+        files["gold"].write_text('{"task": "t", "input": "t: alpha", "target": "beta"}\n', encoding="utf-8")
+        files["qa"].write_text('{"questions": []}', encoding="utf-8")
+        files["manifest"].parent.mkdir()
+        files[bad].write_bytes(content)
+        names = {**files, "ckpt": files["manifest"].parent, "out": tmp_path / "out"}
+        proc = run_entry_point(argv.format(**names).split())
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert str(files[bad]) in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

@@ -174,6 +174,19 @@ def test_shard_reader_validates(tmp_path):
         read_shard(path)
 
 
+@pytest.mark.parametrize(
+    "manifest",
+    [b"\xff\xfe{}", b'{"records": ' + b"9" * 5000 + b"}", b"[7]"],
+    ids=["not-utf8", "5000-digit-int", "not-an-object"],
+)
+def test_shard_reader_rejects_bad_manifest(tmp_path, manifest):
+    path = tmp_path / "shard.tsv"
+    path.write_text("1 2\t3\n", encoding="utf-8")
+    (tmp_path / "shard.tsv.manifest.json").write_bytes(manifest)
+    with pytest.raises(DataFormatError, match="manifest"):
+        read_shard(path)
+
+
 def test_config_validation():
     with pytest.raises(CorruptionError):
         SpanCorruptionConfig(corruption_rate=1.0)

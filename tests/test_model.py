@@ -19,13 +19,13 @@ from t2tbio.model import (
     loss_and_grads,
     make_batch,
     param_count,
-    param_count_formula,
     relative_position_bucket,
     validate_params,
 )
 from t2tbio.rng import SplitMix64
 from t2tbio.vocab import EOS_ID, PAD_ID
 
+from helpers import param_count_formula
 from reference_model import (
     bucket_scalar,
     einsum_weight_grad,
@@ -168,14 +168,15 @@ class TestForward:
         assert not batch.encoder_valid.all()  # row 0 has pad columns
         _, (enc_cache, dec_cache) = _forward_with_cache(params, TINY, batch)
         pad_cols = ~batch.encoder_valid
-        for c_n1, c_attn, c_n2, c_ff in enc_cache["layers"]:
-            attn = c_attn[5]  # softmax probabilities [B, H, Q, K]
-            for b in range(attn.shape[0]):
-                assert np.all(attn[b][:, :, pad_cols[b]] == 0.0)
-        for layer in dec_cache["layers"]:
-            cross_attn = layer[3][5]
-            for b in range(cross_attn.shape[0]):
-                assert np.all(cross_attn[b][:, :, pad_cols[b]] == 0.0)
+        checked = {"enc": 0, "dec": 0}
+        for cache, kind in ((enc_cache, "self"), (dec_cache, "cross")):
+            for _, sub_kind, _, c_sub in cache["sublayers"]:
+                if sub_kind == kind:
+                    attn = c_sub[5]  # softmax probabilities [B, H, Q, K]
+                    for b in range(attn.shape[0]):
+                        assert np.all(attn[b][:, :, pad_cols[b]] == 0.0)
+                    checked[cache["stack"]] += 1
+        assert checked == {"enc": TINY.n_encoder_layers, "dec": TINY.n_decoder_layers}
 
     def test_rejects_out_of_range_ids(self):
         params = init_params(TINY, seed=0)

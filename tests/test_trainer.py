@@ -395,6 +395,18 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError, match="rng_state"):
             load_rng_state(tmp_path)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [b'\xff\xfe{"algo": "splitmix64"}', b'{"algo": "splitmix64", "state": ' + b"9" * 5000 + b"}"],
+        ids=["not-utf8", "5000-digit-int"],
+    )
+    def test_unparsable_rng_state_raises_checkpoint_error(self, tmp_path, payload):
+        from t2tbio.checkpoint import load_rng_state
+
+        (tmp_path / "rng_state").write_bytes(payload)
+        with pytest.raises(CheckpointError, match="rng_state"):
+            load_rng_state(tmp_path)
+
     @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
     def test_resume_equivalence(self, tmp_path, phase):
         cfg, train = phase_fixture(tmp_path, phase)

@@ -173,6 +173,18 @@ def test_load_rejects_wrong_count(tmp_path):
         load_vocab(path)
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe t2tbio-vocab v1\n", b"t2tbio-vocab v1 size=" + b"9" * 5000 + b" sentinels=0\n"],
+    ids=["not-utf8", "5000-digit-size"],
+)
+def test_load_rejects_unreadable_file_naming_it(tmp_path, content):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(content)
+    with pytest.raises(VocabError, match="vocab.txt"):
+        load_vocab(path)
+
+
 def test_vocabulary_invariants_enforced():
     with pytest.raises(VocabError):
         Vocabulary(pieces=("<pad>", "</s>", "<unk>", sentinel_piece(1)), num_sentinels=1)
