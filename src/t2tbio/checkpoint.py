@@ -37,7 +37,7 @@ class AdamState:
 
 
 def _le_code(arr: np.ndarray) -> str:
-    code = "<" + arr.dtype.char + str(arr.dtype.itemsize)
+    code = "<" + arr.dtype.kind + str(arr.dtype.itemsize)
     if code not in _LE_DTYPES:
         raise CheckpointError(f"unsupported tensor dtype {arr.dtype}")
     return code

@@ -472,8 +472,35 @@ def _forward_with_cache(params, cfg, batch):
         params, cfg, batch.decoder_ids, enc_out, batch.encoder_valid, _dec_key_valid(batch)
     )
     if not np.all(np.isfinite(logits)):
-        raise ModelError("numeric overflow: non-finite logits")
+        name = _first_non_finite([(enc_cache, enc_out), (dec_cache, dec_cache["h"])])
+        raise ModelError(f"numeric overflow: non-finite logits; first non-finite tensor: {name}")
     return logits, (enc_cache, dec_cache)
+
+
+# names of the tensors each sublayer kind keeps in its forward cache
+_CACHE_NAMES = {
+    "ff": ("in", "h1", "relu"),
+    "self": ("in", "in", "q", "k", "v", "probs", "ctx"),
+    "cross": ("in", "kv_in", "q", "k", "v", "probs", "ctx"),
+}
+
+
+def _first_non_finite(stacks) -> str:
+    """Name of the first non-finite tensor of a forward pass, in run order;
+    ``stacks`` pairs each stack's cache with its output."""
+    for cache, out in stacks:
+        stack = cache["stack"]
+        named = []
+        residual = f"{stack}.embedding lookup"
+        for prefix, kind, (x, _), c in cache["sublayers"]:
+            named.append((residual, x))
+            named += [(f"{prefix}.{n}", t) for n, t in zip(_CACHE_NAMES[kind], c)]
+            residual = f"{prefix} residual output"
+        named += [(residual, cache["final"][0]), (f"{stack}.norm output", out)]
+        for name, t in named:
+            if not np.all(np.isfinite(t)):
+                return name
+    return "logits"
 
 
 def cross_entropy(logits: np.ndarray, target_ids: np.ndarray, loss_mask: np.ndarray):

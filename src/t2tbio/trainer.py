@@ -27,7 +27,7 @@ import numpy as np
 
 from .checkpoint import AdamState, load_checkpoint, load_optimizer, load_rng_state, save_checkpoint
 from .corruption import SpanCorruptionConfig, corrupt
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, ModelError
 from .model import ModelConfig, loss_and_grads, make_batch
 from .rng import SplitMix64
 from .vocab import EOS_ID, Vocabulary
@@ -271,7 +271,10 @@ def _train(
     for step in range(start_step, train_cfg.num_steps):
         i = weighted_index(rng, weights)
         batch = make_batch(draw(rng, i), ensure_eos=ensure_eos)
-        loss, grads = loss_and_grads(params, model_cfg, batch)
+        try:
+            loss, grads = loss_and_grads(params, model_cfg, batch)
+        except ModelError as e:
+            raise ModelError(f"step {step}: {e}") from e
         optimizer_step(params, grads, opt, train_cfg.learning_rate)
         result.losses.append(loss)
         result.loss_curves[names[i]].append((step, loss))

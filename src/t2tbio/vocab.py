@@ -12,10 +12,21 @@ word-boundary marker and the text gets one leading marker, so segmentation
 sees word boundaries and decoding can restore the original spacing exactly
 (including runs of spaces). Decode maps markers back to spaces and strips the
 single leading one.
+
+Training is the incremental pair-merge update (Sennrich et al., arXiv
+1508.07909): the adjacent-pair counts, an index from each pair to the words
+that hold it, and a heap of (-count, pair) live across merges, and a merge
+re-counts only the words holding the merged pair. Merges stay within a word
+unit, so a learned piece holds the boundary marker at index 0 or not at all.
+Under that invariant greedy longest-match never crosses a word, a text's ids
+are the concatenation of its words' ids, and ``encode`` memoizes them per
+word. A vocabulary loaded from a file may break the invariant; it is checked
+once per ``Vocabulary`` and, if broken, ``encode`` runs without the memo.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
 
@@ -33,6 +44,9 @@ UNK_PIECE = "<unk>"
 # ordinary text. Occurrences in input text are treated as spaces.
 BOUNDARY = "\ue000"
 
+# Words whose ids one Vocabulary keeps; the memo is emptied when it fills.
+ENCODE_MEMO_MAX = 1 << 16
+
 VOCAB_HEADER_RE = re.compile(r"^t2tbio-vocab v1 size=(\d+) sentinels=(\d+)$")
 _SENTINEL_RE = re.compile(r"^<extra_id_(\d+)>$")
 
@@ -47,12 +61,19 @@ def _is_reserved_piece(piece: str) -> bool:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Immutable subword vocabulary; safe to share across threads."""
+    """Immutable subword vocabulary; safe to share across threads.
+
+    Its one mutable part is the per-word encode memo. Each access is a single
+    dict get, set or clear, and an entry depends only on its key, so threads
+    sharing a vocabulary get the ids one thread would. Racing misses may
+    segment a word twice, and may leave the memo up to one entry per racing
+    thread above ``ENCODE_MEMO_MAX`` until the next miss empties it."""
 
     pieces: tuple[str, ...]
     num_sentinels: int
     piece_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     _max_piece_len: int = field(init=False, repr=False, compare=False)
+    _memo: dict[str, list[int]] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pieces) < 3 + self.num_sentinels:
@@ -74,6 +95,9 @@ class Vocabulary:
         object.__setattr__(self, "piece_to_id", mapping)
         learned = self.learned_pieces()
         object.__setattr__(self, "_max_piece_len", max((len(p) for p in learned), default=1))
+        # per-word memo, exact only while no learned piece spans a boundary
+        word_local = all(BOUNDARY not in p[1:] for p in learned)
+        object.__setattr__(self, "_memo", {} if word_local else None)
 
     @property
     def size(self) -> int:
@@ -119,7 +143,22 @@ class Vocabulary:
         """Greedy longest-match segmentation; unknown characters map to unk."""
         if not text:
             return []
-        normalized = BOUNDARY + text.replace(" ", BOUNDARY)
+        memo = self._memo
+        if memo is None:
+            return self._segment(BOUNDARY + text.replace(" ", BOUNDARY))
+        ids: list[int] = []
+        for word in text.replace(" ", BOUNDARY).split(BOUNDARY):
+            word_ids = memo.get(word)
+            if word_ids is None:
+                word_ids = self._segment(BOUNDARY + word)
+                if len(memo) >= ENCODE_MEMO_MAX:
+                    memo.clear()
+                memo[word] = word_ids
+            ids += word_ids
+        return ids
+
+    def _segment(self, normalized: str) -> list[int]:
+        """Greedy longest-match over boundary-normalized text."""
         ids: list[int] = []
         learned_floor = 3
         learned_ceil = self.size - self.num_sentinels
@@ -192,24 +231,49 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
 
     learned: list[str] = sorted(alphabet)
     budget = target_size - 3 - num_sentinels - len(learned)
-    banned: set[tuple[str, str]] = set()
-    working = {tuple(unit): freq for unit, freq in units.items()}
+    words = list(units)
+    freqs = list(units.values())
+    # adjacent-pair counts, the words that may hold each pair (a superset:
+    # merges do not remove stale entries) and a max-heap of (-count, pair)
+    # whose entries go stale when a count changes and are skipped on pop
+    pair_counts: dict[tuple[str, str], int] = {}
+    holders: dict[tuple[str, str], set[int]] = {}
+    for w, (word, freq) in enumerate(zip(words, freqs)):
+        for pair in zip(word, word[1:]):
+            pair_counts[pair] = pair_counts.get(pair, 0) + freq
+            holders.setdefault(pair, set()).add(w)
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
 
-    while budget > 0:
-        pair_counts: dict[tuple[str, str], int] = {}
-        for unit, freq in working.items():
-            for a, b in zip(unit, unit[1:]):
-                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + freq
-        candidates = {p: c for p, c in pair_counts.items() if p not in banned}
-        if not candidates:
-            break
+    while budget > 0 and heap:
         # highest count first, then lexicographically smallest pair
-        best = min(candidates.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        merged = best[0] + best[1]
-        if _is_reserved_piece(merged):
-            banned.add(best)
+        neg_count, best = heapq.heappop(heap)
+        if pair_counts.get(best) != -neg_count:
             continue
-        working = {_apply_merge(unit, best, merged): freq for unit, freq in working.items()}
+        merged = best[0] + best[1]
+        if _is_reserved_piece(merged):  # never learned: this entry and any later one are dropped
+            continue
+        delta: dict[tuple[str, str], int] = {}
+        for w in holders.pop(best):
+            word = words[w]
+            new = _apply_merge(word, best, merged)
+            if len(new) == len(word):
+                continue
+            freq = freqs[w]
+            for pair in zip(word, word[1:]):
+                delta[pair] = delta.get(pair, 0) - freq
+            for pair in zip(new, new[1:]):
+                delta[pair] = delta.get(pair, 0) + freq
+                holders.setdefault(pair, set()).add(w)
+            words[w] = new
+        for pair, d in delta.items():
+            if d:
+                count = pair_counts.get(pair, 0) + d
+                if count:
+                    pair_counts[pair] = count
+                    heapq.heappush(heap, (-count, pair))
+                else:
+                    del pair_counts[pair]
         learned.append(merged)
         budget -= 1
 

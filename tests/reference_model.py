@@ -9,6 +9,10 @@ t2tbio.model beyond the config and the parameter dictionary contents.
 re-runs the full teacher-forced decoder stack over the whole prefix for every
 new token, built from the model's own encoder and decoder, and is the oracle
 for the incremental ``greedy_decode``.
+
+``recount_train_vocab`` is the vocabulary trainer that recounts every adjacent
+pair of every word unit before each merge; it is the oracle for the
+incremental ``t2tbio.vocab.train_vocab``.
 """
 
 from __future__ import annotations
@@ -18,8 +22,21 @@ import math
 import numpy as np
 
 from t2tbio.model import _decode, _encode
+from t2tbio.errors import VocabError
 from t2tbio.rng import SplitMix64
-from t2tbio.vocab import EOS_ID, PAD_ID
+from t2tbio.vocab import (
+    BOUNDARY,
+    EOS_ID,
+    EOS_PIECE,
+    PAD_ID,
+    PAD_PIECE,
+    UNK_PIECE,
+    Vocabulary,
+    _apply_merge,
+    _is_reserved_piece,
+    _split_units,
+    sentinel_piece,
+)
 
 EPS = 1e-6
 NEG = -1e9
@@ -203,3 +220,65 @@ def rerun_greedy_decode(params, cfg, encoder_ids: list[int], max_len: int) -> tu
             break
         out.append(nxt)
     return out, margins
+
+
+def recount_train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabulary:
+    """Train a greedy pair-merge subword vocabulary.
+
+    Starts from the single-character alphabet of the (boundary-normalized)
+    corpus and repeatedly merges the most frequent adjacent pair, breaking
+    frequency ties by lexicographically smallest pair. Merges never cross word
+    boundaries and never produce a reserved piece string. Stops at
+    ``target_size`` total pieces or when no merge candidates remain, so the
+    returned size is at most ``target_size``.
+    """
+    lines = list(corpus)
+    if not lines or all(line == "" for line in lines):
+        raise VocabError("empty corpus")
+    if num_sentinels < 0:
+        raise VocabError("num_sentinels must be non-negative")
+
+    # word unit -> frequency; each unit starts with the boundary marker
+    units: dict[tuple[str, ...], int] = {}
+    alphabet: set[str] = set()
+    for line in lines:
+        if line == "":
+            continue
+        normalized = BOUNDARY + line.replace(" ", BOUNDARY)
+        alphabet.update(normalized)
+        for unit in _split_units(normalized):
+            units[unit] = units.get(unit, 0) + 1
+
+    floor = 3 + num_sentinels + len(alphabet)
+    if target_size < floor:
+        raise VocabError(
+            f"vocab size below floor: target_size={target_size} but the minimum is "
+            f"{floor} (3 specials + {num_sentinels} sentinels + {len(alphabet)} characters)"
+        )
+
+    learned: list[str] = sorted(alphabet)
+    budget = target_size - 3 - num_sentinels - len(learned)
+    banned: set[tuple[str, str]] = set()
+    working = {tuple(unit): freq for unit, freq in units.items()}
+
+    while budget > 0:
+        pair_counts: dict[tuple[str, str], int] = {}
+        for unit, freq in working.items():
+            for a, b in zip(unit, unit[1:]):
+                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + freq
+        candidates = {p: c for p, c in pair_counts.items() if p not in banned}
+        if not candidates:
+            break
+        # highest count first, then lexicographically smallest pair
+        best = min(candidates.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        merged = best[0] + best[1]
+        if _is_reserved_piece(merged):
+            banned.add(best)
+            continue
+        working = {_apply_merge(unit, best, merged): freq for unit, freq in working.items()}
+        learned.append(merged)
+        budget -= 1
+
+    pieces = [PAD_PIECE, EOS_PIECE, UNK_PIECE] + learned
+    pieces += [sentinel_piece(k) for k in range(num_sentinels - 1, -1, -1)]
+    return Vocabulary(pieces=tuple(pieces), num_sentinels=num_sentinels)

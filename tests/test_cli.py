@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import t2tbio
 from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, build_parser, run
+from t2tbio.checkpoint import load_checkpoint
 from t2tbio.corruption import read_shard
 from t2tbio.data_io import read_task_examples
 from t2tbio.vocab import EOS_ID, load_vocab, save_vocab
@@ -83,6 +85,11 @@ class TestVocabAndCorrupt:
     def test_vocab_train_writes_loadable_file(self, trained_vocab):
         v = load_vocab(trained_vocab)
         assert v.num_sentinels == 16
+
+    def test_vocab_train_output_bytes_are_pinned(self, trained_vocab):
+        # any change to the merge order or tie-break changes these bytes
+        digest = hashlib.sha256(trained_vocab.read_bytes()).hexdigest()
+        assert digest == "3c4d91abae1d18eac29d84da6fb966589b9c12654b03ab7917b4efe598001c41"
 
     def test_corrupt_rate_zero(self, tmp_path, fixtures_dir, trained_vocab):
         out = tmp_path / "shard.tsv"
@@ -514,3 +521,24 @@ class TestPredictMaxLen:
         assert exc.value.code == EXIT_USAGE
         assert "--max-len" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFloat64Pretrain:
+    def test_writes_float64_checkpoints_and_exits_0(self, tmp_path, fixtures_dir, trained_vocab):
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        payload = {
+            "vocab_path": str(trained_vocab),
+            "out_dir": str(out),
+            "model": {**MODEL, "vocab_size": load_vocab(trained_vocab).size, "dtype": "float64"},
+            "train": {**TRAIN, "num_steps": 3, "batch_size": 2, "checkpoint_every": 2},
+            "corruption": {"max_sentinels": 16},
+            "corpora": [{"path": str(fixtures_dir / "pretrain_corpus.txt")}],
+        }
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(["pretrain", "--config", str(config)]) == EXIT_OK
+        for ckpt in ("step_000002", "final"):
+            params, cfg, manifest = load_checkpoint(out / ckpt)
+            assert cfg.dtype == "float64"
+            assert all(p.dtype == "float64" for p in params.values())
+            assert manifest["step"] == (2 if ckpt == "step_000002" else 3)

@@ -229,6 +229,24 @@ class TestLoss:
         with pytest.raises(ModelError, match="empty loss"):
             loss_and_grads(params, TINY, batch)
 
+    @pytest.mark.parametrize(
+        "param, tensor",
+        [
+            ("enc.0.attn.wq", "enc.0.attn.q"),
+            ("enc.1.ff.w1", "enc.1.ff.h1"),
+            ("enc.1.ff.w2", "enc.1.ff residual output"),
+            ("enc.norm", "enc.norm output"),
+            ("dec.0.cross.wv", "dec.0.cross.v"),
+            ("dec.1.self.wk", "dec.1.self.k"),
+        ],
+    )
+    def test_non_finite_logits_name_the_first_non_finite_tensor(self, param, tensor):
+        params = init_params(TINY, seed=0)
+        params[param][0] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(ModelError) as info:
+            forward(params, TINY, tiny_batch(seed=3))
+        assert str(info.value) == f"numeric overflow: non-finite logits; first non-finite tensor: {tensor}"
+
     def test_duplicating_rows_preserves_loss(self):
         params = randomized_params(TINY, seed=7)
         batch = tiny_batch(seed=7, b=2)

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from t2tbio.checkpoint import AdamState, load_checkpoint, save_checkpoint
+from t2tbio.checkpoint import AdamState, load_checkpoint, load_optimizer, save_checkpoint
 from t2tbio.corruption import SpanCorruptionConfig
 from t2tbio.data_io import write_task_examples
-from t2tbio.errors import CheckpointError, ConfigError
+from t2tbio.errors import CheckpointError, ConfigError, ModelError
 from t2tbio.model import ModelConfig, init_params
 from t2tbio.rng import SplitMix64
 from t2tbio.task_codec import TaskExample
@@ -205,6 +205,24 @@ class TestPretrain:
         assert result.sample_counts["corpus"] == 6
         assert result.sample_counts["other"] == 0
 
+    def test_non_finite_logits_name_the_tensor_and_the_step(self, tmp_path):
+        path, v = corpus_fixture(tmp_path)
+        cfg = small_cfg(v.size)
+        params = init_params(cfg, seed=0)
+        params["dec.0.self.wk"][0] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(ModelError) as info:
+            pretrain(
+                cfg,
+                params,
+                [CorpusEntry(str(path))],
+                SpanCorruptionConfig(max_sentinels=14),
+                TrainConfig(num_steps=2, input_len=24, target_len=24, batch_size=2),
+                v,
+            )
+        assert str(info.value) == (
+            "step 0: numeric overflow: non-finite logits; first non-finite tensor: dec.0.self.k"
+        )
+
     def test_duplicate_corpus_names_rejected(self, tmp_path):
         path, v = corpus_fixture(tmp_path)
         paths = []
@@ -332,6 +350,22 @@ class TestCheckpointing:
         for blob, tensors in (("weights.bin", params), ("optimizer.bin", opt)):
             expected = b"".join(tensors[name].astype("<f4").tobytes() for name in sorted(tensors))
             assert (tmp_path / "ck" / blob).read_bytes() == expected
+
+    def test_float64_save_load_bit_exact(self, tmp_path):
+        cfg = replace(small_cfg(31), dtype="float64")
+        params = init_params(cfg, seed=4)
+        state = AdamState(step=3, m={k: x * 0.5 for k, x in params.items()}, v={k: x * x for k, x in params.items()})
+        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, step=3)
+        loaded, loaded_cfg, manifest = load_checkpoint(tmp_path / "ck")
+        assert loaded_cfg == cfg
+        assert {e["dtype"] for e in manifest["tensors"]} == {"<f8"}
+        for name in params:
+            assert loaded[name].dtype == np.float64
+            assert loaded[name].tobytes() == params[name].tobytes()
+        opt = load_optimizer(tmp_path / "ck", manifest)
+        for name in params:
+            assert opt.m[name].tobytes() == state.m[name].tobytes()
+            assert opt.v[name].tobytes() == state.v[name].tobytes()
 
     def test_non_finite_rejected_on_load(self, tmp_path):
         cfg = small_cfg(31)

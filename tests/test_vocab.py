@@ -1,9 +1,14 @@
+import sys
+import threading
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from t2tbio import vocab as vocab_module
 from t2tbio.errors import VocabError
 from t2tbio.vocab import (
+    BOUNDARY,
     EOS_ID,
     PAD_ID,
     UNK_ID,
@@ -15,6 +20,7 @@ from t2tbio.vocab import (
 )
 
 from helpers import word_vocab
+from reference_model import recount_train_vocab
 
 
 def test_train_merges_most_frequent_pair_first():
@@ -190,3 +196,112 @@ def test_vocabulary_invariants_enforced():
         Vocabulary(pieces=("<pad>", "</s>", "<unk>", sentinel_piece(1)), num_sentinels=1)
     with pytest.raises(VocabError, match="duplicate"):
         Vocabulary(pieces=("<pad>", "</s>", "<unk>", "x", "x"), num_sentinels=0)
+
+
+# -- incremental training against the recounting oracle ----------------------
+
+# word fragments that make ties, runs of one character, reserved strings,
+# multiple spaces and literal boundary markers likely
+FRAGMENTS = ["a", "b", "c", "aa", "aaaa", "ab", "ba", " ", "  ", "<unk>", "<pad>", "</s>",
+             "<extra_id_0>", "<extra_id_12>", "<", ">", BOUNDARY]
+corpus_lines = st.one_of(
+    st.text(alphabet="ab <>", max_size=16),
+    st.lists(st.sampled_from(FRAGMENTS), max_size=10).map("".join),
+)
+
+
+def _train_outcome(train, lines, size, sentinels):
+    try:
+        v = train(lines, target_size=size, num_sentinels=sentinels)
+    except VocabError as e:
+        return ("error", str(e))
+    return ("pieces", v.pieces, v.num_sentinels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(corpus_lines, min_size=1, max_size=8), st.integers(10, 120), st.integers(-1, 6))
+def test_incremental_training_matches_recount_oracle(lines, size, sentinels):
+    assert _train_outcome(train_vocab, lines, size, sentinels) == _train_outcome(
+        recount_train_vocab, lines, size, sentinels
+    )
+
+
+@pytest.mark.parametrize("size", [120, 300, 600])
+def test_incremental_training_matches_oracle_on_fixture_corpus(fixtures_dir, size):
+    lines = (fixtures_dir / "pretrain_corpus.txt").read_text(encoding="utf-8").splitlines()
+    assert train_vocab(lines, size, 16).pieces == recount_train_vocab(lines, size, 16).pieces
+
+
+# -- the per-word encode memo ------------------------------------------------
+
+
+def _without_memo(v: Vocabulary) -> Vocabulary:
+    u = Vocabulary(pieces=v.pieces, num_sentinels=v.num_sentinels)
+    object.__setattr__(u, "_memo", None)
+    return u
+
+
+MEMO_VOCAB = train_vocab(["abc abd cab  ab", "a bb c", "<unk> ca"], target_size=40, num_sentinels=2)
+
+
+@given(st.lists(st.text(alphabet="abcdx <>" + BOUNDARY, max_size=20), min_size=1, max_size=6))
+def test_memo_encode_matches_uncached_encode(texts):
+    plain = _without_memo(MEMO_VOCAB)
+    for _ in range(2):  # the second pass reads every word from the memo
+        assert [MEMO_VOCAB.encode(t) for t in texts] == [plain.encode(t) for t in texts]
+
+
+def test_piece_spanning_a_boundary_disables_the_memo(tmp_path):
+    pieces = ["<pad>", "</s>", "<unk>", BOUNDARY, "a", "b", "a" + BOUNDARY + "b"]
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"t2tbio-vocab v1 size={len(pieces)} sentinels=0\n" + "\n".join(pieces) + "\n", encoding="utf-8")
+    v = load_vocab(path)
+    assert v._memo is None
+    boundary, a, b, ab = 3, 4, 5, 6
+    # greedy longest-match runs across the space: "x" is unk, then "a b" is one piece
+    assert v.encode("xa b") == [boundary, UNK_ID, ab]
+    assert v.encode("a b a") == [boundary, ab, boundary, a]
+    assert v.encode("b") == [boundary, b]
+
+
+def test_memo_never_grows_past_its_cap(monkeypatch):
+    monkeypatch.setattr(vocab_module, "ENCODE_MEMO_MAX", 8)
+    v = Vocabulary(pieces=MEMO_VOCAB.pieces, num_sentinels=MEMO_VOCAB.num_sentinels)
+    plain = _without_memo(v)
+    words = ["".join("abc"[(i >> k) % 3] for k in range(4)) for i in range(60)]
+    for i in range(0, len(words), 5):
+        text = " ".join(words[i : i + 5])
+        assert v.encode(text) == plain.encode(text)
+        assert 0 < len(v._memo) <= 8
+
+
+def test_memo_shared_across_threads_gives_the_uncached_ids(monkeypatch):
+    monkeypatch.setattr(vocab_module, "ENCODE_MEMO_MAX", 8)
+    v = Vocabulary(pieces=MEMO_VOCAB.pieces, num_sentinels=MEMO_VOCAB.num_sentinels)
+    plain = _without_memo(v)
+    texts = [" ".join("abc"[(i * 7 + k) % 3] * (1 + (i + k) % 4) for k in range(6)) for i in range(40)]
+    expected = [plain.encode(t) for t in texts]
+    n_threads = 6  # with a 1 us switch interval their misses interleave
+    results: list = [None] * n_threads
+    sizes: list[int] = []
+
+    def work(slot):
+        got = []
+        for _ in range(20):
+            got.append([v.encode(t) for t in texts])
+            sizes.append(len(v._memo))
+        results[slot] = got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == [expected] * 20 for r in results)
+    assert max(sizes) <= 8 + n_threads
