@@ -191,26 +191,30 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, np.ndarray], ModelConfig, dict]
 
 
 def load_optimizer(ckpt_dir, manifest: dict) -> AdamState | None:
+    """Adam state, or None, for a manifest from ``load_checkpoint``. Each moment must
+    match a parameter's shape and dtype, and ``m`` and ``v`` cover the same ones."""
     if "optimizer" not in manifest:
         return None
     opt_path = os.path.join(ckpt_dir, OPTIMIZER_NAME)
+    record = manifest["optimizer"]
+    if not isinstance(record, dict) or not _is_count(record.get("step")):
+        raise CheckpointError(f"{os.path.join(ckpt_dir, MANIFEST_NAME)}: malformed optimizer record for {opt_path}")
     try:
         with open(opt_path, "rb") as f:
             blob = f.read()
     except FileNotFoundError as e:
         raise CheckpointError(f"manifest lists an optimizer but {opt_path} is missing") from e
-    record = manifest["optimizer"]
-    if not isinstance(record, dict) or not _is_count(record.get("step")):
-        raise CheckpointError(f"{opt_path}: malformed optimizer record in the manifest")
-    tensors = _unpack(record.get("tensors"), blob, opt_path)
+    params = {e["name"]: e for e in manifest["tensors"]}
     state = AdamState(step=record["step"])
-    for name, arr in tensors.items():
-        if name.startswith("m."):
-            state.m[name[2:]] = arr
-        elif name.startswith("v."):
-            state.v[name[2:]] = arr
-        else:
-            raise CheckpointError(f"{opt_path}: unexpected optimizer tensor {name}")
+    for name, arr in _unpack(record.get("tensors"), blob, opt_path).items():
+        moments, param = {"m.": state.m, "v.": state.v}.get(name[:2]), params.get(name[2:])
+        if moments is None or param is None:
+            raise CheckpointError(f"{opt_path}: optimizer tensor {name} names no parameter")
+        if (list(arr.shape), arr.dtype) != (param["shape"], _LE_DTYPES[param["dtype"]]):
+            raise CheckpointError(f"{opt_path}: {name} is {arr.dtype} {list(arr.shape)}, unlike its parameter")
+        moments[name[2:]] = arr
+    if state.m.keys() != state.v.keys():
+        raise CheckpointError(f"{opt_path}: m and v hold different tensors: {sorted(state.m.keys() ^ state.v.keys())}")
     return state
 
 

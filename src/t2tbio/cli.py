@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import data_io, metrics, task_codec
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, load_optimizer
 from .corruption import SpanCorruptionConfig, corrupt, derive_seed, write_shard
 from .errors import ConfigError, DataFormatError, T2TBioError
 from .model import greedy_decode, init_params, param_count
@@ -399,12 +399,13 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_inspect_checkpoint(args) -> int:
     params, cfg, manifest = load_checkpoint(args.checkpoint)
+    load_optimizer(args.checkpoint, manifest)
     summary = {
         "model": cfg.to_dict(),
         "tensors": len(manifest["tensors"]),
         "parameters": param_count(params),
         "step": manifest.get("step"),
-        "optimizer": manifest.get("optimizer", {}).get("name") if "optimizer" in manifest else None,
+        "optimizer": manifest["optimizer"].get("name") if "optimizer" in manifest else None,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK

@@ -12,7 +12,8 @@ pre-norm residual sublayers (an RMS norm, then self-attention, cross-attention
 or a feed-forward, then an add to the residual stream). One forward loop,
 ``_stack_fwd``, and one backward loop, ``_stack_bwd``, serve the encoder and
 the decoder, and ``expected_shapes`` derives the parameter names from the same
-table.
+table. With a key/value cache the forward loop also runs ``greedy_decode``'s
+steps over the newest token alone; training is its cache-less case.
 
 Parameters live in a plain ``dict[str, np.ndarray]``. Shapes are fully
 determined by ``ModelConfig``; use ``expected_shapes`` / ``validate_params``
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,10 +158,15 @@ SUBLAYERS = {
 }
 
 
-def _sublayers(cfg: ModelConfig, stack: str) -> list[tuple[str, str]]:
+def _sublayers(cfg: ModelConfig, stack: str) -> tuple[tuple[str, str], ...]:
     """(prefix, kind) of every residual sublayer of a stack, in run order."""
     n = cfg.n_encoder_layers if stack == "enc" else cfg.n_decoder_layers
-    return [(f"{stack}.{i}.{name}", kind) for i in range(n) for name, kind in SUBLAYERS[stack]]
+    return _named_sublayers(stack, n, SUBLAYERS[stack])
+
+
+@lru_cache(maxsize=64)  # built once per layout, not on every decode step
+def _named_sublayers(stack: str, n: int, table: tuple) -> tuple[tuple[str, str], ...]:
+    return tuple((f"{stack}.{i}.{name}", kind) for i in range(n) for name, kind in table)
 
 
 def expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -303,13 +310,24 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def _attn_fwd(xq, xkv, params, prefix, cfg, add_mask, bias):
-    """add_mask: additive [B, 1, Q, K]; bias: additive [H, Q, K] or None."""
+def _attn_fwd(xq, xkv, params, prefix, cfg, add_mask, bias, kv=None):
+    """add_mask: additive [B, 1, Q, K]; bias: additive [H, Q, K] or None.
+    kv: decoding's key/value cache by prefix, where self-attention (xkv is xq)
+    appends its new rows and cross-attention projects xkv on its first call."""
     h = cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_head)
     q = _split_heads(xq @ params[prefix + ".wq"], h)
-    k = _split_heads(xkv @ params[prefix + ".wk"], h)
-    v = _split_heads(xkv @ params[prefix + ".wv"], h)
+    cached = None if kv is None else kv.get(prefix)
+    if cached is not None and xkv is not xq:
+        k, v = cached
+    else:
+        k = _split_heads(xkv @ params[prefix + ".wk"], h)
+        v = _split_heads(xkv @ params[prefix + ".wv"], h)
+        if cached is not None:
+            k = np.concatenate((cached[0], k), axis=2)
+            v = np.concatenate((cached[1], v), axis=2)
+        if kv is not None:
+            kv[prefix] = (k, v)
     scores = q @ k.transpose(0, 1, 3, 2) * scale
     if bias is not None:
         scores = scores + bias[None]
@@ -367,19 +385,19 @@ def _ff_bwd(dy, params, prefix, cache, grads):
 # ---------------------------------------------------------------------------
 
 
-def _stack_fwd(params, cfg, stack, ids, self_mask, bias, bucket, enc_out=None, cross_mask=None):
+def _stack_fwd(params, cfg, stack, ids, self_mask, bias, bucket, enc_out=None, cross_mask=None, kv=None):
     """Embedding lookup, every residual sublayer of ``stack`` in order (each
     adds its output to the residual stream), then the stack's final norm."""
-    x = params["embedding"][ids].astype(cfg.np_dtype, copy=True)
+    x = params["embedding"].take(ids, axis=0).astype(cfg.np_dtype, copy=False)  # take: a fresh array
     sublayers = []
     for prefix, kind in _sublayers(cfg, stack):
         n, c_norm = _rms_norm_fwd(x, params[prefix + ".norm"])
         if kind == "ff":
             out, c = _ff_fwd(n, params, prefix)
         elif kind == "cross":
-            out, c = _attn_fwd(n, enc_out, params, prefix, cfg, cross_mask, None)
+            out, c = _attn_fwd(n, enc_out, params, prefix, cfg, cross_mask, None, kv)
         else:
-            out, c = _attn_fwd(n, n, params, prefix, cfg, self_mask, bias)
+            out, c = _attn_fwd(n, n, params, prefix, cfg, self_mask, bias, kv)
         x = x + out
         sublayers.append((prefix, kind, c_norm, c))
     out, c_final = _rms_norm_fwd(x, params[stack + ".norm"])
@@ -413,21 +431,21 @@ def _stack_bwd(dout, params, cfg, cache, grads):
 
 
 def _encode(params, cfg, encoder_ids, encoder_valid):
+    """Output, cache and the [B, 1, 1, S] key mask cross-attention reuses."""
     s = encoder_ids.shape[1]
     key_mask = np.where(encoder_valid[:, None, None, :], 0.0, NEG_INF).astype(cfg.np_dtype)
     bias, bucket = _bias_matrix(params["enc.rel_bias"], s, s, cfg, bidirectional=True)
-    return _stack_fwd(params, cfg, "enc", encoder_ids, key_mask, bias, bucket)
+    return (*_stack_fwd(params, cfg, "enc", encoder_ids, key_mask, bias, bucket), key_mask)
 
 
-def _decode(params, cfg, decoder_ids, enc_out, encoder_valid, dec_valid):
+def _decode(params, cfg, decoder_ids, enc_out, key_mask, dec_valid):
     dt = cfg.np_dtype
     t = decoder_ids.shape[1]
     causal = np.tril(np.ones((t, t), dtype=bool))
     self_allowed = causal[None, :, :] & dec_valid[:, None, :]  # [B, T(q), T(k)]
     self_mask = np.where(self_allowed[:, None, :, :], 0.0, NEG_INF).astype(dt)
-    cross_mask = np.where(encoder_valid[:, None, None, :], 0.0, NEG_INF).astype(dt)
     bias, bucket = _bias_matrix(params["dec.rel_bias"], t, t, cfg, bidirectional=False)
-    h, cache = _stack_fwd(params, cfg, "dec", decoder_ids, self_mask, bias, bucket, enc_out, cross_mask)
+    h, cache = _stack_fwd(params, cfg, "dec", decoder_ids, self_mask, bias, bucket, enc_out, key_mask)
     cache["h"] = h
     return h @ params["embedding"].T.astype(dt, copy=False), cache
 
@@ -439,14 +457,18 @@ def _decode_bwd(dlogits, params, cache, grads):
     return dlogits @ params["embedding"].astype(dlogits.dtype, copy=False)
 
 
+def _check_ids(cfg: ModelConfig, name: str, ids: np.ndarray) -> None:
+    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+        raise ConfigError(f"{name} ids out of range for vocab_size {cfg.vocab_size}")
+
+
 def _check_batch(cfg: ModelConfig, batch: Batch) -> None:
     for name, ids in (("encoder", batch.encoder_ids), ("decoder", batch.decoder_ids), ("target", batch.target_ids)):
         if ids.ndim != 2:
             raise ConfigError(f"{name} ids must be 2-D")
         if ids.shape[1] > cfg.max_seq_len:
             raise ConfigError(f"{name} length {ids.shape[1]} exceeds max_seq_len {cfg.max_seq_len}")
-        if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-            raise ConfigError(f"{name} ids out of range for vocab_size {cfg.vocab_size}")
+        _check_ids(cfg, name, ids)
     if batch.decoder_ids.shape != batch.target_ids.shape:
         raise ConfigError("decoder and target shapes differ")
     if batch.encoder_ids.shape[0] != batch.target_ids.shape[0]:
@@ -467,10 +489,8 @@ def forward(params: dict[str, np.ndarray], cfg: ModelConfig, batch: Batch) -> np
 
 def _forward_with_cache(params, cfg, batch):
     _check_batch(cfg, batch)
-    enc_out, enc_cache = _encode(params, cfg, batch.encoder_ids, batch.encoder_valid)
-    logits, dec_cache = _decode(
-        params, cfg, batch.decoder_ids, enc_out, batch.encoder_valid, _dec_key_valid(batch)
-    )
+    enc_out, enc_cache, key_mask = _encode(params, cfg, batch.encoder_ids, batch.encoder_valid)
+    logits, dec_cache = _decode(params, cfg, batch.decoder_ids, enc_out, key_mask, _dec_key_valid(batch))
     if not np.all(np.isfinite(logits)):
         name = _first_non_finite([(enc_cache, enc_out), (dec_cache, dec_cache["h"])])
         raise ModelError(f"numeric overflow: non-finite logits; first non-finite tensor: {name}")
@@ -551,38 +571,23 @@ def greedy_decode(
 
     Returns the generated ids without the start token or the terminating eos.
 
-    Incremental: the encoder runs once, each decoder layer's cross-attention
-    keys and values are projected once, and each step embeds only the newest
-    token, appends its self-attention key/value row to the layer's cache and
-    scores that one query against the cache. The caches grow with the tokens
-    generated, never with ``max_len``. The logits are those of the last
-    position of a full teacher-forced decoder pass over the prefix.
+    Incremental: the encoder runs once, and each step runs ``_stack_fwd``,
+    the training forward, over the newest token alone with a key/value cache:
+    cross-attention keys and values are projected once, and self-attention
+    appends the token's row and scores its one query against the cache. The
+    cache grows with the tokens generated, never with ``max_len``. The logits
+    are those of the last position of a full decoder pass over the prefix.
     """
     if not encoder_ids:
         raise ModelError("cannot decode from an empty input")
     enc = np.asarray([encoder_ids], dtype=np.int64)
+    _check_ids(cfg, "encoder", enc)
     enc_valid = enc != PAD_ID
     if not enc_valid.any():
         raise ModelError("cannot decode from an all-pad input")
-    enc_out, _ = _encode(params, cfg, enc, enc_valid)
-    dt = cfg.np_dtype
-    h = cfg.n_heads
-    scale = 1.0 / math.sqrt(cfg.d_head)
-    embedding = params["embedding"].astype(dt, copy=False)
-    cross_mask = np.where(enc_valid[:, None, None, :], 0.0, NEG_INF).astype(dt)
-    layers = []  # per layer: [self keys, self values, cross keys^T, cross values]
-    for i in range(cfg.n_decoder_layers):
-        pre = f"dec.{i}.cross"
-        k = _split_heads(enc_out @ params[pre + ".wk"], h)
-        v = _split_heads(enc_out @ params[pre + ".wv"], h)
-        empty = np.empty((1, h, 0, cfg.d_head), dtype=dt)
-        layers.append([empty, empty, k.transpose(0, 1, 3, 2), v])
-
-    def attend(x, prefix, k_t, v, add):
-        q = _split_heads(x @ params[prefix + ".wq"], h)
-        a = _softmax(q @ k_t * scale + add)
-        return _merge_heads(a @ v) @ params[prefix + ".wo"]
-
+    enc_out, _, key_mask = _encode(params, cfg, enc, enc_valid)
+    embedding = params["embedding"].astype(cfg.np_dtype, copy=False)
+    kv: dict = {}
     out: list[int] = []
     token = PAD_ID
     by_distance = params["dec.rel_bias"][:0]  # [n, H]: bias of a key d positions back
@@ -593,19 +598,8 @@ def greedy_decode(
             )
             by_distance = params["dec.rel_bias"][bucket]
         bias = by_distance[t::-1].T[None, :, None, :]  # row t of the causal bias, [1, H, 1, t + 1]
-        x = embedding[token][None, None, :]
-        for i, cache in enumerate(layers):
-            pre = f"dec.{i}"
-            n1, _ = _rms_norm_fwd(x, params[pre + ".self.norm"])
-            cache[0] = np.concatenate([cache[0], _split_heads(n1 @ params[pre + ".self.wk"], h)], axis=2)
-            cache[1] = np.concatenate([cache[1], _split_heads(n1 @ params[pre + ".self.wv"], h)], axis=2)
-            x = x + attend(n1, pre + ".self", cache[0].transpose(0, 1, 3, 2), cache[1], bias)
-            n2, _ = _rms_norm_fwd(x, params[pre + ".cross.norm"])
-            x = x + attend(n2, pre + ".cross", cache[2], cache[3], cross_mask)
-            n3, _ = _rms_norm_fwd(x, params[pre + ".ff.norm"])
-            x = x + _ff_fwd(n3, params, pre + ".ff")[0]
-        final, _ = _rms_norm_fwd(x[0, 0], params["dec.norm"])
-        token = int(np.argmax(embedding @ final))
+        final, _ = _stack_fwd(params, cfg, "dec", [[token]], bias, None, None, enc_out, key_mask, kv)
+        token = int(np.argmax(embedding @ final[0, 0]))
         if token == EOS_ID:
             break
         out.append(token)

@@ -204,14 +204,13 @@ def rerun_greedy_decode(params, cfg, encoder_ids: list[int], max_len: int) -> tu
     does, and for each step the margin between the best and the second-best
     logit of that row."""
     enc = np.asarray([encoder_ids], dtype=np.int64)
-    enc_valid = enc != PAD_ID
-    enc_out, _ = _encode(params, cfg, enc, enc_valid)
+    enc_out, _, key_mask = _encode(params, cfg, enc, enc != PAD_ID)
     out: list[int] = []
     margins: list[float] = []
     for _ in range(max_len):
         dec = np.asarray([[PAD_ID] + out], dtype=np.int64)
         dec_valid = np.ones_like(dec, dtype=bool)
-        logits, _ = _decode(params, cfg, dec, enc_out, enc_valid, dec_valid)
+        logits, _ = _decode(params, cfg, dec, enc_out, key_mask, dec_valid)
         row = logits[0, -1]
         second, best = np.partition(row, -2)[-2:]
         margins.append(float(best - second))

@@ -542,3 +542,53 @@ class TestFloat64Pretrain:
             assert cfg.dtype == "float64"
             assert all(p.dtype == "float64" for p in params.values())
             assert manifest["step"] == (2 if ckpt == "step_000002" else 3)
+
+
+class TestMalformedOptimizerState:
+    """A checkpoint whose optimizer record or moments do not fit its
+    parameters is a data error naming the file, never a traceback."""
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        vocab = word_vocab(["alpha", "beta"])
+        save_vocab(vocab, tmp_path / "vocab.txt")
+        (tmp_path / "t.jsonl").write_text(
+            '{"task": "t", "input": "t: alpha", "target": "beta"}\n', encoding="utf-8"
+        )
+        payload = {
+            "vocab_path": str(tmp_path / "vocab.txt"),
+            "out_dir": str(tmp_path / "out"),
+            "model": {**MODEL, "vocab_size": vocab.size},
+            "train": {**TRAIN, "num_steps": 2, "batch_size": 1},
+            "mixture": [{"task": "t", "path": str(tmp_path / "t.jsonl")}],
+        }
+        (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert run(["finetune", "--config", str(tmp_path / "config.json")]) == EXIT_OK
+        return tmp_path / "out" / "final"
+
+    @staticmethod
+    def mutate(ckpt, change):
+        path = ckpt / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        change(manifest)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    def test_resume_with_a_reshaped_moment_exits_1(self, checkpoint):
+        def reshape(manifest):
+            entry = next(e for e in manifest["optimizer"]["tensors"] if e["name"] == "m.enc.norm")
+            assert entry["shape"] == [16]
+            entry["shape"] = [4, 4]
+
+        self.mutate(checkpoint, reshape)
+        config = checkpoint.parent.parent / "config.json"
+        proc = run_entry_point(["finetune", "--config", str(config), "--resume", str(checkpoint)])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert str(checkpoint / "optimizer.bin") in proc.stderr and "m.enc.norm" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_inspect_with_a_non_object_optimizer_record_exits_1(self, checkpoint):
+        self.mutate(checkpoint, lambda m: m.update(optimizer=[1]))
+        proc = run_entry_point(["inspect-checkpoint", "--checkpoint", str(checkpoint)])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert str(checkpoint / "manifest.json") in proc.stderr and "optimizer record" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -292,6 +295,24 @@ def decode_inputs(seed):
     ]
 
 
+# sha256 of the JSON list of the outputs test_outputs_are_pinned decodes, as
+# the decoder with its own hand-written layer loop gave them; a token that
+# flips at a near-tie changes it, which the float32 tie rule above would allow
+GOLDEN_DECODE_SHA256 = "2cb2e76c1d7a4527429401dc5e0a6fbbb2e83155a51736bdd4b5704c8e0b112a"
+
+
+class CountingParams(dict):
+    """A parameter store that counts the reads of each tensor."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.reads = Counter()
+
+    def __getitem__(self, name):
+        self.reads[name] += 1
+        return super().__getitem__(name)
+
+
 class TestGreedyDecode:
     @pytest.mark.parametrize("cfg", [SMOKE64, SMOKE], ids=["float64", "float32"])
     @pytest.mark.parametrize("seed", range(5))
@@ -311,6 +332,38 @@ class TestGreedyDecode:
     def test_matches_the_rerun_reference_on_random_inputs(self, seed, double, ids, max_len):
         cfg = SMOKE64 if double else SMOKE
         assert_same_decode(randomized_params(cfg, seed=seed), cfg, ids, max_len)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_follows_the_sublayer_table_order(self, seed, monkeypatch):
+        monkeypatch.setitem(model.SUBLAYERS, "dec", (("cross", "cross"), ("ff", "ff"), ("self", "self")))
+        params = randomized_params(SMOKE64, seed=seed)
+        for ids, max_len in decode_inputs(seed):
+            assert_same_decode(params, SMOKE64, ids, max_len)
+
+    def test_outputs_are_pinned(self):
+        outs = []
+        for cfg in (SMOKE64, ModelConfig(**{**SMOKE64.to_dict(), "n_decoder_layers": 3})):
+            for seed in range(3):
+                params = randomized_params(cfg, seed=seed)
+                outs += [greedy_decode(params, cfg, ids, max_len) for ids, max_len in decode_inputs(seed)]
+        assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == GOLDEN_DECODE_SHA256
+
+    def test_cross_keys_and_values_are_projected_once(self):
+        cfg = ModelConfig(**{**SMOKE64.to_dict(), "n_decoder_layers": 3})
+        lengths = set()
+        for max_len in (1, 7, 40):
+            params = CountingParams(randomized_params(cfg, seed=2))
+            lengths.add(len(greedy_decode(params, cfg, [5, 9, 12, EOS_ID], max_len)))
+            for i in range(cfg.n_decoder_layers):
+                for w in ("wk", "wv"):
+                    assert params.reads[f"dec.{i}.cross.{w}"] == 1, (max_len, i, w)
+        assert len(lengths) == 3
+
+    @pytest.mark.parametrize("bad", [-1, TINY.vocab_size])
+    def test_rejects_out_of_range_ids(self, bad):
+        params = init_params(TINY, seed=0)
+        with pytest.raises(ConfigError, match="encoder ids out of range"):
+            greedy_decode(params, TINY, [bad, 5, EOS_ID], max_len=4)
 
     def test_memory_follows_generated_tokens_not_max_len(self):
         params = randomized_params(SMOKE, seed=1)

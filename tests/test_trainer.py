@@ -325,6 +325,10 @@ class TestFinetune:
         assert result.dropped["t"] == 1
 
 
+def opt_entry(manifest, name):
+    return next(e for e in manifest["optimizer"]["tensors"] if e["name"] == name)
+
+
 class TestCheckpointing:
     def test_save_load_bit_exact(self, tmp_path):
         cfg = small_cfg(31)
@@ -401,6 +405,16 @@ class TestCheckpointing:
                          id="string-optimizer-step"),
             pytest.param(lambda m: m["optimizer"]["tensors"][0].update(offset=-4), "optimizer.bin",
                          "m.dec.0.cross.norm", id="negative-optimizer-offset"),
+            pytest.param(lambda m: m.update(optimizer=[1]), "manifest.json", "optimizer record",
+                         id="optimizer-record-not-an-object"),
+            pytest.param(lambda m: opt_entry(m, "m.enc.norm").update(shape=[4, 4]), "optimizer.bin",
+                         "m.enc.norm", id="moment-reshaped"),
+            pytest.param(lambda m: opt_entry(m, "v.enc.norm").update(name="v.enc.nrm"), "optimizer.bin",
+                         "v.enc.nrm", id="moment-of-no-parameter"),
+            pytest.param(lambda m: opt_entry(m, "v.enc.norm").update(name="w.enc.norm"), "optimizer.bin",
+                         "w.enc.norm", id="tensor-neither-m-nor-v"),
+            pytest.param(lambda m: m["optimizer"]["tensors"].remove(opt_entry(m, "v.enc.norm")), "optimizer.bin",
+                         "enc.norm", id="m-without-v"),
         ],
     )
     def test_mutated_manifest_raises_checkpoint_error(self, tmp_path, mutate, file, names):
@@ -420,6 +434,16 @@ class TestCheckpointing:
             load_optimizer(tmp_path / "ck", loaded)
         message = str(info.value)
         assert str(tmp_path / "ck" / file) in message and names in message, message
+
+    def test_moment_of_another_dtype_raises_checkpoint_error(self, tmp_path):
+        cfg = small_cfg(31)
+        params = init_params(cfg, seed=4)
+        state = AdamState(step=1, m={k: x * 0.5 for k, x in params.items()}, v={k: x * x for k, x in params.items()})
+        state.v["enc.norm"] = state.v["enc.norm"].astype(np.float64)
+        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state)
+        _, _, manifest = load_checkpoint(tmp_path / "ck")
+        with pytest.raises(CheckpointError, match="v.enc.norm is float64"):
+            load_optimizer(tmp_path / "ck", manifest)
 
     @pytest.mark.parametrize("payload", ['{"algo": "splitmix64", "state": "12"}', '[1]', '{"state": 12}'])
     def test_malformed_rng_state_raises_checkpoint_error(self, tmp_path, payload):
