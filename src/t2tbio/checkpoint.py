@@ -173,7 +173,8 @@ def _model_config(manifest: dict, path: str) -> ModelConfig:
 
 
 def load_checkpoint(ckpt_dir) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
-    """Returns (params, model config, manifest). Validates shapes and finiteness."""
+    """Returns (params, model config, manifest). Validates names, shapes,
+    dtypes and finiteness against the manifest's model config."""
     manifest = load_manifest(ckpt_dir)
     manifest_path = os.path.join(ckpt_dir, MANIFEST_NAME)
     cfg = _model_config(manifest, manifest_path)
@@ -186,13 +187,17 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, np.ndarray], ModelConfig, dict]
     except FileNotFoundError as e:
         raise CheckpointError(f"no weights blob at {weights_path}") from e
     params = _unpack(manifest.get("tensors"), blob, weights_path)
-    validate_params(params, cfg)
+    try:
+        validate_params(params, cfg)
+    except ConfigError as e:
+        raise CheckpointError(f"{weights_path}: {e}") from e
     return params, cfg, manifest
 
 
 def load_optimizer(ckpt_dir, manifest: dict) -> AdamState | None:
     """Adam state, or None, for a manifest from ``load_checkpoint``. Each moment must
-    match a parameter's shape and dtype, and ``m`` and ``v`` cover the same ones."""
+    match a parameter's shape and dtype, and ``m`` and ``v`` cover the same ones:
+    every parameter once the optimizer has taken a step."""
     if "optimizer" not in manifest:
         return None
     opt_path = os.path.join(ckpt_dir, OPTIMIZER_NAME)
@@ -215,6 +220,8 @@ def load_optimizer(ckpt_dir, manifest: dict) -> AdamState | None:
         moments[name[2:]] = arr
     if state.m.keys() != state.v.keys():
         raise CheckpointError(f"{opt_path}: m and v hold different tensors: {sorted(state.m.keys() ^ state.v.keys())}")
+    if state.step and state.m.keys() != params.keys():
+        raise CheckpointError(f"{opt_path}: no moments at step {state.step} for {sorted(params.keys() - state.m.keys())}")
     return state
 
 

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import data_io, metrics, task_codec
-from .checkpoint import load_checkpoint, load_optimizer
+from .checkpoint import load_checkpoint, load_optimizer, load_rng_state
 from .corruption import SpanCorruptionConfig, corrupt, derive_seed, write_shard
 from .errors import ConfigError, DataFormatError, T2TBioError
 from .model import greedy_decode, init_params, param_count
@@ -400,6 +400,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_inspect_checkpoint(args) -> int:
     params, cfg, manifest = load_checkpoint(args.checkpoint)
     load_optimizer(args.checkpoint, manifest)
+    load_rng_state(args.checkpoint)
     summary = {
         "model": cfg.to_dict(),
         "tensors": len(manifest["tensors"]),

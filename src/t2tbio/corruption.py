@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -210,12 +210,7 @@ def write_shard(path, examples: list[CorruptionExample], cfg: SpanCorruptionConf
             )
     manifest = {
         "format": SHARD_FORMAT,
-        "config": {
-            "corruption_rate": cfg.corruption_rate,
-            "mean_span_length": cfg.mean_span_length,
-            "max_sentinels": cfg.max_sentinels,
-            "seed": cfg.seed,
-        },
+        "config": asdict(cfg),
         "records": len(examples),
     }
     with open(str(path) + ".manifest.json", "w", encoding="utf-8") as f:

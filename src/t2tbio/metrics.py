@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import T2TBioError
 from .task_codec import EntitySpan
@@ -22,6 +22,9 @@ LENIENT_MATCH_PROTOCOL = (
     "normalized-string-match (lowercase, strip punctuation, collapse whitespace, "
     "drop leading articles); deterministic stand-in for expert assessment"
 )
+
+# the report's optional scalar fields, in table and JSON order
+_SCALAR_METRICS = ("precision", "recall", "f1", "accuracy", "lenient_accuracy", "sample_average_f1")
 
 _PUNCT = set(string.punctuation)
 _ARTICLES = {"a", "an", "the"}
@@ -53,27 +56,12 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         out: dict = {}
-        for name in (
-            "precision",
-            "recall",
-            "f1",
-            "accuracy",
-            "lenient_accuracy",
-            "sample_average_f1",
-        ):
+        for name in _SCALAR_METRICS:
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
         if self.per_class:
-            out["per_class"] = {
-                label: {
-                    "precision": cm.precision,
-                    "recall": cm.recall,
-                    "f1": cm.f1,
-                    "support": cm.support,
-                }
-                for label, cm in self.per_class.items()
-            }
+            out["per_class"] = {label: asdict(cm) for label, cm in self.per_class.items()}
         if self.counts:
             out["counts"] = dict(self.counts)
         if self.protocol is not None:
@@ -85,14 +73,7 @@ class MetricsReport:
         if self.protocol is not None:
             lines.append(f"# protocol: {self.protocol}")
         width = 18
-        for name in (
-            "precision",
-            "recall",
-            "f1",
-            "accuracy",
-            "lenient_accuracy",
-            "sample_average_f1",
-        ):
+        for name in _SCALAR_METRICS:
             value = getattr(self, name)
             if value is not None:
                 lines.append(f"{name:<{width}} {value:.4f}")

@@ -26,7 +26,7 @@ H heads, Dh = D // H, F d_ff, V vocab size.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -98,14 +98,14 @@ class Batch:
     encoder_ids: np.ndarray  # [B, S] int64
     decoder_ids: np.ndarray  # [B, T] int64, target shifted right, pad as start
     target_ids: np.ndarray  # [B, T] int64
-    encoder_valid: np.ndarray = field(default=None)  # [B, S] bool
-    loss_mask: np.ndarray = field(default=None)  # [B, T] bool
 
-    def __post_init__(self):
-        if self.encoder_valid is None:
-            self.encoder_valid = self.encoder_ids != PAD_ID
-        if self.loss_mask is None:
-            self.loss_mask = self.target_ids != PAD_ID
+    @property
+    def encoder_valid(self) -> np.ndarray:  # [B, S] bool
+        return self.encoder_ids != PAD_ID
+
+    @property
+    def loss_mask(self) -> np.ndarray:  # [B, T] bool
+        return self.target_ids != PAD_ID
 
 
 def make_batch(
@@ -114,13 +114,14 @@ def make_batch(
     """Assemble (encoder ids, target ids) pairs into a padded Batch.
 
     With ``ensure_eos`` both sides get a trailing eos if they lack one, so the
-    decoder always has a stop signal to learn.
+    decoder always has a stop signal to learn. Without it, a pair with an
+    empty side raises ``ModelError``.
     """
     if not pairs:
         raise ModelError("cannot build an empty batch")
     enc_seqs = []
     tgt_seqs = []
-    for enc, tgt in pairs:
+    for i, (enc, tgt) in enumerate(pairs):
         enc = list(enc)
         tgt = list(tgt)
         if ensure_eos:
@@ -128,6 +129,8 @@ def make_batch(
                 enc.append(EOS_ID)
             if not tgt or tgt[-1] != EOS_ID:
                 tgt.append(EOS_ID)
+        elif not enc or not tgt:
+            raise ModelError(f"pair {i} has an empty {'input' if not enc else 'target'} side")
         enc_seqs.append(enc)
         tgt_seqs.append(tgt)
     s = max(len(x) for x in enc_seqs)
@@ -228,6 +231,8 @@ def validate_params(params: dict[str, np.ndarray], cfg: ModelConfig) -> None:
             raise ConfigError(
                 f"shape mismatch for {name}: got {tuple(params[name].shape)}, expected {shape}"
             )
+        if params[name].dtype != cfg.np_dtype:
+            raise ConfigError(f"dtype mismatch for {name}: got {params[name].dtype}, expected {cfg.dtype}")
         if not np.all(np.isfinite(params[name])):
             raise ConfigError(f"non-finite values in parameter {name}")
 
@@ -310,8 +315,9 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def _attn_fwd(xq, xkv, params, prefix, cfg, add_mask, bias, kv=None):
-    """add_mask: additive [B, 1, Q, K]; bias: additive [H, Q, K] or None.
+def _attn_fwd(xq, xkv, params, prefix, cfg, add, kv=None):
+    """add: the one additive term of the scaled logits, broadcasting to [B, H, Q, K]:
+    the key mask (0 or NEG_INF), plus the rel-bias in self-attention.
     kv: decoding's key/value cache by prefix, where self-attention (xkv is xq)
     appends its new rows and cross-attention projects xkv on its first call."""
     h = cfg.n_heads
@@ -328,11 +334,7 @@ def _attn_fwd(xq, xkv, params, prefix, cfg, add_mask, bias, kv=None):
             v = np.concatenate((cached[1], v), axis=2)
         if kv is not None:
             kv[prefix] = (k, v)
-    scores = q @ k.transpose(0, 1, 3, 2) * scale
-    if bias is not None:
-        scores = scores + bias[None]
-    scores = scores + add_mask
-    a = _softmax(scores)
+    a = _softmax(q @ k.transpose(0, 1, 3, 2) * scale + add)
     ctx = _merge_heads(a @ v)
     out = ctx @ params[prefix + ".wo"]
     return out, (xq, xkv, q, k, v, a, ctx)
@@ -385,9 +387,10 @@ def _ff_bwd(dy, params, prefix, cache, grads):
 # ---------------------------------------------------------------------------
 
 
-def _stack_fwd(params, cfg, stack, ids, self_mask, bias, bucket, enc_out=None, cross_mask=None, kv=None):
+def _stack_fwd(params, cfg, stack, ids, self_add, bucket, enc_out=None, cross_mask=None, kv=None):
     """Embedding lookup, every residual sublayer of ``stack`` in order (each
-    adds its output to the residual stream), then the stack's final norm."""
+    adds its output to the residual stream), then the stack's final norm.
+    ``self_add`` is self-attention's key mask plus rel-bias, added as one term."""
     x = params["embedding"].take(ids, axis=0).astype(cfg.np_dtype, copy=False)  # take: a fresh array
     sublayers = []
     for prefix, kind in _sublayers(cfg, stack):
@@ -395,9 +398,9 @@ def _stack_fwd(params, cfg, stack, ids, self_mask, bias, bucket, enc_out=None, c
         if kind == "ff":
             out, c = _ff_fwd(n, params, prefix)
         elif kind == "cross":
-            out, c = _attn_fwd(n, enc_out, params, prefix, cfg, cross_mask, None, kv)
+            out, c = _attn_fwd(n, enc_out, params, prefix, cfg, cross_mask, kv)
         else:
-            out, c = _attn_fwd(n, n, params, prefix, cfg, self_mask, bias, kv)
+            out, c = _attn_fwd(n, n, params, prefix, cfg, self_add, kv)
         x = x + out
         sublayers.append((prefix, kind, c_norm, c))
     out, c_final = _rms_norm_fwd(x, params[stack + ".norm"])
@@ -435,7 +438,7 @@ def _encode(params, cfg, encoder_ids, encoder_valid):
     s = encoder_ids.shape[1]
     key_mask = np.where(encoder_valid[:, None, None, :], 0.0, NEG_INF).astype(cfg.np_dtype)
     bias, bucket = _bias_matrix(params["enc.rel_bias"], s, s, cfg, bidirectional=True)
-    return (*_stack_fwd(params, cfg, "enc", encoder_ids, key_mask, bias, bucket), key_mask)
+    return (*_stack_fwd(params, cfg, "enc", encoder_ids, key_mask + bias, bucket), key_mask)
 
 
 def _decode(params, cfg, decoder_ids, enc_out, key_mask, dec_valid):
@@ -445,7 +448,7 @@ def _decode(params, cfg, decoder_ids, enc_out, key_mask, dec_valid):
     self_allowed = causal[None, :, :] & dec_valid[:, None, :]  # [B, T(q), T(k)]
     self_mask = np.where(self_allowed[:, None, :, :], 0.0, NEG_INF).astype(dt)
     bias, bucket = _bias_matrix(params["dec.rel_bias"], t, t, cfg, bidirectional=False)
-    h, cache = _stack_fwd(params, cfg, "dec", decoder_ids, self_mask, bias, bucket, enc_out, key_mask)
+    h, cache = _stack_fwd(params, cfg, "dec", decoder_ids, self_mask + bias, bucket, enc_out, key_mask)
     cache["h"] = h
     return h @ params["embedding"].T.astype(dt, copy=False), cache
 
@@ -466,6 +469,8 @@ def _check_batch(cfg: ModelConfig, batch: Batch) -> None:
     for name, ids in (("encoder", batch.encoder_ids), ("decoder", batch.decoder_ids), ("target", batch.target_ids)):
         if ids.ndim != 2:
             raise ConfigError(f"{name} ids must be 2-D")
+        if ids.size == 0:
+            raise ConfigError(f"{name} ids are empty")
         if ids.shape[1] > cfg.max_seq_len:
             raise ConfigError(f"{name} length {ids.shape[1]} exceeds max_seq_len {cfg.max_seq_len}")
         _check_ids(cfg, name, ids)
@@ -598,7 +603,7 @@ def greedy_decode(
             )
             by_distance = params["dec.rel_bias"][bucket]
         bias = by_distance[t::-1].T[None, :, None, :]  # row t of the causal bias, [1, H, 1, t + 1]
-        final, _ = _stack_fwd(params, cfg, "dec", [[token]], bias, None, None, enc_out, key_mask, kv)
+        final, _ = _stack_fwd(params, cfg, "dec", [[token]], bias, None, enc_out, key_mask, kv)
         token = int(np.argmax(embedding @ final[0, 0]))
         if token == EOS_ID:
             break

@@ -49,6 +49,8 @@ ENCODE_MEMO_MAX = 1 << 16
 
 VOCAB_HEADER_RE = re.compile(r"^t2tbio-vocab v1 size=(\d+) sentinels=(\d+)$")
 _SENTINEL_RE = re.compile(r"^<extra_id_(\d+)>$")
+_ESCAPE_RE = re.compile(r"\\([nr\\])")  # the escapes _escape writes
+_UNESCAPES = {"n": "\n", "r": "\r", "\\": "\\"}
 
 
 def sentinel_piece(k: int) -> str:
@@ -102,18 +104,6 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self.pieces)
-
-    @property
-    def pad_id(self) -> int:
-        return PAD_ID
-
-    @property
-    def eos_id(self) -> int:
-        return EOS_ID
-
-    @property
-    def unk_id(self) -> int:
-        return UNK_ID
 
     @property
     def first_sentinel_id(self) -> int:
@@ -283,15 +273,9 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
 
 
 def _split_units(normalized: str) -> list[tuple[str, ...]]:
-    """Split boundary-normalized text into per-word symbol tuples."""
-    out: list[tuple[str, ...]] = []
-    start = 0
-    for i in range(1, len(normalized)):
-        if normalized[i] == BOUNDARY:
-            out.append(tuple(normalized[start:i]))
-            start = i
-    out.append(tuple(normalized[start:]))
-    return out
+    """Split boundary-normalized text (which starts with the marker) into
+    per-word symbol tuples, each led by its marker."""
+    return [(BOUNDARY, *word) for word in normalized[1:].split(BOUNDARY)]
 
 
 def _apply_merge(unit: tuple[str, ...], pair: tuple[str, str], merged: str) -> tuple[str, ...]:
@@ -314,27 +298,7 @@ def _escape(piece: str) -> str:
 
 
 def _unescape(line: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "\\" and i + 1 < len(line):
-            nxt = line[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "r":
-                out.append("\r")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPES[m[1]], line)
 
 
 def save_vocab(v: Vocabulary, path) -> None:

@@ -12,7 +12,9 @@ for the incremental ``greedy_decode``.
 
 ``recount_train_vocab`` is the vocabulary trainer that recounts every adjacent
 pair of every word unit before each merge; it is the oracle for the
-incremental ``t2tbio.vocab.train_vocab``.
+incremental ``t2tbio.vocab.train_vocab``. It splits lines into word units
+with its own scanning loop, ``scan_split_units``, the oracle for
+``t2tbio.vocab._split_units``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from t2tbio.vocab import (
     Vocabulary,
     _apply_merge,
     _is_reserved_piece,
-    _split_units,
     sentinel_piece,
 )
 
@@ -221,6 +222,19 @@ def rerun_greedy_decode(params, cfg, encoder_ids: list[int], max_len: int) -> tu
     return out, margins
 
 
+def scan_split_units(normalized: str) -> list[tuple[str, ...]]:
+    """Split boundary-normalized text into per-word symbol tuples by scanning
+    for each marker after the first character."""
+    out: list[tuple[str, ...]] = []
+    start = 0
+    for i in range(1, len(normalized)):
+        if normalized[i] == BOUNDARY:
+            out.append(tuple(normalized[start:i]))
+            start = i
+    out.append(tuple(normalized[start:]))
+    return out
+
+
 def recount_train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabulary:
     """Train a greedy pair-merge subword vocabulary.
 
@@ -245,7 +259,7 @@ def recount_train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> V
             continue
         normalized = BOUNDARY + line.replace(" ", BOUNDARY)
         alphabet.update(normalized)
-        for unit in _split_units(normalized):
+        for unit in scan_split_units(normalized):
             units[unit] = units.get(unit, 0) + 1
 
     floor = 3 + num_sentinels + len(alphabet)

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import t2tbio
 from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, build_parser, run
-from t2tbio.checkpoint import load_checkpoint
+from t2tbio.checkpoint import load_checkpoint, save_checkpoint
 from t2tbio.corruption import read_shard
 from t2tbio.data_io import read_task_examples
 from t2tbio.vocab import EOS_ID, load_vocab, save_vocab
@@ -545,8 +546,8 @@ class TestFloat64Pretrain:
 
 
 class TestMalformedOptimizerState:
-    """A checkpoint whose optimizer record or moments do not fit its
-    parameters is a data error naming the file, never a traceback."""
+    """A checkpoint whose weights, optimizer record, moments or rng state do
+    not fit its config is a data error naming the file, never a traceback."""
 
     @pytest.fixture
     def checkpoint(self, tmp_path):
@@ -591,4 +592,38 @@ class TestMalformedOptimizerState:
         proc = run_entry_point(["inspect-checkpoint", "--checkpoint", str(checkpoint)])
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
         assert str(checkpoint / "manifest.json") in proc.stderr and "optimizer record" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_resume_with_moments_missing_past_step_0_exits_1(self, checkpoint):
+        def drop(manifest):
+            tensors = manifest["optimizer"]["tensors"]
+            manifest["optimizer"]["tensors"] = [e for e in tensors if e["name"][2:] != "enc.norm"]
+
+        self.mutate(checkpoint, drop)
+        config = checkpoint.parent.parent / "config.json"
+        proc = run_entry_point(["finetune", "--config", str(config), "--resume", str(checkpoint)])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert str(checkpoint / "optimizer.bin") in proc.stderr and "enc.norm" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_inspect_with_an_unreadable_rng_state_exits_1(self, checkpoint):
+        (checkpoint / "rng_state").write_text("{not json", encoding="utf-8")
+        proc = run_entry_point(["inspect-checkpoint", "--checkpoint", str(checkpoint)])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert str(checkpoint / "rng_state") in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["predict", "inspect-checkpoint"])
+    def test_weights_of_another_dtype_exit_1(self, checkpoint, command):
+        params, cfg, _ = load_checkpoint(checkpoint)
+        assert cfg.dtype == "float32"
+        save_checkpoint(checkpoint, {k: x.astype(np.float64) for k, x in params.items()}, cfg)
+        argv = ["inspect-checkpoint", "--checkpoint", str(checkpoint)]
+        if command == "predict":
+            root = checkpoint.parent.parent
+            argv = ["predict", "--checkpoint", str(checkpoint), "--vocab", str(root / "vocab.txt"),
+                    "--in", str(root / "t.jsonl"), "--out", str(root / "preds.jsonl")]
+        proc = run_entry_point(argv)
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert str(checkpoint / "weights.bin") in proc.stderr and "expected float32" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -192,6 +193,31 @@ class TestForward:
         batch = make_batch([(list(range(3, 3 + TINY.max_seq_len)), [3])])
         with pytest.raises(ConfigError, match="max_seq_len"):
             forward(params, TINY, batch)
+
+    def test_rejects_a_zero_width_encoder(self):
+        batch = Batch(np.zeros((1, 0), dtype=np.int64), np.array([[PAD_ID, 5]]), np.array([[5, 6]]))
+        with pytest.raises(ConfigError, match="encoder ids are empty"):
+            forward(init_params(TINY, seed=0), TINY, batch)
+
+
+class TestMakeBatch:
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([([], [])], "pair 0 has an empty input side"),
+            ([([5], [])], "pair 0 has an empty target side"),
+            ([([5], [6]), ([], [5, 6])], "pair 1 has an empty input side"),
+        ],
+    )
+    def test_empty_side_without_eos_is_a_model_error(self, pairs, message):
+        with pytest.raises(ModelError, match=message):
+            make_batch(pairs, ensure_eos=False)
+
+    def test_masks_follow_the_ids(self):
+        batch = make_batch([([3, 4], [5]), ([3, 4, 5, 6], [5, 6])])
+        np.testing.assert_array_equal(batch.encoder_valid, batch.encoder_ids != PAD_ID)
+        np.testing.assert_array_equal(batch.loss_mask, batch.target_ids != PAD_ID)
+        assert [f.name for f in dataclasses.fields(Batch)] == ["encoder_ids", "decoder_ids", "target_ids"]
 
 
 class TestLoss:
@@ -424,6 +450,12 @@ class TestParams:
         params = init_params(TINY, seed=0)
         params["embedding"] = params["embedding"][:, :4]
         with pytest.raises(ConfigError, match="shape mismatch"):
+            validate_params(params, TINY)
+
+    def test_validate_catches_dtype_mismatch(self):
+        params = init_params(TINY, seed=0)
+        params["enc.norm"] = params["enc.norm"].astype(np.float32)
+        with pytest.raises(ConfigError, match="dtype mismatch for enc.norm: got float32, expected float64"):
             validate_params(params, TINY)
 
     def test_validate_catches_non_finite(self):

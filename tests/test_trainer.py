@@ -415,6 +415,9 @@ class TestCheckpointing:
                          "w.enc.norm", id="tensor-neither-m-nor-v"),
             pytest.param(lambda m: m["optimizer"]["tensors"].remove(opt_entry(m, "v.enc.norm")), "optimizer.bin",
                          "enc.norm", id="m-without-v"),
+            pytest.param(lambda m: m["optimizer"].update(tensors=[e for e in m["optimizer"]["tensors"]
+                                                                  if e["name"][2:] != "enc.norm"]),
+                         "optimizer.bin", "enc.norm", id="no-moments-for-a-parameter-past-step-0"),
         ],
     )
     def test_mutated_manifest_raises_checkpoint_error(self, tmp_path, mutate, file, names):
@@ -444,6 +447,21 @@ class TestCheckpointing:
         _, _, manifest = load_checkpoint(tmp_path / "ck")
         with pytest.raises(CheckpointError, match="v.enc.norm is float64"):
             load_optimizer(tmp_path / "ck", manifest)
+
+    def test_step_0_state_without_moments_loads(self, tmp_path):
+        cfg = small_cfg(31)
+        save_checkpoint(tmp_path / "ck", init_params(cfg, seed=4), cfg, opt_state=AdamState())
+        _, _, manifest = load_checkpoint(tmp_path / "ck")
+        assert load_optimizer(tmp_path / "ck", manifest) == AdamState()
+
+    def test_params_of_another_dtype_raise_checkpoint_error(self, tmp_path):
+        cfg = small_cfg(31)
+        params = {k: x.astype(np.float64) for k, x in init_params(cfg, seed=4).items()}
+        save_checkpoint(tmp_path / "ck", params, cfg)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(tmp_path / "ck")
+        assert str(tmp_path / "ck" / "weights.bin") in str(info.value)
+        assert "got float64, expected float32" in str(info.value)
 
     @pytest.mark.parametrize("payload", ['{"algo": "splitmix64", "state": "12"}', '[1]', '{"state": 12}'])
     def test_malformed_rng_state_raises_checkpoint_error(self, tmp_path, payload):

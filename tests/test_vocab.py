@@ -10,9 +10,13 @@ from t2tbio.errors import VocabError
 from t2tbio.vocab import (
     BOUNDARY,
     EOS_ID,
+    EOS_PIECE,
     PAD_ID,
+    PAD_PIECE,
     UNK_ID,
+    UNK_PIECE,
     Vocabulary,
+    _split_units,
     load_vocab,
     save_vocab,
     sentinel_piece,
@@ -20,7 +24,7 @@ from t2tbio.vocab import (
 )
 
 from helpers import word_vocab
-from reference_model import recount_train_vocab
+from reference_model import recount_train_vocab, scan_split_units
 
 
 def test_train_merges_most_frequent_pair_first():
@@ -163,6 +167,30 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.num_sentinels == v.num_sentinels
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == f"t2tbio-vocab v1 size={v.size} sentinels={v.num_sentinels}"
+
+
+# pieces built from the characters the file format escapes and their escape letters
+escape_prone_pieces = st.lists(
+    st.lists(st.sampled_from(["\\", "n", "r", "\n", "\r", "a", "b"]), min_size=1, max_size=8).map("".join),
+    max_size=12,
+    unique=True,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(escape_prone_pieces)
+def test_save_load_round_trips_escaped_characters(tmp_path_factory, learned):
+    v = Vocabulary(pieces=(PAD_PIECE, EOS_PIECE, UNK_PIECE, *learned, sentinel_piece(0)), num_sentinels=1)
+    path = tmp_path_factory.getbasetemp() / "escaped_vocab.txt"  # rewritten by every example
+    save_vocab(v, path)
+    assert load_vocab(path) == v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab <>" + BOUNDARY, max_size=30))
+def test_split_units_matches_the_scanning_oracle(line):
+    normalized = BOUNDARY + line.replace(" ", BOUNDARY)
+    assert _split_units(normalized) == scan_split_units(normalized)
 
 
 def test_load_rejects_bad_header(tmp_path):
