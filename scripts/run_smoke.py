@@ -20,10 +20,13 @@ FIXTURES = os.path.join(ROOT, "fixtures")
 OUT = os.path.join(ROOT, "runs", "smoke")
 
 
-def main() -> int:
-    os.makedirs(OUT, exist_ok=True)
-    vocab_path = os.path.join(OUT, "vocab.txt")
-    steps = [
+def commands(out: str) -> list[list[str]]:
+    """The argv of each CLI stage, in order, writing under ``out``; finetune
+    reads ``<out>/config.json``, which ``main`` writes once the vocabulary exists."""
+    vocab_path = os.path.join(out, "vocab.txt")
+    train_path = os.path.join(out, "train.jsonl")
+    preds_path = os.path.join(out, "preds.jsonl")
+    return [
         [
             "vocab-train",
             "--corpus", os.path.join(FIXTURES, "pretrain_corpus.txt"),
@@ -34,17 +37,32 @@ def main() -> int:
         [
             "encode-task", "--task-type", "ner", "--task-name", "smoke_ner",
             "--in", os.path.join(FIXTURES, "smoke_ner.conll"),
-            "--out", os.path.join(OUT, "train.jsonl"),
+            "--out", train_path,
+        ],
+        ["finetune", "--config", os.path.join(out, "config.json")],
+        [
+            "predict",
+            "--checkpoint", os.path.join(out, "run", "final"),
+            "--vocab", vocab_path,
+            "--in", train_path,
+            "--out", preds_path,
+            "--max-len", "32",
+        ],
+        [
+            "evaluate", "--task-type", "match",
+            "--pred", preds_path,
+            "--gold", train_path,
+            "--out", os.path.join(out, "report.json"),
+            "--floor", "accuracy=0.95",
         ],
     ]
-    for argv in steps:
-        rc = run(argv + ["--deterministic"])
-        if rc != 0:
-            return rc
 
+
+def write_config(out: str) -> None:
+    vocab_path = os.path.join(out, "vocab.txt")
     config = {
         "seed": 0,
-        "out_dir": os.path.join(OUT, "run"),
+        "out_dir": os.path.join(out, "run"),
         "vocab_path": vocab_path,
         "model": {
             "vocab_size": load_vocab(vocab_path).size,
@@ -56,31 +74,18 @@ def main() -> int:
             "learning_rate": 0.002, "batch_size": 16, "num_steps": 400,
             "input_len": 32, "target_len": 32, "seed": 0,
         },
-        "mixture": [{"task": "smoke_ner", "path": os.path.join(OUT, "train.jsonl"), "weight": 1.0}],
+        "mixture": [{"task": "smoke_ner", "path": os.path.join(out, "train.jsonl"), "weight": 1.0}],
     }
-    config_path = os.path.join(OUT, "config.json")
-    with open(config_path, "w", encoding="utf-8") as f:
+    with open(os.path.join(out, "config.json"), "w", encoding="utf-8") as f:
         json.dump(config, f, indent=2, sort_keys=True)
 
-    for argv in (
-        ["finetune", "--config", config_path],
-        [
-            "predict",
-            "--checkpoint", os.path.join(OUT, "run", "final"),
-            "--vocab", vocab_path,
-            "--in", os.path.join(OUT, "train.jsonl"),
-            "--out", os.path.join(OUT, "preds.jsonl"),
-            "--max-len", "32",
-        ],
-        [
-            "evaluate", "--task-type", "match",
-            "--pred", os.path.join(OUT, "preds.jsonl"),
-            "--gold", os.path.join(OUT, "train.jsonl"),
-            "--out", os.path.join(OUT, "report.json"),
-            "--floor", "accuracy=0.95",
-        ],
-    ):
-        rc = run(argv + ["--deterministic"])
+
+def main() -> int:
+    os.makedirs(OUT, exist_ok=True)
+    for argv in commands(OUT):
+        if argv[0] == "finetune":
+            write_config(OUT)
+        rc = run(argv)
         if rc != 0:
             return rc
     print(f"smoke run complete; artifacts under {os.path.relpath(OUT)}")

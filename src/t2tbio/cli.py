@@ -5,14 +5,20 @@ pretrain, finetune, predict, evaluate, inspect-checkpoint. Stages exchange
 line-delimited JSON (or the documented text formats), so each stage can be
 tested and replaced independently. Exit codes: 0 success, 1 data error,
 2 usage error, 3 metric below a configured floor.
+
+Only the commands that draw random numbers take ``--seed``: ``corrupt``
+(default 0) and the two training commands, where it overrides the run
+config's ``seed`` and ``train.seed`` as ``--out-dir`` overrides its
+``out_dir``. Both flags win over the ``T2TBIO_SEED`` and ``T2TBIO_OUT_DIR``
+environment variables (see ``data_io.load_config``).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -44,15 +50,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="override the base random seed")
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force single-threaded execution (pins BLAS thread pools when possible)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="t2tbio", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -62,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=4096, help="target vocabulary size")
     p.add_argument("--sentinels", type=int, default=100, help="number of reserved sentinel tokens")
     p.add_argument("--out", required=True, help="output vocabulary file")
-    _common_flags(p)
 
     p = sub.add_parser("corrupt", help="write a span-corruption shard from a corpus")
     p.add_argument("--vocab", required=True, help="vocabulary file")
@@ -72,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-span", type=float, default=3.0, help="mean masked span length")
     p.add_argument("--max-sentinels", type=int, default=100, help="span count limit per example")
     p.add_argument("--input-len", type=int, default=None, help="truncate documents to this many tokens")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="base seed of the per-record corruption seeds")
 
     p = sub.add_parser("encode-task", help="convert a raw dataset to TaskExample JSONL")
     p.add_argument("--task-type", choices=TASK_TYPES[:5], required=True)
@@ -80,16 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="raw dataset file")
     p.add_argument("--out", required=True, help="output TaskExample JSONL")
     p.add_argument("--labels", default=None, help="comma-separated closed label set (re)")
-    _common_flags(p)
 
     for name, what in (("pretrain", "span-infilling pretraining"), ("finetune", "supervised fine-tuning")):
         p = sub.add_parser(name, help=f"{what} from a run config")
         p.add_argument("--config", required=True, help="run config JSON")
-        p.add_argument("--out-dir", default=None, help="override the config output directory")
+        p.add_argument("--out-dir", default=None, help="override out_dir (and T2TBIO_OUT_DIR)")
         start = p.add_mutually_exclusive_group()
         start.add_argument("--warm-start", help="checkpoint directory to initialize weights from")
         start.add_argument("--resume", help="checkpoint directory to resume training from")
-        _common_flags(p)
+        p.add_argument("--seed", type=int, default=None, help="override seed and train.seed (and T2TBIO_SEED)")
 
     p = sub.add_parser("predict", help="greedy-decode a TaskExample file with a checkpoint")
     p.add_argument("--checkpoint", required=True, help="checkpoint directory")
@@ -97,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="TaskExample JSONL")
     p.add_argument("--out", required=True, help="output predictions JSONL")
     p.add_argument("--max-len", type=_positive_int, default=64, help="maximum generated tokens (at least 1)")
-    _common_flags(p)
 
     p = sub.add_parser("evaluate", help="score predictions against gold TaskExamples")
     p.add_argument("--task-type", choices=TASK_TYPES, required=True)
@@ -118,26 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="METRIC=VALUE",
         help="fail (exit 3) when a report metric is below VALUE (repeatable)",
     )
-    _common_flags(p)
 
     p = sub.add_parser("inspect-checkpoint", help="print a checkpoint manifest summary")
     p.add_argument("--checkpoint", required=True, help="checkpoint directory")
-    _common_flags(p)
 
     return parser
-
-
-def _apply_determinism(args) -> None:
-    if not getattr(args, "deterministic", False):
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-    try:  # pins already-initialized BLAS pools when threadpoolctl is around
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(1)
-    except ImportError:
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +136,11 @@ def _cmd_vocab_train(args) -> int:
 
 def _cmd_corrupt(args) -> int:
     v = load_vocab(args.vocab)
-    seed = args.seed if args.seed is not None else 0
     cfg = SpanCorruptionConfig(
         corruption_rate=args.rate,
         mean_span_length=args.mean_span,
         max_sentinels=args.max_sentinels,
-        seed=seed,
+        seed=args.seed,
     )
     examples = []
     for line in data_io.read_text(args.input).splitlines():
@@ -218,16 +196,6 @@ def _cmd_encode_task(args) -> int:
     return EXIT_OK
 
 
-def _load_run_config(args) -> data_io.RunConfig:
-    cfg = data_io.load_config(args.config)
-    if args.out_dir is not None:
-        cfg.out_dir = args.out_dir
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
-    return cfg
-
-
 def _initial_params(cfg: data_io.RunConfig, warm_start: str | None):
     if warm_start is not None:
         params, model_cfg, _ = load_checkpoint(warm_start)
@@ -238,7 +206,7 @@ def _initial_params(cfg: data_io.RunConfig, warm_start: str | None):
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = data_io.load_config(args.config, out_dir=args.out_dir, seed=args.seed)
     if not cfg.vocab_path:
         raise ConfigError(f"config needs vocab_path for {args.command}")
     v = load_vocab(cfg.vocab_path)
@@ -360,14 +328,21 @@ def _parse_floors(raw: list[str]) -> dict[str, float]:
         if "=" not in item:
             raise ConfigError(f"--floor expects METRIC=VALUE, got {item!r}")
         name, value = item.split("=", 1)
+        name = name.strip()
+        if name not in metrics._SCALAR_METRICS:
+            known = ", ".join(metrics._SCALAR_METRICS)
+            raise ConfigError(f"--floor names unknown metric {name!r} (known: {known})")
         try:
-            floors[name.strip()] = float(value)
+            floors[name] = float(value)
         except ValueError as e:
             raise ConfigError(f"--floor value for {name!r} is not a number") from e
+        if not math.isfinite(floors[name]):
+            raise ConfigError(f"--floor value for {name!r} must be finite, got {value!r}")
     return floors
 
 
 def _cmd_evaluate(args) -> int:
+    floors = _parse_floors(args.floor)
     preds = read_predictions(args.pred)
     golds = data_io.read_task_examples(args.gold)
     if len(preds) != len(golds):
@@ -377,12 +352,11 @@ def _cmd_evaluate(args) -> int:
     report = _evaluate_report(args, preds, golds)
     payload = report.to_dict()
     payload["task_type"] = args.task_type
-    floors = _parse_floors(args.floor)
     failed = []
     for name, floor in floors.items():
         value = payload.get(name)
         if value is None:
-            raise ConfigError(f"--floor names unknown metric {name!r}")
+            raise ConfigError(f"--floor names metric {name!r}, which a {args.task_type} report lacks")
         if value < floor:
             failed.append((name, value, floor))
     payload["floors"] = {name: floors[name] for name in sorted(floors)}
@@ -428,7 +402,6 @@ def run(argv: list[str] | None = None) -> int:
     """Parse argv and dispatch; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_determinism(args)
     try:
         return _COMMANDS[args.command](args)
     except T2TBioError as e:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,8 @@ class SpanCorruptionConfig:
     corruption_rate: float = 0.15
     mean_span_length: float = 3.0
     max_sentinels: int = 100
-    seed: int = 0
+    # no run-config key: pretrain seeds every sample from the training stream
+    seed: int = field(default=0, metadata={"key": None})
 
     def __post_init__(self):
         if not 0.0 <= self.corruption_rate < 1.0:

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 from .corruption import SpanCorruptionConfig
 from .errors import ConfigError, DataFormatError
@@ -330,10 +330,11 @@ def _value(kind, value, where: str):
 
 def _build(cls, section, where: str):
     """``cls`` from a JSON object. Its keys are the dataclass's field names (or a
-    field's ``metadata["key"]``); fields without a default are required."""
+    field's ``metadata["key"]``, where None leaves the field out of the schema);
+    fields without a default are required."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    by_key = {key: f for f in fields(cls) if (key := f.metadata.get("key", f.name)) is not None}
     unknown = sorted(set(section) - set(by_key))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where or 'config'}")
@@ -347,14 +348,15 @@ def _build(cls, section, where: str):
     return cls(**values)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, out_dir: str | None = None, seed: int | None = None) -> RunConfig:
     """Load and validate a run config JSON document.
 
     The schema is ``RunConfig`` and the dataclasses it holds: unknown keys are
     rejected by name and every value is checked against its field's type.
     Cross-field constraints (length caps vs model max_seq_len) are enforced
-    here. ``T2TBIO_OUT_DIR`` and ``T2TBIO_SEED`` environment variables override
-    those two fields only.
+    here. ``out_dir`` and ``seed``, or else the ``T2TBIO_OUT_DIR`` and
+    ``T2TBIO_SEED`` environment variables, override the config's; a seed
+    override sets both ``seed`` and ``train.seed``.
     """
     text = read_text(path)
     try:
@@ -364,13 +366,17 @@ def load_config(path) -> RunConfig:
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     cfg = _build(RunConfig, payload, "")
-    if ENV_OUT_DIR in os.environ:
-        cfg.out_dir = os.environ[ENV_OUT_DIR]
-    if ENV_SEED in os.environ:
+    if out_dir is None:
+        out_dir = os.environ.get(ENV_OUT_DIR, cfg.out_dir)
+    cfg.out_dir = out_dir
+    if seed is None and ENV_SEED in os.environ:
         try:
-            cfg.seed = int(os.environ[ENV_SEED])
+            seed = int(os.environ[ENV_SEED])
         except ValueError as e:
             raise ConfigError(f"{ENV_SEED}: cannot read {os.environ[ENV_SEED]!r} as int") from e
+    if seed is not None:
+        cfg.seed = seed
+        cfg.train = replace(cfg.train, seed=seed)
 
     if cfg.train.input_len > cfg.model.max_seq_len:
         raise ConfigError(

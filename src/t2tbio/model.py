@@ -461,18 +461,26 @@ def _decode_bwd(dlogits, params, cache, grads):
 
 
 def _check_ids(cfg: ModelConfig, name: str, ids: np.ndarray) -> None:
+    """Every model input is a non-empty 2-D array of in-range ids no longer
+    than ``max_seq_len``. An encoder input, which ``forward`` and
+    ``greedy_decode`` both check here, also needs a non-pad id in every row:
+    a row of pads leaves its queries no key to attend to."""
+    if ids.ndim != 2:
+        raise ConfigError(f"{name} ids must be 2-D")
+    if ids.size == 0:
+        raise ConfigError(f"{name} ids are empty")
+    if ids.shape[1] > cfg.max_seq_len:
+        raise ConfigError(f"{name} length {ids.shape[1]} exceeds max_seq_len {cfg.max_seq_len}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ConfigError(f"{name} ids out of range for vocab_size {cfg.vocab_size}")
+    if name == "encoder":
+        all_pad = np.flatnonzero((ids == PAD_ID).all(axis=1))
+        if all_pad.size:
+            raise ConfigError(f"encoder row {all_pad[0]} holds only pad ids")
 
 
 def _check_batch(cfg: ModelConfig, batch: Batch) -> None:
     for name, ids in (("encoder", batch.encoder_ids), ("decoder", batch.decoder_ids), ("target", batch.target_ids)):
-        if ids.ndim != 2:
-            raise ConfigError(f"{name} ids must be 2-D")
-        if ids.size == 0:
-            raise ConfigError(f"{name} ids are empty")
-        if ids.shape[1] > cfg.max_seq_len:
-            raise ConfigError(f"{name} length {ids.shape[1]} exceeds max_seq_len {cfg.max_seq_len}")
         _check_ids(cfg, name, ids)
     if batch.decoder_ids.shape != batch.target_ids.shape:
         raise ConfigError("decoder and target shapes differ")
@@ -575,6 +583,7 @@ def greedy_decode(
     """Argmax decoding (ties break to the lowest id); stops at eos or max_len.
 
     Returns the generated ids without the start token or the terminating eos.
+    ``encoder_ids`` must pass the encoder-input check ``forward`` runs.
 
     Incremental: the encoder runs once, and each step runs ``_stack_fwd``,
     the training forward, over the newest token alone with a key/value cache:
@@ -583,14 +592,9 @@ def greedy_decode(
     cache grows with the tokens generated, never with ``max_len``. The logits
     are those of the last position of a full decoder pass over the prefix.
     """
-    if not encoder_ids:
-        raise ModelError("cannot decode from an empty input")
     enc = np.asarray([encoder_ids], dtype=np.int64)
     _check_ids(cfg, "encoder", enc)
-    enc_valid = enc != PAD_ID
-    if not enc_valid.any():
-        raise ModelError("cannot decode from an all-pad input")
-    enc_out, _, key_mask = _encode(params, cfg, enc, enc_valid)
+    enc_out, _, key_mask = _encode(params, cfg, enc, enc != PAD_ID)
     embedding = params["embedding"].astype(cfg.np_dtype, copy=False)
     kv: dict = {}
     out: list[int] = []

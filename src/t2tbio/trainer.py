@@ -35,6 +35,9 @@ from .vocab import EOS_ID, Vocabulary
 log = logging.getLogger("t2tbio.trainer")
 
 MIN_WINDOW = 16  # remainder windows shorter than this are dropped
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,43 +98,35 @@ def weighted_index(rng: SplitMix64, weights: list[float]) -> int:
     return len(weights) - 1
 
 
-def optimizer_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One Adam update with bias-corrected moments; params updated in place.
+def optimizer_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
+    """One Adam update with bias-corrected moments; ``params`` and ``state``
+    are updated in place.
 
     The work goes through one scratch buffer per tensor, in the same order of
-    float operations as ``p -= (lr / bc1) * m / (sqrt(v / bc2) + eps)`` with
+    float operations as ``p -= (lr / bc1) * m / (sqrt(v / bc2) + ADAM_EPS)`` with
     freshly allocated temporaries, so the result is bit-equal to that form."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, g in grads.items():
         if name not in state.m:
             state.m[name] = np.zeros_like(params[name])
             state.v[name] = np.zeros_like(params[name])
         m = state.m[name]
         v = state.v[name]
-        buf = np.multiply(g, 1.0 - beta1)
-        m *= beta1
+        buf = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += buf
         np.multiply(g, g, out=buf)
-        buf *= 1.0 - beta2
-        v *= beta2
+        buf *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += buf
         np.divide(v, bc2, out=buf)
         np.sqrt(buf, out=buf)
-        buf += eps
+        buf += ADAM_EPS
         np.divide(np.multiply(m, lr / bc1), buf, out=buf)
         params[name] -= buf
-    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +146,11 @@ def _read_lines(path: str) -> list[str]:
     return [line for line in text.splitlines() if line.strip()]
 
 
-def load_corpus_windows(
-    corpora: list[CorpusEntry], v: Vocabulary, input_len: int, min_window: int = MIN_WINDOW
-) -> list[list[list[int]]]:
+def load_corpus_windows(corpora: list[CorpusEntry], v: Vocabulary, input_len: int) -> list[list[list[int]]]:
     """Tokenize each corpus into contiguous non-overlapping windows.
 
     Each line is a document; full windows of ``input_len`` tokens are kept and
-    the remainder is kept only when it reaches ``min_window`` tokens.
+    the remainder is kept only when it reaches ``MIN_WINDOW`` tokens.
     """
     all_windows: list[list[list[int]]] = []
     for entry in corpora:
@@ -166,7 +159,7 @@ def load_corpus_windows(
             ids = v.encode(line)
             for start in range(0, len(ids), input_len):
                 chunk = ids[start : start + input_len]
-                if len(chunk) == input_len or len(chunk) >= min_window:
+                if len(chunk) == input_len or len(chunk) >= MIN_WINDOW:
                     windows.append(chunk)
         if not windows:
             raise ConfigError(f"corpus {entry.path} produced no usable windows")
@@ -239,13 +232,13 @@ def _train(
     names: list[str],
     weights: list[float],
     draw,
-    ensure_eos: bool,
     out_dir: str | None,
     resume: str | None,
 ) -> TrainResult:
     """The step loop both phases share. Each step picks source ``i`` by weight,
-    takes its (input ids, target ids) pairs from ``draw(rng, i)``, and takes one
-    Adam step on them; all randomness comes from the one SplitMix64 stream."""
+    batches its (input ids, target ids) pairs from ``draw(rng, i)`` as they are
+    (each source appends eos itself), and takes one Adam step on them; all
+    randomness comes from the one SplitMix64 stream."""
     rng = SplitMix64(train_cfg.seed)
     opt = AdamState()
     start_step = 0
@@ -270,7 +263,7 @@ def _train(
     )
     for step in range(start_step, train_cfg.num_steps):
         i = weighted_index(rng, weights)
-        batch = make_batch(draw(rng, i), ensure_eos=ensure_eos)
+        batch = make_batch(draw(rng, i), ensure_eos=False)
         try:
             loss, grads = loss_and_grads(params, model_cfg, batch)
         except ModelError as e:
@@ -329,13 +322,11 @@ def pretrain(
         for _ in range(train_cfg.batch_size):
             tokens = pool[rng.next_below(len(pool))]
             ex = corrupt(tokens, replace(corruption_cfg, seed=rng.next_u64()), v)
-            pairs.append((list(ex.input_ids), list(ex.target_ids)))
+            pairs.append(([*ex.input_ids, EOS_ID], list(ex.target_ids)))  # corrupt's target ends in eos
         return pairs
 
     weights = [e.weight for e in corpus_mix]
-    return _train(
-        params, model_cfg, train_cfg, names, weights, draw, ensure_eos=True, out_dir=out_dir, resume=resume
-    )
+    return _train(params, model_cfg, train_cfg, names, weights, draw, out_dir=out_dir, resume=resume)
 
 
 def finetune(
@@ -368,8 +359,6 @@ def finetune(
 
     names = [e.task_name for e in mixture]
     weights = [e.weight for e in mixture]
-    result = _train(
-        params, model_cfg, train_cfg, names, weights, draw, ensure_eos=False, out_dir=out_dir, resume=resume
-    )
+    result = _train(params, model_cfg, train_cfg, names, weights, draw, out_dir=out_dir, resume=resume)
     result.truncated, result.dropped = truncated, dropped
     return result

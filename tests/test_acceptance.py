@@ -418,7 +418,6 @@ def run_smoke_pipeline(out_dir: str, seed: int) -> None:
                 "16",
                 "--out",
                 vocab_path,
-                "--deterministic",
             ]
         )
         == EXIT_OK
@@ -436,7 +435,6 @@ def run_smoke_pipeline(out_dir: str, seed: int) -> None:
                 fixture("smoke_ner.conll"),
                 "--out",
                 train_path,
-                "--deterministic",
             ]
         )
         == EXIT_OK
@@ -472,7 +470,7 @@ def run_smoke_pipeline(out_dir: str, seed: int) -> None:
     config_path = os.path.join(out_dir, "config.json")
     with open(config_path, "w", encoding="utf-8") as f:
         json.dump(config, f, sort_keys=True)
-    assert run(["finetune", "--config", config_path, "--deterministic"]) == EXIT_OK
+    assert run(["finetune", "--config", config_path]) == EXIT_OK
     preds_path = os.path.join(out_dir, "preds.jsonl")
     assert (
         run(
@@ -488,7 +486,6 @@ def run_smoke_pipeline(out_dir: str, seed: int) -> None:
                 preds_path,
                 "--max-len",
                 "32",
-                "--deterministic",
             ]
         )
         == EXIT_OK
@@ -507,7 +504,6 @@ def run_smoke_pipeline(out_dir: str, seed: int) -> None:
                 os.path.join(out_dir, "report.json"),
                 "--floor",
                 "accuracy=0.95",
-                "--deterministic",
             ]
         )
         == EXIT_OK

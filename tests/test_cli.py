@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ from t2tbio.data_io import read_task_examples
 from t2tbio.vocab import EOS_ID, load_vocab, save_vocab
 
 from helpers import word_vocab
+from test_acceptance import collect_files
 
 SUBCOMMANDS = [
     "vocab-train",
@@ -58,6 +61,83 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             run(["corrupt"])  # missing required flags
         assert exc.value.code == 2
+
+
+# each command's required flags, with values argparse accepts
+MINIMAL_ARGV = {
+    "vocab-train": ["--corpus", "c.txt", "--out", "v.txt"],
+    "corrupt": ["--vocab", "v.txt", "--in", "c.txt", "--out", "s.tsv"],
+    "encode-task": ["--task-type", "ner", "--task-name", "t", "--in", "d.conll", "--out", "t.jsonl"],
+    "pretrain": ["--config", "config.json"],
+    "finetune": ["--config", "config.json"],
+    "predict": ["--checkpoint", "ckpt", "--vocab", "v.txt", "--in", "t.jsonl", "--out", "p.jsonl"],
+    "evaluate": ["--task-type", "match", "--pred", "p.jsonl", "--gold", "t.jsonl"],
+    "inspect-checkpoint": ["--checkpoint", "ckpt"],
+}
+SEED_DEFAULTS = {"corrupt": 0, "pretrain": None, "finetune": None}  # the commands that read a seed
+
+
+class TestDeclaredFlags:
+    """A command declares only the options it reads; any other is a usage error."""
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_deterministic_is_a_usage_error(self, name, capsys):
+        build_parser().parse_args([name, *MINIMAL_ARGV[name]])  # valid without the flag
+        with pytest.raises(SystemExit) as exc:
+            run([name, *MINIMAL_ARGV[name], "--deterministic"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --deterministic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_seed_only_where_it_is_read(self, name, capsys):
+        argv = [name, *MINIMAL_ARGV[name]]
+        if name in SEED_DEFAULTS:
+            assert build_parser().parse_args(argv).seed == SEED_DEFAULTS[name]
+            assert build_parser().parse_args([*argv, "--seed", "5"]).seed == 5
+            return
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--seed", "5"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every ``t2tbio`` command in the README's CLI walkthrough."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## CLI walkthrough", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("t2tbio ")]
+
+
+def smoke_commands() -> list[list[str]]:
+    """The argv of every stage of ``scripts/run_smoke.py``."""
+    spec = importlib.util.spec_from_file_location("run_smoke", ROOT / "scripts" / "run_smoke.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.commands("runs/smoke")
+
+
+class TestDocumentedCommands:
+    """The README walkthrough and the smoke script use only flags the CLI
+    declares, so neither can drift from it."""
+
+    @pytest.mark.parametrize(
+        "commands, names",
+        [(readme_commands, set(SUBCOMMANDS)), (smoke_commands, set(SUBCOMMANDS) - {"corrupt", "pretrain", "inspect-checkpoint"})],
+        ids=["readme", "run_smoke"],
+    )
+    def test_every_command_parses(self, commands, names):
+        parser = build_parser()
+        argvs = commands()
+        for argv in argvs:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"does not parse: t2tbio {' '.join(argv)}")
+        assert {argv[0] for argv in argvs} == names
 
 
 @pytest.fixture()
@@ -627,3 +707,69 @@ class TestMalformedOptimizerState:
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
         assert str(checkpoint / "weights.bin") in proc.stderr and "expected float32" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestSeedOverride:
+    """``--seed`` and ``T2TBIO_SEED`` seed a run alike, its weights and its
+    sampling stream both; a flag wins over its environment variable."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        vocab = word_vocab(["alpha", "beta", "gamma"])
+        save_vocab(vocab, tmp_path / "vocab.txt")
+        (tmp_path / "corpus.txt").write_text("alpha beta gamma " * 8 + "\n", encoding="utf-8")
+        payload = {
+            "vocab_path": str(tmp_path / "vocab.txt"),
+            "out_dir": str(tmp_path / "config-out"),
+            "model": {**MODEL, "vocab_size": vocab.size},
+            "train": {**TRAIN, "batch_size": 2},
+            "corpora": [{"path": str(tmp_path / "corpus.txt")}],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def pretrain(config, out_dir, *flags) -> dict[str, bytes]:
+        assert run(["pretrain", "--config", str(config), "--out-dir", str(out_dir), *flags]) == EXIT_OK
+        return collect_files(str(out_dir))
+
+    def test_flag_and_env_seed_a_run_alike(self, tmp_path, config, monkeypatch):
+        by_flag = self.pretrain(config, tmp_path / "flag", "--seed", "5")
+        unseeded = self.pretrain(config, tmp_path / "unseeded")
+        monkeypatch.setenv("T2TBIO_SEED", "5")
+        assert self.pretrain(config, tmp_path / "env") == by_flag
+        for name in ("final/weights.bin", "final/rng_state"):
+            assert unseeded[name] != by_flag[name], name
+
+    def test_flags_beat_the_environment(self, tmp_path, config, monkeypatch):
+        by_flag = self.pretrain(config, tmp_path / "flag", "--seed", "5")
+        monkeypatch.setenv("T2TBIO_SEED", "9")
+        monkeypatch.setenv("T2TBIO_OUT_DIR", str(tmp_path / "env"))
+        assert self.pretrain(config, tmp_path / "both", "--seed", "5") == by_flag
+        assert not (tmp_path / "env").exists()
+
+
+class TestFloorValues:
+    """A ``--floor`` names a scalar metric and gives a finite value; anything
+    else is a config error that writes no report, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "floor, message",
+        [
+            ("accuracy=nan", "--floor value for 'accuracy' must be finite"),
+            ("accuracy=-inf", "--floor value for 'accuracy' must be finite"),
+            ("task_type=0", "--floor names unknown metric 'task_type'"),
+        ],
+        ids=["nan", "minus-inf", "task-type"],
+    )
+    def test_exits_1(self, tmp_path, floor, message):
+        pred, gold, report = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl", tmp_path / "report.json"
+        write_predictions(pred, [{"prediction": "beta"}])
+        gold.write_text('{"task": "t", "input": "t: alpha", "target": "beta"}\n', encoding="utf-8")
+        argv = EVALUATE.format(pred=pred, gold=gold).split() + ["--out", str(report), "--floor", floor]
+        proc = run_entry_point(argv)
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not report.exists()

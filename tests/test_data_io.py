@@ -213,6 +213,24 @@ class TestRunConfig:
         assert cfg.out_dir == "/elsewhere"
         assert cfg.seed == 77
 
+    def test_seed_argument_and_env_give_the_same_config(self, tmp_path, monkeypatch):
+        by_argument = load_config(minimal_config(tmp_path), seed=5)
+        monkeypatch.setenv("T2TBIO_SEED", "5")
+        by_env = load_config(minimal_config(tmp_path))
+        assert by_env == by_argument
+        assert (by_env.seed, by_env.train.seed) == (5, 5)
+
+    def test_arguments_beat_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("T2TBIO_OUT_DIR", "/from-env")
+        monkeypatch.setenv("T2TBIO_SEED", "77")
+        cfg = load_config(minimal_config(tmp_path), out_dir="/from-flag", seed=3)
+        assert (cfg.out_dir, cfg.seed, cfg.train.seed) == ("/from-flag", 3, 3)
+
+    def test_corruption_seed_is_an_unknown_key(self, tmp_path):
+        path = minimal_config(tmp_path, corruption={"corruption_rate": 0.2, "seed": 3})
+        with pytest.raises(ConfigError, match="unknown key 'seed' in corruption"):
+            load_config(path)
+
     def test_mixture_entries(self, tmp_path):
         path = minimal_config(
             tmp_path,

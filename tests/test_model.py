@@ -220,6 +220,33 @@ class TestMakeBatch:
         assert [f.name for f in dataclasses.fields(Batch)] == ["encoder_ids", "decoder_ids", "target_ids"]
 
 
+class TestEncoderInputCheck:
+    """``forward`` and ``greedy_decode`` accept and reject the same encoder
+    inputs, with the same error."""
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            pytest.param([], "encoder ids are empty", id="empty"),
+            pytest.param([PAD_ID] * 3, "encoder row 0 holds only pad ids", id="all-pad"),
+            pytest.param([3 + i % 18 for i in range(TINY.max_seq_len + 4)], "encoder length 20 exceeds max_seq_len 16",
+                         id="over-length"),
+        ],
+    )
+    def test_forward_and_greedy_decode_reject_alike(self, ids, message):
+        params = init_params(TINY, seed=0)
+        batch = Batch(np.array([ids], dtype=np.int64), np.array([[PAD_ID, 5]]), np.array([[5, 6]]))
+        with pytest.raises(ConfigError, match=message):
+            forward(params, TINY, batch)
+        with pytest.raises(ConfigError, match=message):
+            greedy_decode(params, TINY, ids, max_len=4)
+
+    def test_training_rejects_a_batch_row_of_pads(self):
+        batch = make_batch([([PAD_ID] * 3, [5, 7]), ([3, 4, 9], [5, 6])], ensure_eos=False)
+        with pytest.raises(ConfigError, match="encoder row 0 holds only pad ids"):
+            loss_and_grads(init_params(TINY, seed=0), TINY, batch)
+
+
 class TestLoss:
     def test_uniform_logits_loss_is_log_vocab(self):
         logits = np.zeros((2, 3, 23))

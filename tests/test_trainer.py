@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -95,6 +96,12 @@ class TestAdam:
                 assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
                 assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
         assert state.step == ref_state.step == 3
+
+    def test_updates_in_place_and_returns_none(self):
+        params = {"w": np.array([2.0])}
+        w = params["w"]
+        assert optimizer_step(params, {"w": np.array([1.0])}, AdamState(), lr=0.1) is None
+        assert params["w"] is w and w[0] < 2.0
 
     def test_zero_lr_freezes_params(self):
         params = {"w": np.array([1.0])}
@@ -254,6 +261,19 @@ class TestPretrain:
         assert results[0].losses == results[1].losses
         for name in results[0].params:
             np.testing.assert_array_equal(results[0].params[name], results[1].params[name])
+
+    def test_losses_and_params_are_pinned(self, tmp_path):
+        # each batch is the corrupted pairs with eos after the input; any change
+        # to the sampling, the batches or the Adam step changes this digest
+        path, v = corpus_fixture(tmp_path)
+        cfg = ModelConfig(**{**small_cfg(v.size).to_dict(), "dtype": "float64"})
+        t_cfg = TrainConfig(num_steps=4, input_len=24, target_len=24, batch_size=2, seed=3)
+        r = pretrain(cfg, init_params(cfg, seed=1), [CorpusEntry(str(path))], SpanCorruptionConfig(max_sentinels=14),
+                     t_cfg, v)
+        digest = hashlib.sha256(json.dumps(r.losses).encode())
+        for name in sorted(r.params):
+            digest.update(r.params[name].tobytes())
+        assert digest.hexdigest() == "50e15bd7b87b89c7cb21b5abe05bd859708c7c75b0ecfa4c13cbe528083bb617"
 
 
 def task_entry(tmp_path, name, n=6, weight=1.0):
