@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Alternating benchmark runs of a base revision and this tree, paired by seed.
+
+    python3 scripts/bench_pairs.py --workload pretrain_medium --base HEAD --seeds 31 32 33 34
+
+The base revision is exported with ``git archive`` into a temporary directory
+(an export, unlike a worktree, leaves nothing in the repository if the script
+is killed). Per seed ``perfbench/run.py`` runs once from each tree, the tree
+that goes first alternating, so drift in the host's speed falls on both sides.
+Each run's last output line is its JSON result. For every end-to-end metric
+the script prints the pairs (base -> tree), each side's median [quartiles] and
+the pairs this tree won, then the seeds whose output digests matched.
+"""
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run(tree: str, workload: str, seed: int, seconds: int) -> tuple[dict, str | None]:
+    """One benchmark run: each metric's value, with fail_rate added, and the output digest."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    lines = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True).stdout.splitlines()
+    result = json.loads(lines[-1])
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    values["fail_rate"] = result["failed"] / result["attempted"]
+    return values, next((line[len("digest="):] for line in lines if line.startswith("digest=")), None)
+
+
+def summary(xs: list[float]) -> str:
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--workload", required=True)
+    p.add_argument("--base", required=True, help="git revision to compare against, e.g. HEAD or main")
+    p.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair of runs per seed (at least 2)")
+    p.add_argument("--seconds", type=int, default=10)
+    args = p.parse_args()
+    if len(args.seeds) < 2:
+        p.error("give at least 2 seeds")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+    better["fail_rate"] = "lower"
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as base:
+        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base, filter="data")
+        for i, seed in enumerate(args.seeds):
+            order = (base, ROOT) if i % 2 == 0 else (ROOT, base)
+            out = {tree: run(tree, args.workload, seed, args.seconds) for tree in order}
+            pairs.append((seed, out[base], out[ROOT]))
+            print(f"seed {seed} done ({'base' if order[0] == base else 'tree'} first)", file=sys.stderr, flush=True)
+    for name, direction in better.items():
+        vals = [(b[name], t[name]) for _, (b, _), (t, _) in pairs if name in b and name in t]
+        if not vals:
+            continue
+        won = sum((t > b) if direction == "higher" else (t < b) for b, t in vals)
+        print(f"{name} ({direction} is better): tree won {won}/{len(vals)}")
+        print("  pairs: " + ", ".join(f"{b:.6g} -> {t:.6g}" for b, t in vals))
+        print(f"  base {summary([b for b, _ in vals])}   tree {summary([t for _, t in vals])}")
+    same = [seed for seed, (_, db), (_, dt) in pairs if db == dt]
+    print(f"digest equal on {len(same)}/{len(pairs)} seeds; differs on {[s for s, *_ in pairs if s not in same]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=0.15, help="fraction of tokens to mask")
     p.add_argument("--mean-span", type=float, default=3.0, help="mean masked span length")
     p.add_argument("--max-sentinels", type=int, default=100, help="span count limit per example")
-    p.add_argument("--input-len", type=int, default=None, help="truncate documents to this many tokens")
+    p.add_argument("--input-len", type=_positive_int, default=None,
+                   help="truncate documents to this many tokens (at least 1)")
     p.add_argument("--seed", type=int, default=0, help="base seed of the per-record corruption seeds")
 
     p = sub.add_parser("encode-task", help="convert a raw dataset to TaskExample JSONL")

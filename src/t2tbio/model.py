@@ -20,7 +20,14 @@ determined by ``ModelConfig``; use ``expected_shapes`` / ``validate_params``
 to check a loaded store.
 
 Shape conventions: B batch, S source length, T target length, D d_model,
-H heads, Dh = D // H, F d_ff, V vocab size.
+H heads, Dh = D // H, F d_ff, V vocab size, N = B*S or B*T token rows.
+Activations are token-major: the residual stream is [N, D] from the
+embedding lookup to each stack's final norm, so every activation x weight
+product (the attention projections, the feed-forward, the output layer and
+their backward products) is one 2-D GEMM with the batch in its rows; a 3-D
+operand would make numpy run one BLAS call per batch row. Heads are split to
+[B, H, L, Dh] only inside attention, and merged back to [N, D] rows. Logits
+leave ``forward`` as a [B, T, V] view.
 """
 
 from __future__ import annotations
@@ -286,10 +293,10 @@ def _rms_norm_fwd(x: np.ndarray, g: np.ndarray):
 
 def _rms_norm_bwd(dy: np.ndarray, g: np.ndarray, cache):
     x, r = cache
-    d = x.shape[-1]
-    dg = np.sum(dy * x * r, axis=tuple(range(x.ndim - 1)))
-    dot = np.sum(dy * g * x, axis=-1, keepdims=True)
-    dx = dy * g * r - x * (r**3) * dot / d
+    dyg = dy * g
+    dg = np.add.reduce(dy * x * r, axis=0)
+    dot = np.add.reduce(dyg * x, axis=-1, keepdims=True)
+    dx = dyg * r - x * (r**3) * dot / x.shape[-1]
     return dx, dg
 
 
@@ -299,36 +306,39 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    b, l, d = x.shape
-    return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+def _split_heads(x: np.ndarray, b: int, n_heads: int) -> np.ndarray:
+    """[B*L, D] token rows -> [B, H, L, Dh]."""
+    return x.reshape(b, -1, n_heads, x.shape[1] // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """[B, H, L, Dh] -> [B*L, D] token rows."""
     b, h, l, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
+    return x.transpose(0, 2, 1, 3).reshape(b * l, h * dh)
 
 
 def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Gradient of ``x @ w`` with respect to ``w``: the sum over every leading
-    axis of the outer products x ⊗ dy, as one matrix product so BLAS runs it."""
-    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+    """Gradient of ``x @ w`` with respect to ``w`` for token rows x [N, D] and
+    dy [N, E]: the sum over rows of the outer products x ⊗ dy, one GEMM."""
+    return x.T @ dy
 
 
 def _attn_fwd(xq, xkv, params, prefix, cfg, add, kv=None):
-    """add: the one additive term of the scaled logits, broadcasting to [B, H, Q, K]:
+    """xq [B*Q, D], xkv [B*K, D]: token rows of B sequences.
+    add: the one additive term of the scaled logits, broadcasting to [B, H, Q, K]:
     the key mask (0 or NEG_INF), plus the rel-bias in self-attention.
     kv: decoding's key/value cache by prefix, where self-attention (xkv is xq)
     appends its new rows and cross-attention projects xkv on its first call."""
     h = cfg.n_heads
+    b = add.shape[0]  # the key mask is per sequence, so add has the batch axis
     scale = 1.0 / math.sqrt(cfg.d_head)
-    q = _split_heads(xq @ params[prefix + ".wq"], h)
+    q = _split_heads(xq @ params[prefix + ".wq"], b, h)
     cached = None if kv is None else kv.get(prefix)
     if cached is not None and xkv is not xq:
         k, v = cached
     else:
-        k = _split_heads(xkv @ params[prefix + ".wk"], h)
-        v = _split_heads(xkv @ params[prefix + ".wv"], h)
+        k = _split_heads(xkv @ params[prefix + ".wk"], b, h)
+        v = _split_heads(xkv @ params[prefix + ".wv"], b, h)
         if cached is not None:
             k = np.concatenate((cached[0], k), axis=2)
             v = np.concatenate((cached[1], v), axis=2)
@@ -346,7 +356,7 @@ def _attn_bwd(dout, params, prefix, cfg, cache, grads):
     h = cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_head)
     grads[prefix + ".wo"] = _weight_grad(ctx, dout)
-    dctx = _split_heads(dout @ params[prefix + ".wo"].T, h)
+    dctx = _split_heads(dout @ params[prefix + ".wo"].T, q.shape[0], h)
     da = dctx @ v.transpose(0, 1, 3, 2)
     dv = a.transpose(0, 1, 3, 2) @ dctx
     ds = a * (da - np.sum(da * a, axis=-1, keepdims=True))
@@ -390,7 +400,9 @@ def _ff_bwd(dy, params, prefix, cache, grads):
 def _stack_fwd(params, cfg, stack, ids, self_add, bucket, enc_out=None, cross_mask=None, kv=None):
     """Embedding lookup, every residual sublayer of ``stack`` in order (each
     adds its output to the residual stream), then the stack's final norm.
+    ``ids`` is [B, L]; the stream and the output are its B*L token rows [N, D].
     ``self_add`` is self-attention's key mask plus rel-bias, added as one term."""
+    ids = np.ravel(ids)
     x = params["embedding"].take(ids, axis=0).astype(cfg.np_dtype, copy=False)  # take: a fresh array
     sublayers = []
     for prefix, kind in _sublayers(cfg, stack):
@@ -427,14 +439,12 @@ def _stack_bwd(dout, params, cfg, cache, grads):
             dn = dxq + dxkv
         dn, grads[prefix + ".norm"] = _rms_norm_bwd(dn, params[prefix + ".norm"], c_norm)
         dx = dn + dx
-    np.add.at(
-        grads["embedding"], cache["ids"].ravel(), dx.reshape(-1, cfg.d_model).astype(grads["embedding"].dtype)
-    )
+    np.add.at(grads["embedding"], cache["ids"], dx.astype(grads["embedding"].dtype))
     return d_enc_out
 
 
 def _encode(params, cfg, encoder_ids, encoder_valid):
-    """Output, cache and the [B, 1, 1, S] key mask cross-attention reuses."""
+    """Output [B*S, D], cache and the [B, 1, 1, S] key mask cross-attention reuses."""
     s = encoder_ids.shape[1]
     key_mask = np.where(encoder_valid[:, None, None, :], 0.0, NEG_INF).astype(cfg.np_dtype)
     bias, bucket = _bias_matrix(params["enc.rel_bias"], s, s, cfg, bidirectional=True)
@@ -442,20 +452,22 @@ def _encode(params, cfg, encoder_ids, encoder_valid):
 
 
 def _decode(params, cfg, decoder_ids, enc_out, key_mask, dec_valid):
+    """Logits [B, T, V], a view of the output layer's [B*T, V] product."""
     dt = cfg.np_dtype
-    t = decoder_ids.shape[1]
+    b, t = decoder_ids.shape
     causal = np.tril(np.ones((t, t), dtype=bool))
     self_allowed = causal[None, :, :] & dec_valid[:, None, :]  # [B, T(q), T(k)]
     self_mask = np.where(self_allowed[:, None, :, :], 0.0, NEG_INF).astype(dt)
     bias, bucket = _bias_matrix(params["dec.rel_bias"], t, t, cfg, bidirectional=False)
     h, cache = _stack_fwd(params, cfg, "dec", decoder_ids, self_mask + bias, bucket, enc_out, key_mask)
     cache["h"] = h
-    return h @ params["embedding"].T.astype(dt, copy=False), cache
+    return (h @ params["embedding"].T.astype(dt, copy=False)).reshape(b, t, -1), cache
 
 
 def _decode_bwd(dlogits, params, cache, grads):
     """Output-layer backward: sets the embedding's gradient and returns the
-    gradient flowing into the decoder stack's output."""
+    gradient flowing into the decoder stack's output, as token rows."""
+    dlogits = dlogits.reshape(-1, dlogits.shape[-1])
     grads["embedding"] = _weight_grad(dlogits, cache["h"])
     return dlogits @ params["embedding"].astype(dlogits.dtype, copy=False)
 
@@ -568,7 +580,7 @@ def loss_and_grads(params: dict[str, np.ndarray], cfg: ModelConfig, batch: Batch
     # the relative-position biases, shared by every layer of a stack, are
     # scattered into a zeroed buffer
     grads = {name: np.zeros_like(params[name]) for name in ("enc.rel_bias", "dec.rel_bias")}
-    dh = _decode_bwd(dlogits.astype(cfg.np_dtype), params, dec_cache, grads)
+    dh = _decode_bwd(dlogits, params, dec_cache, grads)
     d_enc_out = _stack_bwd(dh, params, cfg, dec_cache, grads)
     _stack_bwd(d_enc_out, params, cfg, enc_cache, grads)
     return loss, {name: grads[name] for name in params}
@@ -608,7 +620,7 @@ def greedy_decode(
             by_distance = params["dec.rel_bias"][bucket]
         bias = by_distance[t::-1].T[None, :, None, :]  # row t of the causal bias, [1, H, 1, t + 1]
         final, _ = _stack_fwd(params, cfg, "dec", [[token]], bias, None, enc_out, key_mask, kv)
-        token = int(np.argmax(embedding @ final[0, 0]))
+        token = int(np.argmax(embedding @ final[0]))
         if token == EOS_ID:
             break
         out.append(token)

@@ -192,9 +192,9 @@ def scalar_init_params(shapes: dict, cfg, seed: int) -> dict:
 
 
 def einsum_weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Gradient of ``x @ w`` with respect to ``w`` for [B, L, *] activations,
-    contracted by einsum over batch and position."""
-    return np.einsum("bld,ble->de", x, dy)
+    """Gradient of ``x @ w`` with respect to ``w`` for [N, *] token-row
+    activations, contracted by einsum over the rows."""
+    return np.einsum("nd,ne->de", x, dy)
 
 
 def rerun_greedy_decode(params, cfg, encoder_ids: list[int], max_len: int) -> tuple[list[int], list[float]]:

@@ -604,6 +604,20 @@ class TestPredictMaxLen:
         assert not out.exists()
 
 
+class TestCorruptInputLen:
+    @pytest.mark.parametrize("input_len", ["0", "-3"])
+    def test_below_one_is_a_usage_error(self, tmp_path, input_len):
+        corpus, vocab, out = tmp_path / "corpus.txt", tmp_path / "vocab.txt", tmp_path / "shard.tsv"
+        corpus.write_text("alpha beta alpha\n", encoding="utf-8")
+        save_vocab(word_vocab(["alpha", "beta"]), vocab)
+        proc = run_entry_point(["corrupt", "--vocab", str(vocab), "--in", str(corpus), "--out", str(out),
+                                "--input-len", input_len])
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert "--input-len" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
 class TestFloat64Pretrain:
     def test_writes_float64_checkpoints_and_exits_0(self, tmp_path, fixtures_dir, trained_vocab):
         out = tmp_path / "out"

@@ -511,10 +511,18 @@ class TestParams:
             assert params[name].tobytes() == reference[name].tobytes(), name
 
 
+# relative error allowed between two sums of the same products taken in
+# different orders, at each dtype's precision and nothing more
+REORDER_TOL = {"float64": 1e-12, "float32": 1e-5}
+
+
+def relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-30))
+
+
 class TestWeightGradients:
-    # BLAS and einsum sum the same products in different orders; the bounds
-    # allow that reordering at each dtype's precision and nothing more
-    @pytest.mark.parametrize("cfg, tol", [(TINY, 1e-12), (SMOKE, 1e-5)])
+    # BLAS and einsum sum the same products in different orders
+    @pytest.mark.parametrize("cfg, tol", [(TINY, REORDER_TOL["float64"]), (SMOKE, REORDER_TOL["float32"])])
     def test_matches_einsum_contraction(self, cfg, tol, monkeypatch):
         params = randomized_params(cfg, seed=5)
         batch = tiny_batch(seed=5, b=4, s=12, t=9, cfg=cfg)
@@ -523,7 +531,44 @@ class TestWeightGradients:
         ref_loss, ref_grads = loss_and_grads(params, cfg, batch)
         assert loss == ref_loss
         for name, g in grads.items():
-            err = np.linalg.norm(g - ref_grads[name]) / max(np.linalg.norm(ref_grads[name]), 1e-30)
+            err = relative_error(g, ref_grads[name])
+            assert err < tol, (name, err)
+
+
+class TestBatchInvariance:
+    """A row's logits and its share of the loss and gradients do not depend on
+    the rows batched with it. The token-major products run every row of a
+    batch in one GEMM, which rounds small shapes differently from a row run
+    alone, so the bound is each dtype's reordering tolerance."""
+
+    @given(
+        double=st.booleans(),
+        seed=st.integers(0, 4),
+        pairs=st.lists(
+            st.tuples(*[st.lists(st.integers(3, SMOKE.vocab_size - 1), min_size=1, max_size=20)] * 2),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_each_row_matches_the_row_alone(self, double, seed, pairs):
+        cfg = SMOKE64 if double else SMOKE
+        tol = REORDER_TOL[cfg.dtype]
+        params = randomized_params(cfg, seed=seed)
+        batch = make_batch(pairs, ensure_eos=False)
+        logits = forward(params, cfg, batch)
+        loss, grads = loss_and_grads(params, cfg, batch)
+        n = sum(len(tgt) for _, tgt in pairs)  # no target id is a pad
+        shares = []
+        for i, (enc, tgt) in enumerate(pairs):
+            alone = make_batch([(enc, tgt)], ensure_eos=False)
+            assert relative_error(logits[i, : len(tgt)], forward(params, cfg, alone)[0]) < tol, i
+            row_loss, row_grads = loss_and_grads(params, cfg, alone)
+            shares.append((len(tgt) / n, row_loss, row_grads))
+        assert abs(loss - sum(w * row_loss for w, row_loss, _ in shares)) <= tol * loss
+        for name, g in grads.items():
+            terms = [(w * row_grads[name]).astype(g.dtype) for w, _, row_grads in shares]
+            # bounded by the terms' norms: rows' gradients may cancel in the sum
+            err = np.linalg.norm(g - sum(terms)) / max(sum(np.linalg.norm(t) for t in terms), 1e-30)
             assert err < tol, (name, err)
 
 
