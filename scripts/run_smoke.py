@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end smoke run: vocab-train -> encode-task -> finetune -> predict -> evaluate.
 
-Uses the bundled fixtures and writes everything under runs/smoke/. The final
+Uses the bundled fixtures and writes everything under runs/smoke/ (``main(out)``
+takes another directory; the acceptance suite runs it twice). The final
 evaluate enforces an exact-match floor of 0.95, so a non-zero exit means the
 pipeline regressed.
 """
@@ -80,15 +81,15 @@ def write_config(out: str) -> None:
         json.dump(config, f, indent=2, sort_keys=True)
 
 
-def main() -> int:
-    os.makedirs(OUT, exist_ok=True)
-    for argv in commands(OUT):
+def main(out: str = OUT) -> int:
+    os.makedirs(out, exist_ok=True)
+    for argv in commands(out):
         if argv[0] == "finetune":
-            write_config(OUT)
+            write_config(out)
         rc = run(argv)
         if rc != 0:
             return rc
-    print(f"smoke run complete; artifacts under {os.path.relpath(OUT)}")
+    print(f"smoke run complete; artifacts under {os.path.relpath(out)}")
     return 0
 
 

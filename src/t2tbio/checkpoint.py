@@ -8,14 +8,14 @@ bit-exact. NaN/Inf values are rejected on load.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError
+from .data_io import read_json, read_record, write_json
+from .errors import CheckpointError, ConfigError, DataFormatError
 from .model import ModelConfig, validate_params
 
 MANIFEST_NAME = "manifest.json"
@@ -138,23 +138,20 @@ def save_checkpoint(
         manifest["optimizer"] = {"name": "adam", "step": opt_state.step, "tensors": opt_entries}
         _write_blob(os.path.join(out_dir, OPTIMIZER_NAME), opt_arrays)
     if rng_state is not None:
-        with open(os.path.join(out_dir, RNG_STATE_NAME), "w", encoding="utf-8") as f:
-            json.dump({"algo": "splitmix64", "state": rng_state}, f, sort_keys=True)
-            f.write("\n")
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+        write_json(os.path.join(out_dir, RNG_STATE_NAME), {"algo": "splitmix64", "state": rng_state})
+    write_json(os.path.join(out_dir, MANIFEST_NAME), manifest, indent=2)
+
+
+def _read_json(path: str):
+    try:
+        return read_json(path)
+    except DataFormatError as e:
+        raise CheckpointError(str(e)) from e
 
 
 def load_manifest(ckpt_dir) -> dict:
     path = os.path.join(ckpt_dir, MANIFEST_NAME)
-    try:
-        with open(path, encoding="utf-8") as f:
-            manifest = json.load(f)
-    except FileNotFoundError as e:
-        raise CheckpointError(f"no manifest at {path}") from e
-    except ValueError as e:  # also non-UTF-8 bytes or an integer beyond Python's digit limit
-        raise CheckpointError(f"{path}: bad manifest JSON: {e}") from e
+    manifest = _read_json(path)
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is {type(manifest).__name__}, not an object")
     if manifest.get("format") != CHECKPOINT_FORMAT:
@@ -163,12 +160,9 @@ def load_manifest(ckpt_dir) -> dict:
 
 
 def _model_config(manifest: dict, path: str) -> ModelConfig:
-    model = manifest.get("model")
-    if not isinstance(model, dict):
-        raise CheckpointError(f"{path}: manifest has no model config object")
     try:
-        return ModelConfig(**model)
-    except (TypeError, ConfigError) as e:
+        return read_record(ModelConfig, manifest.get("model"), "model")
+    except ConfigError as e:
         raise CheckpointError(f"{path}: bad model config: {e}") from e
 
 
@@ -229,11 +223,7 @@ def load_rng_state(ckpt_dir) -> int | None:
     path = os.path.join(ckpt_dir, RNG_STATE_NAME)
     if not os.path.exists(path):
         return None
-    with open(path, encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except ValueError as e:  # also non-UTF-8 bytes or an integer beyond Python's digit limit
-            raise CheckpointError(f"{path}: bad rng_state JSON: {e}") from e
+    payload = _read_json(path)
     if not isinstance(payload, dict) or payload.get("algo") != "splitmix64":
         raise CheckpointError(f"{path}: not a splitmix64 rng state")
     if not _is_count(payload.get("state")):

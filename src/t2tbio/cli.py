@@ -6,11 +6,15 @@ line-delimited JSON (or the documented text formats), so each stage can be
 tested and replaced independently. Exit codes: 0 success, 1 data error,
 2 usage error, 3 metric below a configured floor.
 
+The run config that drives ``pretrain`` and ``finetune`` is defined here
+(``RunConfig``, read by ``load_config``); its JSON layout and the type of each
+value come from its dataclasses through ``data_io.read_record``.
+
 Only the commands that draw random numbers take ``--seed``: ``corrupt``
 (default 0) and the two training commands, where it overrides the run
 config's ``seed`` and ``train.seed`` as ``--out-dir`` overrides its
 ``out_dir``. Both flags win over the ``T2TBIO_SEED`` and ``T2TBIO_OUT_DIR``
-environment variables (see ``data_io.load_config``).
+environment variables (see ``load_config``).
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ import logging
 import math
 import os
 import sys
+from dataclasses import dataclass, field, replace
 
 from . import data_io, metrics, task_codec
 from .checkpoint import load_checkpoint, load_optimizer, load_rng_state
 from .corruption import SpanCorruptionConfig, corrupt, derive_seed, write_shard
 from .errors import ConfigError, DataFormatError, T2TBioError
-from .model import greedy_decode, init_params, param_count
-from .trainer import finetune, pretrain
+from .model import ModelConfig, greedy_decode, init_params, param_count
+from .trainer import CorpusEntry, MixtureEntry, TrainConfig, finetune, pretrain
 from .vocab import EOS_ID, load_vocab, save_vocab, train_vocab
 
 log = logging.getLogger("t2tbio.cli")
@@ -39,6 +44,68 @@ EXIT_FLOOR = 3
 
 TASK_TYPES = ("ner", "re", "nli", "doc", "qa", "match")
 
+ENV_OUT_DIR = "T2TBIO_OUT_DIR"
+ENV_SEED = "T2TBIO_SEED"
+
+
+# ---------------------------------------------------------------------------
+# run configuration
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class RunConfig:
+    model: ModelConfig
+    train: TrainConfig = field(default_factory=TrainConfig)
+    corruption: SpanCorruptionConfig = field(default_factory=SpanCorruptionConfig)
+    vocab_path: str = ""
+    out_dir: str = "runs/default"
+    seed: int = 0
+    corpora: list[CorpusEntry] = field(default_factory=list)
+    mixture: list[MixtureEntry] = field(default_factory=list)
+
+
+def load_config(path, out_dir: str | None = None, seed: int | None = None) -> RunConfig:
+    """Load and validate a run config JSON document.
+
+    The schema is ``RunConfig`` and the dataclasses it holds: unknown keys are
+    rejected by name and every value is checked against its field's type.
+    Cross-field constraints (length caps vs model max_seq_len) are enforced
+    here. ``out_dir`` and ``seed``, or else the ``T2TBIO_OUT_DIR`` and
+    ``T2TBIO_SEED`` environment variables, override the config's; a seed
+    override sets both ``seed`` and ``train.seed``.
+    """
+    payload = data_io.read_json(path)
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    cfg = data_io.read_record(RunConfig, payload, "")
+    if out_dir is None:
+        out_dir = os.environ.get(ENV_OUT_DIR, cfg.out_dir)
+    cfg.out_dir = out_dir
+    if seed is None and ENV_SEED in os.environ:
+        try:
+            seed = int(os.environ[ENV_SEED])
+        except ValueError as e:
+            raise ConfigError(f"{ENV_SEED}: cannot read {os.environ[ENV_SEED]!r} as int") from e
+    if seed is not None:
+        cfg.seed = seed
+        cfg.train = replace(cfg.train, seed=seed)
+
+    if cfg.train.input_len > cfg.model.max_seq_len:
+        raise ConfigError(
+            f"train.input_len {cfg.train.input_len} exceeds model.max_seq_len {cfg.model.max_seq_len}"
+        )
+    if cfg.train.target_len > cfg.model.max_seq_len:
+        raise ConfigError(
+            f"train.target_len {cfg.train.target_len} exceeds model.max_seq_len {cfg.model.max_seq_len}"
+        )
+    return cfg
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
 
 def _positive_int(text: str) -> int:
     try:
@@ -47,6 +114,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
 
 
@@ -64,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True, help="vocabulary file")
     p.add_argument("--in", dest="input", required=True, help="corpus text file, one document per line")
     p.add_argument("--out", required=True, help="output shard file (sidecar manifest is added)")
-    p.add_argument("--rate", type=float, default=0.15, help="fraction of tokens to mask")
-    p.add_argument("--mean-span", type=float, default=3.0, help="mean masked span length")
+    p.add_argument("--rate", type=_finite_float, default=0.15, help="fraction of tokens to mask")
+    p.add_argument("--mean-span", type=_finite_float, default=3.0, help="mean masked span length")
     p.add_argument("--max-sentinels", type=int, default=100, help="span count limit per example")
     p.add_argument("--input-len", type=_positive_int, default=None,
                    help="truncate documents to this many tokens (at least 1)")
@@ -197,7 +274,7 @@ def _cmd_encode_task(args) -> int:
     return EXIT_OK
 
 
-def _initial_params(cfg: data_io.RunConfig, warm_start: str | None):
+def _initial_params(cfg: RunConfig, warm_start: str | None):
     if warm_start is not None:
         params, model_cfg, _ = load_checkpoint(warm_start)
         if model_cfg != cfg.model:
@@ -207,7 +284,7 @@ def _initial_params(cfg: data_io.RunConfig, warm_start: str | None):
 
 
 def _cmd_train(args) -> int:
-    cfg = data_io.load_config(args.config, out_dir=args.out_dir, seed=args.seed)
+    cfg = load_config(args.config, out_dir=args.out_dir, seed=args.seed)
     if not cfg.vocab_path:
         raise ConfigError(f"config needs vocab_path for {args.command}")
     v = load_vocab(cfg.vocab_path)
@@ -229,33 +306,22 @@ def _cmd_predict(args) -> int:
         raise ConfigError(
             f"vocabulary size {v.size} does not match checkpoint vocab_size {model_cfg.vocab_size}"
         )
-    examples = data_io.read_task_examples(args.input)
-    with open(args.out, "w", encoding="utf-8") as f:
-        for ex in examples:
-            ids = v.encode(ex.input_text) + [EOS_ID]
-            ids = ids[: model_cfg.max_seq_len]
-            generated = greedy_decode(params, model_cfg, ids, max_len=args.max_len)
-            record = {
-                "task": ex.task_name,
-                "input": ex.input_text,
-                "prediction": v.decode(generated),
-                "target": ex.target_text,
-            }
-            f.write(json.dumps(record, sort_keys=True) + "\n")
-    log.info("wrote %d predictions -> %s", len(examples), args.out)
+    records = []
+    for ex in data_io.read_task_examples(args.input):
+        ids = v.encode(ex.input_text) + [EOS_ID]
+        generated = greedy_decode(params, model_cfg, ids[: model_cfg.max_seq_len], max_len=args.max_len)
+        records.append(
+            {"task": ex.task_name, "input": ex.input_text, "prediction": v.decode(generated), "target": ex.target_text}
+        )
+    data_io.write_json(args.out, *records)
+    log.info("wrote %d predictions -> %s", len(records), args.out)
     return EXIT_OK
 
 
 def read_predictions(path) -> list[dict]:
     records = []
-    for lineno, line in enumerate(data_io.read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as e:  # also an integer literal beyond Python's digit limit
-            raise DataFormatError(f"bad JSON: {e}", path=str(path), line=lineno) from e
-        if not isinstance(record, dict) or "prediction" not in record:
+    for lineno, record in data_io.read_jsonl(path):
+        if "prediction" not in record:
             raise DataFormatError("prediction record malformed", path=str(path), line=lineno)
         records.append(record)
     return records
@@ -362,10 +428,8 @@ def _cmd_evaluate(args) -> int:
             failed.append((name, value, floor))
     payload["floors"] = {name: floors[name] for name in sorted(floors)}
     payload["passed"] = not failed
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        data_io.write_json(args.out, payload, indent=2)
     print(report.format_table())
     for name, value, floor in failed:
         log.error("metric %s=%.4f is below the floor %.4f", name, value, floor)

@@ -14,13 +14,13 @@ back over the input sentinels by scanning, sharing no code with ``corrupt``.
 
 from __future__ import annotations
 
-import json
-import os
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import CorruptionError, DataFormatError
+from .data_io import write_json
+from .errors import CorruptionError
 from .rng import SplitMix64
 from .vocab import EOS_ID, PAD_ID, Vocabulary
 
@@ -38,8 +38,8 @@ class SpanCorruptionConfig:
     def __post_init__(self):
         if not 0.0 <= self.corruption_rate < 1.0:
             raise CorruptionError("corruption_rate must be in [0, 1)")
-        if self.mean_span_length < 1.0:
-            raise CorruptionError("mean_span_length must be >= 1")
+        if not (self.mean_span_length >= 1.0 and math.isfinite(self.mean_span_length)):
+            raise CorruptionError("mean_span_length must be finite and >= 1")
         if self.max_sentinels < 1:
             raise CorruptionError("max_sentinels must be positive")
 
@@ -214,48 +214,7 @@ def write_shard(path, examples: list[CorruptionExample], cfg: SpanCorruptionConf
         "config": asdict(cfg),
         "records": len(examples),
     }
-    with open(str(path) + ".manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def read_shard(path) -> list[CorruptionExample]:
-    """Read a shard file; validates the sidecar manifest count when present."""
-    examples: list[CorruptionExample] = []
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise DataFormatError(f"not valid UTF-8: {e}", path=str(path)) from e
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line == "":
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataFormatError(
-                f"expected INPUT<TAB>TARGET, got {len(parts)} fields", path=str(path), line=lineno
-            )
-        try:
-            inp = tuple(int(x) for x in parts[0].split())
-            tgt = tuple(int(x) for x in parts[1].split())
-        except ValueError as e:
-            raise DataFormatError(f"non-integer token id: {e}", path=str(path), line=lineno) from e
-        examples.append(CorruptionExample(input_ids=inp, target_ids=tgt))
-    manifest_path = str(path) + ".manifest.json"
-    if os.path.exists(manifest_path):
-        with open(manifest_path, encoding="utf-8") as f:
-            try:
-                manifest = json.load(f)
-            except ValueError as e:  # also non-UTF-8 bytes or an integer beyond Python's digit limit
-                raise DataFormatError(f"bad manifest JSON: {e}", path=manifest_path) from e
-        records = manifest.get("records") if isinstance(manifest, dict) else None
-        if records != len(examples):
-            raise DataFormatError(
-                f"manifest says {records} records, shard has {len(examples)}",
-                path=str(path),
-            )
-    return examples
+    write_json(str(path) + ".manifest.json", manifest, indent=2)
 
 
 def derive_seed(cfg: SpanCorruptionConfig, index: int) -> SpanCorruptionConfig:

@@ -1,27 +1,26 @@
-"""Benchmark-format readers, TaskExample JSONL, and run configuration.
+"""File formats: benchmark-format readers, TaskExample JSONL, JSON documents
+and typed records.
 
 Readers are total over arbitrary byte streams: they either return parsed
 records or raise DataFormatError with the path and line number; they never
-crash with an undeclared exception type. The repo ships only small synthetic
-fixtures in these formats; real benchmark data is supplied by path.
+crash with an undeclared exception type. ``read_json``/``read_jsonl`` and
+``write_json`` hold the one rule for parsing and for writing every JSON and
+JSONL artifact, and ``read_record`` builds a dataclass from a JSON object,
+checking each value against its field's type. This is the bottom file layer:
+from the package it imports only ``errors`` and ``task_codec``. The repo ships
+only small synthetic fixtures in these formats; real benchmark data is
+supplied by path.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, fields, is_dataclass
 
-from .corruption import SpanCorruptionConfig
 from .errors import ConfigError, DataFormatError
-from .model import ModelConfig
 from .task_codec import EntitySpan, QAExample, TaskExample
-from .trainer import CorpusEntry, MixtureEntry, TrainConfig
-
-ENV_OUT_DIR = "T2TBIO_OUT_DIR"
-ENV_SEED = "T2TBIO_SEED"
 
 
 def read_text(path) -> str:
@@ -36,6 +35,37 @@ def read_text(path) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise DataFormatError(f"not valid UTF-8: {e}", path=str(path)) from e
+
+
+def _parse_json(text: str, path, line: int | None = None):
+    try:
+        return json.loads(text)
+    except ValueError as e:  # also an integer literal beyond Python's digit limit
+        raise DataFormatError(f"bad JSON: {e}", path=str(path), line=line) from e
+
+
+def read_json(path):
+    """The JSON document that makes up the file; DataFormatError naming the
+    path if it cannot be read or parsed."""
+    return _parse_json(read_text(path), path)
+
+
+def read_jsonl(path):
+    """(line number, object) for each non-blank line of a JSONL file."""
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        if line.strip():
+            record = _parse_json(line, path, lineno)
+            if not isinstance(record, dict):
+                raise DataFormatError("record must be an object", path=str(path), line=lineno)
+            yield lineno, record
+
+
+def write_json(path, *docs, indent: int | None = None) -> None:
+    """Write each of ``docs`` as JSON with sorted keys, a newline after each:
+    one document makes a JSON file, one per record a JSONL file."""
+    with open(path, "w", encoding="utf-8") as f:
+        for doc in docs:
+            f.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +176,7 @@ def read_qa_json(path, diagnostics: dict | None = None) -> list[QAExample]:
     no snippets are skipped with a warning count; duplicate ids merge snippet
     and answer lists.
     """
-    text = read_text(path)
-    try:
-        payload = json.loads(text)
-    except ValueError as e:  # also an integer literal beyond Python's digit limit
-        raise DataFormatError(f"bad JSON: {e}", path=str(path)) from e
+    payload = read_json(path)
     if isinstance(payload, dict):
         questions = payload.get("questions")
     elif isinstance(payload, list):
@@ -243,29 +269,16 @@ def _parse_answers(raw, index: int, path) -> list[str]:
 
 
 def write_task_examples(path, examples: list[TaskExample]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            record = {
-                "task": ex.task_name,
-                "input": ex.input_text,
-                "target": ex.target_text,
-                "gold": ex.gold,
-            }
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+    records = [
+        {"task": ex.task_name, "input": ex.input_text, "target": ex.target_text, "gold": ex.gold}
+        for ex in examples
+    ]
+    write_json(path, *records)
 
 
 def read_task_examples(path) -> list[TaskExample]:
-    text = read_text(path)
     out: list[TaskExample] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as e:  # also an integer literal beyond Python's digit limit
-            raise DataFormatError(f"bad JSON: {e}", path=str(path), line=lineno) from e
-        if not isinstance(record, dict):
-            raise DataFormatError("record must be an object", path=str(path), line=lineno)
+    for lineno, record in read_jsonl(path):
         try:
             task = record["task"]
             input_text = record["input"]
@@ -291,20 +304,8 @@ def read_task_examples(path) -> list[TaskExample]:
 
 
 # ---------------------------------------------------------------------------
-# run configuration
+# typed records
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RunConfig:
-    model: ModelConfig
-    train: TrainConfig = field(default_factory=TrainConfig)
-    corruption: SpanCorruptionConfig = field(default_factory=SpanCorruptionConfig)
-    vocab_path: str = ""
-    out_dir: str = "runs/default"
-    seed: int = 0
-    corpora: list[CorpusEntry] = field(default_factory=list)
-    mixture: list[MixtureEntry] = field(default_factory=list)
 
 
 _EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
@@ -315,7 +316,7 @@ def _value(kind, value, where: str):
     a bool), a float a finite number, a str a string, a dataclass a JSON object
     and ``list[X]`` a JSON list of X."""
     if is_dataclass(kind):
-        return _build(kind, value, where)
+        return read_record(kind, value, where)
     if typing.get_origin(kind) is list:
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a JSON list")
@@ -328,10 +329,11 @@ def _value(kind, value, where: str):
     raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
 
 
-def _build(cls, section, where: str):
-    """``cls`` from a JSON object. Its keys are the dataclass's field names (or a
-    field's ``metadata["key"]``, where None leaves the field out of the schema);
-    fields without a default are required."""
+def read_record(cls, section, where: str):
+    """``cls`` from the JSON object at ``where`` (a dotted key path, "" for a
+    whole document). Its keys are the dataclass's field names (or a field's
+    ``metadata["key"]``, where None leaves the field out of the schema); fields
+    without a default are required, and ConfigError names a bad field."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
     by_key = {key: f for f in fields(cls) if (key := f.metadata.get("key", f.name)) is not None}
@@ -346,44 +348,3 @@ def _build(cls, section, where: str):
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where or 'config'} needs {key!r}")
     return cls(**values)
-
-
-def load_config(path, out_dir: str | None = None, seed: int | None = None) -> RunConfig:
-    """Load and validate a run config JSON document.
-
-    The schema is ``RunConfig`` and the dataclasses it holds: unknown keys are
-    rejected by name and every value is checked against its field's type.
-    Cross-field constraints (length caps vs model max_seq_len) are enforced
-    here. ``out_dir`` and ``seed``, or else the ``T2TBIO_OUT_DIR`` and
-    ``T2TBIO_SEED`` environment variables, override the config's; a seed
-    override sets both ``seed`` and ``train.seed``.
-    """
-    text = read_text(path)
-    try:
-        payload = json.loads(text)
-    except ValueError as e:  # also an integer literal beyond Python's digit limit
-        raise ConfigError(f"{path}: bad JSON: {e}") from e
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    cfg = _build(RunConfig, payload, "")
-    if out_dir is None:
-        out_dir = os.environ.get(ENV_OUT_DIR, cfg.out_dir)
-    cfg.out_dir = out_dir
-    if seed is None and ENV_SEED in os.environ:
-        try:
-            seed = int(os.environ[ENV_SEED])
-        except ValueError as e:
-            raise ConfigError(f"{ENV_SEED}: cannot read {os.environ[ENV_SEED]!r} as int") from e
-    if seed is not None:
-        cfg.seed = seed
-        cfg.train = replace(cfg.train, seed=seed)
-
-    if cfg.train.input_len > cfg.model.max_seq_len:
-        raise ConfigError(
-            f"train.input_len {cfg.train.input_len} exceeds model.max_seq_len {cfg.model.max_seq_len}"
-        )
-    if cfg.train.target_len > cfg.model.max_seq_len:
-        raise ConfigError(
-            f"train.target_len {cfg.train.target_len} exceeds model.max_seq_len {cfg.model.max_seq_len}"
-        )
-    return cfg

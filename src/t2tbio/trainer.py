@@ -12,12 +12,12 @@ step) resumes exactly where it left off.
 With an ``out_dir``, a run writes ``step_<n>/`` every ``checkpoint_every``
 steps, ``final/``, and ``loss_curve.json``:
 ``{"curves": {source: [[step, loss], ...]}, "losses": [loss, ...]}``, where
-``losses`` holds every step this call ran, in order.
+``losses`` holds every step this call ran, in order. Corpora and task files
+are read, and ``loss_curve.json`` written, through ``data_io``.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -25,9 +25,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import data_io
 from .checkpoint import AdamState, load_checkpoint, load_optimizer, load_rng_state, save_checkpoint
 from .corruption import SpanCorruptionConfig, corrupt
-from .errors import ConfigError, DataFormatError, ModelError
+from .errors import ConfigError, ModelError
 from .model import ModelConfig, loss_and_grads, make_batch
 from .rng import SplitMix64
 from .vocab import EOS_ID, Vocabulary
@@ -51,8 +52,8 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be non-negative")
+        if not (self.learning_rate >= 0 and math.isfinite(self.learning_rate)):
+            raise ConfigError("learning_rate must be finite and non-negative")
         if self.batch_size <= 0 or self.num_steps < 0:
             raise ConfigError("batch_size must be positive and num_steps non-negative")
         if self.input_len <= 0 or self.target_len <= 0:
@@ -134,18 +135,6 @@ def optimizer_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], 
 # ---------------------------------------------------------------------------
 
 
-def _read_lines(path: str) -> list[str]:
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-        text = raw.decode("utf-8")
-    except OSError as e:
-        raise ConfigError(f"unreadable corpus {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise DataFormatError(f"not valid UTF-8: {e}", path=path) from e
-    return [line for line in text.splitlines() if line.strip()]
-
-
 def load_corpus_windows(corpora: list[CorpusEntry], v: Vocabulary, input_len: int) -> list[list[list[int]]]:
     """Tokenize each corpus into contiguous non-overlapping windows.
 
@@ -155,7 +144,7 @@ def load_corpus_windows(corpora: list[CorpusEntry], v: Vocabulary, input_len: in
     all_windows: list[list[list[int]]] = []
     for entry in corpora:
         windows: list[list[int]] = []
-        for line in _read_lines(entry.path):
+        for line in filter(str.strip, data_io.read_text(entry.path).splitlines()):  # skip blank lines
             ids = v.encode(line)
             for start in range(0, len(ids), input_len):
                 chunk = ids[start : start + input_len]
@@ -175,9 +164,7 @@ def load_task_pairs(
     Inputs over the cap are truncated (counted); examples whose target exceeds
     the cap are dropped (counted), never truncated.
     """
-    from .data_io import read_task_examples  # local import: data_io imports our configs
-
-    examples = read_task_examples(entry.path)
+    examples = data_io.read_task_examples(entry.path)
     pairs: list[tuple[list[int], list[int]]] = []
     truncated = dropped = 0
     for ex in examples:
@@ -279,9 +266,7 @@ def _train(
     save("final", train_cfg.num_steps)
     if out_dir is not None:
         curves = {n: [[s, x] for s, x in curve] for n, curve in result.loss_curves.items()}
-        with open(os.path.join(out_dir, "loss_curve.json"), "w", encoding="utf-8") as f:
-            json.dump({"curves": curves, "losses": result.losses}, f, sort_keys=True)
-            f.write("\n")
+        data_io.write_json(os.path.join(out_dir, "loss_curve.json"), {"curves": curves, "losses": result.losses})
     return result
 
 

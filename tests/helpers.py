@@ -1,11 +1,18 @@
 """Shared test utilities: hand-built vocabularies, random example builders,
-the closed-form parameter count and the greedy exact-match rate."""
+the closed-form parameter count, the greedy exact-match rate, the shard
+reader and the loaded smoke script."""
 
 from __future__ import annotations
 
+import importlib.util
+import os
+from pathlib import Path
+
 import numpy as np
 
-from t2tbio.errors import ConfigError
+from t2tbio.corruption import CorruptionExample
+from t2tbio.data_io import read_json, read_text
+from t2tbio.errors import ConfigError, DataFormatError
 from t2tbio.model import ModelConfig, greedy_decode
 from t2tbio.rng import SplitMix64
 from t2tbio.task_codec import EntitySpan
@@ -82,3 +89,41 @@ def exact_match_rate(
         if greedy_decode(params, model_cfg, list(enc), max_len) == expect:
             hits += 1
     return hits / len(pairs)
+
+
+def read_shard(path) -> list[CorruptionExample]:
+    """Read a ``corrupt`` shard; validates the sidecar manifest count when present."""
+    examples: list[CorruptionExample] = []
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        if line == "":
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataFormatError(
+                f"expected INPUT<TAB>TARGET, got {len(parts)} fields", path=str(path), line=lineno
+            )
+        try:
+            inp = tuple(int(x) for x in parts[0].split())
+            tgt = tuple(int(x) for x in parts[1].split())
+        except ValueError as e:
+            raise DataFormatError(f"non-integer token id: {e}", path=str(path), line=lineno) from e
+        examples.append(CorruptionExample(input_ids=inp, target_ids=tgt))
+    manifest_path = str(path) + ".manifest.json"
+    if os.path.exists(manifest_path):
+        manifest = read_json(manifest_path)
+        records = manifest.get("records") if isinstance(manifest, dict) else None
+        if records != len(examples):
+            raise DataFormatError(
+                f"manifest says {records} records, shard has {len(examples)}",
+                path=str(path),
+            )
+    return examples
+
+
+def smoke_script():
+    """``scripts/run_smoke.py`` loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_smoke.py"
+    spec = importlib.util.spec_from_file_location("run_smoke", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -12,8 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from t2tbio.cli import EXIT_OK, run
-from t2tbio.corruption import SpanCorruptionConfig, apply_span_mask, corrupt, read_shard, reconstruct
+from t2tbio.corruption import SpanCorruptionConfig, apply_span_mask, corrupt, reconstruct
 from t2tbio.data_io import (
     read_conll_ner,
     read_qa_json,
@@ -43,7 +42,15 @@ from t2tbio.trainer import (
 )
 from t2tbio.vocab import train_vocab
 
-from helpers import exact_match_rate, random_sentence, random_spans, random_token_sequence, word_vocab
+from helpers import (
+    exact_match_rate,
+    random_sentence,
+    random_spans,
+    random_token_sequence,
+    read_shard,
+    smoke_script,
+    word_vocab,
+)
 from oracles import (
     accuracy_oracle,
     classification_oracle,
@@ -401,115 +408,6 @@ def test_criterion_8_lenient_accuracy_any_snippet_rule():
 # -- 9 ----------------------------------------------------------------------
 
 
-def run_smoke_pipeline(out_dir: str, seed: int) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    vocab_path = os.path.join(out_dir, "vocab.txt")
-    assert (
-        run(
-            [
-                "vocab-train",
-                "--corpus",
-                fixture("pretrain_corpus.txt"),
-                "--corpus",
-                fixture("task_text.txt"),
-                "--size",
-                "256",
-                "--sentinels",
-                "16",
-                "--out",
-                vocab_path,
-            ]
-        )
-        == EXIT_OK
-    )
-    train_path = os.path.join(out_dir, "train.jsonl")
-    assert (
-        run(
-            [
-                "encode-task",
-                "--task-type",
-                "ner",
-                "--task-name",
-                "smoke_ner",
-                "--in",
-                fixture("smoke_ner.conll"),
-                "--out",
-                train_path,
-            ]
-        )
-        == EXIT_OK
-    )
-    from t2tbio.vocab import load_vocab
-
-    vocab_size = load_vocab(vocab_path).size
-    config = {
-        "seed": seed,
-        "out_dir": os.path.join(out_dir, "run"),
-        "vocab_path": vocab_path,
-        "model": {
-            "vocab_size": vocab_size,
-            "d_model": 64,
-            "n_heads": 4,
-            "d_ff": 128,
-            "n_encoder_layers": 2,
-            "n_decoder_layers": 2,
-            "rel_pos_buckets": 16,
-            "rel_pos_max_distance": 32,
-            "max_seq_len": 64,
-        },
-        "train": {
-            "learning_rate": 0.002,
-            "batch_size": 16,
-            "num_steps": 400,
-            "input_len": 32,
-            "target_len": 32,
-            "seed": seed,
-        },
-        "mixture": [{"task": "smoke_ner", "path": train_path, "weight": 1.0}],
-    }
-    config_path = os.path.join(out_dir, "config.json")
-    with open(config_path, "w", encoding="utf-8") as f:
-        json.dump(config, f, sort_keys=True)
-    assert run(["finetune", "--config", config_path]) == EXIT_OK
-    preds_path = os.path.join(out_dir, "preds.jsonl")
-    assert (
-        run(
-            [
-                "predict",
-                "--checkpoint",
-                os.path.join(out_dir, "run", "final"),
-                "--vocab",
-                vocab_path,
-                "--in",
-                train_path,
-                "--out",
-                preds_path,
-                "--max-len",
-                "32",
-            ]
-        )
-        == EXIT_OK
-    )
-    assert (
-        run(
-            [
-                "evaluate",
-                "--task-type",
-                "match",
-                "--pred",
-                preds_path,
-                "--gold",
-                train_path,
-                "--out",
-                os.path.join(out_dir, "report.json"),
-                "--floor",
-                "accuracy=0.95",
-            ]
-        )
-        == EXIT_OK
-    )
-
-
 def collect_files(root: str) -> dict[str, bytes]:
     out = {}
     for dirpath, _, filenames in os.walk(root):
@@ -521,9 +419,11 @@ def collect_files(root: str) -> dict[str, bytes]:
 
 def test_criterion_9_pipeline_determinism(tmp_path):
     with criterion(9, "smoke pipeline is byte-identical across two seeded runs and >= 95% exact"):
+        # the smoke script itself, run twice; its config fixes seed 0
+        smoke = smoke_script()
         a_dir, b_dir = str(tmp_path / "a"), str(tmp_path / "b")
-        run_smoke_pipeline(a_dir, seed=0)
-        run_smoke_pipeline(b_dir, seed=0)
+        assert smoke.main(a_dir) == 0
+        assert smoke.main(b_dir) == 0
         report = json.loads(open(os.path.join(a_dir, "report.json"), encoding="utf-8").read())
         assert report["accuracy"] >= 0.95
         files_a = collect_files(a_dir)

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import os
 import shlex
@@ -13,11 +12,10 @@ import pytest
 import t2tbio
 from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, build_parser, run
 from t2tbio.checkpoint import load_checkpoint, save_checkpoint
-from t2tbio.corruption import read_shard
 from t2tbio.data_io import read_task_examples
 from t2tbio.vocab import EOS_ID, load_vocab, save_vocab
 
-from helpers import word_vocab
+from helpers import read_shard, smoke_script, word_vocab
 from test_acceptance import collect_files
 
 SUBCOMMANDS = [
@@ -114,10 +112,7 @@ def readme_commands() -> list[list[str]]:
 
 def smoke_commands() -> list[list[str]]:
     """The argv of every stage of ``scripts/run_smoke.py``."""
-    spec = importlib.util.spec_from_file_location("run_smoke", ROOT / "scripts" / "run_smoke.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.commands("runs/smoke")
+    return smoke_script().commands("runs/smoke")
 
 
 class TestDocumentedCommands:
@@ -604,16 +599,33 @@ class TestPredictMaxLen:
         assert not out.exists()
 
 
+def run_corrupt(tmp_path, *flags) -> tuple[subprocess.CompletedProcess, Path]:
+    """``corrupt`` over a one-line corpus in a child process, with ``flags``
+    added; returns the process and the shard path."""
+    corpus, vocab, out = tmp_path / "corpus.txt", tmp_path / "vocab.txt", tmp_path / "shard.tsv"
+    corpus.write_text("alpha beta alpha\n", encoding="utf-8")
+    save_vocab(word_vocab(["alpha", "beta"]), vocab)
+    proc = run_entry_point(["corrupt", "--vocab", str(vocab), "--in", str(corpus), "--out", str(out), *flags])
+    return proc, out
+
+
 class TestCorruptInputLen:
     @pytest.mark.parametrize("input_len", ["0", "-3"])
     def test_below_one_is_a_usage_error(self, tmp_path, input_len):
-        corpus, vocab, out = tmp_path / "corpus.txt", tmp_path / "vocab.txt", tmp_path / "shard.tsv"
-        corpus.write_text("alpha beta alpha\n", encoding="utf-8")
-        save_vocab(word_vocab(["alpha", "beta"]), vocab)
-        proc = run_entry_point(["corrupt", "--vocab", str(vocab), "--in", str(corpus), "--out", str(out),
-                                "--input-len", input_len])
+        proc, out = run_corrupt(tmp_path, "--input-len", input_len)
         assert proc.returncode == EXIT_USAGE, proc.stderr
         assert "--input-len" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+class TestCorruptFloats:
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--rate", "--mean-span"])
+    def test_non_finite_is_a_usage_error(self, tmp_path, flag, value):
+        proc, out = run_corrupt(tmp_path, flag, value)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert flag in proc.stderr and "must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
@@ -640,8 +652,9 @@ class TestFloat64Pretrain:
 
 
 class TestMalformedOptimizerState:
-    """A checkpoint whose weights, optimizer record, moments or rng state do
-    not fit its config is a data error naming the file, never a traceback."""
+    """A checkpoint whose model record, weights, optimizer record, moments or
+    rng state do not fit its config is a data error naming the file, never a
+    traceback."""
 
     @pytest.fixture
     def checkpoint(self, tmp_path):
@@ -667,6 +680,23 @@ class TestMalformedOptimizerState:
         manifest = json.loads(path.read_text(encoding="utf-8"))
         change(manifest)
         path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    @staticmethod
+    def argv(ckpt, command) -> list[str]:
+        """``predict`` or ``inspect-checkpoint`` on ``ckpt``."""
+        if command == "inspect-checkpoint":
+            return ["inspect-checkpoint", "--checkpoint", str(ckpt)]
+        root = ckpt.parent.parent
+        return ["predict", "--checkpoint", str(ckpt), "--vocab", str(root / "vocab.txt"),
+                "--in", str(root / "t.jsonl"), "--out", str(root / "preds.jsonl")]
+
+    @pytest.mark.parametrize("command", ["predict", "inspect-checkpoint"])
+    def test_a_float_head_count_exits_1(self, checkpoint, command):
+        self.mutate(checkpoint, lambda m: m["model"].update(n_heads=2.0))
+        proc = run_entry_point(self.argv(checkpoint, command))
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert str(checkpoint / "manifest.json") in proc.stderr and "model.n_heads" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_resume_with_a_reshaped_moment_exits_1(self, checkpoint):
         def reshape(manifest):
@@ -712,12 +742,7 @@ class TestMalformedOptimizerState:
         params, cfg, _ = load_checkpoint(checkpoint)
         assert cfg.dtype == "float32"
         save_checkpoint(checkpoint, {k: x.astype(np.float64) for k, x in params.items()}, cfg)
-        argv = ["inspect-checkpoint", "--checkpoint", str(checkpoint)]
-        if command == "predict":
-            root = checkpoint.parent.parent
-            argv = ["predict", "--checkpoint", str(checkpoint), "--vocab", str(root / "vocab.txt"),
-                    "--in", str(root / "t.jsonl"), "--out", str(root / "preds.jsonl")]
-        proc = run_entry_point(argv)
+        proc = run_entry_point(self.argv(checkpoint, command))
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
         assert str(checkpoint / "weights.bin") in proc.stderr and "expected float32" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from t2tbio.corruption import (
     SpanCorruptionConfig,
     apply_span_mask,
     corrupt,
-    read_shard,
     reconstruct,
     write_shard,
 )
@@ -15,7 +16,7 @@ from t2tbio.errors import CorruptionError, DataFormatError
 from t2tbio.rng import SplitMix64
 from t2tbio.vocab import EOS_ID, PAD_ID
 
-from helpers import random_token_sequence, word_vocab
+from helpers import random_token_sequence, read_shard, word_vocab
 
 WORDS = [f"tok{i}" for i in range(40)]
 
@@ -185,6 +186,12 @@ def test_shard_reader_rejects_bad_manifest(tmp_path, manifest):
     (tmp_path / "shard.tsv.manifest.json").write_bytes(manifest)
     with pytest.raises(DataFormatError, match="manifest"):
         read_shard(path)
+
+
+@pytest.mark.parametrize("mean_span", [math.inf, math.nan])
+def test_mean_span_length_must_be_finite(mean_span):
+    with pytest.raises(CorruptionError, match="mean_span_length"):
+        SpanCorruptionConfig(mean_span_length=mean_span)
 
 
 def test_config_validation():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from t2tbio.cli import load_config
 from t2tbio.data_io import (
-    load_config,
     read_conll_ner,
     read_qa_json,
     read_task_examples,

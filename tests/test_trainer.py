@@ -9,7 +9,7 @@ import pytest
 from t2tbio.checkpoint import AdamState, load_checkpoint, load_optimizer, save_checkpoint
 from t2tbio.corruption import SpanCorruptionConfig
 from t2tbio.data_io import write_task_examples
-from t2tbio.errors import CheckpointError, ConfigError, ModelError
+from t2tbio.errors import CheckpointError, ConfigError, DataFormatError, ModelError
 from t2tbio.model import ModelConfig, init_params
 from t2tbio.rng import SplitMix64
 from t2tbio.task_codec import TaskExample
@@ -40,6 +40,12 @@ def small_cfg(vocab_size):
         rel_pos_max_distance=16,
         max_seq_len=64,
     )
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan, -1.0])
+def test_learning_rate_must_be_finite_and_non_negative(rate):
+    with pytest.raises(ConfigError, match="learning_rate"):
+        TrainConfig(learning_rate=rate)
 
 
 class TestAdam:
@@ -155,8 +161,10 @@ class TestWindowing:
 
     def test_unreadable_corpus_fails_fast(self, tmp_path):
         v = word_vocab(["a"])
-        with pytest.raises(ConfigError, match="unreadable"):
-            load_corpus_windows([CorpusEntry(str(tmp_path / "missing.txt"))], v, input_len=8)
+        path = str(tmp_path / "missing.txt")
+        with pytest.raises(DataFormatError, match="cannot read file") as info:
+            load_corpus_windows([CorpusEntry(path)], v, input_len=8)
+        assert info.value.path == path
 
     def test_empty_corpus_fails_fast(self, tmp_path):
         v = word_vocab(["a"])
@@ -406,6 +414,10 @@ class TestCheckpointing:
             pytest.param(lambda m: m.pop("model"), "manifest.json", "model", id="no-model"),
             pytest.param(lambda m: m["model"].update(vocab_size="31"), "manifest.json", "model config",
                          id="string-vocab-size"),
+            pytest.param(lambda m: m["model"].update(n_heads=2.0), "manifest.json", "model.n_heads",
+                         id="float-n-heads"),
+            pytest.param(lambda m: m["model"].update(max_seq_len=True), "manifest.json", "model.max_seq_len",
+                         id="bool-max-seq-len"),
             pytest.param(lambda m: m.update(step=-1), "manifest.json", "step", id="negative-step"),
             pytest.param(lambda m: m.pop("tensors"), "weights.bin", "tensor list", id="no-tensors"),
             pytest.param(lambda m: m["tensors"][3].update(shape=[17]), "weights.bin", "dec.0.cross.wq",
