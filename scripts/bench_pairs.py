@@ -7,9 +7,12 @@ The base revision is exported with ``git archive`` into a temporary directory
 (an export, unlike a worktree, leaves nothing in the repository if the script
 is killed). Per seed ``perfbench/run.py`` runs once from each tree, the tree
 that goes first alternating, so drift in the host's speed falls on both sides.
-Each run's last output line is its JSON result. For every end-to-end metric
-the script prints the pairs (base -> tree), each side's median [quartiles] and
-the pairs this tree won, then the seeds whose output digests matched.
+Each run's last output line is its JSON result. Each pair is printed as it
+completes. A failed run prints its seed, side, exit code and the tail of its
+stderr, and the script goes on with the next seed. At the end, for every
+end-to-end metric the script prints the pairs (base -> tree), each side's
+median [quartiles] and the pairs this tree won, then the seeds whose output
+digests matched and the runs that failed.
 """
 
 import argparse
@@ -23,10 +26,12 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STDERR_TAIL = 20  # lines of a failed run's stderr to print
 
 
 def run(tree: str, workload: str, seed: int, seconds: int) -> tuple[dict, str | None]:
-    """One benchmark run: each metric's value, with fail_rate added, and the output digest."""
+    """One benchmark run: each metric's value, with fail_rate added, and the output digest.
+    A run that exits non-zero raises CalledProcessError, which holds its stderr."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     lines = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True).stdout.splitlines()
@@ -37,6 +42,8 @@ def run(tree: str, workload: str, seed: int, seconds: int) -> tuple[dict, str | 
 
 
 def summary(xs: list[float]) -> str:
+    if len(xs) < 2:
+        return f"{xs[0]:.6g}"
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
 
@@ -54,15 +61,29 @@ def main() -> int:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
     better["fail_rate"] = "lower"
     pairs = []
+    failed = []  # (seed, side, exit code)
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base:
         archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(base, filter="data")
+        sides = {base: "base", ROOT: "tree"}
         for i, seed in enumerate(args.seeds):
             order = (base, ROOT) if i % 2 == 0 else (ROOT, base)
-            out = {tree: run(tree, args.workload, seed, args.seconds) for tree in order}
+            out = {}
+            for tree in order:
+                try:
+                    out[tree] = run(tree, args.workload, seed, args.seconds)
+                except subprocess.CalledProcessError as e:
+                    failed.append((seed, sides[tree], e.returncode))
+                    print(f"seed {seed} {sides[tree]} failed with exit code {e.returncode}:",
+                          *e.stderr.splitlines()[-STDERR_TAIL:], sep="\n", flush=True)
+            if len(out) < 2:
+                continue
+            (b, db), (t, dt) = out[base], out[ROOT]
             pairs.append((seed, out[base], out[ROOT]))
-            print(f"seed {seed} done ({'base' if order[0] == base else 'tree'} first)", file=sys.stderr, flush=True)
+            shown = ", ".join(f"{name} {b[name]:.6g} -> {t[name]:.6g}" for name in better if name in b and name in t)
+            print(f"seed {seed} ({sides[order[0]]} first): {shown}; digest {'equal' if db == dt else 'differs'}",
+                  flush=True)
     for name, direction in better.items():
         vals = [(b[name], t[name]) for _, (b, _), (t, _) in pairs if name in b and name in t]
         if not vals:
@@ -73,7 +94,8 @@ def main() -> int:
         print(f"  base {summary([b for b, _ in vals])}   tree {summary([t for _, t in vals])}")
     same = [seed for seed, (_, db), (_, dt) in pairs if db == dt]
     print(f"digest equal on {len(same)}/{len(pairs)} seeds; differs on {[s for s, *_ in pairs if s not in same]}")
-    return 0
+    print(f"failed runs: {len(failed)}" + "".join(f"\n  seed {s} {side}: exit code {rc}" for s, side, rc in failed))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

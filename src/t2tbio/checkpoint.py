@@ -1,9 +1,14 @@
 """Checkpoint directory layout: manifest.json, weights.bin, optimizer.bin, rng_state.
 
-The manifest records the model config plus, for each tensor, its name, shape,
-little-endian dtype code, byte offset, and byte count; the binary blobs are the
-raw tensor bytes concatenated in manifest order. Save/load round trips are
-bit-exact. NaN/Inf values are rejected on load.
+The manifest records the model config, the step, the Adam record and, for
+each tensor, its name, shape, little-endian dtype code, byte offset, and byte
+count; the binary blobs are the raw tensor bytes concatenated in manifest
+order. Save/load round trips are bit-exact. NaN/Inf values are rejected on load.
+
+A checkpoint always holds the whole training state (weights, Adam state, rng
+state, step), since resuming needs each part: ``save_checkpoint`` takes them
+all, and each loader returns its part or raises ``CheckpointError`` naming it
+and its file, for a missing step, optimizer record or rng state too.
 """
 
 from __future__ import annotations
@@ -114,31 +119,23 @@ def _unpack(entries, blob: bytes, path: str) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(
-    out_dir,
-    params: dict[str, np.ndarray],
-    cfg: ModelConfig,
-    opt_state: AdamState | None = None,
-    rng_state: int | None = None,
-    step: int | None = None,
+    out_dir, params: dict[str, np.ndarray], cfg: ModelConfig, opt_state: AdamState, rng_state: int, step: int
 ) -> None:
     os.makedirs(out_dir, exist_ok=True)
     weight_entries, weight_arrays = _pack(params)
+    opt_tensors = {f"m.{k}": v for k, v in opt_state.m.items()}
+    opt_tensors.update({f"v.{k}": v for k, v in opt_state.v.items()})
+    opt_entries, opt_arrays = _pack(opt_tensors)
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "model": cfg.to_dict(),
         "tensors": weight_entries,
+        "step": step,
+        "optimizer": {"name": "adam", "step": opt_state.step, "tensors": opt_entries},
     }
-    if step is not None:
-        manifest["step"] = step
     _write_blob(os.path.join(out_dir, WEIGHTS_NAME), weight_arrays)
-    if opt_state is not None:
-        opt_tensors = {f"m.{k}": v for k, v in opt_state.m.items()}
-        opt_tensors.update({f"v.{k}": v for k, v in opt_state.v.items()})
-        opt_entries, opt_arrays = _pack(opt_tensors)
-        manifest["optimizer"] = {"name": "adam", "step": opt_state.step, "tensors": opt_entries}
-        _write_blob(os.path.join(out_dir, OPTIMIZER_NAME), opt_arrays)
-    if rng_state is not None:
-        write_json(os.path.join(out_dir, RNG_STATE_NAME), {"algo": "splitmix64", "state": rng_state})
+    _write_blob(os.path.join(out_dir, OPTIMIZER_NAME), opt_arrays)
+    write_json(os.path.join(out_dir, RNG_STATE_NAME), {"algo": "splitmix64", "state": rng_state})
     write_json(os.path.join(out_dir, MANIFEST_NAME), manifest, indent=2)
 
 
@@ -172,7 +169,9 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, np.ndarray], ModelConfig, dict]
     manifest = load_manifest(ckpt_dir)
     manifest_path = os.path.join(ckpt_dir, MANIFEST_NAME)
     cfg = _model_config(manifest, manifest_path)
-    if not _is_count(manifest.get("step", 0)):
+    if "step" not in manifest:
+        raise CheckpointError(f"{manifest_path}: no step")
+    if not _is_count(manifest["step"]):
         raise CheckpointError(f"{manifest_path}: bad step {manifest['step']!r}")
     weights_path = os.path.join(ckpt_dir, WEIGHTS_NAME)
     try:
@@ -188,16 +187,22 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, np.ndarray], ModelConfig, dict]
     return params, cfg, manifest
 
 
-def load_optimizer(ckpt_dir, manifest: dict) -> AdamState | None:
-    """Adam state, or None, for a manifest from ``load_checkpoint``. Each moment must
-    match a parameter's shape and dtype, and ``m`` and ``v`` cover the same ones:
-    every parameter once the optimizer has taken a step."""
-    if "optimizer" not in manifest:
-        return None
+def load_optimizer(ckpt_dir, manifest: dict) -> AdamState:
+    """Adam state for a manifest from ``load_checkpoint``, whose optimizer record
+    must name Adam at the manifest's step. Each moment must match a parameter's
+    shape and dtype, and ``m`` and ``v`` cover the same ones: every parameter
+    once the optimizer has taken a step."""
+    manifest_path = os.path.join(ckpt_dir, MANIFEST_NAME)
     opt_path = os.path.join(ckpt_dir, OPTIMIZER_NAME)
+    if "optimizer" not in manifest:
+        raise CheckpointError(f"{manifest_path}: no optimizer record")
     record = manifest["optimizer"]
     if not isinstance(record, dict) or not _is_count(record.get("step")):
-        raise CheckpointError(f"{os.path.join(ckpt_dir, MANIFEST_NAME)}: malformed optimizer record for {opt_path}")
+        raise CheckpointError(f"{manifest_path}: malformed optimizer record for {opt_path}")
+    if record.get("name") != "adam":
+        raise CheckpointError(f"{manifest_path}: optimizer record names {record.get('name')!r}, not 'adam'")
+    if record["step"] != manifest["step"]:
+        raise CheckpointError(f"{manifest_path}: optimizer record at step {record['step']}, not {manifest['step']}")
     try:
         with open(opt_path, "rb") as f:
             blob = f.read()
@@ -219,10 +224,8 @@ def load_optimizer(ckpt_dir, manifest: dict) -> AdamState | None:
     return state
 
 
-def load_rng_state(ckpt_dir) -> int | None:
+def load_rng_state(ckpt_dir) -> int:
     path = os.path.join(ckpt_dir, RNG_STATE_NAME)
-    if not os.path.exists(path):
-        return None
     payload = _read_json(path)
     if not isinstance(payload, dict) or payload.get("algo") != "splitmix64":
         raise CheckpointError(f"{path}: not a splitmix64 rng state")

@@ -444,8 +444,8 @@ def _cmd_inspect_checkpoint(args) -> int:
         "model": cfg.to_dict(),
         "tensors": len(manifest["tensors"]),
         "parameters": param_count(params),
-        "step": manifest.get("step"),
-        "optimizer": manifest["optimizer"].get("name") if "optimizer" in manifest else None,
+        "step": manifest["step"],
+        "optimizer": manifest["optimizer"]["name"],
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK

@@ -103,8 +103,13 @@ class Batch:
     attention and loss."""
 
     encoder_ids: np.ndarray  # [B, S] int64
-    decoder_ids: np.ndarray  # [B, T] int64, target shifted right, pad as start
     target_ids: np.ndarray  # [B, T] int64
+
+    @property
+    def decoder_ids(self) -> np.ndarray:  # [B, T] int64, target shifted right, pad as start
+        decoder_ids = np.roll(self.target_ids, 1, axis=1)
+        decoder_ids[:, 0] = PAD_ID
+        return decoder_ids
 
     @property
     def encoder_valid(self) -> np.ndarray:  # [B, S] bool
@@ -148,9 +153,7 @@ def make_batch(
     for i, (enc, tgt) in enumerate(zip(enc_seqs, tgt_seqs)):
         encoder_ids[i, : len(enc)] = enc
         target_ids[i, : len(tgt)] = tgt
-    decoder_ids = np.roll(target_ids, 1, axis=1)
-    decoder_ids[:, 0] = PAD_ID
-    return Batch(encoder_ids=encoder_ids, decoder_ids=decoder_ids, target_ids=target_ids)
+    return Batch(encoder_ids=encoder_ids, target_ids=target_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +495,8 @@ def _check_ids(cfg: ModelConfig, name: str, ids: np.ndarray) -> None:
 
 
 def _check_batch(cfg: ModelConfig, batch: Batch) -> None:
-    for name, ids in (("encoder", batch.encoder_ids), ("decoder", batch.decoder_ids), ("target", batch.target_ids)):
+    for name, ids in (("encoder", batch.encoder_ids), ("target", batch.target_ids)):
         _check_ids(cfg, name, ids)
-    if batch.decoder_ids.shape != batch.target_ids.shape:
-        raise ConfigError("decoder and target shapes differ")
     if batch.encoder_ids.shape[0] != batch.target_ids.shape[0]:
         raise ConfigError("encoder and target batch sizes differ")
 

@@ -6,8 +6,9 @@ per-source ``draw(rng, i)`` that returns a batch of (input ids, target ids)
 pairs. The loop samples a source by weight, assembles a teacher-forcing batch,
 takes one Adam step and logs "step=<n> task=<name> loss=<float>". Everything
 random flows through one SplitMix64 stream seeded from TrainConfig, so a run is
-bit-reproducible and a checkpoint (params + optimizer moments + rng state +
-step) resumes exactly where it left off.
+bit-reproducible and a checkpoint (params + Adam state + rng state + step)
+resumes exactly where it left off. Every checkpoint holds all four parts, and
+resuming from one that lacks a part raises ``CheckpointError`` naming it.
 
 With an ``out_dir``, a run writes ``step_<n>/`` every ``checkpoint_every``
 steps, ``final/``, and ``loss_curve.json``:
@@ -202,16 +203,6 @@ class TrainResult:
     final_step: int = 0
 
 
-def _resume_state(resume_dir, model_cfg: ModelConfig):
-    params, cfg, manifest = load_checkpoint(resume_dir)
-    if cfg != model_cfg:
-        raise ConfigError("resume checkpoint was written with a different model config")
-    opt = load_optimizer(resume_dir, manifest) or AdamState()
-    rng_state = load_rng_state(resume_dir)
-    step = int(manifest.get("step", 0))
-    return params, opt, rng_state, step
-
-
 def _train(
     params: dict[str, np.ndarray] | None,
     model_cfg: ModelConfig,
@@ -230,9 +221,11 @@ def _train(
     opt = AdamState()
     start_step = 0
     if resume is not None:
-        params, opt, rng_state, start_step = _resume_state(resume, model_cfg)
-        if rng_state is not None:
-            rng.setstate(rng_state)
+        params, cfg, manifest = load_checkpoint(resume)
+        if cfg != model_cfg:
+            raise ConfigError("resume checkpoint was written with a different model config")
+        opt, start_step = load_optimizer(resume, manifest), manifest["step"]
+        rng.setstate(load_rng_state(resume))
         if start_step > train_cfg.num_steps:
             raise ConfigError(
                 f"resume checkpoint {resume} is at step {start_step}, past num_steps {train_cfg.num_steps}"

@@ -1,10 +1,11 @@
 """Shared test utilities: hand-built vocabularies, random example builders,
 the closed-form parameter count, the greedy exact-match rate, the shard
-reader and the loaded smoke script."""
+reader, the loaded smoke script and a checkpoint with one part removed."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 from pathlib import Path
 
@@ -127,3 +128,19 @@ def smoke_script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+CHECKPOINT_PARTS = ["rng_state", "optimizer", "step"]
+
+
+def remove_checkpoint_part(ckpt: Path, part: str) -> Path:
+    """Delete ``part`` of the checkpoint at ``ckpt``: its rng state file, or its
+    manifest's optimizer record or step. Returns the file that held it."""
+    if part == "rng_state":
+        (ckpt / "rng_state").unlink()
+        return ckpt / "rng_state"
+    path = ckpt / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest[part]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return path

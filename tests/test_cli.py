@@ -11,11 +11,11 @@ import pytest
 
 import t2tbio
 from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, build_parser, run
-from t2tbio.checkpoint import load_checkpoint, save_checkpoint
+from t2tbio.checkpoint import AdamState, load_checkpoint, save_checkpoint
 from t2tbio.data_io import read_task_examples
 from t2tbio.vocab import EOS_ID, load_vocab, save_vocab
 
-from helpers import read_shard, smoke_script, word_vocab
+from helpers import CHECKPOINT_PARTS, read_shard, remove_checkpoint_part, smoke_script, word_vocab
 from test_acceptance import collect_files
 
 SUBCOMMANDS = [
@@ -741,11 +741,44 @@ class TestMalformedOptimizerState:
     def test_weights_of_another_dtype_exit_1(self, checkpoint, command):
         params, cfg, _ = load_checkpoint(checkpoint)
         assert cfg.dtype == "float32"
-        save_checkpoint(checkpoint, {k: x.astype(np.float64) for k, x in params.items()}, cfg)
+        params = {k: x.astype(np.float64) for k, x in params.items()}
+        save_checkpoint(checkpoint, params, cfg, opt_state=AdamState(), rng_state=0, step=0)
         proc = run_entry_point(self.argv(checkpoint, command))
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
         assert str(checkpoint / "weights.bin") in proc.stderr and "expected float32" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestResumeFromAPartialCheckpoint:
+    """A checkpoint is a whole training state: resuming from one that lacks its
+    rng state, its optimizer record or its step is a data error naming the part
+    and its file, and writes no ``final/``."""
+
+    @pytest.mark.parametrize("part", CHECKPOINT_PARTS)
+    def test_exits_1_naming_the_part(self, tmp_path, part):
+        vocab = word_vocab(["alpha", "beta"])
+        save_vocab(vocab, tmp_path / "vocab.txt")
+        (tmp_path / "t.jsonl").write_text(
+            '{"task": "t", "input": "t: alpha", "target": "beta"}\n', encoding="utf-8"
+        )
+        payload = {
+            "vocab_path": str(tmp_path / "vocab.txt"),
+            "out_dir": str(tmp_path / "out"),
+            "model": {**MODEL, "vocab_size": vocab.size},
+            "train": {**TRAIN, "num_steps": 4, "batch_size": 1, "checkpoint_every": 2},
+            "mixture": [{"task": "t", "path": str(tmp_path / "t.jsonl")}],
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(["finetune", "--config", str(config)]) == EXIT_OK
+        ckpt = tmp_path / "out" / "step_000002"
+        path = remove_checkpoint_part(ckpt, part)
+        again = tmp_path / "again"
+        proc = run_entry_point(["finetune", "--config", str(config), "--resume", str(ckpt), "--out-dir", str(again)])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert str(path) in proc.stderr and part in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (again / "final").exists()
 
 
 class TestSeedOverride:

@@ -75,7 +75,6 @@ def test_gradients_zero_for_pad_only_differences():
 
     padded = Batch(
         encoder_ids=np.pad(short.encoder_ids, ((0, 0), (0, 2))),
-        decoder_ids=np.pad(short.decoder_ids, ((0, 0), (0, 2))),
         target_ids=np.pad(short.target_ids, ((0, 0), (0, 2))),
     )
     _, g1 = loss_and_grads(params, TINY, short)

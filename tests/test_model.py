@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from t2tbio import model
@@ -136,17 +136,9 @@ class TestForward:
 
     def test_causal_mask(self):
         params = randomized_params(TINY, seed=1)
-        base = Batch(
-            encoder_ids=np.array([[3, 4, 5]]),
-            decoder_ids=np.array([[0, 7, 8, 9]]),
-            target_ids=np.array([[7, 8, 9, 10]]),
-        )
-        changed = Batch(
-            encoder_ids=base.encoder_ids.copy(),
-            decoder_ids=base.decoder_ids.copy(),
-            target_ids=base.target_ids.copy(),
-        )
-        changed.decoder_ids[0, 3] = 12  # only position 3 differs
+        base = Batch(encoder_ids=np.array([[3, 4, 5]]), target_ids=np.array([[7, 8, 9, 10]]))
+        changed = Batch(encoder_ids=base.encoder_ids.copy(), target_ids=base.target_ids.copy())
+        changed.target_ids[0, 2] = 12  # only decoder position 3 differs
         a = forward(params, TINY, base)
         b = forward(params, TINY, changed)
         np.testing.assert_array_equal(a[0, :3], b[0, :3])
@@ -157,7 +149,6 @@ class TestForward:
         short = make_batch([([3, 4, 5], [6, 7])])
         padded = Batch(
             encoder_ids=np.pad(short.encoder_ids, ((0, 0), (0, 3))),
-            decoder_ids=np.pad(short.decoder_ids, ((0, 0), (0, 2))),
             target_ids=np.pad(short.target_ids, ((0, 0), (0, 2))),
         )
         a = forward(params, TINY, short)
@@ -195,7 +186,7 @@ class TestForward:
             forward(params, TINY, batch)
 
     def test_rejects_a_zero_width_encoder(self):
-        batch = Batch(np.zeros((1, 0), dtype=np.int64), np.array([[PAD_ID, 5]]), np.array([[5, 6]]))
+        batch = Batch(np.zeros((1, 0), dtype=np.int64), np.array([[5, 6]]))
         with pytest.raises(ConfigError, match="encoder ids are empty"):
             forward(init_params(TINY, seed=0), TINY, batch)
 
@@ -217,7 +208,9 @@ class TestMakeBatch:
         batch = make_batch([([3, 4], [5]), ([3, 4, 5, 6], [5, 6])])
         np.testing.assert_array_equal(batch.encoder_valid, batch.encoder_ids != PAD_ID)
         np.testing.assert_array_equal(batch.loss_mask, batch.target_ids != PAD_ID)
-        assert [f.name for f in dataclasses.fields(Batch)] == ["encoder_ids", "decoder_ids", "target_ids"]
+        np.testing.assert_array_equal(batch.target_ids, [[5, 1, 0], [5, 6, 1]])
+        np.testing.assert_array_equal(batch.decoder_ids, [[0, 5, 1], [0, 5, 6]])  # targets shifted right
+        assert [f.name for f in dataclasses.fields(Batch)] == ["encoder_ids", "target_ids"]
 
 
 class TestEncoderInputCheck:
@@ -235,7 +228,7 @@ class TestEncoderInputCheck:
     )
     def test_forward_and_greedy_decode_reject_alike(self, ids, message):
         params = init_params(TINY, seed=0)
-        batch = Batch(np.array([ids], dtype=np.int64), np.array([[PAD_ID, 5]]), np.array([[5, 6]]))
+        batch = Batch(np.array([ids], dtype=np.int64), np.array([[5, 6]]))
         with pytest.raises(ConfigError, match=message):
             forward(params, TINY, batch)
         with pytest.raises(ConfigError, match=message):
@@ -269,7 +262,6 @@ class TestLoss:
         t = batch.target_ids.shape[1]
         widened = Batch(
             encoder_ids=np.vstack([batch.encoder_ids, batch.encoder_ids[:1]]),
-            decoder_ids=np.vstack([batch.decoder_ids, np.zeros((1, t), dtype=np.int64)]),
             target_ids=np.vstack([batch.target_ids, np.zeros((1, t), dtype=np.int64)]),
         )
         loss_after, _ = loss_and_grads(params, TINY, widened)
@@ -277,11 +269,7 @@ class TestLoss:
 
     def test_all_pad_batch_is_an_error(self):
         params = init_params(TINY, seed=0)
-        batch = Batch(
-            encoder_ids=np.array([[3]]),
-            decoder_ids=np.array([[0]]),
-            target_ids=np.array([[0]]),
-        )
+        batch = Batch(encoder_ids=np.array([[3]]), target_ids=np.array([[0]]))
         with pytest.raises(ModelError, match="empty loss"):
             loss_and_grads(params, TINY, batch)
 
@@ -309,7 +297,6 @@ class TestLoss:
         loss, _ = loss_and_grads(params, TINY, batch)
         doubled = Batch(
             encoder_ids=np.vstack([batch.encoder_ids] * 2),
-            decoder_ids=np.vstack([batch.decoder_ids] * 2),
             target_ids=np.vstack([batch.target_ids] * 2),
         )
         loss2, _ = loss_and_grads(params, TINY, doubled)
@@ -541,6 +528,7 @@ class TestBatchInvariance:
     batch in one GEMM, which rounds small shapes differently from a row run
     alone, so the bound is each dtype's reordering tolerance."""
 
+    @example(double=False, seed=0, pairs=[([3], [3]), ([3, 3], [3])])  # identical encoder tokens
     @given(
         double=st.booleans(),
         seed=st.integers(0, 4),
@@ -565,10 +553,14 @@ class TestBatchInvariance:
             row_loss, row_grads = loss_and_grads(params, cfg, alone)
             shares.append((len(tgt) / n, row_loss, row_grads))
         assert abs(loss - sum(w * row_loss for w, row_loss, _ in shares)) <= tol * loss
+        # A tensor's error is measured against its terms' norms (rows' gradients
+        # may cancel in the sum) or the whole gradient's norm, whichever is
+        # larger: a gradient that is zero in exact arithmetic, such as
+        # cross-attention's when every key is the same, holds only rounding noise.
+        whole = np.sqrt(sum(np.linalg.norm(g) ** 2 for g in grads.values()))
         for name, g in grads.items():
             terms = [(w * row_grads[name]).astype(g.dtype) for w, _, row_grads in shares]
-            # bounded by the terms' norms: rows' gradients may cancel in the sum
-            err = np.linalg.norm(g - sum(terms)) / max(sum(np.linalg.norm(t) for t in terms), 1e-30)
+            err = np.linalg.norm(g - sum(terms)) / max(sum(np.linalg.norm(t) for t in terms), whole, 1e-30)
             assert err < tol, (name, err)
 
 

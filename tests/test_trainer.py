@@ -26,7 +26,7 @@ from t2tbio.trainer import (
 )
 from t2tbio.vocab import train_vocab
 
-from helpers import word_vocab
+from helpers import CHECKPOINT_PARTS, remove_checkpoint_part, word_vocab
 
 def small_cfg(vocab_size):
     return ModelConfig(
@@ -377,7 +377,7 @@ class TestCheckpointing:
         state = AdamState(step=2)
         state.m = {k: np.full_like(x, 0.5) + x for k, x in params.items()}
         state.v = {k: x * x for k, x in params.items()}
-        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state)
+        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=2)
         opt = {f"m.{k}": x for k, x in state.m.items()} | {f"v.{k}": x for k, x in state.v.items()}
         for blob, tensors in (("weights.bin", params), ("optimizer.bin", opt)):
             expected = b"".join(tensors[name].astype("<f4").tobytes() for name in sorted(tensors))
@@ -387,7 +387,7 @@ class TestCheckpointing:
         cfg = replace(small_cfg(31), dtype="float64")
         params = init_params(cfg, seed=4)
         state = AdamState(step=3, m={k: x * 0.5 for k, x in params.items()}, v={k: x * x for k, x in params.items()})
-        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, step=3)
+        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=3)
         loaded, loaded_cfg, manifest = load_checkpoint(tmp_path / "ck")
         assert loaded_cfg == cfg
         assert {e["dtype"] for e in manifest["tensors"]} == {"<f8"}
@@ -403,7 +403,7 @@ class TestCheckpointing:
         cfg = small_cfg(31)
         params = init_params(cfg, seed=4)
         params["enc.norm"][0] = np.inf
-        save_checkpoint(tmp_path / "ck", params, cfg)
+        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=AdamState(), rng_state=123, step=0)
         with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(tmp_path / "ck")
 
@@ -439,6 +439,13 @@ class TestCheckpointing:
                          "m.dec.0.cross.norm", id="negative-optimizer-offset"),
             pytest.param(lambda m: m.update(optimizer=[1]), "manifest.json", "optimizer record",
                          id="optimizer-record-not-an-object"),
+            pytest.param(lambda m: m.pop("step"), "manifest.json", "no step", id="no-step"),
+            pytest.param(lambda m: m.pop("optimizer"), "manifest.json", "no optimizer record",
+                         id="no-optimizer-record"),
+            pytest.param(lambda m: m["optimizer"].update(name="sgd"), "manifest.json", "'sgd', not 'adam'",
+                         id="optimizer-not-adam"),
+            pytest.param(lambda m: m["optimizer"].update(step=99), "manifest.json", "at step 99, not 7",
+                         id="optimizer-step-unlike-the-manifest"),
             pytest.param(lambda m: opt_entry(m, "m.enc.norm").update(shape=[4, 4]), "optimizer.bin",
                          "m.enc.norm", id="moment-reshaped"),
             pytest.param(lambda m: opt_entry(m, "v.enc.norm").update(name="v.enc.nrm"), "optimizer.bin",
@@ -475,21 +482,21 @@ class TestCheckpointing:
         params = init_params(cfg, seed=4)
         state = AdamState(step=1, m={k: x * 0.5 for k, x in params.items()}, v={k: x * x for k, x in params.items()})
         state.v["enc.norm"] = state.v["enc.norm"].astype(np.float64)
-        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state)
+        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=1)
         _, _, manifest = load_checkpoint(tmp_path / "ck")
         with pytest.raises(CheckpointError, match="v.enc.norm is float64"):
             load_optimizer(tmp_path / "ck", manifest)
 
     def test_step_0_state_without_moments_loads(self, tmp_path):
         cfg = small_cfg(31)
-        save_checkpoint(tmp_path / "ck", init_params(cfg, seed=4), cfg, opt_state=AdamState())
+        save_checkpoint(tmp_path / "ck", init_params(cfg, seed=4), cfg, opt_state=AdamState(), rng_state=123, step=0)
         _, _, manifest = load_checkpoint(tmp_path / "ck")
         assert load_optimizer(tmp_path / "ck", manifest) == AdamState()
 
     def test_params_of_another_dtype_raise_checkpoint_error(self, tmp_path):
         cfg = small_cfg(31)
         params = {k: x.astype(np.float64) for k, x in init_params(cfg, seed=4).items()}
-        save_checkpoint(tmp_path / "ck", params, cfg)
+        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=AdamState(), rng_state=123, step=0)
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(tmp_path / "ck")
         assert str(tmp_path / "ck" / "weights.bin") in str(info.value)
@@ -536,6 +543,19 @@ class TestCheckpointing:
         train(init_params(cfg, 0), t_cfg, "run")
         with pytest.raises(ConfigError, match="at step 8, past num_steps 3"):
             train(None, replace(t_cfg, num_steps=3), "again", resume=str(tmp_path / "run" / "step_000008"))
+        assert not (tmp_path / "again" / "final").exists()
+
+    @pytest.mark.parametrize("part", CHECKPOINT_PARTS)
+    @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+    def test_resume_without_a_part_raises_checkpoint_error(self, tmp_path, phase, part):
+        cfg, train = phase_fixture(tmp_path, phase)
+        t_cfg = TrainConfig(num_steps=6, input_len=24, target_len=24, batch_size=2, checkpoint_every=3)
+        train(init_params(cfg, 0), t_cfg, "run")
+        ckpt = tmp_path / "run" / "step_000003"
+        path = remove_checkpoint_part(ckpt, part)
+        with pytest.raises(CheckpointError) as info:
+            train(None, t_cfg, "again", resume=str(ckpt))
+        assert str(path) in str(info.value) and part in str(info.value), info.value
         assert not (tmp_path / "again" / "final").exists()
 
     def test_log_line_format(self, tmp_path, caplog):
