@@ -11,8 +11,17 @@ Each run's last output line is its JSON result. Each pair is printed as it
 completes. A failed run prints its seed, side, exit code and the tail of its
 stderr, and the script goes on with the next seed. At the end, for every
 end-to-end metric the script prints the pairs (base -> tree), each side's
-median [quartiles] and the pairs this tree won, then the seeds whose output
-digests matched and the runs that failed.
+median [quartiles], the pairs this tree won and a verdict from the metric's
+``better`` and ``bound`` in BENCHMARK.json, then the seeds whose output
+digests matched and the runs that failed. The verdicts:
+
+- gain: the tree won at least 9/10 of the pairs, and its median is better
+  than the base's by more than the base's interquartile range;
+- regression: the tree's median is worse than the base's by more than the
+  bound, a fraction of the base's median;
+- unresolved: neither, and the base's interquartile range is wider than the
+  bound;
+- no change: none of these.
 """
 
 import argparse
@@ -41,11 +50,31 @@ def run(tree: str, workload: str, seed: int, seconds: int) -> tuple[dict, str | 
     return values, next((line[len("digest="):] for line in lines if line.startswith("digest=")), None)
 
 
-def summary(xs: list[float]) -> str:
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
     if len(xs) < 2:
-        return f"{xs[0]:.6g}"
+        return xs[0], xs[0], xs[0]
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summary(xs: list[float]) -> str:
+    q1, q2, q3 = quartiles(xs)
     return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
+
+
+def verdict(vals: list[tuple[float, float]], won: int, direction: str, bound: float) -> str:
+    """The verdict on (base, tree) pairs of one metric; see the module docstring."""
+    q1, base, q3 = quartiles([b for b, _ in vals])
+    gain = statistics.median([t for _, t in vals]) - base
+    if direction == "lower":
+        gain = -gain
+    if won >= 0.9 * len(vals) and gain > q3 - q1:
+        return "gain"
+    if -gain > bound * abs(base):
+        return "regression"
+    if q3 - q1 > bound * abs(base):
+        return "unresolved"
+    return "no change"
 
 
 def main() -> int:
@@ -58,7 +87,9 @@ def main() -> int:
     if len(args.seeds) < 2:
         p.error("give at least 2 seeds")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        end_to_end = json.load(f)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
     better["fail_rate"] = "lower"
     pairs = []
     failed = []  # (seed, side, exit code)
@@ -92,6 +123,8 @@ def main() -> int:
         print(f"{name} ({direction} is better): tree won {won}/{len(vals)}")
         print("  pairs: " + ", ".join(f"{b:.6g} -> {t:.6g}" for b, t in vals))
         print(f"  base {summary([b for b, _ in vals])}   tree {summary([t for _, t in vals])}")
+        if name in bounds:
+            print(f"  verdict: {verdict(vals, won, direction, bounds[name])} (bound {bounds[name]:.0%})")
     same = [seed for seed, (_, db), (_, dt) in pairs if db == dt]
     print(f"digest equal on {len(same)}/{len(pairs)} seeds; differs on {[s for s, *_ in pairs if s not in same]}")
     print(f"failed runs: {len(failed)}" + "".join(f"\n  seed {s} {side}: exit code {rc}" for s, side, rc in failed))

@@ -107,14 +107,23 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ru
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(floor: int):
+    """An argparse type: an integer no smaller than ``floor``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _finite_float(text: str) -> float:
@@ -133,8 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vocab-train", help="train a subword vocabulary from text corpora")
     p.add_argument("--corpus", action="append", required=True, help="corpus text file (repeatable)")
-    p.add_argument("--size", type=int, default=4096, help="target vocabulary size")
-    p.add_argument("--sentinels", type=int, default=100, help="number of reserved sentinel tokens")
+    p.add_argument("--size", type=_positive_int, default=4096, help="target vocabulary size (at least 1)")
+    p.add_argument("--sentinels", type=_non_negative_int, default=100,
+                   help="number of reserved sentinel tokens (at least 0)")
     p.add_argument("--out", required=True, help="output vocabulary file")
 
     p = sub.add_parser("corrupt", help="write a span-corruption shard from a corpus")
@@ -143,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output shard file (sidecar manifest is added)")
     p.add_argument("--rate", type=_finite_float, default=0.15, help="fraction of tokens to mask")
     p.add_argument("--mean-span", type=_finite_float, default=3.0, help="mean masked span length")
-    p.add_argument("--max-sentinels", type=int, default=100, help="span count limit per example")
+    p.add_argument("--max-sentinels", type=_positive_int, default=100,
+                   help="span count limit per example (at least 1)")
     p.add_argument("--input-len", type=_positive_int, default=None,
                    help="truncate documents to this many tokens (at least 1)")
     p.add_argument("--seed", type=int, default=0, help="base seed of the per-record corruption seeds")

@@ -191,10 +191,10 @@ def scalar_init_params(shapes: dict, cfg, seed: int) -> dict:
     return params
 
 
-def einsum_weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+def einsum_weight_grad(x: np.ndarray, dy: np.ndarray, out: np.ndarray) -> None:
     """Gradient of ``x @ w`` with respect to ``w`` for [N, *] token-row
-    activations, contracted by einsum over the rows."""
-    return np.einsum("nd,ne->de", x, dy)
+    activations, contracted by einsum over the rows into ``out``."""
+    np.einsum("nd,ne->de", x, dy, out=out)
 
 
 def rerun_greedy_decode(params, cfg, encoder_ids: list[int], max_len: int) -> tuple[list[int], list[float]]:

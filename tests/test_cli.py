@@ -619,6 +619,28 @@ class TestCorruptInputLen:
         assert not out.exists()
 
 
+class TestIntegerFloors:
+    """An integer flag below its floor is a usage error naming the flag."""
+
+    @pytest.mark.parametrize("flag, value", [("--size", "0"), ("--size", "-3"), ("--sentinels", "-3")])
+    def test_vocab_train_exits_2(self, tmp_path, flag, value):
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "vocab.txt"
+        corpus.write_text("alpha beta alpha\n", encoding="utf-8")
+        proc = run_entry_point(["vocab-train", "--corpus", str(corpus), "--out", str(out), flag, value])
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert flag in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_corrupt_max_sentinels_exits_2(self, tmp_path, value):
+        proc, out = run_corrupt(tmp_path, "--max-sentinels", value)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert "--max-sentinels" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
 class TestCorruptFloats:
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("flag", ["--rate", "--mean-span"])

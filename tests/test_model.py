@@ -564,6 +564,32 @@ class TestBatchInvariance:
             assert err < tol, (name, err)
 
 
+class TestInPlaceTemporaries:
+    """Helpers overwrite only the arrays they allocate themselves: a training
+    step leaves its inputs unchanged, and calls on the same inputs agree."""
+
+    @pytest.mark.parametrize("cfg", [SMOKE, SMOKE64], ids=["float32", "float64"])
+    def test_inputs_unchanged_and_calls_agree(self, cfg):
+        params = randomized_params(cfg, seed=2)
+        batch = tiny_batch(seed=2, b=3, s=12, t=9, cfg=cfg)
+        params_bytes = {name: p.tobytes() for name, p in params.items()}
+        ids_bytes = (batch.encoder_ids.tobytes(), batch.target_ids.tobytes())
+        encoder_ids = [int(x) for x in batch.encoder_ids[0] if x != PAD_ID]
+        decoded = greedy_decode(params, cfg, encoder_ids, max_len=12)
+        loss, grads = loss_and_grads(params, cfg, batch)
+        logits = forward(params, cfg, batch).copy()
+        out = {name: np.full_like(p, np.nan) for name, p in params.items()}  # every gradient must be written
+        again, grads_again = loss_and_grads(params, cfg, batch, out=out)
+        assert grads_again is out
+        assert again.hex() == loss.hex()
+        for name in params:
+            assert grads_again[name].tobytes() == grads[name].tobytes(), name
+            assert params[name].tobytes() == params_bytes[name], name
+        assert (batch.encoder_ids.tobytes(), batch.target_ids.tobytes()) == ids_bytes
+        assert forward(params, cfg, batch).tobytes() == logits.tobytes()
+        assert greedy_decode(params, cfg, encoder_ids, max_len=12) == decoded
+
+
 class TestConfigValidation:
     def test_heads_must_divide(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -10,6 +11,7 @@ from t2tbio.checkpoint import AdamState, load_checkpoint, load_optimizer, save_c
 from t2tbio.corruption import SpanCorruptionConfig
 from t2tbio.data_io import write_task_examples
 from t2tbio.errors import CheckpointError, ConfigError, DataFormatError, ModelError
+from t2tbio import trainer
 from t2tbio.model import ModelConfig, init_params
 from t2tbio.rng import SplitMix64
 from t2tbio.task_codec import TaskExample
@@ -17,6 +19,7 @@ from t2tbio.trainer import (
     CorpusEntry,
     MixtureEntry,
     TrainConfig,
+    arena,
     finetune,
     load_corpus_windows,
     optimizer_step,
@@ -71,7 +74,7 @@ class TestAdam:
         np.testing.assert_array_equal(params["w"], [1.5, -2.0])
         assert state.step == 1
 
-    def test_bit_equal_to_the_plain_expression(self):
+    def test_bit_equal_to_the_plain_expression(self, tmp_path, monkeypatch):
         def plain_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             state.step += 1
             bc1 = 1.0 - beta1**state.step
@@ -85,29 +88,56 @@ class TestAdam:
                 v += (1.0 - beta2) * (g * g)
                 params[name] -= (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
 
-        cfg = small_cfg(31)
-        params = init_params(cfg, seed=3)
-        reference = {k: x.copy() for k, x in params.items()}
-        state, ref_state = AdamState(), AdamState()
-        rng = SplitMix64(11)
-        for _ in range(3):
-            grads = {k: (rng.next_normal_array(x.size) * 0.1).astype(x.dtype).reshape(x.shape)
-                     for k, x in params.items()}
-            snapshot = {k: g.copy() for k, g in grads.items()}
-            optimizer_step(params, grads, state, lr=0.01)
-            plain_step(reference, grads, ref_state, lr=0.01)
-            for name in params:
-                assert grads[name].tobytes() == snapshot[name].tobytes(), name
-                assert params[name].tobytes() == reference[name].tobytes(), name
-                assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
-                assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
-        assert state.step == ref_state.step == 3
+        # blocks of 1 and 7 elements make slices straddle every tensor's ends;
+        # "loaded" moments come from one plain step through a checkpoint
+        cases = itertools.product([trainer.ADAM_BLOCK, 1, 7], ["float32", "float64"], ["fresh", "loaded"])
+        for case in cases:
+            block, dtype, moments = case
+            monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+            cfg = replace(small_cfg(31), dtype=dtype)
+            params = init_params(cfg, seed=3)
+            rng = SplitMix64(11)
+
+            def draw_grads():
+                return {k: (rng.next_normal_array(x.size) * 0.1).astype(x.dtype).reshape(x.shape)
+                        for k, x in params.items()}
+
+            state, ref_state = AdamState(), AdamState()
+            if moments == "loaded":
+                ckpt = tmp_path / f"{block}-{dtype}"
+                plain_step(params, draw_grads(), ref_state, lr=0.01)
+                save_checkpoint(ckpt, params, cfg, opt_state=ref_state, rng_state=0, step=1)
+                state = load_optimizer(ckpt, load_checkpoint(ckpt)[2])
+            reference = {k: x.copy() for k, x in params.items()}
+            for _ in range(3):
+                grads = draw_grads()
+                snapshot = {k: g.copy() for k, g in grads.items()}
+                optimizer_step(params, grads, state, lr=0.01)
+                plain_step(reference, snapshot, ref_state, lr=0.01)
+                for name in params:
+                    assert grads[name].tobytes() == snapshot[name].tobytes(), (case, name)
+                    assert params[name].tobytes() == reference[name].tobytes(), (case, name)
+                    assert state.m[name].tobytes() == ref_state.m[name].tobytes(), (case, name)
+                    assert state.v[name].tobytes() == ref_state.v[name].tobytes(), (case, name)
+            assert state.step == ref_state.step == 3 + (moments == "loaded"), case
 
     def test_updates_in_place_and_returns_none(self):
-        params = {"w": np.array([2.0])}
-        w = params["w"]
-        assert optimizer_step(params, {"w": np.array([1.0])}, AdamState(), lr=0.1) is None
-        assert params["w"] is w and w[0] < 2.0
+        # the first step lays the tensors out in arenas; from then on every
+        # step updates those same arrays
+        params = {"w": np.array([2.0]), "b": np.array([[1.0, -1.0]])}
+        grads = {"w": np.array([1.0]), "b": np.array([[0.5, -0.5]])}
+        state = AdamState()
+        assert optimizer_step(params, grads, state, lr=0.1) is None
+        stores = (params, grads, state.m, state.v)
+        laid_out = [dict(store) for store in stores]
+        flats = [arena(store) for store in stores]
+        w = params["w"][0]
+        for _ in range(2):
+            assert optimizer_step(params, grads, state, lr=0.1) is None
+            for store, seen, flat in zip(stores, laid_out, flats):
+                assert all(store[name] is seen[name] for name in store)
+                assert arena(store) is flat
+        assert params["w"][0] < w
 
     def test_zero_lr_freezes_params(self):
         params = {"w": np.array([1.0])}
@@ -594,3 +624,71 @@ class TestCheckpointing:
         curve = json.loads((out / "loss_curve.json").read_text(encoding="utf-8"))
         assert len(curve["losses"]) == 3
         assert curve["curves"] == {"corpus": [[step, loss] for step, loss in enumerate(curve["losses"])]}
+
+
+def arena_faults(params, state, manifest) -> list[str]:
+    """Names of the ``params``, ``m`` and ``v`` tensors that are not the view
+    of their arena at the checkpoint manifest's byte offset divided by the
+    itemsize (for ``v``, counted from the first ``v`` tensor of the optimizer
+    blob). A store's arena is the array its first tensor is a view of."""
+    faults = []
+    optimizer_entries = manifest["optimizer"]["tensors"]
+    for prefix, store, entries in (
+        ("", params, manifest["tensors"]),
+        ("m.", state.m, [e for e in optimizer_entries if e["name"].startswith("m.")]),
+        ("v.", state.v, [e for e in optimizer_entries if e["name"].startswith("v.")]),
+    ):
+        assert sorted(store) == [e["name"][len(prefix):] for e in entries]
+        flat = store[entries[0]["name"][len(prefix):]].base
+        for e in entries:
+            t = store[e["name"][len(prefix):]]
+            index = (e["offset"] - entries[0]["offset"]) // t.itemsize
+            if not (
+                flat is not None
+                and t.base is flat
+                and t.shape == tuple(e["shape"])
+                and t.ctypes.data == flat[index:].ctypes.data
+            ):
+                faults.append(e["name"])
+    return faults
+
+
+class TestArenas:
+    @staticmethod
+    def run(tmp_path, monkeypatch, phase, start, after_step=None) -> list[str]:
+        """A 6-step run from ``init_params`` or resumed from step 3; returns
+        ``arena_faults`` of its last step's params and Adam state against the
+        manifest of its ``final/`` checkpoint. ``after_step(params)`` runs after
+        every optimizer step."""
+        cfg, train = phase_fixture(tmp_path, phase)
+        step = trainer.optimizer_step
+        seen = {}
+
+        def recording_step(params, grads, state, lr):
+            step(params, grads, state, lr)
+            seen.update(params=params, state=state)
+            if after_step is not None:
+                after_step(params)
+
+        monkeypatch.setattr(trainer, "optimizer_step", recording_step)
+        t_cfg = TrainConfig(num_steps=6, input_len=24, target_len=24, batch_size=2, checkpoint_every=3)
+        if start == "resumed":
+            train(init_params(cfg, 0), t_cfg, "first")
+            result = train(None, t_cfg, "run", resume=str(tmp_path / "first" / "step_000003"))
+        else:
+            result = train(init_params(cfg, 0), t_cfg, "run")
+        assert seen["params"] is result.params
+        manifest = json.loads((tmp_path / "run" / "final" / "manifest.json").read_text(encoding="utf-8"))
+        return arena_faults(seen["params"], seen["state"], manifest)
+
+    @pytest.mark.parametrize("start", ["fresh", "resumed"])
+    @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+    def test_every_tensor_is_its_arena_view(self, tmp_path, monkeypatch, phase, start):
+        assert self.run(tmp_path, monkeypatch, phase, start) == []
+
+    @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+    def test_a_rebound_tensor_is_detected(self, tmp_path, monkeypatch, phase):
+        def rebind(params):
+            params["enc.0.ff.w1"] = params["enc.0.ff.w1"] - 0
+
+        assert self.run(tmp_path, monkeypatch, phase, "fresh", after_step=rebind) == ["enc.0.ff.w1"]
