@@ -19,9 +19,10 @@ digests matched and the runs that failed. The verdicts:
   than the base's by more than the base's interquartile range;
 - regression: the tree's median is worse than the base's by more than the
   bound, a fraction of the base's median;
-- unresolved: neither, and the base's interquartile range is wider than the
-  bound;
-- no change: none of these.
+- unresolved: neither, the base's interquartile range is wider than the
+  bound, and some run of the tree is no better than some run of the base;
+- no change: none of these (a spread wider than the bound is no doubt about
+  a regression when every tree run beats every base run).
 """
 
 import argparse
@@ -64,15 +65,18 @@ def summary(xs: list[float]) -> str:
 
 def verdict(vals: list[tuple[float, float]], won: int, direction: str, bound: float) -> str:
     """The verdict on (base, tree) pairs of one metric; see the module docstring."""
-    q1, base, q3 = quartiles([b for b, _ in vals])
-    gain = statistics.median([t for _, t in vals]) - base
+    bases, trees = [b for b, _ in vals], [t for _, t in vals]
+    q1, base, q3 = quartiles(bases)
+    gain = statistics.median(trees) - base
+    every_run_better = min(trees) > max(bases)
     if direction == "lower":
         gain = -gain
+        every_run_better = max(trees) < min(bases)
     if won >= 0.9 * len(vals) and gain > q3 - q1:
         return "gain"
     if -gain > bound * abs(base):
         return "regression"
-    if q3 - q1 > bound * abs(base):
+    if q3 - q1 > bound * abs(base) and not every_run_better:
         return "unresolved"
     return "no change"
 

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""End-to-end smoke run: vocab-train -> encode-task -> finetune -> predict -> evaluate.
+"""End-to-end smoke run: vocab-train -> encode-task -> finetune -> inspect-checkpoint
+-> predict -> evaluate.
 
 Uses the bundled fixtures and writes everything under runs/smoke/ (``main(out)``
-takes another directory; the acceptance suite runs it twice). The final
-evaluate enforces an exact-match floor of 0.95, so a non-zero exit means the
-pipeline regressed.
+takes another directory; the acceptance suite runs it twice). inspect-checkpoint
+loads the whole training state finetune wrote (weights, Adam state, rng state),
+where predict reads only the weights, and writes no file. The final evaluate
+enforces an exact-match floor of 0.95, so a non-zero exit means the pipeline
+regressed.
 """
 
 import json
@@ -41,6 +44,7 @@ def commands(out: str) -> list[list[str]]:
             "--out", train_path,
         ],
         ["finetune", "--config", os.path.join(out, "config.json")],
+        ["inspect-checkpoint", "--checkpoint", os.path.join(out, "run", "final")],
         [
             "predict",
             "--checkpoint", os.path.join(out, "run", "final"),

@@ -3,7 +3,14 @@
 The manifest records the model config, the step, the Adam record and, for
 each tensor, its name, shape, little-endian dtype code, byte offset, and byte
 count; the binary blobs are the raw tensor bytes concatenated in manifest
-order. Save/load round trips are bit-exact. NaN/Inf values are rejected on load.
+order. ``views`` owns that layout: it lays tensors out in one flat array by
+``tensor_entries``, which maps names, shapes and dtypes to manifest entries
+in sorted-name order. The loaders read each blob once into one buffer and
+return ``views`` of it, as the trainer's arenas are, and accept exactly the
+layout this build writes for the manifest's model config: its parameters in
+its dtype, and Adam's ``m.*`` then ``v.*`` moments of them, or none at step
+0. Another entry list, a blob of another size or a non-finite value raises
+``CheckpointError`` naming the blob. Save/load round trips are bit-exact.
 
 A checkpoint always holds the whole training state (weights, Adam state, rng
 state, step), since resuming needs each part: ``save_checkpoint`` takes them
@@ -13,6 +20,9 @@ and its file, for a missing step, optimizer record or rng state too.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -21,15 +31,13 @@ import numpy as np
 
 from .data_io import read_json, read_record, write_json
 from .errors import CheckpointError, ConfigError, DataFormatError
-from .model import ModelConfig, validate_params
+from .model import ModelConfig, expected_shapes
 
 MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.bin"
 OPTIMIZER_NAME = "optimizer.bin"
 RNG_STATE_NAME = "rng_state"
 CHECKPOINT_FORMAT = "t2tbio-checkpoint v1"
-
-_LE_DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 
 
 @dataclass
@@ -41,102 +49,54 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _le_code(arr: np.ndarray) -> str:
-    code = "<" + arr.dtype.kind + str(arr.dtype.itemsize)
-    if code not in _LE_DTYPES:
-        raise CheckpointError(f"unsupported tensor dtype {arr.dtype}")
-    return code
-
-
-def _pack(tensors: dict[str, np.ndarray]) -> tuple[list[dict], list[np.ndarray]]:
-    """Manifest entries plus the contiguous little-endian arrays whose raw
-    bytes, written in this order, make up the blob."""
+def tensor_entries(tensors: dict[str, tuple[tuple[int, ...], np.dtype]]) -> list[dict]:
+    """The manifest entries of a blob holding tensors of these ``{name: (shape,
+    dtype)}``: back to back in sorted-name order, each little-endian."""
     entries = []
-    arrays = []
     offset = 0
     for name in sorted(tensors):
-        code = _le_code(tensors[name])
-        arr = np.ascontiguousarray(tensors[name], dtype=_LE_DTYPES[code])
-        entries.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "dtype": code,
-                "offset": offset,
-                "nbytes": arr.nbytes,
-            }
-        )
-        arrays.append(arr)
-        offset += arr.nbytes
-    return entries, arrays
+        shape, dtype = tensors[name]
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        code = np.dtype(dtype).newbyteorder("<").str
+        entries.append({"name": name, "shape": list(shape), "dtype": code, "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    return entries
 
 
-def _write_blob(path: str, arrays: list[np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        for arr in arrays:
-            f.write(memoryview(arr).cast("B"))
-
-
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
-def _check_entry(e, path: str) -> None:
-    """Raise CheckpointError unless ``e`` is a well-formed manifest entry for
-    a tensor in the blob at ``path``."""
-    if not isinstance(e, dict) or not isinstance(e.get("name"), str):
-        raise CheckpointError(f"{path}: malformed manifest entry {e!r}")
-    where = f"{path}: manifest entry for tensor {e['name']}"
-    if e.get("dtype") not in _LE_DTYPES:
-        raise CheckpointError(f"{where} has unsupported dtype {e.get('dtype')!r}")
-    shape = e.get("shape")
-    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
-        raise CheckpointError(f"{where} has bad shape {shape!r}")
-    for key in ("offset", "nbytes"):
-        if not _is_count(e.get(key)):
-            raise CheckpointError(f"{where} has bad {key} {e.get(key)!r}")
-    if math.prod(shape) * _LE_DTYPES[e["dtype"]].itemsize != e["nbytes"]:
-        raise CheckpointError(f"{where} has shape {shape} but nbytes {e['nbytes']}")
-
-
-def _unpack(entries, blob: bytes, path: str) -> dict[str, np.ndarray]:
-    if not isinstance(entries, list):
-        raise CheckpointError(f"{path}: manifest tensor list is {type(entries).__name__}, not a list")
-    tensors: dict[str, np.ndarray] = {}
-    for e in entries:
-        _check_entry(e, path)
-        name = e["name"]
-        if name in tensors:
-            raise CheckpointError(f"{path}: duplicate tensor {name}")
-        raw = blob[e["offset"] : e["offset"] + e["nbytes"]]
-        if len(raw) != e["nbytes"]:
-            raise CheckpointError(f"{path}: truncated blob at tensor {name}")
-        arr = np.frombuffer(raw, dtype=_LE_DTYPES[e["dtype"]]).reshape(e["shape"]).copy()
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{path}: non-finite values in tensor {name}")
-        tensors[name] = arr
-    return tensors
+def views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views of the 1-D array ``flat`` with these ``{name: shape}``, laid out as
+    ``tensor_entries`` lays out a blob."""
+    out = {}
+    for e in tensor_entries({name: (shape, flat.dtype) for name, shape in shapes.items()}):
+        start = e["offset"] // flat.itemsize
+        out[e["name"]] = flat[start : start + e["nbytes"] // flat.itemsize].reshape(e["shape"])
+    return out
 
 
 def save_checkpoint(
     out_dir, params: dict[str, np.ndarray], cfg: ModelConfig, opt_state: AdamState, rng_state: int, step: int
 ) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    weight_entries, weight_arrays = _pack(params)
-    opt_tensors = {f"m.{k}": v for k, v in opt_state.m.items()}
-    opt_tensors.update({f"v.{k}": v for k, v in opt_state.v.items()})
-    opt_entries, opt_arrays = _pack(opt_tensors)
+    moments = {f"m.{k}": x for k, x in opt_state.m.items()} | {f"v.{k}": x for k, x in opt_state.v.items()}
+    entries = {}
+    for blob, tensors in ((WEIGHTS_NAME, params), (OPTIMIZER_NAME, moments)):
+        entries[blob] = tensor_entries({name: (x.shape, x.dtype) for name, x in tensors.items()})
+        with open(os.path.join(out_dir, blob), "wb") as f:
+            for e in entries[blob]:
+                f.write(memoryview(np.ascontiguousarray(tensors[e["name"]], e["dtype"])).cast("B"))
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "model": cfg.to_dict(),
-        "tensors": weight_entries,
+        "tensors": entries[WEIGHTS_NAME],
         "step": step,
-        "optimizer": {"name": "adam", "step": opt_state.step, "tensors": opt_entries},
+        "optimizer": {"name": "adam", "step": opt_state.step, "tensors": entries[OPTIMIZER_NAME]},
     }
-    _write_blob(os.path.join(out_dir, WEIGHTS_NAME), weight_arrays)
-    _write_blob(os.path.join(out_dir, OPTIMIZER_NAME), opt_arrays)
     write_json(os.path.join(out_dir, RNG_STATE_NAME), {"algo": "splitmix64", "state": rng_state})
     write_json(os.path.join(out_dir, MANIFEST_NAME), manifest, indent=2)
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def _read_json(path: str):
@@ -163,9 +123,45 @@ def _model_config(manifest: dict, path: str) -> ModelConfig:
         raise CheckpointError(f"{path}: bad model config: {e}") from e
 
 
+def _read_blob(path: str, listed, expected: list[dict]) -> memoryview:
+    """The bytes of the blob at ``path``, read once into one new buffer, after
+    checking that its manifest entries ``listed`` are ``expected`` (compared
+    as JSON), that the file holds exactly their bytes and that every value is
+    finite. Arrays made from the buffer by ``np.frombuffer`` are the base of
+    their views (a memoryview stops numpy's walk to the array under it)."""
+    if not isinstance(listed, list):
+        raise CheckpointError(f"{path}: manifest tensor list is {type(listed).__name__}, not a list")
+    dump = functools.partial(json.dumps, sort_keys=True)
+    if dump(listed) != dump(expected):
+        i, got, want = next(
+            (i, dump(got), dump(want))
+            for i, (got, want) in enumerate(itertools.zip_longest(listed, expected))
+            if dump(got) != dump(want)
+        )
+        raise CheckpointError(f"{path}: manifest entry {i} is {got}, expected {want}")
+    nbytes = sum(e["nbytes"] for e in expected)
+    buf = memoryview(np.empty(nbytes, np.uint8))  # not bytearray, which zero-fills
+    try:
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if size != nbytes or f.readinto(buf) != nbytes:
+                raise CheckpointError(f"{path}: {size} bytes, but its manifest entries list {nbytes}")
+    except FileNotFoundError as e:
+        raise CheckpointError(f"no blob at {path}") from e
+    if expected:
+        flat = np.frombuffer(buf, expected[0]["dtype"])
+        finite = np.isfinite(flat)
+        if not finite.all():
+            at = int(finite.argmin()) * flat.itemsize
+            name = next(e["name"] for e in expected if at < e["offset"] + e["nbytes"])
+            raise CheckpointError(f"{path}: non-finite values in tensor {name}")
+    return buf
+
+
 def load_checkpoint(ckpt_dir) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
-    """Returns (params, model config, manifest). Validates names, shapes,
-    dtypes and finiteness against the manifest's model config."""
+    """Returns (params, model config, manifest). The params are views of one
+    array over ``weights.bin``, laid out as the manifest's model config lays
+    them out."""
     manifest = load_manifest(ckpt_dir)
     manifest_path = os.path.join(ckpt_dir, MANIFEST_NAME)
     cfg = _model_config(manifest, manifest_path)
@@ -173,25 +169,17 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, np.ndarray], ModelConfig, dict]
         raise CheckpointError(f"{manifest_path}: no step")
     if not _is_count(manifest["step"]):
         raise CheckpointError(f"{manifest_path}: bad step {manifest['step']!r}")
-    weights_path = os.path.join(ckpt_dir, WEIGHTS_NAME)
-    try:
-        with open(weights_path, "rb") as f:
-            blob = f.read()
-    except FileNotFoundError as e:
-        raise CheckpointError(f"no weights blob at {weights_path}") from e
-    params = _unpack(manifest.get("tensors"), blob, weights_path)
-    try:
-        validate_params(params, cfg)
-    except ConfigError as e:
-        raise CheckpointError(f"{weights_path}: {e}") from e
-    return params, cfg, manifest
+    shapes = expected_shapes(cfg)
+    expected = tensor_entries({name: (shape, cfg.np_dtype) for name, shape in shapes.items()})
+    buf = _read_blob(os.path.join(ckpt_dir, WEIGHTS_NAME), manifest.get("tensors"), expected)
+    return views(np.frombuffer(buf, cfg.np_dtype), shapes), cfg, manifest
 
 
 def load_optimizer(ckpt_dir, manifest: dict) -> AdamState:
     """Adam state for a manifest from ``load_checkpoint``, whose optimizer record
-    must name Adam at the manifest's step. Each moment must match a parameter's
-    shape and dtype, and ``m`` and ``v`` cover the same ones: every parameter
-    once the optimizer has taken a step."""
+    must name Adam at the manifest's step and list the moments ``m.*`` then
+    ``v.*`` of every parameter, or none at step 0. ``m`` and ``v`` are views of
+    one array each, over the two halves of ``optimizer.bin``."""
     manifest_path = os.path.join(ckpt_dir, MANIFEST_NAME)
     opt_path = os.path.join(ckpt_dir, OPTIMIZER_NAME)
     if "optimizer" not in manifest:
@@ -203,25 +191,13 @@ def load_optimizer(ckpt_dir, manifest: dict) -> AdamState:
         raise CheckpointError(f"{manifest_path}: optimizer record names {record.get('name')!r}, not 'adam'")
     if record["step"] != manifest["step"]:
         raise CheckpointError(f"{manifest_path}: optimizer record at step {record['step']}, not {manifest['step']}")
-    try:
-        with open(opt_path, "rb") as f:
-            blob = f.read()
-    except FileNotFoundError as e:
-        raise CheckpointError(f"manifest lists an optimizer but {opt_path} is missing") from e
-    params = {e["name"]: e for e in manifest["tensors"]}
-    state = AdamState(step=record["step"])
-    for name, arr in _unpack(record.get("tensors"), blob, opt_path).items():
-        moments, param = {"m.": state.m, "v.": state.v}.get(name[:2]), params.get(name[2:])
-        if moments is None or param is None:
-            raise CheckpointError(f"{opt_path}: optimizer tensor {name} names no parameter")
-        if (list(arr.shape), arr.dtype) != (param["shape"], _LE_DTYPES[param["dtype"]]):
-            raise CheckpointError(f"{opt_path}: {name} is {arr.dtype} {list(arr.shape)}, unlike its parameter")
-        moments[name[2:]] = arr
-    if state.m.keys() != state.v.keys():
-        raise CheckpointError(f"{opt_path}: m and v hold different tensors: {sorted(state.m.keys() ^ state.v.keys())}")
-    if state.step and state.m.keys() != params.keys():
-        raise CheckpointError(f"{opt_path}: no moments at step {state.step} for {sorted(params.keys() - state.m.keys())}")
-    return state
+    cfg = _model_config(manifest, manifest_path)
+    shapes = expected_shapes(cfg) if record["step"] else {}
+    moments = {f"{k}.{name}": (shape, cfg.np_dtype) for k in "mv" for name, shape in shapes.items()}
+    buf = _read_blob(opt_path, record.get("tensors"), tensor_entries(moments))
+    half = len(buf) // 2
+    m, v = (views(np.frombuffer(buf[i : i + half], cfg.np_dtype), shapes) for i in (0, half))
+    return AdamState(step=record["step"], m=m, v=v)
 
 
 def load_rng_state(ckpt_dir) -> int:

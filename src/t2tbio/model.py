@@ -16,10 +16,10 @@ table. With a key/value cache the forward loop also runs ``greedy_decode``'s
 steps over the newest token alone; training is its cache-less case.
 
 Parameters live in a plain ``dict[str, np.ndarray]``. Shapes are fully
-determined by ``ModelConfig``; use ``expected_shapes`` / ``validate_params``
-to check a loaded store. ``loss_and_grads`` writes the gradients into the
-arrays of a caller's ``out`` dict (the trainer passes views of one flat
-array), or into fresh ones.
+determined by ``ModelConfig``; ``validate_params`` checks a store's names,
+shapes and dtype against them (the trainer runs it before the first step).
+``loss_and_grads`` writes the gradients into the arrays of a caller's ``out``
+dict (the trainer passes views of one flat array), or into fresh ones.
 
 In-place rule: a helper overwrites only arrays it allocated itself and the
 gradient buffers it is handed, never its inputs, the parameters or a cached
@@ -256,8 +256,6 @@ def validate_params(params: dict[str, np.ndarray], cfg: ModelConfig) -> None:
             )
         if params[name].dtype != cfg.np_dtype:
             raise ConfigError(f"dtype mismatch for {name}: got {params[name].dtype}, expected {cfg.dtype}")
-        if not np.all(np.isfinite(params[name])):
-            raise ConfigError(f"non-finite values in parameter {name}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,16 @@ bit-reproducible and a checkpoint (params + Adam state + rng state + step)
 resumes exactly where it left off. Every checkpoint holds all four parts, and
 resuming from one that lacks a part raises ``CheckpointError`` naming it.
 
-Memory layout: before the first step ``_train`` copies the parameters into
-one flat array, an arena, in sorted-name order (the order of the tensors in
-``weights.bin``), and rebinds each value of the caller's ``params`` dict to
-its view of it; the gradients get an arena of the same layout, into whose
-views ``loss_and_grads`` writes. Adam's ``m`` and ``v`` are two more arenas
-of that layout, which the first step creates, or lays out from a resumed
-checkpoint's moments. ``optimizer_step`` updates the four flat arrays slice
-by slice. A tensor rebound rather than written in place falls out of its
+Memory layout: before the first step ``_train`` checks the parameters
+against the model config, copies them into one flat array, an arena, laid
+out by ``checkpoint.views``, the one owner of the checkpoint blobs' layout,
+and rebinds each value of the caller's ``params`` dict to its view of it; the
+gradients get an arena of the same layout, into whose views
+``loss_and_grads`` writes. Adam's ``m`` and ``v`` are two more arenas of that
+layout, which the first step creates. Resumed weights and moments already
+are such views, of the arrays the checkpoint was read into, and are used
+without a copy. ``optimizer_step`` updates the four flat arrays slice by
+slice. A tensor rebound rather than written in place falls out of its
 arena, and the next step copies it back in (see ``arena``). While the steps
 run, glibc's malloc keeps the memory a step frees for the next one (see
 ``_freed_memory_kept``).
@@ -41,10 +43,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import data_io
-from .checkpoint import AdamState, load_checkpoint, load_optimizer, load_rng_state, save_checkpoint
+from .checkpoint import AdamState, load_checkpoint, load_optimizer, load_rng_state, save_checkpoint, views
 from .corruption import SpanCorruptionConfig, corrupt
 from .errors import ConfigError, ModelError
-from .model import ModelConfig, loss_and_grads, make_batch
+from .model import ModelConfig, loss_and_grads, make_batch, validate_params
 from .rng import SplitMix64
 from .vocab import EOS_ID, Vocabulary
 
@@ -169,21 +171,9 @@ def _freed_memory_kept():
         libc.malloc_trim(0)
 
 
-def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Views of ``flat`` shaped like the values of ``like``, laid out in
-    sorted-name order."""
-    views = {}
-    offset = 0
-    for name in sorted(like):
-        size = like[name].size
-        views[name] = flat[offset : offset + size].reshape(like[name].shape)
-        offset += size
-    return views
-
-
 def arena(tensors: dict[str, np.ndarray]) -> np.ndarray:
-    """The flat array whose views the values of ``tensors`` are, laid out in
-    sorted-name order: the order of the checkpoint blobs.
+    """The flat array whose views the values of ``tensors`` are, laid out by
+    ``checkpoint.views``: the layout of the checkpoint blobs.
 
     Unless every value already is a view of one flat array that they cover,
     the tensors are copied into a new one and the dict's values are rebound
@@ -197,7 +187,7 @@ def arena(tensors: dict[str, np.ndarray]) -> np.ndarray:
         or any(t.base is not flat for t in values)
     ):
         flat = np.concatenate([tensors[name].ravel() for name in sorted(tensors)])
-        tensors.update(_views(flat, tensors))
+        tensors.update(views(flat, {name: t.shape for name, t in tensors.items()}))
     return flat
 
 
@@ -339,7 +329,8 @@ def _train(
             )
     if params is None:
         raise ConfigError("params are required unless resuming from a checkpoint")
-    grads = _views(np.empty_like(arena(params)), params)
+    validate_params(params, model_cfg)
+    grads = views(np.empty_like(arena(params)), {name: t.shape for name, t in params.items()})
 
     def save(tag: str, step: int) -> None:
         if out_dir is not None:

@@ -1,6 +1,6 @@
 """Shared test utilities: hand-built vocabularies, random example builders,
 the closed-form parameter count, the greedy exact-match rate, the shard
-reader, the loaded smoke script and a checkpoint with one part removed."""
+reader, the scripts loaded as modules and a checkpoint with one part removed."""
 
 from __future__ import annotations
 
@@ -121,13 +121,18 @@ def read_shard(path) -> list[CorruptionExample]:
     return examples
 
 
-def smoke_script():
-    """``scripts/run_smoke.py`` loaded as a module."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_smoke.py"
-    spec = importlib.util.spec_from_file_location("run_smoke", path)
+def script(name: str):
+    """``scripts/<name>.py`` loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def smoke_script():
+    """``scripts/run_smoke.py`` loaded as a module."""
+    return script("run_smoke")
 
 
 CHECKPOINT_PARTS = ["rng_state", "optimizer", "step"]

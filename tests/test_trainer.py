@@ -514,14 +514,27 @@ class TestCheckpointing:
         state.v["enc.norm"] = state.v["enc.norm"].astype(np.float64)
         save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=1)
         _, _, manifest = load_checkpoint(tmp_path / "ck")
-        with pytest.raises(CheckpointError, match="v.enc.norm is float64"):
+        with pytest.raises(CheckpointError) as info:
             load_optimizer(tmp_path / "ck", manifest)
+        assert str(tmp_path / "ck" / "optimizer.bin") in str(info.value)
+        assert '"name": "v.enc.norm"' in str(info.value)
+        assert '"dtype": "<f8"' in str(info.value) and '"dtype": "<f4"' in str(info.value)
 
     def test_step_0_state_without_moments_loads(self, tmp_path):
         cfg = small_cfg(31)
         save_checkpoint(tmp_path / "ck", init_params(cfg, seed=4), cfg, opt_state=AdamState(), rng_state=123, step=0)
         _, _, manifest = load_checkpoint(tmp_path / "ck")
         assert load_optimizer(tmp_path / "ck", manifest) == AdamState()
+
+    def test_step_0_state_with_some_moments_raises_checkpoint_error(self, tmp_path):
+        cfg = small_cfg(31)
+        params = init_params(cfg, seed=4)
+        state = AdamState(m={"enc.norm": params["enc.norm"] * 0}, v={"enc.norm": params["enc.norm"] * 0})
+        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=0)
+        _, _, manifest = load_checkpoint(tmp_path / "ck")
+        with pytest.raises(CheckpointError) as info:
+            load_optimizer(tmp_path / "ck", manifest)
+        assert str(tmp_path / "ck" / "optimizer.bin") in str(info.value) and "m.enc.norm" in str(info.value)
 
     def test_params_of_another_dtype_raise_checkpoint_error(self, tmp_path):
         cfg = small_cfg(31)
@@ -530,7 +543,8 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(tmp_path / "ck")
         assert str(tmp_path / "ck" / "weights.bin") in str(info.value)
-        assert "got float64, expected float32" in str(info.value)
+        assert '"name": "dec.0.cross.norm"' in str(info.value)
+        assert '"dtype": "<f8"' in str(info.value) and '"dtype": "<f4"' in str(info.value)
 
     @pytest.mark.parametrize("payload", ['{"algo": "splitmix64", "state": "12"}', '[1]', '{"state": 12}'])
     def test_malformed_rng_state_raises_checkpoint_error(self, tmp_path, payload):
@@ -565,6 +579,16 @@ class TestCheckpointing:
         for blob in ("weights.bin", "optimizer.bin"):
             full_bytes = (tmp_path / "full" / "final" / blob).read_bytes()
             assert (tmp_path / "resumed" / "final" / blob).read_bytes() == full_bytes, blob
+
+    @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+    def test_params_unlike_the_config_raise_config_error(self, tmp_path, phase):
+        cfg, train = phase_fixture(tmp_path, phase)
+        params = init_params(cfg, 0)
+        params["enc.norm"] = params["enc.norm"].astype(np.float64)
+        t_cfg = TrainConfig(num_steps=2, input_len=24, target_len=24, batch_size=2)
+        with pytest.raises(ConfigError, match="dtype mismatch for enc.norm: got float64, expected float32"):
+            train(params, t_cfg, "run")
+        assert not (tmp_path / "run" / "final").exists()
 
     @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
     def test_resume_past_num_steps_rejected(self, tmp_path, phase):
@@ -692,3 +716,30 @@ class TestArenas:
             params["enc.0.ff.w1"] = params["enc.0.ff.w1"] - 0
 
         assert self.run(tmp_path, monkeypatch, phase, "fresh", after_step=rebind) == ["enc.0.ff.w1"]
+
+
+class TestLoadedLayout:
+    def test_each_blob_is_one_buffer_whose_arrays_are_the_arenas(self, tmp_path):
+        """``load_checkpoint``'s params are views of one array over
+        ``weights.bin``; ``load_optimizer``'s ``m`` and ``v`` are views of one
+        array each, over the two halves of ``optimizer.bin``'s one buffer; and
+        ``arena`` returns each of these arrays as it is, rebinding no tensor."""
+        cfg = small_cfg(31)
+        params = init_params(cfg, seed=4)
+        state = AdamState(step=2, m={k: x * 0.5 for k, x in params.items()}, v={k: x * x for k, x in params.items()})
+        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=2)
+        loaded, _, manifest = load_checkpoint(tmp_path / "ck")
+        opt = load_optimizer(tmp_path / "ck", manifest)
+        flats = []
+        for store in (loaded, opt.m, opt.v):
+            tensors = dict(store)
+            flat = next(iter(store.values())).base
+            assert flat.ndim == 1 and flat.flags.writeable
+            assert all(t.base is flat for t in store.values())
+            assert arena(store) is flat
+            assert all(store[name] is tensors[name] for name in store)
+            flats.append(flat)
+        weights, m, v = flats
+        assert weights.tobytes() == (tmp_path / "ck" / "weights.bin").read_bytes()
+        assert m.tobytes() + v.tobytes() == (tmp_path / "ck" / "optimizer.bin").read_bytes()
+        assert m.base.obj is v.base.obj and v.ctypes.data == m.ctypes.data + m.nbytes
