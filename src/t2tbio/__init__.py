@@ -1,6 +1,6 @@
 """Desk-scale text-to-text pipeline for biomedical NLP tasks."""
 
-from .corruption import CorruptionExample, SpanCorruptionConfig, apply_span_mask, corrupt, reconstruct
+from .corruption import CorruptionExample, SpanCorruptionConfig, apply_span_mask, corrupt
 from .errors import (
     CheckpointError,
     CodecError,
@@ -67,7 +67,6 @@ __all__ = [
     "make_batch",
     "optimizer_step",
     "pretrain",
-    "reconstruct",
     "save_vocab",
     "train_vocab",
 ]

@@ -63,6 +63,11 @@ def tensor_entries(tensors: dict[str, tuple[tuple[int, ...], np.dtype]]) -> list
     return entries
 
 
+def tensor_at(entries: list[dict], at: int) -> str:
+    """The name of the entry of ``tensor_entries`` that holds byte ``at``."""
+    return next(e["name"] for e in entries if at < e["offset"] + e["nbytes"])
+
+
 def views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
     """Views of the 1-D array ``flat`` with these ``{name: shape}``, laid out as
     ``tensor_entries`` lays out a blob."""
@@ -152,8 +157,7 @@ def _read_blob(path: str, listed, expected: list[dict]) -> memoryview:
         flat = np.frombuffer(buf, expected[0]["dtype"])
         finite = np.isfinite(flat)
         if not finite.all():
-            at = int(finite.argmin()) * flat.itemsize
-            name = next(e["name"] for e in expected if at < e["offset"] + e["nbytes"])
+            name = tensor_at(expected, int(finite.argmin()) * flat.itemsize)
             raise CheckpointError(f"{path}: non-finite values in tensor {name}")
     return buf
 

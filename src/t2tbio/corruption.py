@@ -7,9 +7,7 @@ each span in the input with one sentinel id and emitting a target of the form
 
 Adjacent selections merge into one span, sentinels are assigned left to right,
 and the number of masked tokens is exactly ``round(len * corruption_rate)``
-(round half up, at least 1 when the rate is positive). ``reconstruct`` is the
-independent inverse used as the round-trip oracle: it splices target spans
-back over the input sentinels by scanning, sharing no code with ``corrupt``.
+(round half up, at least 1 when the rate is positive).
 """
 
 from __future__ import annotations
@@ -140,62 +138,6 @@ def _free_starts(masked: np.ndarray, length: int) -> np.ndarray:
 def _runs(masked: np.ndarray) -> list[tuple[int, int]]:
     edges = np.flatnonzero(np.diff(np.concatenate(([0], masked.view(np.int8), [0]))))
     return [(int(edges[i]), int(edges[i + 1])) for i in range(0, edges.size, 2)]
-
-
-def reconstruct(example: CorruptionExample, v: Vocabulary) -> list[int]:
-    """Splice target spans back into the input; inverse of ``corrupt``.
-
-    Deliberately scan-based and independent of the corruption code so it can
-    serve as the round-trip oracle. Raises on any structural violation of the
-    sentinel layout.
-    """
-    target = list(example.target_ids)
-    if target and target[-1] == EOS_ID:
-        target = target[:-1]
-    # parse target into sentinel-keyed spans, in order
-    order: list[int] = []
-    spans: dict[int, list[int]] = {}
-    current: int | None = None
-    for t in target:
-        if v.is_sentinel(t):
-            k = v.sentinel_index(t)
-            if k in spans:
-                raise CorruptionError(f"malformed pair: sentinel {k} repeated in target")
-            order.append(k)
-            spans[k] = []
-            current = k
-        else:
-            if current is None:
-                raise CorruptionError("malformed pair: target tokens before first sentinel")
-            spans[current].append(t)
-    if not order:
-        raise CorruptionError("malformed pair: target lacks a final sentinel")
-    final = order[-1]
-    if spans[final]:
-        raise CorruptionError("malformed pair: final sentinel carries tokens")
-    if order != list(range(len(order))):
-        raise CorruptionError(f"malformed pair: sentinel order {order} is not 0..{len(order) - 1}")
-
-    expected = 0
-    out: list[int] = []
-    for t in example.input_ids:
-        if v.is_sentinel(t):
-            k = v.sentinel_index(t)
-            if k != expected:
-                raise CorruptionError(
-                    f"malformed pair: input sentinel {k} where {expected} was expected"
-                )
-            if k >= final:
-                raise CorruptionError(f"malformed pair: input uses final sentinel {k}")
-            out.extend(spans[k])
-            expected += 1
-        else:
-            out.append(t)
-    if expected != final:
-        raise CorruptionError(
-            f"malformed pair: input has {expected} sentinels, target has {final}"
-        )
-    return out
 
 
 def write_shard(path, examples: list[CorruptionExample], cfg: SpanCorruptionConfig) -> None:

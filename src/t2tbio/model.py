@@ -57,6 +57,7 @@ from .vocab import EOS_ID, PAD_ID
 
 NORM_EPS = 1e-6
 NEG_INF = -1e9  # additive mask value; underflows to exactly 0 after softmax
+_NORMAL_BLOCK = 32768  # draws per block of an initial weight tensor
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,17 @@ def param_count(params: dict[str, np.ndarray]) -> int:
 
 
 def _normal(rng: SplitMix64, shape: tuple[int, ...], std: float, dtype) -> np.ndarray:
-    return (rng.next_normal_array(math.prod(shape)).reshape(shape) * std).astype(dtype)
+    """A tensor of ``std`` times the next normal draws of ``rng``, filled
+    ``_NORMAL_BLOCK`` draws at a time, so its temporaries stay one block long.
+    Each draw is scaled in float64 and cast as it is stored: the bits of
+    drawing them all at once, then scaling and casting."""
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)
+    for i in range(0, flat.size, _NORMAL_BLOCK):
+        block = rng.next_normal_array(min(_NORMAL_BLOCK, flat.size - i))
+        block *= std
+        flat[i : i + block.size] = block
+    return out
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:

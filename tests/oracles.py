@@ -1,11 +1,24 @@
-"""Brute-force reference implementations used only to check the metrics module.
+"""Reference implementations used only by the tests.
 
-Written in a deliberately different style (plain loops, explicit confusion
-counts) and kept free of any imports from t2tbio.metrics so the two sides stay
-independent.
+The metric oracles are written in a deliberately different style (plain
+loops, explicit confusion counts) and kept free of any imports from
+t2tbio.metrics so the two sides stay independent. ``reconstruct`` is the
+span-corruption round-trip oracle: it splices target spans back over the
+input sentinels by scanning, sharing no code with ``corrupt``.
+``normal_one_shot`` is the one-shot weight draw that ``model._normal``'s
+blocked draw must match bit for bit.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from t2tbio.corruption import CorruptionExample
+from t2tbio.errors import CorruptionError
+from t2tbio.rng import SplitMix64
+from t2tbio.vocab import EOS_ID, Vocabulary
 
 
 def prf_from_counts(tp, fp, fn):
@@ -83,3 +96,65 @@ def lenient_oracle(groups, normalize):
         if ok:
             correct += 1
     return correct / len(groups)
+
+
+def reconstruct(example: CorruptionExample, v: Vocabulary) -> list[int]:
+    """Splice target spans back into the input; inverse of ``corrupt``.
+
+    Deliberately scan-based and independent of the corruption code so it can
+    serve as the round-trip oracle. Raises on any structural violation of the
+    sentinel layout.
+    """
+    target = list(example.target_ids)
+    if target and target[-1] == EOS_ID:
+        target = target[:-1]
+    # parse target into sentinel-keyed spans, in order
+    order: list[int] = []
+    spans: dict[int, list[int]] = {}
+    current: int | None = None
+    for t in target:
+        if v.is_sentinel(t):
+            k = v.sentinel_index(t)
+            if k in spans:
+                raise CorruptionError(f"malformed pair: sentinel {k} repeated in target")
+            order.append(k)
+            spans[k] = []
+            current = k
+        else:
+            if current is None:
+                raise CorruptionError("malformed pair: target tokens before first sentinel")
+            spans[current].append(t)
+    if not order:
+        raise CorruptionError("malformed pair: target lacks a final sentinel")
+    final = order[-1]
+    if spans[final]:
+        raise CorruptionError("malformed pair: final sentinel carries tokens")
+    if order != list(range(len(order))):
+        raise CorruptionError(f"malformed pair: sentinel order {order} is not 0..{len(order) - 1}")
+
+    expected = 0
+    out: list[int] = []
+    for t in example.input_ids:
+        if v.is_sentinel(t):
+            k = v.sentinel_index(t)
+            if k != expected:
+                raise CorruptionError(
+                    f"malformed pair: input sentinel {k} where {expected} was expected"
+                )
+            if k >= final:
+                raise CorruptionError(f"malformed pair: input uses final sentinel {k}")
+            out.extend(spans[k])
+            expected += 1
+        else:
+            out.append(t)
+    if expected != final:
+        raise CorruptionError(
+            f"malformed pair: input has {expected} sentinels, target has {final}"
+        )
+    return out
+
+
+def normal_one_shot(rng: SplitMix64, shape: tuple[int, ...], std: float, dtype) -> np.ndarray:
+    """A tensor of ``shape`` holding ``std`` times the next normal draws of
+    ``rng``, cast to ``dtype``, drawn all at once."""
+    return (rng.next_normal_array(math.prod(shape)).reshape(shape) * std).astype(dtype)

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from t2tbio.corruption import SpanCorruptionConfig, apply_span_mask, corrupt, reconstruct
+from t2tbio.corruption import SpanCorruptionConfig, apply_span_mask, corrupt
 from t2tbio.data_io import (
     read_conll_ner,
     read_qa_json,
@@ -56,6 +56,7 @@ from oracles import (
     classification_oracle,
     entity_prf_oracle,
     lenient_oracle,
+    reconstruct,
     sample_f1_oracle,
 )
 from test_gradients import central_difference, relative_error

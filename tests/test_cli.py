@@ -673,6 +673,25 @@ class TestFloat64Pretrain:
             assert manifest["step"] == (2 if ckpt == "step_000002" else 3)
 
 
+class TestNonFiniteUpdate:
+    def test_exits_1_naming_the_step_and_the_tensor(self, tmp_path, fixtures_dir, trained_vocab):
+        out = tmp_path / "out"
+        payload = {
+            "vocab_path": str(trained_vocab),
+            "out_dir": str(out),
+            "model": {**MODEL, "vocab_size": load_vocab(trained_vocab).size},
+            "train": {**TRAIN, "batch_size": 2, "learning_rate": 1e38},
+            "corruption": {"max_sentinels": 16},
+            "corpora": [{"path": str(fixtures_dir / "pretrain_corpus.txt")}],
+        }
+        (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
+        proc = run_entry_point(["pretrain", "--config", str(tmp_path / "config.json")])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert "step 0: non-finite Adam update in tensor dec.0.cross.norm" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "final").exists()
+
+
 class TestMalformedOptimizerState:
     """A checkpoint whose model record, weights, optimizer record, moments or
     rng state do not fit its config is a data error naming the file, never a

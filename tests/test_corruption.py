@@ -9,7 +9,6 @@ from t2tbio.corruption import (
     SpanCorruptionConfig,
     apply_span_mask,
     corrupt,
-    reconstruct,
     write_shard,
 )
 from t2tbio.errors import CorruptionError, DataFormatError
@@ -17,6 +16,7 @@ from t2tbio.rng import SplitMix64
 from t2tbio.vocab import EOS_ID, PAD_ID
 
 from helpers import random_token_sequence, read_shard, word_vocab
+from oracles import reconstruct
 
 WORDS = [f"tok{i}" for i in range(40)]
 

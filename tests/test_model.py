@@ -30,6 +30,7 @@ from t2tbio.rng import SplitMix64
 from t2tbio.vocab import EOS_ID, PAD_ID
 
 from helpers import param_count_formula
+from oracles import normal_one_shot
 from reference_model import (
     bucket_scalar,
     einsum_weight_grad,
@@ -490,6 +491,30 @@ class TestParams:
         for name in params:
             assert params[name].dtype == reference[name].dtype
             assert params[name].tobytes() == reference[name].tobytes(), name
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_blocked_draws_bit_equal_to_one_shot(self, dtype):
+        # shapes shorter than, equal to and over several blocks, none a multiple
+        shapes = [(3,), (model._NORMAL_BLOCK,), (300, 257), (model._NORMAL_BLOCK + 1,)]
+        rng, ref_rng = SplitMix64(9), SplitMix64(9)
+        for shape in shapes:
+            got = model._normal(rng, shape, 0.05, np.dtype(dtype))
+            want = normal_one_shot(ref_rng, shape, 0.05, np.dtype(dtype))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), shape
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_init_memory_is_the_params_and_one_block(self):
+        # the medium config: 4.7M float32 weights, 18 MB
+        cfg = ModelConfig(vocab_size=4096, d_model=256, n_heads=4, d_ff=1024, n_encoder_layers=2,
+                          n_decoder_layers=2, rel_pos_buckets=32, rel_pos_max_distance=128, max_seq_len=128)
+        tracemalloc.start()
+        try:
+            params = init_params(cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(x.nbytes for x in params.values()) + (4 << 20)
 
 
 # relative error allowed between two sums of the same products taken in

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from t2tbio.checkpoint import AdamState, load_checkpoint, load_optimizer, save_checkpoint
+from t2tbio.checkpoint import AdamState, load_checkpoint, load_optimizer, save_checkpoint, views
 from t2tbio.corruption import SpanCorruptionConfig
 from t2tbio.data_io import write_task_examples
 from t2tbio.errors import CheckpointError, ConfigError, DataFormatError, ModelError
@@ -54,25 +54,25 @@ def test_learning_rate_must_be_finite_and_non_negative(rate):
 class TestAdam:
     def test_hand_computed_single_step(self):
         # quadratic f(w) = w^2 / 2 at w=2 -> grad 2
-        params = {"w": np.array([2.0])}
-        grads = {"w": np.array([2.0])}
-        state = AdamState()
+        p, g, m, v = np.array([2.0]), np.array([2.0]), np.zeros(1), np.zeros(1)
         lr = 0.001
-        optimizer_step(params, grads, state, lr)
-        m = 0.1 * 2.0
-        v = 0.001 * 4.0
-        m_hat = m / (1 - 0.9)
-        v_hat = v / (1 - 0.999)
+        optimizer_step(p, g, m, v, 1, lr)
+        m_expected = 0.1 * 2.0
+        v_expected = 0.001 * 4.0
+        m_hat = m_expected / (1 - 0.9)
+        v_hat = v_expected / (1 - 0.999)
         expected = 2.0 - lr * m_hat / (math.sqrt(v_hat) + 1e-8)
-        assert abs(params["w"][0] - expected) < 1e-15
-        assert state.step == 1
+        assert abs(p[0] - expected) < 1e-15
+        assert m[0] == pytest.approx(m_expected) and v[0] == pytest.approx(v_expected)
 
     def test_zero_grads_freeze_params_but_advance_step(self):
-        params = {"w": np.array([1.5, -2.0])}
-        state = AdamState()
-        optimizer_step(params, {"w": np.zeros(2)}, state, lr=0.01)
-        np.testing.assert_array_equal(params["w"], [1.5, -2.0])
-        assert state.step == 1
+        # the caller advances the step: steps 1 and 2 of zero gradients
+        p, m, v = np.array([1.5, -2.0]), np.zeros(2), np.zeros(2)
+        for t in (1, 2):
+            optimizer_step(p, np.zeros(2), m, v, t, lr=0.01)
+            np.testing.assert_array_equal(p, [1.5, -2.0])
+            np.testing.assert_array_equal(m, [0.0, 0.0])
+            np.testing.assert_array_equal(v, [0.0, 0.0])
 
     def test_bit_equal_to_the_plain_expression(self, tmp_path, monkeypatch):
         def plain_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -96,54 +96,85 @@ class TestAdam:
             monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
             cfg = replace(small_cfg(31), dtype=dtype)
             params = init_params(cfg, seed=3)
+            shapes = {k: x.shape for k, x in params.items()}
             rng = SplitMix64(11)
 
             def draw_grads():
                 return {k: (rng.next_normal_array(x.size) * 0.1).astype(x.dtype).reshape(x.shape)
                         for k, x in params.items()}
 
-            state, ref_state = AdamState(), AdamState()
+            p = arena(params)
+            ref_state = AdamState()
             if moments == "loaded":
                 ckpt = tmp_path / f"{block}-{dtype}"
                 plain_step(params, draw_grads(), ref_state, lr=0.01)
                 save_checkpoint(ckpt, params, cfg, opt_state=ref_state, rng_state=0, step=1)
                 state = load_optimizer(ckpt, load_checkpoint(ckpt)[2])
+                m, v = arena(state.m), arena(state.v)
+            else:
+                m, v = np.zeros_like(p), np.zeros_like(p)
             reference = {k: x.copy() for k, x in params.items()}
             for _ in range(3):
-                grads = draw_grads()
-                snapshot = {k: g.copy() for k, g in grads.items()}
-                optimizer_step(params, grads, state, lr=0.01)
-                plain_step(reference, snapshot, ref_state, lr=0.01)
+                g = arena(draw_grads())
+                snapshot = g.copy()
+                optimizer_step(p, g, m, v, ref_state.step + 1, lr=0.01)
+                plain_step(reference, views(snapshot, shapes), ref_state, lr=0.01)
+                assert g.tobytes() == snapshot.tobytes(), case
+                m_views, v_views = views(m, shapes), views(v, shapes)
                 for name in params:
-                    assert grads[name].tobytes() == snapshot[name].tobytes(), (case, name)
                     assert params[name].tobytes() == reference[name].tobytes(), (case, name)
-                    assert state.m[name].tobytes() == ref_state.m[name].tobytes(), (case, name)
-                    assert state.v[name].tobytes() == ref_state.v[name].tobytes(), (case, name)
-            assert state.step == ref_state.step == 3 + (moments == "loaded"), case
+                    assert m_views[name].tobytes() == ref_state.m[name].tobytes(), (case, name)
+                    assert v_views[name].tobytes() == ref_state.v[name].tobytes(), (case, name)
+            assert ref_state.step == 3 + (moments == "loaded"), case
 
     def test_updates_in_place_and_returns_none(self):
-        # the first step lays the tensors out in arenas; from then on every
-        # step updates those same arrays
+        # every step updates the arrays it is given, and so every view of them
         params = {"w": np.array([2.0]), "b": np.array([[1.0, -1.0]])}
-        grads = {"w": np.array([1.0]), "b": np.array([[0.5, -0.5]])}
-        state = AdamState()
-        assert optimizer_step(params, grads, state, lr=0.1) is None
-        stores = (params, grads, state.m, state.v)
-        laid_out = [dict(store) for store in stores]
-        flats = [arena(store) for store in stores]
+        p = arena(params)
+        laid_out = dict(params)
+        g, m, v = np.array([0.5, -0.5, 1.0]), np.zeros(3), np.zeros(3)
         w = params["w"][0]
-        for _ in range(2):
-            assert optimizer_step(params, grads, state, lr=0.1) is None
-            for store, seen, flat in zip(stores, laid_out, flats):
-                assert all(store[name] is seen[name] for name in store)
-                assert arena(store) is flat
-        assert params["w"][0] < w
+        for t in (1, 2, 3):
+            assert optimizer_step(p, g, m, v, t, lr=0.1) is None
+            assert all(params[name] is laid_out[name] and params[name].base is p for name in params)
+        np.testing.assert_array_equal(g, [0.5, -0.5, 1.0])
+        assert params["w"][0] < w and (m != 0).all() and (v > 0).all()
 
     def test_zero_lr_freezes_params(self):
-        params = {"w": np.array([1.0])}
-        state = AdamState()
-        optimizer_step(params, {"w": np.array([3.0])}, state, lr=0.0)
-        assert params["w"][0] == 1.0
+        p = np.array([1.0])
+        optimizer_step(p, np.array([3.0]), np.zeros(1), np.zeros(1), 1, lr=0.0)
+        assert p[0] == 1.0
+
+    @pytest.mark.parametrize("block", [trainer.ADAM_BLOCK, 2])
+    def test_an_overflowing_second_moment_raises(self, monkeypatch, block):
+        # g * g = 1e40 overflows float32: v is inf, though the update m / sqrt(v) is 0
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        p = np.arange(5, dtype=np.float32)
+        g = np.array([0, 0, 0, 1e20, 1], dtype=np.float32)
+        with pytest.raises(trainer.NonFiniteUpdate) as info:
+            optimizer_step(p, g, np.zeros_like(p), np.zeros_like(p), 1, lr=0.01)
+        assert info.value.at == 3 and isinstance(info.value, ModelError)
+        np.testing.assert_array_equal(p[:4], np.arange(4))
+
+    def test_a_non_finite_update_names_its_first_element(self):
+        p = np.zeros(4, np.float32)
+        g = np.array([1, 1, np.inf, np.nan], dtype=np.float32)
+        with pytest.raises(trainer.NonFiniteUpdate) as info:
+            optimizer_step(p, g, np.zeros_like(p), np.zeros_like(p), 1, lr=0.01)
+        assert info.value.at == 2
+
+    def test_a_finite_update_that_overflows_a_weight_raises(self):
+        # an update of about 1e37 takes -3.4e38 past float32's range
+        p = np.array([0, -3.4e38], dtype=np.float32)
+        with pytest.raises(trainer.NonFiniteUpdate) as info:
+            optimizer_step(p, np.ones(2, np.float32), np.zeros_like(p), np.zeros_like(p), 1, lr=1e37)
+        assert info.value.at == 1
+
+    def test_finite_values_whose_product_overflows_raise_nothing(self):
+        # the update is about 2.5e23 and v 1e27, so their product overflows float32
+        p, m, v = np.zeros(2, np.float32), np.zeros(2, np.float32), np.zeros(2, np.float32)
+        optimizer_step(p, np.full(2, 1e15, np.float32), m, v, 1000, lr=1e23)
+        assert np.isfinite(p).all() and (p < -1e23).all()
 
 
 class TestSampling:
@@ -267,6 +298,23 @@ class TestPretrain:
         assert str(info.value) == (
             "step 0: numeric overflow: non-finite logits; first non-finite tensor: dec.0.self.k"
         )
+
+    @pytest.mark.parametrize("lr", [1e38, 1e40])
+    def test_a_non_finite_update_names_the_step_and_the_tensor(self, tmp_path, lr):
+        path, v = corpus_fixture(tmp_path)
+        cfg = small_cfg(v.size)
+        with pytest.raises(ModelError) as info:
+            pretrain(
+                cfg,
+                init_params(cfg, seed=0),
+                [CorpusEntry(str(path))],
+                SpanCorruptionConfig(max_sentinels=14),
+                TrainConfig(num_steps=1, input_len=24, target_len=24, batch_size=2, learning_rate=lr),
+                v,
+                out_dir=str(tmp_path / "out"),
+            )
+        assert str(info.value) == "step 0: non-finite Adam update in tensor dec.0.cross.norm"
+        assert not (tmp_path / "out" / "final").exists()
 
     def test_duplicate_corpus_names_rejected(self, tmp_path):
         path, v = corpus_fixture(tmp_path)
@@ -650,30 +698,62 @@ class TestCheckpointing:
         assert curve["curves"] == {"corpus": [[step, loss] for step, loss in enumerate(curve["losses"])]}
 
 
-def arena_faults(params, state, manifest) -> list[str]:
-    """Names of the ``params``, ``m`` and ``v`` tensors that are not the view
-    of their arena at the checkpoint manifest's byte offset divided by the
-    itemsize (for ``v``, counted from the first ``v`` tensor of the optimizer
-    blob). A store's arena is the array its first tensor is a view of."""
+class TestTracedNames:
+    """perfbench's tracer times a layer by replacing these ``trainer``
+    attributes, so the trainer must look each one up where it calls it."""
+
+    TRACED = ("make_batch", "loss_and_grads", "optimizer_step", "save_checkpoint", "corrupt",
+              "load_corpus_windows", "load_task_pairs")
+
+    def counted_run(self, tmp_path, monkeypatch, phase, t_cfg) -> dict[str, int]:
+        cfg, train = phase_fixture(tmp_path, phase)
+        calls = dict.fromkeys(self.TRACED, 0)
+        for name in self.TRACED:
+            def counted(*args, _name=name, _original=getattr(trainer, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(trainer, name, counted)
+        train(init_params(cfg, 0), t_cfg, "run")
+        return calls
+
+    def test_pretrain_calls_each_name_once_per_step_save_and_sample(self, tmp_path, monkeypatch):
+        t_cfg = TrainConfig(num_steps=4, input_len=24, target_len=24, batch_size=3, checkpoint_every=2)
+        assert self.counted_run(tmp_path, monkeypatch, "pretrain", t_cfg) == {
+            "make_batch": 4, "loss_and_grads": 4, "optimizer_step": 4,
+            "save_checkpoint": 3,  # step_000002, step_000004 and final
+            "corrupt": 4 * 3, "load_corpus_windows": 1, "load_task_pairs": 0,
+        }
+
+    def test_finetune_calls_each_name_once_per_step_save_and_mixture_entry(self, tmp_path, monkeypatch):
+        t_cfg = TrainConfig(num_steps=3, input_len=24, target_len=24, batch_size=2)
+        assert self.counted_run(tmp_path, monkeypatch, "finetune", t_cfg) == {
+            "make_batch": 3, "loss_and_grads": 3, "optimizer_step": 3, "save_checkpoint": 1,
+            "corrupt": 0, "load_corpus_windows": 0, "load_task_pairs": 2,
+        }
+
+
+def arena_faults(params, arenas, ckpt) -> list[str]:
+    """Names of the tensors of checkpoint ``ckpt`` that are not where the
+    arenas ``(p, m, v)`` of an Adam step hold them: a ``params`` tensor that
+    is not the view of ``p`` at its manifest entry's byte offset divided by
+    the itemsize, or a moment ``m.*`` or ``v.*`` whose bytes in
+    ``optimizer.bin`` are not those of ``m`` or ``v`` at that offset (for
+    ``v``, counted from the first ``v`` tensor)."""
+    manifest = json.loads((ckpt / "manifest.json").read_text(encoding="utf-8"))
+    p, m, v = arenas
+    assert m.dtype == v.dtype == p.dtype and m.size == v.size == p.size
     faults = []
-    optimizer_entries = manifest["optimizer"]["tensors"]
-    for prefix, store, entries in (
-        ("", params, manifest["tensors"]),
-        ("m.", state.m, [e for e in optimizer_entries if e["name"].startswith("m.")]),
-        ("v.", state.v, [e for e in optimizer_entries if e["name"].startswith("v.")]),
-    ):
-        assert sorted(store) == [e["name"][len(prefix):] for e in entries]
-        flat = store[entries[0]["name"][len(prefix):]].base
-        for e in entries:
-            t = store[e["name"][len(prefix):]]
-            index = (e["offset"] - entries[0]["offset"]) // t.itemsize
-            if not (
-                flat is not None
-                and t.base is flat
-                and t.shape == tuple(e["shape"])
-                and t.ctypes.data == flat[index:].ctypes.data
-            ):
-                faults.append(e["name"])
+    for e in manifest["tensors"]:
+        t = params[e["name"]]
+        if not (t.base is p and t.shape == tuple(e["shape"])
+                and t.ctypes.data == p[e["offset"] // t.itemsize :].ctypes.data):
+            faults.append(e["name"])
+    blob = (ckpt / "optimizer.bin").read_bytes()
+    for e in manifest["optimizer"]["tensors"]:
+        flat, start = (m, e["offset"]) if e["name"].startswith("m.") else (v, e["offset"] - m.nbytes)
+        if blob[e["offset"] : e["offset"] + e["nbytes"]] != flat.tobytes()[start : start + e["nbytes"]]:
+            faults.append(e["name"])
     return faults
 
 
@@ -681,19 +761,24 @@ class TestArenas:
     @staticmethod
     def run(tmp_path, monkeypatch, phase, start, after_step=None) -> list[str]:
         """A 6-step run from ``init_params`` or resumed from step 3; returns
-        ``arena_faults`` of its last step's params and Adam state against the
-        manifest of its ``final/`` checkpoint. ``after_step(params)`` runs after
-        every optimizer step."""
+        ``arena_faults`` of its params and its last Adam step's arenas against
+        its ``final/`` checkpoint. ``after_step(params)`` runs after every
+        optimizer step."""
         cfg, train = phase_fixture(tmp_path, phase)
-        step = trainer.optimizer_step
+        loss_and_grads, step = trainer.loss_and_grads, trainer.optimizer_step
         seen = {}
 
-        def recording_step(params, grads, state, lr):
-            step(params, grads, state, lr)
-            seen.update(params=params, state=state)
-            if after_step is not None:
-                after_step(params)
+        def recording_loss_and_grads(params, *args, **kwargs):
+            seen["params"] = params
+            return loss_and_grads(params, *args, **kwargs)
 
+        def recording_step(p, g, m, v, t, lr):
+            step(p, g, m, v, t, lr)
+            seen["arenas"] = (p, m, v)
+            if after_step is not None:
+                after_step(seen["params"])
+
+        monkeypatch.setattr(trainer, "loss_and_grads", recording_loss_and_grads)
         monkeypatch.setattr(trainer, "optimizer_step", recording_step)
         t_cfg = TrainConfig(num_steps=6, input_len=24, target_len=24, batch_size=2, checkpoint_every=3)
         if start == "resumed":
@@ -702,8 +787,7 @@ class TestArenas:
         else:
             result = train(init_params(cfg, 0), t_cfg, "run")
         assert seen["params"] is result.params
-        manifest = json.loads((tmp_path / "run" / "final" / "manifest.json").read_text(encoding="utf-8"))
-        return arena_faults(seen["params"], seen["state"], manifest)
+        return arena_faults(result.params, seen["arenas"], tmp_path / "run" / "final")
 
     @pytest.mark.parametrize("start", ["fresh", "resumed"])
     @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
