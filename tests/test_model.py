@@ -494,7 +494,7 @@ class TestParams:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_blocked_draws_bit_equal_to_one_shot(self, dtype):
-        # shapes shorter than, equal to and over several blocks, none a multiple
+        # less than one block, exactly one, and several ending in a partial block
         shapes = [(3,), (model._NORMAL_BLOCK,), (300, 257), (model._NORMAL_BLOCK + 1,)]
         rng, ref_rng = SplitMix64(9), SplitMix64(9)
         for shape in shapes:
