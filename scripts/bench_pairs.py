@@ -13,7 +13,10 @@ stderr, and the script goes on with the next seed. At the end, for every
 end-to-end metric the script prints the pairs (base -> tree), each side's
 median [quartiles], the pairs this tree won and a verdict from the metric's
 ``better`` and ``bound`` in BENCHMARK.json, then the seeds whose output
-digests matched and the runs that failed. The verdicts:
+digests matched and the runs that failed. Beside the benchmark's metrics it
+reports ``cpu_s``, the CPU seconds (user plus system, all threads) each run
+took, so that a change that buys wall-clock time with a second core shows
+what it spends; ``cpu_s`` gets no verdict. The verdicts:
 
 - gain: the tree won at least 9/10 of the pairs, and its median is better
   than the base's by more than the base's interquartile range;
@@ -29,6 +32,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -39,15 +43,27 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STDERR_TAIL = 20  # lines of a failed run's stderr to print
 
 
+def run_child(argv: list[str], cwd: str) -> tuple[str, float]:
+    """Run ``argv`` to its end: its stdout and the CPU seconds, user plus
+    system, that it and the children it waited for used. A run that exits
+    non-zero raises CalledProcessError, which holds its stderr."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    stdout = subprocess.run(argv, cwd=cwd, capture_output=True, text=True, check=True).stdout
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return stdout, after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+
+
 def run(tree: str, workload: str, seed: int, seconds: int) -> tuple[dict, str | None]:
-    """One benchmark run: each metric's value, with fail_rate added, and the output digest.
-    A run that exits non-zero raises CalledProcessError, which holds its stderr."""
+    """One benchmark run: each metric's value, with fail_rate and cpu_s added,
+    and the output digest."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    lines = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True).stdout.splitlines()
+    stdout, cpu_s = run_child(argv, tree)
+    lines = stdout.splitlines()
     result = json.loads(lines[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
     values["fail_rate"] = result["failed"] / result["attempted"]
+    values["cpu_s"] = cpu_s
     return values, next((line[len("digest="):] for line in lines if line.startswith("digest=")), None)
 
 
@@ -94,7 +110,7 @@ def main() -> int:
         end_to_end = json.load(f)["end_to_end"]
     better = {m["name"]: m["better"] for m in end_to_end}
     bounds = {m["name"]: m["bound"] for m in end_to_end}
-    better["fail_rate"] = "lower"
+    better["fail_rate"] = better["cpu_s"] = "lower"
     pairs = []
     failed = []  # (seed, side, exit code)
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base:

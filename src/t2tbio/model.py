@@ -32,6 +32,23 @@ so the results are bit-equal to it. The forward helpers a decode step runs
 allocate afresh: on a one-token row the extra ``out=`` calls cost more than
 they save.
 
+Threads: ``loss_and_grads`` hands part of the backward pass to the one
+worker thread of ``worker``, and the calling thread goes on with the chain
+of input gradients (``dx``, ``dq``/``dk``/``dv``, ``ds``, the norms). The
+worker owns the gradient buffer of each weight matrix and of the embedding
+that has at least ``worker.MIN_SIZE`` elements: it makes every write into
+it, the weight-gradient products ``_weight_grad`` and, for the embedding,
+the output layer's product and both stacks' scatters. The calling thread
+owns the rest: the norm scales, the relative-position tables and the
+smaller matrices. The worker runs its calls in the order the calling thread
+hands them over, which is the order of the single-thread pass, so each
+buffer sees the same writes in the same order and every BLAS call is the
+same one call: the bits do not change. A call holds the arrays it reads,
+so the calling thread writes no array in place once it has handed it over
+(its residual sums are fresh arrays). ``loss_and_grads`` waits for the
+worker before it returns or raises; an error in a call handed over is
+raised then, in the calling thread.
+
 Shape conventions: B batch, S source length, T target length, D d_model,
 H heads, Dh = D // H, F d_ff, V vocab size, N = B*S or B*T token rows.
 Activations are token-major: the residual stream is [N, D] from the
@@ -54,6 +71,7 @@ import numpy as np
 from .errors import ConfigError, ModelError
 from .rng import SplitMix64
 from .vocab import EOS_ID, PAD_ID
+from .worker import joined
 
 NORM_EPS = 1e-6
 NEG_INF = -1e9  # additive mask value; underflows to exactly 0 after softmax
@@ -357,6 +375,11 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray, out: np.ndarray) -> None:
     np.matmul(x.T, dy, out=out)
 
 
+def _grad_product(jobs, x, dy, out):
+    """``_weight_grad(x, dy, out)``, by the worker if ``out`` is large enough."""
+    jobs.write(out, _weight_grad, x, dy, out)
+
+
 def _attn_fwd(xq, xkv, params, prefix, cfg, add, kv=None):
     """xq [B*Q, D], xkv [B*K, D]: token rows of B sequences.
     add: the one additive term of the scaled logits, broadcasting to [B, H, Q, K]:
@@ -384,12 +407,12 @@ def _attn_fwd(xq, xkv, params, prefix, cfg, add, kv=None):
     return out, (xq, xkv, q, k, v, a, ctx)
 
 
-def _attn_bwd(dout, params, prefix, cfg, cache, grads):
+def _attn_bwd(dout, params, prefix, cfg, cache, grads, jobs):
     """Returns (dxq, dxkv, dscores); bias gradients are the caller's job."""
     xq, xkv, q, k, v, a, ctx = cache
     b, h = q.shape[0], cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_head)
-    _weight_grad(ctx, dout, grads[prefix + ".wo"])
+    _grad_product(jobs, ctx, dout, grads[prefix + ".wo"])
     dctx = _split_heads(dout @ params[prefix + ".wo"].T, b, h)
     # each head's product goes straight into its columns of the token rows
     dq_flat, dk_flat, dv_flat = np.empty_like(xq), np.empty_like(xkv), np.empty_like(xkv)
@@ -401,9 +424,9 @@ def _attn_bwd(dout, params, prefix, cfg, cache, grads):
     dq_flat *= scale
     np.matmul(ds.transpose(0, 1, 3, 2), q, out=_split_heads(dk_flat, b, h))
     dk_flat *= scale
-    _weight_grad(xq, dq_flat, grads[prefix + ".wq"])
-    _weight_grad(xkv, dk_flat, grads[prefix + ".wk"])
-    _weight_grad(xkv, dv_flat, grads[prefix + ".wv"])
+    _grad_product(jobs, xq, dq_flat, grads[prefix + ".wq"])
+    _grad_product(jobs, xkv, dk_flat, grads[prefix + ".wk"])
+    _grad_product(jobs, xkv, dv_flat, grads[prefix + ".wv"])
     dxq = dq_flat @ params[prefix + ".wq"].T
     dxkv = dk_flat @ params[prefix + ".wk"].T
     dxkv += dv_flat @ params[prefix + ".wv"].T
@@ -431,12 +454,12 @@ def _ff_fwd(x, params, prefix):
     return hr @ params[prefix + ".w2"], (x, h1, hr)
 
 
-def _ff_bwd(dy, params, prefix, cache, grads):
+def _ff_bwd(dy, params, prefix, cache, grads, jobs):
     x, h1, hr = cache
-    _weight_grad(hr, dy, grads[prefix + ".w2"])
+    _grad_product(jobs, hr, dy, grads[prefix + ".w2"])
     dh1 = dy @ params[prefix + ".w2"].T  # dhr, masked in place
     dh1 *= h1 > 0
-    _weight_grad(x, dh1, grads[prefix + ".w1"])
+    _grad_product(jobs, x, dh1, grads[prefix + ".w1"])
     return dh1 @ params[prefix + ".w1"].T
 
 
@@ -468,7 +491,7 @@ def _stack_fwd(params, cfg, stack, ids, self_add, bucket, enc_out=None, cross_ma
     return out, cache
 
 
-def _stack_bwd(dout, params, cfg, cache, grads):
+def _stack_bwd(dout, params, cfg, cache, grads, jobs):
     """Backward of ``_stack_fwd``: the final norm, the sublayers in reverse,
     then the embedding scatter. Returns the gradient flowing into the encoder
     output (None for a stack without cross-attention)."""
@@ -477,16 +500,18 @@ def _stack_bwd(dout, params, cfg, cache, grads):
     d_enc_out = None
     for prefix, kind, c_norm, c in reversed(cache["sublayers"]):
         if kind == "ff":
-            dn = _ff_bwd(dx, params, prefix, c, grads)
+            dn = _ff_bwd(dx, params, prefix, c, grads, jobs)
         elif kind == "cross":
-            dn, dxkv, _ = _attn_bwd(dx, params, prefix, cfg, c, grads)
+            dn, dxkv, _ = _attn_bwd(dx, params, prefix, cfg, c, grads, jobs)
             d_enc_out = dxkv if d_enc_out is None else d_enc_out + dxkv
         else:
-            dn, dxkv, ds = _attn_bwd(dx, params, prefix, cfg, c, grads)
+            dn, dxkv, ds = _attn_bwd(dx, params, prefix, cfg, c, grads, jobs)
             _accumulate_bias_grad(grads, stack + ".rel_bias", cache["bucket"], ds)
             dn += dxkv
-        dx += _rms_norm_bwd(dn, params[prefix + ".norm"], c_norm, grads[prefix + ".norm"])
-    _scatter_add_rows(grads["embedding"], cache["ids"], dx.astype(grads["embedding"].dtype, copy=False))
+        # a new array: the worker may still be reading dx
+        dx = dx + _rms_norm_bwd(dn, params[prefix + ".norm"], c_norm, grads[prefix + ".norm"])
+    emb = grads["embedding"]
+    jobs.write(emb, _scatter_add_rows, emb, cache["ids"], dx.astype(emb.dtype, copy=False))
     return d_enc_out
 
 
@@ -511,11 +536,11 @@ def _decode(params, cfg, decoder_ids, enc_out, key_mask, dec_valid):
     return (h @ params["embedding"].T.astype(dt, copy=False)).reshape(b, t, -1), cache
 
 
-def _decode_bwd(dlogits, params, cache, grads):
+def _decode_bwd(dlogits, params, cache, grads, jobs):
     """Output-layer backward: writes the embedding's gradient and returns the
     gradient flowing into the decoder stack's output, as token rows."""
     dlogits = dlogits.reshape(-1, dlogits.shape[-1])
-    _weight_grad(dlogits, cache["h"], grads["embedding"])
+    _grad_product(jobs, dlogits, cache["h"], grads["embedding"])
     return dlogits @ params["embedding"].astype(dlogits.dtype, copy=False)
 
 
@@ -632,9 +657,10 @@ def loss_and_grads(
     # are scattered into a zeroed buffer
     grads["enc.rel_bias"].fill(0)
     grads["dec.rel_bias"].fill(0)
-    dh = _decode_bwd(dlogits, params, dec_cache, grads)
-    d_enc_out = _stack_bwd(dh, params, cfg, dec_cache, grads)
-    _stack_bwd(d_enc_out, params, cfg, enc_cache, grads)
+    with joined() as jobs:
+        dh = _decode_bwd(dlogits, params, dec_cache, grads, jobs)
+        d_enc_out = _stack_bwd(dh, params, cfg, dec_cache, grads, jobs)
+        _stack_bwd(d_enc_out, params, cfg, enc_cache, grads, jobs)
     return loss, grads
 
 

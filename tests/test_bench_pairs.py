@@ -1,10 +1,15 @@
-"""``scripts/bench_pairs.py``'s verdict on the (base, tree) pairs of one metric."""
+"""``scripts/bench_pairs.py``'s verdict on the (base, tree) pairs of one
+metric, and the CPU time it reports per run."""
+
+import subprocess
+import sys
 
 import pytest
 
 from helpers import script
 
-verdict = script("bench_pairs").verdict
+bench_pairs = script("bench_pairs")
+verdict = bench_pairs.verdict
 
 
 def pairs(bases, trees):
@@ -34,3 +39,15 @@ def won(vals, direction):
 def test_verdict(bases, trees, direction, expected):
     vals = pairs(bases, trees)
     assert verdict(vals, won(vals, direction), direction, 0.24) == expected
+
+
+def test_run_child_counts_the_cpu_time_of_that_run_alone():
+    # a child that spins for 0.4 s of CPU time, then one that sleeps 0.4 s
+    spin = "import time\nt = time.process_time()\nwhile time.process_time() - t < 0.4: pass\nprint('spun')"
+    stdout, busy = bench_pairs.run_child([sys.executable, "-c", spin], ".")
+    assert stdout == "spun\n"
+    assert 0.4 <= busy < 2.0
+    _, idle = bench_pairs.run_child([sys.executable, "-c", "import time; time.sleep(0.4)"], ".")
+    assert idle < 0.35
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_pairs.run_child([sys.executable, "-c", "raise SystemExit(3)"], ".")

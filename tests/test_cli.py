@@ -674,22 +674,41 @@ class TestFloat64Pretrain:
 
 
 class TestNonFiniteUpdate:
-    def test_exits_1_naming_the_step_and_the_tensor(self, tmp_path, fixtures_dir, trained_vocab):
-        out = tmp_path / "out"
+    @staticmethod
+    def config(tmp_path, fixtures_dir, trained_vocab, lr) -> Path:
         payload = {
             "vocab_path": str(trained_vocab),
-            "out_dir": str(out),
+            "out_dir": str(tmp_path / "out"),
             "model": {**MODEL, "vocab_size": load_vocab(trained_vocab).size},
-            "train": {**TRAIN, "batch_size": 2, "learning_rate": 1e38},
+            "train": {**TRAIN, "batch_size": 2, "learning_rate": lr},
             "corruption": {"max_sentinels": 16},
             "corpora": [{"path": str(fixtures_dir / "pretrain_corpus.txt")}],
         }
         (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
-        proc = run_entry_point(["pretrain", "--config", str(tmp_path / "config.json")])
+        return tmp_path / "config.json"
+
+    def test_exits_1_naming_the_step_and_the_tensor(self, tmp_path, fixtures_dir, trained_vocab):
+        # a finite update of about lr = 1e37 takes a rel-bias of 3.35e38 past
+        # float32's range; the bias is the same in every bucket, so attention
+        # stays finite (and uniform)
+        config = self.config(tmp_path, fixtures_dir, trained_vocab, 1e37)
+        cfg = t2tbio.ModelConfig(**{**MODEL, "vocab_size": load_vocab(trained_vocab).size})
+        params = t2tbio.init_params(cfg, 0)
+        params["enc.rel_bias"][:] = 3.35e38
+        save_checkpoint(tmp_path / "warm", params, cfg, opt_state=AdamState(), rng_state=0, step=0)
+        proc = run_entry_point(["pretrain", "--config", str(config), "--warm-start", str(tmp_path / "warm")])
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
-        assert "step 0: non-finite Adam update in tensor dec.0.cross.norm" in proc.stderr
+        assert "step 0: non-finite Adam update in tensor enc.rel_bias" in proc.stderr
         assert "Traceback" not in proc.stderr
-        assert not (out / "final").exists()
+        assert not (tmp_path / "out" / "final").exists()
+
+    def test_an_overflowing_learning_rate_exits_1_naming_it(self, tmp_path, fixtures_dir, trained_vocab):
+        config = self.config(tmp_path, fixtures_dir, trained_vocab, 1e38)
+        proc = run_entry_point(["pretrain", "--config", str(config)])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert "learning_rate 1e+38 overflows float32 in Adam's step size lr / (1 - beta1)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestMalformedOptimizerState:

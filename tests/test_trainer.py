@@ -300,10 +300,11 @@ class TestPretrain:
         )
 
     @pytest.mark.parametrize("lr", [1e38, 1e40])
-    def test_a_non_finite_update_names_the_step_and_the_tensor(self, tmp_path, lr):
+    def test_an_overflowing_learning_rate_is_a_config_error(self, tmp_path, lr):
+        # lr / (1 - beta1), the step-1 scale of Adam's update, is inf in float32
         path, v = corpus_fixture(tmp_path)
         cfg = small_cfg(v.size)
-        with pytest.raises(ModelError) as info:
+        with pytest.raises(ConfigError) as info:
             pretrain(
                 cfg,
                 init_params(cfg, seed=0),
@@ -313,7 +314,38 @@ class TestPretrain:
                 v,
                 out_dir=str(tmp_path / "out"),
             )
-        assert str(info.value) == "step 0: non-finite Adam update in tensor dec.0.cross.norm"
+        assert str(info.value) == f"learning_rate {lr:g} overflows float32 in Adam's step size lr / (1 - beta1)"
+        assert not (tmp_path / "out").exists()
+
+    def test_the_overflow_check_follows_the_dtype(self, tmp_path):
+        path, v = corpus_fixture(tmp_path)
+        cfg = replace(small_cfg(v.size), dtype="float64")
+        sources = [CorpusEntry(str(path))], SpanCorruptionConfig(max_sentinels=14)
+        train = TrainConfig(num_steps=1, input_len=24, target_len=24, batch_size=2, learning_rate=1e38)
+        result = pretrain(cfg, init_params(cfg, seed=0), *sources, train, v)  # 1e39 is finite in float64
+        assert all(np.isfinite(t).all() for t in result.params.values())
+        with pytest.raises(ConfigError, match="learning_rate 1e\\+308 overflows float64"):
+            pretrain(cfg, init_params(cfg, seed=0), *sources, replace(train, learning_rate=1e308), v)
+
+    def test_a_non_finite_update_names_the_step_and_the_tensor(self, tmp_path):
+        # a finite update of about lr = 1e37 takes a rel-bias of 3.35e38 past
+        # float32's range; the bias is the same in every bucket, so attention
+        # stays finite (and uniform)
+        path, v = corpus_fixture(tmp_path)
+        cfg = small_cfg(v.size)
+        params = init_params(cfg, seed=0)
+        params["enc.rel_bias"][:] = 3.35e38
+        with pytest.raises(ModelError) as info:
+            pretrain(
+                cfg,
+                params,
+                [CorpusEntry(str(path))],
+                SpanCorruptionConfig(max_sentinels=14),
+                TrainConfig(num_steps=1, input_len=24, target_len=24, batch_size=2, learning_rate=1e37),
+                v,
+                out_dir=str(tmp_path / "out"),
+            )
+        assert str(info.value) == "step 0: non-finite Adam update in tensor enc.rel_bias"
         assert not (tmp_path / "out" / "final").exists()
 
     def test_duplicate_corpus_names_rejected(self, tmp_path):
