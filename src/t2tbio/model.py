@@ -22,19 +22,38 @@ shapes and dtype against them (the trainer runs it before the first step).
 dict (the trainer passes views of one flat array), or into fresh ones.
 
 In-place rule: a helper overwrites only arrays it allocated itself and the
-gradient buffers it is handed, never its inputs, the parameters or a cached
-activation. The backward pass reuses its temporaries this way (attention's
-``ds`` and scaled ``dq``/``dk``, the RMS-norm backward's, ReLU backward's mask
-product, the residual sums), as does ``cross_entropy``, and attention's
-backward writes each head's products straight into token rows; each element
-sees the same float operations in the same order as the out-of-place form,
-so the results are bit-equal to it. The forward helpers a decode step runs
-allocate afresh: on a one-token row the extra ``out=`` calls cost more than
-they save.
+output and gradient buffers it is handed, never its inputs, the parameters
+or a cached activation. The backward pass reuses its temporaries this way
+(attention's ``ds`` and scaled ``dq``/``dk``, the RMS-norm backward's, ReLU
+backward's mask product, the residual sums), as do attention's scores and
+``cross_entropy``, and attention writes each head's products straight into
+token rows; each element sees the same float operations in the same order as
+the out-of-place form, so the results are bit-equal to it. The forward helpers write into the
+arrays they are handed, the rows of a split forward's full-size arrays (see
+Threads), or allocate afresh when handed none, as on a decode step, where
+fresh arrays cost less than ``np.empty`` and ``out=`` would.
 
-Threads: ``loss_and_grads`` hands part of the backward pass to the one
-worker thread of ``worker``, and the calling thread goes on with the chain
-of input gradients (``dx``, ``dq``/``dk``/``dv``, ``ds``, the norms). The
+Threads: the forward pass of ``forward`` and ``loss_and_grads`` runs each
+residual sublayer, the output layer and the cross-entropy as two halves of
+the batch's sequences at once: the worker thread of ``worker`` does
+sequences [B//2:] and the calling thread [:B//2], and both write their rows
+of the same full-size arrays, the ones the backward reads (``_halves``,
+``_sublayer_halves``). Every forward op is local to its sequence, so each row
+gets the BLAS and ufunc calls of one pass over the batch and the bits do not
+change. There is one hand-off per sublayer: the calling thread waits for
+the worker's half before the next. A sublayer splits when the batch has 2
+or more sequences and its weight matrices have at least ``worker.MIN_SIZE``
+elements (every d=256 matrix, no d=64 one), and when each half has at least
+``MIN_HALF_ROWS`` token rows; ``greedy_decode``, one sequence, never splits.
+On a d=256 model (2 vCPUs, one BLAS thread, 8 sequences of 65 input and 22
+target tokens, freed memory kept as in ``trainer``) the forward took 57 ms
+on one thread and 36 ms split. Splitting each GEMM's rows instead is
+bit-equal too, but its 33 hand-offs per forward held the forward to
+60 -> 52 ms: do not retry it.
+
+``loss_and_grads`` also hands part of the backward pass to the worker, and
+the calling thread goes on with the chain of input gradients (``dx``,
+``dq``/``dk``/``dv``, ``ds``, the norms). The
 worker owns the gradient buffer of each weight matrix and of the embedding
 that has at least ``worker.MIN_SIZE`` elements: it makes every write into
 it, the weight-gradient products ``_weight_grad`` and, for the embedding,
@@ -71,11 +90,19 @@ import numpy as np
 from .errors import ConfigError, ModelError
 from .rng import SplitMix64
 from .vocab import EOS_ID, PAD_ID
+from . import worker
 from .worker import joined
 
 NORM_EPS = 1e-6
 NEG_INF = -1e9  # additive mask value; underflows to exactly 0 after softmax
 _NORMAL_BLOCK = 32768  # draws per block of an initial weight tensor
+# Token rows each half of a split forward needs in every product. OpenBLAS
+# runs a one-row product as a matrix-vector call, and a product of at most
+# 100**3 multiply-adds on small-matrix kernels, which sum a long inner
+# dimension in another order than its large kernels. 16 rows by a matrix of
+# worker.MIN_SIZE elements stay above both, so a half's rows get the bits of
+# the whole batch's product.
+MIN_HALF_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -326,12 +353,15 @@ def _bias_matrix(table: np.ndarray, q_len: int, k_len: int, cfg: ModelConfig, bi
     return bias.transpose(2, 0, 1), bucket  # [H, Q, K]
 
 
-def _rms_norm_fwd(x: np.ndarray, g: np.ndarray):
+def _rms_norm_fwd(x: np.ndarray, g: np.ndarray, y=None, r=None):
+    """RMS norm of the rows of ``x``, times ``g``, and the backward's cache
+    ``(x, r)``, r each row's reciprocal RMS. Written into ``y`` and ``r`` if
+    given (as all the forward helpers' ``out`` arrays), else into fresh arrays."""
     # np.mean's own sum-then-divide, bit for bit, without its Python wrapper,
     # which costs more than the arithmetic on a one-token decode row
     ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
-    r = 1.0 / np.sqrt(ms + NORM_EPS)
-    return x * r * g, (x, r)
+    r = np.divide(1.0, np.sqrt(ms + NORM_EPS), out=r)
+    return np.multiply(x * r, g, out=y), (x, r)
 
 
 def _rms_norm_bwd(dy: np.ndarray, g: np.ndarray, cache, dg: np.ndarray) -> np.ndarray:
@@ -351,21 +381,17 @@ def _rms_norm_bwd(dy: np.ndarray, g: np.ndarray, cache, dg: np.ndarray) -> np.nd
     return dyg
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_in_place(z: np.ndarray) -> None:
+    # the ufuncs' own reductions: the bits of z.max and z.sum, without their
+    # Python wrappers, which cost more than the arithmetic on a decode step
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
 
 
 def _split_heads(x: np.ndarray, b: int, n_heads: int) -> np.ndarray:
     """[B*L, D] token rows -> [B, H, L, Dh]."""
     return x.reshape(b, -1, n_heads, x.shape[1] // n_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """[B, H, L, Dh] -> [B*L, D] token rows."""
-    b, h, l, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b * l, h * dh)
 
 
 def _weight_grad(x: np.ndarray, dy: np.ndarray, out: np.ndarray) -> None:
@@ -380,31 +406,36 @@ def _grad_product(jobs, x, dy, out):
     jobs.write(out, _weight_grad, x, dy, out)
 
 
-def _attn_fwd(xq, xkv, params, prefix, cfg, add, kv=None):
+def _attn_fwd(xq, xkv, params, prefix, cfg, add, kv=None, out=None, q=None, k=None, v=None, a=None, ctx=None):
     """xq [B*Q, D], xkv [B*K, D]: token rows of B sequences.
     add: the one additive term of the scaled logits, broadcasting to [B, H, Q, K]:
     the key mask (0 or NEG_INF), plus the rel-bias in self-attention.
     kv: decoding's key/value cache by prefix, where self-attention (xkv is xq)
-    appends its new rows and cross-attention projects xkv on its first call."""
+    appends its new rows and cross-attention projects xkv on its first call.
+    The output [B*Q, D] and the projections q, k, v ([B*Q|K, D] token rows),
+    the probabilities a [B, H, Q, K] and the context ctx [B*Q, D] are written
+    into the arrays given, or fresh ones."""
     h = cfg.n_heads
     b = add.shape[0]  # the key mask is per sequence, so add has the batch axis
-    scale = 1.0 / math.sqrt(cfg.d_head)
-    q = _split_heads(xq @ params[prefix + ".wq"], b, h)
+    q = _split_heads(np.matmul(xq, params[prefix + ".wq"], out=q), b, h)
     cached = None if kv is None else kv.get(prefix)
     if cached is not None and xkv is not xq:
         k, v = cached
     else:
-        k = _split_heads(xkv @ params[prefix + ".wk"], b, h)
-        v = _split_heads(xkv @ params[prefix + ".wv"], b, h)
+        k = _split_heads(np.matmul(xkv, params[prefix + ".wk"], out=k), b, h)
+        v = _split_heads(np.matmul(xkv, params[prefix + ".wv"], out=v), b, h)
         if cached is not None:
             k = np.concatenate((cached[0], k), axis=2)
             v = np.concatenate((cached[1], v), axis=2)
         if kv is not None:
             kv[prefix] = (k, v)
-    a = _softmax(q @ k.transpose(0, 1, 3, 2) * scale + add)
-    ctx = _merge_heads(a @ v)
-    out = ctx @ params[prefix + ".wo"]
-    return out, (xq, xkv, q, k, v, a, ctx)
+    a = np.matmul(q, k.transpose(0, 1, 3, 2), out=a)
+    a *= 1.0 / math.sqrt(cfg.d_head)
+    a += add
+    _softmax_in_place(a)
+    ctx = np.empty_like(xq) if ctx is None else ctx
+    np.matmul(a, v, out=_split_heads(ctx, b, h))  # each head's product straight into its columns
+    return np.matmul(ctx, params[prefix + ".wo"], out=out), (xq, xkv, q, k, v, a, ctx)
 
 
 def _attn_bwd(dout, params, prefix, cfg, cache, grads, jobs):
@@ -448,10 +479,10 @@ def _accumulate_bias_grad(grads, name, bucket, dscores):
     _scatter_add_rows(grads[name], bucket.ravel(), ds)
 
 
-def _ff_fwd(x, params, prefix):
-    h1 = x @ params[prefix + ".w1"]
-    hr = np.maximum(h1, 0.0)
-    return hr @ params[prefix + ".w2"], (x, h1, hr)
+def _ff_fwd(x, params, prefix, out=None, h1=None, hr=None):
+    h1 = np.matmul(x, params[prefix + ".w1"], out=h1)
+    hr = np.maximum(h1, 0.0, out=hr)
+    return np.matmul(hr, params[prefix + ".w2"], out=out), (x, h1, hr)
 
 
 def _ff_bwd(dy, params, prefix, cache, grads, jobs):
@@ -468,23 +499,90 @@ def _ff_bwd(dy, params, prefix, cache, grads, jobs):
 # ---------------------------------------------------------------------------
 
 
-def _stack_fwd(params, cfg, stack, ids, self_add, bucket, enc_out=None, cross_mask=None, kv=None):
+def _split(jobs, b, size):
+    """``jobs`` for work on a batch of b sequences whose products are by
+    weight matrices of ``size`` elements, if the batch has 2 or more and the
+    matrices at least ``worker.MIN_SIZE`` elements; else None."""
+    return jobs if b >= 2 and size >= worker.MIN_SIZE else None
+
+
+def _halves(jobs, b, fn) -> None:
+    """Run ``fn(lo, hi)``, work local to each of the sequences [lo, hi) of a
+    batch of b, over the whole batch. With ``jobs`` (see ``_split``) the
+    halves run at once: [b // 2, b) on the worker, [0, b // 2) on the calling
+    thread. Each row gets the calls it gets in one pass over the batch."""
+    if jobs is None:
+        fn(0, b)
+    else:
+        jobs.submit(fn, b // 2, b)
+        fn(0, b // 2)
+        jobs.join()
+
+
+def _sublayer_fwd(x, params, cfg, prefix, kind, add, enc_out, kv=None, y=None, n=None, r=None, op_outs=()):
+    """Residual sublayer ``prefix`` over token rows x: the norm, the op, the
+    add to the residual stream. Returns the new stream, the norm's cache and
+    the op's cache. They are written into the arrays given (the stream's y,
+    the norm's n and r, and the op's in ``_attn_fwd``'s or ``_ff_fwd``'s
+    order), else into fresh ones."""
+    n, c_norm = _rms_norm_fwd(x, params[prefix + ".norm"], n, r)
+    if kind == "ff":
+        y, c = _ff_fwd(n, params, prefix, y, *op_outs)
+    else:
+        y, c = _attn_fwd(n, n if kind == "self" else enc_out, params, prefix, cfg, add, kv, y, *op_outs)
+    y += x  # the residual add, in place: y + x has the bits of x + y
+    return y, c_norm, c
+
+
+def _sublayer_halves(x, b, params, cfg, prefix, kind, add, enc_out, jobs):
+    """``_sublayer_fwd`` over the token rows x [N, D] of b sequences, as
+    ``_halves`` of them, each writing its rows of full-size arrays: the new
+    stream, the norm's cache and the op's cache over all rows."""
+    dt, (rows, d) = x.dtype, x.shape
+    xkv = x if kind != "cross" else enc_out
+    seq, kv_seq = rows // b, len(xkv) // b  # token rows and key rows per sequence
+    y, n, r = np.empty_like(x), np.empty_like(x), np.empty((rows, 1), dt)
+    # the op's arrays, each with its rows per sequence
+    if kind == "ff":  # h1, hr
+        op = [(np.empty((rows, cfg.d_ff), dt), seq) for _ in range(2)]
+    else:  # q, k, v, a, ctx
+        a = np.empty((b, cfg.n_heads, seq, add.shape[-1]), dt)
+        op = [(np.empty_like(x), seq), (np.empty_like(xkv), kv_seq), (np.empty_like(xkv), kv_seq), (a, 1),
+              (np.empty_like(x), seq)]
+
+    def run(lo, hi):
+        tok = slice(lo * seq, hi * seq)
+        _sublayer_fwd(x[tok], params, cfg, prefix, kind, None if kind == "ff" else add[lo:hi],
+                      enc_out[lo * kv_seq : hi * kv_seq] if kind == "cross" else None, None,
+                      y[tok], n[tok], r[tok], tuple(t[lo * per : hi * per] for t, per in op))
+
+    _halves(jobs, b, run)
+    op = [t for t, _ in op]
+    if kind == "ff":
+        c = (n, *op)
+    else:
+        c = (n, n if kind == "self" else enc_out, *(_split_heads(t, b, cfg.n_heads) for t in op[:3]), *op[3:])
+    return y, (x, r), c
+
+
+def _stack_fwd(params, cfg, stack, ids, self_add, bucket, enc_out=None, cross_mask=None, kv=None, jobs=None):
     """Embedding lookup, every residual sublayer of ``stack`` in order (each
     adds its output to the residual stream), then the stack's final norm.
     ``ids`` is [B, L]; the stream and the output are its B*L token rows [N, D].
-    ``self_add`` is self-attention's key mask plus rel-bias, added as one term."""
+    ``self_add`` is self-attention's key mask plus rel-bias, added as one term.
+    With ``jobs``, a sublayer whose weight matrices have at least
+    ``worker.MIN_SIZE`` elements runs as ``_halves`` of the B sequences."""
+    b = len(ids)
     ids = np.ravel(ids)
     x = params["embedding"].take(ids, axis=0).astype(cfg.np_dtype, copy=False)  # take: a fresh array
     sublayers = []
     for prefix, kind in _sublayers(cfg, stack):
-        n, c_norm = _rms_norm_fwd(x, params[prefix + ".norm"])
-        if kind == "ff":
-            out, c = _ff_fwd(n, params, prefix)
-        elif kind == "cross":
-            out, c = _attn_fwd(n, enc_out, params, prefix, cfg, cross_mask, kv)
+        add = self_add if kind == "self" else cross_mask
+        split = None if jobs is None else _split(jobs, b, cfg.d_model * (cfg.d_ff if kind == "ff" else cfg.d_model))
+        if split is None:
+            x, c_norm, c = _sublayer_fwd(x, params, cfg, prefix, kind, add, enc_out, kv)
         else:
-            out, c = _attn_fwd(n, n, params, prefix, cfg, self_add, kv)
-        x = x + out
+            x, c_norm, c = _sublayer_halves(x, b, params, cfg, prefix, kind, add, enc_out, split)
         sublayers.append((prefix, kind, c_norm, c))
     out, c_final = _rms_norm_fwd(x, params[stack + ".norm"])
     cache = {"stack": stack, "ids": ids, "sublayers": sublayers, "final": c_final, "bucket": bucket}
@@ -515,15 +613,15 @@ def _stack_bwd(dout, params, cfg, cache, grads, jobs):
     return d_enc_out
 
 
-def _encode(params, cfg, encoder_ids, encoder_valid):
+def _encode(params, cfg, encoder_ids, encoder_valid, jobs=None):
     """Output [B*S, D], cache and the [B, 1, 1, S] key mask cross-attention reuses."""
     s = encoder_ids.shape[1]
     key_mask = np.where(encoder_valid[:, None, None, :], 0.0, NEG_INF).astype(cfg.np_dtype)
     bias, bucket = _bias_matrix(params["enc.rel_bias"], s, s, cfg, bidirectional=True)
-    return (*_stack_fwd(params, cfg, "enc", encoder_ids, key_mask + bias, bucket), key_mask)
+    return (*_stack_fwd(params, cfg, "enc", encoder_ids, key_mask + bias, bucket, jobs=jobs), key_mask)
 
 
-def _decode(params, cfg, decoder_ids, enc_out, key_mask, dec_valid):
+def _decode(params, cfg, decoder_ids, enc_out, key_mask, dec_valid, jobs=None):
     """Logits [B, T, V], a view of the output layer's [B*T, V] product."""
     dt = cfg.np_dtype
     b, t = decoder_ids.shape
@@ -531,9 +629,16 @@ def _decode(params, cfg, decoder_ids, enc_out, key_mask, dec_valid):
     self_allowed = causal[None, :, :] & dec_valid[:, None, :]  # [B, T(q), T(k)]
     self_mask = np.where(self_allowed[:, None, :, :], 0.0, NEG_INF).astype(dt)
     bias, bucket = _bias_matrix(params["dec.rel_bias"], t, t, cfg, bidirectional=False)
-    h, cache = _stack_fwd(params, cfg, "dec", decoder_ids, self_mask + bias, bucket, enc_out, key_mask)
+    h, cache = _stack_fwd(params, cfg, "dec", decoder_ids, self_mask + bias, bucket, enc_out, key_mask, jobs=jobs)
     cache["h"] = h
-    return (h @ params["embedding"].T.astype(dt, copy=False)).reshape(b, t, -1), cache
+    emb = params["embedding"]
+    w, logits = emb.T.astype(dt, copy=False), np.empty((b * t, len(emb)), dt)
+
+    def run(lo, hi):
+        np.matmul(h[lo * t : hi * t], w, out=logits[lo * t : hi * t])
+
+    _halves(_split(jobs, b, emb.size), b, run)
+    return logits.reshape(b, t, -1), cache
 
 
 def _decode_bwd(dlogits, params, cache, grads, jobs):
@@ -578,14 +683,18 @@ def _dec_key_valid(batch: Batch) -> np.ndarray:
 
 def forward(params: dict[str, np.ndarray], cfg: ModelConfig, batch: Batch) -> np.ndarray:
     """Teacher-forcing forward pass; returns logits [B, T, vocab_size]."""
-    logits, _ = _forward_with_cache(params, cfg, batch)
+    with joined() as jobs:
+        logits, _ = _forward_with_cache(params, cfg, batch, jobs)
     return logits
 
 
-def _forward_with_cache(params, cfg, batch):
+def _forward_with_cache(params, cfg, batch, jobs=None):
     _check_batch(cfg, batch)
-    enc_out, enc_cache, key_mask = _encode(params, cfg, batch.encoder_ids, batch.encoder_valid)
-    logits, dec_cache = _decode(params, cfg, batch.decoder_ids, enc_out, key_mask, _dec_key_valid(batch))
+    b, s = batch.encoder_ids.shape
+    if b // 2 * min(s, batch.target_ids.shape[1]) < MIN_HALF_ROWS:
+        jobs = None
+    enc_out, enc_cache, key_mask = _encode(params, cfg, batch.encoder_ids, batch.encoder_valid, jobs)
+    logits, dec_cache = _decode(params, cfg, batch.decoder_ids, enc_out, key_mask, _dec_key_valid(batch), jobs)
     if not np.all(np.isfinite(logits)):
         name = _first_non_finite([(enc_cache, enc_out), (dec_cache, dec_cache["h"])])
         raise ModelError(f"numeric overflow: non-finite logits; first non-finite tensor: {name}")
@@ -618,28 +727,30 @@ def _first_non_finite(stacks) -> str:
     return "logits"
 
 
-def cross_entropy(logits: np.ndarray, target_ids: np.ndarray, loss_mask: np.ndarray):
+def cross_entropy(logits: np.ndarray, target_ids: np.ndarray, loss_mask: np.ndarray, jobs=None):
     """Mean -log softmax(logits)[target] over unmasked positions.
 
-    Returns (loss, dlogits). Raises on an all-masked batch.
+    Returns (loss, dlogits). Raises on an all-masked batch. With ``jobs`` the
+    log-probabilities and ``dlogits`` of each half of the sequences are made
+    at once (``_halves``); the loss is one sum over all of them.
     """
     n = int(loss_mask.sum())
     if n == 0:
         raise ModelError("empty loss: no unmasked target positions")
-    m = logits.max(axis=-1, keepdims=True)
-    e = logits - m
-    lse = np.log(np.exp(e, out=e).sum(axis=-1, keepdims=True)) + m
-    log_p = np.take_along_axis(logits, target_ids[..., None], axis=-1) - lse
-    loss = float(-(log_p[..., 0] * loss_mask).sum() / n)
-    dlogits = np.exp(np.subtract(logits, lse, out=e), out=e)
-    np.put_along_axis(
-        dlogits,
-        target_ids[..., None],
-        np.take_along_axis(dlogits, target_ids[..., None], axis=-1) - 1.0,
-        axis=-1,
-    )
-    dlogits *= loss_mask[..., None] / n
-    return loss, dlogits
+    log_p = np.empty((*target_ids.shape, 1), logits.dtype)
+    dlogits = np.empty_like(logits)
+
+    def run(lo, hi):
+        lg, e, tid = logits[lo:hi], dlogits[lo:hi], target_ids[lo:hi, :, None]
+        m = lg.max(axis=-1, keepdims=True)
+        lse = np.log(np.exp(np.subtract(lg, m, out=e), out=e).sum(axis=-1, keepdims=True)) + m
+        np.subtract(np.take_along_axis(lg, tid, axis=-1), lse, out=log_p[lo:hi])
+        np.exp(np.subtract(lg, lse, out=e), out=e)
+        np.put_along_axis(e, tid, np.take_along_axis(e, tid, axis=-1) - 1.0, axis=-1)
+        e *= loss_mask[lo:hi, :, None] / n
+
+    _halves(jobs, len(logits), run)
+    return float(-(log_p[..., 0] * loss_mask).sum() / n), dlogits
 
 
 def loss_and_grads(
@@ -649,15 +760,17 @@ def loss_and_grads(
     parameter tensor: (loss, grads). The gradients are written into the arrays
     of ``out``, shaped like ``params``, which is returned as ``grads``; without
     it, into fresh arrays."""
-    logits, (enc_cache, dec_cache) = _forward_with_cache(params, cfg, batch)
-    loss, dlogits = cross_entropy(logits, batch.target_ids, batch.loss_mask)
     grads = {name: np.empty_like(p) for name, p in params.items()} if out is None else out
-    # the backward pass overwrites each gradient buffer on its first write;
-    # only the relative-position biases, shared by every layer of a stack,
-    # are scattered into a zeroed buffer
-    grads["enc.rel_bias"].fill(0)
-    grads["dec.rel_bias"].fill(0)
     with joined() as jobs:
+        logits, (enc_cache, dec_cache) = _forward_with_cache(params, cfg, batch, jobs)
+        # cross-entropy runs in halves where the output layer did
+        split = _split(jobs, len(logits), params["embedding"].size)
+        loss, dlogits = cross_entropy(logits, batch.target_ids, batch.loss_mask, split)
+        # the backward pass overwrites each gradient buffer on its first write;
+        # only the relative-position biases, shared by every layer of a stack,
+        # are scattered into a zeroed buffer
+        grads["enc.rel_bias"].fill(0)
+        grads["dec.rel_bias"].fill(0)
         dh = _decode_bwd(dlogits, params, dec_cache, grads, jobs)
         d_enc_out = _stack_bwd(dh, params, cfg, dec_cache, grads, jobs)
         _stack_bwd(d_enc_out, params, cfg, enc_cache, grads, jobs)

@@ -1,5 +1,6 @@
-"""The worker thread of a training step: with every gradient buffer and half
-of every Adam step handed to it (``worker.MIN_SIZE`` patched to 0), results
+"""The worker thread of a training step: with the upper half of the batch's
+sequences in every forward sublayer, every gradient buffer and half of
+every Adam step handed to it (``worker.MIN_SIZE`` patched to 0), results
 are bit-equal to the calling thread's alone, errors reach the caller after
 the calls handed over before them, and no thread is left behind but the one
 worker."""
@@ -16,7 +17,8 @@ import pytest
 
 from t2tbio import model, trainer, worker
 from t2tbio.checkpoint import views
-from t2tbio.model import loss_and_grads
+from t2tbio.errors import ModelError
+from t2tbio.model import MIN_HALF_ROWS, Batch, forward, loss_and_grads
 from t2tbio.rng import SplitMix64
 from t2tbio.trainer import NonFiniteUpdate, TrainConfig, arena, optimizer_step
 
@@ -27,20 +29,41 @@ SERIAL = 1 << 62  # a MIN_SIZE no buffer reaches: every write stays on the calli
 JOIN_TIMEOUT = 30.0  # seconds
 
 
+def on_worker_thread() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
 @pytest.fixture
 def on_worker(monkeypatch):
-    """Hand every gradient buffer and Adam's upper half to the worker, and
-    count the calls ``_weight_grad`` and ``_scatter_add_rows`` run on it."""
+    """Hand every forward sublayer's upper half, every gradient buffer and
+    Adam's upper half to the worker, and count the calls ``_weight_grad`` and
+    ``_scatter_add_rows`` run on it, and the halves (``_halves``: a forward
+    sublayer, the output layer or the cross-entropy) it runs."""
     monkeypatch.setattr(worker, "MIN_SIZE", 0)
-    counts = {"_weight_grad": 0, "_scatter_add_rows": 0}
-    for name in counts:
+    counts = {"_weight_grad": 0, "_scatter_add_rows": 0, "halves": 0}
+    for name in ("_weight_grad", "_scatter_add_rows"):
         def counted(*args, _name=name, _original=getattr(model, name)):
-            if threading.current_thread() is not threading.main_thread():
+            if on_worker_thread():
                 counts[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(model, name, counted)
+    halves = model._halves
+
+    def counted_halves(jobs, b, fn):
+        def half(lo, hi):
+            if on_worker_thread():
+                counts["halves"] += 1
+            fn(lo, hi)
+
+        halves(jobs, b, half)
+
+    monkeypatch.setattr(model, "_halves", counted_halves)
     return counts
+
+
+def backward_counts(counts: dict) -> dict:
+    return {name: counts[name] for name in ("_weight_grad", "_scatter_add_rows")}
 
 
 def serial(monkeypatch, fn, *args):
@@ -54,6 +77,32 @@ def assert_same_bytes(got: dict, want: dict):
     assert got.keys() == want.keys()
     for name in want:
         assert got[name].dtype == want[name].dtype and got[name].tobytes() == want[name].tobytes(), name
+
+
+def cache_arrays(node, path="cache") -> list:
+    """(path, array) of every array in a forward cache, in a fixed order."""
+    if isinstance(node, np.ndarray):
+        return [(path, node)]
+    if isinstance(node, dict):
+        return [item for key in sorted(node) for item in cache_arrays(node[key], f"{path}.{key}")]
+    if isinstance(node, (list, tuple)):
+        return [item for i, x in enumerate(node) for item in cache_arrays(x, f"{path}[{i}]")]
+    return []
+
+
+def forward_with_cache(params, cfg, batch):
+    """Logits and forward caches, as ``loss_and_grads`` makes them."""
+    with worker.joined() as jobs:
+        return model._forward_with_cache(params, cfg, batch, jobs)
+
+
+def full_batch(seed, b, s, t, cfg) -> Batch:
+    """``tiny_batch``'s pairs padded to exactly s input and t target columns,
+    so a forward over b >= 2 of them splits when b // 2 * min(s, t) reaches
+    ``MIN_HALF_ROWS``."""
+    batch = tiny_batch(seed=seed, b=b, s=s, t=t, cfg=cfg)
+    (_, s0), (_, t0) = batch.encoder_ids.shape, batch.target_ids.shape
+    return Batch(np.pad(batch.encoder_ids, ((0, 0), (0, s - s0))), np.pad(batch.target_ids, ((0, 0), (0, t - t0))))
 
 
 CASES = [  # (config, batch rows, source length cap, target length cap)
@@ -72,11 +121,11 @@ class TestWorkerPath:
         params = randomized_params(cfg, seed=b)
         batch = tiny_batch(seed=s, b=b, s=s, t=t, cfg=cfg)
         want_loss, want = serial(monkeypatch, loss_and_grads, params, cfg, batch)
-        assert on_worker == {"_weight_grad": 0, "_scatter_add_rows": 0}
+        assert on_worker == {"_weight_grad": 0, "_scatter_add_rows": 0, "halves": 0}
         loss, grads = loss_and_grads(params, cfg, batch)
         # the output layer, then per layer the encoder's 4 + 2 and the
         # decoder's 4 + 4 + 2 weight matrices; both embedding scatters
-        assert on_worker == {"_weight_grad": 1 + 2 * (4 + 2) + 2 * (4 + 4 + 2), "_scatter_add_rows": 2}
+        assert backward_counts(on_worker) == {"_weight_grad": 1 + 2 * (4 + 2) + 2 * (4 + 4 + 2), "_scatter_add_rows": 2}
         assert loss == want_loss
         assert_same_bytes(grads, want)
         # into a caller's arena, as the trainer passes it, with stale values in it
@@ -88,25 +137,32 @@ class TestWorkerPath:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_jittered_worker_calls_give_the_same_bytes(self, monkeypatch, on_worker, seed):
-        # a random sleep before each call on the worker shifts where the two
-        # threads meet; a write out of order or a buffer read while the
-        # calling thread changes it would show in the bytes
+        # a random sleep before each call and forward half on the worker
+        # shifts where the two threads meet; a write out of order, a row
+        # written by both threads or a buffer read while the calling thread
+        # changes it would show in the bytes
         cfg = replace(SMOKE, dtype="float32" if seed % 2 else "float64")
         params = randomized_params(cfg, seed=seed)
-        batch = tiny_batch(seed=seed, b=5, s=16, t=11, cfg=cfg)
+        batch = full_batch(seed=seed, b=5, s=16, t=11, cfg=cfg)
+        want_logits, want_cache = serial(monkeypatch, forward_with_cache, params, cfg, batch)
         want_loss, want = serial(monkeypatch, loss_and_grads, params, cfg, batch)
         rng = SplitMix64(seed)
-        for name in ("_weight_grad", "_scatter_add_rows"):
+        for name in ("_weight_grad", "_scatter_add_rows", "_sublayer_fwd", "_ff_fwd", "_attn_fwd"):
             def jittered(*args, _original=getattr(model, name)):
-                if threading.current_thread() is not threading.main_thread():
+                if on_worker_thread():
                     time.sleep(rng.next_float() * 0.004)
                 return _original(*args)
 
             monkeypatch.setattr(model, name, jittered)
         for _ in range(3):
+            logits, cache = forward_with_cache(params, cfg, batch)
+            assert logits.tobytes() == want_logits.tobytes()
+            assert [(p, t.tobytes()) for p, t in cache_arrays(cache)] == [
+                (p, t.tobytes()) for p, t in cache_arrays(want_cache)]
             loss, grads = loss_and_grads(params, cfg, batch)
             assert loss == want_loss
             assert_same_bytes(grads, want)
+        assert on_worker["halves"] == 3 * (11 + 12)
 
     def test_concurrent_callers_each_get_their_own_results(self, monkeypatch, on_worker):
         # more calling threads than cores share the one worker, with a short
@@ -139,6 +195,123 @@ class TestWorkerPath:
             for loss, grads in got[i]:
                 assert loss == want_loss
                 assert_same_bytes(grads, want)
+
+
+FORWARD_CASES = [  # (config, batch rows, source columns, target columns)
+    (SMOKE, 1, 20, 18),  # one sequence: nothing to split
+    (SMOKE, 2, 24, 17),
+    (SMOKE, 3, 20, 16),  # uneven halves of 1 and 2 sequences
+    (SMOKE, 7, 30, 21),  # 3 and 4
+    (TINY, 3, 16, 16),
+]
+
+
+class TestSplitForward:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("cfg, b, s, t", FORWARD_CASES)
+    def test_logits_loss_and_caches_are_bit_equal_to_one_pass(self, monkeypatch, on_worker, dtype, cfg, b, s, t):
+        cfg = replace(cfg, dtype=dtype)
+        params = randomized_params(cfg, seed=b)
+        batch = full_batch(seed=s, b=b, s=s, t=t, cfg=cfg)
+        want_logits, want_cache = serial(monkeypatch, forward_with_cache, params, cfg, batch)
+        want_loss, want = serial(monkeypatch, loss_and_grads, params, cfg, batch)
+        assert on_worker["halves"] == 0
+        logits, cache = forward_with_cache(params, cfg, batch)
+        # a half of each of the 2 * 2 encoder and 2 * 3 decoder sublayers and of the output layer
+        assert on_worker["halves"] == (11 if b > 1 else 0)
+        assert logits.dtype == want_logits.dtype and logits.tobytes() == want_logits.tobytes()
+        got, expected = cache_arrays(cache), cache_arrays(want_cache)
+        assert [p for p, _ in got] == [p for p, _ in expected]
+        for (path, x), (_, y) in zip(got, expected):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), path
+        assert forward(params, cfg, batch).tobytes() == want_logits.tobytes()
+        on_worker["halves"] = 0
+        loss, grads = loss_and_grads(params, cfg, batch)
+        assert on_worker["halves"] == (11 + 1 if b > 1 else 0)  # and the cross-entropy's
+        assert loss == want_loss
+        assert_same_bytes(grads, want)
+
+    @pytest.mark.parametrize("b, s, t", [(2, 15, 40), (3, 40, 15), (5, 7, 7)])
+    def test_halves_of_too_few_rows_stay_on_the_calling_thread(self, monkeypatch, on_worker, b, s, t):
+        # products of fewer rows may run on BLAS kernels that round
+        # differently, so such a batch is not split
+        assert b // 2 * min(s, t) < MIN_HALF_ROWS
+        cfg = replace(SMOKE, dtype="float32")
+        params = randomized_params(cfg, seed=b)
+        batch = full_batch(seed=s, b=b, s=s, t=t, cfg=cfg)
+        want_loss, want = serial(monkeypatch, loss_and_grads, params, cfg, batch)
+        loss, grads = loss_and_grads(params, cfg, batch)
+        assert on_worker["halves"] == 1  # the cross-entropy alone, which makes no product
+        assert loss == want_loss
+        assert_same_bytes(grads, want)
+
+    @staticmethod
+    def overflowing(cfg, z):
+        """Params under which the first encoder query of a sequence holding
+        token z, and only of such a sequence, overflows: z alone has a
+        non-zero first embedding column, and the query weights' first row is
+        the dtype's largest value."""
+        params = randomized_params(cfg, seed=3)
+        params["embedding"][:, 0] = 0.0
+        params["embedding"][z, 0] = 1.0
+        params["enc.0.attn.wq"][0] = np.finfo(cfg.np_dtype).max
+        return params
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_non_finite_upper_half_names_the_tensor_one_pass_names(self, monkeypatch, on_worker, dtype):
+        cfg, z = replace(SMOKE, dtype=dtype), 200
+        params = self.overflowing(cfg, z)
+        batch = full_batch(seed=4, b=4, s=12, t=9, cfg=cfg)
+        assert not (batch.encoder_ids == z).any()
+        batch.encoder_ids[3, 0] = z  # sequence 3 is in the worker's half
+        message = "numeric overflow: non-finite logits; first non-finite tensor: enc.0.attn.q"
+        with np.errstate(all="ignore"):
+            with pytest.raises(ModelError) as info:
+                serial(monkeypatch, loss_and_grads, params, cfg, batch)
+            assert str(info.value) == message
+            with pytest.raises(ModelError) as info:
+                loss_and_grads(params, cfg, batch)
+        assert str(info.value) == message
+        assert on_worker["halves"] == 11  # the whole forward ran split
+
+    def test_the_worker_half_runs_under_the_callers_numpy_error_state(self, monkeypatch, on_worker):
+        # the overflow happens in the worker's half alone, so only an error
+        # state that follows the call there raises it
+        cfg, z = replace(SMOKE, dtype="float32"), 200
+        params = self.overflowing(cfg, z)
+        batch = full_batch(seed=4, b=4, s=12, t=9, cfg=cfg)
+        batch.encoder_ids[3, 0] = z
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            serial(monkeypatch, forward, params, cfg, batch)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            forward(params, cfg, batch)
+        assert on_worker["halves"] == 1  # the first sublayer's, which raised
+
+    @pytest.mark.parametrize("min_size", [SERIAL, 0])
+    def test_a_non_finite_upper_half_at_step_1_names_the_step_and_the_tensor(self, monkeypatch, on_worker, min_size):
+        # the trainer's own message, with Adam patched out so the params
+        # stay as set: step 0's batch is finite, step 1's holds z in the
+        # worker's half
+        monkeypatch.setattr(worker, "MIN_SIZE", min_size)
+        monkeypatch.setattr(trainer, "optimizer_step", lambda *args: None)
+        cfg, z = replace(SMOKE, dtype="float32"), 200
+        params = self.overflowing(cfg, z)
+        steps = []
+
+        def draw(rng, i):
+            batch = full_batch(seed=len(steps), b=4, s=12, t=9, cfg=cfg)
+            if steps:
+                batch.encoder_ids[3, 0] = z
+            steps.append(1)
+            return [(list(e), list(t)) for e, t in zip(batch.encoder_ids, batch.target_ids)]
+
+        with np.errstate(all="ignore"), pytest.raises(ModelError) as info:
+            trainer._train(params, cfg, TrainConfig(num_steps=3, batch_size=4), ["only"], [1.0], draw, None, None)
+        assert str(info.value) == (
+            "step 1: numeric overflow: non-finite logits; first non-finite tensor: enc.0.attn.q"
+        )
+        # step 0's forward and cross-entropy, then step 1's forward
+        assert on_worker["halves"] == (11 + 1 + 11 if min_size == 0 else 0)
 
 
 class TestSplitAdam:
@@ -226,6 +399,53 @@ class TestThreadHygiene:
         assert loss == want_loss
         assert_same_bytes(grads, want)
 
+    def test_an_error_in_the_workers_forward_half_reaches_the_caller(self, monkeypatch, on_worker):
+        cfg = SMOKE
+        params = randomized_params(cfg, seed=6)
+        batch = full_batch(seed=6, b=4, s=12, t=9, cfg=cfg)
+        want_loss, want = serial(monkeypatch, loss_and_grads, params, cfg, batch)
+        boom = RuntimeError("worker half")
+        ff_fwd = model._ff_fwd
+
+        def failing(*args):
+            if on_worker_thread():
+                raise boom
+            return ff_fwd(*args)
+
+        monkeypatch.setattr(model, "_ff_fwd", failing)
+        with pytest.raises(RuntimeError) as info:
+            loss_and_grads(params, cfg, batch)
+        assert info.value is boom
+        assert on_worker["_weight_grad"] == 0  # the step stopped in its forward
+        monkeypatch.setattr(model, "_ff_fwd", ff_fwd)
+        loss, grads = loss_and_grads(params, cfg, batch)
+        assert loss == want_loss
+        assert_same_bytes(grads, want)
+
+    def test_an_error_in_the_callers_forward_half_waits_for_the_workers(self, monkeypatch, on_worker):
+        # the worker's half writes the caller's arrays, so it must be done
+        # before the error leaves loss_and_grads
+        cfg = SMOKE
+        params = randomized_params(cfg, seed=7)
+        batch = full_batch(seed=7, b=4, s=12, t=9, cfg=cfg)
+        running, done = [], []
+        attn_fwd = model._attn_fwd
+
+        def halves_apart(*args):
+            if not on_worker_thread():
+                raise ValueError("calling thread")
+            running.append(1)
+            time.sleep(0.05)
+            out = attn_fwd(*args)
+            running.pop()
+            done.append(1)
+            return out
+
+        monkeypatch.setattr(model, "_attn_fwd", halves_apart)
+        with pytest.raises(ValueError, match="calling thread"):
+            loss_and_grads(params, cfg, batch)
+        assert running == [] and done == [1]
+
     def test_an_error_in_the_calling_thread_waits_for_the_worker(self, monkeypatch, on_worker):
         cfg = SMOKE
         params = randomized_params(cfg, seed=5)
@@ -266,26 +486,45 @@ class TestThreadHygiene:
         assert all(th.name == "t2tbio-worker" and th.daemon for th in new)
         assert sum(th.name == "t2tbio-worker" for th in threading.enumerate()) == 1
 
-    @pytest.mark.parametrize("min_size, threads", [(None, 1), (0, 2)])
-    def test_the_worker_starts_only_for_work_at_the_size_rule(self, min_size, threads):
-        # a fresh process: a smoke-sized step stays on the calling thread
+    @staticmethod
+    def threads_after(min_size, work: list[str]) -> int:
+        """Threads alive in a fresh process once ``work`` has run on a
+        smoke-sized model, with ``worker.MIN_SIZE`` set to ``min_size``."""
         src = Path(model.__file__).resolve().parent.parent
         code = "\n".join([
             "import sys, threading",
             f"sys.path.insert(0, {str(src)!r})",
             "from t2tbio import worker, trainer",
-            "from t2tbio.checkpoint import views",
-            "from t2tbio.model import ModelConfig, init_params, loss_and_grads, make_batch",
+            "from t2tbio.model import ModelConfig, forward, greedy_decode, init_params, loss_and_grads, make_batch",
             "import numpy as np",
             *([f"worker.MIN_SIZE = {min_size}"] if min_size is not None else []),
             "cfg = ModelConfig(vocab_size=256)",
             "params = init_params(cfg, 0)",
-            "p = trainer.arena(params)",
-            "_, grads = loss_and_grads(params, cfg, make_batch([([5, 6, 7], [8, 9])]))",
-            "g = trainer.arena(grads)",
-            "trainer.optimizer_step(p, g, np.zeros_like(p), np.zeros_like(p), 1, 1e-3)",
+            *work,
             "print(threading.active_count())",
         ])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(threads)]
+        return int(proc.stdout)
+
+    @pytest.mark.parametrize("min_size, threads", [(None, 1), (0, 2)])
+    def test_the_worker_starts_only_for_work_at_the_size_rule(self, min_size, threads):
+        # a smoke-sized step stays on the calling thread
+        assert self.threads_after(min_size, [
+            "p = trainer.arena(params)",
+            "_, grads = loss_and_grads(params, cfg, make_batch([([5, 6, 7], [8, 9])]))",
+            "g = trainer.arena(grads)",
+            "trainer.optimizer_step(p, g, np.zeros_like(p), np.zeros_like(p), 1, 1e-3)",
+        ]) == threads
+
+    @pytest.mark.parametrize("min_size, threads", [(None, 1), (0, 2)])
+    def test_a_forward_starts_the_worker_only_at_the_size_rule(self, min_size, threads):
+        # four sequences of 20 tokens a side: enough rows to split at MIN_SIZE 0
+        assert self.threads_after(min_size, [
+            "forward(params, cfg, make_batch([(list(range(3, 23)), list(range(30, 50)))] * 4))",
+        ]) == threads
+
+    @pytest.mark.parametrize("min_size", [None, 0])
+    def test_greedy_decoding_starts_no_thread(self, min_size):
+        # one sequence: nothing to split at any size
+        assert self.threads_after(min_size, ["greedy_decode(params, cfg, list(range(3, 23)), 20)"]) == 1
