@@ -33,40 +33,39 @@ arrays they are handed, the rows of a split forward's full-size arrays (see
 Threads), or allocate afresh when handed none, as on a decode step, where
 fresh arrays cost less than ``np.empty`` and ``out=`` would.
 
-Threads: the forward pass of ``forward`` and ``loss_and_grads`` runs each
-residual sublayer, the output layer and the cross-entropy as two halves of
-the batch's sequences at once: the worker thread of ``worker`` does
-sequences [B//2:] and the calling thread [:B//2], and both write their rows
-of the same full-size arrays, the ones the backward reads (``_halves``,
-``_sublayer_halves``). Every forward op is local to its sequence, so each row
-gets the BLAS and ufunc calls of one pass over the batch and the bits do not
-change. There is one hand-off per sublayer: the calling thread waits for
-the worker's half before the next. A sublayer splits when the batch has 2
-or more sequences and its weight matrices have at least ``worker.MIN_SIZE``
-elements (every d=256 matrix, no d=64 one), and when each half has at least
-``MIN_HALF_ROWS`` token rows; ``greedy_decode``, one sequence, never splits.
-On a d=256 model (2 vCPUs, one BLAS thread, 8 sequences of 65 input and 22
-target tokens, freed memory kept as in ``trainer``) the forward took 57 ms
-on one thread and 36 ms split. Splitting each GEMM's rows instead is
-bit-equal too, but its 33 hand-offs per forward held the forward to
-60 -> 52 ms: do not retry it.
+Threads: ``forward`` and ``loss_and_grads`` ask ``worker.joined`` once per
+call whether the call gets the worker thread; the size rule, and which
+models meet it, are in ``worker``'s docstring. With the worker, the forward
+pass runs each residual sublayer, the output layer and the cross-entropy as
+two halves of the batch's sequences at once: the worker does sequences
+[B//2:] and the calling thread [:B//2], and both write their rows of the
+same full-size arrays, the ones the backward reads (``_halves``,
+``_sublayer_halves``). Every forward op is local to its sequence, so each
+row gets the BLAS and ufunc calls of one pass over the batch and the bits do
+not change. There is one hand-off per sublayer: the calling thread waits for
+the worker's half before the next. The batch splits, all of it or none, when
+each half has at least ``MIN_HALF_ROWS`` token rows (``_split_batch``);
+``greedy_decode``, one sequence, never splits. On a d=256 model (2 vCPUs,
+one BLAS thread, 8 sequences of 65 input and 22 target tokens, freed memory
+kept as in ``trainer``) the forward took 57 ms on one thread and 36 ms
+split. Splitting each GEMM's rows instead is bit-equal too, but its 33
+hand-offs per forward held the forward to 60 -> 52 ms: do not retry it.
 
-``loss_and_grads`` also hands part of the backward pass to the worker, and
-the calling thread goes on with the chain of input gradients (``dx``,
-``dq``/``dk``/``dv``, ``ds``, the norms). The
-worker owns the gradient buffer of each weight matrix and of the embedding
-that has at least ``worker.MIN_SIZE`` elements: it makes every write into
-it, the weight-gradient products ``_weight_grad`` and, for the embedding,
-the output layer's product and both stacks' scatters. The calling thread
-owns the rest: the norm scales, the relative-position tables and the
-smaller matrices. The worker runs its calls in the order the calling thread
-hands them over, which is the order of the single-thread pass, so each
-buffer sees the same writes in the same order and every BLAS call is the
-same one call: the bits do not change. A call holds the arrays it reads,
+With the worker, ``loss_and_grads`` also hands part of the backward pass to
+it, and the calling thread goes on with the chain of input gradients
+(``dx``, ``dq``/``dk``/``dv``, ``ds``, the norms). The worker owns the
+gradient buffer of each weight matrix and of the embedding: it makes every
+write into it (``_grad_write``), the weight-gradient products
+``_weight_grad`` and, for the embedding, the output layer's product and both
+stacks' scatters. The calling thread owns the rest: the norm scales and the
+relative-position tables. The worker runs its calls in the order the calling
+thread hands them over, which is the order of the single-thread pass, so
+each buffer sees the same writes in the same order and every BLAS call is
+the same one call: the bits do not change. A call holds the arrays it reads,
 so the calling thread writes no array in place once it has handed it over
 (its residual sums are fresh arrays). ``loss_and_grads`` waits for the
-worker before it returns or raises; an error in a call handed over is
-raised then, in the calling thread.
+worker before it returns or raises; an error in a call handed over is raised
+then, in the calling thread.
 
 Shape conventions: B batch, S source length, T target length, D d_model,
 H heads, Dh = D // H, F d_ff, V vocab size, N = B*S or B*T token rows.
@@ -90,7 +89,6 @@ import numpy as np
 from .errors import ConfigError, ModelError
 from .rng import SplitMix64
 from .vocab import EOS_ID, PAD_ID
-from . import worker
 from .worker import joined
 
 NORM_EPS = 1e-6
@@ -401,9 +399,13 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray, out: np.ndarray) -> None:
     np.matmul(x.T, dy, out=out)
 
 
-def _grad_product(jobs, x, dy, out):
-    """``_weight_grad(x, dy, out)``, by the worker if ``out`` is large enough."""
-    jobs.write(out, _weight_grad, x, dy, out)
+def _grad_write(jobs, fn, *args):
+    """``fn(*args)``, a write into a weight's gradient buffer: handed to the
+    worker with ``jobs``, else run now."""
+    if jobs is None:
+        fn(*args)
+    else:
+        jobs.submit(fn, *args)
 
 
 def _attn_fwd(xq, xkv, params, prefix, cfg, add, kv=None, out=None, q=None, k=None, v=None, a=None, ctx=None):
@@ -443,7 +445,7 @@ def _attn_bwd(dout, params, prefix, cfg, cache, grads, jobs):
     xq, xkv, q, k, v, a, ctx = cache
     b, h = q.shape[0], cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_head)
-    _grad_product(jobs, ctx, dout, grads[prefix + ".wo"])
+    _grad_write(jobs, _weight_grad, ctx, dout, grads[prefix + ".wo"])
     dctx = _split_heads(dout @ params[prefix + ".wo"].T, b, h)
     # each head's product goes straight into its columns of the token rows
     dq_flat, dk_flat, dv_flat = np.empty_like(xq), np.empty_like(xkv), np.empty_like(xkv)
@@ -455,9 +457,9 @@ def _attn_bwd(dout, params, prefix, cfg, cache, grads, jobs):
     dq_flat *= scale
     np.matmul(ds.transpose(0, 1, 3, 2), q, out=_split_heads(dk_flat, b, h))
     dk_flat *= scale
-    _grad_product(jobs, xq, dq_flat, grads[prefix + ".wq"])
-    _grad_product(jobs, xkv, dk_flat, grads[prefix + ".wk"])
-    _grad_product(jobs, xkv, dv_flat, grads[prefix + ".wv"])
+    _grad_write(jobs, _weight_grad, xq, dq_flat, grads[prefix + ".wq"])
+    _grad_write(jobs, _weight_grad, xkv, dk_flat, grads[prefix + ".wk"])
+    _grad_write(jobs, _weight_grad, xkv, dv_flat, grads[prefix + ".wv"])
     dxq = dq_flat @ params[prefix + ".wq"].T
     dxkv = dk_flat @ params[prefix + ".wk"].T
     dxkv += dv_flat @ params[prefix + ".wv"].T
@@ -487,10 +489,10 @@ def _ff_fwd(x, params, prefix, out=None, h1=None, hr=None):
 
 def _ff_bwd(dy, params, prefix, cache, grads, jobs):
     x, h1, hr = cache
-    _grad_product(jobs, hr, dy, grads[prefix + ".w2"])
+    _grad_write(jobs, _weight_grad, hr, dy, grads[prefix + ".w2"])
     dh1 = dy @ params[prefix + ".w2"].T  # dhr, masked in place
     dh1 *= h1 > 0
-    _grad_product(jobs, x, dh1, grads[prefix + ".w1"])
+    _grad_write(jobs, _weight_grad, x, dh1, grads[prefix + ".w1"])
     return dh1 @ params[prefix + ".w1"].T
 
 
@@ -499,18 +501,11 @@ def _ff_bwd(dy, params, prefix, cache, grads, jobs):
 # ---------------------------------------------------------------------------
 
 
-def _split(jobs, b, size):
-    """``jobs`` for work on a batch of b sequences whose products are by
-    weight matrices of ``size`` elements, if the batch has 2 or more and the
-    matrices at least ``worker.MIN_SIZE`` elements; else None."""
-    return jobs if b >= 2 and size >= worker.MIN_SIZE else None
-
-
 def _halves(jobs, b, fn) -> None:
     """Run ``fn(lo, hi)``, work local to each of the sequences [lo, hi) of a
-    batch of b, over the whole batch. With ``jobs`` (see ``_split``) the
-    halves run at once: [b // 2, b) on the worker, [0, b // 2) on the calling
-    thread. Each row gets the calls it gets in one pass over the batch."""
+    batch of b, over the whole batch. With ``jobs`` (see ``_split_batch``)
+    the halves run at once: [b // 2, b) on the worker, [0, b // 2) on the
+    calling thread. Each row gets the calls it gets in one pass over the batch."""
     if jobs is None:
         fn(0, b)
     else:
@@ -570,19 +565,18 @@ def _stack_fwd(params, cfg, stack, ids, self_add, bucket, enc_out=None, cross_ma
     adds its output to the residual stream), then the stack's final norm.
     ``ids`` is [B, L]; the stream and the output are its B*L token rows [N, D].
     ``self_add`` is self-attention's key mask plus rel-bias, added as one term.
-    With ``jobs``, a sublayer whose weight matrices have at least
-    ``worker.MIN_SIZE`` elements runs as ``_halves`` of the B sequences."""
+    With ``jobs`` (see ``_split_batch``) each sublayer runs as ``_halves``
+    of the B sequences."""
     b = len(ids)
     ids = np.ravel(ids)
     x = params["embedding"].take(ids, axis=0).astype(cfg.np_dtype, copy=False)  # take: a fresh array
     sublayers = []
     for prefix, kind in _sublayers(cfg, stack):
         add = self_add if kind == "self" else cross_mask
-        split = None if jobs is None else _split(jobs, b, cfg.d_model * (cfg.d_ff if kind == "ff" else cfg.d_model))
-        if split is None:
+        if jobs is None:
             x, c_norm, c = _sublayer_fwd(x, params, cfg, prefix, kind, add, enc_out, kv)
         else:
-            x, c_norm, c = _sublayer_halves(x, b, params, cfg, prefix, kind, add, enc_out, split)
+            x, c_norm, c = _sublayer_halves(x, b, params, cfg, prefix, kind, add, enc_out, jobs)
         sublayers.append((prefix, kind, c_norm, c))
     out, c_final = _rms_norm_fwd(x, params[stack + ".norm"])
     cache = {"stack": stack, "ids": ids, "sublayers": sublayers, "final": c_final, "bucket": bucket}
@@ -609,7 +603,7 @@ def _stack_bwd(dout, params, cfg, cache, grads, jobs):
         # a new array: the worker may still be reading dx
         dx = dx + _rms_norm_bwd(dn, params[prefix + ".norm"], c_norm, grads[prefix + ".norm"])
     emb = grads["embedding"]
-    jobs.write(emb, _scatter_add_rows, emb, cache["ids"], dx.astype(emb.dtype, copy=False))
+    _grad_write(jobs, _scatter_add_rows, emb, cache["ids"], dx.astype(emb.dtype, copy=False))
     return d_enc_out
 
 
@@ -637,7 +631,7 @@ def _decode(params, cfg, decoder_ids, enc_out, key_mask, dec_valid, jobs=None):
     def run(lo, hi):
         np.matmul(h[lo * t : hi * t], w, out=logits[lo * t : hi * t])
 
-    _halves(_split(jobs, b, emb.size), b, run)
+    _halves(jobs, b, run)
     return logits.reshape(b, t, -1), cache
 
 
@@ -645,7 +639,7 @@ def _decode_bwd(dlogits, params, cache, grads, jobs):
     """Output-layer backward: writes the embedding's gradient and returns the
     gradient flowing into the decoder stack's output, as token rows."""
     dlogits = dlogits.reshape(-1, dlogits.shape[-1])
-    _grad_product(jobs, dlogits, cache["h"], grads["embedding"])
+    _grad_write(jobs, _weight_grad, dlogits, cache["h"], grads["embedding"])
     return dlogits @ params["embedding"].astype(dlogits.dtype, copy=False)
 
 
@@ -681,18 +675,29 @@ def _dec_key_valid(batch: Batch) -> np.ndarray:
     return np.arange(t)[None, :] < lengths[:, None]
 
 
+def _smallest_matrix(cfg: ModelConfig) -> int:
+    """Elements of the model's smallest weight matrix, the size ``forward``
+    and ``loss_and_grads`` ask ``worker.joined`` about."""
+    return cfg.d_model * min(cfg.d_model, cfg.d_ff, cfg.vocab_size)
+
+
+def _split_batch(jobs, batch: Batch):
+    """``jobs`` if the forward and the cross-entropy run as ``_halves`` of the
+    batch's sequences: each half has ``MIN_HALF_ROWS`` token rows; else None."""
+    b, s = batch.encoder_ids.shape
+    return jobs if b // 2 * min(s, batch.target_ids.shape[1]) >= MIN_HALF_ROWS else None
+
+
 def forward(params: dict[str, np.ndarray], cfg: ModelConfig, batch: Batch) -> np.ndarray:
     """Teacher-forcing forward pass; returns logits [B, T, vocab_size]."""
-    with joined() as jobs:
+    with joined(_smallest_matrix(cfg)) as jobs:
         logits, _ = _forward_with_cache(params, cfg, batch, jobs)
     return logits
 
 
 def _forward_with_cache(params, cfg, batch, jobs=None):
     _check_batch(cfg, batch)
-    b, s = batch.encoder_ids.shape
-    if b // 2 * min(s, batch.target_ids.shape[1]) < MIN_HALF_ROWS:
-        jobs = None
+    jobs = _split_batch(jobs, batch)
     enc_out, enc_cache, key_mask = _encode(params, cfg, batch.encoder_ids, batch.encoder_valid, jobs)
     logits, dec_cache = _decode(params, cfg, batch.decoder_ids, enc_out, key_mask, _dec_key_valid(batch), jobs)
     if not np.all(np.isfinite(logits)):
@@ -761,11 +766,10 @@ def loss_and_grads(
     of ``out``, shaped like ``params``, which is returned as ``grads``; without
     it, into fresh arrays."""
     grads = {name: np.empty_like(p) for name, p in params.items()} if out is None else out
-    with joined() as jobs:
+    with joined(_smallest_matrix(cfg)) as jobs:
         logits, (enc_cache, dec_cache) = _forward_with_cache(params, cfg, batch, jobs)
-        # cross-entropy runs in halves where the output layer did
-        split = _split(jobs, len(logits), params["embedding"].size)
-        loss, dlogits = cross_entropy(logits, batch.target_ids, batch.loss_mask, split)
+        # cross-entropy runs in halves where the forward did
+        loss, dlogits = cross_entropy(logits, batch.target_ids, batch.loss_mask, _split_batch(jobs, batch))
         # the backward pass overwrites each gradient buffer on its first write;
         # only the relative-position biases, shared by every layer of a stack,
         # are scattered into a zeroed buffer

@@ -71,17 +71,9 @@ class SplitMix64:
         # u == 0 maps to length 1; log1p keeps precision for small p
         return 1 + int(math.log1p(-u) / math.log1p(-p))
 
-    def next_normal(self) -> float:
-        """Standard normal via Box-Muller (one value per two uniforms)."""
-        u1 = self.next_float()
-        u2 = self.next_float()
-        # avoid log(0)
-        u1 = max(u1, 5e-324)
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
     def next_normal_array(self, count: int) -> np.ndarray:
-        """``count`` draws of ``next_normal`` as a float64 array, from the same
-        stream. numpy's log and cos may differ from ``math``'s in the last ulp."""
+        """``count`` standard normal draws as a float64 array, by Box-Muller:
+        each from two ``next_float`` uniforms, the first kept above 0."""
         u = (self.next_u64_array(2 * count) >> np.uint64(11)) * (1.0 / (1 << 53))
         u1 = np.maximum(u[0::2], 5e-324)
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u[1::2])

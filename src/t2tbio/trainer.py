@@ -23,9 +23,8 @@ updates the four flat arrays slice by slice, and a non-finite update raises
 ``ModelError`` naming the step and the tensor before anything is saved. The
 arrays split at a slice boundary near their middle, and the worker thread
 of ``worker`` updates the upper half while the calling thread updates the
-lower one, when the upper half has at least ``worker.MIN_SIZE`` elements:
-2.3M of the d=256 model's 4.7M do, and the d=64 model's 181k elements stay
-on one thread. The bits are those of one pass. A learning rate whose
+lower one, when the upper half meets the size rule in ``worker``'s
+docstring. The bits are those of one pass. A learning rate whose
 first-step scale ``lr / (1 - beta1)`` overflows the model's dtype is a
 ``ConfigError`` before the first step. While the steps run, glibc's malloc
 keeps the memory a step frees for the next one (see ``_freed_memory_kept``).
@@ -225,7 +224,7 @@ def optimizer_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t
     temporaries, so the result is bit-equal to that form. The arrays split at
     the slice boundary nearest their middle from above, and the worker thread
     updates the upper half while the calling thread updates the lower, if
-    the upper half has ``worker.MIN_SIZE`` elements or more.
+    ``worker.joined`` gives the upper half the worker.
 
     Each updated slice is checked with one dot product of its new ``p`` and
     ``v``: a non-finite value in either makes it non-finite (``v`` is never
@@ -237,10 +236,10 @@ def optimizer_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t
     made the step 40% slower."""
     step_size, bc2 = lr / (1.0 - ADAM_BETA1**t), 1.0 - ADAM_BETA2**t
     mid = min(-(-p.size // (2 * ADAM_BLOCK)) * ADAM_BLOCK, p.size)
-    if p.size - mid < max(worker.MIN_SIZE, 1):  # the upper half is empty or under the size rule
-        mid = p.size
-    with worker.joined() as jobs:
-        if mid < p.size:
+    with worker.joined(p.size - mid) as jobs:
+        if jobs is None:
+            mid = p.size  # the upper half is under the size rule
+        elif mid < p.size:
             jobs.submit(_adam_slices, p, g, m, v, mid, p.size, step_size, bc2)
         _adam_slices(p, g, m, v, 0, mid, step_size, bc2)
 

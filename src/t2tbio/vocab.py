@@ -123,12 +123,6 @@ class Vocabulary:
             )
         return self.size - 1 - k
 
-    def sentinel_index(self, token_id: int) -> int:
-        """Inverse of sentinel_id."""
-        if not self.is_sentinel(token_id):
-            raise VocabError(f"id {token_id} is not a sentinel")
-        return self.size - 1 - token_id
-
     def encode(self, text: str) -> list[int]:
         """Greedy longest-match segmentation; unknown characters map to unk."""
         if not text:

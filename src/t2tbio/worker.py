@@ -1,21 +1,42 @@
 """One worker thread beside the calling thread, for work off the critical path
 of a training step.
 
-A caller opens ``joined()`` and hands calls to the ``Jobs`` it yields; the
-worker runs them in the order they were handed over, and the block does not
-exit before every one of them has run. The thread is started by the first
-call handed over in the process, so a program whose work all stays under
-``MIN_SIZE`` starts none, and it then waits for more work for the life of
-the process. Several threads may hand calls over at once: each ``Jobs``
-waits for its own calls and sees only their errors. A call runs in a copy of
-the context it was handed over in, so numpy's error state (``np.errstate``)
-is the caller's.
+A caller opens ``joined(size)`` and hands calls to the ``Jobs`` it yields;
+the worker runs them in the order they were handed over, and the block does
+not exit before every one of them has run. The thread is started by the
+first call handed over in the process, so a program whose work all stays
+under the size rule starts none, and it then waits for more work for the
+life of the process. Several threads may hand calls over at once: each
+``Jobs`` waits for its own calls and sees only their errors. A call runs in
+a copy of the context it was handed over in, so numpy's error state
+(``np.errstate``) is the caller's.
 
-A training step hands over two kinds of work. The forward pass and the
-cross-entropy hand over the upper half of the batch's sequences for each
-sublayer and wait for it (``Jobs.join``) before the next, so nothing of
-theirs stays queued. The backward pass hands over its weight-gradient
-products and does not wait until ``model.loss_and_grads`` returns, so a
+The size rule, applied in this module alone: ``joined(size)`` yields a
+``Jobs`` if ``size``, the elements of the work a caller would hand over, is
+at least ``MIN_SIZE``, and None otherwise, when the caller does all its work
+on the calling thread. Each caller asks once per call:
+
+- ``model.loss_and_grads`` and ``model.forward`` ask with the elements of
+  the model's smallest weight matrix, ``d_model * min(d_model, d_ff,
+  vocab_size)``. With a ``Jobs``, the backward pass hands over every
+  weight-gradient product and embedding scatter, and the forward pass, the
+  output layer and the cross-entropy run as two halves of the batch's
+  sequences, the upper half on the worker, if each half has
+  ``model.MIN_HALF_ROWS`` token rows.
+- ``trainer.optimizer_step`` asks with the elements of Adam's upper half.
+
+Every weight matrix of the d=256 model has 65536 elements or more, and
+2.3M of its 4.7M parameters are Adam's upper half, so its steps run on two
+threads. The d=64 model's matrices have 4096 to 16384 elements and its
+Adam upper half 50176, so its steps run on one. A model whose matrices
+straddle ``MIN_SIZE``, such as d=128 with d_ff=512 (16384-element attention
+matrices, 65536-element feed-forward ones), runs ``loss_and_grads`` and
+``forward`` wholly on the calling thread; only its Adam step may split.
+
+The forward pass and the cross-entropy hand over the upper half of the
+batch's sequences for each sublayer and wait for it (``Jobs.join``) before
+the next, so nothing of theirs stays queued. The backward pass hands over
+its calls and does not wait until ``model.loss_and_grads`` returns, so a
 worker that falls behind holds the arrays of its queued calls a while
 longer. That backlog is bounded by one step, since ``loss_and_grads`` joins
 before it returns: with every backward call held back until that join, a
@@ -29,10 +50,7 @@ so the two threads overlap there. On small arrays the hand-offs cost about
 what the overlap saves: with every gradient of the d=64 model handed over,
 its fine-tuning ran no faster (45.4k against 46.4k tokens/s, median of five
 runs each), and an Adam step over its 181k elements took 0.74 ms split
-against 0.60-0.70 ms on one thread. So work goes to the worker only at
-``MIN_SIZE`` elements or more, which every weight matrix of the d=256 model
-has and none of the d=64 model's; a forward sublayer splits when its weight
-matrices do.
+against 0.60-0.70 ms on one thread. Hence ``MIN_SIZE``.
 """
 
 from __future__ import annotations
@@ -88,14 +106,6 @@ class Jobs:
             self._tasks = _queue()
         self._tasks.put((self, contextvars.copy_context(), fn, args))
 
-    def write(self, out, fn, *args) -> None:
-        """Run ``fn(*args)``, a call that writes the array ``out``: on the
-        worker if ``out`` has at least ``MIN_SIZE`` elements, else now."""
-        if out.size >= MIN_SIZE:
-            self.submit(fn, *args)
-        else:
-            fn(*args)
-
     def wait(self) -> None:
         """Return once every call handed over has run or been skipped."""
         if self._tasks is not None:
@@ -111,10 +121,15 @@ class Jobs:
 
 
 @contextmanager
-def joined():
-    """A ``Jobs`` for the block, waited for when the block exits. An error
-    raised in the block propagates as it is; otherwise the error of a call
-    handed over, if one raised, is raised in the calling thread."""
+def joined(size: int = 0):
+    """A ``Jobs`` for the block, waited for when the block exits, if work of
+    ``size`` elements (none by default) goes to the worker by the size rule
+    above; else None. An error raised in the block propagates as it is;
+    otherwise the error of a call handed over, if one raised, is raised in
+    the calling thread."""
+    if size < MIN_SIZE:
+        yield None
+        return
     jobs = Jobs()
     try:
         yield jobs

@@ -6,7 +6,9 @@ t2tbio.metrics so the two sides stay independent. ``reconstruct`` is the
 span-corruption round-trip oracle: it splices target spans back over the
 input sentinels by scanning, sharing no code with ``corrupt``.
 ``normal_one_shot`` is the one-shot weight draw that ``model._normal``'s
-blocked draw must match bit for bit.
+blocked draw must match bit for bit, and ``next_normal`` the scalar draw
+``SplitMix64.next_normal_array`` follows. ``sentinel_index`` is the inverse
+of ``Vocabulary.sentinel_id``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from t2tbio.corruption import CorruptionExample
-from t2tbio.errors import CorruptionError
+from t2tbio.errors import CorruptionError, VocabError
 from t2tbio.rng import SplitMix64
 from t2tbio.vocab import EOS_ID, Vocabulary
 
@@ -98,6 +100,13 @@ def lenient_oracle(groups, normalize):
     return correct / len(groups)
 
 
+def sentinel_index(v: Vocabulary, token_id: int) -> int:
+    """k of the sentinel ``token_id`` of ``v``: the inverse of ``sentinel_id``."""
+    if not v.is_sentinel(token_id):
+        raise VocabError(f"id {token_id} is not a sentinel")
+    return v.size - 1 - token_id
+
+
 def reconstruct(example: CorruptionExample, v: Vocabulary) -> list[int]:
     """Splice target spans back into the input; inverse of ``corrupt``.
 
@@ -114,7 +123,7 @@ def reconstruct(example: CorruptionExample, v: Vocabulary) -> list[int]:
     current: int | None = None
     for t in target:
         if v.is_sentinel(t):
-            k = v.sentinel_index(t)
+            k = sentinel_index(v, t)
             if k in spans:
                 raise CorruptionError(f"malformed pair: sentinel {k} repeated in target")
             order.append(k)
@@ -136,7 +145,7 @@ def reconstruct(example: CorruptionExample, v: Vocabulary) -> list[int]:
     out: list[int] = []
     for t in example.input_ids:
         if v.is_sentinel(t):
-            k = v.sentinel_index(t)
+            k = sentinel_index(v, t)
             if k != expected:
                 raise CorruptionError(
                     f"malformed pair: input sentinel {k} where {expected} was expected"
@@ -158,3 +167,13 @@ def normal_one_shot(rng: SplitMix64, shape: tuple[int, ...], std: float, dtype) 
     """A tensor of ``shape`` holding ``std`` times the next normal draws of
     ``rng``, cast to ``dtype``, drawn all at once."""
     return (rng.next_normal_array(math.prod(shape)).reshape(shape) * std).astype(dtype)
+
+
+def next_normal(rng: SplitMix64) -> float:
+    """The next standard normal draw of ``rng``, by Box-Muller (one value per
+    two uniforms), one scalar at a time with ``math``'s log and cos."""
+    u1 = rng.next_float()
+    u2 = rng.next_float()
+    # avoid log(0)
+    u1 = max(u1, 5e-324)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)

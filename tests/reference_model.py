@@ -39,6 +39,8 @@ from t2tbio.vocab import (
     sentinel_piece,
 )
 
+from oracles import next_normal
+
 EPS = 1e-6
 NEG = -1e9
 
@@ -168,7 +170,7 @@ def reference_forward(params, cfg, batch) -> np.ndarray:
 
 
 def scalar_init_params(shapes: dict, cfg, seed: int) -> dict:
-    """Initial parameters drawn one ``SplitMix64.next_normal`` at a time, over
+    """Initial parameters drawn one ``oracles.next_normal`` at a time, over
     the tensors in sorted name order: norms at one, relative-position biases at
     zero, the embedding at std 0.05, ``w2`` at 1/sqrt(d_ff), the rest at
     1/sqrt(d_model)."""
@@ -186,7 +188,7 @@ def scalar_init_params(shapes: dict, cfg, seed: int) -> dict:
                 std = 1.0 / math.sqrt(cfg.d_ff)
             else:
                 std = 1.0 / math.sqrt(cfg.d_model)
-            flat = np.array([rng.next_normal() for _ in range(math.prod(shape))], dtype=np.float64)
+            flat = np.array([next_normal(rng) for _ in range(math.prod(shape))], dtype=np.float64)
             params[name] = (flat.reshape(shape) * std).astype(cfg.np_dtype)
     return params
 

@@ -58,6 +58,7 @@ from oracles import (
     lenient_oracle,
     reconstruct,
     sample_f1_oracle,
+    sentinel_index,
 )
 from test_gradients import central_difference, relative_error
 from test_model import randomized_params, tiny_batch, TINY
@@ -120,7 +121,7 @@ def test_criterion_2_masking_golden_structure():
         picks = [(0, 1), (1, 2), (2, 3), (8, 9), (9, 10), (15, 16), (16, 17)]
         example = apply_span_mask(tokens, picks, v)
 
-        sent = [v.sentinel_index(t) for t in example.input_ids if v.is_sentinel(t)]
+        sent = [sentinel_index(v, t) for t in example.input_ids if v.is_sentinel(t)]
         assert sent == [0, 1, 2], "one sentinel per merged span, in increasing order"
 
         decoded_input = v.decode(list(example.input_ids))

@@ -16,7 +16,7 @@ from t2tbio.rng import SplitMix64
 from t2tbio.vocab import EOS_ID, PAD_ID
 
 from helpers import random_token_sequence, read_shard, word_vocab
-from oracles import reconstruct
+from oracles import reconstruct, sentinel_index
 
 WORDS = [f"tok{i}" for i in range(40)]
 
@@ -27,7 +27,7 @@ def v():
 
 
 def sentinels_in(ids, v):
-    return [v.sentinel_index(t) for t in ids if v.is_sentinel(t)]
+    return [sentinel_index(v, t) for t in ids if v.is_sentinel(t)]
 
 
 def test_zero_rate_leaves_input_unchanged(v):

@@ -30,7 +30,7 @@ from t2tbio.rng import SplitMix64
 from t2tbio.vocab import EOS_ID, PAD_ID
 
 from helpers import param_count_formula
-from oracles import normal_one_shot
+from oracles import next_normal, normal_one_shot
 from reference_model import (
     bucket_scalar,
     einsum_weight_grad,
@@ -78,7 +78,7 @@ def randomized_params(cfg, seed=0):
     rng = SplitMix64(seed + 999)
     for name in ("enc.rel_bias", "dec.rel_bias"):
         params[name] = params[name] + 0.1 * np.array(
-            [[rng.next_normal() for _ in range(params[name].shape[1])] for _ in range(params[name].shape[0])],
+            [[next_normal(rng) for _ in range(params[name].shape[1])] for _ in range(params[name].shape[0])],
             dtype=params[name].dtype,
         )
     return params

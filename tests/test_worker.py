@@ -234,14 +234,16 @@ class TestSplitForward:
     @pytest.mark.parametrize("b, s, t", [(2, 15, 40), (3, 40, 15), (5, 7, 7)])
     def test_halves_of_too_few_rows_stay_on_the_calling_thread(self, monkeypatch, on_worker, b, s, t):
         # products of fewer rows may run on BLAS kernels that round
-        # differently, so such a batch is not split
+        # differently, so such a batch is not split, nor its cross-entropy;
+        # its backward still goes to the worker
         assert b // 2 * min(s, t) < MIN_HALF_ROWS
         cfg = replace(SMOKE, dtype="float32")
         params = randomized_params(cfg, seed=b)
         batch = full_batch(seed=s, b=b, s=s, t=t, cfg=cfg)
         want_loss, want = serial(monkeypatch, loss_and_grads, params, cfg, batch)
         loss, grads = loss_and_grads(params, cfg, batch)
-        assert on_worker["halves"] == 1  # the cross-entropy alone, which makes no product
+        assert on_worker["halves"] == 0
+        assert backward_counts(on_worker) == {"_weight_grad": 33, "_scatter_add_rows": 2}
         assert loss == want_loss
         assert_same_bytes(grads, want)
 
@@ -507,17 +509,22 @@ class TestThreadHygiene:
         assert proc.returncode == 0, proc.stderr
         return int(proc.stdout)
 
-    @pytest.mark.parametrize("min_size, threads", [(None, 1), (0, 2)])
+    @pytest.mark.parametrize("min_size, threads", [(None, 1), (8192, 1), (0, 2)])
     def test_the_worker_starts_only_for_work_at_the_size_rule(self, min_size, threads):
-        # a smoke-sized step stays on the calling thread
+        # a smoke-sized step stays on the calling thread. At MIN_SIZE 8192
+        # its feed-forward and embedding matrices reach the size but its
+        # 4096-element attention matrices do not, so loss_and_grads starts
+        # no thread; Adam's upper half, 50176 of its 181248 elements, does
+        grads = "_, grads = loss_and_grads(params, cfg, make_batch([([5, 6, 7], [8, 9])]))"
+        assert self.threads_after(min_size, [grads]) == threads
         assert self.threads_after(min_size, [
             "p = trainer.arena(params)",
-            "_, grads = loss_and_grads(params, cfg, make_batch([([5, 6, 7], [8, 9])]))",
+            grads,
             "g = trainer.arena(grads)",
             "trainer.optimizer_step(p, g, np.zeros_like(p), np.zeros_like(p), 1, 1e-3)",
-        ]) == threads
+        ]) == (2 if min_size == 8192 else threads)
 
-    @pytest.mark.parametrize("min_size, threads", [(None, 1), (0, 2)])
+    @pytest.mark.parametrize("min_size, threads", [(None, 1), (8192, 1), (0, 2)])
     def test_a_forward_starts_the_worker_only_at_the_size_rule(self, min_size, threads):
         # four sequences of 20 tokens a side: enough rows to split at MIN_SIZE 0
         assert self.threads_after(min_size, [
