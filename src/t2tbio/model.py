@@ -33,13 +33,13 @@ arrays they are handed, the rows of a split forward's full-size arrays (see
 Threads), or allocate afresh when handed none, as on a decode step, where
 fresh arrays cost less than ``np.empty`` and ``out=`` would.
 
-Threads: ``forward`` and ``loss_and_grads`` ask ``worker.joined`` once per
-call whether the call gets the worker thread; the size rule, and which
-models meet it, are in ``worker``'s docstring. With the worker, the forward
-pass runs each residual sublayer, the output layer and the cross-entropy as
-two halves of the batch's sequences at once: the worker does sequences
-[B//2:] and the calling thread [:B//2], and both write their rows of the
-same full-size arrays, the ones the backward reads (``_halves``,
+Threads: ``forward``, ``loss_and_grads`` and ``init_params`` ask
+``worker.joined`` once per call whether the call gets the worker thread; the
+size rule, and which models meet it, are in ``worker``'s docstring. With the
+worker, the forward pass runs each residual sublayer, the output layer and
+the cross-entropy as two halves of the batch's sequences at once: the worker
+does sequences [B//2:] and the calling thread [:B//2], and both write their
+rows of the same full-size arrays, the ones the backward reads (``_halves``,
 ``_sublayer_halves``). Every forward op is local to its sequence, so each
 row gets the BLAS and ufunc calls of one pass over the batch and the bits do
 not change. There is one hand-off per sublayer: the calling thread waits for
@@ -87,7 +87,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ModelError
-from .rng import SplitMix64
+from .rng import SplitMix64, draw_normals, jump
 from .vocab import EOS_ID, PAD_ID
 from .worker import joined
 
@@ -264,36 +264,50 @@ def param_count(params: dict[str, np.ndarray]) -> int:
     return sum(t.size for t in params.values())
 
 
-def _normal(rng: SplitMix64, shape: tuple[int, ...], std: float, dtype) -> np.ndarray:
-    """A tensor of ``std`` times the next normal draws of ``rng``, filled
-    ``_NORMAL_BLOCK`` draws at a time, so its temporaries stay one block long.
-    Each draw is scaled in float64 and cast as it is stored: the bits of
-    drawing them all at once, then scaling and casting."""
-    out = np.empty(shape, dtype)
-    flat = out.reshape(-1)
-    for i in range(0, flat.size, _NORMAL_BLOCK):
-        block = rng.next_normal_array(min(_NORMAL_BLOCK, flat.size - i))
-        block *= std
-        flat[i : i + block.size] = block
-    return out
+def _fill_normal(tensors, seed: int, size: int) -> None:
+    """Fill each ``(tensor, std)`` of ``tensors``, a contiguous tensor, in
+    turn with ``std`` times the next normal draws of ``SplitMix64(seed)``:
+    the bits of drawing them one tensor at a time. Each tensor is cut into
+    ``_NORMAL_BLOCK``-draw blocks, each with its own stream state
+    (``rng.jump``). If ``worker.joined(size)`` yields a ``Jobs``, the worker
+    draws the upper half of the blocks and the calling thread the lower
+    half, each through scratch arrays of one block it reuses."""
+    blocks = []
+    state = SplitMix64(seed).getstate()
+    for tensor, std in tensors:
+        flat = tensor.reshape(-1)
+        for i in range(0, flat.size, _NORMAL_BLOCK):
+            block = flat[i : i + _NORMAL_BLOCK]
+            blocks.append((block, state, std))
+            state = jump(state, 2 * block.size)  # two uniforms per normal
+    half = len(blocks) // 2
+    with joined(size) as jobs:
+        if jobs is not None:
+            jobs.submit(draw_normals, blocks[half:])
+            blocks = blocks[:half]
+        draw_normals(blocks)
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
-    rng = SplitMix64(seed)
+    """Initial weights: norm scales of 1, relative-position tables of 0, and
+    normal draws of ``SplitMix64(seed)`` for the rest, taken in name order,
+    with std 0.05 for the embedding, 1/sqrt(d_ff) for ``w2`` and
+    1/sqrt(d_model) for the other matrices. The draws run on two threads for
+    a model whose steps do (``worker.joined`` asked with ``_smallest_matrix``)
+    and give the same bits on one."""
     dt = cfg.np_dtype
-    d, f = cfg.d_model, cfg.d_ff
     params: dict[str, np.ndarray] = {}
+    drawn = []
     for name, shape in sorted(expected_shapes(cfg).items()):
-        if name.endswith(".norm") or name in ("enc.norm", "dec.norm"):
+        if name.endswith(".norm"):
             params[name] = np.ones(shape, dtype=dt)
         elif name.endswith("rel_bias"):
             params[name] = np.zeros(shape, dtype=dt)
-        elif name == "embedding":
-            params[name] = _normal(rng, shape, 0.05, dt)
-        elif name.endswith(".w2"):
-            params[name] = _normal(rng, shape, 1.0 / math.sqrt(f), dt)
         else:
-            params[name] = _normal(rng, shape, 1.0 / math.sqrt(d), dt)
+            params[name] = np.empty(shape, dtype=dt)
+            fan_in = cfg.d_ff if name.endswith(".w2") else cfg.d_model
+            drawn.append((params[name], 0.05 if name == "embedding" else 1.0 / math.sqrt(fan_in)))
+    _fill_normal(drawn, seed, _smallest_matrix(cfg))
     return params
 
 
@@ -676,8 +690,8 @@ def _dec_key_valid(batch: Batch) -> np.ndarray:
 
 
 def _smallest_matrix(cfg: ModelConfig) -> int:
-    """Elements of the model's smallest weight matrix, the size ``forward``
-    and ``loss_and_grads`` ask ``worker.joined`` about."""
+    """Elements of the model's smallest weight matrix, the size ``forward``,
+    ``loss_and_grads`` and ``init_params`` ask ``worker.joined`` about."""
     return cfg.d_model * min(cfg.d_model, cfg.d_ff, cfg.vocab_size)
 
 

@@ -14,10 +14,11 @@ sees word boundaries and decoding can restore the original spacing exactly
 single leading one.
 
 Training is the incremental pair-merge update (Sennrich et al., arXiv
-1508.07909): the adjacent-pair counts, an index from each pair to the words
-that hold it, and a heap of (-count, pair) live across merges, and a merge
-re-counts only the words holding the merged pair. Merges stay within a word
-unit, so a learned piece holds the boundary marker at index 0 or not at all.
+1508.07909) over the corpus's distinct words, each with its count: the
+adjacent-pair counts, an index from each pair to the words that hold it, and
+a heap of (-count, pair) live across merges, and a merge re-counts only the
+words holding the merged pair. Merges stay within a word unit, so a learned
+piece holds the boundary marker at index 0 or not at all.
 Under that invariant greedy longest-match never crosses a word, a text's ids
 are the concatenation of its words' ids, and ``encode`` memoizes them per
 word. A vocabulary loaded from a file may break the invariant; it is checked
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import VocabError
@@ -188,6 +190,14 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
     boundaries and never produce a reserved piece string. Stops at
     ``target_size`` total pieces or when no merge candidates remain, so the
     returned size is at most ``target_size``.
+
+    Each distinct word is held once, as its symbols led by a boundary
+    marker, with the number of times it occurs. A merge visits the words the
+    pair index lists under the merged pair and skips those that lack the
+    pair's first symbol: the index still lists a word under the pairs that
+    earlier merges took from it. A changed word is indexed under its new
+    pairs that hold the merged piece; it held its other pairs before the
+    merge and is listed under them already.
     """
     lines = list(corpus)
     if not lines or all(line == "" for line in lines):
@@ -195,16 +205,12 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
     if num_sentinels < 0:
         raise VocabError("num_sentinels must be non-negative")
 
-    # word unit -> frequency; each unit starts with the boundary marker
-    units: dict[tuple[str, ...], int] = {}
-    alphabet: set[str] = set()
+    # word -> frequency, in first-seen order
+    counts: Counter[str] = Counter()
     for line in lines:
-        if line == "":
-            continue
-        normalized = BOUNDARY + line.replace(" ", BOUNDARY)
-        alphabet.update(normalized)
-        for unit in _split_units(normalized):
-            units[unit] = units.get(unit, 0) + 1
+        if line:
+            counts.update(line.replace(" ", BOUNDARY).split(BOUNDARY))
+    alphabet = {BOUNDARY}.union(*counts)
 
     floor = 3 + num_sentinels + len(alphabet)
     if target_size < floor:
@@ -215,8 +221,9 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
 
     learned: list[str] = sorted(alphabet)
     budget = target_size - 3 - num_sentinels - len(learned)
-    words = list(units)
-    freqs = list(units.values())
+    # each word's symbols, led by its boundary marker
+    words = [(BOUNDARY, *word) for word in counts]
+    freqs = list(counts.values())
     # adjacent-pair counts, the words that may hold each pair (a superset:
     # merges do not remove stale entries) and a max-heap of (-count, pair)
     # whose entries go stale when a count changes and are skipped on pop
@@ -240,6 +247,8 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
         delta: dict[tuple[str, str], int] = {}
         for w in holders.pop(best):
             word = words[w]
+            if best[0] not in word:
+                continue
             new = _apply_merge(word, best, merged)
             if len(new) == len(word):
                 continue
@@ -248,7 +257,8 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
                 delta[pair] = delta.get(pair, 0) - freq
             for pair in zip(new, new[1:]):
                 delta[pair] = delta.get(pair, 0) + freq
-                holders.setdefault(pair, set()).add(w)
+                if merged in pair:
+                    holders.setdefault(pair, set()).add(w)
             words[w] = new
         for pair, d in delta.items():
             if d:
@@ -264,12 +274,6 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
     pieces = [PAD_PIECE, EOS_PIECE, UNK_PIECE] + learned
     pieces += [sentinel_piece(k) for k in range(num_sentinels - 1, -1, -1)]
     return Vocabulary(pieces=tuple(pieces), num_sentinels=num_sentinels)
-
-
-def _split_units(normalized: str) -> list[tuple[str, ...]]:
-    """Split boundary-normalized text (which starts with the marker) into
-    per-word symbol tuples, each led by its marker."""
-    return [(BOUNDARY, *word) for word in normalized[1:].split(BOUNDARY)]
 
 
 def _apply_merge(unit: tuple[str, ...], pair: tuple[str, str], merged: str) -> tuple[str, ...]:

@@ -23,15 +23,20 @@ on the calling thread. Each caller asks once per call:
   output layer and the cross-entropy run as two halves of the batch's
   sequences, the upper half on the worker, if each half has
   ``model.MIN_HALF_ROWS`` token rows.
+- ``model.init_params`` asks the same question as ``forward``, with the
+  model's smallest weight matrix. With a ``Jobs``, the worker draws the
+  upper half of the initial weights' blocks of normal draws and the calling
+  thread the lower half; the bits are those of one thread.
 - ``trainer.optimizer_step`` asks with the elements of Adam's upper half.
 
 Every weight matrix of the d=256 model has 65536 elements or more, and
-2.3M of its 4.7M parameters are Adam's upper half, so its steps run on two
-threads. The d=64 model's matrices have 4096 to 16384 elements and its
-Adam upper half 50176, so its steps run on one. A model whose matrices
-straddle ``MIN_SIZE``, such as d=128 with d_ff=512 (16384-element attention
-matrices, 65536-element feed-forward ones), runs ``loss_and_grads`` and
-``forward`` wholly on the calling thread; only its Adam step may split.
+2.3M of its 4.7M parameters are Adam's upper half, so its initial draws and
+its steps run on two threads. The d=64 model's matrices have 4096 to 16384
+elements and its Adam upper half 50176, so they run on one. A model whose
+matrices straddle ``MIN_SIZE``, such as d=128 with d_ff=512 (16384-element
+attention matrices, 65536-element feed-forward ones), runs ``init_params``,
+``loss_and_grads`` and ``forward`` wholly on the calling thread; only its
+Adam step may split.
 
 The forward pass and the cross-entropy hand over the upper half of the
 batch's sequences for each sublayer and wait for it (``Jobs.join``) before

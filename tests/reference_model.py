@@ -12,9 +12,9 @@ for the incremental ``greedy_decode``.
 
 ``recount_train_vocab`` is the vocabulary trainer that recounts every adjacent
 pair of every word unit before each merge; it is the oracle for the
-incremental ``t2tbio.vocab.train_vocab``. It splits lines into word units
-with its own scanning loop, ``scan_split_units``, the oracle for
-``t2tbio.vocab._split_units``.
+incremental ``t2tbio.vocab.train_vocab``. It splits each line into word
+units with its own scanning loop, ``scan_split_units``, and counts every
+unit of every line, so it also checks how ``train_vocab`` counts words.
 """
 
 from __future__ import annotations
@@ -169,11 +169,11 @@ def reference_forward(params, cfg, batch) -> np.ndarray:
     return h @ p["embedding"].T
 
 
-def scalar_init_params(shapes: dict, cfg, seed: int) -> dict:
-    """Initial parameters drawn one ``oracles.next_normal`` at a time, over
-    the tensors in sorted name order: norms at one, relative-position biases at
-    zero, the embedding at std 0.05, ``w2`` at 1/sqrt(d_ff), the rest at
-    1/sqrt(d_model)."""
+def scalar_init_params(shapes: dict, cfg, seed: int, draw=None) -> dict:
+    """Initial parameters drawn one ``oracles.next_normal`` at a time, or by
+    ``draw(rng, shape, std, dtype)`` if given, over the tensors in sorted name
+    order: norms at one, relative-position biases at zero, the embedding at
+    std 0.05, ``w2`` at 1/sqrt(d_ff), the rest at 1/sqrt(d_model)."""
     rng = SplitMix64(seed)
     params = {}
     for name, shape in sorted(shapes.items()):
@@ -188,6 +188,9 @@ def scalar_init_params(shapes: dict, cfg, seed: int) -> dict:
                 std = 1.0 / math.sqrt(cfg.d_ff)
             else:
                 std = 1.0 / math.sqrt(cfg.d_model)
+            if draw is not None:
+                params[name] = draw(rng, shape, std, cfg.np_dtype)
+                continue
             flat = np.array([next_normal(rng) for _ in range(math.prod(shape))], dtype=np.float64)
             params[name] = (flat.reshape(shape) * std).astype(cfg.np_dtype)
     return params

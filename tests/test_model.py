@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from t2tbio import model
+from t2tbio import model, worker
 from t2tbio.errors import ConfigError, ModelError
 from t2tbio.model import (
     Batch,
@@ -48,6 +49,10 @@ SMOKE = ModelConfig(
     rel_pos_max_distance=32,
     max_seq_len=64,
 )
+
+# the d=256 model of the pretraining benchmark
+MEDIUM = ModelConfig(vocab_size=4096, d_model=256, n_heads=4, d_ff=1024, n_encoder_layers=2, n_decoder_layers=2,
+                     rel_pos_buckets=32, rel_pos_max_distance=128, max_seq_len=128)
 
 TINY = ModelConfig(
     vocab_size=23,
@@ -493,24 +498,33 @@ class TestParams:
             assert params[name].tobytes() == reference[name].tobytes(), name
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_blocked_draws_bit_equal_to_one_shot(self, dtype):
-        # less than one block, exactly one, and several ending in a partial block
+    def test_blocked_draws_bit_equal_to_one_shot(self, monkeypatch, dtype):
+        # less than one block, exactly one, and several ending in a partial
+        # block, on the calling thread alone and split between two threads
         shapes = [(3,), (model._NORMAL_BLOCK,), (300, 257), (model._NORMAL_BLOCK + 1,)]
-        rng, ref_rng = SplitMix64(9), SplitMix64(9)
-        for shape in shapes:
-            got = model._normal(rng, shape, 0.05, np.dtype(dtype))
-            want = normal_one_shot(ref_rng, shape, 0.05, np.dtype(dtype))
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), shape
-        assert rng.getstate() == ref_rng.getstate()
+        draw_normals, threads = model.draw_normals, []
+
+        def recorded(blocks):
+            threads.append(threading.current_thread() is threading.main_thread())
+            draw_normals(blocks)
+
+        monkeypatch.setattr(model, "draw_normals", recorded)
+        for size, on in ((0, [True]), (worker.MIN_SIZE, [False, True])):
+            threads.clear()
+            tensors = [np.empty(shape, dtype) for shape in shapes]
+            model._fill_normal([(t, 0.05) for t in tensors], 9, size)
+            assert sorted(threads) == on
+            ref_rng = SplitMix64(9)
+            for got in tensors:
+                want = normal_one_shot(ref_rng, got.shape, 0.05, np.dtype(dtype))
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (size, got.shape)
 
     def test_init_memory_is_the_params_and_one_block(self):
-        # the medium config: 4.7M float32 weights, 18 MB
-        cfg = ModelConfig(vocab_size=4096, d_model=256, n_heads=4, d_ff=1024, n_encoder_layers=2,
-                          n_decoder_layers=2, rel_pos_buckets=32, rel_pos_max_distance=128, max_seq_len=128)
+        # the medium config: 4.7M float32 weights, 18 MB, drawn on two threads
         tracemalloc.start()
         try:
-            params = init_params(cfg, seed=0)
+            params = init_params(MEDIUM, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from t2tbio.rng import SplitMix64
+from t2tbio.model import _NORMAL_BLOCK
+from t2tbio.rng import SplitMix64, jump
 
 from oracles import next_normal
 
@@ -27,3 +28,16 @@ def test_normal_array_follows_scalar_draws():
     # numpy's log and cos may round differently from libm in the last ulp
     np.testing.assert_allclose(got, expected, rtol=4 * np.finfo(np.float64).eps, atol=0)
     assert vector.getstate() == scalar.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 - 5])
+@pytest.mark.parametrize("n", [0, 1, 2 * _NORMAL_BLOCK - 1, 2 * _NORMAL_BLOCK, 2 * _NORMAL_BLOCK + 1])
+def test_jump_equals_drawing_and_discarding(seed, n):
+    # n around the draws of one block of normals; from these seeds the
+    # counter passes 2**64 within the first draws
+    drawn = SplitMix64(seed)
+    for _ in range(n):
+        drawn.next_u64()
+    jumped = SplitMix64(jump(SplitMix64(seed).getstate(), n))
+    assert jumped.getstate() == drawn.getstate()
+    assert jumped.next_u64_array(3).tolist() == [drawn.next_u64() for _ in range(3)]

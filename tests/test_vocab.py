@@ -16,7 +16,6 @@ from t2tbio.vocab import (
     UNK_ID,
     UNK_PIECE,
     Vocabulary,
-    _split_units,
     load_vocab,
     save_vocab,
     sentinel_piece,
@@ -24,7 +23,7 @@ from t2tbio.vocab import (
 )
 
 from helpers import word_vocab
-from reference_model import recount_train_vocab, scan_split_units
+from reference_model import recount_train_vocab
 
 
 def test_train_merges_most_frequent_pair_first():
@@ -186,13 +185,6 @@ def test_save_load_round_trips_escaped_characters(tmp_path_factory, learned):
     assert load_vocab(path) == v
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="ab <>" + BOUNDARY, max_size=30))
-def test_split_units_matches_the_scanning_oracle(line):
-    normalized = BOUNDARY + line.replace(" ", BOUNDARY)
-    assert _split_units(normalized) == scan_split_units(normalized)
-
-
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("not a vocab\nx\n", encoding="utf-8")
@@ -232,9 +224,23 @@ def test_vocabulary_invariants_enforced():
 # multiple spaces and literal boundary markers likely
 FRAGMENTS = ["a", "b", "c", "aa", "aaaa", "ab", "ba", " ", "  ", "<unk>", "<pad>", "</s>",
              "<extra_id_0>", "<extra_id_12>", "<", ">", BOUNDARY]
+# whole words, repeated, between runs of spaces or literal boundary markers,
+# after and before spaces: train_vocab counts each distinct word once
+WORDS = ["a", "ab", "ba", "aab", "abab", "<unk>"]
+SEPARATORS = [" ", "   ", BOUNDARY, " " + BOUNDARY + " "]
+EDGES = ["", " ", "   "]
+spaced_words = st.builds(
+    lambda lead, words, times, sep, trail: lead + sep.join(words * times) + trail,
+    st.sampled_from(EDGES),
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=4),
+    st.integers(1, 3),
+    st.sampled_from(SEPARATORS),
+    st.sampled_from(EDGES),
+)
 corpus_lines = st.one_of(
-    st.text(alphabet="ab <>", max_size=16),
+    st.text(alphabet="ab <>" + BOUNDARY, max_size=16),
     st.lists(st.sampled_from(FRAGMENTS), max_size=10).map("".join),
+    spaced_words,
 )
 
 

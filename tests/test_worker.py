@@ -15,14 +15,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from t2tbio import model, trainer, worker
+from t2tbio import model, rng, trainer, worker
 from t2tbio.checkpoint import views
 from t2tbio.errors import ModelError
-from t2tbio.model import MIN_HALF_ROWS, Batch, forward, loss_and_grads
+from t2tbio.model import MIN_HALF_ROWS, Batch, expected_shapes, forward, init_params, loss_and_grads
 from t2tbio.rng import SplitMix64
 from t2tbio.trainer import NonFiniteUpdate, TrainConfig, arena, optimizer_step
 
-from test_model import SMOKE, TINY, randomized_params, tiny_batch
+from oracles import normal_one_shot
+from reference_model import scalar_init_params
+from test_model import MEDIUM, SMOKE, TINY, randomized_params, tiny_batch
 from test_trainer import phase_fixture
 
 SERIAL = 1 << 62  # a MIN_SIZE no buffer reaches: every write stays on the calling thread
@@ -371,6 +373,32 @@ class TestSplitAdam:
         np.testing.assert_array_equal(np.isfinite(p[:60]), True)  # the lower half ran to its end
 
 
+class TestSplitInit:
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 - 5])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_every_medium_tensor_is_the_one_shot_draw_at_its_offset(self, monkeypatch, dtype, seed):
+        # a random sleep before each block the worker draws shifts where the
+        # two threads meet; a block drawn from the wrong stream state, drawn
+        # by both threads or through scratch the other thread writes would
+        # show in the bytes
+        cfg = replace(MEDIUM, dtype=dtype)
+        jitter, threads = SplitMix64(seed), set()
+        mix = rng._mix
+
+        def jittered(*args):
+            threads.add(threading.current_thread().name)
+            if on_worker_thread():
+                time.sleep(jitter.next_float() * 0.004)
+            mix(*args)
+
+        monkeypatch.setattr(rng, "_mix", jittered)
+        params = init_params(cfg, seed)
+        monkeypatch.setattr(rng, "_mix", mix)
+        assert threads == {"MainThread", "t2tbio-worker"}
+        want = scalar_init_params(expected_shapes(cfg), cfg, seed, draw=normal_one_shot)
+        assert_same_bytes(params, want)
+
+
 class TestThreadHygiene:
     def test_a_failing_worker_call_raises_after_the_earlier_ones(self, monkeypatch, on_worker):
         cfg = SMOKE
@@ -489,25 +517,41 @@ class TestThreadHygiene:
         assert sum(th.name == "t2tbio-worker" for th in threading.enumerate()) == 1
 
     @staticmethod
-    def threads_after(min_size, work: list[str]) -> int:
-        """Threads alive in a fresh process once ``work`` has run on a
-        smoke-sized model, with ``worker.MIN_SIZE`` set to ``min_size``."""
+    def fresh_process(lines: list[str]) -> str:
+        """What ``lines`` print, run as a program in a fresh process."""
         src = Path(model.__file__).resolve().parent.parent
-        code = "\n".join([
-            "import sys, threading",
-            f"sys.path.insert(0, {str(src)!r})",
+        code = "\n".join([f"import sys; sys.path.insert(0, {str(src)!r})", *lines])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def threads_after(self, min_size, work: list[str]) -> int:
+        """Threads alive in a fresh process once ``work`` has run on a
+        smoke-sized model, with ``worker.MIN_SIZE`` set to ``min_size``
+        after ``init_params``."""
+        return int(self.fresh_process([
+            "import threading",
             "from t2tbio import worker, trainer",
             "from t2tbio.model import ModelConfig, forward, greedy_decode, init_params, loss_and_grads, make_batch",
             "import numpy as np",
-            *([f"worker.MIN_SIZE = {min_size}"] if min_size is not None else []),
             "cfg = ModelConfig(vocab_size=256)",
             "params = init_params(cfg, 0)",
+            *([f"worker.MIN_SIZE = {min_size}"] if min_size is not None else []),
             *work,
             "print(threading.active_count())",
-        ])
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout)
+        ]))
+
+    @pytest.mark.parametrize("d_model, workers", [(256, 1), (64, 0)])
+    def test_init_params_starts_the_worker_only_for_a_model_at_the_size_rule(self, d_model, workers):
+        # the smallest weight matrix of the d=256 model has 65536 elements,
+        # MIN_SIZE, and the d=64 model's 4096
+        names = self.fresh_process([
+            "import threading",
+            "from t2tbio.model import ModelConfig, init_params",
+            f"init_params(ModelConfig(vocab_size=4096, d_model={d_model}, d_ff={4 * d_model}), 0)",
+            "print(*sorted(th.name for th in threading.enumerate()))",
+        ]).split()
+        assert names == ["MainThread"] + ["t2tbio-worker"] * workers
 
     @pytest.mark.parametrize("min_size, threads", [(None, 1), (8192, 1), (0, 2)])
     def test_the_worker_starts_only_for_work_at_the_size_rule(self, min_size, threads):
