@@ -70,8 +70,9 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ru
 
     The schema is ``RunConfig`` and the dataclasses it holds: unknown keys are
     rejected by name and every value is checked against its field's type.
-    Cross-field constraints (length caps vs model max_seq_len) are enforced
-    here. ``out_dir`` and ``seed``, or else the ``T2TBIO_OUT_DIR`` and
+    ``pretrain`` and ``finetune`` check the length caps they use against the
+    model's ``max_seq_len``; a cap one of them never reads is not checked.
+    ``out_dir`` and ``seed``, or else the ``T2TBIO_OUT_DIR`` and
     ``T2TBIO_SEED`` environment variables, override the config's; a seed
     override sets both ``seed`` and ``train.seed``.
     """
@@ -90,15 +91,6 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ru
     if seed is not None:
         cfg.seed = seed
         cfg.train = replace(cfg.train, seed=seed)
-
-    if cfg.train.input_len > cfg.model.max_seq_len:
-        raise ConfigError(
-            f"train.input_len {cfg.train.input_len} exceeds model.max_seq_len {cfg.model.max_seq_len}"
-        )
-    if cfg.train.target_len > cfg.model.max_seq_len:
-        raise ConfigError(
-            f"train.target_len {cfg.train.target_len} exceeds model.max_seq_len {cfg.model.max_seq_len}"
-        )
     return cfg
 
 
@@ -299,7 +291,6 @@ def _cmd_train(args) -> int:
     if not cfg.vocab_path:
         raise ConfigError(f"config needs vocab_path for {args.command}")
     v = load_vocab(cfg.vocab_path)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     params = None if args.resume else _initial_params(cfg, args.warm_start)
     io = {"out_dir": cfg.out_dir, "resume": args.resume}
     if args.command == "pretrain":

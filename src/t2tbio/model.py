@@ -34,13 +34,14 @@ Threads), or allocate afresh when handed none, as on a decode step, where
 fresh arrays cost less than ``np.empty`` and ``out=`` would.
 
 Threads: ``forward``, ``loss_and_grads`` and ``init_params`` ask
-``worker.joined`` once per call whether the call gets the worker thread; the
-size rule, and which models meet it, are in ``worker``'s docstring. With the
+``worker.joined`` once per call for the ``Jobs`` the call runs on; the size
+rule, and which models meet it, are in ``worker``'s docstring. Every split
+is ``Jobs.halves``, which gives the worker the smaller half. With the
 worker, the forward pass runs each residual sublayer, the output layer and
-the cross-entropy as two halves of the batch's sequences at once: the worker
-does sequences [B//2:] and the calling thread [:B//2], and both write their
-rows of the same full-size arrays, the ones the backward reads (``_halves``,
-``_sublayer_halves``). Every forward op is local to its sequence, so each
+the cross-entropy as halves of the batch's sequences at once: the calling
+thread does sequences [:B - B//2] and the worker the rest, and both write
+their rows of the same full-size arrays, the ones the backward reads
+(``_sublayer_halves``). Every forward op is local to its sequence, so each
 row gets the BLAS and ufunc calls of one pass over the batch and the bits do
 not change. There is one hand-off per sublayer: the calling thread waits for
 the worker's half before the next. The batch splits, all of it or none, when
@@ -51,21 +52,22 @@ kept as in ``trainer``) the forward took 57 ms on one thread and 36 ms
 split. Splitting each GEMM's rows instead is bit-equal too, but its 33
 hand-offs per forward held the forward to 60 -> 52 ms: do not retry it.
 
-With the worker, ``loss_and_grads`` also hands part of the backward pass to
-it, and the calling thread goes on with the chain of input gradients
-(``dx``, ``dq``/``dk``/``dv``, ``ds``, the norms). The worker owns the
-gradient buffer of each weight matrix and of the embedding: it makes every
-write into it (``_grad_write``), the weight-gradient products
-``_weight_grad`` and, for the embedding, the output layer's product and both
-stacks' scatters. The calling thread owns the rest: the norm scales and the
-relative-position tables. The worker runs its calls in the order the calling
-thread hands them over, which is the order of the single-thread pass, so
-each buffer sees the same writes in the same order and every BLAS call is
-the same one call: the bits do not change. A call holds the arrays it reads,
-so the calling thread writes no array in place once it has handed it over
-(its residual sums are fresh arrays). ``loss_and_grads`` waits for the
-worker before it returns or raises; an error in a call handed over is raised
-then, in the calling thread.
+``loss_and_grads`` also hands part of the backward pass to ``jobs.submit``,
+which runs it on the worker, or at once on one thread, and the calling
+thread goes on with the chain of input gradients (``dx``,
+``dq``/``dk``/``dv``, ``ds``, the norms). The worker owns the gradient
+buffer of each weight matrix and of the embedding: it makes every write
+into it, the weight-gradient products ``_weight_grad`` and, for the
+embedding, the output layer's product and both stacks' scatters. The
+calling thread owns the rest: the norm scales and the relative-position
+tables. The worker runs its calls in the order the calling thread hands
+them over, which is the order of the single-thread pass, so each buffer sees
+the same writes in the same order and every BLAS call is the same one call:
+the bits do not change. A call holds the arrays it reads, so the calling
+thread writes no array in place once it has handed it over (its residual
+sums are fresh arrays). ``loss_and_grads`` waits for the worker before it
+returns or raises; an error in a call handed over is raised then, in the
+calling thread.
 
 Shape conventions: B batch, S source length, T target length, D d_model,
 H heads, Dh = D // H, F d_ff, V vocab size, N = B*S or B*T token rows.
@@ -89,7 +91,7 @@ import numpy as np
 from .errors import ConfigError, ModelError
 from .rng import SplitMix64, draw_normals, jump
 from .vocab import EOS_ID, PAD_ID
-from .worker import joined
+from .worker import SERIAL, joined
 
 NORM_EPS = 1e-6
 NEG_INF = -1e9  # additive mask value; underflows to exactly 0 after softmax
@@ -269,9 +271,9 @@ def _fill_normal(tensors, seed: int, size: int) -> None:
     turn with ``std`` times the next normal draws of ``SplitMix64(seed)``:
     the bits of drawing them one tensor at a time. Each tensor is cut into
     ``_NORMAL_BLOCK``-draw blocks, each with its own stream state
-    (``rng.jump``). If ``worker.joined(size)`` yields a ``Jobs``, the worker
-    draws the upper half of the blocks and the calling thread the lower
-    half, each through scratch arrays of one block it reuses."""
+    (``rng.jump``). The blocks run as ``halves`` of the ``Jobs`` that
+    ``worker.joined(size)`` yields, each half through scratch arrays of one
+    block it reuses."""
     blocks = []
     state = SplitMix64(seed).getstate()
     for tensor, std in tensors:
@@ -280,12 +282,8 @@ def _fill_normal(tensors, seed: int, size: int) -> None:
             block = flat[i : i + _NORMAL_BLOCK]
             blocks.append((block, state, std))
             state = jump(state, 2 * block.size)  # two uniforms per normal
-    half = len(blocks) // 2
     with joined(size) as jobs:
-        if jobs is not None:
-            jobs.submit(draw_normals, blocks[half:])
-            blocks = blocks[:half]
-        draw_normals(blocks)
+        jobs.halves(len(blocks), lambda lo, hi: draw_normals(blocks[lo:hi]))
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
@@ -413,15 +411,6 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray, out: np.ndarray) -> None:
     np.matmul(x.T, dy, out=out)
 
 
-def _grad_write(jobs, fn, *args):
-    """``fn(*args)``, a write into a weight's gradient buffer: handed to the
-    worker with ``jobs``, else run now."""
-    if jobs is None:
-        fn(*args)
-    else:
-        jobs.submit(fn, *args)
-
-
 def _attn_fwd(xq, xkv, params, prefix, cfg, add, kv=None, out=None, q=None, k=None, v=None, a=None, ctx=None):
     """xq [B*Q, D], xkv [B*K, D]: token rows of B sequences.
     add: the one additive term of the scaled logits, broadcasting to [B, H, Q, K]:
@@ -459,7 +448,7 @@ def _attn_bwd(dout, params, prefix, cfg, cache, grads, jobs):
     xq, xkv, q, k, v, a, ctx = cache
     b, h = q.shape[0], cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_head)
-    _grad_write(jobs, _weight_grad, ctx, dout, grads[prefix + ".wo"])
+    jobs.submit(_weight_grad, ctx, dout, grads[prefix + ".wo"])
     dctx = _split_heads(dout @ params[prefix + ".wo"].T, b, h)
     # each head's product goes straight into its columns of the token rows
     dq_flat, dk_flat, dv_flat = np.empty_like(xq), np.empty_like(xkv), np.empty_like(xkv)
@@ -471,9 +460,9 @@ def _attn_bwd(dout, params, prefix, cfg, cache, grads, jobs):
     dq_flat *= scale
     np.matmul(ds.transpose(0, 1, 3, 2), q, out=_split_heads(dk_flat, b, h))
     dk_flat *= scale
-    _grad_write(jobs, _weight_grad, xq, dq_flat, grads[prefix + ".wq"])
-    _grad_write(jobs, _weight_grad, xkv, dk_flat, grads[prefix + ".wk"])
-    _grad_write(jobs, _weight_grad, xkv, dv_flat, grads[prefix + ".wv"])
+    jobs.submit(_weight_grad, xq, dq_flat, grads[prefix + ".wq"])
+    jobs.submit(_weight_grad, xkv, dk_flat, grads[prefix + ".wk"])
+    jobs.submit(_weight_grad, xkv, dv_flat, grads[prefix + ".wv"])
     dxq = dq_flat @ params[prefix + ".wq"].T
     dxkv = dk_flat @ params[prefix + ".wk"].T
     dxkv += dv_flat @ params[prefix + ".wv"].T
@@ -503,29 +492,16 @@ def _ff_fwd(x, params, prefix, out=None, h1=None, hr=None):
 
 def _ff_bwd(dy, params, prefix, cache, grads, jobs):
     x, h1, hr = cache
-    _grad_write(jobs, _weight_grad, hr, dy, grads[prefix + ".w2"])
+    jobs.submit(_weight_grad, hr, dy, grads[prefix + ".w2"])
     dh1 = dy @ params[prefix + ".w2"].T  # dhr, masked in place
     dh1 *= h1 > 0
-    _grad_write(jobs, _weight_grad, x, dh1, grads[prefix + ".w1"])
+    jobs.submit(_weight_grad, x, dh1, grads[prefix + ".w1"])
     return dh1 @ params[prefix + ".w1"].T
 
 
 # ---------------------------------------------------------------------------
 # encoder / decoder stacks
 # ---------------------------------------------------------------------------
-
-
-def _halves(jobs, b, fn) -> None:
-    """Run ``fn(lo, hi)``, work local to each of the sequences [lo, hi) of a
-    batch of b, over the whole batch. With ``jobs`` (see ``_split_batch``)
-    the halves run at once: [b // 2, b) on the worker, [0, b // 2) on the
-    calling thread. Each row gets the calls it gets in one pass over the batch."""
-    if jobs is None:
-        fn(0, b)
-    else:
-        jobs.submit(fn, b // 2, b)
-        fn(0, b // 2)
-        jobs.join()
 
 
 def _sublayer_fwd(x, params, cfg, prefix, kind, add, enc_out, kv=None, y=None, n=None, r=None, op_outs=()):
@@ -545,8 +521,9 @@ def _sublayer_fwd(x, params, cfg, prefix, kind, add, enc_out, kv=None, y=None, n
 
 def _sublayer_halves(x, b, params, cfg, prefix, kind, add, enc_out, jobs):
     """``_sublayer_fwd`` over the token rows x [N, D] of b sequences, as
-    ``_halves`` of them, each writing its rows of full-size arrays: the new
-    stream, the norm's cache and the op's cache over all rows."""
+    ``jobs.halves`` of them, each writing its rows of full-size arrays: the
+    new stream, the norm's cache and the op's cache over all rows. Every op
+    is local to its sequence, so each row gets the calls of one pass."""
     dt, (rows, d) = x.dtype, x.shape
     xkv = x if kind != "cross" else enc_out
     seq, kv_seq = rows // b, len(xkv) // b  # token rows and key rows per sequence
@@ -565,7 +542,7 @@ def _sublayer_halves(x, b, params, cfg, prefix, kind, add, enc_out, jobs):
                       enc_out[lo * kv_seq : hi * kv_seq] if kind == "cross" else None, None,
                       y[tok], n[tok], r[tok], tuple(t[lo * per : hi * per] for t, per in op))
 
-    _halves(jobs, b, run)
+    jobs.halves(b, run)
     op = [t for t, _ in op]
     if kind == "ff":
         c = (n, *op)
@@ -574,23 +551,26 @@ def _sublayer_halves(x, b, params, cfg, prefix, kind, add, enc_out, jobs):
     return y, (x, r), c
 
 
-def _stack_fwd(params, cfg, stack, ids, self_add, bucket, enc_out=None, cross_mask=None, kv=None, jobs=None):
+def _stack_fwd(params, cfg, stack, ids, self_add, bucket, enc_out=None, cross_mask=None, kv=None, jobs=SERIAL):
     """Embedding lookup, every residual sublayer of ``stack`` in order (each
     adds its output to the residual stream), then the stack's final norm.
     ``ids`` is [B, L]; the stream and the output are its B*L token rows [N, D].
     ``self_add`` is self-attention's key mask plus rel-bias, added as one term.
-    With ``jobs`` (see ``_split_batch``) each sublayer runs as ``_halves``
-    of the B sequences."""
+    With a threaded ``jobs`` (see ``_split_batch``) each sublayer runs as
+    ``jobs.halves`` of the B sequences."""
     b = len(ids)
     ids = np.ravel(ids)
     x = params["embedding"].take(ids, axis=0).astype(cfg.np_dtype, copy=False)  # take: a fresh array
     sublayers = []
     for prefix, kind in _sublayers(cfg, stack):
         add = self_add if kind == "self" else cross_mask
-        if jobs is None:
-            x, c_norm, c = _sublayer_fwd(x, params, cfg, prefix, kind, add, enc_out, kv)
-        else:
+        # the one branch on the thread count: on one thread _sublayer_fwd's
+        # fresh arrays cost less than _sublayer_halves' full-size ones (a
+        # d=64 encode of 40 tokens took 443-468 us against 512-523 us)
+        if jobs.threaded:
             x, c_norm, c = _sublayer_halves(x, b, params, cfg, prefix, kind, add, enc_out, jobs)
+        else:
+            x, c_norm, c = _sublayer_fwd(x, params, cfg, prefix, kind, add, enc_out, kv)
         sublayers.append((prefix, kind, c_norm, c))
     out, c_final = _rms_norm_fwd(x, params[stack + ".norm"])
     cache = {"stack": stack, "ids": ids, "sublayers": sublayers, "final": c_final, "bucket": bucket}
@@ -617,11 +597,11 @@ def _stack_bwd(dout, params, cfg, cache, grads, jobs):
         # a new array: the worker may still be reading dx
         dx = dx + _rms_norm_bwd(dn, params[prefix + ".norm"], c_norm, grads[prefix + ".norm"])
     emb = grads["embedding"]
-    _grad_write(jobs, _scatter_add_rows, emb, cache["ids"], dx.astype(emb.dtype, copy=False))
+    jobs.submit(_scatter_add_rows, emb, cache["ids"], dx.astype(emb.dtype, copy=False))
     return d_enc_out
 
 
-def _encode(params, cfg, encoder_ids, encoder_valid, jobs=None):
+def _encode(params, cfg, encoder_ids, encoder_valid, jobs=SERIAL):
     """Output [B*S, D], cache and the [B, 1, 1, S] key mask cross-attention reuses."""
     s = encoder_ids.shape[1]
     key_mask = np.where(encoder_valid[:, None, None, :], 0.0, NEG_INF).astype(cfg.np_dtype)
@@ -629,7 +609,7 @@ def _encode(params, cfg, encoder_ids, encoder_valid, jobs=None):
     return (*_stack_fwd(params, cfg, "enc", encoder_ids, key_mask + bias, bucket, jobs=jobs), key_mask)
 
 
-def _decode(params, cfg, decoder_ids, enc_out, key_mask, dec_valid, jobs=None):
+def _decode(params, cfg, decoder_ids, enc_out, key_mask, dec_valid, jobs=SERIAL):
     """Logits [B, T, V], a view of the output layer's [B*T, V] product."""
     dt = cfg.np_dtype
     b, t = decoder_ids.shape
@@ -645,7 +625,7 @@ def _decode(params, cfg, decoder_ids, enc_out, key_mask, dec_valid, jobs=None):
     def run(lo, hi):
         np.matmul(h[lo * t : hi * t], w, out=logits[lo * t : hi * t])
 
-    _halves(jobs, b, run)
+    jobs.halves(b, run)
     return logits.reshape(b, t, -1), cache
 
 
@@ -653,7 +633,7 @@ def _decode_bwd(dlogits, params, cache, grads, jobs):
     """Output-layer backward: writes the embedding's gradient and returns the
     gradient flowing into the decoder stack's output, as token rows."""
     dlogits = dlogits.reshape(-1, dlogits.shape[-1])
-    _grad_write(jobs, _weight_grad, dlogits, cache["h"], grads["embedding"])
+    jobs.submit(_weight_grad, dlogits, cache["h"], grads["embedding"])
     return dlogits @ params["embedding"].astype(dlogits.dtype, copy=False)
 
 
@@ -696,10 +676,11 @@ def _smallest_matrix(cfg: ModelConfig) -> int:
 
 
 def _split_batch(jobs, batch: Batch):
-    """``jobs`` if the forward and the cross-entropy run as ``_halves`` of the
-    batch's sequences: each half has ``MIN_HALF_ROWS`` token rows; else None."""
+    """``jobs`` if the forward and the cross-entropy run as ``jobs.halves`` of
+    the batch's sequences: each half has ``MIN_HALF_ROWS`` token rows; else
+    ``SERIAL``."""
     b, s = batch.encoder_ids.shape
-    return jobs if b // 2 * min(s, batch.target_ids.shape[1]) >= MIN_HALF_ROWS else None
+    return jobs if b // 2 * min(s, batch.target_ids.shape[1]) >= MIN_HALF_ROWS else SERIAL
 
 
 def forward(params: dict[str, np.ndarray], cfg: ModelConfig, batch: Batch) -> np.ndarray:
@@ -709,7 +690,7 @@ def forward(params: dict[str, np.ndarray], cfg: ModelConfig, batch: Batch) -> np
     return logits
 
 
-def _forward_with_cache(params, cfg, batch, jobs=None):
+def _forward_with_cache(params, cfg, batch, jobs=SERIAL):
     _check_batch(cfg, batch)
     jobs = _split_batch(jobs, batch)
     enc_out, enc_cache, key_mask = _encode(params, cfg, batch.encoder_ids, batch.encoder_valid, jobs)
@@ -746,12 +727,13 @@ def _first_non_finite(stacks) -> str:
     return "logits"
 
 
-def cross_entropy(logits: np.ndarray, target_ids: np.ndarray, loss_mask: np.ndarray, jobs=None):
+def cross_entropy(logits: np.ndarray, target_ids: np.ndarray, loss_mask: np.ndarray, jobs=SERIAL):
     """Mean -log softmax(logits)[target] over unmasked positions.
 
-    Returns (loss, dlogits). Raises on an all-masked batch. With ``jobs`` the
-    log-probabilities and ``dlogits`` of each half of the sequences are made
-    at once (``_halves``); the loss is one sum over all of them.
+    Returns (loss, dlogits). Raises on an all-masked batch. The
+    log-probabilities and ``dlogits`` are made as ``jobs.halves`` of the
+    sequences, at once with a threaded ``jobs``; the loss is one sum over
+    all of them.
     """
     n = int(loss_mask.sum())
     if n == 0:
@@ -768,7 +750,7 @@ def cross_entropy(logits: np.ndarray, target_ids: np.ndarray, loss_mask: np.ndar
         np.put_along_axis(e, tid, np.take_along_axis(e, tid, axis=-1) - 1.0, axis=-1)
         e *= loss_mask[lo:hi, :, None] / n
 
-    _halves(jobs, len(logits), run)
+    jobs.halves(len(logits), run)
     return float(-(log_p[..., 0] * loss_mask).sum() / n), dlogits
 
 

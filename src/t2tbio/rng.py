@@ -39,18 +39,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def next_u64_array(self, count: int) -> np.ndarray:
-        """The next ``count`` outputs of ``next_u64`` as a uint64 array:
-        the counters state + k * gamma, k = 1..count, through the mix
-        function; uint64 arithmetic wraps exactly like the masked Python
-        integers."""
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self.state)
-        self.state = jump(self.state, count)
-        _mix(z, np.empty_like(z))
-        return z
-
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n). Plain modulo; bias is negligible for desk-scale n."""
         if n <= 0:
@@ -69,14 +57,6 @@ class SplitMix64:
         u = self.next_float()
         # u == 0 maps to length 1; log1p keeps precision for small p
         return 1 + int(math.log1p(-u) / math.log1p(-p))
-
-    def next_normal_array(self, count: int) -> np.ndarray:
-        """``count`` standard normal draws as a float64 array: the one-block
-        case of ``draw_normals``."""
-        out = np.empty(count)
-        draw_normals([(out, self.state, 1.0)])
-        self.state = jump(self.state, 2 * count)
-        return out
 
     def getstate(self) -> int:
         return self.state

@@ -21,12 +21,11 @@ weights and moments already are such views, of the arrays the checkpoint
 was read into, and are used without a copy. Each step ``optimizer_step``
 updates the four flat arrays slice by slice, and a non-finite update raises
 ``ModelError`` naming the step and the tensor before anything is saved. The
-arrays split at a slice boundary near their middle, and the worker thread
-of ``worker`` updates the upper half while the calling thread updates the
-lower one, when the upper half meets the size rule in ``worker``'s
-docstring. The bits are those of one pass. A learning rate whose
-first-step scale ``lr / (1 - beta1)`` overflows the model's dtype is a
-``ConfigError`` before the first step. While the steps run, glibc's malloc
+slices run as two halves, the calling thread's the larger, and the worker
+thread of ``worker`` updates the other half when it meets the size rule in
+``worker``'s docstring. The bits are those of one pass. A learning rate
+whose first-step scale ``lr / (1 - beta1)`` overflows the model's dtype is
+a ``ConfigError`` before the first step. While the steps run, glibc's malloc
 keeps the memory a step frees for the next one (see ``_freed_memory_kept``).
 
 With an ``out_dir``, a run writes ``step_<n>/`` every ``checkpoint_every``
@@ -189,19 +188,22 @@ def arena(tensors: dict[str, np.ndarray]) -> np.ndarray:
     """The flat array whose views the values of ``tensors`` are, laid out by
     ``checkpoint.views``: the layout of the checkpoint blobs.
 
-    Unless every value already is a view of one flat array that they cover,
-    the tensors are copied into a new one and the dict's values are rebound
-    to its views."""
-    values = tensors.values()
-    flat = next(iter(values)).base
-    if (
-        flat is None
-        or flat.ndim != 1
-        or sum(t.size for t in values) != flat.size
-        or any(t.base is not flat for t in values)
-    ):
-        flat = np.concatenate([tensors[name].ravel() for name in sorted(tensors)])
-        tensors.update(views(flat, {name: t.shape for name, t in tensors.items()}))
+    Unless every value already is the view ``views`` places at its name in
+    one flat array that they cover, the tensors are copied into a new one
+    and the dict's values are rebound to its views."""
+    shapes = {name: t.shape for name, t in tensors.items()}
+    size, first = sum(t.size for t in tensors.values()), next(iter(tensors.values()))
+    flat = first.base
+    if flat is not None and flat.ndim == 1 and flat.size == size:
+        placed = views(flat, shapes)
+        # each value has its view's address, shape, strides, dtype and writability
+        if all(t.__array_interface__ == placed[name].__array_interface__ for name, t in tensors.items()):
+            return flat
+    flat = np.empty(size, first.dtype)
+    placed = views(flat, shapes)
+    for name, t in tensors.items():
+        placed[name][...] = t
+    tensors.update(placed)
     return flat
 
 
@@ -221,27 +223,24 @@ def optimizer_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t
     The update runs over ``ADAM_BLOCK``-element slices through two scratch
     buffers, in the same order of float operations as
     ``p -= (lr / bc1) * m / (sqrt(v / bc2) + ADAM_EPS)`` with freshly allocated
-    temporaries, so the result is bit-equal to that form. The arrays split at
-    the slice boundary nearest their middle from above, and the worker thread
-    updates the upper half while the calling thread updates the lower, if
-    ``worker.joined`` gives the upper half the worker.
+    temporaries, so the result is bit-equal to that form. The slices run as
+    ``halves`` of the ``Jobs`` that ``worker.joined`` yields for the
+    worker's share: the calling thread updates the first ceil(n / 2) of the
+    n slices and the worker the rest.
 
     Each updated slice is checked with one dot product of its new ``p`` and
     ``v``: a non-finite value in either makes it non-finite (``v`` is never
     negative, and inf * 0 is nan), and so may an overflow, which an
     elementwise check then tells apart. ``NonFiniteUpdate`` names the first
-    non-finite value of the lower half if it has one, else of the upper
-    half: the value a serial pass meets first. The dot product is one BLAS
+    non-finite value of the calling thread's half if it has one, else of the
+    worker's: the value a serial pass meets first. The dot product is one BLAS
     pass over data in cache; two float64 sums per slice, with their casts,
     made the step 40% slower."""
     step_size, bc2 = lr / (1.0 - ADAM_BETA1**t), 1.0 - ADAM_BETA2**t
-    mid = min(-(-p.size // (2 * ADAM_BLOCK)) * ADAM_BLOCK, p.size)
-    with worker.joined(p.size - mid) as jobs:
-        if jobs is None:
-            mid = p.size  # the upper half is under the size rule
-        elif mid < p.size:
-            jobs.submit(_adam_slices, p, g, m, v, mid, p.size, step_size, bc2)
-        _adam_slices(p, g, m, v, 0, mid, step_size, bc2)
+    n = -(-p.size // ADAM_BLOCK)  # slices
+    with worker.joined(p.size - min(-(-n // 2) * ADAM_BLOCK, p.size)) as jobs:  # the worker's share
+        jobs.halves(n, lambda lo, hi: _adam_slices(
+            p, g, m, v, lo * ADAM_BLOCK, min(hi * ADAM_BLOCK, p.size), step_size, bc2))
 
 
 def _adam_slices(p, g, m, v, start, stop, step_size, bc2) -> None:
@@ -445,11 +444,13 @@ def pretrain(
             other = corpus_mix[names.index(name)].path
             raise ConfigError(f"corpora {other} and {entry.path} share the name {name!r}")
         names.append(name)
-    if train_cfg.input_len + 1 > model_cfg.max_seq_len:
-        raise ConfigError("input_len + 1 exceeds the model's max_seq_len")
+    cap = model_cfg.max_seq_len
+    if train_cfg.input_len + 1 > cap:  # with eos
+        raise ConfigError(f"train.input_len {train_cfg.input_len} + 1 exceeds model.max_seq_len {cap}")
     worst_target = 2 * int(train_cfg.input_len * corruption_cfg.corruption_rate + 0.5) + 2
-    if worst_target > model_cfg.max_seq_len:
-        raise ConfigError("corruption_rate could produce targets beyond max_seq_len")
+    if worst_target > cap:
+        raise ConfigError(f"corruption.corruption_rate {corruption_cfg.corruption_rate:g} could produce targets "
+                          f"of {worst_target} tokens, beyond model.max_seq_len {cap}")
 
     windows = load_corpus_windows(corpus_mix, v, train_cfg.input_len)
 
@@ -478,8 +479,9 @@ def finetune(
     """Supervised fine-tuning over a weighted task mixture (single-task is the
     one-entry case). Task prefixes are already baked into the datasets."""
     validate_mixture(mixture)
-    if train_cfg.input_len > model_cfg.max_seq_len or train_cfg.target_len > model_cfg.max_seq_len:
-        raise ConfigError("length caps exceed the model's max_seq_len")
+    for name, cap in (("input_len", train_cfg.input_len), ("target_len", train_cfg.target_len)):
+        if cap > model_cfg.max_seq_len:
+            raise ConfigError(f"train.{name} {cap} exceeds model.max_seq_len {model_cfg.max_seq_len}")
 
     datasets = []
     truncated: dict[str, int] = {}

@@ -5,10 +5,11 @@ loops, explicit confusion counts) and kept free of any imports from
 t2tbio.metrics so the two sides stay independent. ``reconstruct`` is the
 span-corruption round-trip oracle: it splices target spans back over the
 input sentinels by scanning, sharing no code with ``corrupt``.
-``normal_one_shot`` is the one-shot weight draw that ``model._normal``'s
-blocked draw must match bit for bit, and ``next_normal`` the scalar draw
-``SplitMix64.next_normal_array`` follows. ``sentinel_index`` is the inverse
-of ``Vocabulary.sentinel_id``.
+``normal_one_shot`` is the one-shot weight draw that ``model._fill_normal``'s
+blocked draw must match bit for bit, ``normal_array`` the draw of a
+generator's next normals that it takes, and ``next_normal`` the scalar draw
+``normal_array`` follows; ``u64_array`` is the vectorised ``next_u64``.
+``sentinel_index`` is the inverse of ``Vocabulary.sentinel_id``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from t2tbio.corruption import CorruptionExample
 from t2tbio.errors import CorruptionError, VocabError
-from t2tbio.rng import SplitMix64
+from t2tbio.rng import _GAMMA, SplitMix64, _mix, draw_normals, jump
 from t2tbio.vocab import EOS_ID, Vocabulary
 
 
@@ -163,10 +164,31 @@ def reconstruct(example: CorruptionExample, v: Vocabulary) -> list[int]:
     return out
 
 
+def u64_array(rng: SplitMix64, count: int) -> np.ndarray:
+    """The next ``count`` outputs of ``rng.next_u64`` as a uint64 array: the
+    counters state + k * gamma, k = 1..count, through the mix function;
+    uint64 arithmetic wraps exactly like the masked Python integers."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(rng.getstate())
+    rng.setstate(jump(rng.getstate(), count))
+    _mix(z, np.empty_like(z))
+    return z
+
+
+def normal_array(rng: SplitMix64, count: int) -> np.ndarray:
+    """The next ``count`` standard normal draws of ``rng`` as a float64 array:
+    the one-block case of ``rng.draw_normals``."""
+    out = np.empty(count)
+    draw_normals([(out, rng.getstate(), 1.0)])
+    rng.setstate(jump(rng.getstate(), 2 * count))
+    return out
+
+
 def normal_one_shot(rng: SplitMix64, shape: tuple[int, ...], std: float, dtype) -> np.ndarray:
     """A tensor of ``shape`` holding ``std`` times the next normal draws of
     ``rng``, cast to ``dtype``, drawn all at once."""
-    return (rng.next_normal_array(math.prod(shape)).reshape(shape) * std).astype(dtype)
+    return (normal_array(rng, math.prod(shape)).reshape(shape) * std).astype(dtype)
 
 
 def next_normal(rng: SplitMix64) -> float:

@@ -1,6 +1,8 @@
 """``scripts/bench_pairs.py``'s verdict on the (base, tree) pairs of one
-metric, and the CPU time it reports per run."""
+metric, the CPU time it reports per run, the two trees it exports and the
+pairs it makes of their runs."""
 
+import os
 import subprocess
 import sys
 
@@ -51,3 +53,54 @@ def test_run_child_counts_the_cpu_time_of_that_run_alone():
     assert idle < 0.35
     with pytest.raises(subprocess.CalledProcessError):
         bench_pairs.run_child([sys.executable, "-c", "raise SystemExit(3)"], ".")
+
+
+def test_export_worktree_copies_edits_and_untracked_files_but_not_ignored_ones(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+    repo.mkdir()
+
+    def git(*argv):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv], cwd=repo, check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("*.log\n", encoding="utf-8")
+    (repo / "pkg").mkdir()
+    (repo / "pkg" / "mod.py").write_text("x = 1\n", encoding="utf-8")
+    (repo / "gone.py").write_text("", encoding="utf-8")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "mod.py").write_text("x = 2\n", encoding="utf-8")  # an uncommitted edit
+    (repo / "pkg" / "new.py").write_text("y = 3\n", encoding="utf-8")  # untracked
+    (repo / "pkg" / "run.log").write_text("ignored\n", encoding="utf-8")
+    (repo / "gone.py").unlink()
+    bench_pairs.export_worktree(str(repo), str(dest))
+    exported = sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file())
+    assert exported == [".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert (dest / "pkg" / "mod.py").read_text(encoding="utf-8") == "x = 2\n"
+    bench_pairs.export_revision(str(repo), "HEAD", str(tmp_path / "base"))
+    assert (tmp_path / "base" / "pkg" / "mod.py").read_text(encoding="utf-8") == "x = 1\n"
+
+
+def test_every_pair_holds_one_run_of_each_side(monkeypatch, capsys):
+    # each side's export holds a file naming it; every run reports the side
+    # it ran in, so a pair that ran one side twice shows in the output
+    def mark(side):
+        def export(*args):
+            with open(os.path.join(args[-1], "side"), "w", encoding="utf-8") as f:
+                f.write(side)
+        return export
+
+    def fake_run(tree, workload, seed, seconds):
+        with open(os.path.join(tree, "side"), encoding="utf-8") as f:
+            side = f.read()
+        return {"tokens_per_s": {"base": 1.0, "tree": 2.0}[side], "fail_rate": 0.0, "cpu_s": 0.0}, side
+
+    monkeypatch.setattr(bench_pairs, "export_revision", mark("base"))
+    monkeypatch.setattr(bench_pairs, "export_worktree", mark("tree"))
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--workload", "w", "--base", "HEAD", "--seeds", "1", "2", "3"])
+    assert bench_pairs.main() == 0
+    out = capsys.readouterr().out
+    assert out.count(": tokens_per_s 1 -> 2,") == 3
+    assert "tree won 3/3" in out

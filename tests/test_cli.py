@@ -13,6 +13,7 @@ import t2tbio
 from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, build_parser, run
 from t2tbio.checkpoint import AdamState, load_checkpoint, save_checkpoint
 from t2tbio.data_io import read_task_examples
+from t2tbio.trainer import TrainConfig
 from t2tbio.vocab import EOS_ID, load_vocab, save_vocab
 
 from helpers import CHECKPOINT_PARTS, read_shard, remove_checkpoint_part, smoke_script, word_vocab
@@ -708,7 +709,45 @@ class TestNonFiniteUpdate:
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
         assert "learning_rate 1e+38 overflows float32 in Adam's step size lr / (1 - beta1)" in proc.stderr
         assert "Traceback" not in proc.stderr
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
+
+
+class TestLengthCaps:
+    """Each trainer checks the length caps it uses against the model's
+    ``max_seq_len``, naming the cap and both values; a cap it never reads is
+    not checked."""
+
+    def test_pretrain_runs_with_a_target_len_over_max_seq_len(self, tmp_path, fixtures_dir, trained_vocab):
+        payload = {
+            "vocab_path": str(trained_vocab),
+            "out_dir": str(tmp_path / "out"),
+            "model": {**MODEL, "vocab_size": load_vocab(trained_vocab).size},
+            "train": {"num_steps": 1, "input_len": 16, "batch_size": 2},  # target_len: the default
+            "corruption": {"max_sentinels": 16},
+            "corpora": [{"path": str(fixtures_dir / "pretrain_corpus.txt")}],
+        }
+        assert TrainConfig().target_len > MODEL["max_seq_len"]
+        (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert run(["pretrain", "--config", str(tmp_path / "config.json")]) == EXIT_OK
+        assert (tmp_path / "out" / "final").is_dir()
+
+    def test_finetune_rejects_a_target_len_over_max_seq_len_and_writes_nothing(self, tmp_path):
+        vocab = word_vocab(["alpha", "beta"])
+        save_vocab(vocab, tmp_path / "vocab.txt")
+        (tmp_path / "t.jsonl").write_text('{"task": "t", "input": "t: alpha", "target": "beta"}\n', encoding="utf-8")
+        payload = {
+            "vocab_path": str(tmp_path / "vocab.txt"),
+            "out_dir": str(tmp_path / "out"),
+            "model": {**MODEL, "vocab_size": vocab.size},
+            "train": {**TRAIN, "target_len": 40},
+            "mixture": [{"task": "t", "path": str(tmp_path / "t.jsonl")}],
+        }
+        (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
+        proc = run_entry_point(["finetune", "--config", str(tmp_path / "config.json")])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert "train.target_len 40 exceeds model.max_seq_len 32" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestMalformedOptimizerState:

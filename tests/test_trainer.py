@@ -30,6 +30,8 @@ from t2tbio.trainer import (
 from t2tbio.vocab import train_vocab
 
 from helpers import CHECKPOINT_PARTS, remove_checkpoint_part, word_vocab
+from oracles import normal_array
+
 
 def small_cfg(vocab_size):
     return ModelConfig(
@@ -100,7 +102,7 @@ class TestAdam:
             rng = SplitMix64(11)
 
             def draw_grads():
-                return {k: (rng.next_normal_array(x.size) * 0.1).astype(x.dtype).reshape(x.shape)
+                return {k: (normal_array(rng, x.size) * 0.1).astype(x.dtype).reshape(x.shape)
                         for k, x in params.items()}
 
             p = arena(params)
@@ -832,6 +834,28 @@ class TestArenas:
             params["enc.0.ff.w1"] = params["enc.0.ff.w1"] - 0
 
         assert self.run(tmp_path, monkeypatch, phase, "fresh", after_step=rebind) == ["enc.0.ff.w1"]
+
+
+    def test_views_of_a_flat_array_in_another_order_are_copied_into_the_layout(self, tmp_path):
+        # the values cover one flat array, but in reverse name order: the
+        # gradients' views, laid out by checkpoint.views, would not line up
+        # with them, so arena copies them and the step is the step from
+        # separate arrays
+        cfg, train = phase_fixture(tmp_path, "finetune")
+        params = init_params(cfg, 0)
+        names = sorted(params, reverse=True)
+        flat = np.concatenate([params[name].ravel() for name in names])
+        ends = np.cumsum([params[name].size for name in names])
+        reordered = {name: flat[end - params[name].size : end].reshape(params[name].shape)
+                     for name, end in zip(names, ends)}
+        before = flat.copy()
+        assert arena(dict(reordered)) is not flat
+        t_cfg = TrainConfig(num_steps=1, input_len=24, target_len=24, batch_size=2)
+        want = train({name: t.copy() for name, t in params.items()}, t_cfg, "separate").params
+        got = train(reordered, t_cfg, "reordered").params
+        assert got is reordered and got.keys() == want.keys()
+        assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+        assert flat.tobytes() == before.tobytes()  # the caller's array is not written
 
 
 class TestLoadedLayout:

@@ -22,7 +22,7 @@ from t2tbio.model import MIN_HALF_ROWS, Batch, expected_shapes, forward, init_pa
 from t2tbio.rng import SplitMix64
 from t2tbio.trainer import NonFiniteUpdate, TrainConfig, arena, optimizer_step
 
-from oracles import normal_one_shot
+from oracles import normal_array, normal_one_shot
 from reference_model import scalar_init_params
 from test_model import MEDIUM, SMOKE, TINY, randomized_params, tiny_batch
 from test_trainer import phase_fixture
@@ -35,12 +35,17 @@ def on_worker_thread() -> bool:
     return threading.current_thread() is not threading.main_thread()
 
 
+# the functions whose Jobs.halves are a forward sublayer, the output layer
+# and the cross-entropy; the initial draws and the Adam step are left out
+FORWARD_HALVES = ("_sublayer_halves", "_decode", "cross_entropy")
+
+
 @pytest.fixture
 def on_worker(monkeypatch):
     """Hand every forward sublayer's upper half, every gradient buffer and
     Adam's upper half to the worker, and count the calls ``_weight_grad`` and
-    ``_scatter_add_rows`` run on it, and the halves (``_halves``: a forward
-    sublayer, the output layer or the cross-entropy) it runs."""
+    ``_scatter_add_rows`` run on it, and the halves (``Jobs.halves`` of a
+    forward sublayer, the output layer or the cross-entropy) it runs."""
     monkeypatch.setattr(worker, "MIN_SIZE", 0)
     counts = {"_weight_grad": 0, "_scatter_add_rows": 0, "halves": 0}
     for name in ("_weight_grad", "_scatter_add_rows"):
@@ -50,17 +55,20 @@ def on_worker(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(model, name, counted)
-    halves = model._halves
+    halves = worker.Jobs.halves
 
-    def counted_halves(jobs, b, fn):
+    def counted_halves(jobs, n, fn):
+        if fn.__qualname__.split(".")[0] not in FORWARD_HALVES:
+            return halves(jobs, n, fn)
+
         def half(lo, hi):
             if on_worker_thread():
                 counts["halves"] += 1
             fn(lo, hi)
 
-        halves(jobs, b, half)
+        halves(jobs, n, half)
 
-    monkeypatch.setattr(model, "_halves", counted_halves)
+    monkeypatch.setattr(worker.Jobs, "halves", counted_halves)
     return counts
 
 
@@ -202,8 +210,8 @@ class TestWorkerPath:
 FORWARD_CASES = [  # (config, batch rows, source columns, target columns)
     (SMOKE, 1, 20, 18),  # one sequence: nothing to split
     (SMOKE, 2, 24, 17),
-    (SMOKE, 3, 20, 16),  # uneven halves of 1 and 2 sequences
-    (SMOKE, 7, 30, 21),  # 3 and 4
+    (SMOKE, 3, 20, 16),  # uneven halves: 2 sequences on the calling thread, 1 on the worker
+    (SMOKE, 7, 30, 21),  # 4 and 3
     (TINY, 3, 16, 16),
 ]
 
@@ -322,7 +330,7 @@ class TestSplitAdam:
     @staticmethod
     def state(n, dtype, seed):
         rng = SplitMix64(seed)
-        p, g = (rng.next_normal_array(n).astype(dtype) for _ in range(2))
+        p, g = (normal_array(rng, n).astype(dtype) for _ in range(2))
         return p, g, np.zeros_like(p), np.zeros_like(p)
 
     @pytest.mark.parametrize("block", [1, 7])
@@ -341,7 +349,7 @@ class TestSplitAdam:
         monkeypatch.setattr(trainer, "_adam_slices", recorded)
         split, want = self.state(n, dtype, n), self.state(n, dtype, n)
         for t in (1, 2, 3):
-            g = SplitMix64(t).next_normal_array(n).astype(dtype)
+            g = normal_array(SplitMix64(t), n).astype(dtype)
             split[1][:], want[1][:] = g, g
             optimizer_step(*split, t, 0.01)
             serial(monkeypatch, optimizer_step, *want, t, 0.01)
@@ -397,6 +405,102 @@ class TestSplitInit:
         assert threads == {"MainThread", "t2tbio-worker"}
         want = scalar_init_params(expected_shapes(cfg), cfg, seed, draw=normal_one_shot)
         assert_same_bytes(params, want)
+
+
+def record(ranges):
+    """A ``fn(lo, hi)`` that appends (lo, hi, whether it ran on the worker) to ``ranges``."""
+    return lambda lo, hi: ranges.append((lo, hi, on_worker_thread()))
+
+
+class TestJobs:
+    @pytest.mark.parametrize("n, want", [
+        (0, [(0, 0, False)]),
+        (1, [(0, 1, False)]),
+        (2, [(0, 1, False), (1, 2, True)]),
+        (7, [(0, 4, False), (4, 7, True)]),  # the calling thread takes the larger half
+    ])
+    def test_halves_give_the_worker_the_upper_smaller_half(self, n, want):
+        ranges = []
+        worker.Jobs().halves(n, record(ranges))
+        assert sorted(ranges) == want
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_serial_halves_are_one_call_on_the_calling_thread(self, n):
+        ranges = []
+        with worker.joined(worker.MIN_SIZE - 1) as jobs:
+            assert jobs is worker.SERIAL and not jobs.threaded
+            jobs.halves(n, record(ranges))
+        assert ranges == [(0, n, False)]
+
+    def test_serial_submit_runs_on_the_calling_thread_and_raises_there(self):
+        ran, boom = [], RuntimeError("serial")
+
+        def failing(x):
+            ran.append((x, on_worker_thread()))
+            raise boom
+
+        with pytest.raises(RuntimeError) as info:
+            worker.SERIAL.submit(failing, 5)
+        assert info.value is boom and ran == [(5, False)]
+        worker.SERIAL.join()  # nothing was handed over, so nothing is raised again
+        assert worker.SERIAL.error is None
+
+    def test_an_error_in_the_callers_half_waits_for_the_workers(self):
+        done = []
+
+        def halves_apart(lo, hi):
+            if not on_worker_thread():
+                raise ValueError("calling thread")
+            time.sleep(0.05)
+            done.append((lo, hi))
+
+        with pytest.raises(ValueError, match="calling thread"):
+            worker.Jobs().halves(7, halves_apart)
+        assert done == [(4, 7)]
+
+    def test_an_error_in_the_workers_half_is_raised_after_the_callers_half(self):
+        done, boom = [], RuntimeError("worker")
+
+        def halves_apart(lo, hi):
+            if on_worker_thread():
+                raise boom
+            time.sleep(0.05)
+            done.append((lo, hi))
+
+        with pytest.raises(RuntimeError) as info:
+            worker.Jobs().halves(2, halves_apart)
+        assert info.value is boom and done == [(0, 1)]
+
+    def test_a_medium_step_hands_the_worker_the_same_calls_and_markers(self, monkeypatch):
+        # per step, one marker for each forward sublayer (2 * 2 encoder and
+        # 2 * 3 decoder), the output layer and the cross-entropy, one when
+        # loss_and_grads joins its backward calls and one for the Adam step;
+        # a second wait with nothing handed over since sends none
+        cfg = MEDIUM
+        params = init_params(cfg, 0)
+        batch = full_batch(seed=1, b=4, s=12, t=9, cfg=cfg)
+        p = arena(params)
+        g = np.empty_like(p)
+        grads = views(g, {name: t.shape for name, t in params.items()})
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        counts = {"calls": 0, "markers": 0}
+        make_queue = worker._queue
+
+        class Counted:
+            def __init__(self, tasks):
+                self.tasks = tasks
+
+            def put(self, item):
+                counts["markers" if item[0] is None else "calls"] += 1
+                self.tasks.put(item)
+
+        monkeypatch.setattr(worker, "_queue", lambda: Counted(make_queue()))
+        for _ in range(2):
+            loss_and_grads(params, cfg, batch, out=grads)
+            optimizer_step(p, g, m, v, 1, 1e-3)
+        # per step: 12 halves, 33 weight-gradient products, 2 embedding
+        # scatters and an Adam half
+        assert counts == {"calls": 2 * (12 + 33 + 2 + 1), "markers": 2 * (12 + 1 + 1)}
 
 
 class TestThreadHygiene:
