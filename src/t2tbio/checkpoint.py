@@ -6,16 +6,23 @@ count; the binary blobs are the raw tensor bytes concatenated in manifest
 order. ``views`` owns that layout: it lays tensors out in one flat array by
 ``tensor_entries``, which maps names, shapes and dtypes to manifest entries
 in sorted-name order. The loaders read each blob once into one buffer and
-return ``views`` of it, as the trainer's arenas are, and accept exactly the
-layout this build writes for the manifest's model config: its parameters in
-its dtype, and Adam's ``m.*`` then ``v.*`` moments of them, or none at step
-0. Another entry list, a blob of another size or a non-finite value raises
-``CheckpointError`` naming the blob. Save/load round trips are bit-exact.
+accept exactly the layout this build writes for the manifest's model config:
+its parameters in its dtype, and Adam's ``m.*`` then ``v.*`` moments of them,
+or none at step 0. ``load_checkpoint`` returns the weights as ``views`` of
+their buffer, the layout of the trainer's weight arena. Adam's state is one
+``[2, n]`` array from ``load_optimizer`` to ``save_checkpoint``: row 0 is
+``m`` and row 1 is ``v``, each laid out by ``views`` as the weights are, so
+the two rows are the halves of ``optimizer.bin``. Another entry list, a blob
+of another size or a non-finite value raises ``CheckpointError`` naming the
+blob. Save/load round trips are bit-exact.
 
 A checkpoint always holds the whole training state (weights, Adam state, rng
 state, step), since resuming needs each part: ``save_checkpoint`` takes them
 all, and each loader returns its part or raises ``CheckpointError`` naming it
-and its file, for a missing step, optimizer record or rng state too.
+and its file, for a missing step, optimizer record or rng state too, and
+for an rng state outside SplitMix64's 64 bits. ``save_checkpoint`` writes
+its one ``step`` as both the manifest's and the optimizer record's, so the
+two always agree.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,15 +44,6 @@ WEIGHTS_NAME = "weights.bin"
 OPTIMIZER_NAME = "optimizer.bin"
 RNG_STATE_NAME = "rng_state"
 CHECKPOINT_FORMAT = "t2tbio-checkpoint v1"
-
-
-@dataclass
-class AdamState:
-    """First/second moment estimates plus the shared step counter."""
-
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def tensor_entries(tensors: dict[str, tuple[tuple[int, ...], np.dtype]]) -> list[dict]:
@@ -79,12 +76,17 @@ def views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.
 
 
 def save_checkpoint(
-    out_dir, params: dict[str, np.ndarray], cfg: ModelConfig, opt_state: AdamState, rng_state: int, step: int
+    out_dir, params: dict[str, np.ndarray], cfg: ModelConfig, moments: np.ndarray | None, rng_state: int, step: int
 ) -> None:
+    """Write the checkpoint of a run at ``step`` into ``out_dir``. ``moments``
+    is Adam's ``[2, n]`` array, laid out by ``views`` for the shapes of
+    ``params``, or None before the first step, when there are no moments."""
     os.makedirs(out_dir, exist_ok=True)
-    moments = {f"m.{k}": x for k, x in opt_state.m.items()} | {f"v.{k}": x for k, x in opt_state.v.items()}
+    shapes = {name: x.shape for name, x in params.items()}
+    rows = () if moments is None else zip("mv", moments)
+    opt = {f"{k}.{name}": x for k, row in rows for name, x in views(row, shapes).items()}
     entries = {}
-    for blob, tensors in ((WEIGHTS_NAME, params), (OPTIMIZER_NAME, moments)):
+    for blob, tensors in ((WEIGHTS_NAME, params), (OPTIMIZER_NAME, opt)):
         entries[blob] = tensor_entries({name: (x.shape, x.dtype) for name, x in tensors.items()})
         with open(os.path.join(out_dir, blob), "wb") as f:
             for e in entries[blob]:
@@ -94,7 +96,7 @@ def save_checkpoint(
         "model": cfg.to_dict(),
         "tensors": entries[WEIGHTS_NAME],
         "step": step,
-        "optimizer": {"name": "adam", "step": opt_state.step, "tensors": entries[OPTIMIZER_NAME]},
+        "optimizer": {"name": "adam", "step": step, "tensors": entries[OPTIMIZER_NAME]},
     }
     write_json(os.path.join(out_dir, RNG_STATE_NAME), {"algo": "splitmix64", "state": rng_state})
     write_json(os.path.join(out_dir, MANIFEST_NAME), manifest, indent=2)
@@ -179,11 +181,12 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, np.ndarray], ModelConfig, dict]
     return views(np.frombuffer(buf, cfg.np_dtype), shapes), cfg, manifest
 
 
-def load_optimizer(ckpt_dir, manifest: dict) -> AdamState:
-    """Adam state for a manifest from ``load_checkpoint``, whose optimizer record
-    must name Adam at the manifest's step and list the moments ``m.*`` then
-    ``v.*`` of every parameter, or none at step 0. ``m`` and ``v`` are views of
-    one array each, over the two halves of ``optimizer.bin``."""
+def load_optimizer(ckpt_dir, manifest: dict) -> np.ndarray | None:
+    """Adam's state for a manifest from ``load_checkpoint``, whose optimizer
+    record must name Adam at the manifest's step and list the moments ``m.*``
+    then ``v.*`` of every parameter, or none at step 0. Returns None at step
+    0, else the one writable ``[2, n]`` array over ``optimizer.bin``'s buffer:
+    row 0 is ``m`` and row 1 is ``v``, each laid out by ``views``."""
     manifest_path = os.path.join(ckpt_dir, MANIFEST_NAME)
     opt_path = os.path.join(ckpt_dir, OPTIMIZER_NAME)
     if "optimizer" not in manifest:
@@ -199,9 +202,7 @@ def load_optimizer(ckpt_dir, manifest: dict) -> AdamState:
     shapes = expected_shapes(cfg) if record["step"] else {}
     moments = {f"{k}.{name}": (shape, cfg.np_dtype) for k in "mv" for name, shape in shapes.items()}
     buf = _read_blob(opt_path, record.get("tensors"), tensor_entries(moments))
-    half = len(buf) // 2
-    m, v = (views(np.frombuffer(buf[i : i + half], cfg.np_dtype), shapes) for i in (0, half))
-    return AdamState(step=record["step"], m=m, v=v)
+    return np.frombuffer(buf, cfg.np_dtype).reshape(2, -1) if record["step"] else None
 
 
 def load_rng_state(ckpt_dir) -> int:
@@ -209,6 +210,6 @@ def load_rng_state(ckpt_dir) -> int:
     payload = _read_json(path)
     if not isinstance(payload, dict) or payload.get("algo") != "splitmix64":
         raise CheckpointError(f"{path}: not a splitmix64 rng state")
-    if not _is_count(payload.get("state")):
+    if not (_is_count(payload.get("state")) and payload["state"] < 2**64):
         raise CheckpointError(f"{path}: bad rng state {payload.get('state')!r}")
     return payload["state"]

@@ -294,10 +294,10 @@ def _cmd_train(args) -> int:
     params = None if args.resume else _initial_params(cfg, args.warm_start)
     io = {"out_dir": cfg.out_dir, "resume": args.resume}
     if args.command == "pretrain":
-        result = pretrain(cfg.model, params, cfg.corpora, cfg.corruption, cfg.train, v, **io)
+        pretrain(cfg.model, params, cfg.corpora, cfg.corruption, cfg.train, v, **io)
     else:
-        result = finetune(params, cfg.mixture, cfg.model, cfg.train, v, **io)
-    log.info("%s finished at step %d; checkpoints under %s", args.command, result.final_step, cfg.out_dir)
+        finetune(params, cfg.mixture, cfg.model, cfg.train, v, **io)
+    log.info("%s finished at step %d; checkpoints under %s", args.command, cfg.train.num_steps, cfg.out_dir)
     return EXIT_OK
 
 

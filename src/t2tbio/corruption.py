@@ -55,6 +55,13 @@ def _mask_budget(n: int, rate: float) -> int:
     return max(1, int(n * rate + 0.5))
 
 
+def max_target_len(n: int, cfg: SpanCorruptionConfig) -> int:
+    """The longest target ``corrupt`` makes of at most ``n`` tokens: a
+    sentinel per span and the span's tokens, with as many spans as masked
+    tokens at most, then the final sentinel and eos."""
+    return 2 * _mask_budget(n, cfg.corruption_rate) + 2
+
+
 def corrupt(tokens: list[int], cfg: SpanCorruptionConfig, v: Vocabulary) -> CorruptionExample:
     """Mask random spans of ``tokens``; deterministic given (tokens, cfg.seed)."""
     if not tokens:

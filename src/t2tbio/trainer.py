@@ -16,17 +16,20 @@ into one flat array, an arena, laid out by ``checkpoint.views``, the one
 owner of the checkpoint blobs' layout, and rebinds each value of the
 caller's ``params`` dict to its view of it; the gradients get an arena of
 the same layout, into whose views ``loss_and_grads`` writes. Adam's ``m``
-and ``v`` are two more arenas of that layout, zero unless resumed. Resumed
-weights and moments already are such views, of the arrays the checkpoint
-was read into, and are used without a copy. Each step ``optimizer_step``
-updates the four flat arrays slice by slice, and a non-finite update raises
-``ModelError`` naming the step and the tensor before anything is saved. The
-slices run as two halves, the calling thread's the larger, and the worker
-thread of ``worker`` updates the other half when it meets the size rule in
-``worker``'s docstring. The bits are those of one pass. A learning rate
-whose first-step scale ``lr / (1 - beta1)`` overflows the model's dtype is
-a ``ConfigError`` before the first step. While the steps run, glibc's malloc
-keeps the memory a step frees for the next one (see ``_freed_memory_kept``).
+and ``v`` are the two rows of one ``[2, n]`` array, each row of that layout:
+zeros, or on resume the array that ``load_optimizer`` read ``optimizer.bin``
+into. Resumed weights already are views of the array that ``weights.bin``
+was read into. Neither is copied, and every save hands ``save_checkpoint``
+the same moments array. Only the loop counts steps. Each step
+``optimizer_step`` updates the four flat arrays slice by slice, and a
+non-finite update raises ``ModelError`` naming the step and the tensor
+before anything is saved. The slices run as two halves, the calling
+thread's the larger, and the worker thread of ``worker`` updates the other
+half when it meets the size rule in ``worker``'s docstring. The bits are
+those of one pass. A learning rate whose first-step scale
+``lr / (1 - beta1)`` overflows the model's dtype is a ``ConfigError`` before
+the first step. While the steps run, glibc's malloc keeps the memory a step
+frees for the next one (see ``_freed_memory_kept``).
 
 With an ``out_dir``, a run writes ``step_<n>/`` every ``checkpoint_every``
 steps, ``final/``, and ``loss_curve.json``:
@@ -48,7 +51,6 @@ import numpy as np
 
 from . import data_io, worker
 from .checkpoint import (
-    AdamState,
     load_checkpoint,
     load_optimizer,
     load_rng_state,
@@ -57,7 +59,7 @@ from .checkpoint import (
     tensor_entries,
     views,
 )
-from .corruption import SpanCorruptionConfig, corrupt
+from .corruption import SpanCorruptionConfig, corrupt, max_target_len
 from .errors import ConfigError, ModelError
 from .model import ModelConfig, loss_and_grads, make_batch, validate_params
 from .rng import SplitMix64
@@ -336,10 +338,8 @@ class TrainResult:
     params: dict[str, np.ndarray]
     losses: list[float] = field(default_factory=list)
     loss_curves: dict[str, list[tuple[int, float]]] = field(default_factory=dict)
-    sample_counts: dict[str, int] = field(default_factory=dict)
     dropped: dict[str, int] = field(default_factory=dict)
     truncated: dict[str, int] = field(default_factory=dict)
-    final_step: int = 0
 
 
 def _train(
@@ -361,13 +361,12 @@ def _train(
         if np.isinf(model_cfg.np_dtype(lr / (1.0 - ADAM_BETA1))):
             raise ConfigError(f"learning_rate {lr:g} overflows {model_cfg.dtype} in Adam's step size lr / (1 - beta1)")
     rng = SplitMix64(train_cfg.seed)
-    opt = AdamState()
-    start_step = 0
+    moments, start_step = None, 0
     if resume is not None:
         params, cfg, manifest = load_checkpoint(resume)
         if cfg != model_cfg:
             raise ConfigError("resume checkpoint was written with a different model config")
-        opt, start_step = load_optimizer(resume, manifest), manifest["step"]
+        moments, start_step = load_optimizer(resume, manifest), manifest["step"]
         rng.setstate(load_rng_state(resume))
         if start_step > train_cfg.num_steps:
             raise ConfigError(
@@ -380,27 +379,23 @@ def _train(
     p = arena(params)
     g = np.empty_like(p)
     grads = views(g, shapes)
-    if not opt.step:  # no step has run: the moments start at zero
-        opt = AdamState(0, views(np.zeros_like(p), shapes), views(np.zeros_like(p), shapes))
-    m, v = arena(opt.m), arena(opt.v)
+    if moments is None:  # no step has run: the moments start at zero
+        moments = np.zeros((2, p.size), p.dtype)
+    m, v = moments
 
     def save(tag: str, step: int) -> None:
-        if out_dir is not None:
-            path = os.path.join(out_dir, tag)
-            state = opt if opt.step else AdamState()  # a step-0 checkpoint holds no moments
-            save_checkpoint(path, params, model_cfg, opt_state=state, rng_state=rng.getstate(), step=step)
+        if out_dir is not None:  # a step-0 checkpoint holds no moments
+            save_checkpoint(os.path.join(out_dir, tag), params, model_cfg, moments if step else None,
+                            rng.getstate(), step)
 
-    result = TrainResult(
-        params=params, loss_curves={n: [] for n in names}, sample_counts={n: 0 for n in names}
-    )
+    result = TrainResult(params=params, loss_curves={n: [] for n in names})
     with _freed_memory_kept():
         for step in range(start_step, train_cfg.num_steps):
             i = weighted_index(rng, weights)
             batch = make_batch(draw(rng, i), ensure_eos=False)
             try:
                 loss, _ = loss_and_grads(params, model_cfg, batch, out=grads)
-                opt.step += 1
-                optimizer_step(p, g, m, v, opt.step, train_cfg.learning_rate)
+                optimizer_step(p, g, m, v, step + 1, lr)
             except NonFiniteUpdate as e:
                 entries = tensor_entries({name: (shape, p.dtype) for name, shape in shapes.items()})
                 name = tensor_at(entries, e.at * p.itemsize)
@@ -409,11 +404,9 @@ def _train(
                 raise ModelError(f"step {step}: {e}") from e
             result.losses.append(loss)
             result.loss_curves[names[i]].append((step, loss))
-            result.sample_counts[names[i]] += 1
             log.info("step=%d task=%s loss=%.6f", step, names[i], loss)
             if train_cfg.checkpoint_every and (step + 1) % train_cfg.checkpoint_every == 0:
                 save(f"step_{step + 1:06d}", step + 1)
-    result.final_step = train_cfg.num_steps
     save("final", train_cfg.num_steps)
     if out_dir is not None:
         curves = {n: [[s, x] for s, x in curve] for n, curve in result.loss_curves.items()}
@@ -444,10 +437,12 @@ def pretrain(
             other = corpus_mix[names.index(name)].path
             raise ConfigError(f"corpora {other} and {entry.path} share the name {name!r}")
         names.append(name)
+    if not any(e.weight > 0 for e in corpus_mix):
+        raise ConfigError("corpora: every corpus weight is 0; at least one must be positive")
     cap = model_cfg.max_seq_len
     if train_cfg.input_len + 1 > cap:  # with eos
         raise ConfigError(f"train.input_len {train_cfg.input_len} + 1 exceeds model.max_seq_len {cap}")
-    worst_target = 2 * int(train_cfg.input_len * corruption_cfg.corruption_rate + 0.5) + 2
+    worst_target = max_target_len(train_cfg.input_len, corruption_cfg)
     if worst_target > cap:
         raise ConfigError(f"corruption.corruption_rate {corruption_cfg.corruption_rate:g} could produce targets "
                           f"of {worst_target} tokens, beyond model.max_seq_len {cap}")

@@ -1,6 +1,8 @@
 """Shared test utilities: hand-built vocabularies, random example builders,
 the closed-form parameter count, the greedy exact-match rate, the shard
-reader, the scripts loaded as modules and a checkpoint with one part removed."""
+reader, the scripts loaded as modules, Adam's moments array built from
+per-tensor moments, and a checkpoint with one part removed or its optimizer
+blob rewritten."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from t2tbio.checkpoint import views
 from t2tbio.corruption import CorruptionExample
 from t2tbio.data_io import read_json, read_text
 from t2tbio.errors import ConfigError, DataFormatError
@@ -149,3 +152,43 @@ def remove_checkpoint_part(ckpt: Path, part: str) -> Path:
     del manifest[part]
     path.write_text(json.dumps(manifest), encoding="utf-8")
     return path
+
+
+def adam_moments(params: dict[str, np.ndarray], m: dict[str, np.ndarray], v: dict[str, np.ndarray]) -> np.ndarray:
+    """Adam's ``[2, n]`` moments array for ``params``, in their dtype: row 0
+    holds the tensors of ``m`` and row 1 those of ``v``, each row laid out by
+    ``checkpoint.views``."""
+    shapes = {name: x.shape for name, x in params.items()}
+    out = np.empty((2, sum(x.size for x in params.values())), next(iter(params.values())).dtype)
+    for row, tensors in zip(out, (m, v)):
+        for name, view in views(row, shapes).items():
+            view[...] = tensors[name]
+    return out
+
+
+def optimizer_tensors(ckpt: Path) -> dict[str, np.ndarray]:
+    """The tensors of the checkpoint at ``ckpt``'s ``optimizer.bin``, read by
+    its manifest's entries."""
+    entries = json.loads((ckpt / "manifest.json").read_text(encoding="utf-8"))["optimizer"]["tensors"]
+    blob = (ckpt / "optimizer.bin").read_bytes()
+    return {e["name"]: np.frombuffer(blob[e["offset"] : e["offset"] + e["nbytes"]], e["dtype"]).reshape(e["shape"])
+            for e in entries}
+
+
+def write_optimizer(ckpt: Path, tensors: dict[str, np.ndarray]) -> None:
+    """Replace the optimizer entries and blob of the checkpoint at ``ckpt``
+    with ``tensors``, laid out as the writer lays tensors out: back to back in
+    sorted-name order, each little-endian in its own dtype."""
+    path = ckpt / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    entries, parts, offset = [], [], 0
+    for name in sorted(tensors):
+        x = tensors[name]
+        code = x.dtype.newbyteorder("<").str
+        parts.append(x.astype(code).tobytes())
+        entries.append({"name": name, "shape": list(x.shape), "dtype": code, "offset": offset,
+                        "nbytes": len(parts[-1])})
+        offset += len(parts[-1])
+    manifest["optimizer"]["tensors"] = entries
+    path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    (ckpt / "optimizer.bin").write_bytes(b"".join(parts))

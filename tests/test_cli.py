@@ -11,7 +11,7 @@ import pytest
 
 import t2tbio
 from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, build_parser, run
-from t2tbio.checkpoint import AdamState, load_checkpoint, save_checkpoint
+from t2tbio.checkpoint import load_checkpoint, save_checkpoint
 from t2tbio.data_io import read_task_examples
 from t2tbio.trainer import TrainConfig
 from t2tbio.vocab import EOS_ID, load_vocab, save_vocab
@@ -696,7 +696,7 @@ class TestNonFiniteUpdate:
         cfg = t2tbio.ModelConfig(**{**MODEL, "vocab_size": load_vocab(trained_vocab).size})
         params = t2tbio.init_params(cfg, 0)
         params["enc.rel_bias"][:] = 3.35e38
-        save_checkpoint(tmp_path / "warm", params, cfg, opt_state=AdamState(), rng_state=0, step=0)
+        save_checkpoint(tmp_path / "warm", params, cfg, None, rng_state=0, step=0)
         proc = run_entry_point(["pretrain", "--config", str(config), "--warm-start", str(tmp_path / "warm")])
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
         assert "step 0: non-finite Adam update in tensor enc.rel_bias" in proc.stderr
@@ -730,6 +730,27 @@ class TestLengthCaps:
         (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
         assert run(["pretrain", "--config", str(tmp_path / "config.json")]) == EXIT_OK
         assert (tmp_path / "out" / "final").is_dir()
+
+    def test_pretrain_rejects_a_rate_whose_one_masked_token_overflows_max_seq_len(
+        self, tmp_path, fixtures_dir, trained_vocab
+    ):
+        # 2 * 0.1 rounds to no masked token, but a positive rate masks one, so
+        # a target holds 4 tokens: sentinel, token, final sentinel, eos
+        payload = {
+            "vocab_path": str(trained_vocab),
+            "out_dir": str(tmp_path / "out"),
+            "model": {**MODEL, "vocab_size": load_vocab(trained_vocab).size, "max_seq_len": 3},
+            "train": {"num_steps": 1, "input_len": 2, "batch_size": 2},
+            "corruption": {"corruption_rate": 0.1, "max_sentinels": 16},
+            "corpora": [{"path": str(fixtures_dir / "pretrain_corpus.txt")}],
+        }
+        (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
+        proc = run_entry_point(["pretrain", "--config", str(tmp_path / "config.json")])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert ("corruption.corruption_rate 0.1 could produce targets of 4 tokens, beyond model.max_seq_len 3"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_finetune_rejects_a_target_len_over_max_seq_len_and_writes_nothing(self, tmp_path):
         vocab = word_vocab(["alpha", "beta"])
@@ -841,7 +862,7 @@ class TestMalformedOptimizerState:
         params, cfg, _ = load_checkpoint(checkpoint)
         assert cfg.dtype == "float32"
         params = {k: x.astype(np.float64) for k, x in params.items()}
-        save_checkpoint(checkpoint, params, cfg, opt_state=AdamState(), rng_state=0, step=0)
+        save_checkpoint(checkpoint, params, cfg, None, rng_state=0, step=0)
         proc = run_entry_point(self.argv(checkpoint, command))
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
         assert str(checkpoint / "weights.bin") in proc.stderr and '"name": "dec.0.cross.norm"' in proc.stderr

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from t2tbio.corruption import (
     SpanCorruptionConfig,
     apply_span_mask,
     corrupt,
+    max_target_len,
     write_shard,
 )
 from t2tbio.errors import CorruptionError, DataFormatError
@@ -47,6 +49,24 @@ def test_mask_budget_exact(v):
             masked = length - sum(1 for t in ex.input_ids if not v.is_sentinel(t))
             expected = max(1, int(length * rate + 0.5))
             assert masked == expected
+
+
+def test_max_target_len_bounds_every_target(v):
+    for rate in (0.0, 0.01, 0.1, 0.15, 0.5):
+        cfg = SpanCorruptionConfig(corruption_rate=rate, mean_span_length=1.0)
+        for n in (1, 2, 5, 16, 33):
+            tokens = random_token_sequence(SplitMix64(n), n, v)
+            longest = max(len(corrupt(tokens, replace(cfg, seed=s), v).target_ids) for s in range(20))
+            assert longest <= max_target_len(n, cfg), (rate, n)
+    assert max_target_len(40, SpanCorruptionConfig(corruption_rate=0.0)) == 2  # final sentinel, eos
+
+
+def test_max_target_len_counts_the_one_token_a_small_rate_masks(v):
+    # 2 * 0.1 rounds to no token, but a positive rate masks one: sentinel,
+    # token, final sentinel, eos
+    cfg = SpanCorruptionConfig(corruption_rate=0.1, seed=3)
+    assert len(corrupt(random_token_sequence(SplitMix64(2), 2, v), cfg, v).target_ids) == 4
+    assert max_target_len(2, cfg) == 4
 
 
 def test_sentinels_increasing_and_matched(v):

@@ -2,12 +2,12 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
-from t2tbio.checkpoint import AdamState, load_checkpoint, load_optimizer, save_checkpoint, views
+from t2tbio.checkpoint import load_checkpoint, load_optimizer, save_checkpoint, views
 from t2tbio.corruption import SpanCorruptionConfig
 from t2tbio.data_io import write_task_examples
 from t2tbio.errors import CheckpointError, ConfigError, DataFormatError, ModelError
@@ -29,7 +29,14 @@ from t2tbio.trainer import (
 )
 from t2tbio.vocab import train_vocab
 
-from helpers import CHECKPOINT_PARTS, remove_checkpoint_part, word_vocab
+from helpers import (
+    CHECKPOINT_PARTS,
+    adam_moments,
+    optimizer_tensors,
+    remove_checkpoint_part,
+    word_vocab,
+    write_optimizer,
+)
 from oracles import normal_array
 
 
@@ -77,6 +84,14 @@ class TestAdam:
             np.testing.assert_array_equal(v, [0.0, 0.0])
 
     def test_bit_equal_to_the_plain_expression(self, tmp_path, monkeypatch):
+        @dataclass
+        class PlainState:
+            """The oracle's own step count and per-tensor moments."""
+
+            step: int = 0
+            m: dict = field(default_factory=dict)
+            v: dict = field(default_factory=dict)
+
         def plain_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             state.step += 1
             bc1 = 1.0 - beta1**state.step
@@ -106,13 +121,13 @@ class TestAdam:
                         for k, x in params.items()}
 
             p = arena(params)
-            ref_state = AdamState()
+            ref_state = PlainState()
             if moments == "loaded":
                 ckpt = tmp_path / f"{block}-{dtype}"
                 plain_step(params, draw_grads(), ref_state, lr=0.01)
-                save_checkpoint(ckpt, params, cfg, opt_state=ref_state, rng_state=0, step=1)
-                state = load_optimizer(ckpt, load_checkpoint(ckpt)[2])
-                m, v = arena(state.m), arena(state.v)
+                saved = adam_moments(params, ref_state.m, ref_state.v)
+                save_checkpoint(ckpt, params, cfg, saved, rng_state=0, step=1)
+                m, v = load_optimizer(ckpt, load_checkpoint(ckpt)[2])
             else:
                 m, v = np.zeros_like(p), np.zeros_like(p)
             reference = {k: x.copy() for k, x in params.items()}
@@ -280,8 +295,8 @@ class TestPretrain:
             TrainConfig(num_steps=6, input_len=24, target_len=24, batch_size=2),
             v,
         )
-        assert result.sample_counts["corpus"] == 6
-        assert result.sample_counts["other"] == 0
+        assert len(result.loss_curves["corpus"]) == 6
+        assert len(result.loss_curves["other"]) == 0
 
     def test_non_finite_logits_name_the_tensor_and_the_step(self, tmp_path):
         path, v = corpus_fixture(tmp_path)
@@ -369,6 +384,20 @@ class TestPretrain:
             )
         assert str(paths[0]) in str(info.value) and str(paths[1]) in str(info.value)
 
+    def test_an_all_zero_mixture_is_rejected_before_any_corpus_is_read(self, tmp_path):
+        _, v = corpus_fixture(tmp_path)
+        cfg = small_cfg(v.size)
+        missing = [CorpusEntry(str(tmp_path / "absent" / f"{name}.txt"), 0.0) for name in ("a", "b")]
+        with pytest.raises(ConfigError, match="^corpora: every corpus weight is 0"):
+            pretrain(
+                cfg,
+                init_params(cfg, seed=0),
+                missing,
+                SpanCorruptionConfig(max_sentinels=14),
+                TrainConfig(num_steps=1, input_len=24, target_len=24, batch_size=2),
+                v,
+            )
+
     def test_deterministic_given_seed(self, tmp_path):
         path, v = corpus_fixture(tmp_path)
         cfg = small_cfg(v.size)
@@ -446,7 +475,7 @@ class TestFinetune:
         t_cfg = TrainConfig(num_steps=8, batch_size=2, input_len=16, target_len=16, seed=0)
         result = finetune(init_params(cfg, 0), mixture, cfg, t_cfg, v)
         assert len(result.losses) == 8
-        assert sum(result.sample_counts.values()) == 8
+        assert sum(map(len, result.loss_curves.values())) == 8
         assert set(result.loss_curves) == {"copy", "other"}
 
     def test_over_length_targets_dropped(self, tmp_path):
@@ -473,24 +502,23 @@ class TestCheckpointing:
     def test_save_load_bit_exact(self, tmp_path):
         cfg = small_cfg(31)
         params = init_params(cfg, seed=4)
-        state = AdamState(step=7)
-        state.m = {k: np.full_like(x, 0.5) for k, x in params.items()}
-        state.v = {k: np.full_like(x, 0.25) for k, x in params.items()}
-        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=7)
+        moments = adam_moments(params, {k: np.full_like(x, 0.5) for k, x in params.items()},
+                               {k: np.full_like(x, 0.25) for k, x in params.items()})
+        save_checkpoint(tmp_path / "ck", params, cfg, moments, rng_state=123, step=7)
         loaded, loaded_cfg, manifest = load_checkpoint(tmp_path / "ck")
         assert loaded_cfg == cfg
         for name in params:
             assert loaded[name].tobytes() == params[name].tobytes()
-        assert manifest["step"] == 7
+        assert manifest["step"] == manifest["optimizer"]["step"] == 7
+        assert load_optimizer(tmp_path / "ck", manifest).tobytes() == moments.tobytes()
 
     def test_blobs_are_tensor_bytes_in_name_order(self, tmp_path):
         cfg = small_cfg(31)
         params = init_params(cfg, seed=4)
-        state = AdamState(step=2)
-        state.m = {k: np.full_like(x, 0.5) + x for k, x in params.items()}
-        state.v = {k: x * x for k, x in params.items()}
-        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=2)
-        opt = {f"m.{k}": x for k, x in state.m.items()} | {f"v.{k}": x for k, x in state.v.items()}
+        m = {k: np.full_like(x, 0.5) + x for k, x in params.items()}
+        v = {k: x * x for k, x in params.items()}
+        save_checkpoint(tmp_path / "ck", params, cfg, adam_moments(params, m, v), rng_state=123, step=2)
+        opt = {f"m.{k}": x for k, x in m.items()} | {f"v.{k}": x for k, x in v.items()}
         for blob, tensors in (("weights.bin", params), ("optimizer.bin", opt)):
             expected = b"".join(tensors[name].astype("<f4").tobytes() for name in sorted(tensors))
             assert (tmp_path / "ck" / blob).read_bytes() == expected
@@ -498,24 +526,26 @@ class TestCheckpointing:
     def test_float64_save_load_bit_exact(self, tmp_path):
         cfg = replace(small_cfg(31), dtype="float64")
         params = init_params(cfg, seed=4)
-        state = AdamState(step=3, m={k: x * 0.5 for k, x in params.items()}, v={k: x * x for k, x in params.items()})
-        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=3)
+        m, v = {k: x * 0.5 for k, x in params.items()}, {k: x * x for k, x in params.items()}
+        save_checkpoint(tmp_path / "ck", params, cfg, adam_moments(params, m, v), rng_state=123, step=3)
         loaded, loaded_cfg, manifest = load_checkpoint(tmp_path / "ck")
         assert loaded_cfg == cfg
         assert {e["dtype"] for e in manifest["tensors"]} == {"<f8"}
         for name in params:
             assert loaded[name].dtype == np.float64
             assert loaded[name].tobytes() == params[name].tobytes()
-        opt = load_optimizer(tmp_path / "ck", manifest)
+        shapes = {k: x.shape for k, x in params.items()}
+        rows = [views(row, shapes) for row in load_optimizer(tmp_path / "ck", manifest)]
         for name in params:
-            assert opt.m[name].tobytes() == state.m[name].tobytes()
-            assert opt.v[name].tobytes() == state.v[name].tobytes()
+            assert rows[0][name].dtype == np.float64
+            assert rows[0][name].tobytes() == m[name].tobytes()
+            assert rows[1][name].tobytes() == v[name].tobytes()
 
     def test_non_finite_rejected_on_load(self, tmp_path):
         cfg = small_cfg(31)
         params = init_params(cfg, seed=4)
         params["enc.norm"][0] = np.inf
-        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=AdamState(), rng_state=123, step=0)
+        save_checkpoint(tmp_path / "ck", params, cfg, None, rng_state=123, step=0)
         with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(tmp_path / "ck")
 
@@ -576,9 +606,8 @@ class TestCheckpointing:
 
         cfg = small_cfg(31)
         params = init_params(cfg, seed=4)
-        state = AdamState(step=7, m={k: x * 0.5 for k, x in params.items()},
-                          v={k: x * x for k, x in params.items()})
-        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=7)
+        moments = adam_moments(params, {k: x * 0.5 for k, x in params.items()}, {k: x * x for k, x in params.items()})
+        save_checkpoint(tmp_path / "ck", params, cfg, moments, rng_state=123, step=7)
         path = tmp_path / "ck" / "manifest.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
         mutate(manifest)
@@ -592,9 +621,11 @@ class TestCheckpointing:
     def test_moment_of_another_dtype_raises_checkpoint_error(self, tmp_path):
         cfg = small_cfg(31)
         params = init_params(cfg, seed=4)
-        state = AdamState(step=1, m={k: x * 0.5 for k, x in params.items()}, v={k: x * x for k, x in params.items()})
-        state.v["enc.norm"] = state.v["enc.norm"].astype(np.float64)
-        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=1)
+        moments = adam_moments(params, {k: x * 0.5 for k, x in params.items()}, {k: x * x for k, x in params.items()})
+        save_checkpoint(tmp_path / "ck", params, cfg, moments, rng_state=123, step=1)
+        tensors = optimizer_tensors(tmp_path / "ck")
+        tensors["v.enc.norm"] = tensors["v.enc.norm"].astype(np.float64)
+        write_optimizer(tmp_path / "ck", tensors)
         _, _, manifest = load_checkpoint(tmp_path / "ck")
         with pytest.raises(CheckpointError) as info:
             load_optimizer(tmp_path / "ck", manifest)
@@ -604,15 +635,16 @@ class TestCheckpointing:
 
     def test_step_0_state_without_moments_loads(self, tmp_path):
         cfg = small_cfg(31)
-        save_checkpoint(tmp_path / "ck", init_params(cfg, seed=4), cfg, opt_state=AdamState(), rng_state=123, step=0)
+        save_checkpoint(tmp_path / "ck", init_params(cfg, seed=4), cfg, None, rng_state=123, step=0)
         _, _, manifest = load_checkpoint(tmp_path / "ck")
-        assert load_optimizer(tmp_path / "ck", manifest) == AdamState()
+        assert manifest["optimizer"] == {"name": "adam", "step": 0, "tensors": []}
+        assert load_optimizer(tmp_path / "ck", manifest) is None
 
     def test_step_0_state_with_some_moments_raises_checkpoint_error(self, tmp_path):
         cfg = small_cfg(31)
         params = init_params(cfg, seed=4)
-        state = AdamState(m={"enc.norm": params["enc.norm"] * 0}, v={"enc.norm": params["enc.norm"] * 0})
-        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=0)
+        save_checkpoint(tmp_path / "ck", params, cfg, None, rng_state=123, step=0)
+        write_optimizer(tmp_path / "ck", {f"{k}.enc.norm": params["enc.norm"] * 0 for k in "mv"})
         _, _, manifest = load_checkpoint(tmp_path / "ck")
         with pytest.raises(CheckpointError) as info:
             load_optimizer(tmp_path / "ck", manifest)
@@ -621,14 +653,15 @@ class TestCheckpointing:
     def test_params_of_another_dtype_raise_checkpoint_error(self, tmp_path):
         cfg = small_cfg(31)
         params = {k: x.astype(np.float64) for k, x in init_params(cfg, seed=4).items()}
-        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=AdamState(), rng_state=123, step=0)
+        save_checkpoint(tmp_path / "ck", params, cfg, None, rng_state=123, step=0)
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(tmp_path / "ck")
         assert str(tmp_path / "ck" / "weights.bin") in str(info.value)
         assert '"name": "dec.0.cross.norm"' in str(info.value)
         assert '"dtype": "<f8"' in str(info.value) and '"dtype": "<f4"' in str(info.value)
 
-    @pytest.mark.parametrize("payload", ['{"algo": "splitmix64", "state": "12"}', '[1]', '{"state": 12}'])
+    @pytest.mark.parametrize("payload", ['{"algo": "splitmix64", "state": "12"}', '[1]', '{"state": 12}',
+                                         '{"algo": "splitmix64", "state": 18446744073709551616}'])
     def test_malformed_rng_state_raises_checkpoint_error(self, tmp_path, payload):
         from t2tbio.checkpoint import load_rng_state
 
@@ -730,6 +763,75 @@ class TestCheckpointing:
         curve = json.loads((out / "loss_curve.json").read_text(encoding="utf-8"))
         assert len(curve["losses"]) == 3
         assert curve["curves"] == {"corpus": [[step, loss] for step, loss in enumerate(curve["losses"])]}
+
+
+class FakeLibc:
+    """Records the ``mallopt`` and ``malloc_trim`` calls made to it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append(("mallopt", param, value))
+        return 1
+
+    def malloc_trim(self, pad):
+        self.calls.append(("malloc_trim", pad))
+        return 1
+
+
+class TestFreedMemoryKept:
+    """``_freed_memory_kept`` sets glibc's mmap threshold to 32 MiB and its
+    trim threshold to 256 MiB, and on any exit sets the trim threshold back to
+    glibc's 128 KiB and trims the heap. With another C library, ``_glibc`` is
+    None and the block calls nothing."""
+
+    ENTER = [("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20)]
+    EXIT = [("mallopt", -1, 128 << 10), ("malloc_trim", 0)]
+
+    def test_the_block_sets_the_thresholds_and_restores_the_trim_threshold(self, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(trainer, "_glibc", lambda: libc)
+        with trainer._freed_memory_kept():
+            assert libc.calls == self.ENTER
+        assert libc.calls == self.ENTER + self.EXIT
+
+    def test_a_raising_block_restores_the_trim_threshold(self, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(trainer, "_glibc", lambda: libc)
+        with pytest.raises(RuntimeError, match="in the block"):
+            with trainer._freed_memory_kept():
+                raise RuntimeError("in the block")
+        assert libc.calls == self.ENTER + self.EXIT
+
+    @staticmethod
+    def raising(error):
+        def confstr(name):
+            raise error
+
+        return confstr
+
+    @pytest.mark.parametrize(
+        "confstr",
+        [raising(ValueError("unrecognized configuration name")), raising(OSError(22, "Invalid argument")),
+         lambda name: "musl 1.2.4", lambda name: None],
+        ids=["unknown-name", "os-error", "another-libc", "no-value"],
+    )
+    def test_another_c_library_is_left_alone(self, monkeypatch, confstr):
+        opened = []
+        monkeypatch.setattr(trainer.os, "confstr", confstr)
+        monkeypatch.setattr(trainer.ctypes, "CDLL", lambda *args: opened.append(args))
+        assert trainer._glibc() is None
+        with trainer._freed_memory_kept():
+            pass
+        assert opened == []
+
+    def test_no_confstr_is_another_c_library(self, monkeypatch):
+        monkeypatch.delattr(trainer.os, "confstr")
+        monkeypatch.setattr(trainer.ctypes, "CDLL", lambda *args: pytest.fail("the C library was opened"))
+        assert trainer._glibc() is None
+        with trainer._freed_memory_kept():
+            pass
 
 
 class TestTracedNames:
@@ -861,25 +963,26 @@ class TestArenas:
 class TestLoadedLayout:
     def test_each_blob_is_one_buffer_whose_arrays_are_the_arenas(self, tmp_path):
         """``load_checkpoint``'s params are views of one array over
-        ``weights.bin``; ``load_optimizer``'s ``m`` and ``v`` are views of one
-        array each, over the two halves of ``optimizer.bin``'s one buffer; and
-        ``arena`` returns each of these arrays as it is, rebinding no tensor."""
+        ``weights.bin``, which ``arena`` returns as it is, rebinding no tensor;
+        ``load_optimizer`` returns ``optimizer.bin``'s one buffer as one
+        writable ``[2, n]`` array whose rows are ``m`` and ``v``, each laid out
+        by ``views`` as the weights are."""
         cfg = small_cfg(31)
         params = init_params(cfg, seed=4)
-        state = AdamState(step=2, m={k: x * 0.5 for k, x in params.items()}, v={k: x * x for k, x in params.items()})
-        save_checkpoint(tmp_path / "ck", params, cfg, opt_state=state, rng_state=123, step=2)
+        m, v = {k: x * 0.5 for k, x in params.items()}, {k: x * x for k, x in params.items()}
+        save_checkpoint(tmp_path / "ck", params, cfg, adam_moments(params, m, v), rng_state=123, step=2)
         loaded, _, manifest = load_checkpoint(tmp_path / "ck")
-        opt = load_optimizer(tmp_path / "ck", manifest)
-        flats = []
-        for store in (loaded, opt.m, opt.v):
-            tensors = dict(store)
-            flat = next(iter(store.values())).base
-            assert flat.ndim == 1 and flat.flags.writeable
-            assert all(t.base is flat for t in store.values())
-            assert arena(store) is flat
-            assert all(store[name] is tensors[name] for name in store)
-            flats.append(flat)
-        weights, m, v = flats
-        assert weights.tobytes() == (tmp_path / "ck" / "weights.bin").read_bytes()
-        assert m.tobytes() + v.tobytes() == (tmp_path / "ck" / "optimizer.bin").read_bytes()
-        assert m.base.obj is v.base.obj and v.ctypes.data == m.ctypes.data + m.nbytes
+        tensors = dict(loaded)
+        flat = next(iter(loaded.values())).base
+        assert flat.ndim == 1 and flat.flags.writeable
+        assert all(t.base is flat for t in loaded.values())
+        assert arena(loaded) is flat
+        assert all(loaded[name] is tensors[name] for name in loaded)
+        assert flat.tobytes() == (tmp_path / "ck" / "weights.bin").read_bytes()
+        moments = load_optimizer(tmp_path / "ck", manifest)
+        assert moments.shape == (2, flat.size) and moments.dtype == flat.dtype
+        assert moments.flags.writeable and moments.flags.c_contiguous
+        assert moments.tobytes() == (tmp_path / "ck" / "optimizer.bin").read_bytes()
+        shapes = {k: x.shape for k, x in params.items()}
+        for row, want in zip(moments, (m, v)):
+            assert all(t.tobytes() == want[name].tobytes() for name, t in views(row, shapes).items())
