@@ -14,7 +14,9 @@ their buffer, the layout of the trainer's weight arena. Adam's state is one
 ``m`` and row 1 is ``v``, each laid out by ``views`` as the weights are, so
 the two rows are the halves of ``optimizer.bin``. Another entry list, a blob
 of another size or a non-finite value raises ``CheckpointError`` naming the
-blob. Save/load round trips are bit-exact.
+blob. ``save_checkpoint`` compares its tensors with the same entries before
+it writes or creates anything, so it cannot write a checkpoint that its
+loader rejects. Save/load round trips are bit-exact.
 
 A checkpoint always holds the whole training state (weights, Adam state, rng
 state, step), since resuming needs each part: ``save_checkpoint`` takes them
@@ -80,9 +82,24 @@ def save_checkpoint(
 ) -> None:
     """Write the checkpoint of a run at ``step`` into ``out_dir``. ``moments``
     is Adam's ``[2, n]`` array, laid out by ``views`` for the shapes of
-    ``params``, or None before the first step, when there are no moments."""
+    ``params``, or None before the first step, when there are no moments.
+    Tensors that ``load_checkpoint`` would reject for ``cfg`` (other names,
+    shapes or dtype), or moments not of shape ``[2, n]`` in ``cfg``'s dtype,
+    raise ``CheckpointError`` naming them before anything is written."""
+    shapes = expected_shapes(cfg)
+    _check_entries(
+        os.path.join(out_dir, WEIGHTS_NAME),
+        "tensor entry",
+        tensor_entries({name: (x.shape, x.dtype) for name, x in params.items()}),
+        tensor_entries({name: (shape, cfg.np_dtype) for name, shape in shapes.items()}),
+    )
+    n = sum(math.prod(shape) for shape in shapes.values())
+    if moments is not None and (moments.shape != (2, n) or moments.dtype != cfg.np_dtype):
+        raise CheckpointError(
+            f"{os.path.join(out_dir, OPTIMIZER_NAME)}: Adam moments of shape {moments.shape} and dtype "
+            f"{moments.dtype}, expected {(2, n)} and {cfg.dtype}"
+        )
     os.makedirs(out_dir, exist_ok=True)
-    shapes = {name: x.shape for name, x in params.items()}
     rows = () if moments is None else zip("mv", moments)
     opt = {f"{k}.{name}": x for k, row in rows for name, x in views(row, shapes).items()}
     entries = {}
@@ -130,6 +147,19 @@ def _model_config(manifest: dict, path: str) -> ModelConfig:
         raise CheckpointError(f"{path}: bad model config: {e}") from e
 
 
+def _check_entries(path: str, what: str, listed: list, expected: list[dict]) -> None:
+    """Raise ``CheckpointError`` at the first of the entries ``listed`` for
+    the blob at ``path`` that is not the one ``expected`` (compared as JSON)."""
+    dump = functools.partial(json.dumps, sort_keys=True)
+    if dump(listed) != dump(expected):
+        i, got, want = next(
+            (i, dump(got), dump(want))
+            for i, (got, want) in enumerate(itertools.zip_longest(listed, expected))
+            if dump(got) != dump(want)
+        )
+        raise CheckpointError(f"{path}: {what} {i} is {got}, expected {want}")
+
+
 def _read_blob(path: str, listed, expected: list[dict]) -> memoryview:
     """The bytes of the blob at ``path``, read once into one new buffer, after
     checking that its manifest entries ``listed`` are ``expected`` (compared
@@ -138,14 +168,7 @@ def _read_blob(path: str, listed, expected: list[dict]) -> memoryview:
     their views (a memoryview stops numpy's walk to the array under it)."""
     if not isinstance(listed, list):
         raise CheckpointError(f"{path}: manifest tensor list is {type(listed).__name__}, not a list")
-    dump = functools.partial(json.dumps, sort_keys=True)
-    if dump(listed) != dump(expected):
-        i, got, want = next(
-            (i, dump(got), dump(want))
-            for i, (got, want) in enumerate(itertools.zip_longest(listed, expected))
-            if dump(got) != dump(want)
-        )
-        raise CheckpointError(f"{path}: manifest entry {i} is {got}, expected {want}")
+    _check_entries(path, "manifest entry", listed, expected)
     nbytes = sum(e["nbytes"] for e in expected)
     buf = memoryview(np.empty(nbytes, np.uint8))  # not bytearray, which zero-fills
     try:

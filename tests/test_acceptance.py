@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from t2tbio.corruption import SpanCorruptionConfig, apply_span_mask, corrupt
 from t2tbio.data_io import (
@@ -29,7 +30,8 @@ from t2tbio.metrics import (
     normalize_answer,
     sample_average_f1,
 )
-from t2tbio.model import EOS_ID, ModelConfig, cross_entropy, init_params, loss_and_grads
+from t2tbio import model
+from t2tbio.model import EOS_ID, ModelConfig, cross_entropy, greedy_decode, init_params, loss_and_grads
 from t2tbio.rng import SplitMix64
 from t2tbio.task_codec import EntitySpan, TaskExample, decode_ner, encode_ner
 from t2tbio.trainer import (
@@ -61,7 +63,7 @@ from oracles import (
     sentinel_index,
 )
 from test_gradients import central_difference, relative_error
-from test_model import randomized_params, tiny_batch, TINY
+from test_model import counted_calls, randomized_params, tiny_batch, TINY
 
 
 @contextmanager
@@ -270,28 +272,55 @@ def test_criterion_6a_pretraining_overfit():
         print(f"  (loss {initial:.2f} -> {final:.3f}, ratio {final / initial:.3f})", end=" ")
 
 
-def test_criterion_6b_copy_task_overfit(tmp_path):
+@pytest.fixture(scope="module")
+def copy_model(tmp_path_factory):
+    """Criterion 6b's copy task and the model fine-tuned on it for 200 steps:
+    (params, model config, (input, target) id pairs, seconds the fine-tuning took)."""
+    bodies = unique_word_set_sentences(16, fixture_seed=3)
+    examples = [
+        TaskExample("copy", "copy: " + " ".join(b), " ".join(b), {}) for b in bodies
+    ]
+    path = tmp_path_factory.mktemp("copy") / "copy.jsonl"
+    write_task_examples(path, examples)
+    v = train_vocab([ex.input_text for ex in examples], target_size=100, num_sentinels=8)
+    cfg = overfit_model_cfg(v.size)
+    t_cfg = TrainConfig(
+        learning_rate=2e-3, batch_size=16, num_steps=200, input_len=24, target_len=24, seed=0
+    )
+    entry = MixtureEntry("copy", str(path))
+    start = time.monotonic()
+    result = finetune(init_params(cfg, seed=0), [entry], cfg, t_cfg, v)
+    pairs, _, _ = load_task_pairs(entry, v, 24, 24)
+    return result.params, cfg, pairs, time.monotonic() - start
+
+
+def test_criterion_6b_copy_task_overfit(copy_model):
     with criterion(6, "(b) copy-task fine-tuning reaches >= 95% exact match within 200 steps"):
-        bodies = unique_word_set_sentences(16, fixture_seed=3)
-        examples = [
-            TaskExample("copy", "copy: " + " ".join(b), " ".join(b), {}) for b in bodies
-        ]
-        path = tmp_path / "copy.jsonl"
-        write_task_examples(path, examples)
-        v = train_vocab([ex.input_text for ex in examples], target_size=100, num_sentinels=8)
-        cfg = overfit_model_cfg(v.size)
-        t_cfg = TrainConfig(
-            learning_rate=2e-3, batch_size=16, num_steps=200, input_len=24, target_len=24, seed=0
-        )
-        entry = MixtureEntry("copy", str(path))
+        params, cfg, pairs, train_s = copy_model
         start = time.monotonic()
-        result = finetune(init_params(cfg, seed=0), [entry], cfg, t_cfg, v)
-        pairs, _, _ = load_task_pairs(entry, v, 24, 24)
-        rate = exact_match_rate(result.params, cfg, pairs, max_len=24)
-        elapsed = time.monotonic() - start
+        rate = exact_match_rate(params, cfg, pairs, max_len=24)
+        elapsed = train_s + time.monotonic() - start
         assert rate >= 0.95, f"exact match {rate:.3f}"
         assert elapsed < 300.0, f"took {elapsed:.0f} s"
         print(f"  (exact match {rate:.3f})", end=" ")
+
+
+def test_copy_model_decodes_drafts_in_fewer_passes(copy_model, monkeypatch):
+    # the copy model's outputs are runs of its inputs, so drafts copied from
+    # the input are accepted: the tokens stay those of one-token steps, and
+    # the decoder makes fewer passes than there are tokens
+    params, cfg, pairs, _ = copy_model
+    passes = tokens = 0
+    for enc, _ in pairs:
+        with monkeypatch.context() as m:
+            m.setattr(model, "_draft", lambda *args: [])
+            one_token_steps = greedy_decode(params, cfg, list(enc), 24)
+        with monkeypatch.context() as m:
+            calls = counted_calls(m, model, "_stack_fwd")
+            assert greedy_decode(params, cfg, list(enc), 24) == one_token_steps, enc
+        passes += [args[2] for args in calls].count("dec")
+        tokens += len(one_token_steps)
+    assert passes < tokens, (passes, tokens)
 
 
 def test_criterion_6c_prefix_conditioned_mixture(tmp_path):

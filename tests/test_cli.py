@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -862,7 +863,10 @@ class TestMalformedOptimizerState:
         params, cfg, _ = load_checkpoint(checkpoint)
         assert cfg.dtype == "float32"
         params = {k: x.astype(np.float64) for k, x in params.items()}
-        save_checkpoint(checkpoint, params, cfg, None, rng_state=0, step=0)
+        # save_checkpoint refuses float64 weights under a float32 config, so
+        # save them as a float64 model and relabel the manifest's model
+        save_checkpoint(checkpoint, params, replace(cfg, dtype="float64"), None, rng_state=0, step=0)
+        self.mutate(checkpoint, lambda m: m["model"].update(dtype="float32"))
         proc = run_entry_point(self.argv(checkpoint, command))
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
         assert str(checkpoint / "weights.bin") in proc.stderr and '"name": "dec.0.cross.norm"' in proc.stderr

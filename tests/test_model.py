@@ -449,6 +449,98 @@ class TestGreedyDecode:
             assert len(greedy_decode(params, TINY, [4, 5], max_len=max_len)) <= max_len
 
 
+def counted_calls(monkeypatch, owner, name) -> list[tuple]:
+    """Wraps ``owner.name`` in ``monkeypatch`` so that each call's positional
+    arguments are appended to the list returned."""
+    calls, fn = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def draft_outcomes(monkeypatch, params, cfg, ids, max_len) -> set[str]:
+    """What became of ``greedy_decode``'s drafts: a draft
+    "rejected" at its first token, "partly" or "fully" accepted by a pass
+    that decoding went on after, "eos" accepted from a draft by the last
+    pass, or "max_len" reached by the last pass with its draft accepted."""
+    calls = []  # (position of the pass's newest token, its draft)
+    draft = model._draft
+
+    def recorded(*args):
+        calls.append((len(args[2]), draft(*args)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(model, "_draft", recorded)
+        out = greedy_decode(params, cfg, ids, max_len)
+    outcomes = []
+    for i, (t, d) in enumerate(calls):
+        if not d:
+            continue
+        last = i + 1 == len(calls)
+        kept = (len(out) if last else calls[i + 1][0]) - t  # tokens the pass appended
+        if not last:
+            outcomes.append("rejected" if kept == 1 else "fully" if kept == len(d) + 1 else "partly")
+        elif len(out) < max_len and kept < len(d) and d[kept] == EOS_ID:
+            outcomes.append("eos")
+        elif len(out) == max_len and kept == len(d) + 1:
+            outcomes.append("max_len")
+    if "partly" in outcomes and "fully" in outcomes[outcomes.index("partly") :]:
+        outcomes.append("partly, then fully")
+    return set(outcomes)
+
+
+class TestDrafts:
+    """Drafts copied from the input never change what greedy decoding gives:
+    each case below meets its outcome (found by a search over random models
+    and inputs of repeated tokens), and decodes as the re-run reference does."""
+
+    @pytest.mark.parametrize(
+        "seed, ids, max_len, outcome",
+        [
+            (4, [229, 229, 196, 104, 119, 104, 119, EOS_ID], 3, "rejected"),
+            (4, [229, 229, 81, 81, 81] + [156] * 19 + [EOS_ID], 24, "partly, then fully"),
+            (1, [49] * 4 + [136] * 4 + [EOS_ID], 24, "eos"),
+            (2, [200, 238, 238, 238, 238, 76, 31, EOS_ID], 5, "max_len"),
+        ],
+        ids=["rejected-at-its-first-token", "partly-then-fully-accepted", "eos-inside-an-accepted-draft",
+             "max-len-reached-inside-a-draft"],
+    )
+    @pytest.mark.parametrize("cfg", [SMOKE64, SMOKE], ids=["float64", "float32"])
+    def test_outcome(self, monkeypatch, cfg, seed, ids, max_len, outcome):
+        params = randomized_params(cfg, seed=seed)
+        outcomes = draft_outcomes(monkeypatch, params, cfg, ids, max_len)
+        assert outcome in outcomes, outcomes
+        assert_same_decode(params, cfg, ids, max_len)
+
+    @pytest.mark.parametrize("cfg", [SMOKE64, SMOKE], ids=["float64", "float32"])
+    def test_no_draft_without_a_match_or_room(self, monkeypatch, cfg):
+        # [28, eos] holds none of the tokens decoded from it; max_len 1 leaves no room
+        for seed, ids, max_len in ((3, [28, EOS_ID], 3), (4, [229, 229, 81, 81, 81] + [156] * 19 + [EOS_ID], 1)):
+            params = randomized_params(cfg, seed=seed)
+            with monkeypatch.context() as m:
+                calls = counted_calls(m, model, "_stack_fwd")
+                out = greedy_decode(params, cfg, ids, max_len)
+            assert len(out) == max_len and [args[2] for args in calls].count("dec") == max_len, out
+            assert_same_decode(params, cfg, ids, max_len)
+
+    @given(
+        seed=st.integers(0, 4),
+        double=st.booleans(),
+        gram=st.lists(st.integers(3, SMOKE.vocab_size - 1), min_size=1, max_size=3),
+        repeats=st.integers(1, 6),
+        tail=st.lists(st.integers(3, SMOKE.vocab_size - 1), max_size=8),
+        max_len=st.integers(1, 24),
+    )
+    def test_matches_the_rerun_reference_on_repeated_ngrams(self, seed, double, gram, repeats, tail, max_len):
+        cfg = SMOKE64 if double else SMOKE
+        assert_same_decode(randomized_params(cfg, seed=seed), cfg, gram * repeats + tail + [EOS_ID], max_len)
+
+
 class TestParams:
     def test_param_count_matches_formula(self):
         for cfg in (

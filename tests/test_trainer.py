@@ -653,12 +653,35 @@ class TestCheckpointing:
     def test_params_of_another_dtype_raise_checkpoint_error(self, tmp_path):
         cfg = small_cfg(31)
         params = {k: x.astype(np.float64) for k, x in init_params(cfg, seed=4).items()}
-        save_checkpoint(tmp_path / "ck", params, cfg, None, rng_state=123, step=0)
         with pytest.raises(CheckpointError) as info:
-            load_checkpoint(tmp_path / "ck")
+            save_checkpoint(tmp_path / "ck", params, cfg, None, rng_state=123, step=0)
         assert str(tmp_path / "ck" / "weights.bin") in str(info.value)
         assert '"name": "dec.0.cross.norm"' in str(info.value)
         assert '"dtype": "<f8"' in str(info.value) and '"dtype": "<f4"' in str(info.value)
+        assert not (tmp_path / "ck").exists()
+
+    # each case edits (params, moments) of a step-1 state; the blob and the text the error names
+    UNLOADABLE = {
+        "missing-tensor": (lambda p, m: ({k: x for k, x in p.items() if k != "enc.norm"}, m),
+                           "weights.bin", '"name": "enc.norm"'),
+        "tensor-of-another-shape": (lambda p, m: ({**p, "enc.norm": p["enc.norm"][:-1]}, m),
+                                    "weights.bin", '"shape": [15]'),
+        "extra-tensor": (lambda p, m: ({**p, "extra": p["enc.norm"]}, m), "weights.bin", '"name": "extra"'),
+        "moments-of-another-size": (lambda p, m: (p, m[:, :5]), "optimizer.bin", "(2, 5)"),
+        "moments-of-another-dtype": (lambda p, m: (p, m.astype(np.float64)), "optimizer.bin", "float64"),
+        "moments-in-one-row": (lambda p, m: (p, m.reshape(-1)), "optimizer.bin", "dtype float32, expected (2, "),
+    }
+
+    @pytest.mark.parametrize("case", UNLOADABLE)
+    def test_tensors_the_loader_rejects_raise_before_anything_is_written(self, tmp_path, case):
+        cfg = small_cfg(31)
+        params = init_params(cfg, seed=4)
+        edit, blob, names = self.UNLOADABLE[case]
+        params, moments = edit(params, np.zeros((2, sum(x.size for x in params.values())), np.float32))
+        with pytest.raises(CheckpointError) as info:
+            save_checkpoint(tmp_path / "ck", params, cfg, moments, rng_state=123, step=1)
+        assert str(tmp_path / "ck" / blob) in str(info.value) and names in str(info.value), str(info.value)
+        assert not (tmp_path / "ck").exists()
 
     @pytest.mark.parametrize("payload", ['{"algo": "splitmix64", "state": "12"}', '[1]', '{"state": 12}',
                                          '{"algo": "splitmix64", "state": 18446744073709551616}'])
