@@ -11,21 +11,23 @@ a module, class or function body. A token that spans lines, such as a
 multi-line string that is not a docstring, counts on every line it spans.
 Blank lines, comment lines and docstrings therefore count for nothing.
 
-Both sides are read from exports made as ``bench_pairs.py`` makes them: the
-revision by ``git archive``, the tree as it is on disk, tracked files and
-untracked files that are not ignored.
+The tree is counted as it is on disk, so the script also runs in a copy
+without ``.git``, such as an export that ``bench_pairs.py`` makes. ``--base``
+reads the revision from a ``git archive`` export, which needs a git work
+tree; without one it prints so and exits 2.
 """
 
 import argparse
 import ast
 import io
 import os
+import subprocess
 import sys
 import tempfile
 import tokenize
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_pairs import ROOT, export_revision, export_worktree  # noqa: E402
+from bench_pairs import ROOT, export_revision  # noqa: E402
 
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENCODING, tokenize.ENDMARKER}
@@ -83,14 +85,16 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", help="git revision to compare against, e.g. HEAD or main")
     args = p.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="src-lines-") as tmp:
-        export_worktree(ROOT, os.path.join(tmp, "tree"))
-        tree = count_tree(os.path.join(tmp, "tree"))
-        base = None
-        if args.base is not None:
-            export_revision(ROOT, args.base, os.path.join(tmp, "base"))
-            base = count_tree(os.path.join(tmp, "base"))
-    print(table(tree, base))
+    base = None
+    if args.base is not None:
+        in_git = subprocess.run(["git", "rev-parse", "--is-inside-work-tree"], cwd=ROOT, capture_output=True)
+        if in_git.returncode != 0:
+            print(f"src_lines.py: --base needs a git work tree, and {ROOT} is not in one", file=sys.stderr)
+            return 2
+        with tempfile.TemporaryDirectory(prefix="src-lines-") as tmp:
+            export_revision(ROOT, args.base, tmp)
+            base = count_tree(tmp)
+    print(table(count_tree(ROOT), base))
     return 0
 
 

@@ -1,4 +1,20 @@
-"""Desk-scale text-to-text pipeline for biomedical NLP tasks."""
+"""Desk-scale text-to-text pipeline for biomedical NLP tasks.
+
+Importing the package pins OpenMP, OpenBLAS and MKL to one thread, unless the
+environment already sets ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` or
+``MKL_NUM_THREADS``, before any of its modules imports numpy. A multi-threaded
+BLAS splits a product's sums in another order, so a d=256 model's gradients,
+and the weights a run writes, would depend on the host's core count; the
+model's own worker thread uses the second core instead. BLAS reads these
+variables once, when numpy is first imported: a program that imported numpy
+before ``t2tbio`` keeps the thread pool it started with.
+"""
+
+import os
+
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .corruption import CorruptionExample, SpanCorruptionConfig, apply_span_mask, corrupt
 from .errors import (

@@ -25,6 +25,7 @@ import logging
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass, field, replace
 
 from . import data_io, metrics, task_codec
@@ -323,13 +324,39 @@ def _cmd_predict(args) -> int:
 def read_predictions(path) -> list[dict]:
     records = []
     for lineno, record in data_io.read_jsonl(path):
-        if "prediction" not in record:
-            raise DataFormatError("prediction record malformed", path=str(path), line=lineno)
+        if not isinstance(record.get("prediction"), str):
+            raise DataFormatError("prediction record needs a string 'prediction'", path=str(path), line=lineno)
         records.append(record)
     return records
 
 
+# the gold fields each task type's report reads, with their JSON types
+_GOLD_FIELDS = {
+    "ner": (("words", list[str]), ("spans", list[tuple[int, int, str]])),
+    "re": (("label", str),),
+    "nli": (("label", str),),
+    "doc": (("labels", list[str]),),
+    "qa": (("question", str), ("answers", list[str])),
+}
+
+
+def _is_json(kind, value) -> bool:
+    """Whether a JSON value has the type ``kind``: a str, an int (not a
+    bool), a ``list[X]``, or a ``tuple[X, Y, ...]`` as a list of that length."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is None or not isinstance(value, list):
+        return type(value) is kind
+    items = args * len(value) if origin is list else args  # each item's type
+    return len(value) == len(items) and all(map(_is_json, items, value))
+
+
 def _evaluate_report(args, preds: list[dict], golds) -> metrics.MetricsReport:
+    for i, ex in enumerate(golds, start=1):
+        for name, kind in _GOLD_FIELDS.get(args.task_type, ()):
+            if not _is_json(kind, ex.gold.get(name)):
+                raise DataFormatError(
+                    f"gold record {i}: a {args.task_type} report needs {name!r} of type "
+                    f"{kind if typing.get_args(kind) else kind.__name__}", path=str(args.gold))
     predictions = [p["prediction"] for p in preds]
     if args.task_type == "ner":
         gold_spans = []
@@ -338,21 +365,15 @@ def _evaluate_report(args, preds: list[dict], golds) -> metrics.MetricsReport:
         entity_type = args.entity_type
         if entity_type is None:
             for ex in golds:
-                if ex.gold.get("spans"):
+                if ex.gold["spans"]:
                     entity_type = ex.gold["spans"][0][2]
                     break
             entity_type = entity_type or "ENT"
         for ex, pred in zip(golds, predictions):
-            words = ex.gold.get("words")
-            if words is None:
-                raise DataFormatError("NER gold record lacks words")
             gold_spans.append(
-                [
-                    task_codec.EntitySpan(start_word=s, end_word=e, entity_type=t)
-                    for s, e, t in ex.gold.get("spans", [])
-                ]
+                [task_codec.EntitySpan(start_word=s, end_word=e, entity_type=t) for s, e, t in ex.gold["spans"]]
             )
-            decoded = task_codec.decode_ner(pred, words, entity_type=entity_type)
+            decoded = task_codec.decode_ner(pred, ex.gold["words"], entity_type=entity_type)
             pred_spans.append(decoded.spans)
             dropped += decoded.dropped_markers
         return metrics.entity_prf(gold_spans, pred_spans, dropped_markers=dropped)

@@ -16,6 +16,13 @@ table. With a key/value cache the forward loop also runs ``greedy_decode``'s
 passes over the newest token and any draft tokens copied from the input
 behind it; training is its cache-less case.
 
+Every self-attention adds one term to its scaled scores: the key mask of
+pad positions (0 or NEG_INF) plus the rel-bias rows that ``_bias_matrix``
+builds, which in the decoder already hold NEG_INF at each query's later keys.
+Training asks for the rows from query 0, a decode pass for the rows of the
+tokens it feeds; both read slices of the same cached bucket grids and causal
+mask, which depend only on the lengths.
+
 Parameters live in a plain ``dict[str, np.ndarray]``. Shapes are fully
 determined by ``ModelConfig``; ``validate_params`` checks a store's names,
 shapes and dtype against them (the trainer runs it before the first step).
@@ -355,13 +362,38 @@ def relative_position_bucket(
     return np.where(is_small, rp, large) + offset
 
 
-def _bias_matrix(table: np.ndarray, q_len: int, k_len: int, cfg: ModelConfig, bidirectional: bool):
-    rel = np.arange(k_len)[None, :] - np.arange(q_len)[:, None]
-    bucket = relative_position_bucket(
-        rel, cfg.rel_pos_buckets, cfg.rel_pos_max_distance, bidirectional
-    )
-    bias = table[bucket]  # [Q, K, H]
-    return bias.transpose(2, 0, 1), bucket  # [H, Q, K]
+@lru_cache(maxsize=64)
+def _buckets(size: int, n_buckets: int, max_distance: int, bidirectional: bool) -> np.ndarray:
+    """Read-only [size, size] grid of the bucket of key k for query q. It
+    depends on k - q only, so its top-left corners serve every shorter length."""
+    rel = np.arange(size) - np.arange(size)[:, None]
+    grid = relative_position_bucket(rel, n_buckets, max_distance, bidirectional)
+    grid.flags.writeable = False
+    return grid
+
+
+@lru_cache(maxsize=64)
+def _future(size: int, dtype) -> np.ndarray:
+    """Read-only [size, size] causal mask: NEG_INF at each query's later keys, else 0."""
+    mask = np.triu(np.full((size, size), NEG_INF, dtype), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _bias_matrix(table: np.ndarray, cfg: ModelConfig, q0: int, q_len: int, bidirectional: bool):
+    """A self-attention's additive rel-bias [H, q_len, K] for the query rows
+    q0..q0+q_len-1 over the keys 0..K-1, K = q0 + q_len, with NEG_INF added at
+    each query's later keys in the (causal) decoder; and the [q_len, K] bucket
+    grid the backward pass scatters through. Both grids are slices of cached
+    ones whose size is the next power of two at or above K, so each direction
+    keeps at most 4/3 of its largest grid, whatever lengths arrive."""
+    k = q0 + q_len
+    size = 1 << (k - 1).bit_length()
+    bucket = _buckets(size, cfg.rel_pos_buckets, cfg.rel_pos_max_distance, bidirectional)[q0:k, :k]
+    bias = table[bucket].transpose(2, 0, 1)  # [Q, K, H] -> [H, Q, K]
+    if not bidirectional:
+        bias = bias + _future(size, table.dtype)[q0:k, :k]
+    return bias, bucket
 
 
 def _rms_norm_fwd(x: np.ndarray, g: np.ndarray, y=None, r=None):
@@ -606,7 +638,7 @@ def _encode(params, cfg, encoder_ids, encoder_valid, jobs=SERIAL):
     """Output [B*S, D], cache and the [B, 1, 1, S] key mask cross-attention reuses."""
     s = encoder_ids.shape[1]
     key_mask = np.where(encoder_valid[:, None, None, :], 0.0, NEG_INF).astype(cfg.np_dtype)
-    bias, bucket = _bias_matrix(params["enc.rel_bias"], s, s, cfg, bidirectional=True)
+    bias, bucket = _bias_matrix(params["enc.rel_bias"], cfg, 0, s, bidirectional=True)
     return (*_stack_fwd(params, cfg, "enc", encoder_ids, key_mask + bias, bucket, jobs=jobs), key_mask)
 
 
@@ -614,11 +646,9 @@ def _decode(params, cfg, decoder_ids, enc_out, key_mask, dec_valid, jobs=SERIAL)
     """Logits [B, T, V], a view of the output layer's [B*T, V] product."""
     dt = cfg.np_dtype
     b, t = decoder_ids.shape
-    causal = np.tril(np.ones((t, t), dtype=bool))
-    self_allowed = causal[None, :, :] & dec_valid[:, None, :]  # [B, T(q), T(k)]
-    self_mask = np.where(self_allowed[:, None, :, :], 0.0, NEG_INF).astype(dt)
-    bias, bucket = _bias_matrix(params["dec.rel_bias"], t, t, cfg, bidirectional=False)
-    h, cache = _stack_fwd(params, cfg, "dec", decoder_ids, self_mask + bias, bucket, enc_out, key_mask, jobs=jobs)
+    pad_mask = np.where(dec_valid[:, None, None, :], 0.0, NEG_INF).astype(dt)
+    bias, bucket = _bias_matrix(params["dec.rel_bias"], cfg, 0, t, bidirectional=False)
+    h, cache = _stack_fwd(params, cfg, "dec", decoder_ids, pad_mask + bias, bucket, enc_out, key_mask, jobs=jobs)
     cache["h"] = h
     emb = params["embedding"]
     w, logits = emb.T.astype(dt, copy=False), np.empty((b * t, len(emb)), dt)
@@ -817,14 +847,18 @@ def greedy_decode(
     Drafts copied from the input: outputs such as tagged NER sentences repeat
     long runs of their input, so after the first token a pass also feeds the
     input tokens that followed the latest occurrence of the last generated
-    tokens there (``_draft``), as rows behind the newest token under a causal
-    mask. Each row's argmax is greedy decoding's next token at its position
-    if every draft token before it was that argmax too: the pass keeps the
-    draft tokens up to the first that is not, then the argmax after them, and
-    the cache drops the rows of the rest. A pass without a draft is one row,
-    whose logits come from a matrix-vector product; a pass with one computes
-    its rows' logits as one product, as a full decoder pass does, so in
-    float32 its tokens can differ from single-row steps only at a near-tie.
+    tokens there (``_draft``), as rows behind the newest token. Each row's
+    argmax is greedy decoding's next token at its position if every draft
+    token before it was that argmax too: the pass keeps the draft tokens up to
+    the first that is not, then the argmax after them, and the cache drops the
+    rows of the rest. Every pass, with a draft or without, runs the same
+    three steps: its rows' rel-bias from ``_bias_matrix``, with the causal
+    mask at each row's later keys as in training; ``_stack_fwd``; and its
+    rows' logits as one product with the embedding. numpy runs a one-row
+    product as a matrix-vector call, so a pass without a draft has the bits
+    of a single-row step; a pass of several rows computes its logits as a
+    full decoder pass does, so in float32 its tokens can differ from
+    single-row steps only at a near-tie.
     """
     enc = np.asarray([encoder_ids], dtype=np.int64)
     _check_ids(cfg, "encoder", enc)
@@ -837,26 +871,12 @@ def greedy_decode(
     kv: dict = {}
     out: list[int] = []
     token = PAD_ID
-    by_distance = params["dec.rel_bias"][:0]  # [n, H]: bias of a key d positions back
     while len(out) < max_len:
         t = len(out)  # the newest token's position
         draft = _draft(ids, follows, out, max_len - t - 1)
-        n = 1 + len(draft)
-        if t + n > len(by_distance):  # double the table as the prefix outgrows it
-            bucket = relative_position_bucket(
-                -np.arange(2 * (t + n) - 1), cfg.rel_pos_buckets, cfg.rel_pos_max_distance, bidirectional=False
-            )
-            by_distance = params["dec.rel_bias"][bucket]
-        if not draft:
-            bias = by_distance[t::-1].T[None, :, None, :]  # row t of the causal bias, [1, H, 1, t + 1]
-            final, _ = _stack_fwd(params, cfg, "dec", [[token]], bias, None, enc_out, key_mask, kv)
-            picks = [int(np.argmax(embedding @ final[0]))]
-        else:  # rows t..t+n-1 of the causal mask plus bias, [1, H, n, t + n]
-            back = np.arange(t, t + n)[:, None] - np.arange(t + n)  # distance to each key
-            mask = np.where(back < 0, NEG_INF, 0.0).astype(cfg.np_dtype)
-            bias = mask + by_distance[np.maximum(back, 0)].transpose(2, 0, 1)
-            final, _ = _stack_fwd(params, cfg, "dec", [[token, *draft]], bias[None], None, enc_out, key_mask, kv)
-            picks = np.argmax(final @ embedding.T, axis=1).tolist()
+        bias, _ = _bias_matrix(params["dec.rel_bias"], cfg, t, 1 + len(draft), bidirectional=False)
+        final, _ = _stack_fwd(params, cfg, "dec", [[token, *draft]], bias[None], None, enc_out, key_mask, kv)
+        picks = np.argmax(final @ embedding.T, axis=1).tolist()
         k = 0  # draft tokens kept
         while k < len(draft) and draft[k] == picks[k]:
             k += 1

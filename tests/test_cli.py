@@ -470,6 +470,28 @@ class TestEvaluate:
         rc = run(["evaluate", "--task-type", "nli", "--pred", str(preds), "--gold", str(gold)])
         assert rc == EXIT_DATA_ERROR
 
+    @pytest.mark.parametrize(
+        "task_type, prediction, bad, where",
+        [
+            ("ner", 5, "pred", ":1: prediction record needs a string 'prediction'"),
+            ("re", "x", "gold", ": gold record 1: a re report needs 'label' of type str"),
+            ("nli", "x", "gold", ": gold record 1: a nli report needs 'label' of type str"),
+            ("qa", "x", "gold", ": gold record 1: a qa report needs 'question' of type str"),
+            ("doc", "x", "gold", ": gold record 1: a doc report needs 'labels' of type list[str]"),
+        ],
+        ids=["number-prediction", "re-on-ner-gold", "nli-on-ner-gold", "qa-on-ner-gold", "doc-on-ner-gold"],
+    )
+    def test_field_the_report_reads_is_a_data_error(self, tmp_path, fixtures_dir, caplog, task_type, prediction,
+                                                     bad, where):
+        files = {"gold": tmp_path / "gold.jsonl", "pred": tmp_path / "preds.jsonl"}
+        argv = ["--task-type", "ner", "--task-name", "ner", "--out", str(files["gold"])]
+        assert run(["encode-task", *argv, "--in", str(fixtures_dir / "ner_synthetic.conll")]) == EXIT_OK
+        n = len(read_task_examples(files["gold"]))
+        write_predictions(files["pred"], [{"prediction": prediction}] + [{"prediction": "x"}] * (n - 1))
+        rc = run(["evaluate", "--task-type", task_type, "--pred", str(files["pred"]), "--gold", str(files["gold"])])
+        assert rc == EXIT_DATA_ERROR
+        assert str(files[bad]) + where in caplog.text
+
 
 def run_entry_point(argv: list[str], env: dict | None = None) -> subprocess.CompletedProcess:
     """Run ``python -m t2tbio.cli`` in a child process, with no inherited

@@ -2,9 +2,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,57 @@ class TestRelativePositionBucket:
         far = relative_position_bucket(-10_000, 32, 128, False)
         farther = relative_position_bucket(-100_000, 32, 128, False)
         assert far == farther == 31
+
+
+class TestBiasMatrix:
+    """``model._bias_matrix``, which alone builds a self-attention's rel-bias,
+    for training (q0 = 0) and for every decode pass (q0 = the newest token's
+    position), over lengths that cross the power-of-two sizes of its cached
+    grids."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("bidirectional", [True, False])
+    def test_rows_against_the_bucket_function(self, bidirectional, dtype):
+        cfg = dataclasses.replace(SMOKE, dtype=dtype)
+        table = np.random.default_rng(3).normal(size=(cfg.rel_pos_buckets, cfg.n_heads)).astype(cfg.np_dtype)
+        for q0 in range(71):
+            for q_len in range(1, 10):
+                k = q0 + q_len
+                bias, bucket = model._bias_matrix(table, cfg, q0, q_len, bidirectional)
+                want = relative_position_bucket(np.arange(k) - np.arange(q0, k)[:, None], cfg.rel_pos_buckets,
+                                                cfg.rel_pos_max_distance, bidirectional)
+                np.testing.assert_array_equal(bucket, want)
+                assert bias.shape == (cfg.n_heads, q_len, k) and bias.dtype == cfg.np_dtype
+                later = np.arange(k) > np.arange(q0, k)[:, None]
+                allowed = np.ones_like(later) if bidirectional else ~later
+                by_head = bias.transpose(1, 2, 0)  # [Q, K, H]
+                np.testing.assert_array_equal(by_head[allowed], table[want][allowed])
+                masked = (by_head <= model.NEG_INF / 2).all(axis=-1)
+                assert not (by_head[~masked] <= model.NEG_INF / 2).any()
+                np.testing.assert_array_equal(masked, later & (not bidirectional))
+
+    def test_cached_grids_are_read_only(self):
+        table = np.zeros((SMOKE.rel_pos_buckets, SMOKE.n_heads), np.float32)
+        _, bucket = model._bias_matrix(table, SMOKE, 3, 4, False)
+        cached = (bucket, model._buckets(8, 16, 32, True), model._future(8, np.dtype(np.float32)))
+        for grid in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0, 0] = 1
+
+    def test_every_cached_size_is_a_power_of_two(self):
+        table = np.zeros((SMOKE.rel_pos_buckets, SMOKE.n_heads), np.float32)
+        model._buckets.cache_clear()
+        model._future.cache_clear()
+        for q0 in range(71):
+            for q_len in range(1, 10):
+                for bidirectional in (True, False):
+                    _, bucket = model._bias_matrix(table, SMOKE, q0, q_len, bidirectional)
+                    size = bucket.base.shape[0]
+                    assert bucket.base.shape == (size, size) and size & (size - 1) == 0
+                    assert q0 + q_len <= size < 2 * (q0 + q_len)
+        # K runs 1..79: sizes 1, 2, ..., 128, one grid each per direction
+        assert model._buckets.cache_info().currsize == 2 * 8
+        assert model._future.cache_info().currsize == 8
 
 
 class TestForward:
@@ -727,3 +782,40 @@ class TestConfigValidation:
     def test_dtype_checked(self):
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=10, dtype="float16")
+
+
+# imports t2tbio before numpy, as the CLI does, then prints the sha256 of one
+# medium loss_and_grads: 8 sequences of 65 input and 22 target tokens
+BLAS_DIGEST = """
+import hashlib
+import t2tbio
+import numpy as np
+from t2tbio.model import ModelConfig, init_params, loss_and_grads, make_batch
+from t2tbio.rng import SplitMix64
+cfg = ModelConfig(**{cfg!r})
+rng = SplitMix64(7)
+pairs = [([3 + rng.next_below(cfg.vocab_size - 3) for _ in range(64)],
+          [3 + rng.next_below(cfg.vocab_size - 3) for _ in range(21)]) for _ in range(8)]
+loss, grads = loss_and_grads(init_params(cfg, seed=1), cfg, make_batch(pairs))
+h = hashlib.sha256(np.float64(loss).tobytes())
+for name in sorted(grads):
+    h.update(grads[name].tobytes())
+print(h.hexdigest())
+"""
+BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: BLAS runs one thread whatever the environment says")
+def test_blas_thread_count_does_not_change_the_bits():
+    """Without the thread variables in its environment a process that imports
+    t2tbio first gets one-thread BLAS, and the bits of a run pinned to one."""
+    src = str(Path(model.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    base["PYTHONPATH"] = src
+    digests = []
+    for env in (base, {**base, **dict.fromkeys(BLAS_VARIABLES, "1")}):
+        proc = subprocess.run([sys.executable, "-c", BLAS_DIGEST.format(cfg=MEDIUM.to_dict())], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]

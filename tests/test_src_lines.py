@@ -1,7 +1,10 @@
 """``scripts/src_lines.py``: the code lines of a module, and the per-module
 table of a revision against the working tree."""
 
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 from helpers import script
 
@@ -68,3 +71,27 @@ def test_base_against_the_working_tree(tmp_path, monkeypatch, capsys):
     ]
     assert src_lines.main([]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "9"]
+
+
+def test_outside_a_git_work_tree(tmp_path):
+    # an export of the repository's scripts and src/, with no .git above it
+    root = tmp_path / "export"
+    (root / "scripts").mkdir(parents=True)
+    (root / "src" / "pkg").mkdir(parents=True)
+    for name in ("src_lines.py", "bench_pairs.py"):
+        (root / "scripts" / name).write_text(Path(src_lines.__file__).with_name(name).read_text(encoding="utf-8"),
+                                             encoding="utf-8")
+    (root / "src" / "pkg" / "a.py").write_text(MODULE, encoding="utf-8")
+    env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(tmp_path)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "scripts/src_lines.py", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    on_disk = run()
+    assert on_disk.returncode == 0, on_disk.stderr
+    assert on_disk.stdout.splitlines() == ["pkg/a.py  8", "total     8"]
+    with_base = run("--base", "HEAD")
+    assert with_base.returncode == 2
+    assert with_base.stdout == ""
+    assert len(with_base.stderr.splitlines()) == 1 and "needs a git work tree" in with_base.stderr
