@@ -25,6 +25,11 @@ and its file, for a missing step, optimizer record or rng state too, and
 for an rng state outside SplitMix64's 64 bits. ``save_checkpoint`` writes
 its one ``step`` as both the manifest's and the optimizer record's, so the
 two always agree.
+
+Each manifest also records, under ``runtime``, the numpy version, the BLAS
+build and the BLAS thread variables of the process that wrote it, since a
+model's bits depend on them (see the package docstring). The loaders do not
+read it, so a manifest without it loads as before.
 """
 
 from __future__ import annotations
@@ -46,6 +51,22 @@ WEIGHTS_NAME = "weights.bin"
 OPTIMIZER_NAME = "optimizer.bin"
 RNG_STATE_NAME = "rng_state"
 CHECKPOINT_FORMAT = "t2tbio-checkpoint v1"
+
+
+@functools.cache
+def runtime() -> dict:
+    """The manifest's ``runtime`` record, computed once per process: the numpy
+    version, the BLAS build (``"unknown"`` where numpy cannot report it as
+    data, before 1.26) and each BLAS thread variable's value, or None where
+    it is unset."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        build = "unknown"
+    return {"numpy": np.__version__, "blas": build,
+            "threads": {name: os.environ.get(name) for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                                                "MKL_NUM_THREADS")}}
 
 
 def tensor_entries(tensors: dict[str, tuple[tuple[int, ...], np.dtype]]) -> list[dict]:
@@ -114,6 +135,7 @@ def save_checkpoint(
         "tensors": entries[WEIGHTS_NAME],
         "step": step,
         "optimizer": {"name": "adam", "step": step, "tensors": entries[OPTIMIZER_NAME]},
+        "runtime": runtime(),
     }
     write_json(os.path.join(out_dir, RNG_STATE_NAME), {"algo": "splitmix64", "state": rng_state})
     write_json(os.path.join(out_dir, MANIFEST_NAME), manifest, indent=2)

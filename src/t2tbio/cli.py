@@ -453,7 +453,10 @@ def _cmd_evaluate(args) -> int:
     payload["passed"] = not failed
     if args.out:
         data_io.write_json(args.out, payload, indent=2)
-    print(report.format_table())
+    # a label stdout cannot encode, such as a lone surrogate from a JSON
+    # escape, is printed as its escape rather than raising
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(report.format_table().encode(encoding, "backslashreplace").decode(encoding))
     for name, value, floor in failed:
         log.error("metric %s=%.4f is below the floor %.4f", name, value, floor)
     return EXIT_FLOOR if failed else EXIT_OK
@@ -469,6 +472,7 @@ def _cmd_inspect_checkpoint(args) -> int:
         "parameters": param_count(params),
         "step": manifest["step"],
         "optimizer": manifest["optimizer"]["name"],
+        "runtime": manifest.get("runtime"),  # None for a manifest written before the field
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK

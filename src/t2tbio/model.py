@@ -77,6 +77,11 @@ sums are fresh arrays). ``loss_and_grads`` waits for the worker before it
 returns or raises; an error in a call handed over is raised then, in the
 calling thread.
 
+Memory: a step holds the forward's caches, with one [N, F] activation per
+feed-forward (``_ff_fwd``), and the logits until ``cross_entropy`` has made
+``dlogits``, its peak. The backward then frees each sublayer's cache as it
+leaves it (``_stack_bwd``), once the calls handed over that read it have run.
+
 Shape conventions: B batch, S source length, T target length, D d_model,
 H heads, Dh = D // H, F d_ff, V vocab size, N = B*S or B*T token rows.
 Activations are token-major: the residual stream is [N, D] from the
@@ -517,19 +522,24 @@ def _accumulate_bias_grad(grads, name, bucket, dscores):
     _scatter_add_rows(grads[name], bucket.ravel(), ds)
 
 
-def _ff_fwd(x, params, prefix, out=None, h1=None, hr=None):
-    h1 = np.matmul(x, params[prefix + ".w1"], out=h1)
-    hr = np.maximum(h1, 0.0, out=hr)
-    return np.matmul(hr, params[prefix + ".w2"], out=out), (x, h1, hr)
+def _ff_fwd(x, params, prefix, out=None, h=None):
+    """The feed-forward over token rows x and its cache ``(x, h)``: h [N, F]
+    is ``relu(x @ w1)``, applied in place on the product, the one activation
+    of width F a step keeps. ``h > 0`` selects exactly the entries that the
+    product's ``> 0`` does, NaN and -0.0 included, so the backward masks with
+    it."""
+    h = np.matmul(x, params[prefix + ".w1"], out=h)
+    np.maximum(h, 0.0, out=h)
+    return np.matmul(h, params[prefix + ".w2"], out=out), (x, h)
 
 
 def _ff_bwd(dy, params, prefix, cache, grads, jobs):
-    x, h1, hr = cache
-    jobs.submit(_weight_grad, hr, dy, grads[prefix + ".w2"])
-    dh1 = dy @ params[prefix + ".w2"].T  # dhr, masked in place
-    dh1 *= h1 > 0
-    jobs.submit(_weight_grad, x, dh1, grads[prefix + ".w1"])
-    return dh1 @ params[prefix + ".w1"].T
+    x, h = cache
+    jobs.submit(_weight_grad, h, dy, grads[prefix + ".w2"])
+    dh = dy @ params[prefix + ".w2"].T  # masked in place
+    dh *= h > 0
+    jobs.submit(_weight_grad, x, dh, grads[prefix + ".w1"])
+    return dh @ params[prefix + ".w1"].T
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +572,8 @@ def _sublayer_halves(x, b, params, cfg, prefix, kind, add, enc_out, jobs):
     seq, kv_seq = rows // b, len(xkv) // b  # token rows and key rows per sequence
     y, n, r = np.empty_like(x), np.empty_like(x), np.empty((rows, 1), dt)
     # the op's arrays, each with its rows per sequence
-    if kind == "ff":  # h1, hr
-        op = [(np.empty((rows, cfg.d_ff), dt), seq) for _ in range(2)]
+    if kind == "ff":  # h
+        op = [(np.empty((rows, cfg.d_ff), dt), seq)]
     else:  # q, k, v, a, ctx
         a = np.empty((b, cfg.n_heads, seq, add.shape[-1]), dt)
         op = [(np.empty_like(x), seq), (np.empty_like(xkv), kv_seq), (np.empty_like(xkv), kv_seq), (a, 1),
@@ -613,11 +623,16 @@ def _stack_fwd(params, cfg, stack, ids, self_add, bucket, enc_out=None, cross_ma
 def _stack_bwd(dout, params, cfg, cache, grads, jobs):
     """Backward of ``_stack_fwd``: the final norm, the sublayers in reverse,
     then the embedding scatter. Returns the gradient flowing into the encoder
-    output (None for a stack without cross-attention)."""
+    output (None for a stack without cross-attention). Each sublayer's cache
+    is popped from ``cache`` as its backward runs, so its arrays are freed
+    once the calls handed to ``jobs`` that read them have run, and a step
+    holds the caches of the sublayers still to go, not all of them."""
     stack = cache["stack"]
     dx = _rms_norm_bwd(dout, params[stack + ".norm"], cache["final"], grads[stack + ".norm"])
     d_enc_out = None
-    for prefix, kind, c_norm, c in reversed(cache["sublayers"]):
+    sublayers = cache["sublayers"]
+    while sublayers:
+        prefix, kind, c_norm, c = sublayers.pop()
         if kind == "ff":
             dn = _ff_bwd(dx, params, prefix, c, grads, jobs)
         elif kind == "cross":
@@ -734,7 +749,7 @@ def _forward_with_cache(params, cfg, batch, jobs=SERIAL):
 
 # names of the tensors each sublayer kind keeps in its forward cache
 _CACHE_NAMES = {
-    "ff": ("in", "h1", "relu"),
+    "ff": ("in", "h1"),  # h1: the ReLU output
     "self": ("in", "in", "q", "k", "v", "probs", "ctx"),
     "cross": ("in", "kv_in", "q", "k", "v", "probs", "ctx"),
 }
@@ -797,6 +812,7 @@ def loss_and_grads(
         logits, (enc_cache, dec_cache) = _forward_with_cache(params, cfg, batch, jobs)
         # cross-entropy runs in halves where the forward did
         loss, dlogits = cross_entropy(logits, batch.target_ids, batch.loss_mask, _split_batch(jobs, batch))
+        del logits  # the backward reads dlogits, so the logits are freed here
         # the backward pass overwrites each gradient buffer on its first write;
         # only the relative-position biases, shared by every layer of a stack,
         # are scattered into a zeroed buffer

@@ -246,8 +246,10 @@ def optimizer_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t
 
 
 def _adam_slices(p, g, m, v, start, stop, step_size, bc2) -> None:
-    """``optimizer_step`` over elements [start, stop), ``start`` a multiple of
-    ``ADAM_BLOCK``."""
+    """``optimizer_step`` over elements [start, stop). ``start`` is a multiple
+    of ``ADAM_BLOCK``, and so is ``stop`` unless it is the arrays' end: each
+    block runs whole, so a ``stop`` inside a block would update elements past
+    it, up to the block's end."""
     buf = np.empty(min(ADAM_BLOCK, stop - start), p.dtype)
     scaled_m = np.empty_like(buf)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports what these warn of

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -491,6 +493,19 @@ class TestEvaluate:
         rc = run(["evaluate", "--task-type", task_type, "--pred", str(files["pred"]), "--gold", str(files["gold"])])
         assert rc == EXIT_DATA_ERROR
         assert str(files[bad]) + where in caplog.text
+
+    def test_a_label_stdout_cannot_encode_is_printed_escaped(self, tmp_path):
+        # a lone surrogate is a valid JSON escape but no UTF-8 text
+        gold, preds = tmp_path / "gold.jsonl", tmp_path / "preds.jsonl"
+        gold.write_text(json.dumps({"task": "t", "input": "t: a", "target": "x", "gold": {"label": "\ud800"}}) + "\n",
+                        encoding="utf-8")
+        write_predictions(preds, [{"prediction": "x"}])
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")  # as a terminal's
+        with contextlib.redirect_stdout(stdout):
+            rc = run(["evaluate", "--task-type", "re", "--pred", str(preds), "--gold", str(gold)])
+        stdout.seek(0)
+        assert rc == EXIT_OK
+        assert "\\ud800" in stdout.read()
 
 
 def run_entry_point(argv: list[str], env: dict | None = None) -> subprocess.CompletedProcess:

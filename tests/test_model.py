@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -676,6 +677,74 @@ class TestParams:
         finally:
             tracemalloc.stop()
         assert peak <= sum(x.nbytes for x in params.values()) + (4 << 20)
+
+
+class TestStepMemory:
+    """A medium training step's backward frees what it is done with: it holds
+    no more than the forward left it, and each sublayer's cache is gone once
+    the backward has moved past that sublayer. On one thread (the size rule
+    raised), so that the worker's timing cannot hold an array longer."""
+
+    @pytest.fixture
+    def step(self, monkeypatch):
+        monkeypatch.setattr(worker, "MIN_SIZE", 1 << 62)
+        rng = SplitMix64(7)
+        pairs = [([3 + rng.next_below(MEDIUM.vocab_size - 3) for _ in range(60)],
+                  [3 + rng.next_below(MEDIUM.vocab_size - 3) for _ in range(17)]) for _ in range(8)]
+        params = init_params(MEDIUM, seed=1)
+        return params, make_batch(pairs), {name: np.empty_like(p) for name, p in params.items()}
+
+    def test_backward_holds_no_more_than_the_forward_left(self, monkeypatch, step):
+        params, batch, grads = step
+        held, fwd = [], model._forward_with_cache
+
+        def traced(*args):
+            out = fwd(*args)
+            held.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(model, "_forward_with_cache", traced)
+        tracemalloc.start()
+        try:
+            loss_and_grads(params, MEDIUM, batch, out=grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dlogits = batch.target_ids.size * MEDIUM.vocab_size * np.dtype(MEDIUM.np_dtype).itemsize
+        # the forward's caches plus the logits held 22.6 MiB here, and a
+        # backward that freed nothing peaked 6.3 MiB above them and dlogits
+        assert peak <= held[0] + dlogits + (2 << 20)
+
+    def test_each_sublayer_cache_is_freed_once_its_backward_has_run(self, monkeypatch, step):
+        params, batch, grads = step
+        cached = {}  # sublayer prefix -> weak references to the arrays its cache holds
+        stack_fwd, norm_bwd, checked = model._stack_fwd, model._rms_norm_bwd, []
+
+        def recording(*args, **kwargs):
+            out, cache = stack_fwd(*args, **kwargs)
+            for prefix, kind, c_norm, c in cache["sublayers"]:
+                # every cross-attention reads the encoder output: not this sublayer's own
+                own = [t for i, t in enumerate(c) if not (kind == "cross" and i == 1)]
+                cached[prefix] = [weakref.ref(t) for t in (*c_norm, *own)]
+            return out, cache
+
+        def alive(prefixes):
+            return [p for p in prefixes if any(r() is not None for r in cached[p])]
+
+        def checking(dy, g, cache, dg):
+            prefix = next((p for p in cached if params[p + ".norm"] is g), None)
+            if prefix is not None:  # a sublayer's norm: the last step of its backward
+                names = list(cached)  # in run order, the encoder's then the decoder's
+                later = [p for p in names[names.index(prefix) + 1 :] if p[:3] == prefix[:3]]  # same stack
+                assert alive(later) == [], prefix
+                checked.append(prefix)
+            return norm_bwd(dy, g, cache, dg)
+
+        monkeypatch.setattr(model, "_stack_fwd", recording)
+        monkeypatch.setattr(model, "_rms_norm_bwd", checking)
+        loss_and_grads(params, MEDIUM, batch, out=grads)
+        assert sorted(checked) == sorted(cached)
+        assert alive(cached) == []
 
 
 # relative error allowed between two sums of the same products taken in

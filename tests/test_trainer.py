@@ -11,7 +11,7 @@ from t2tbio.checkpoint import load_checkpoint, load_optimizer, save_checkpoint, 
 from t2tbio.corruption import SpanCorruptionConfig
 from t2tbio.data_io import write_task_examples
 from t2tbio.errors import CheckpointError, ConfigError, DataFormatError, ModelError
-from t2tbio import trainer
+from t2tbio import checkpoint, cli, trainer
 from t2tbio.model import ModelConfig, init_params
 from t2tbio.rng import SplitMix64
 from t2tbio.task_codec import TaskExample
@@ -540,6 +540,34 @@ class TestCheckpointing:
             assert rows[0][name].dtype == np.float64
             assert rows[0][name].tobytes() == m[name].tobytes()
             assert rows[1][name].tobytes() == v[name].tobytes()
+
+    def test_manifest_records_the_runtime_once_per_process(self, tmp_path, capsys, monkeypatch):
+        cfg = small_cfg(31)
+        first = checkpoint.runtime()
+        monkeypatch.setenv("OMP_NUM_THREADS", "7")  # BLAS read the variables when numpy loaded
+        save_checkpoint(tmp_path / "ck", init_params(cfg, seed=4), cfg, None, rng_state=1, step=0)
+        _, _, manifest = load_checkpoint(tmp_path / "ck")
+        assert manifest["runtime"] == first
+        assert first["numpy"] == np.__version__ and first["blas"]
+        assert set(first["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert cli.run(["inspect-checkpoint", "--checkpoint", str(tmp_path / "ck")]) == 0
+        assert json.loads(capsys.readouterr().out)["runtime"] == first
+
+    def test_manifest_without_runtime_loads(self, tmp_path, capsys):
+        cfg = small_cfg(31)
+        params = init_params(cfg, seed=4)
+        moments = adam_moments(params, params, {k: x * x for k, x in params.items()})
+        save_checkpoint(tmp_path / "ck", params, cfg, moments, rng_state=123, step=2)
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["runtime"]  # as the manifests written before the field
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        loaded, _, manifest = load_checkpoint(tmp_path / "ck")
+        for name in params:
+            assert loaded[name].tobytes() == params[name].tobytes()
+        assert load_optimizer(tmp_path / "ck", manifest).tobytes() == moments.tobytes()
+        assert cli.run(["inspect-checkpoint", "--checkpoint", str(tmp_path / "ck")]) == 0
+        assert json.loads(capsys.readouterr().out)["runtime"] is None
 
     def test_non_finite_rejected_on_load(self, tmp_path):
         cfg = small_cfg(31)
