@@ -8,7 +8,9 @@ tested and replaced independently. Exit codes: 0 success, 1 data error,
 
 The run config that drives ``pretrain`` and ``finetune`` is defined here
 (``RunConfig``, read by ``load_config``); its JSON layout and the type of each
-value come from its dataclasses through ``data_io.read_record``.
+value come from its dataclasses through ``data_io.read_record``. The gold
+fields that ``evaluate`` reads are checked by the same type rule,
+``data_io.json_value``, against the types listed in ``_GOLD_FIELDS``.
 
 Only the commands that draw random numbers take ``--seed``: ``corrupt``
 (default 0) and the two training commands, where it overrides the run
@@ -84,6 +86,12 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ru
     if out_dir is None:
         out_dir = os.environ.get(ENV_OUT_DIR, cfg.out_dir)
     cfg.out_dir = out_dir
+    try:
+        os.stat(out_dir)
+    except OSError:
+        pass  # not there yet: the first save makes it
+    except ValueError as e:  # a name no file can have, holding a NUL or a lone surrogate
+        raise ConfigError(f"out_dir {out_dir!r}: {e}") from e
     if seed is None and ENV_SEED in os.environ:
         try:
             seed = int(os.environ[ENV_SEED])
@@ -340,23 +348,15 @@ _GOLD_FIELDS = {
 }
 
 
-def _is_json(kind, value) -> bool:
-    """Whether a JSON value has the type ``kind``: a str, an int (not a
-    bool), a ``list[X]``, or a ``tuple[X, Y, ...]`` as a list of that length."""
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin is None or not isinstance(value, list):
-        return type(value) is kind
-    items = args * len(value) if origin is list else args  # each item's type
-    return len(value) == len(items) and all(map(_is_json, items, value))
-
-
 def _evaluate_report(args, preds: list[dict], golds) -> metrics.MetricsReport:
     for i, ex in enumerate(golds, start=1):
         for name, kind in _GOLD_FIELDS.get(args.task_type, ()):
-            if not _is_json(kind, ex.gold.get(name)):
+            try:
+                data_io.json_value(kind, ex.gold.get(name), name)
+            except ConfigError as e:
                 raise DataFormatError(
                     f"gold record {i}: a {args.task_type} report needs {name!r} of type "
-                    f"{kind if typing.get_args(kind) else kind.__name__}", path=str(args.gold))
+                    f"{kind if typing.get_args(kind) else kind.__name__}", path=str(args.gold)) from e
     predictions = [p["prediction"] for p in preds]
     if args.task_type == "ner":
         gold_spans = []

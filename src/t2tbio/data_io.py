@@ -5,8 +5,11 @@ Readers are total over arbitrary byte streams: they either return parsed
 records or raise DataFormatError with the path and line number; they never
 crash with an undeclared exception type. ``read_json``/``read_jsonl`` and
 ``write_json`` hold the one rule for parsing and for writing every JSON and
-JSONL artifact, and ``read_record`` builds a dataclass from a JSON object,
-checking each value against its field's type. This is the bottom file layer:
+JSONL artifact. ``json_value`` holds the one rule for a JSON value's type,
+which run configs, the checkpoint manifest's model section, TaskExample
+records and the gold fields a report reads are all checked by;
+``read_record`` builds a dataclass from a JSON object through it, checking
+each value against its field's type. This is the bottom file layer:
 from the package it imports only ``errors`` and ``task_codec``. The repo ships
 only small synthetic fixtures in these formats; real benchmark data is
 supplied by path.
@@ -29,7 +32,7 @@ def read_text(path) -> str:
     try:
         with open(path, "rb") as f:
             raw = f.read()
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a name no file has, holding a NUL or a lone surrogate
         raise DataFormatError(f"cannot read file: {e}", path=str(path)) from e
     try:
         return raw.decode("utf-8")
@@ -40,7 +43,7 @@ def read_text(path) -> str:
 def _parse_json(text: str, path, line: int | None = None):
     try:
         return json.loads(text)
-    except ValueError as e:  # also an integer literal beyond Python's digit limit
+    except (ValueError, RecursionError) as e:  # also an integer beyond Python's digit limit, or deep nesting
         raise DataFormatError(f"bad JSON: {e}", path=str(path), line=line) from e
 
 
@@ -280,19 +283,12 @@ def read_task_examples(path) -> list[TaskExample]:
     out: list[TaskExample] = []
     for lineno, record in read_jsonl(path):
         try:
-            task = record["task"]
-            input_text = record["input"]
-            target_text = record["target"]
+            task, input_text, target_text = [json_value(str, record[key], key) for key in ("task", "input", "target")]
+            gold = json_value(dict, record.get("gold", {}), "gold")
         except KeyError as e:
             raise DataFormatError(f"missing field {e}", path=str(path), line=lineno) from e
-        gold = record.get("gold", {})
-        if (
-            not isinstance(task, str)
-            or not isinstance(input_text, str)
-            or not isinstance(target_text, str)
-            or not isinstance(gold, dict)
-        ):
-            raise DataFormatError("fields have wrong types", path=str(path), line=lineno)
+        except ConfigError as e:
+            raise DataFormatError(str(e), path=str(path), line=lineno) from e
         if not input_text.startswith(task + ": "):
             raise DataFormatError(
                 f"input does not start with the task prefix {task + ': '!r}",
@@ -308,20 +304,25 @@ def read_task_examples(path) -> list[TaskExample]:
 # ---------------------------------------------------------------------------
 
 
-_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string", dict: "a JSON object"}
 
 
-def _value(kind, value, where: str):
-    """``value`` read as a field of type ``kind``: an int is a JSON integer (not
-    a bool), a float a finite number, a str a string, a dataclass a JSON object
-    and ``list[X]`` a JSON list of X."""
+def json_value(kind, value, where: str):
+    """``value`` read as a JSON value of type ``kind``, or ConfigError naming
+    ``where``: an int is a JSON integer (not a bool), a float a finite
+    number, a str a string, a dict any JSON object, a dataclass a JSON object
+    read by ``read_record``, ``list[X]`` a JSON list of X and ``tuple[X, Y,
+    ...]`` a JSON list of exactly those items."""
     if is_dataclass(kind):
         return read_record(kind, value, where)
-    if typing.get_origin(kind) is list:
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (list, tuple):
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a JSON list")
-        (item,) = typing.get_args(kind)
-        return [_value(item, x, f"{where}[{i}]") for i, x in enumerate(value)]
+        items = args * len(value) if origin is list else args  # each item's type
+        if len(items) != len(value):
+            raise ConfigError(f"{where} must be a JSON list of {len(items)} items")
+        return [json_value(item, x, f"{where}[{i}]") for i, (item, x) in enumerate(zip(items, value))]
     if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)
     if kind is not float and type(value) is kind:
@@ -344,7 +345,7 @@ def read_record(cls, section, where: str):
     values = {}
     for key, f in by_key.items():
         if key in section:
-            values[f.name] = _value(hints[f.name], section[key], f"{where}.{key}" if where else key)
+            values[f.name] = json_value(hints[f.name], section[key], f"{where}.{key}" if where else key)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where or 'config'} needs {key!r}")
     return cls(**values)

@@ -20,10 +20,11 @@ and ``v`` are the two rows of one ``[2, n]`` array, each row of that layout:
 zeros, or on resume the array that ``load_optimizer`` read ``optimizer.bin``
 into. Resumed weights already are views of the array that ``weights.bin``
 was read into. Neither is copied, and every save hands ``save_checkpoint``
-the same moments array. Only the loop counts steps. Each step
-``optimizer_step`` updates the four flat arrays slice by slice, and a
-non-finite update raises ``ModelError`` naming the step and the tensor
-before anything is saved. The slices run as two halves, the calling
+the same moments array, whose bytes it writes as ``optimizer.bin``.
+Only the loop counts steps. Each step ``optimizer_step`` updates the four
+flat arrays slice by slice, and a non-finite update raises ``ModelError``
+naming the step and the tensor, found in ``checkpoint.layout``'s weight
+entries, before anything is saved. The slices run as two halves, the calling
 thread's the larger, and the worker thread of ``worker`` updates the other
 half when it meets the size rule in ``worker``'s docstring. The bits are
 those of one pass. A learning rate whose first-step scale
@@ -51,12 +52,12 @@ import numpy as np
 
 from . import data_io, worker
 from .checkpoint import (
+    layout,
     load_checkpoint,
     load_optimizer,
     load_rng_state,
     save_checkpoint,
     tensor_at,
-    tensor_entries,
     views,
 )
 from .corruption import SpanCorruptionConfig, corrupt, max_target_len
@@ -399,8 +400,7 @@ def _train(
                 loss, _ = loss_and_grads(params, model_cfg, batch, out=grads)
                 optimizer_step(p, g, m, v, step + 1, lr)
             except NonFiniteUpdate as e:
-                entries = tensor_entries({name: (shape, p.dtype) for name, shape in shapes.items()})
-                name = tensor_at(entries, e.at * p.itemsize)
+                name = tensor_at(layout(model_cfg)[0], e.at * p.itemsize)
                 raise ModelError(f"step {step}: non-finite Adam update in tensor {name}") from e
             except ModelError as e:
                 raise ModelError(f"step {step}: {e}") from e
@@ -430,6 +430,8 @@ def pretrain(
     named by its file name without the extension."""
     if not corpus_mix:
         raise ConfigError("corpus mixture must contain at least one corpus")
+    if v.size != model_cfg.vocab_size:
+        raise ConfigError(f"model.vocab_size {model_cfg.vocab_size} is not the vocabulary's size {v.size}")
     names: list[str] = []
     for entry in corpus_mix:
         if not (entry.weight >= 0 and math.isfinite(entry.weight)):
@@ -476,6 +478,8 @@ def finetune(
     """Supervised fine-tuning over a weighted task mixture (single-task is the
     one-entry case). Task prefixes are already baked into the datasets."""
     validate_mixture(mixture)
+    if v.size != model_cfg.vocab_size:
+        raise ConfigError(f"model.vocab_size {model_cfg.vocab_size} is not the vocabulary's size {v.size}")
     for name, cap in (("input_len", train_cfg.input_len), ("target_len", train_cfg.target_len)):
         if cap > model_cfg.max_seq_len:
             raise ConfigError(f"train.{name} {cap} exceeds model.max_seq_len {model_cfg.max_seq_len}")

@@ -494,6 +494,16 @@ class TestEvaluate:
         assert rc == EXIT_DATA_ERROR
         assert str(files[bad]) + where in caplog.text
 
+    @pytest.mark.parametrize("span", [[0, 0], [True, 0, "Disease"]], ids=["two-values", "bool-start"])
+    def test_a_ner_span_other_than_start_end_type_is_a_data_error(self, tmp_path, caplog, span):
+        gold, preds = tmp_path / "gold.jsonl", tmp_path / "preds.jsonl"
+        record = {"task": "t", "input": "t: Lupus", "target": "x", "gold": {"words": ["Lupus"], "spans": [span]}}
+        gold.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        write_predictions(preds, [{"prediction": "x"}])
+        rc = run(["evaluate", "--task-type", "ner", "--pred", str(preds), "--gold", str(gold)])
+        assert rc == EXIT_DATA_ERROR
+        assert f"{gold}: gold record 1: a ner report needs 'spans' of type list[tuple[int, int, str]]" in caplog.text
+
     def test_a_label_stdout_cannot_encode_is_printed_escaped(self, tmp_path):
         # a lone surrogate is a valid JSON escape but no UTF-8 text
         gold, preds = tmp_path / "gold.jsonl", tmp_path / "preds.jsonl"
@@ -565,13 +575,15 @@ class TestRunConfigErrors:
 
 NOT_UTF8 = b"\xff\xfe not UTF-8\n"
 HUGE_INT_JSON = b'{"prediction": ' + b"9" * 5000 + b"}\n"  # beyond Python's 4300-digit limit
+DEEP_JSON = b"[" * 5000 + b"\n"  # nested beyond Python's recursion limit
 EVALUATE = "evaluate --task-type match --pred {pred} --gold {gold}"
 
 
 class TestUnreadableInputs:
     """An input file that is not UTF-8, or JSON holding an integer literal
-    too long for Python to parse, is a data error naming the file, from the
-    installed entry point, never a traceback."""
+    too long for Python to parse or nested deeper than its recursion limit,
+    is a data error naming the file, from the installed entry point, never a
+    traceback."""
 
     @pytest.mark.parametrize(
         "argv, bad, content",
@@ -589,6 +601,10 @@ class TestUnreadableInputs:
                          id="inspect-manifest-not-utf8"),
             pytest.param("inspect-checkpoint --checkpoint {ckpt}", "manifest", HUGE_INT_JSON,
                          id="inspect-manifest-huge-int"),
+            pytest.param(EVALUATE, "gold", DEEP_JSON, id="evaluate-gold-deep"),
+            pytest.param("encode-task --task-type qa --task-name q --in {qa} --out {out}", "qa", DEEP_JSON,
+                         id="encode-task-qa-deep"),
+            pytest.param("inspect-checkpoint --checkpoint {ckpt}", "manifest", DEEP_JSON, id="inspect-manifest-deep"),
         ],
     )
     def test_exits_1_naming_the_file(self, tmp_path, argv, bad, content):
@@ -807,6 +823,62 @@ class TestLengthCaps:
         assert "train.target_len 40 exceeds model.max_seq_len 32" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+
+class TestVocabSize:
+    """Training checks the model's ``vocab_size`` against the vocabulary's
+    size before it reads a corpus or task file or creates its ``out_dir``:
+    a larger one would train a checkpoint ``predict`` rejects, a smaller one
+    would fail only at step 0."""
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize("offset", [7, -1], ids=["larger", "smaller"])
+    def test_a_vocab_size_other_than_the_vocabulary_s_exits_1(self, tmp_path, caplog, command, offset):
+        vocab = word_vocab(["alpha", "beta"], num_sentinels=16)
+        save_vocab(vocab, tmp_path / "vocab.txt")
+        (tmp_path / "c.txt").write_text("alpha beta " * 10 + "\n", encoding="utf-8")
+        (tmp_path / "t.jsonl").write_text('{"task": "t", "input": "t: alpha", "target": "beta"}\n', encoding="utf-8")
+        payload = {
+            "vocab_path": str(tmp_path / "vocab.txt"),
+            "out_dir": str(tmp_path / "out"),
+            "model": {**MODEL, "vocab_size": vocab.size + offset},
+            "train": {**TRAIN, "batch_size": 2},
+            "corruption": {"max_sentinels": 16},
+            "corpora": [{"path": str(tmp_path / "c.txt")}],
+            "mixture": [{"task": "t", "path": str(tmp_path / "t.jsonl")}],
+        }
+        (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert run([command, "--config", str(tmp_path / "config.json")]) == EXIT_DATA_ERROR
+        assert f"model.vocab_size {vocab.size + offset} is not the vocabulary's size {vocab.size}" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+
+class TestPathsNoFileCanHave:
+    """A run-config path holding a NUL or a lone surrogate (a valid JSON
+    escape) names no file: a data error naming it, and nothing written."""
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize("name", ["c\x00.txt", "\ud800"], ids=["nul", "lone-surrogate"])
+    @pytest.mark.parametrize("key", ["out_dir", "source"])
+    def test_exits_1(self, tmp_path, caplog, command, name, key):
+        vocab = word_vocab(["alpha", "beta"], num_sentinels=16)
+        save_vocab(vocab, tmp_path / "vocab.txt")
+        (tmp_path / "c.txt").write_text("alpha beta " * 10 + "\n", encoding="utf-8")
+        (tmp_path / "t.jsonl").write_text('{"task": "t", "input": "t: alpha", "target": "beta"}\n', encoding="utf-8")
+        source = name if key == "source" else str(tmp_path / ("c.txt" if command == "pretrain" else "t.jsonl"))
+        payload = {
+            "vocab_path": str(tmp_path / "vocab.txt"),
+            "out_dir": name if key == "out_dir" else str(tmp_path / "out"),
+            "model": {**MODEL, "vocab_size": vocab.size},
+            "train": {**TRAIN, "batch_size": 2},
+            "corruption": {"max_sentinels": 16},
+            "corpora": [{"path": source}],
+            "mixture": [{"task": "t", "path": source}],
+        }
+        (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert run([command, "--config", str(tmp_path / "config.json")]) == EXIT_DATA_ERROR
+        assert (f"out_dir {name!r}" if key == "out_dir" else f"{name}: cannot read file") in caplog.text
+        assert sorted(os.listdir(tmp_path)) == ["c.txt", "config.json", "t.jsonl", "vocab.txt"]
 
 
 class TestMalformedOptimizerState:

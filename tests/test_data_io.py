@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from t2tbio.cli import load_config
 from t2tbio.data_io import (
+    json_value,
     read_conll_ner,
     read_qa_json,
     read_task_examples,
@@ -162,6 +163,76 @@ class TestTaskExamples:
         )
         with pytest.raises(DataFormatError, match="task prefix"):
             read_task_examples(path)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"task": 5, "input": "t: a", "target": "x"}, ":1: task: expected a string, got 5"),
+            ({"task": "t", "input": "t: a", "target": None}, ":1: target: expected a string, got None"),
+            ({"task": "t", "input": "t: a", "target": "x", "gold": []}, ":1: gold: expected a JSON object, got []"),
+            ({"task": "t", "target": "x"}, ":1: missing field 'input'"),
+        ],
+        ids=["int-task", "null-target", "list-gold", "missing-input"],
+    )
+    def test_a_bad_field_is_named_at_its_line(self, tmp_path, record, message):
+        path = tmp_path / "ex.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError) as exc:
+            read_task_examples(path)
+        assert str(exc.value) == str(path) + message
+
+    def test_json_nested_beyond_the_recursion_limit_is_a_data_error(self, tmp_path):
+        path = tmp_path / "ex.jsonl"
+        path.write_text("[" * 5000 + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=":1: bad JSON"):
+            read_task_examples(path)
+
+    def test_unknown_keys_are_accepted(self, tmp_path):
+        # prediction files carry extra keys, and predict reads them as task examples
+        path = tmp_path / "ex.jsonl"
+        path.write_text(json.dumps({"task": "t", "input": "t: a", "target": "x", "prediction": "y"}) + "\n",
+                        encoding="utf-8")
+        assert read_task_examples(path) == [TaskExample("t", "t: a", "x", {})]
+
+
+class TestJsonValue:
+    """``json_value``: the one type rule for JSON values."""
+
+    @pytest.mark.parametrize(
+        "kind, value",
+        [
+            (int, 3),
+            (float, 2),
+            (str, ""),
+            (dict, {"a": [1]}),
+            (list[str], []),
+            (list[tuple[int, int, str]], [[0, 1, "GENE"], [2, 2, "X"]]),
+        ],
+        ids=["int", "int-as-float", "str", "dict", "empty-list", "list-of-tuples"],
+    )
+    def test_accepts(self, kind, value):
+        assert json_value(kind, value, "f") == value
+
+    @pytest.mark.parametrize(
+        "kind, value, message",
+        [
+            (tuple[int, int, str], [0, 1], "f must be a JSON list of 3 items"),
+            (tuple[int, int, str], [0, 1, "A", "B"], "f must be a JSON list of 3 items"),
+            (tuple[int, str], (0, "A"), "f must be a JSON list"),  # a JSON document holds no tuple
+            (tuple[int, int, str], [True, 1, "A"], "f[0]: expected an integer, got True"),
+            (int, False, "f: expected an integer, got False"),
+            (dict, [], "f: expected a JSON object, got []"),
+            (dict, None, "f: expected a JSON object, got None"),
+            (list[tuple[int, str]], [[1, "a"], [1, 2]], "f[1][1]: expected a string, got 2"),
+            (float, 10**400, "f: expected a finite number, got " + str(10**400)),
+        ],
+        ids=["short-tuple", "long-tuple", "python-tuple", "bool-in-tuple", "bool-as-int", "list-as-dict",
+             "null-as-dict", "nested-item", "huge-int-as-float"],
+    )
+    def test_rejects_naming_the_value(self, kind, value, message):
+        with pytest.raises(ConfigError) as exc:
+            json_value(kind, value, "f")
+        assert str(exc.value) == message
 
 
 def minimal_config(tmp_path, **overrides):

@@ -45,14 +45,15 @@ def paths(value, path=()):
         yield from paths(item, (*path, key))
 
 
-def mutate(records: list, data) -> None:
-    """Delete or replace one value nested at any depth in one of ``records``."""
+def mutate(records: list, data, replacement=REPLACEMENT) -> None:
+    """Delete or replace one value nested at any depth in one of ``records``,
+    a replacement drawn from ``replacement``."""
     i = data.draw(st.integers(0, len(records) - 1))
     every = list(paths(records[i]))[1:] or [()]
     read = [p for p in every if p[:1] == ("gold",) and len(p) > 1]  # what a report reads: half the draws
     path = data.draw(st.sampled_from(every) | st.sampled_from(read) if read else st.sampled_from(every))
     if not path:
-        records[i] = data.draw(REPLACEMENT)
+        records[i] = data.draw(replacement)
         return
     parent = records[i]
     for key in path[:-1]:
@@ -60,7 +61,7 @@ def mutate(records: list, data) -> None:
     if data.draw(st.booleans()):
         del parent[path[-1]]
     else:
-        parent[path[-1]] = data.draw(REPLACEMENT)
+        parent[path[-1]] = data.draw(replacement)
 
 
 @pytest.mark.parametrize("task_type", TASK_TYPES)

@@ -523,6 +523,26 @@ class TestCheckpointing:
             expected = b"".join(tensors[name].astype("<f4").tobytes() for name in sorted(tensors))
             assert (tmp_path / "ck" / blob).read_bytes() == expected
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_the_moments_blob_is_the_one_array(self, tmp_path, dtype):
+        """``optimizer.bin`` holds the little-endian bytes of the ``[2, n]``
+        moments, listed by ``layout``'s moment entries; a step-0 save writes
+        an empty blob and lists none."""
+        cfg = replace(small_cfg(31), dtype=dtype)
+        params = init_params(cfg, seed=4)
+        moments = adam_moments(params, {k: x + 0.5 for k, x in params.items()}, {k: x * x for k, x in params.items()})
+        save_checkpoint(tmp_path / "ck", params, cfg, moments, rng_state=123, step=2)
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text(encoding="utf-8"))
+        weights, moment_entries = checkpoint.layout(cfg)
+        little_endian = moments.astype(moments.dtype.newbyteorder("<"))
+        assert (tmp_path / "ck" / "optimizer.bin").read_bytes() == little_endian.tobytes()
+        assert manifest["optimizer"]["tensors"] == moment_entries
+        assert manifest["tensors"] == weights
+        save_checkpoint(tmp_path / "ck0", params, cfg, None, rng_state=123, step=0)
+        manifest = json.loads((tmp_path / "ck0" / "manifest.json").read_text(encoding="utf-8"))
+        assert (tmp_path / "ck0" / "optimizer.bin").read_bytes() == b""
+        assert manifest["optimizer"]["tensors"] == []
+
     def test_float64_save_load_bit_exact(self, tmp_path):
         cfg = replace(small_cfg(31), dtype="float64")
         params = init_params(cfg, seed=4)
