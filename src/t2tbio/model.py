@@ -31,12 +31,15 @@ dict (the trainer passes views of one flat array), or into fresh ones.
 
 In-place rule: a helper overwrites only arrays it allocated itself and the
 output and gradient buffers it is handed, never its inputs, the parameters
-or a cached activation. The backward pass reuses its temporaries this way
-(attention's ``ds`` and scaled ``dq``/``dk``, the RMS-norm backward's, ReLU
-backward's mask product, the residual sums), as do attention's scores and
-``cross_entropy``, and attention writes each head's products straight into
-token rows; each element sees the same float operations in the same order as
-the out-of-place form, so the results are bit-equal to it. The forward helpers write into the
+or a cached activation; the one input overwritten is the logits, which
+``cross_entropy`` consumes: it writes dlogits over them.
+The backward pass reuses its temporaries this way (attention's ``ds`` and
+scaled ``dq``/``dk``, the RMS-norm backward's, ReLU backward's mask
+product, the residual sums), as do attention's scores, the norm's output
+and ``cross_entropy``, and attention writes each head's products straight
+into token rows; each element sees the same float operations in the same
+order as the out-of-place form, so the results are bit-equal to it. The
+forward helpers write into the
 arrays they are handed, the rows of a split forward's full-size arrays (see
 Threads), or allocate afresh when handed none, as on a decode step, where
 fresh arrays cost less than ``np.empty`` and ``out=`` would.
@@ -66,7 +69,8 @@ thread goes on with the chain of input gradients (``dx``,
 ``dq``/``dk``/``dv``, ``ds``, the norms). The worker owns the gradient
 buffer of each weight matrix and of the embedding: it makes every write
 into it, the weight-gradient products ``_weight_grad`` and, for the
-embedding, the output layer's product and both stacks' scatters. The
+embedding, the output layer's product and both stacks' scatters, with
+the rebuilt operands those products read (see Memory). The
 calling thread owns the rest: the norm scales and the relative-position
 tables. The worker runs its calls in the order the calling thread hands
 them over, which is the order of the single-thread pass, so each buffer sees
@@ -77,10 +81,28 @@ sums are fresh arrays). ``loss_and_grads`` waits for the worker before it
 returns or raises; an error in a call handed over is raised then, in the
 calling thread.
 
-Memory: a step holds the forward's caches, with one [N, F] activation per
-feed-forward (``_ff_fwd``), and the logits until ``cross_entropy`` has made
-``dlogits``, its peak. The backward then frees each sublayer's cache as it
-leaves it (``_stack_bwd``), once the calls handed over that read it have run.
+Memory: a step keeps what its backward cannot cheaply remake. Each
+sublayer caches its norm's input and reciprocal RMS, and its op's q, k, v
+and probabilities (cross-attention also the encoder output), or its one
+[N, F] feed-forward activation (``_ff_fwd``). The norm's output and
+attention's context are read only by weight-gradient products, so no cache
+keeps them: the calls handed over for those products rebuild them with the
+forward's own operations (``_norm_out``, ``_context``), which gives the
+forward's bits. ``cross_entropy`` writes dlogits over the logits, so one
+[B, T, V] array serves both. The backward frees each sublayer's cache as it
+leaves it (``_stack_bwd``), once the calls handed over that read it have
+run. One step on one thread (``scripts/step_memory.py``, tracemalloc)
+peaked at 16.9 MiB on a NER-shaped smoke batch (16 sequences of 64/56
+tokens) and 21.2 MiB on a medium one (8 of 65/22), against 21.9 and 28.4
+MiB with both cached and dlogits a second array. The rebuilds are two
+elementwise products on [N, D] per sublayer and one batched product per
+attention sublayer. In alternating in-process rounds (2 vCPUs, one BLAS
+thread), a one-thread smoke step (16 sequences of up to 64/64 tokens)
+took a median 1.014 times as long (95% interval 1.009-1.019, 200 rounds)
+as with both cached and the norm output made as here. Making the norm
+output in place on its first product, not through a temporary, saves
+about as much: against both cached and that temporary, the ratio was
+1.003 (0.999-1.007), and a medium step with the worker 0.975 (0.956-1.000).
 
 Shape conventions: B batch, S source length, T target length, D d_model,
 H heads, Dh = D // H, F d_ff, V vocab size, N = B*S or B*T token rows.
@@ -116,6 +138,7 @@ _NORMAL_BLOCK = 32768  # draws per block of an initial weight tensor
 # worker.MIN_SIZE elements stay above both, so a half's rows get the bits of
 # the whole batch's product.
 MIN_HALF_ROWS = 16
+_CE_SCRATCH = 1 << 16  # elements of cross_entropy's scratch for its row sums
 
 
 @dataclass(frozen=True)
@@ -401,15 +424,26 @@ def _bias_matrix(table: np.ndarray, cfg: ModelConfig, q0: int, q_len: int, bidir
     return bias, bucket
 
 
-def _rms_norm_fwd(x: np.ndarray, g: np.ndarray, y=None, r=None):
-    """RMS norm of the rows of ``x``, times ``g``, and the backward's cache
-    ``(x, r)``, r each row's reciprocal RMS. Written into ``y`` and ``r`` if
-    given (as all the forward helpers' ``out`` arrays), else into fresh arrays."""
+def _rms_norm_fwd(x: np.ndarray, g: np.ndarray, r=None):
+    """RMS norm of the rows of ``x``, times ``g``, as a fresh array, and the
+    backward's cache ``(x, r)``, r each row's reciprocal RMS, written into
+    ``r`` if given (as all the forward helpers' ``out`` arrays), else into a
+    fresh array."""
     # np.mean's own sum-then-divide, bit for bit, without its Python wrapper,
     # which costs more than the arithmetic on a one-token decode row
     ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
     r = np.divide(1.0, np.sqrt(ms + NORM_EPS), out=r)
-    return np.multiply(x * r, g, out=y), (x, r)
+    return _norm_out((x, r), g), (x, r)
+
+
+def _norm_out(cache, g: np.ndarray) -> np.ndarray:
+    """The norm's output ``(x * r) * g`` from its cache ``(x, r)`` and scale
+    ``g``, the one way the forward makes it, so a backward that rebuilds it
+    gets the bits the forward used."""
+    x, r = cache
+    n = x * r
+    n *= g  # in place: one fresh array, not two
+    return n
 
 
 def _rms_norm_bwd(dy: np.ndarray, g: np.ndarray, cache, dg: np.ndarray) -> np.ndarray:
@@ -449,15 +483,42 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray, out: np.ndarray) -> None:
     np.matmul(x.T, dy, out=out)
 
 
-def _attn_fwd(xq, xkv, params, prefix, cfg, add, kv=None, out=None, q=None, k=None, v=None, a=None, ctx=None):
+def _op_weight_grads(c_norm, g, products) -> None:
+    """``_weight_grad(x, dy, out)`` for each ``(x, dy, out)`` of
+    ``products``, an x of None standing for the sublayer op's input: the
+    output of the norm with cache ``c_norm`` and scale ``g``, which no cache
+    keeps and which is rebuilt here with ``_norm_out``. Handed over, the
+    rebuild runs where the products do."""
+    n = _norm_out(c_norm, g)
+    for x, dy, out in products:
+        _weight_grad(n if x is None else x, dy, out)
+
+
+def _context(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Attention's context a @ v as fresh token rows [B*Q, D], each head's
+    product written straight into its columns."""
+    b, h, q_len = a.shape[:3]
+    ctx = np.empty((b * q_len, h * v.shape[-1]), a.dtype)
+    np.matmul(a, v, out=_split_heads(ctx, b, h))
+    return ctx
+
+
+def _context_weight_grad(a, v, dout, out) -> None:
+    """``wo``'s weight gradient, from the context rebuilt by the forward's
+    own products (``_context``), which no cache keeps."""
+    _weight_grad(_context(a, v), dout, out)
+
+
+def _attn_fwd(xq, xkv, params, prefix, cfg, add, kv=None, out=None, q=None, k=None, v=None, a=None):
     """xq [B*Q, D], xkv [B*K, D]: token rows of B sequences.
     add: the one additive term of the scaled logits, broadcasting to [B, H, Q, K]:
     the key mask (0 or NEG_INF), plus the rel-bias in self-attention.
     kv: decoding's key/value cache by prefix, where self-attention (xkv is xq)
     appends its new rows and cross-attention projects xkv on its first call.
-    The output [B*Q, D] and the projections q, k, v ([B*Q|K, D] token rows),
-    the probabilities a [B, H, Q, K] and the context ctx [B*Q, D] are written
-    into the arrays given, or fresh ones."""
+    The output [B*Q, D] and the projections q, k, v ([B*Q|K, D] token rows)
+    and the probabilities a [B, H, Q, K] are written into the arrays given,
+    or fresh ones. The cache is ``(q, k, v, a)``, led by xkv unless xkv is
+    xq: the backward rebuilds the norm output xq and the context."""
     h = cfg.n_heads
     b = add.shape[0]  # the key mask is per sequence, so add has the batch axis
     q = _split_heads(np.matmul(xq, params[prefix + ".wq"], out=q), b, h)
@@ -476,31 +537,35 @@ def _attn_fwd(xq, xkv, params, prefix, cfg, add, kv=None, out=None, q=None, k=No
     a *= 1.0 / math.sqrt(cfg.d_head)
     a += add
     _softmax_in_place(a)
-    ctx = np.empty_like(xq) if ctx is None else ctx
-    np.matmul(a, v, out=_split_heads(ctx, b, h))  # each head's product straight into its columns
-    return np.matmul(ctx, params[prefix + ".wo"], out=out), (xq, xkv, q, k, v, a, ctx)
+    cache = (q, k, v, a) if xkv is xq else (xkv, q, k, v, a)
+    return np.matmul(_context(a, v), params[prefix + ".wo"], out=out), cache
 
 
-def _attn_bwd(dout, params, prefix, cfg, cache, grads, jobs):
-    """Returns (dxq, dxkv, dscores); bias gradients are the caller's job."""
-    xq, xkv, q, k, v, a, ctx = cache
+def _attn_bwd(dout, params, prefix, cfg, c_norm, cache, grads, jobs):
+    """Returns (dxq, dxkv, dscores); bias gradients are the caller's job.
+    The calls handed over rebuild the context and the norm output that the
+    projections read (``c_norm`` is the sublayer norm's cache)."""
+    *kv_in, q, k, v, a = cache  # kv_in: cross-attention's encoder output
+    xkv = kv_in[0] if kv_in else None  # None: the norm output, as for the queries
     b, h = q.shape[0], cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_head)
-    jobs.submit(_weight_grad, ctx, dout, grads[prefix + ".wo"])
+    jobs.submit(_context_weight_grad, a, v, dout, grads[prefix + ".wo"])
     dctx = _split_heads(dout @ params[prefix + ".wo"].T, b, h)
     # each head's product goes straight into its columns of the token rows
-    dq_flat, dk_flat, dv_flat = np.empty_like(xq), np.empty_like(xkv), np.empty_like(xkv)
+    kv_rows = (k.shape[0] * k.shape[2], dout.shape[1])  # [B*K, D]
+    dv_flat = np.empty(kv_rows, dout.dtype)
     np.matmul(a.transpose(0, 1, 3, 2), dctx, out=_split_heads(dv_flat, b, h))
     ds = dctx @ v.transpose(0, 1, 3, 2)  # da, turned into ds in place
-    ds -= np.sum(ds * a, axis=-1, keepdims=True)
+    ds -= np.sum(ds * a, axis=-1, keepdims=True)  # the largest temporary: made before dq and dk exist
     ds *= a  # a * (da - sum(da * a))
+    dq_flat, dk_flat = np.empty_like(dout), np.empty(kv_rows, dout.dtype)
     np.matmul(ds, k, out=_split_heads(dq_flat, b, h))
     dq_flat *= scale
     np.matmul(ds.transpose(0, 1, 3, 2), q, out=_split_heads(dk_flat, b, h))
     dk_flat *= scale
-    jobs.submit(_weight_grad, xq, dq_flat, grads[prefix + ".wq"])
-    jobs.submit(_weight_grad, xkv, dk_flat, grads[prefix + ".wk"])
-    jobs.submit(_weight_grad, xkv, dv_flat, grads[prefix + ".wv"])
+    jobs.submit(_op_weight_grads, c_norm, params[prefix + ".norm"], (
+        (None, dq_flat, grads[prefix + ".wq"]), (xkv, dk_flat, grads[prefix + ".wk"]),
+        (xkv, dv_flat, grads[prefix + ".wv"])))
     dxq = dq_flat @ params[prefix + ".wq"].T
     dxkv = dk_flat @ params[prefix + ".wk"].T
     dxkv += dv_flat @ params[prefix + ".wv"].T
@@ -523,22 +588,22 @@ def _accumulate_bias_grad(grads, name, bucket, dscores):
 
 
 def _ff_fwd(x, params, prefix, out=None, h=None):
-    """The feed-forward over token rows x and its cache ``(x, h)``: h [N, F]
+    """The feed-forward over token rows x and its cache ``(h,)``: h [N, F]
     is ``relu(x @ w1)``, applied in place on the product, the one activation
     of width F a step keeps. ``h > 0`` selects exactly the entries that the
     product's ``> 0`` does, NaN and -0.0 included, so the backward masks with
-    it."""
+    it. x, the norm's output, is rebuilt by the backward."""
     h = np.matmul(x, params[prefix + ".w1"], out=h)
     np.maximum(h, 0.0, out=h)
-    return np.matmul(h, params[prefix + ".w2"], out=out), (x, h)
+    return np.matmul(h, params[prefix + ".w2"], out=out), (h,)
 
 
-def _ff_bwd(dy, params, prefix, cache, grads, jobs):
-    x, h = cache
+def _ff_bwd(dy, params, prefix, c_norm, cache, grads, jobs):
+    (h,) = cache
     jobs.submit(_weight_grad, h, dy, grads[prefix + ".w2"])
     dh = dy @ params[prefix + ".w2"].T  # masked in place
     dh *= h > 0
-    jobs.submit(_weight_grad, x, dh, grads[prefix + ".w1"])
+    jobs.submit(_op_weight_grads, c_norm, params[prefix + ".norm"], ((None, dh, grads[prefix + ".w1"]),))
     return dh @ params[prefix + ".w1"].T
 
 
@@ -547,13 +612,14 @@ def _ff_bwd(dy, params, prefix, cache, grads, jobs):
 # ---------------------------------------------------------------------------
 
 
-def _sublayer_fwd(x, params, cfg, prefix, kind, add, enc_out, kv=None, y=None, n=None, r=None, op_outs=()):
+def _sublayer_fwd(x, params, cfg, prefix, kind, add, enc_out, kv=None, y=None, r=None, op_outs=()):
     """Residual sublayer ``prefix`` over token rows x: the norm, the op, the
     add to the residual stream. Returns the new stream, the norm's cache and
     the op's cache. They are written into the arrays given (the stream's y,
-    the norm's n and r, and the op's in ``_attn_fwd``'s or ``_ff_fwd``'s
-    order), else into fresh ones."""
-    n, c_norm = _rms_norm_fwd(x, params[prefix + ".norm"], n, r)
+    the norm's r, and the op's in ``_attn_fwd``'s or ``_ff_fwd``'s order),
+    else into fresh ones. The norm's output n, the op's input, is a fresh
+    array no cache keeps."""
+    n, c_norm = _rms_norm_fwd(x, params[prefix + ".norm"], r)
     if kind == "ff":
         y, c = _ff_fwd(n, params, prefix, y, *op_outs)
     else:
@@ -570,28 +636,25 @@ def _sublayer_halves(x, b, params, cfg, prefix, kind, add, enc_out, jobs):
     dt, (rows, d) = x.dtype, x.shape
     xkv = x if kind != "cross" else enc_out
     seq, kv_seq = rows // b, len(xkv) // b  # token rows and key rows per sequence
-    y, n, r = np.empty_like(x), np.empty_like(x), np.empty((rows, 1), dt)
+    y, r = np.empty_like(x), np.empty((rows, 1), dt)
     # the op's arrays, each with its rows per sequence
     if kind == "ff":  # h
         op = [(np.empty((rows, cfg.d_ff), dt), seq)]
-    else:  # q, k, v, a, ctx
+    else:  # q, k, v, a
         a = np.empty((b, cfg.n_heads, seq, add.shape[-1]), dt)
-        op = [(np.empty_like(x), seq), (np.empty_like(xkv), kv_seq), (np.empty_like(xkv), kv_seq), (a, 1),
-              (np.empty_like(x), seq)]
+        op = [(np.empty_like(x), seq), (np.empty_like(xkv), kv_seq), (np.empty_like(xkv), kv_seq), (a, 1)]
 
     def run(lo, hi):
         tok = slice(lo * seq, hi * seq)
         _sublayer_fwd(x[tok], params, cfg, prefix, kind, None if kind == "ff" else add[lo:hi],
                       enc_out[lo * kv_seq : hi * kv_seq] if kind == "cross" else None, None,
-                      y[tok], n[tok], r[tok], tuple(t[lo * per : hi * per] for t, per in op))
+                      y[tok], r[tok], tuple(t[lo * per : hi * per] for t, per in op))
 
     jobs.halves(b, run)
     op = [t for t, _ in op]
-    if kind == "ff":
-        c = (n, *op)
-    else:
-        c = (n, n if kind == "self" else enc_out, *(_split_heads(t, b, cfg.n_heads) for t in op[:3]), *op[3:])
-    return y, (x, r), c
+    if kind != "ff":  # q, k, v split into heads, as _attn_fwd caches them
+        op[:3] = (_split_heads(t, b, cfg.n_heads) for t in op[:3])
+    return y, (x, r), (enc_out, *op) if kind == "cross" else tuple(op)
 
 
 def _stack_fwd(params, cfg, stack, ids, self_add, bucket, enc_out=None, cross_mask=None, kv=None, jobs=SERIAL):
@@ -628,18 +691,18 @@ def _stack_bwd(dout, params, cfg, cache, grads, jobs):
     once the calls handed to ``jobs`` that read them have run, and a step
     holds the caches of the sublayers still to go, not all of them."""
     stack = cache["stack"]
-    dx = _rms_norm_bwd(dout, params[stack + ".norm"], cache["final"], grads[stack + ".norm"])
+    dx = _rms_norm_bwd(dout, params[stack + ".norm"], cache.pop("final"), grads[stack + ".norm"])
     d_enc_out = None
     sublayers = cache["sublayers"]
     while sublayers:
         prefix, kind, c_norm, c = sublayers.pop()
         if kind == "ff":
-            dn = _ff_bwd(dx, params, prefix, c, grads, jobs)
+            dn = _ff_bwd(dx, params, prefix, c_norm, c, grads, jobs)
         elif kind == "cross":
-            dn, dxkv, _ = _attn_bwd(dx, params, prefix, cfg, c, grads, jobs)
+            dn, dxkv, _ = _attn_bwd(dx, params, prefix, cfg, c_norm, c, grads, jobs)
             d_enc_out = dxkv if d_enc_out is None else d_enc_out + dxkv
         else:
-            dn, dxkv, ds = _attn_bwd(dx, params, prefix, cfg, c, grads, jobs)
+            dn, dxkv, ds = _attn_bwd(dx, params, prefix, cfg, c_norm, c, grads, jobs)
             _accumulate_bias_grad(grads, stack + ".rel_bias", cache["bucket"], ds)
             dn += dxkv
         # a new array: the worker may still be reading dx
@@ -679,7 +742,7 @@ def _decode_bwd(dlogits, params, cache, grads, jobs):
     """Output-layer backward: writes the embedding's gradient and returns the
     gradient flowing into the decoder stack's output, as token rows."""
     dlogits = dlogits.reshape(-1, dlogits.shape[-1])
-    jobs.submit(_weight_grad, dlogits, cache["h"], grads["embedding"])
+    jobs.submit(_weight_grad, dlogits, cache.pop("h"), grads["embedding"])
     return dlogits @ params["embedding"].astype(dlogits.dtype, copy=False)
 
 
@@ -741,33 +804,43 @@ def _forward_with_cache(params, cfg, batch, jobs=SERIAL):
     jobs = _split_batch(jobs, batch)
     enc_out, enc_cache, key_mask = _encode(params, cfg, batch.encoder_ids, batch.encoder_valid, jobs)
     logits, dec_cache = _decode(params, cfg, batch.decoder_ids, enc_out, key_mask, _dec_key_valid(batch), jobs)
-    if not np.all(np.isfinite(logits)):
-        name = _first_non_finite([(enc_cache, enc_out), (dec_cache, dec_cache["h"])])
+    # NaN or an infinity shows in the max or the min, with no [B, T, V] mask made
+    if not (np.isfinite(logits.max()) and np.isfinite(logits.min())):
+        name = _first_non_finite(params, [(enc_cache, enc_out), (dec_cache, dec_cache["h"])])
         raise ModelError(f"numeric overflow: non-finite logits; first non-finite tensor: {name}")
     return logits, (enc_cache, dec_cache)
 
 
 # names of the tensors each sublayer kind keeps in its forward cache
 _CACHE_NAMES = {
-    "ff": ("in", "h1"),  # h1: the ReLU output
-    "self": ("in", "in", "q", "k", "v", "probs", "ctx"),
-    "cross": ("in", "kv_in", "q", "k", "v", "probs", "ctx"),
+    "ff": ("h1",),  # h1: the ReLU output
+    "self": ("q", "k", "v", "probs"),
+    "cross": ("kv_in", "q", "k", "v", "probs"),
 }
 
 
-def _first_non_finite(stacks) -> str:
+def _named_tensors(params, cache, out):
+    """(name, tensor) of each tensor of a stack's forward pass, in run order,
+    ``out`` its output: the norm output "<prefix>.in" and the context
+    "<prefix>.ctx", which no cache keeps, rebuilt as the backward does."""
+    stack = cache["stack"]
+    residual = f"{stack}.embedding lookup"
+    for prefix, kind, c_norm, c in cache["sublayers"]:
+        yield residual, c_norm[0]
+        yield f"{prefix}.in", _norm_out(c_norm, params[prefix + ".norm"])
+        yield from zip((f"{prefix}.{n}" for n in _CACHE_NAMES[kind]), c)
+        if kind != "ff":
+            yield f"{prefix}.ctx", _context(c[-1], c[-2])
+        residual = f"{prefix} residual output"
+    yield residual, cache["final"][0]
+    yield f"{stack}.norm output", out
+
+
+def _first_non_finite(params, stacks) -> str:
     """Name of the first non-finite tensor of a forward pass, in run order;
     ``stacks`` pairs each stack's cache with its output."""
     for cache, out in stacks:
-        stack = cache["stack"]
-        named = []
-        residual = f"{stack}.embedding lookup"
-        for prefix, kind, (x, _), c in cache["sublayers"]:
-            named.append((residual, x))
-            named += [(f"{prefix}.{n}", t) for n, t in zip(_CACHE_NAMES[kind], c)]
-            residual = f"{prefix} residual output"
-        named += [(residual, cache["final"][0]), (f"{stack}.norm output", out)]
-        for name, t in named:
+        for name, t in _named_tensors(params, cache, out):
             if not np.all(np.isfinite(t)):
                 return name
     return "logits"
@@ -776,28 +849,40 @@ def _first_non_finite(stacks) -> str:
 def cross_entropy(logits: np.ndarray, target_ids: np.ndarray, loss_mask: np.ndarray, jobs=SERIAL):
     """Mean -log softmax(logits)[target] over unmasked positions.
 
-    Returns (loss, dlogits). Raises on an all-masked batch. The
-    log-probabilities and ``dlogits`` are made as ``jobs.halves`` of the
-    sequences, at once with a threaded ``jobs``; the loss is one sum over
-    all of them.
+    Returns (loss, dlogits). The call consumes its logits: dlogits is
+    written over them, and is the same array. Raises on an all-masked
+    batch. The log-probabilities and ``dlogits`` are made as ``jobs.halves``
+    of the sequences, at once with a threaded ``jobs``; the loss is one sum
+    over all of them. Each row's sum of ``exp(logits - max)`` is taken
+    through a scratch array of at most ``_CE_SCRATCH`` elements, so no
+    second [B, T, V] array is needed before dlogits.
     """
     n = int(loss_mask.sum())
     if n == 0:
         raise ModelError("empty loss: no unmasked target positions")
     log_p = np.empty((*target_ids.shape, 1), logits.dtype)
-    dlogits = np.empty_like(logits)
+    v = logits.shape[-1]
+    block = max(1, _CE_SCRATCH // v)  # rows per scratch block
 
     def run(lo, hi):
-        lg, e, tid = logits[lo:hi], dlogits[lo:hi], target_ids[lo:hi, :, None]
+        lg, tid = logits[lo:hi], target_ids[lo:hi, :, None]
         m = lg.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(np.subtract(lg, m, out=e), out=e).sum(axis=-1, keepdims=True)) + m
-        np.subtract(np.take_along_axis(lg, tid, axis=-1), lse, out=log_p[lo:hi])
-        np.exp(np.subtract(lg, lse, out=e), out=e)
-        np.put_along_axis(e, tid, np.take_along_axis(e, tid, axis=-1) - 1.0, axis=-1)
-        e *= loss_mask[lo:hi, :, None] / n
+        target = np.take_along_axis(lg, tid, axis=-1)  # before lg is written over
+        rows, m_rows = lg.reshape(-1, v), m.reshape(-1, 1)
+        sums = np.empty((len(rows), 1), lg.dtype)
+        scratch = np.empty((min(block, len(rows)), v), lg.dtype)
+        for i in range(0, len(rows), block):
+            s = scratch[: len(rows) - i]  # the last block may be short
+            np.add.reduce(np.exp(np.subtract(rows[i : i + block], m_rows[i : i + block], out=s), out=s),
+                          axis=-1, keepdims=True, out=sums[i : i + block])
+        lse = np.log(sums.reshape(m.shape)) + m
+        np.subtract(target, lse, out=log_p[lo:hi])
+        np.exp(np.subtract(lg, lse, out=lg), out=lg)
+        np.put_along_axis(lg, tid, np.take_along_axis(lg, tid, axis=-1) - 1.0, axis=-1)
+        lg *= loss_mask[lo:hi, :, None] / n
 
     jobs.halves(len(logits), run)
-    return float(-(log_p[..., 0] * loss_mask).sum() / n), dlogits
+    return float(-(log_p[..., 0] * loss_mask).sum() / n), logits
 
 
 def loss_and_grads(
@@ -810,15 +895,17 @@ def loss_and_grads(
     grads = {name: np.empty_like(p) for name, p in params.items()} if out is None else out
     with joined(_smallest_matrix(cfg)) as jobs:
         logits, (enc_cache, dec_cache) = _forward_with_cache(params, cfg, batch, jobs)
-        # cross-entropy runs in halves where the forward did
+        # cross-entropy runs in halves where the forward did, and its dlogits
+        # overwrite the logits: one [B, T, V] array, not two
         loss, dlogits = cross_entropy(logits, batch.target_ids, batch.loss_mask, _split_batch(jobs, batch))
-        del logits  # the backward reads dlogits, so the logits are freed here
+        del logits
         # the backward pass overwrites each gradient buffer on its first write;
         # only the relative-position biases, shared by every layer of a stack,
         # are scattered into a zeroed buffer
         grads["enc.rel_bias"].fill(0)
         grads["dec.rel_bias"].fill(0)
         dh = _decode_bwd(dlogits, params, dec_cache, grads, jobs)
+        del dlogits  # freed once the call handed over that reads them has run
         d_enc_out = _stack_bwd(dh, params, cfg, dec_cache, grads, jobs)
         _stack_bwd(d_enc_out, params, cfg, enc_cache, grads, jobs)
     return loss, grads

@@ -50,6 +50,8 @@ BOUNDARY = "\ue000"
 ENCODE_MEMO_MAX = 1 << 16
 
 VOCAB_HEADER_RE = re.compile(r"^t2tbio-vocab v1 size=(\d+) sentinels=(\d+)$")
+_HEADER_MAX = 64  # characters of the header line read, its newline included
+_HEADER_ECHO = 20  # characters of a bad header its error repeats
 _SENTINEL_RE = re.compile(r"^<extra_id_(\d+)>$")
 _ESCAPE_RE = re.compile(r"\\([nr\\])")  # the escapes _escape writes
 _UNESCAPES = {"n": "\n", "r": "\r", "\\": "\\"}
@@ -314,13 +316,15 @@ def save_vocab(v: Vocabulary, path) -> None:
 def load_vocab(path) -> Vocabulary:
     try:
         with open(path, encoding="utf-8") as f:
-            header = f.readline().rstrip("\n")
-            m = VOCAB_HEADER_RE.match(header)
+            # pieces always follow the header, so a valid one ends in a
+            # newline; a line cut short by the cap does not
+            header = f.readline(_HEADER_MAX)
+            m = VOCAB_HEADER_RE.match(header[:-1]) if header.endswith("\n") else None
             if not m:
-                raise VocabError(f"{path}: bad vocabulary header: {header!r}")
+                raise VocabError(f"{path}: bad vocabulary header starting {header[:_HEADER_ECHO]!r}")
             size, sentinels = int(m.group(1)), int(m.group(2))
             pieces = [_unescape(line.rstrip("\n")) for line in f]
-    except ValueError as e:  # not UTF-8, or a count beyond Python's digit limit
+    except ValueError as e:  # not UTF-8
         raise VocabError(f"{path}: {e}") from e
     if len(pieces) != size:
         raise VocabError(f"{path}: vocabulary file lists {len(pieces)} pieces, header says {size}")

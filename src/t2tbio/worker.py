@@ -55,11 +55,14 @@ round trip. The backward pass hands over its calls and does not wait until
 ``model.loss_and_grads`` returns, so a worker that falls behind holds the
 arrays of its queued calls a while longer: the backward frees each
 sublayer's cache as it leaves it, but a queued call still holds what it
-reads. That backlog is bounded by one step, since ``loss_and_grads`` joins
+reads, and a call that rebuilds an operand (``model._op_weight_grads``,
+``model._context_weight_grad``) holds what it rebuilds it from: the
+sublayer norm's input and reciprocal RMS, attention's probabilities and
+values. That backlog is bounded by one step, since ``loss_and_grads`` joins
 before it returns: with every backward call held back until that join, a
-d=256 step (8 sequences of 65 input and 22 target tokens) peaked at 36.8 MiB
-of traced memory, against 28.3 MiB when the calls ran as handed over or on
-one thread, so at most 8.5 MiB.
+d=256 step (8 sequences of 65 input and 22 target tokens) peaked at 36.9 MiB
+of traced memory, against 21.2 MiB when the calls ran at once on one
+thread, so at most 15.7 MiB.
 
 Handing a call over costs a queue operation and a hand-off of the
 interpreter lock; numpy releases the lock inside BLAS and its large loops,

@@ -35,7 +35,7 @@ from t2tbio.model import (
 from t2tbio.rng import SplitMix64
 from t2tbio.vocab import EOS_ID, PAD_ID
 
-from helpers import param_count_formula
+from helpers import param_count_formula, script
 from oracles import next_normal, normal_one_shot
 from reference_model import (
     bucket_scalar,
@@ -218,7 +218,7 @@ class TestForward:
         np.testing.assert_allclose(a[0, : short.target_ids.shape[1]], b[0, : short.target_ids.shape[1]], atol=1e-12)
 
     def test_masked_attention_weight_is_exact_zero(self):
-        from t2tbio.model import _forward_with_cache
+        from t2tbio.model import _CACHE_NAMES, _forward_with_cache
 
         params = randomized_params(TINY, seed=3)
         batch = make_batch([([3, 4], [5]), ([3, 4, 5, 6], [5, 6])])
@@ -229,7 +229,7 @@ class TestForward:
         for cache, kind in ((enc_cache, "self"), (dec_cache, "cross")):
             for _, sub_kind, _, c_sub in cache["sublayers"]:
                 if sub_kind == kind:
-                    attn = c_sub[5]  # softmax probabilities [B, H, Q, K]
+                    attn = c_sub[_CACHE_NAMES[kind].index("probs")]  # softmax probabilities [B, H, Q, K]
                     for b in range(attn.shape[0]):
                         assert np.all(attn[b][:, :, pad_cols[b]] == 0.0)
                     checked[cache["stack"]] += 1
@@ -344,6 +344,10 @@ class TestLoss:
             ("enc.norm", "enc.norm output"),
             ("dec.0.cross.wv", "dec.0.cross.v"),
             ("dec.1.self.wk", "dec.1.self.k"),
+            # norm outputs, which the backward rebuilds, keep their names
+            ("enc.0.attn.norm", "enc.0.attn.in"),
+            ("dec.1.cross.norm", "dec.1.cross.in"),
+            ("dec.0.ff.norm", "dec.0.ff.in"),
         ],
     )
     def test_non_finite_logits_name_the_first_non_finite_tensor(self, param, tensor):
@@ -724,7 +728,7 @@ class TestStepMemory:
             out, cache = stack_fwd(*args, **kwargs)
             for prefix, kind, c_norm, c in cache["sublayers"]:
                 # every cross-attention reads the encoder output: not this sublayer's own
-                own = [t for i, t in enumerate(c) if not (kind == "cross" and i == 1)]
+                own = [t for name, t in zip(model._CACHE_NAMES[kind], c) if name != "kv_in"]
                 cached[prefix] = [weakref.ref(t) for t in (*c_norm, *own)]
             return out, cache
 
@@ -745,6 +749,31 @@ class TestStepMemory:
         loss_and_grads(params, MEDIUM, batch, out=grads)
         assert sorted(checked) == sorted(cached)
         assert alive(cached) == []
+
+    def test_no_sublayer_cache_holds_its_norm_output_or_context(self, step):
+        # the backward rebuilds both from what the caches hold
+        params, batch, _ = step
+        _, caches = model._forward_with_cache(params, MEDIUM, batch)
+        for cache in caches:
+            for prefix, kind, (x, r), c in cache["sublayers"]:
+                rebuilt = [x * r * params[prefix + ".norm"]]
+                if kind != "ff":
+                    names = model._CACHE_NAMES[kind]
+                    a, v = c[names.index("probs")], c[names.index("v")]
+                    rebuilt.append((a @ v).transpose(0, 2, 1, 3).reshape(x.shape))  # heads merged into token rows
+                for t in (x, r, *c):
+                    assert not any(t.shape == n.shape and np.allclose(t, n) for n in rebuilt), prefix
+
+    @pytest.mark.parametrize("shape, bound_mib", [("smoke", 18.5), ("medium", 22.5)])
+    def test_a_step_peaks_within_its_bound(self, shape, bound_mib):
+        # scripts/step_memory.py's shapes, on one thread: a NER-shaped
+        # fine-tuning batch of the smoke model peaked at 21.8 MiB and a
+        # pretraining batch of the medium one at 28.4 MiB while each
+        # sublayer cached its norm output and context, and the logits and
+        # dlogits were two arrays
+        step_memory = script("step_memory")
+        peak, held = step_memory.measure(*step_memory.SHAPES[shape])
+        assert held <= peak <= bound_mib * (1 << 20)
 
 
 # relative error allowed between two sums of the same products taken in

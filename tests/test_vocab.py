@@ -192,6 +192,27 @@ def test_load_rejects_bad_header(tmp_path):
         load_vocab(path)
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["[" * 5000 + "\nx\n", "[" * (1 << 20)],
+    ids=["5000-bracket-line", "1MB-line-no-newline"],
+)
+def test_a_long_bad_header_is_not_echoed_whole(tmp_path, content):
+    path = tmp_path / "vocab.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(VocabError, match="bad vocabulary header") as info:
+        load_vocab(path)
+    assert len(str(info.value)) < 200
+
+
+def test_a_header_cut_by_the_read_cap_is_rejected(tmp_path):
+    # the first 64 characters would match the header pattern on their own
+    path = tmp_path / "vocab.txt"
+    path.write_text("t2tbio-vocab v1 size=3 sentinels=" + "0" * 100 + "\n<pad>\n</s>\n<unk>\n", encoding="utf-8")
+    with pytest.raises(VocabError, match="bad vocabulary header"):
+        load_vocab(path)
+
+
 def test_load_rejects_wrong_count(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("t2tbio-vocab v1 size=5 sentinels=0\n<pad>\n</s>\n<unk>\n", encoding="utf-8")

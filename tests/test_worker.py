@@ -498,9 +498,11 @@ class TestJobs:
         for _ in range(2):
             loss_and_grads(params, cfg, batch, out=grads)
             optimizer_step(p, g, m, v, 1, 1e-3)
-        # per step: 12 halves, 33 weight-gradient products, 2 embedding
+        # per step: 12 halves, 21 calls of the 33 weight-gradient products
+        # (the output layer's, and per sublayer one for the products that
+        # read its norm's output and one for wo's or w2's), 2 embedding
         # scatters and an Adam half
-        assert counts == {"calls": 2 * (12 + 33 + 2 + 1), "markers": 2 * (12 + 1 + 1)}
+        assert counts == {"calls": 2 * (12 + 1 + 10 * 2 + 2 + 1), "markers": 2 * (12 + 1 + 1)}
 
 
 class TestThreadHygiene:
