@@ -1,9 +1,11 @@
-"""Checkpoint directory layout: manifest.json, weights.bin, optimizer.bin, rng_state.
+"""Checkpoint directory layout: manifest.json, weights.bin, optimizer.bin.
 
-The manifest records the model config, the step, the Adam record and, for
-each tensor, its name, shape, little-endian dtype code, byte offset, and byte
-count; the binary blobs are the raw tensor bytes concatenated in manifest
-order. ``views`` owns that layout: it lays tensors out in one flat array by
+The manifest, a ``Manifest`` read by ``data_io.read_record``, records the
+format, the model config, the step, the SplitMix64 rng state, the entries of
+each blob and, under ``runtime``, the process that wrote it. A blob entry is
+a tensor's name, shape, little-endian dtype code, byte offset and byte count;
+the binary blobs are the raw tensor bytes concatenated in manifest order.
+``views`` owns that layout: it lays tensors out in one flat array by
 ``tensor_entries``, which maps names, shapes and dtypes to manifest entries
 in sorted-name order. ``layout`` gives the one list of entries of each blob
 for a model config: its parameters in its dtype, and Adam's ``m.*`` then
@@ -17,23 +19,23 @@ from ``load_optimizer`` to ``save_checkpoint``, which writes its bytes as
 ``views`` as the weights are, and every ``m.*`` name sorts before every
 ``v.*`` name, so the two rows are the halves of the blob.
 Another entry list, a blob of another size or a non-finite value raises
-``CheckpointError`` naming the blob. ``save_checkpoint`` compares its
-tensors with the same entries before it writes or creates anything, so it
-cannot write a checkpoint that its loader rejects. Save/load round trips
-are bit-exact.
+``CheckpointError`` naming the blob, and a manifest that ``read_record`` or
+``Manifest`` rejects raises it naming ``manifest.json`` and the key.
+``save_checkpoint`` builds its ``Manifest`` and compares its tensors with
+the same entries before it writes or creates anything, so it cannot write a
+checkpoint that its loader rejects. Save/load round trips are bit-exact.
 
 A checkpoint always holds the whole training state (weights, Adam state, rng
 state, step), since resuming needs each part: ``save_checkpoint`` takes them
-all, and each loader returns its part or raises ``CheckpointError`` naming it
-and its file, for a missing step, optimizer record or rng state too, and
-for an rng state outside SplitMix64's 64 bits. ``save_checkpoint`` writes
-its one ``step`` as both the manifest's and the optimizer record's, so the
-two always agree.
+all, and a manifest that lacks one does not load.
 
-Each manifest also records, under ``runtime``, the numpy version, the BLAS
-build and the BLAS thread variables of the process that wrote it, since a
-model's bits depend on them (see the package docstring). The loaders do not
-read it, so a manifest without it loads as before.
+A v1 checkpoint (this format before its step and rng state moved into one
+manifest) still loads: ``_as_v2`` maps its directory onto a v2 manifest.
+
+Each manifest's ``runtime`` records the numpy version, the BLAS build and
+the BLAS thread variables of the process that wrote it, since a model's bits
+depend on them (see the package docstring). The loaders do not read it, and
+a manifest without it loads with ``runtime`` None.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import itertools
 import json
 import math
 import os
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,8 +56,33 @@ from .model import ModelConfig, expected_shapes
 MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.bin"
 OPTIMIZER_NAME = "optimizer.bin"
-RNG_STATE_NAME = "rng_state"
-CHECKPOINT_FORMAT = "t2tbio-checkpoint v1"
+CHECKPOINT_FORMAT = "t2tbio-checkpoint v2"
+V1_FORMAT = "t2tbio-checkpoint v1"
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """A checkpoint's ``manifest.json``: the model, the step the state is at,
+    the rng state after it, the entries of ``weights.bin`` and of
+    ``optimizer.bin`` and the writer's ``runtime``. ``format`` is the one the
+    directory was written in; ``_as_v2`` has mapped a v1 directory onto the
+    other fields."""
+
+    format: str
+    model: ModelConfig
+    step: int
+    rng_state: int
+    weights: list[dict]
+    moments: list[dict]
+    runtime: dict | None = None
+
+    def __post_init__(self):
+        if self.format not in (CHECKPOINT_FORMAT, V1_FORMAT):
+            raise ConfigError(f"format: unknown format {self.format!r}")
+        if self.step < 0:
+            raise ConfigError(f"step: {self.step} is negative")
+        if not 0 <= self.rng_state < 2**64:
+            raise ConfigError(f"rng_state: {self.rng_state} is outside SplitMix64's 64 bits")
 
 
 @functools.cache
@@ -118,7 +146,8 @@ def save_checkpoint(
     ``params``, or None before the first step, when there are no moments.
     Tensors that ``load_checkpoint`` would reject for ``cfg`` (other names,
     shapes or dtype), or moments not of shape ``[2, n]`` in ``cfg``'s dtype,
-    raise ``CheckpointError`` naming them before anything is written."""
+    raise ``CheckpointError`` naming them, and a step or rng state that
+    ``Manifest`` rejects raises ``ConfigError``, before anything is written."""
     weights, moment_entries = layout(cfg)
     _check_entries(os.path.join(out_dir, WEIGHTS_NAME), "tensor entry",
                    tensor_entries({name: (x.shape, x.dtype) for name, x in params.items()}), weights)
@@ -128,11 +157,12 @@ def save_checkpoint(
             f"{os.path.join(out_dir, OPTIMIZER_NAME)}: Adam moments of shape {moments.shape} and dtype "
             f"{moments.dtype}, expected {(2, n)} and {cfg.dtype}"
         )
+    opt = [] if moments is None else moment_entries
+    manifest = Manifest(CHECKPOINT_FORMAT, cfg, step, rng_state, weights, opt, runtime())
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, WEIGHTS_NAME), "wb") as f:
         for e in weights:
             f.write(memoryview(np.ascontiguousarray(params[e["name"]], e["dtype"])).cast("B"))
-    opt = [] if moments is None else moment_entries
     with open(os.path.join(out_dir, OPTIMIZER_NAME), "wb") as f:
         if opt:
             # the array's bytes, one tensor per write: a single write of the
@@ -141,20 +171,7 @@ def save_checkpoint(
             blob = memoryview(np.ascontiguousarray(moments, opt[0]["dtype"])).cast("B")
             for e in opt:
                 f.write(blob[e["offset"] : e["offset"] + e["nbytes"]])
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "model": cfg.to_dict(),
-        "tensors": weights,
-        "step": step,
-        "optimizer": {"name": "adam", "step": step, "tensors": opt},
-        "runtime": runtime(),
-    }
-    write_json(os.path.join(out_dir, RNG_STATE_NAME), {"algo": "splitmix64", "state": rng_state})
-    write_json(os.path.join(out_dir, MANIFEST_NAME), manifest, indent=2)
-
-
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+    write_json(os.path.join(out_dir, MANIFEST_NAME), asdict(manifest), indent=2)
 
 
 def _read_json(path: str):
@@ -164,21 +181,32 @@ def _read_json(path: str):
         raise CheckpointError(str(e)) from e
 
 
-def load_manifest(ckpt_dir) -> dict:
-    path = os.path.join(ckpt_dir, MANIFEST_NAME)
-    manifest = _read_json(path)
-    if not isinstance(manifest, dict):
-        raise CheckpointError(f"{path}: manifest is {type(manifest).__name__}, not an object")
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: unknown format {manifest.get('format')!r}")
-    return manifest
-
-
-def _model_config(manifest: dict, path: str) -> ModelConfig:
-    try:
-        return read_record(ModelConfig, manifest.get("model"), "model")
-    except ConfigError as e:
-        raise CheckpointError(f"{path}: bad model config: {e}") from e
+def _as_v2(ckpt_dir, doc):
+    """``doc``, the JSON of the manifest of the checkpoint at ``ckpt_dir``,
+    with a v1 checkpoint's fields moved to where a v2 manifest holds them: the
+    rng state from the file ``rng_state`` and the moments' entries from the
+    optimizer record. A v1 record also names the optimizer and repeats the
+    step, and a v1 model holds ``dropout_rate``; these are checked here (Adam,
+    the manifest's step, 0) and dropped. Any other ``doc`` is returned as it
+    is, for ``Manifest`` to check."""
+    if not (isinstance(doc, dict) and doc.get("format") == V1_FORMAT):
+        return doc
+    rng_path = os.path.join(ckpt_dir, "rng_state")
+    rng = _read_json(rng_path)
+    if not (isinstance(rng, dict) and rng.get("algo") == "splitmix64"):
+        raise CheckpointError(f"{rng_path}: not a splitmix64 rng state")
+    opt, model = doc.pop("optimizer", None), doc.get("model")
+    if not isinstance(opt, dict):
+        raise ConfigError("optimizer must be a JSON object")
+    if opt.get("name") != "adam":
+        raise ConfigError(f"optimizer.name: {opt.get('name')!r}, not 'adam'")
+    if not (type(opt.get("step")) is int and opt["step"] == doc.get("step")):
+        raise ConfigError(f"optimizer.step: {opt.get('step')!r}, not the manifest's step {doc.get('step')!r}")
+    dropout = model.pop("dropout_rate", 0) if isinstance(model, dict) else 0
+    if not (type(dropout) in (int, float) and dropout == 0):
+        raise ConfigError(f"model.dropout_rate: {dropout!r}, not 0")
+    doc["weights"], doc["moments"], doc["rng_state"] = doc.pop("tensors", None), opt.get("tensors"), rng.get("state")
+    return doc
 
 
 def _check_entries(path: str, what: str, listed: list, expected: list[dict]) -> None:
@@ -194,21 +222,23 @@ def _check_entries(path: str, what: str, listed: list, expected: list[dict]) -> 
         raise CheckpointError(f"{path}: {what} {i} is {got}, expected {want}")
 
 
-def _read_blob(path: str, listed, expected: list[dict]) -> memoryview:
+def _read_blob(path: str, listed: list[dict], expected: list[dict]) -> memoryview:
     """The bytes of the blob at ``path``, read once into one new buffer, after
     checking that its manifest entries ``listed`` are ``expected`` (compared
     as JSON), that the file holds exactly their bytes and that every value is
-    finite. Arrays made from the buffer by ``np.frombuffer`` are the base of
-    their views (a memoryview stops numpy's walk to the array under it)."""
-    if not isinstance(listed, list):
-        raise CheckpointError(f"{path}: manifest tensor list is {type(listed).__name__}, not a list")
+    finite. The file's size is compared before the buffer is allocated, so a
+    manifest cannot ask for more memory than its blob holds. Arrays made from
+    the buffer by ``np.frombuffer`` are the base of their views (a memoryview
+    stops numpy's walk to the array under it)."""
     _check_entries(path, "manifest entry", listed, expected)
     nbytes = sum(e["nbytes"] for e in expected)
-    buf = memoryview(np.empty(nbytes, np.uint8))  # not bytearray, which zero-fills
     try:
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
-            if size != nbytes or f.readinto(buf) != nbytes:
+            if size == nbytes:
+                buf = memoryview(np.empty(nbytes, np.uint8))  # not bytearray, which zero-fills
+                size = f.readinto(buf)
+            if size != nbytes:
                 raise CheckpointError(f"{path}: {size} bytes, but its manifest entries list {nbytes}")
     except FileNotFoundError as e:
         raise CheckpointError(f"no blob at {path}") from e
@@ -221,48 +251,26 @@ def _read_blob(path: str, listed, expected: list[dict]) -> memoryview:
     return buf
 
 
-def load_checkpoint(ckpt_dir) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
-    """Returns (params, model config, manifest). The params are views of one
-    array over ``weights.bin``, laid out as the manifest's model config lays
-    them out."""
-    manifest = load_manifest(ckpt_dir)
-    manifest_path = os.path.join(ckpt_dir, MANIFEST_NAME)
-    cfg = _model_config(manifest, manifest_path)
-    if "step" not in manifest:
-        raise CheckpointError(f"{manifest_path}: no step")
-    if not _is_count(manifest["step"]):
-        raise CheckpointError(f"{manifest_path}: bad step {manifest['step']!r}")
-    buf = _read_blob(os.path.join(ckpt_dir, WEIGHTS_NAME), manifest.get("tensors"), layout(cfg)[0])
+def load_checkpoint(ckpt_dir) -> tuple[dict[str, np.ndarray], ModelConfig, Manifest]:
+    """Returns (params, model config, manifest), from a checkpoint of either
+    format. The params are views of one array over ``weights.bin``, laid out
+    as the manifest's model config lays them out."""
+    path = os.path.join(ckpt_dir, MANIFEST_NAME)
+    try:
+        manifest = read_record(Manifest, _as_v2(ckpt_dir, _read_json(path)), "")
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: {e}") from e
+    cfg = manifest.model
+    buf = _read_blob(os.path.join(ckpt_dir, WEIGHTS_NAME), manifest.weights, layout(cfg)[0])
     return views(np.frombuffer(buf, cfg.np_dtype), expected_shapes(cfg)), cfg, manifest
 
 
-def load_optimizer(ckpt_dir, manifest: dict) -> np.ndarray | None:
-    """Adam's state for a manifest from ``load_checkpoint``, whose optimizer
-    record must name Adam at the manifest's step and list the moments ``m.*``
-    then ``v.*`` of every parameter, or none at step 0. Returns None at step
-    0, else the one writable ``[2, n]`` array over ``optimizer.bin``'s buffer:
-    row 0 is ``m`` and row 1 is ``v``, each laid out by ``views``."""
-    manifest_path = os.path.join(ckpt_dir, MANIFEST_NAME)
-    opt_path = os.path.join(ckpt_dir, OPTIMIZER_NAME)
-    if "optimizer" not in manifest:
-        raise CheckpointError(f"{manifest_path}: no optimizer record")
-    record = manifest["optimizer"]
-    if not isinstance(record, dict) or not _is_count(record.get("step")):
-        raise CheckpointError(f"{manifest_path}: malformed optimizer record for {opt_path}")
-    if record.get("name") != "adam":
-        raise CheckpointError(f"{manifest_path}: optimizer record names {record.get('name')!r}, not 'adam'")
-    if record["step"] != manifest["step"]:
-        raise CheckpointError(f"{manifest_path}: optimizer record at step {record['step']}, not {manifest['step']}")
-    cfg = _model_config(manifest, manifest_path)
-    buf = _read_blob(opt_path, record.get("tensors"), layout(cfg)[1] if record["step"] else [])
-    return np.frombuffer(buf, cfg.np_dtype).reshape(2, -1) if record["step"] else None
-
-
-def load_rng_state(ckpt_dir) -> int:
-    path = os.path.join(ckpt_dir, RNG_STATE_NAME)
-    payload = _read_json(path)
-    if not isinstance(payload, dict) or payload.get("algo") != "splitmix64":
-        raise CheckpointError(f"{path}: not a splitmix64 rng state")
-    if not (_is_count(payload.get("state")) and payload["state"] < 2**64):
-        raise CheckpointError(f"{path}: bad rng state {payload.get('state')!r}")
-    return payload["state"]
+def load_optimizer(ckpt_dir, manifest: Manifest) -> np.ndarray | None:
+    """Adam's state for a manifest from ``load_checkpoint``, whose moments'
+    entries must list ``m.*`` then ``v.*`` of every parameter, or none at step
+    0. Returns None at step 0, else the one writable ``[2, n]`` array over
+    ``optimizer.bin``'s buffer: row 0 is ``m`` and row 1 is ``v``, each laid
+    out by ``views``."""
+    cfg = manifest.model
+    buf = _read_blob(os.path.join(ckpt_dir, OPTIMIZER_NAME), manifest.moments, layout(cfg)[1] if manifest.step else [])
+    return np.frombuffer(buf, cfg.np_dtype).reshape(2, -1) if manifest.step else None

@@ -31,7 +31,7 @@ import typing
 from dataclasses import dataclass, field, replace
 
 from . import data_io, metrics, task_codec
-from .checkpoint import load_checkpoint, load_optimizer, load_rng_state
+from .checkpoint import load_checkpoint, load_optimizer
 from .corruption import SpanCorruptionConfig, corrupt, derive_seed, write_shard
 from .errors import ConfigError, DataFormatError, T2TBioError
 from .model import ModelConfig, greedy_decode, init_params, param_count
@@ -72,17 +72,18 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ru
     """Load and validate a run config JSON document.
 
     The schema is ``RunConfig`` and the dataclasses it holds: unknown keys are
-    rejected by name and every value is checked against its field's type.
+    rejected by name and every value is checked against its field's type,
+    in a ConfigError that names the file.
     ``pretrain`` and ``finetune`` check the length caps they use against the
     model's ``max_seq_len``; a cap one of them never reads is not checked.
     ``out_dir`` and ``seed``, or else the ``T2TBIO_OUT_DIR`` and
     ``T2TBIO_SEED`` environment variables, override the config's; a seed
     override sets both ``seed`` and ``train.seed``.
     """
-    payload = data_io.read_json(path)
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    cfg = data_io.read_record(RunConfig, payload, "")
+    try:
+        cfg = data_io.read_record(RunConfig, data_io.read_json(path), "")
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
     if out_dir is None:
         out_dir = os.environ.get(ENV_OUT_DIR, cfg.out_dir)
     cfg.out_dir = out_dir
@@ -465,14 +466,13 @@ def _cmd_evaluate(args) -> int:
 def _cmd_inspect_checkpoint(args) -> int:
     params, cfg, manifest = load_checkpoint(args.checkpoint)
     load_optimizer(args.checkpoint, manifest)
-    load_rng_state(args.checkpoint)
     summary = {
         "model": cfg.to_dict(),
-        "tensors": len(manifest["tensors"]),
+        "tensors": len(manifest.weights),
         "parameters": param_count(params),
-        "step": manifest["step"],
-        "optimizer": manifest["optimizer"]["name"],
-        "runtime": manifest.get("runtime"),  # None for a manifest written before the field
+        "step": manifest.step,
+        "format": manifest.format,
+        "runtime": manifest.runtime,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK

@@ -6,8 +6,8 @@ records or raise DataFormatError with the path and line number; they never
 crash with an undeclared exception type. ``read_json``/``read_jsonl`` and
 ``write_json`` hold the one rule for parsing and for writing every JSON and
 JSONL artifact. ``json_value`` holds the one rule for a JSON value's type,
-which run configs, the checkpoint manifest's model section, TaskExample
-records and the gold fields a report reads are all checked by;
+which run configs, checkpoint manifests, TaskExample records and the gold
+fields a report reads are all checked by;
 ``read_record`` builds a dataclass from a JSON object through it, checking
 each value against its field's type. This is the bottom file layer:
 from the package it imports only ``errors`` and ``task_codec``. The repo ships
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import sys
+import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 
@@ -311,11 +312,14 @@ def json_value(kind, value, where: str):
     """``value`` read as a JSON value of type ``kind``, or ConfigError naming
     ``where``: an int is a JSON integer (not a bool), a float a finite
     number, a str a string, a dict any JSON object, a dataclass a JSON object
-    read by ``read_record``, ``list[X]`` a JSON list of X and ``tuple[X, Y,
-    ...]`` a JSON list of exactly those items."""
+    read by ``read_record``, ``list[X]`` a JSON list of X, ``tuple[X, Y,
+    ...]`` a JSON list of exactly those items and ``X | None`` null or an
+    X."""
     if is_dataclass(kind):
         return read_record(kind, value, where)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else json_value(args[0], value, where)
     if origin in (list, tuple):
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a JSON list")
@@ -336,16 +340,16 @@ def read_record(cls, section, where: str):
     ``metadata["key"]``, where None leaves the field out of the schema); fields
     without a default are required, and ConfigError names a bad field."""
     if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object")
+        raise ConfigError(f"{where or 'the document'} must be a JSON object")
     by_key = {key: f for f in fields(cls) if (key := f.metadata.get("key", f.name)) is not None}
     unknown = sorted(set(section) - set(by_key))
     if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where or 'config'}")
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where or 'the document'}")
     hints = typing.get_type_hints(cls)
     values = {}
     for key, f in by_key.items():
         if key in section:
             values[f.name] = json_value(hints[f.name], section[key], f"{where}.{key}" if where else key)
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{where or 'config'} needs {key!r}")
+            raise ConfigError(f"{where or 'the document'} needs {key!r}")
     return cls(**values)

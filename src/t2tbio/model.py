@@ -152,7 +152,6 @@ class ModelConfig:
     rel_pos_buckets: int = 32
     rel_pos_max_distance: int = 128
     max_seq_len: int = 512
-    dropout_rate: float = 0.0
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -175,8 +174,6 @@ class ModelConfig:
             raise ConfigError("rel_pos_buckets must be an even number >= 4")
         if self.rel_pos_max_distance <= self.rel_pos_buckets:
             raise ConfigError("rel_pos_max_distance must exceed rel_pos_buckets")
-        if self.dropout_rate != 0.0:
-            raise ConfigError("this build is deterministic; dropout_rate must be 0")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError("dtype must be 'float32' or 'float64'")
 

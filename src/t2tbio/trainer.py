@@ -6,9 +6,10 @@ per-source ``draw(rng, i)`` that returns a batch of (input ids, target ids)
 pairs. The loop samples a source by weight, assembles a teacher-forcing batch,
 takes one Adam step and logs "step=<n> task=<name> loss=<float>". Everything
 random flows through one SplitMix64 stream seeded from TrainConfig, so a run is
-bit-reproducible and a checkpoint (params + Adam state + rng state + step)
-resumes exactly where it left off. Every checkpoint holds all four parts, and
-resuming from one that lacks a part raises ``CheckpointError`` naming it.
+bit-reproducible and a checkpoint resumes exactly where it left off. A
+checkpoint is three files: ``weights.bin``, Adam's state in ``optimizer.bin``
+and ``manifest.json``, which holds the step and the rng state; resuming from
+one that lacks a part raises ``CheckpointError`` naming its file.
 
 Memory layout: before the first step ``_train`` lays out Adam's state once
 for the run. It checks the parameters against the model config, copies them
@@ -55,7 +56,6 @@ from .checkpoint import (
     layout,
     load_checkpoint,
     load_optimizer,
-    load_rng_state,
     save_checkpoint,
     tensor_at,
     views,
@@ -369,8 +369,8 @@ def _train(
         params, cfg, manifest = load_checkpoint(resume)
         if cfg != model_cfg:
             raise ConfigError("resume checkpoint was written with a different model config")
-        moments, start_step = load_optimizer(resume, manifest), manifest["step"]
-        rng.setstate(load_rng_state(resume))
+        moments, start_step = load_optimizer(resume, manifest), manifest.step
+        rng.setstate(manifest.rng_state)
         if start_step > train_cfg.num_steps:
             raise ConfigError(
                 f"resume checkpoint {resume} is at step {start_step}, past num_steps {train_cfg.num_steps}"

@@ -1,10 +1,12 @@
 """Fuzzed checkpoints. Every mutated field of every manifest entry, swapped
 entries, and a blob cut at or next to any tensor boundary or one byte too long
-raise ``CheckpointError`` naming the blob; byte flips in the manifest raise
-nothing but ``T2TBioError``. All draws come from a seeded SplitMix64."""
+raise ``CheckpointError`` naming the blob; byte flips in the manifest of a
+v2 save or of the committed v1 checkpoint raise nothing but ``T2TBioError``.
+All draws come from a seeded SplitMix64."""
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from t2tbio.errors import CheckpointError, T2TBioError
 from t2tbio.model import ModelConfig, init_params
 from t2tbio.rng import SplitMix64
 
-from helpers import adam_moments
+from helpers import V1_CHECKPOINT, adam_moments
 
 # the model of scripts/run_smoke.py, whose vocabulary has 253 pieces
 SMOKE = ModelConfig(vocab_size=253, d_model=64, n_heads=4, d_ff=128, n_encoder_layers=2, n_decoder_layers=2,
@@ -79,13 +81,10 @@ def entry_cases(entries: list[dict], rng: SplitMix64):
 def test_mutated_entries_name_the_blob(ckpt):
     rng = SplitMix64(14)
     manifest = manifest_of(ckpt)
-    for tensors in entry_cases(manifest["tensors"], rng):
-        (ckpt / "manifest.json").write_text(json.dumps({**manifest, "tensors": tensors}), encoding="utf-8")
-        raises_naming(ckpt / "weights.bin", lambda: load_checkpoint(ckpt))
-    record = manifest["optimizer"]
-    for tensors in entry_cases(record["tensors"], rng):
-        changed = {**manifest, "optimizer": {**record, "tensors": tensors}}
-        raises_naming(ckpt / "optimizer.bin", lambda: load_optimizer(ckpt, changed))
+    for blob, key in (("weights.bin", "weights"), ("optimizer.bin", "moments")):
+        for entries in entry_cases(manifest[key], rng):
+            (ckpt / "manifest.json").write_text(json.dumps({**manifest, key: entries}), encoding="utf-8")
+            raises_naming(ckpt / blob, lambda: load_optimizer(ckpt, load_checkpoint(ckpt)[2]))
 
 
 @pytest.mark.parametrize("blob", ["weights.bin", "optimizer.bin"])
@@ -93,7 +92,7 @@ def test_blob_of_another_size_names_it(ckpt, blob):
     """One byte too long, then cut at every tensor boundary and one byte
     either side, from the longest cut down."""
     manifest = manifest_of(ckpt)
-    entries = manifest["tensors"] if blob == "weights.bin" else manifest["optimizer"]["tensors"]
+    entries = manifest["weights" if blob == "weights.bin" else "moments"]
     ends = {0} | {e["offset"] + e["nbytes"] for e in entries}
     total = max(ends)
     sizes = sorted({s for end in ends for s in (end - 1, end, end + 1) if 0 <= s < total}, reverse=True)
@@ -101,14 +100,16 @@ def test_blob_of_another_size_names_it(ckpt, blob):
     path = ckpt / blob
     with open(path, "ab") as f:
         f.write(b"\0")
-    load = (lambda: load_checkpoint(ckpt)) if blob == "weights.bin" else (lambda: load_optimizer(ckpt, manifest))
-    raises_naming(path, load)
+    raises_naming(path, lambda: load_optimizer(ckpt, load_checkpoint(ckpt)[2]))
     for size in sizes:
         os.truncate(path, size)
-        raises_naming(path, load)
+        raises_naming(path, lambda: load_optimizer(ckpt, load_checkpoint(ckpt)[2]))
 
 
-def test_manifest_byte_flips_raise_only_t2tbio_errors(ckpt):
+@pytest.mark.parametrize("fmt", ["v1", "v2"])
+def test_manifest_byte_flips_raise_only_t2tbio_errors(ckpt, tmp_path, fmt):
+    if fmt == "v1":
+        ckpt = shutil.copytree(V1_CHECKPOINT, tmp_path / "v1")
     rng = SplitMix64(15)
     original = (ckpt / "manifest.json").read_bytes()
     loaded = 0
@@ -123,4 +124,3 @@ def test_manifest_byte_flips_raise_only_t2tbio_errors(ckpt):
         except T2TBioError:
             pass
     assert loaded < 100  # nearly every flip breaks the manifest
-

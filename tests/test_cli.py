@@ -4,6 +4,7 @@ import io
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,12 +15,19 @@ import pytest
 
 import t2tbio
 from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, build_parser, run
-from t2tbio.checkpoint import load_checkpoint, save_checkpoint
+from t2tbio.checkpoint import layout, load_checkpoint, load_optimizer, save_checkpoint
 from t2tbio.data_io import read_task_examples
 from t2tbio.trainer import TrainConfig
 from t2tbio.vocab import EOS_ID, load_vocab, save_vocab
 
-from helpers import CHECKPOINT_PARTS, read_shard, remove_checkpoint_part, smoke_script, word_vocab
+from helpers import (
+    CHECKPOINT_PARTS,
+    V1_CHECKPOINT,
+    read_shard,
+    remove_checkpoint_part,
+    smoke_script,
+    word_vocab,
+)
 from test_acceptance import collect_files
 
 SUBCOMMANDS = [
@@ -725,7 +733,7 @@ class TestFloat64Pretrain:
             params, cfg, manifest = load_checkpoint(out / ckpt)
             assert cfg.dtype == "float64"
             assert all(p.dtype == "float64" for p in params.values())
-            assert manifest["step"] == (2 if ckpt == "step_000002" else 3)
+            assert manifest.step == (2 if ckpt == "step_000002" else 3)
 
 
 class TestNonFiniteUpdate:
@@ -882,9 +890,9 @@ class TestPathsNoFileCanHave:
 
 
 class TestMalformedOptimizerState:
-    """A checkpoint whose model record, weights, optimizer record, moments or
-    rng state do not fit its config is a data error naming the file, never a
-    traceback."""
+    """A checkpoint whose model record, weights, moments or rng state do not
+    fit its config, or a v1 checkpoint whose optimizer record or rng state file
+    is bad, is a data error naming the file, never a traceback."""
 
     @pytest.fixture
     def checkpoint(self, tmp_path):
@@ -930,7 +938,7 @@ class TestMalformedOptimizerState:
 
     def test_resume_with_a_reshaped_moment_exits_1(self, checkpoint):
         def reshape(manifest):
-            entry = next(e for e in manifest["optimizer"]["tensors"] if e["name"] == "m.enc.norm")
+            entry = next(e for e in manifest["moments"] if e["name"] == "m.enc.norm")
             assert entry["shape"] == [16]
             entry["shape"] = [4, 4]
 
@@ -941,17 +949,17 @@ class TestMalformedOptimizerState:
         assert str(checkpoint / "optimizer.bin") in proc.stderr and "m.enc.norm" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_inspect_with_a_non_object_optimizer_record_exits_1(self, checkpoint):
-        self.mutate(checkpoint, lambda m: m.update(optimizer=[1]))
-        proc = run_entry_point(["inspect-checkpoint", "--checkpoint", str(checkpoint)])
+    def test_inspect_with_a_non_object_optimizer_record_exits_1(self, tmp_path):
+        ckpt = shutil.copytree(V1_CHECKPOINT, tmp_path / "v1")
+        self.mutate(ckpt, lambda m: m.update(optimizer=[1]))
+        proc = run_entry_point(["inspect-checkpoint", "--checkpoint", str(ckpt)])
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
-        assert str(checkpoint / "manifest.json") in proc.stderr and "optimizer record" in proc.stderr
+        assert str(ckpt / "manifest.json") in proc.stderr and "optimizer must be a JSON object" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_resume_with_moments_missing_past_step_0_exits_1(self, checkpoint):
         def drop(manifest):
-            tensors = manifest["optimizer"]["tensors"]
-            manifest["optimizer"]["tensors"] = [e for e in tensors if e["name"][2:] != "enc.norm"]
+            manifest["moments"] = [e for e in manifest["moments"] if e["name"][2:] != "enc.norm"]
 
         self.mutate(checkpoint, drop)
         config = checkpoint.parent.parent / "config.json"
@@ -960,11 +968,23 @@ class TestMalformedOptimizerState:
         assert str(checkpoint / "optimizer.bin") in proc.stderr and "enc.norm" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_inspect_with_an_unreadable_rng_state_exits_1(self, checkpoint):
-        (checkpoint / "rng_state").write_text("{not json", encoding="utf-8")
+    def test_inspect_with_an_unreadable_rng_state_exits_1(self, tmp_path):
+        ckpt = shutil.copytree(V1_CHECKPOINT, tmp_path / "v1")
+        (ckpt / "rng_state").write_text("{not json", encoding="utf-8")
+        proc = run_entry_point(["inspect-checkpoint", "--checkpoint", str(ckpt)])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert str(ckpt / "rng_state") in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_inspect_with_weights_too_large_to_allocate_exits_1(self, checkpoint):
+        """A model far larger than memory, listed with its own entries, is
+        rejected by the size of ``weights.bin`` before anything is
+        allocated."""
+        cfg = replace(load_checkpoint(checkpoint)[1], vocab_size=10**13)
+        self.mutate(checkpoint, lambda m: m.update(model=cfg.to_dict(), weights=layout(cfg)[0]))
         proc = run_entry_point(["inspect-checkpoint", "--checkpoint", str(checkpoint)])
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
-        assert str(checkpoint / "rng_state") in proc.stderr
+        assert str(checkpoint / "weights.bin") in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["predict", "inspect-checkpoint"])
@@ -983,10 +1003,43 @@ class TestMalformedOptimizerState:
         assert "Traceback" not in proc.stderr
 
 
+class TestInspectCheckpoint:
+    """``inspect-checkpoint`` prints the same fields for a checkpoint of
+    either format, after loading both of its blobs."""
+
+    def test_a_v1_checkpoint_and_a_v2_save_of_its_state_differ_only_in_format(self, tmp_path, capsys):
+        params, cfg, manifest = load_checkpoint(V1_CHECKPOINT)
+        moments = load_optimizer(V1_CHECKPOINT, manifest)
+        save_checkpoint(tmp_path / "v2", params, cfg, moments, rng_state=manifest.rng_state, step=manifest.step)
+        summaries = []
+        for ckpt in (V1_CHECKPOINT, tmp_path / "v2"):
+            assert run(["inspect-checkpoint", "--checkpoint", str(ckpt)]) == EXIT_OK
+            summaries.append(json.loads(capsys.readouterr().out))
+        v1, v2 = summaries
+        assert sorted(v1) == sorted(v2) == ["format", "model", "parameters", "runtime", "step", "tensors"]
+        assert (v1["format"], v2["format"]) == ("t2tbio-checkpoint v1", "t2tbio-checkpoint v2")
+        assert v1["runtime"] == json.loads((V1_CHECKPOINT / "manifest.json").read_bytes())["runtime"]
+        assert {**v1, "format": None, "runtime": None} == {**v2, "format": None, "runtime": None}
+
+    @pytest.mark.parametrize("fmt", ["v1", "v2"])
+    def test_a_cut_optimizer_blob_exits_1(self, tmp_path, fmt):
+        ckpt = shutil.copytree(V1_CHECKPOINT, tmp_path / "ck")
+        if fmt == "v2":
+            params, cfg, manifest = load_checkpoint(ckpt)
+            moments = load_optimizer(ckpt, manifest)
+            shutil.rmtree(ckpt)
+            save_checkpoint(ckpt, params, cfg, moments, rng_state=manifest.rng_state, step=manifest.step)
+        os.truncate(ckpt / "optimizer.bin", 8)
+        proc = run_entry_point(["inspect-checkpoint", "--checkpoint", str(ckpt)])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert str(ckpt / "optimizer.bin") in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestResumeFromAPartialCheckpoint:
-    """A checkpoint is a whole training state: resuming from one that lacks its
-    rng state, its optimizer record or its step is a data error naming the part
-    and its file, and writes no ``final/``."""
+    """A checkpoint is a whole training state: resuming from one whose
+    manifest lacks its rng state, its moments' entries or its step is a data
+    error naming the key and the manifest, and writes no ``final/``."""
 
     @pytest.mark.parametrize("part", CHECKPOINT_PARTS)
     def test_exits_1_naming_the_part(self, tmp_path, part):
@@ -1045,8 +1098,9 @@ class TestSeedOverride:
         unseeded = self.pretrain(config, tmp_path / "unseeded")
         monkeypatch.setenv("T2TBIO_SEED", "5")
         assert self.pretrain(config, tmp_path / "env") == by_flag
-        for name in ("final/weights.bin", "final/rng_state"):
-            assert unseeded[name] != by_flag[name], name
+        assert unseeded["final/weights.bin"] != by_flag["final/weights.bin"]
+        rng_state = [json.loads(files["final/manifest.json"])["rng_state"] for files in (unseeded, by_flag)]
+        assert rng_state[0] != rng_state[1]
 
     def test_flags_beat_the_environment(self, tmp_path, config, monkeypatch):
         by_flag = self.pretrain(config, tmp_path / "flag", "--seed", "5")

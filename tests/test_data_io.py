@@ -258,8 +258,16 @@ class TestRunConfig:
 
     def test_unknown_key_named(self, tmp_path):
         path = minimal_config(tmp_path, banana=1)
-        with pytest.raises(ConfigError, match="banana"):
+        with pytest.raises(ConfigError, match="banana") as exc:
             load_config(path)
+        assert str(exc.value) == f"{path}: unknown key 'banana' in the document"
+
+    def test_a_config_that_is_not_an_object_names_the_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1]", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}: the document must be a JSON object"
 
     def test_unknown_model_key_named(self, tmp_path):
         path = minimal_config(
@@ -297,6 +305,12 @@ class TestRunConfig:
         monkeypatch.setenv("T2TBIO_SEED", "77")
         cfg = load_config(minimal_config(tmp_path), out_dir="/from-flag", seed=3)
         assert (cfg.out_dir, cfg.seed, cfg.train.seed) == ("/from-flag", 3, 3)
+
+    def test_dropout_rate_is_an_unknown_key(self, tmp_path):
+        # the model has no dropout: a run config cannot set a rate, not even 0
+        path = minimal_config(tmp_path, model={"vocab_size": 64, "dropout_rate": 0.0})
+        with pytest.raises(ConfigError, match="unknown key 'dropout_rate' in model"):
+            load_config(path)
 
     def test_corruption_seed_is_an_unknown_key(self, tmp_path):
         path = minimal_config(tmp_path, corruption={"corruption_rate": 0.2, "seed": 3})

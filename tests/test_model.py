@@ -873,10 +873,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=10, d_model=10, n_heads=3)
 
-    def test_dropout_must_be_zero(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(vocab_size=10, dropout_rate=0.1)
-
     def test_dtype_checked(self):
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=10, dtype="float16")

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import shutil
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from t2tbio.checkpoint import load_checkpoint, load_optimizer, save_checkpoint, views
 from t2tbio.corruption import SpanCorruptionConfig
-from t2tbio.data_io import write_task_examples
+from t2tbio.data_io import write_json, write_task_examples
 from t2tbio.errors import CheckpointError, ConfigError, DataFormatError, ModelError
 from t2tbio import checkpoint, cli, trainer
 from t2tbio.model import ModelConfig, init_params
@@ -31,7 +32,10 @@ from t2tbio.vocab import train_vocab
 
 from helpers import (
     CHECKPOINT_PARTS,
+    V1_CHECKPOINT,
+    V1_MODEL,
     adam_moments,
+    as_v1,
     optimizer_tensors,
     remove_checkpoint_part,
     word_vocab,
@@ -495,7 +499,7 @@ class TestFinetune:
 
 
 def opt_entry(manifest, name):
-    return next(e for e in manifest["optimizer"]["tensors"] if e["name"] == name)
+    return next(e for e in manifest["moments"] if e["name"] == name)
 
 
 class TestCheckpointing:
@@ -509,8 +513,9 @@ class TestCheckpointing:
         assert loaded_cfg == cfg
         for name in params:
             assert loaded[name].tobytes() == params[name].tobytes()
-        assert manifest["step"] == manifest["optimizer"]["step"] == 7
+        assert (manifest.format, manifest.step, manifest.rng_state) == ("t2tbio-checkpoint v2", 7, 123)
         assert load_optimizer(tmp_path / "ck", manifest).tobytes() == moments.tobytes()
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.json", "optimizer.bin", "weights.bin"]
 
     def test_blobs_are_tensor_bytes_in_name_order(self, tmp_path):
         cfg = small_cfg(31)
@@ -536,12 +541,12 @@ class TestCheckpointing:
         weights, moment_entries = checkpoint.layout(cfg)
         little_endian = moments.astype(moments.dtype.newbyteorder("<"))
         assert (tmp_path / "ck" / "optimizer.bin").read_bytes() == little_endian.tobytes()
-        assert manifest["optimizer"]["tensors"] == moment_entries
-        assert manifest["tensors"] == weights
+        assert manifest["moments"] == moment_entries
+        assert manifest["weights"] == weights
         save_checkpoint(tmp_path / "ck0", params, cfg, None, rng_state=123, step=0)
         manifest = json.loads((tmp_path / "ck0" / "manifest.json").read_text(encoding="utf-8"))
         assert (tmp_path / "ck0" / "optimizer.bin").read_bytes() == b""
-        assert manifest["optimizer"]["tensors"] == []
+        assert manifest["moments"] == []
 
     def test_float64_save_load_bit_exact(self, tmp_path):
         cfg = replace(small_cfg(31), dtype="float64")
@@ -550,7 +555,7 @@ class TestCheckpointing:
         save_checkpoint(tmp_path / "ck", params, cfg, adam_moments(params, m, v), rng_state=123, step=3)
         loaded, loaded_cfg, manifest = load_checkpoint(tmp_path / "ck")
         assert loaded_cfg == cfg
-        assert {e["dtype"] for e in manifest["tensors"]} == {"<f8"}
+        assert {e["dtype"] for e in manifest.weights} == {"<f8"}
         for name in params:
             assert loaded[name].dtype == np.float64
             assert loaded[name].tobytes() == params[name].tobytes()
@@ -567,7 +572,7 @@ class TestCheckpointing:
         monkeypatch.setenv("OMP_NUM_THREADS", "7")  # BLAS read the variables when numpy loaded
         save_checkpoint(tmp_path / "ck", init_params(cfg, seed=4), cfg, None, rng_state=1, step=0)
         _, _, manifest = load_checkpoint(tmp_path / "ck")
-        assert manifest["runtime"] == first
+        assert manifest.runtime == first
         assert first["numpy"] == np.__version__ and first["blas"]
         assert set(first["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
         assert cli.run(["inspect-checkpoint", "--checkpoint", str(tmp_path / "ck")]) == 0
@@ -602,56 +607,61 @@ class TestCheckpointing:
         [
             pytest.param(lambda m: m["model"].update(bogus=1), "manifest.json", "bogus", id="unknown-model-key"),
             pytest.param(lambda m: m.pop("model"), "manifest.json", "model", id="no-model"),
-            pytest.param(lambda m: m["model"].update(vocab_size="31"), "manifest.json", "model config",
+            pytest.param(lambda m: m["model"].update(vocab_size="31"), "manifest.json", "model.vocab_size",
                          id="string-vocab-size"),
             pytest.param(lambda m: m["model"].update(n_heads=2.0), "manifest.json", "model.n_heads",
                          id="float-n-heads"),
             pytest.param(lambda m: m["model"].update(max_seq_len=True), "manifest.json", "model.max_seq_len",
                          id="bool-max-seq-len"),
+            pytest.param(lambda m: m["model"].update(dropout_rate=0.0), "manifest.json", "dropout_rate",
+                         id="model-dropout-rate"),
+            pytest.param(lambda m: m.update(format="t2tbio-checkpoint v3"), "manifest.json", "unknown format",
+                         id="unknown-format"),
+            pytest.param(lambda m: m.update(optimizer={"name": "adam"}), "manifest.json", "'optimizer'",
+                         id="v1-key-in-a-v2-manifest"),
             pytest.param(lambda m: m.update(step=-1), "manifest.json", "step", id="negative-step"),
-            pytest.param(lambda m: m.pop("tensors"), "weights.bin", "tensor list", id="no-tensors"),
-            pytest.param(lambda m: m["tensors"][3].update(shape=[17]), "weights.bin", "dec.0.cross.wq",
+            pytest.param(lambda m: m.update(step="7"), "manifest.json", "step", id="string-step"),
+            pytest.param(lambda m: m.pop("step"), "manifest.json", "needs 'step'", id="no-step"),
+            pytest.param(lambda m: m.pop("rng_state"), "manifest.json", "needs 'rng_state'", id="no-rng-state"),
+            pytest.param(lambda m: m.update(rng_state="123"), "manifest.json", "rng_state", id="string-rng-state"),
+            pytest.param(lambda m: m.update(rng_state=True), "manifest.json", "rng_state", id="bool-rng-state"),
+            pytest.param(lambda m: m.update(rng_state=-1), "manifest.json", "rng_state", id="negative-rng-state"),
+            pytest.param(lambda m: m.update(rng_state=2**64), "manifest.json", "rng_state",
+                         id="rng-state-past-64-bits"),
+            pytest.param(lambda m: m.update(runtime=[1]), "manifest.json", "runtime", id="runtime-not-an-object"),
+            pytest.param(lambda m: m.pop("weights"), "manifest.json", "needs 'weights'", id="no-weights"),
+            pytest.param(lambda m: m.update(weights={}), "manifest.json", "weights", id="weights-not-a-list"),
+            pytest.param(lambda m: m["weights"][3].update(shape=[17]), "weights.bin", "dec.0.cross.wq",
                          id="shape-disagrees-with-nbytes"),
-            pytest.param(lambda m: m["tensors"][3].update(shape=[16, -16]), "weights.bin", "dec.0.cross.wq",
+            pytest.param(lambda m: m["weights"][3].update(shape=[16, -16]), "weights.bin", "dec.0.cross.wq",
                          id="negative-dim"),
-            pytest.param(lambda m: m["tensors"][3].update(offset="0"), "weights.bin", "dec.0.cross.wq",
+            pytest.param(lambda m: m["weights"][3].update(offset="0"), "weights.bin", "dec.0.cross.wq",
                          id="string-offset"),
-            pytest.param(lambda m: m["tensors"][3].update(nbytes=True), "weights.bin", "dec.0.cross.wq",
+            pytest.param(lambda m: m["weights"][3].update(nbytes=True), "weights.bin", "dec.0.cross.wq",
                          id="bool-nbytes"),
-            pytest.param(lambda m: m["tensors"][3].update(dtype="<i4"), "weights.bin", "dec.0.cross.wq",
+            pytest.param(lambda m: m["weights"][3].update(dtype="<i4"), "weights.bin", "dec.0.cross.wq",
                          id="int-dtype"),
-            pytest.param(lambda m: m["tensors"][3].pop("name"), "weights.bin", "manifest entry", id="no-name"),
-            pytest.param(lambda m: m["tensors"].append(dict(m["tensors"][3])), "weights.bin", "dec.0.cross.wq",
+            pytest.param(lambda m: m["weights"][3].pop("name"), "weights.bin", "manifest entry", id="no-name"),
+            pytest.param(lambda m: m["weights"].append(dict(m["weights"][3])), "weights.bin", "dec.0.cross.wq",
                          id="duplicate-tensor"),
-            pytest.param(lambda m: m["optimizer"].update(step="7"), "optimizer.bin", "optimizer record",
-                         id="string-optimizer-step"),
-            pytest.param(lambda m: m["optimizer"]["tensors"][0].update(offset=-4), "optimizer.bin",
+            pytest.param(lambda m: m["moments"][0].update(offset=-4), "optimizer.bin",
                          "m.dec.0.cross.norm", id="negative-optimizer-offset"),
-            pytest.param(lambda m: m.update(optimizer=[1]), "manifest.json", "optimizer record",
-                         id="optimizer-record-not-an-object"),
-            pytest.param(lambda m: m.pop("step"), "manifest.json", "no step", id="no-step"),
-            pytest.param(lambda m: m.pop("optimizer"), "manifest.json", "no optimizer record",
-                         id="no-optimizer-record"),
-            pytest.param(lambda m: m["optimizer"].update(name="sgd"), "manifest.json", "'sgd', not 'adam'",
-                         id="optimizer-not-adam"),
-            pytest.param(lambda m: m["optimizer"].update(step=99), "manifest.json", "at step 99, not 7",
-                         id="optimizer-step-unlike-the-manifest"),
+            pytest.param(lambda m: m.update(moments=[1]), "manifest.json", "moments[0]",
+                         id="moments-not-a-list-of-objects"),
+            pytest.param(lambda m: m.pop("moments"), "manifest.json", "needs 'moments'", id="no-moments"),
             pytest.param(lambda m: opt_entry(m, "m.enc.norm").update(shape=[4, 4]), "optimizer.bin",
                          "m.enc.norm", id="moment-reshaped"),
             pytest.param(lambda m: opt_entry(m, "v.enc.norm").update(name="v.enc.nrm"), "optimizer.bin",
                          "v.enc.nrm", id="moment-of-no-parameter"),
             pytest.param(lambda m: opt_entry(m, "v.enc.norm").update(name="w.enc.norm"), "optimizer.bin",
                          "w.enc.norm", id="tensor-neither-m-nor-v"),
-            pytest.param(lambda m: m["optimizer"]["tensors"].remove(opt_entry(m, "v.enc.norm")), "optimizer.bin",
+            pytest.param(lambda m: m["moments"].remove(opt_entry(m, "v.enc.norm")), "optimizer.bin",
                          "enc.norm", id="m-without-v"),
-            pytest.param(lambda m: m["optimizer"].update(tensors=[e for e in m["optimizer"]["tensors"]
-                                                                  if e["name"][2:] != "enc.norm"]),
+            pytest.param(lambda m: m.update(moments=[e for e in m["moments"] if e["name"][2:] != "enc.norm"]),
                          "optimizer.bin", "enc.norm", id="no-moments-for-a-parameter-past-step-0"),
         ],
     )
     def test_mutated_manifest_raises_checkpoint_error(self, tmp_path, mutate, file, names):
-        from t2tbio.checkpoint import load_optimizer
-
         cfg = small_cfg(31)
         params = init_params(cfg, seed=4)
         moments = adam_moments(params, {k: x * 0.5 for k, x in params.items()}, {k: x * x for k, x in params.items()})
@@ -685,7 +695,7 @@ class TestCheckpointing:
         cfg = small_cfg(31)
         save_checkpoint(tmp_path / "ck", init_params(cfg, seed=4), cfg, None, rng_state=123, step=0)
         _, _, manifest = load_checkpoint(tmp_path / "ck")
-        assert manifest["optimizer"] == {"name": "adam", "step": 0, "tensors": []}
+        assert (manifest.step, manifest.moments) == (0, [])
         assert load_optimizer(tmp_path / "ck", manifest) is None
 
     def test_step_0_state_with_some_moments_raises_checkpoint_error(self, tmp_path):
@@ -731,40 +741,32 @@ class TestCheckpointing:
         assert str(tmp_path / "ck" / blob) in str(info.value) and names in str(info.value), str(info.value)
         assert not (tmp_path / "ck").exists()
 
-    @pytest.mark.parametrize("payload", ['{"algo": "splitmix64", "state": "12"}', '[1]', '{"state": 12}',
-                                         '{"algo": "splitmix64", "state": 18446744073709551616}'])
-    def test_malformed_rng_state_raises_checkpoint_error(self, tmp_path, payload):
-        from t2tbio.checkpoint import load_rng_state
-
-        (tmp_path / "rng_state").write_text(payload, encoding="utf-8")
-        with pytest.raises(CheckpointError, match="rng_state"):
-            load_rng_state(tmp_path)
-
-    @pytest.mark.parametrize(
-        "payload",
-        [b'\xff\xfe{"algo": "splitmix64"}', b'{"algo": "splitmix64", "state": ' + b"9" * 5000 + b"}"],
-        ids=["not-utf8", "5000-digit-int"],
-    )
-    def test_unparsable_rng_state_raises_checkpoint_error(self, tmp_path, payload):
-        from t2tbio.checkpoint import load_rng_state
-
-        (tmp_path / "rng_state").write_bytes(payload)
-        with pytest.raises(CheckpointError, match="rng_state"):
-            load_rng_state(tmp_path)
-
+    @pytest.mark.parametrize("fmt", ["v1", "v2"])
     @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
-    def test_resume_equivalence(self, tmp_path, phase):
+    def test_resume_equivalence(self, tmp_path, phase, fmt):
+        """Resuming from a step-6 checkpoint, v2 as saved or rewritten by
+        ``as_v1``, ends with the final blobs of an uninterrupted run, and its
+        ``loss_curve.json`` holds that run's steps from 6 on, byte for byte
+        as the writer writes them."""
         cfg, train = phase_fixture(tmp_path, phase)
         full_cfg = TrainConfig(num_steps=10, input_len=24, target_len=24, batch_size=2, seed=9)
         full = train(init_params(cfg, 2), full_cfg, "full")
         train(init_params(cfg, 2), replace(full_cfg, num_steps=6, checkpoint_every=6), "part")
-        resumed = train(None, full_cfg, "resumed", resume=str(tmp_path / "part" / "step_000006"))
+        ckpt = tmp_path / "part" / "step_000006"
+        if fmt == "v1":
+            as_v1(ckpt)
+        resumed = train(None, full_cfg, "resumed", resume=str(ckpt))
         assert resumed.losses == full.losses[6:]
         for name in full.params:
             np.testing.assert_array_equal(full.params[name], resumed.params[name])
         for blob in ("weights.bin", "optimizer.bin"):
             full_bytes = (tmp_path / "full" / "final" / blob).read_bytes()
             assert (tmp_path / "resumed" / "final" / blob).read_bytes() == full_bytes, blob
+        curve = json.loads((tmp_path / "full" / "loss_curve.json").read_text(encoding="utf-8"))
+        tail = {"curves": {n: [x for x in c if x[0] >= 6] for n, c in curve["curves"].items()},
+                "losses": curve["losses"][6:]}
+        write_json(tmp_path / "tail.json", tail)
+        assert (tmp_path / "resumed" / "loss_curve.json").read_bytes() == (tmp_path / "tail.json").read_bytes()
 
     @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
     def test_params_unlike_the_config_raise_config_error(self, tmp_path, phase):
@@ -834,6 +836,98 @@ class TestCheckpointing:
         curve = json.loads((out / "loss_curve.json").read_text(encoding="utf-8"))
         assert len(curve["losses"]) == 3
         assert curve["curves"] == {"corpus": [[step, loss] for step, loss in enumerate(curve["losses"])]}
+
+
+class TestV1Checkpoint:
+    """The committed v1 checkpoint, written by the v1 writer, loads as the
+    state it was written from, and every fact that only a v1 checkpoint can
+    get wrong raises ``CheckpointError`` naming its file."""
+
+    @staticmethod
+    def state():
+        params = init_params(V1_MODEL, seed=3)
+        return params, adam_moments(params, {k: x * 0.5 for k, x in params.items()},
+                                    {k: x * x for k, x in params.items()})
+
+    def test_loads_as_the_state_it_was_written_from(self):
+        params, moments = self.state()
+        loaded, cfg, manifest = load_checkpoint(V1_CHECKPOINT)
+        assert cfg == V1_MODEL
+        assert (manifest.format, manifest.step, manifest.rng_state) == ("t2tbio-checkpoint v1", 5, 2**64 - 3)
+        assert all(loaded[name].tobytes() == params[name].tobytes() for name in params)
+        assert load_optimizer(V1_CHECKPOINT, manifest).tobytes() == moments.tobytes()
+
+    def test_as_v1_of_a_v2_save_is_the_fixture(self, tmp_path):
+        params, moments = self.state()
+        save_checkpoint(tmp_path / "ck", params, V1_MODEL, moments, rng_state=2**64 - 3, step=5)
+        _, _, v2 = load_checkpoint(tmp_path / "ck")
+        as_v1(tmp_path / "ck")
+        names = sorted(p.name for p in V1_CHECKPOINT.iterdir())
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == names
+        for name in names:
+            got, want = (tmp_path / "ck" / name).read_bytes(), (V1_CHECKPOINT / name).read_bytes()
+            if name == "manifest.json":  # the runtime is the writing process's
+                got, want = (json.loads(x) for x in (got, want))
+                got["runtime"] = want["runtime"]
+            assert got == want, name
+        _, _, v1 = load_checkpoint(tmp_path / "ck")
+        assert replace(v1, format=v2.format) == v2
+
+    @pytest.mark.parametrize(
+        "mutate, names",
+        [
+            pytest.param(lambda m: m["optimizer"].update(name="sgd"), "optimizer.name: 'sgd', not 'adam'",
+                         id="optimizer-not-adam"),
+            pytest.param(lambda m: m["optimizer"].update(step=99), "optimizer.step: 99, not the manifest's step 5",
+                         id="optimizer-step-unlike-the-manifest"),
+            pytest.param(lambda m: m["optimizer"].update(step="5"), "optimizer.step", id="string-optimizer-step"),
+            pytest.param(lambda m: m["optimizer"].update(step=True), "optimizer.step", id="bool-optimizer-step"),
+            pytest.param(lambda m: m.pop("step"), "optimizer.step", id="no-step"),
+            pytest.param(lambda m: m.update(optimizer=[1]), "optimizer must be a JSON object",
+                         id="optimizer-record-not-an-object"),
+            pytest.param(lambda m: m.pop("optimizer"), "optimizer must be a JSON object", id="no-optimizer-record"),
+            pytest.param(lambda m: m["model"].update(dropout_rate=0.1), "model.dropout_rate: 0.1, not 0",
+                         id="dropout"),
+            pytest.param(lambda m: m["model"].update(dropout_rate=False), "model.dropout_rate", id="bool-dropout"),
+            pytest.param(lambda m: m.pop("tensors"), "weights", id="no-tensors"),
+        ],
+    )
+    def test_mutated_v1_manifest_raises_checkpoint_error(self, tmp_path, mutate, names):
+        ckpt = shutil.copytree(V1_CHECKPOINT, tmp_path / "ck")
+        manifest = json.loads((ckpt / "manifest.json").read_text(encoding="utf-8"))
+        mutate(manifest)
+        (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(ckpt)
+        message = str(info.value)
+        assert str(ckpt / "manifest.json") in message and names in message, message
+
+    @pytest.mark.parametrize(
+        "payload, file",
+        [
+            pytest.param(None, "rng_state", id="missing"),
+            pytest.param(b'\xff\xfe{"algo": "splitmix64"}', "rng_state", id="not-utf8"),
+            pytest.param(b'{"algo": "splitmix64", "state": ' + b"9" * 5000 + b"}", "rng_state", id="5000-digit-int"),
+            pytest.param(b"[1]", "rng_state", id="not-an-object"),
+            pytest.param(b'{"state": 12}', "rng_state", id="no-algo"),
+            pytest.param(b'{"algo": "splitmix64", "state": "12"}', "manifest.json", id="string-state"),
+            pytest.param(b'{"algo": "splitmix64"}', "manifest.json", id="no-state"),
+            pytest.param(b'{"algo": "splitmix64", "state": 18446744073709551616}', "manifest.json",
+                         id="state-past-64-bits"),
+        ],
+    )
+    def test_bad_rng_state_file_raises_checkpoint_error(self, tmp_path, payload, file):
+        """A missing or unreadable file names itself; a state that is not a
+        64-bit count names the manifest's key ``rng_state`` it maps onto."""
+        ckpt = shutil.copytree(V1_CHECKPOINT, tmp_path / "ck")
+        if payload is None:
+            (ckpt / "rng_state").unlink()
+        else:
+            (ckpt / "rng_state").write_bytes(payload)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(ckpt)
+        message = str(info.value)
+        assert str(ckpt / file) in message and "rng_state" in message, message
 
 
 class FakeLibc:
@@ -951,13 +1045,13 @@ def arena_faults(params, arenas, ckpt) -> list[str]:
     p, m, v = arenas
     assert m.dtype == v.dtype == p.dtype and m.size == v.size == p.size
     faults = []
-    for e in manifest["tensors"]:
+    for e in manifest["weights"]:
         t = params[e["name"]]
         if not (t.base is p and t.shape == tuple(e["shape"])
                 and t.ctypes.data == p[e["offset"] // t.itemsize :].ctypes.data):
             faults.append(e["name"])
     blob = (ckpt / "optimizer.bin").read_bytes()
-    for e in manifest["optimizer"]["tensors"]:
+    for e in manifest["moments"]:
         flat, start = (m, e["offset"]) if e["name"].startswith("m.") else (v, e["offset"] - m.nbytes)
         if blob[e["offset"] : e["offset"] + e["nbytes"]] != flat.tobytes()[start : start + e["nbytes"]]:
             faults.append(e["name"])
