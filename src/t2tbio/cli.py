@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from . import data_io, metrics, task_codec
 from .checkpoint import load_checkpoint, load_optimizer
 from .corruption import SpanCorruptionConfig, corrupt, derive_seed, write_shard
-from .errors import ConfigError, DataFormatError, T2TBioError
+from .errors import ConfigError, CorruptionError, DataFormatError, T2TBioError
 from .model import ModelConfig, greedy_decode, init_params, param_count
 from .trainer import CorpusEntry, MixtureEntry, TrainConfig, finetune, pretrain
 from .vocab import EOS_ID, load_vocab, save_vocab, train_vocab
@@ -155,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output shard file (sidecar manifest is added)")
     p.add_argument("--rate", type=_finite_float, default=0.15, help="fraction of tokens to mask")
     p.add_argument("--mean-span", type=_finite_float, default=3.0, help="mean masked span length")
-    p.add_argument("--max-sentinels", type=_positive_int, default=100,
-                   help="span count limit per example (at least 1)")
     p.add_argument("--input-len", type=_positive_int, default=None,
                    help="truncate documents to this many tokens (at least 1)")
     p.add_argument("--seed", type=int, default=0, help="base seed of the per-record corruption seeds")
@@ -218,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_vocab_train(args) -> int:
     lines: list[str] = []
     for path in args.corpus:
-        lines.extend(data_io.read_text(path).splitlines())
+        lines.extend(data_io.read_lines(path))
     v = train_vocab(lines, target_size=args.size, num_sentinels=args.sentinels)
     save_vocab(v, args.out)
     log.info("wrote vocabulary: %d pieces (%d sentinels) -> %s", v.size, v.num_sentinels, args.out)
@@ -227,14 +225,9 @@ def _cmd_vocab_train(args) -> int:
 
 def _cmd_corrupt(args) -> int:
     v = load_vocab(args.vocab)
-    cfg = SpanCorruptionConfig(
-        corruption_rate=args.rate,
-        mean_span_length=args.mean_span,
-        max_sentinels=args.max_sentinels,
-        seed=args.seed,
-    )
+    cfg = SpanCorruptionConfig(corruption_rate=args.rate, mean_span_length=args.mean_span)
     examples = []
-    for line in data_io.read_text(args.input).splitlines():
+    for lineno, line in enumerate(data_io.read_lines(args.input), start=1):
         if not line.strip():
             continue
         ids = v.encode(line)
@@ -242,8 +235,11 @@ def _cmd_corrupt(args) -> int:
             ids = ids[: args.input_len]
         if not ids:
             continue
-        examples.append(corrupt(ids, derive_seed(cfg, len(examples)), v))
-    write_shard(args.out, examples, cfg)
+        try:
+            examples.append(corrupt(ids, cfg, v, derive_seed(args.seed, len(examples))))
+        except CorruptionError as e:
+            raise CorruptionError(f"{args.input}:{lineno}: {e}") from e
+    write_shard(args.out, examples, cfg, args.seed)
     log.info("wrote %d corruption records -> %s", len(examples), args.out)
     return EXIT_OK
 

@@ -7,13 +7,17 @@ each span in the input with one sentinel id and emitting a target of the form
 
 Adjacent selections merge into one span, sentinels are assigned left to right,
 and the number of masked tokens is exactly ``round(len * corruption_rate)``
-(round half up, at least 1 when the rate is positive).
+(round half up, at least 1 when the rate is positive). The config holds only
+the objective. The vocabulary bounds the spans: at most ``num_sentinels - 1``,
+since the final sentinel closes every target. The caller passes each sample's
+seed. ``max_spans`` and ``max_target_len`` give the worst case for a window
+length, which ``trainer.pretrain`` checks before its first step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,17 +33,12 @@ SHARD_FORMAT = "t2tbio-shard v1"
 class SpanCorruptionConfig:
     corruption_rate: float = 0.15
     mean_span_length: float = 3.0
-    max_sentinels: int = 100
-    # no run-config key: pretrain seeds every sample from the training stream
-    seed: int = field(default=0, metadata={"key": None})
 
     def __post_init__(self):
         if not 0.0 <= self.corruption_rate < 1.0:
             raise CorruptionError("corruption_rate must be in [0, 1)")
         if not (self.mean_span_length >= 1.0 and math.isfinite(self.mean_span_length)):
             raise CorruptionError("mean_span_length must be finite and >= 1")
-        if self.max_sentinels < 1:
-            raise CorruptionError("max_sentinels must be positive")
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,16 @@ def max_target_len(n: int, cfg: SpanCorruptionConfig) -> int:
     return 2 * _mask_budget(n, cfg.corruption_rate) + 2
 
 
-def corrupt(tokens: list[int], cfg: SpanCorruptionConfig, v: Vocabulary) -> CorruptionExample:
-    """Mask random spans of ``tokens``; deterministic given (tokens, cfg.seed)."""
+def max_spans(n: int, cfg: SpanCorruptionConfig) -> int:
+    """The most spans ``corrupt`` makes of at most ``n`` tokens: each masked
+    token can start one, and two spans need an unmasked token between them.
+    Both terms grow with ``n``."""
+    budget = _mask_budget(n, cfg.corruption_rate)
+    return min(budget, n - budget + 1)
+
+
+def corrupt(tokens: list[int], cfg: SpanCorruptionConfig, v: Vocabulary, seed: int) -> CorruptionExample:
+    """Mask random spans of ``tokens``; deterministic given (tokens, cfg, seed)."""
     if not tokens:
         raise CorruptionError("cannot corrupt an empty sequence")
     for t in tokens:
@@ -72,7 +79,7 @@ def corrupt(tokens: list[int], cfg: SpanCorruptionConfig, v: Vocabulary) -> Corr
 
     n = len(tokens)
     budget = _mask_budget(n, cfg.corruption_rate)
-    rng = SplitMix64(cfg.seed)
+    rng = SplitMix64(seed)
     masked = np.zeros(n, dtype=bool)
     remaining = budget
     while remaining > 0:
@@ -88,19 +95,15 @@ def corrupt(tokens: list[int], cfg: SpanCorruptionConfig, v: Vocabulary) -> Corr
         remaining -= length
 
     spans = _runs(masked)
-    return apply_span_mask(tokens, spans, v, max_spans=cfg.max_sentinels)
+    return apply_span_mask(tokens, spans, v)
 
 
-def apply_span_mask(
-    tokens: list[int],
-    spans: list[tuple[int, int]],
-    v: Vocabulary,
-    max_spans: int | None = None,
-) -> CorruptionExample:
+def apply_span_mask(tokens: list[int], spans: list[tuple[int, int]], v: Vocabulary) -> CorruptionExample:
     """Apply an explicit span selection (list of [start, end) pairs).
 
     Spans are sorted and adjacent/overlapping selections merge into one span,
-    mirroring how consecutive masked tokens count as a single span.
+    mirroring how consecutive masked tokens count as a single span. More
+    spans than ``v.num_sentinels - 1`` raise CorruptionError.
     """
     n = len(tokens)
     for start, end in spans:
@@ -113,7 +116,7 @@ def apply_span_mask(
         else:
             merged.append([start, end])
 
-    limit = v.num_sentinels - 1 if max_spans is None else min(max_spans, v.num_sentinels - 1)
+    limit = v.num_sentinels - 1
     if len(merged) > limit:
         raise CorruptionError(f"too many spans: {len(merged)} (limit {limit})")
 
@@ -147,9 +150,10 @@ def _runs(masked: np.ndarray) -> list[tuple[int, int]]:
     return [(int(edges[i]), int(edges[i + 1])) for i in range(0, edges.size, 2)]
 
 
-def write_shard(path, examples: list[CorruptionExample], cfg: SpanCorruptionConfig) -> None:
+def write_shard(path, examples: list[CorruptionExample], cfg: SpanCorruptionConfig, seed: int) -> None:
     """Line-delimited "INPUT<TAB>TARGET" records of space-joined decimal ids,
-    plus a ``<path>.manifest.json`` sidecar recording the config and count."""
+    plus a ``<path>.manifest.json`` sidecar recording the config, the base
+    seed and the count."""
     with open(path, "w", encoding="utf-8") as f:
         for ex in examples:
             f.write(
@@ -160,13 +164,12 @@ def write_shard(path, examples: list[CorruptionExample], cfg: SpanCorruptionConf
             )
     manifest = {
         "format": SHARD_FORMAT,
-        "config": asdict(cfg),
+        "config": {**asdict(cfg), "seed": seed},
         "records": len(examples),
     }
     write_json(str(path) + ".manifest.json", manifest, indent=2)
 
 
-def derive_seed(cfg: SpanCorruptionConfig, index: int) -> SpanCorruptionConfig:
-    """Per-record config for shard writing: mixes the record index into the seed."""
-    rng = SplitMix64(cfg.seed ^ (index * 0x9E3779B97F4A7C15))
-    return replace(cfg, seed=rng.next_u64())
+def derive_seed(seed: int, index: int) -> int:
+    """Per-record seed for shard writing: mixes the record index into ``seed``."""
+    return SplitMix64(seed ^ (index * 0x9E3779B97F4A7C15)).next_u64()

@@ -3,7 +3,8 @@ and typed records.
 
 Readers are total over arbitrary byte streams: they either return parsed
 records or raise DataFormatError with the path and line number; they never
-crash with an undeclared exception type. ``read_json``/``read_jsonl`` and
+crash with an undeclared exception type. ``read_lines`` holds the one rule
+for splitting a text file into lines. ``read_json``/``read_jsonl`` and
 ``write_json`` hold the one rule for parsing and for writing every JSON and
 JSONL artifact. ``json_value`` holds the one rule for a JSON value's type,
 which run configs, checkpoint manifests, TaskExample records and the gold
@@ -18,6 +19,7 @@ supplied by path.
 from __future__ import annotations
 
 import json
+import re
 import sys
 import types
 import typing
@@ -41,6 +43,16 @@ def read_text(path) -> str:
         raise DataFormatError(f"not valid UTF-8: {e}", path=str(path)) from e
 
 
+def read_lines(path) -> list[str]:
+    """The file's lines, without their ends. A line ends only at "\\n",
+    "\\r\\n" or "\\r", as ``open()`` reads text; ``str.splitlines`` would
+    also break lines at form feeds, U+0085, U+2028 and other separators."""
+    lines = re.split(r"\r\n?|\n", read_text(path))
+    if lines[-1] == "":  # nothing after the last line end
+        lines.pop()
+    return lines
+
+
 def _parse_json(text: str, path, line: int | None = None):
     try:
         return json.loads(text)
@@ -56,7 +68,7 @@ def read_json(path):
 
 def read_jsonl(path):
     """(line number, object) for each non-blank line of a JSONL file."""
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if line.strip():
             record = _parse_json(line, path, lineno)
             if not isinstance(record, dict):
@@ -84,7 +96,6 @@ def read_conll_ner(path, diagnostics: dict | None = None) -> list[tuple[list[str
     An I- tag without a preceding B- of the same type is healed to a span
     start (counted under ``healed_i_tags`` in ``diagnostics``).
     """
-    text = read_text(path)
     sentences: list[tuple[list[str], list[EntitySpan]]] = []
     words: list[str] = []
     tags: list[str] = []
@@ -95,7 +106,7 @@ def read_conll_ner(path, diagnostics: dict | None = None) -> list[tuple[list[str
             words.clear()
             tags.clear()
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         stripped = line.strip()
         if not stripped:
             flush()
@@ -151,9 +162,8 @@ def read_tsv_pairs(path, columns: list[str]) -> list[dict[str, str]]:
     """Verbatim tab-split records; no quoting rules, quoted tabs split anyway."""
     if not columns:
         raise ConfigError("columns must be declared")
-    text = read_text(path)
     records: list[dict[str, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if line == "":
             continue
         parts = line.split("\t")
@@ -336,12 +346,12 @@ def json_value(kind, value, where: str):
 
 def read_record(cls, section, where: str):
     """``cls`` from the JSON object at ``where`` (a dotted key path, "" for a
-    whole document). Its keys are the dataclass's field names (or a field's
-    ``metadata["key"]``, where None leaves the field out of the schema); fields
-    without a default are required, and ConfigError names a bad field."""
+    whole document). Its keys are the dataclass's field names, or a field's
+    ``metadata["key"]``; fields without a default are required, and
+    ConfigError names a bad field."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where or 'the document'} must be a JSON object")
-    by_key = {key: f for f in fields(cls) if (key := f.metadata.get("key", f.name)) is not None}
+    by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
     unknown = sorted(set(section) - set(by_key))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where or 'the document'}")

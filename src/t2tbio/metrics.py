@@ -55,18 +55,8 @@ class MetricsReport:
     protocol: str | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {}
-        for name in _SCALAR_METRICS:
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if self.per_class:
-            out["per_class"] = {label: asdict(cm) for label, cm in self.per_class.items()}
-        if self.counts:
-            out["counts"] = dict(self.counts)
-        if self.protocol is not None:
-            out["protocol"] = self.protocol
-        return out
+        """The fields that hold a value, in field order: no None, no empty dict."""
+        return {name: value for name, value in asdict(self).items() if value is not None and value != {}}
 
     def format_table(self) -> str:
         lines = []

@@ -47,7 +47,7 @@ import logging
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .checkpoint import (
     tensor_at,
     views,
 )
-from .corruption import SpanCorruptionConfig, corrupt, max_target_len
+from .corruption import SpanCorruptionConfig, corrupt, max_spans, max_target_len
 from .errors import ConfigError, ModelError
 from .model import ModelConfig, loss_and_grads, make_batch, validate_params
 from .rng import SplitMix64
@@ -289,7 +289,7 @@ def load_corpus_windows(corpora: list[CorpusEntry], v: Vocabulary, input_len: in
     all_windows: list[list[list[int]]] = []
     for entry in corpora:
         windows: list[list[int]] = []
-        for line in filter(str.strip, data_io.read_text(entry.path).splitlines()):  # skip blank lines
+        for line in filter(str.strip, data_io.read_lines(entry.path)):  # skip blank lines
             ids = v.encode(line)
             for start in range(0, len(ids), input_len):
                 chunk = ids[start : start + input_len]
@@ -427,7 +427,11 @@ def pretrain(
     resume: str | None = None,
 ) -> TrainResult:
     """Span-infilling pretraining over a weighted corpus mixture; a corpus is
-    named by its file name without the extension."""
+    named by its file name without the extension. Before any corpus is read,
+    an ``input_len`` window must fit ``max_seq_len`` with eos, and so must
+    the longest target its corruption rate can make, and the vocabulary
+    needs a sentinel for each span such a window can have and the final
+    one."""
     if not corpus_mix:
         raise ConfigError("corpus mixture must contain at least one corpus")
     if v.size != model_cfg.vocab_size:
@@ -450,6 +454,11 @@ def pretrain(
     if worst_target > cap:
         raise ConfigError(f"corruption.corruption_rate {corruption_cfg.corruption_rate:g} could produce targets "
                           f"of {worst_target} tokens, beyond model.max_seq_len {cap}")
+    spans = max_spans(train_cfg.input_len, corruption_cfg)
+    if spans + 1 > v.num_sentinels:  # with the final sentinel
+        raise ConfigError(f"corruption.corruption_rate {corruption_cfg.corruption_rate:g} could mask {spans} spans "
+                          f"of a {train_cfg.input_len}-token window, which with the final sentinel need "
+                          f"{spans + 1} sentinels; the vocabulary has {v.num_sentinels}")
 
     windows = load_corpus_windows(corpus_mix, v, train_cfg.input_len)
 
@@ -458,7 +467,7 @@ def pretrain(
         pairs = []
         for _ in range(train_cfg.batch_size):
             tokens = pool[rng.next_below(len(pool))]
-            ex = corrupt(tokens, replace(corruption_cfg, seed=rng.next_u64()), v)
+            ex = corrupt(tokens, corruption_cfg, v, rng.next_u64())
             pairs.append(([*ex.input_ids, EOS_ID], list(ex.target_ids)))  # corrupt's target ends in eos
         return pairs
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from t2tbio.checkpoint import views
 from t2tbio.corruption import CorruptionExample
-from t2tbio.data_io import read_json, read_text
+from t2tbio.data_io import read_json, read_lines
 from t2tbio.errors import ConfigError, DataFormatError
 from t2tbio.model import ModelConfig, greedy_decode
 from t2tbio.rng import SplitMix64
@@ -98,7 +98,7 @@ def exact_match_rate(
 def read_shard(path) -> list[CorruptionExample]:
     """Read a ``corrupt`` shard; validates the sidecar manifest count when present."""
     examples: list[CorruptionExample] = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if line == "":
             continue
         parts = line.split("\t")

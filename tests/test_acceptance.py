@@ -95,10 +95,8 @@ def test_criterion_1_corruption_round_trip():
         for case in range(1000):
             length = 5 + rng.next_below(508)  # 5..512
             tokens = random_token_sequence(rng, length, v)
-            cfg = SpanCorruptionConfig(
-                corruption_rate=rates[case % 3], max_sentinels=255, seed=rng.next_u64()
-            )
-            example = corrupt(tokens, cfg, v)
+            cfg = SpanCorruptionConfig(corruption_rate=rates[case % 3])
+            example = corrupt(tokens, cfg, v, rng.next_u64())
             assert reconstruct(example, v) == tokens, f"round trip failed on case {case}"
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"took {elapsed:.2f} s"
@@ -258,7 +256,7 @@ def test_criterion_6a_pretraining_overfit():
             cfg,
             init_params(cfg, seed=0),
             [CorpusEntry(fixture("pretrain_corpus.txt"))],
-            SpanCorruptionConfig(max_sentinels=30),
+            SpanCorruptionConfig(),
             t_cfg,
             v,
         )

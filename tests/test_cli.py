@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import t2tbio
-from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, build_parser, run
+from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, build_parser, load_config, run
 from t2tbio.checkpoint import layout, load_checkpoint, load_optimizer, save_checkpoint
+from t2tbio.corruption import SpanCorruptionConfig
 from t2tbio.data_io import read_task_examples
 from t2tbio.trainer import TrainConfig
 from t2tbio.vocab import EOS_ID, load_vocab, save_vocab
@@ -127,6 +128,15 @@ def smoke_commands() -> list[list[str]]:
     return smoke_script().commands("runs/smoke")
 
 
+def test_readme_run_config_loads(tmp_path):
+    """The README's run-config example is a config ``load_config`` accepts."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Run config", 1)[1]
+    (tmp_path / "config.json").write_text(section.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    cfg = load_config(tmp_path / "config.json")
+    assert cfg.corruption == SpanCorruptionConfig(corruption_rate=0.15, mean_span_length=3.0)
+    assert cfg.corpora and cfg.mixture
+
+
 class TestDocumentedCommands:
     """The README walkthrough and the smoke script use only flags the CLI
     declares, so neither can drift from it."""
@@ -221,6 +231,32 @@ class TestVocabAndCorrupt:
             assert rc == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+    def test_corrupt_shard_bytes_are_pinned(self, tmp_path, fixtures_dir, trained_vocab):
+        # any change to the span sampling, the per-record seeds or the shard
+        # format changes these bytes
+        out = tmp_path / "shard.tsv"
+        argv = ["corrupt", "--vocab", str(trained_vocab), "--in", str(fixtures_dir / "pretrain_corpus.txt"),
+                "--out", str(out), "--rate", "0.3", "--mean-span", "2", "--seed", "7"]
+        assert run(argv) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "4bf7ef5f0d560b46a61dae772fed30f4d5ddf2f8cd80650118437c27641e2bc2"
+        manifest = json.loads((tmp_path / "shard.tsv.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"] == {"corruption_rate": 0.3, "mean_span_length": 2.0, "seed": 7}
+
+    def test_corrupt_names_the_line_of_a_document_with_too_many_spans(self, tmp_path, caplog):
+        # 8 sentinels: 7 spans and the final one; the third line's 40 words
+        # at rate 0.5 and mean span 1 make more
+        corpus, vocab, out = tmp_path / "corpus.txt", tmp_path / "vocab.txt", tmp_path / "shard.tsv"
+        corpus.write_text("alpha beta alpha\n\n" + "alpha beta " * 20 + "\n", encoding="utf-8")
+        save_vocab(word_vocab(["alpha", "beta"]), vocab)
+        argv = ["corrupt", "--vocab", str(vocab), "--in", str(corpus), "--out", str(out),
+                "--rate", "0.5", "--mean-span", "1"]
+        assert run(argv) == EXIT_DATA_ERROR
+        assert f"{corpus}:3: too many spans: " in caplog.text
+        assert "(limit 7)" in caplog.text
+        assert not out.exists()
 
 
 class TestEncodeTask:
@@ -695,14 +731,6 @@ class TestIntegerFloors:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_corrupt_max_sentinels_exits_2(self, tmp_path, value):
-        proc, out = run_corrupt(tmp_path, "--max-sentinels", value)
-        assert proc.returncode == EXIT_USAGE, proc.stderr
-        assert "--max-sentinels" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert not out.exists()
-
 
 class TestCorruptFloats:
     @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -724,7 +752,6 @@ class TestFloat64Pretrain:
             "out_dir": str(out),
             "model": {**MODEL, "vocab_size": load_vocab(trained_vocab).size, "dtype": "float64"},
             "train": {**TRAIN, "num_steps": 3, "batch_size": 2, "checkpoint_every": 2},
-            "corruption": {"max_sentinels": 16},
             "corpora": [{"path": str(fixtures_dir / "pretrain_corpus.txt")}],
         }
         config.write_text(json.dumps(payload), encoding="utf-8")
@@ -744,7 +771,6 @@ class TestNonFiniteUpdate:
             "out_dir": str(tmp_path / "out"),
             "model": {**MODEL, "vocab_size": load_vocab(trained_vocab).size},
             "train": {**TRAIN, "batch_size": 2, "learning_rate": lr},
-            "corruption": {"max_sentinels": 16},
             "corpora": [{"path": str(fixtures_dir / "pretrain_corpus.txt")}],
         }
         (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
@@ -785,7 +811,6 @@ class TestLengthCaps:
             "out_dir": str(tmp_path / "out"),
             "model": {**MODEL, "vocab_size": load_vocab(trained_vocab).size},
             "train": {"num_steps": 1, "input_len": 16, "batch_size": 2},  # target_len: the default
-            "corruption": {"max_sentinels": 16},
             "corpora": [{"path": str(fixtures_dir / "pretrain_corpus.txt")}],
         }
         assert TrainConfig().target_len > MODEL["max_seq_len"]
@@ -803,7 +828,7 @@ class TestLengthCaps:
             "out_dir": str(tmp_path / "out"),
             "model": {**MODEL, "vocab_size": load_vocab(trained_vocab).size, "max_seq_len": 3},
             "train": {"num_steps": 1, "input_len": 2, "batch_size": 2},
-            "corruption": {"corruption_rate": 0.1, "max_sentinels": 16},
+            "corruption": {"corruption_rate": 0.1},
             "corpora": [{"path": str(fixtures_dir / "pretrain_corpus.txt")}],
         }
         (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
@@ -811,6 +836,25 @@ class TestLengthCaps:
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
         assert ("corruption.corruption_rate 0.1 could produce targets of 4 tokens, beyond model.max_seq_len 3"
                 in proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_pretrain_rejects_a_rate_that_can_run_out_of_sentinels(self, tmp_path, fixtures_dir, trained_vocab):
+        # 64-token windows at rate 0.3 can make 19 spans; with the final
+        # sentinel they need 20 of the vocabulary's 16
+        payload = {
+            "vocab_path": str(trained_vocab),
+            "out_dir": str(tmp_path / "out"),
+            "model": {**MODEL, "vocab_size": load_vocab(trained_vocab).size, "max_seq_len": 128},
+            "train": {"num_steps": 20, "input_len": 64, "batch_size": 2, "checkpoint_every": 1},
+            "corruption": {"corruption_rate": 0.3, "mean_span_length": 1.0},
+            "corpora": [{"path": str(fixtures_dir / "pretrain_corpus.txt")}],
+        }
+        (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
+        proc = run_entry_point(["pretrain", "--config", str(tmp_path / "config.json")])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert ("corruption.corruption_rate 0.3 could mask 19 spans of a 64-token window, which with the final "
+                "sentinel need 20 sentinels; the vocabulary has 16") in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
@@ -851,7 +895,6 @@ class TestVocabSize:
             "out_dir": str(tmp_path / "out"),
             "model": {**MODEL, "vocab_size": vocab.size + offset},
             "train": {**TRAIN, "batch_size": 2},
-            "corruption": {"max_sentinels": 16},
             "corpora": [{"path": str(tmp_path / "c.txt")}],
             "mixture": [{"task": "t", "path": str(tmp_path / "t.jsonl")}],
         }
@@ -879,7 +922,6 @@ class TestPathsNoFileCanHave:
             "out_dir": name if key == "out_dir" else str(tmp_path / "out"),
             "model": {**MODEL, "vocab_size": vocab.size},
             "train": {**TRAIN, "batch_size": 2},
-            "corruption": {"max_sentinels": 16},
             "corpora": [{"path": source}],
             "mixture": [{"task": "t", "path": source}],
         }

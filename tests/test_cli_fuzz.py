@@ -44,7 +44,7 @@ RUN_CONFIG = {
     "seed": 0,
     "model": MODEL,
     "train": {"num_steps": 2, "batch_size": 2, "input_len": 16, "target_len": 16, "checkpoint_every": 1},
-    "corruption": {"max_sentinels": 8},
+    "corruption": {"corruption_rate": 0.15, "mean_span_length": 3.0},
     "corpora": [{"path": "c.txt", "weight": 1.0}],
     "mixture": [{"task": "t", "path": "t.jsonl", "weight": 1.0}],
 }
@@ -190,7 +190,6 @@ def test_corrupt(data):
     argv = ["corrupt", "--vocab", "vocab.txt", "--in", "c.txt", "--out", "shard.tsv",
             f"--rate={data.draw(st.floats(-1, 2) | st.sampled_from([0.0, 0.15, 0.5, 0.99]))!r}",
             f"--mean-span={data.draw(st.floats(-1, 1e6))!r}",
-            "--max-sentinels", str(data.draw(st.integers(1, 20))),
             f"--seed={data.draw(st.integers(-(2**70), 2**70))}"]
     if data.draw(st.booleans()):
         argv += ["--input-len", str(data.draw(st.integers(1, 64)))]

@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,8 @@ from t2tbio.corruption import (
     SpanCorruptionConfig,
     apply_span_mask,
     corrupt,
+    derive_seed,
+    max_spans,
     max_target_len,
     write_shard,
 )
@@ -34,8 +37,8 @@ def sentinels_in(ids, v):
 
 def test_zero_rate_leaves_input_unchanged(v):
     tokens = random_token_sequence(SplitMix64(1), 12, v)
-    cfg = SpanCorruptionConfig(corruption_rate=0.0, seed=7)
-    ex = corrupt(tokens, cfg, v)
+    cfg = SpanCorruptionConfig(corruption_rate=0.0)
+    ex = corrupt(tokens, cfg, v, 7)
     assert list(ex.input_ids) == tokens
     assert list(ex.target_ids) == [v.sentinel_id(0), EOS_ID]
 
@@ -44,8 +47,8 @@ def test_mask_budget_exact(v):
     for rate in (0.1, 0.15, 0.3):
         for length in (10, 33, 64, 128, 512):
             tokens = random_token_sequence(SplitMix64(length), length, v)
-            cfg = SpanCorruptionConfig(corruption_rate=rate, seed=length)
-            ex = corrupt(tokens, cfg, v)
+            cfg = SpanCorruptionConfig(corruption_rate=rate)
+            ex = corrupt(tokens, cfg, v, length)
             masked = length - sum(1 for t in ex.input_ids if not v.is_sentinel(t))
             expected = max(1, int(length * rate + 0.5))
             assert masked == expected
@@ -56,7 +59,7 @@ def test_max_target_len_bounds_every_target(v):
         cfg = SpanCorruptionConfig(corruption_rate=rate, mean_span_length=1.0)
         for n in (1, 2, 5, 16, 33):
             tokens = random_token_sequence(SplitMix64(n), n, v)
-            longest = max(len(corrupt(tokens, replace(cfg, seed=s), v).target_ids) for s in range(20))
+            longest = max(len(corrupt(tokens, cfg, v, s).target_ids) for s in range(20))
             assert longest <= max_target_len(n, cfg), (rate, n)
     assert max_target_len(40, SpanCorruptionConfig(corruption_rate=0.0)) == 2  # final sentinel, eos
 
@@ -64,15 +67,15 @@ def test_max_target_len_bounds_every_target(v):
 def test_max_target_len_counts_the_one_token_a_small_rate_masks(v):
     # 2 * 0.1 rounds to no token, but a positive rate masks one: sentinel,
     # token, final sentinel, eos
-    cfg = SpanCorruptionConfig(corruption_rate=0.1, seed=3)
-    assert len(corrupt(random_token_sequence(SplitMix64(2), 2, v), cfg, v).target_ids) == 4
+    cfg = SpanCorruptionConfig(corruption_rate=0.1)
+    assert len(corrupt(random_token_sequence(SplitMix64(2), 2, v), cfg, v, 3).target_ids) == 4
     assert max_target_len(2, cfg) == 4
 
 
 def test_sentinels_increasing_and_matched(v):
     tokens = random_token_sequence(SplitMix64(5), 60, v)
-    cfg = SpanCorruptionConfig(corruption_rate=0.3, mean_span_length=2.0, seed=11)
-    ex = corrupt(tokens, cfg, v)
+    cfg = SpanCorruptionConfig(corruption_rate=0.3, mean_span_length=2.0)
+    ex = corrupt(tokens, cfg, v, 11)
     in_sent = sentinels_in(ex.input_ids, v)
     tgt_sent = sentinels_in(ex.target_ids, v)
     assert in_sent == list(range(len(in_sent)))
@@ -83,16 +86,15 @@ def test_sentinels_increasing_and_matched(v):
 def test_no_adjacent_sentinels_in_input(v):
     for seed in range(30):
         tokens = random_token_sequence(SplitMix64(seed), 50, v)
-        cfg = SpanCorruptionConfig(corruption_rate=0.3, mean_span_length=1.5, seed=seed)
-        ex = corrupt(tokens, cfg, v)
+        cfg = SpanCorruptionConfig(corruption_rate=0.3, mean_span_length=1.5)
+        ex = corrupt(tokens, cfg, v, seed)
         for a, b in zip(ex.input_ids, ex.input_ids[1:]):
             assert not (v.is_sentinel(a) and v.is_sentinel(b))
 
 
 def test_masked_multiset_preserved(v):
     tokens = random_token_sequence(SplitMix64(3), 40, v)
-    cfg = SpanCorruptionConfig(seed=9)
-    ex = corrupt(tokens, cfg, v)
+    ex = corrupt(tokens, SpanCorruptionConfig(), v, 9)
     removed = sorted(
         t for t in tokens
     )  # multiset of original = non-sentinel input tokens + target span tokens
@@ -103,37 +105,59 @@ def test_masked_multiset_preserved(v):
 
 def test_deterministic_and_seed_sensitive(v):
     tokens = random_token_sequence(SplitMix64(2), 100, v)
-    cfg = SpanCorruptionConfig(seed=42)
-    a = corrupt(tokens, cfg, v)
-    b = corrupt(tokens, cfg, v)
+    cfg = SpanCorruptionConfig()
+    a = corrupt(tokens, cfg, v, 42)
+    b = corrupt(tokens, cfg, v, 42)
     assert a == b
     differing = 0
     for s in range(100):
-        x = corrupt(tokens, SpanCorruptionConfig(seed=2 * s), v)
-        y = corrupt(tokens, SpanCorruptionConfig(seed=2 * s + 1), v)
+        x = corrupt(tokens, cfg, v, 2 * s)
+        y = corrupt(tokens, cfg, v, 2 * s + 1)
         differing += x != y
     assert differing >= 99
 
 
 def test_rejects_reserved_tokens(v):
     with pytest.raises(CorruptionError, match="reserved token"):
-        corrupt([3, PAD_ID, 4], SpanCorruptionConfig(), v)
+        corrupt([3, PAD_ID, 4], SpanCorruptionConfig(), v, 0)
     with pytest.raises(CorruptionError, match="reserved token"):
-        corrupt([3, EOS_ID], SpanCorruptionConfig(), v)
+        corrupt([3, EOS_ID], SpanCorruptionConfig(), v, 0)
     with pytest.raises(CorruptionError, match="reserved token"):
-        corrupt([v.sentinel_id(0)], SpanCorruptionConfig(), v)
+        corrupt([v.sentinel_id(0)], SpanCorruptionConfig(), v, 0)
 
 
 def test_rejects_empty_input(v):
     with pytest.raises(CorruptionError, match="empty"):
-        corrupt([], SpanCorruptionConfig(), v)
+        corrupt([], SpanCorruptionConfig(), v, 0)
 
 
-def test_too_many_spans(v):
+def test_too_many_spans():
+    # 3 sentinels: two spans and the final sentinel
+    v = word_vocab(WORDS, num_sentinels=3)
     tokens = random_token_sequence(SplitMix64(8), 64, v)
-    cfg = SpanCorruptionConfig(corruption_rate=0.5, mean_span_length=1.0, max_sentinels=2, seed=1)
-    with pytest.raises(CorruptionError, match="too many spans"):
-        corrupt(tokens, cfg, v)
+    cfg = SpanCorruptionConfig(corruption_rate=0.5, mean_span_length=1.0)
+    with pytest.raises(CorruptionError, match=r"too many spans: \d+ \(limit 2\)"):
+        corrupt(tokens, cfg, v, 1)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5, 0.9])
+def test_max_spans_bounds_every_example_and_is_reached(v, rate):
+    cfg = SpanCorruptionConfig(corruption_rate=rate, mean_span_length=1.0)
+    for n in (1, 2, 3, 5, 8):
+        tokens = random_token_sequence(SplitMix64(n), n, v)
+        most = max(len(sentinels_in(corrupt(tokens, cfg, v, s).input_ids, v)) for s in range(200))
+        assert most == max_spans(n, cfg), (rate, n)
+
+
+def test_max_spans_grows_with_the_window():
+    for rate in (0.0, 0.1, 0.15, 0.3, 0.5, 0.9, 0.99):
+        cfg = SpanCorruptionConfig(corruption_rate=rate)
+        bounds = [max_spans(n, cfg) for n in range(1, 600)]
+        assert bounds == sorted(bounds), rate
+
+
+def test_config_is_the_objective_alone():
+    assert [f.name for f in fields(SpanCorruptionConfig)] == ["corruption_rate", "mean_span_length"]
 
 
 def test_apply_span_mask_merges_adjacent(v):
@@ -168,21 +192,30 @@ def test_round_trip_property(seed, length):
     rng = SplitMix64(seed)
     tokens = random_token_sequence(rng, length, v)
     rate = (0.1, 0.15, 0.3)[seed % 3]
-    ex = corrupt(tokens, SpanCorruptionConfig(corruption_rate=rate, seed=seed), v)
+    ex = corrupt(tokens, SpanCorruptionConfig(corruption_rate=rate), v, seed)
     assert reconstruct(ex, v) == tokens
 
 
 def test_shard_round_trip(tmp_path, v):
-    cfg = SpanCorruptionConfig(seed=5)
+    cfg = SpanCorruptionConfig()
     examples = [
-        corrupt(random_token_sequence(SplitMix64(i), 20, v), cfg, v) for i in range(7)
+        corrupt(random_token_sequence(SplitMix64(i), 20, v), cfg, v, 5) for i in range(7)
     ]
     path = tmp_path / "shard.tsv"
-    write_shard(path, examples, cfg)
+    write_shard(path, examples, cfg, 5)
     loaded = read_shard(path)
     assert loaded == examples
-    manifest = (tmp_path / "shard.tsv.manifest.json").read_text(encoding="utf-8")
-    assert '"records": 7' in manifest
+    manifest = json.loads((tmp_path / "shard.tsv.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["records"] == 7
+    # the base seed is recorded beside the objective; the sentinel limit is the vocabulary's
+    assert manifest["config"] == {"corruption_rate": 0.15, "mean_span_length": 3.0, "seed": 5}
+
+
+def test_derive_seed_is_an_int_mixing_in_the_index():
+    seeds = [derive_seed(5, i) for i in range(50)]
+    assert all(type(s) is int and 0 <= s < 2**64 for s in seeds)
+    assert len(set(seeds)) == 50
+    assert derive_seed(5, 3) == derive_seed(5, 3) != derive_seed(6, 3)
 
 
 def test_shard_reader_validates(tmp_path):
@@ -219,5 +252,3 @@ def test_config_validation():
         SpanCorruptionConfig(corruption_rate=1.0)
     with pytest.raises(CorruptionError):
         SpanCorruptionConfig(mean_span_length=0.5)
-    with pytest.raises(CorruptionError):
-        SpanCorruptionConfig(max_sentinels=0)

@@ -8,6 +8,7 @@ from t2tbio.cli import load_config
 from t2tbio.data_io import (
     json_value,
     read_conll_ner,
+    read_lines,
     read_qa_json,
     read_task_examples,
     read_tsv_pairs,
@@ -15,6 +16,39 @@ from t2tbio.data_io import (
 )
 from t2tbio.errors import ConfigError, DataFormatError, T2TBioError
 from t2tbio.task_codec import EntitySpan, TaskExample
+
+
+# every separator ``str.splitlines`` breaks at besides the three line ends
+UNICODE_SEPARATORS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class TestReadLines:
+    """A line ends only at "\\n", "\\r\\n" or "\\r", as ``open()`` reads text."""
+
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            ("", []),
+            ("a", ["a"]),
+            ("a\n", ["a"]),
+            ("a\r\nb\rc\nd", ["a", "b", "c", "d"]),
+            ("a\n\nb\n\n", ["a", "", "b", ""]),
+            ("\r\r\n", ["", ""]),
+            (f"a{UNICODE_SEPARATORS}b\n", [f"a{UNICODE_SEPARATORS}b"]),
+        ],
+        ids=["empty", "no-end", "one", "three-ends", "blank", "cr-then-crlf", "separators"],
+    )
+    def test_lines(self, tmp_path, text, lines):
+        path = tmp_path / "t.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_lines(path) == lines
+
+    def test_agrees_with_open(self, tmp_path):
+        text = f"one\r\ntwo\rthree{UNICODE_SEPARATORS}\n\nfour"
+        path = tmp_path / "t.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as f:
+            assert read_lines(path) == [line.removesuffix("\n") for line in f]
 
 
 class TestConllReader:
@@ -84,6 +118,13 @@ class TestTsvReader:
         with pytest.raises(DataFormatError) as exc:
             read_tsv_pairs(path, ["x", "y"])
         assert exc.value.line == 2
+
+    def test_a_form_feed_stays_inside_its_column(self, tmp_path):
+        # PMC text extracted from PDFs carries page breaks
+        path = tmp_path / "nli.tsv"
+        path.write_text("the drug\fhelps\tit helps\tentailment\n", encoding="utf-8")
+        records = read_tsv_pairs(path, ["premise", "hypothesis", "label"])
+        assert records == [{"premise": "the drug\fhelps", "hypothesis": "it helps", "label": "entailment"}]
 
     def test_quoted_tabs_split_anyway(self, tmp_path):
         path = tmp_path / "q.tsv"
@@ -186,6 +227,13 @@ class TestTaskExamples:
         path.write_text("[" * 5000 + "\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=":1: bad JSON"):
             read_task_examples(path)
+
+    def test_a_raw_line_separator_stays_inside_its_string(self, tmp_path):
+        example = TaskExample("t", "t: a\u2028b\x85c", "x", {})
+        path = tmp_path / "ex.jsonl"
+        path.write_text(json.dumps({"task": "t", "input": example.input_text, "target": "x"}, ensure_ascii=False)
+                        + "\n", encoding="utf-8")
+        assert read_task_examples(path) == [example]
 
     def test_unknown_keys_are_accepted(self, tmp_path):
         # prediction files carry extra keys, and predict reads them as task examples
@@ -315,6 +363,12 @@ class TestRunConfig:
     def test_corruption_seed_is_an_unknown_key(self, tmp_path):
         path = minimal_config(tmp_path, corruption={"corruption_rate": 0.2, "seed": 3})
         with pytest.raises(ConfigError, match="unknown key 'seed' in corruption"):
+            load_config(path)
+
+    def test_corruption_max_sentinels_is_an_unknown_key(self, tmp_path):
+        # the vocabulary's sentinels bound the spans
+        path = minimal_config(tmp_path, corruption={"corruption_rate": 0.2, "max_sentinels": 16})
+        with pytest.raises(ConfigError, match="unknown key 'max_sentinels' in corruption"):
             load_config(path)
 
     def test_mixture_entries(self, tmp_path):

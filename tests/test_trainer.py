@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from t2tbio.checkpoint import load_checkpoint, load_optimizer, save_checkpoint, views
-from t2tbio.corruption import SpanCorruptionConfig
+from t2tbio.corruption import SpanCorruptionConfig, max_spans
 from t2tbio.data_io import write_json, write_task_examples
 from t2tbio.errors import CheckpointError, ConfigError, DataFormatError, ModelError
 from t2tbio import checkpoint, cli, trainer
@@ -241,6 +241,16 @@ class TestWindowing:
         windows = load_corpus_windows([CorpusEntry(str(path))], v, input_len=20)
         assert [len(w) for w in windows[0]] == [20, 16]
 
+    def test_a_next_line_character_stays_inside_its_document(self, tmp_path):
+        v = word_vocab([f"w{i}" for i in range(30)])
+        line = " ".join(f"w{i % 30}" for i in range(10)) + "\x85" + " ".join(f"w{i % 30}" for i in range(30))
+        path = tmp_path / "c.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        ids = v.encode(line)
+        windows = load_corpus_windows([CorpusEntry(str(path))], v, input_len=20)
+        # one document of 40-odd tokens; as two, the 10-word one would be dropped
+        assert windows == [[ids[:20], ids[20:40]]]
+
     def test_unreadable_corpus_fails_fast(self, tmp_path):
         v = word_vocab(["a"])
         path = str(tmp_path / "missing.txt")
@@ -278,12 +288,50 @@ class TestPretrain:
             cfg,
             params,
             [CorpusEntry(str(path))],
-            SpanCorruptionConfig(max_sentinels=14),
+            SpanCorruptionConfig(),
             TrainConfig(num_steps=0, input_len=24, target_len=24, batch_size=2),
             v,
         )
         for name in before:
             np.testing.assert_array_equal(result.params[name], before[name])
+
+    def test_a_config_that_can_run_out_of_sentinels_fails_before_step_0(self, tmp_path):
+        # 64-token windows at rate 0.3 mask 19 tokens, which can make 19
+        # spans; with the final sentinel they need 20, and the vocabulary
+        # has 16. The check comes before any corpus is read.
+        _, v = corpus_fixture(tmp_path)
+        cfg = replace(small_cfg(v.size), max_seq_len=128)
+        with pytest.raises(ConfigError) as info:
+            pretrain(
+                cfg,
+                init_params(cfg, seed=0),
+                [CorpusEntry(str(tmp_path / "absent.txt"))],
+                SpanCorruptionConfig(corruption_rate=0.3, mean_span_length=1.0),
+                TrainConfig(num_steps=20, input_len=64, batch_size=2, checkpoint_every=1),
+                v,
+                out_dir=str(tmp_path / "out"),
+            )
+        assert str(info.value) == (
+            "corruption.corruption_rate 0.3 could mask 19 spans of a 64-token window, which with the final "
+            "sentinel need 20 sentinels; the vocabulary has 16"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rate, fits", [(0.24, True), (0.25, False)])
+    def test_the_sentinel_check_admits_a_window_that_fits_exactly(self, tmp_path, rate, fits):
+        # at rate 0.24 a 64-token window can make 15 spans, which with the
+        # final sentinel take all 16 sentinels; at 0.25 it can make 16
+        path, v = corpus_fixture(tmp_path, words_per_line=70)
+        cfg = replace(small_cfg(v.size), max_seq_len=128)
+        corruption = SpanCorruptionConfig(corruption_rate=rate, mean_span_length=1.0)
+        assert v.num_sentinels == 16 and max_spans(64, corruption) == (15 if fits else 16)
+        args = (cfg, init_params(cfg, seed=0), [CorpusEntry(str(path))], corruption,
+                TrainConfig(num_steps=1, input_len=64, batch_size=2), v)
+        if fits:
+            assert len(pretrain(*args).losses) == 1
+        else:
+            with pytest.raises(ConfigError, match="need 17 sentinels; the vocabulary has 16"):
+                pretrain(*args)
 
     def test_zero_weight_corpus_never_sampled(self, tmp_path):
         path_a, v = corpus_fixture(tmp_path)
@@ -295,7 +343,7 @@ class TestPretrain:
             cfg,
             params,
             [CorpusEntry(str(path_a), 1.0), CorpusEntry(str(path_b), 0.0)],
-            SpanCorruptionConfig(max_sentinels=14),
+            SpanCorruptionConfig(),
             TrainConfig(num_steps=6, input_len=24, target_len=24, batch_size=2),
             v,
         )
@@ -312,7 +360,7 @@ class TestPretrain:
                 cfg,
                 params,
                 [CorpusEntry(str(path))],
-                SpanCorruptionConfig(max_sentinels=14),
+                SpanCorruptionConfig(),
                 TrainConfig(num_steps=2, input_len=24, target_len=24, batch_size=2),
                 v,
             )
@@ -330,7 +378,7 @@ class TestPretrain:
                 cfg,
                 init_params(cfg, seed=0),
                 [CorpusEntry(str(path))],
-                SpanCorruptionConfig(max_sentinels=14),
+                SpanCorruptionConfig(),
                 TrainConfig(num_steps=1, input_len=24, target_len=24, batch_size=2, learning_rate=lr),
                 v,
                 out_dir=str(tmp_path / "out"),
@@ -341,7 +389,7 @@ class TestPretrain:
     def test_the_overflow_check_follows_the_dtype(self, tmp_path):
         path, v = corpus_fixture(tmp_path)
         cfg = replace(small_cfg(v.size), dtype="float64")
-        sources = [CorpusEntry(str(path))], SpanCorruptionConfig(max_sentinels=14)
+        sources = [CorpusEntry(str(path))], SpanCorruptionConfig()
         train = TrainConfig(num_steps=1, input_len=24, target_len=24, batch_size=2, learning_rate=1e38)
         result = pretrain(cfg, init_params(cfg, seed=0), *sources, train, v)  # 1e39 is finite in float64
         assert all(np.isfinite(t).all() for t in result.params.values())
@@ -361,7 +409,7 @@ class TestPretrain:
                 cfg,
                 params,
                 [CorpusEntry(str(path))],
-                SpanCorruptionConfig(max_sentinels=14),
+                SpanCorruptionConfig(),
                 TrainConfig(num_steps=1, input_len=24, target_len=24, batch_size=2, learning_rate=1e37),
                 v,
                 out_dir=str(tmp_path / "out"),
@@ -382,7 +430,7 @@ class TestPretrain:
                 cfg,
                 init_params(cfg, seed=0),
                 [CorpusEntry(str(p)) for p in paths],
-                SpanCorruptionConfig(max_sentinels=14),
+                SpanCorruptionConfig(),
                 TrainConfig(num_steps=6, input_len=24, target_len=24, batch_size=2),
                 v,
             )
@@ -397,7 +445,7 @@ class TestPretrain:
                 cfg,
                 init_params(cfg, seed=0),
                 missing,
-                SpanCorruptionConfig(max_sentinels=14),
+                SpanCorruptionConfig(),
                 TrainConfig(num_steps=1, input_len=24, target_len=24, batch_size=2),
                 v,
             )
@@ -409,7 +457,7 @@ class TestPretrain:
         results = []
         for _ in range(2):
             params = init_params(cfg, seed=1)
-            r = pretrain(cfg, params, [CorpusEntry(str(path))], SpanCorruptionConfig(max_sentinels=14), t_cfg, v)
+            r = pretrain(cfg, params, [CorpusEntry(str(path))], SpanCorruptionConfig(), t_cfg, v)
             results.append(r)
         assert results[0].losses == results[1].losses
         for name in results[0].params:
@@ -421,7 +469,7 @@ class TestPretrain:
         path, v = corpus_fixture(tmp_path)
         cfg = ModelConfig(**{**small_cfg(v.size).to_dict(), "dtype": "float64"})
         t_cfg = TrainConfig(num_steps=4, input_len=24, target_len=24, batch_size=2, seed=3)
-        r = pretrain(cfg, init_params(cfg, seed=1), [CorpusEntry(str(path))], SpanCorruptionConfig(max_sentinels=14),
+        r = pretrain(cfg, init_params(cfg, seed=1), [CorpusEntry(str(path))], SpanCorruptionConfig(),
                      t_cfg, v)
         digest = hashlib.sha256(json.dumps(r.losses).encode())
         for name in sorted(r.params):
@@ -452,7 +500,7 @@ def phase_fixture(tmp_path, phase):
         cfg = small_cfg(v.size)
 
         def train(params, t_cfg, out_name, resume=None):
-            return pretrain(cfg, params, [CorpusEntry(str(path))], SpanCorruptionConfig(max_sentinels=14),
+            return pretrain(cfg, params, [CorpusEntry(str(path))], SpanCorruptionConfig(),
                             t_cfg, v, out_dir=str(tmp_path / out_name), resume=resume)
     else:
         v = word_vocab([f"w{i}" for i in range(10)] + ["copy:", "other:"])
@@ -811,7 +859,7 @@ class TestCheckpointing:
                 cfg,
                 init_params(cfg, 0),
                 [CorpusEntry(str(path))],
-                SpanCorruptionConfig(max_sentinels=14),
+                SpanCorruptionConfig(),
                 TrainConfig(num_steps=2, input_len=24, target_len=24, batch_size=2),
                 v,
             )
@@ -828,7 +876,7 @@ class TestCheckpointing:
             cfg,
             init_params(cfg, 0),
             [CorpusEntry(str(path))],
-            SpanCorruptionConfig(max_sentinels=14),
+            SpanCorruptionConfig(),
             TrainConfig(num_steps=3, input_len=24, target_len=24, batch_size=2),
             v,
             out_dir=str(out),
