@@ -72,8 +72,9 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ru
     """Load and validate a run config JSON document.
 
     The schema is ``RunConfig`` and the dataclasses it holds: unknown keys are
-    rejected by name and every value is checked against its field's type,
-    in a ConfigError that names the file.
+    rejected by name and every value is checked against its field's type;
+    a ConfigError about the file's contents starts with its path and names
+    the key.
     ``pretrain`` and ``finetune`` check the length caps they use against the
     model's ``max_seq_len``; a cap one of them never reads is not checked.
     ``out_dir`` and ``seed``, or else the ``T2TBIO_OUT_DIR`` and
@@ -86,13 +87,14 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ru
         raise ConfigError(f"{path}: {e}") from e
     if out_dir is None:
         out_dir = os.environ.get(ENV_OUT_DIR, cfg.out_dir)
-    cfg.out_dir = out_dir
     try:
         os.stat(out_dir)
     except OSError:
         pass  # not there yet: the first save makes it
     except ValueError as e:  # a name no file can have, holding a NUL or a lone surrogate
-        raise ConfigError(f"out_dir {out_dir!r}: {e}") from e
+        origin = f"{path}: " if out_dir == cfg.out_dir else ""  # else an override's
+        raise ConfigError(f"{origin}out_dir {out_dir!r}: {e}") from e
+    cfg.out_dir = out_dir
     if seed is None and ENV_SEED in os.environ:
         try:
             seed = int(os.environ[ENV_SEED])

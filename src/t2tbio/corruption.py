@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data_io import write_json
-from .errors import CorruptionError
+from .errors import ConfigError, CorruptionError
 from .rng import SplitMix64
 from .vocab import EOS_ID, PAD_ID, Vocabulary
 
@@ -36,9 +36,9 @@ class SpanCorruptionConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.corruption_rate < 1.0:
-            raise CorruptionError("corruption_rate must be in [0, 1)")
+            raise ConfigError("corruption_rate must be in [0, 1)")
         if not (self.mean_span_length >= 1.0 and math.isfinite(self.mean_span_length)):
-            raise CorruptionError("mean_span_length must be finite and >= 1")
+            raise ConfigError("mean_span_length must be finite and >= 1")
 
 
 @dataclass(frozen=True)

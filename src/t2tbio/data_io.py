@@ -25,8 +25,8 @@ import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 
-from .errors import ConfigError, DataFormatError
-from .task_codec import EntitySpan, QAExample, TaskExample
+from .errors import CodecError, ConfigError, DataFormatError
+from .task_codec import EntitySpan, QAExample, TaskExample, split_fields
 
 
 def read_text(path) -> str:
@@ -92,7 +92,9 @@ def write_json(path, *docs, indent: int | None = None) -> None:
 def read_conll_ner(path, diagnostics: dict | None = None) -> list[tuple[list[str], list[EntitySpan]]]:
     """Token-per-line BIO file with blank-line sentence separators.
 
-    The token is the first whitespace-separated column, the tag the last.
+    Columns are separated by ASCII spaces and tabs
+    (``task_codec.split_fields``), and a line with none is a sentence break.
+    The token is the first column, the tag the last.
     An I- tag without a preceding B- of the same type is healed to a span
     start (counted under ``healed_i_tags`` in ``diagnostics``).
     """
@@ -107,11 +109,10 @@ def read_conll_ner(path, diagnostics: dict | None = None) -> list[tuple[list[str
             tags.clear()
 
     for lineno, line in enumerate(read_lines(path), start=1):
-        stripped = line.strip()
-        if not stripped:
+        fields = split_fields(line)
+        if not fields:
             flush()
             continue
-        fields = stripped.split()
         if len(fields) < 2:
             raise DataFormatError(
                 "expected at least a token and a tag column", path=str(path), line=lineno
@@ -296,17 +297,11 @@ def read_task_examples(path) -> list[TaskExample]:
         try:
             task, input_text, target_text = [json_value(str, record[key], key) for key in ("task", "input", "target")]
             gold = json_value(dict, record.get("gold", {}), "gold")
+            out.append(TaskExample(task_name=task, input_text=input_text, target_text=target_text, gold=gold))
         except KeyError as e:
             raise DataFormatError(f"missing field {e}", path=str(path), line=lineno) from e
-        except ConfigError as e:
+        except (ConfigError, CodecError) as e:
             raise DataFormatError(str(e), path=str(path), line=lineno) from e
-        if not input_text.startswith(task + ": "):
-            raise DataFormatError(
-                f"input does not start with the task prefix {task + ': '!r}",
-                path=str(path),
-                line=lineno,
-            )
-        out.append(TaskExample(task_name=task, input_text=input_text, target_text=target_text, gold=gold))
     return out
 
 
@@ -348,7 +343,9 @@ def read_record(cls, section, where: str):
     """``cls`` from the JSON object at ``where`` (a dotted key path, "" for a
     whole document). Its keys are the dataclass's field names, or a field's
     ``metadata["key"]``; fields without a default are required, and
-    ConfigError names a bad field."""
+    ConfigError names a bad field. A ConfigError from the record's own
+    ``__post_init__`` is prefixed with ``where``, unless that is the whole
+    document."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where or 'the document'} must be a JSON object")
     by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
@@ -362,4 +359,9 @@ def read_record(cls, section, where: str):
             values[f.name] = json_value(hints[f.name], section[key], f"{where}.{key}" if where else key)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where or 'the document'} needs {key!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as e:  # from the record's own checks, which know no key path
+        if not where:
+            raise
+        raise ConfigError(f"{where}: {e}") from e

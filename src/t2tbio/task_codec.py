@@ -11,6 +11,7 @@ nearest edit distance. All decoders are total: arbitrary model output yields a
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import CodecError
@@ -20,6 +21,17 @@ CLOSE_MARK = "}*"
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
 EMPTY_LABEL_SET_TARGET = "none"
+
+
+_FIELD = re.compile(r"[^ \t]+")
+
+
+def split_fields(text: str) -> list[str]:
+    """``text`` split at runs of ASCII spaces and tabs: the words of an NER
+    target, which ``encode_ner`` joins with spaces, and the columns of a
+    CoNLL line. ``str.split()`` would also split a word at a form feed,
+    U+0085 or other Unicode whitespace."""
+    return _FIELD.findall(text)
 
 
 @dataclass(frozen=True)
@@ -53,7 +65,7 @@ class TaskExample:
 
     def __post_init__(self):
         if not self.input_text.startswith(self.task_name + ": "):
-            raise CodecError("input_text must begin with the task prefix")
+            raise CodecError(f"input_text must begin with the task prefix {self.task_name + ': '!r}")
 
 
 @dataclass
@@ -113,7 +125,7 @@ def decode_ner(generated: str, source_words: list[str], entity_type: str = "ENT"
     dropped and counted, never fatal.
     """
     result = NerDecodeResult()
-    tokens = generated.split()
+    tokens = split_fields(generated)
     j = 0  # source pointer
     region_start: int | None = None  # first matched source index in open region
     region_matched = False

@@ -1,15 +1,21 @@
 """Training: self-supervised pretraining and (multi-task) fine-tuning.
 
-``pretrain`` and ``finetune`` differ only in their sources. Each validates its
-mixture, loads its corpus windows or task pairs, and hands one step loop a
-per-source ``draw(rng, i)`` that returns a batch of (input ids, target ids)
-pairs. The loop samples a source by weight, assembles a teacher-forcing batch,
-takes one Adam step and logs "step=<n> task=<name> loss=<float>". Everything
-random flows through one SplitMix64 stream seeded from TrainConfig, so a run is
-bit-reproducible and a checkpoint resumes exactly where it left off. A
-checkpoint is three files: ``weights.bin``, Adam's state in ``optimizer.bin``
-and ``manifest.json``, which holds the step and the rng state; resuming from
-one that lacks a part raises ``CheckpointError`` naming its file.
+``pretrain`` and ``finetune`` differ only in their sources. Each hands one
+step loop, ``_train``, its entries (a ``CorpusEntry`` or ``MixtureEntry``
+each, with a ``name``, ``path`` and ``weight``), one pool per entry (corpus
+windows or encoded task pairs) and ``make(rng, item)``, which turns a pool
+item into an (input ids, target ids) pair: a corrupted window, or the task
+pair as it is. Each entry checks its weight when it is built, and
+``_check_sources`` makes the checks the two phases share before any file is
+read. Each step the loop samples a source by weight, draws ``batch_size``
+items from its pool and makes a pair of each, assembles a teacher-forcing
+batch, takes one Adam step and logs "step=<n> task=<name> loss=<float>".
+Everything random flows through one SplitMix64 stream seeded from
+TrainConfig, so a run is bit-reproducible and a checkpoint resumes exactly
+where it left off. A checkpoint is three files: ``weights.bin``, Adam's state
+in ``optimizer.bin`` and ``manifest.json``, which holds the step and the rng
+state; resuming from one that lacks a part raises ``CheckpointError`` naming
+its file.
 
 Memory layout: before the first step ``_train`` lays out Adam's state once
 for the run. It checks the parameters against the model config, copies them
@@ -101,8 +107,19 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """A pretraining corpus, named by its file name without the extension. Its
+    weight may be 0, but not every corpus's."""
+
     path: str
     weight: float = 1.0
+
+    def __post_init__(self):
+        if not (self.weight >= 0 and math.isfinite(self.weight)):
+            raise ConfigError(f"corpus weight for {self.path} must be finite and non-negative")
+
+    @property
+    def name(self) -> str:
+        return os.path.splitext(os.path.basename(self.path))[0]
 
 
 @dataclass(frozen=True)
@@ -111,22 +128,36 @@ class MixtureEntry:
     path: str
     weight: float = 1.0
 
+    def __post_init__(self):
+        if not (self.weight > 0 and math.isfinite(self.weight)):
+            raise ConfigError(f"weight for task {self.task_name!r} must be positive and finite")
 
-def validate_mixture(entries: list[MixtureEntry]) -> None:
+    @property
+    def name(self) -> str:
+        return self.task_name
+
+
+def _check_sources(what: str, entries: list, v: Vocabulary, model_cfg: ModelConfig) -> None:
+    """What both phases check before any file is read: the vocabulary is the
+    model's size, and ``entries``, the run config's ``what``, are at least
+    one, distinctly named, with a positive weight among them."""
+    if v.size != model_cfg.vocab_size:
+        raise ConfigError(f"model.vocab_size {model_cfg.vocab_size} is not the vocabulary's size {v.size}")
     if not entries:
-        raise ConfigError("mixture must contain at least one task")
-    names = [e.task_name for e in entries]
-    if len(set(names)) != len(names):
-        raise ConfigError("mixture task names must be unique")
-    for e in entries:
-        if not (e.weight > 0 and math.isfinite(e.weight)):
-            raise ConfigError(f"weight for task {e.task_name!r} must be positive and finite")
+        raise ConfigError(f"{what} must list at least one source")
+    names = [e.name for e in entries]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"{what}: {entries[names.index(name)].path} and {entries[i].path} "
+                              f"share the name {name!r}")
+    if not any(e.weight > 0 for e in entries):
+        raise ConfigError(f"{what}: every weight is 0; at least one must be positive")
 
 
 def weighted_index(rng: SplitMix64, weights: list[float]) -> int:
+    """Index ``i`` drawn with probability ``weights[i] / sum(weights)``; at
+    least one weight is positive, as ``_check_sources`` makes sure."""
     total = sum(weights)
-    if total <= 0:
-        raise ConfigError("weights must sum to a positive value")
     r = rng.next_float() * total
     acc = 0.0
     for i, w in enumerate(weights):
@@ -349,16 +380,18 @@ def _train(
     params: dict[str, np.ndarray] | None,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
-    names: list[str],
-    weights: list[float],
-    draw,
+    sources: list,
+    pools: list[list],
+    make,
     out_dir: str | None,
     resume: str | None,
 ) -> TrainResult:
-    """The step loop both phases share. Each step picks source ``i`` by weight,
-    batches its (input ids, target ids) pairs from ``draw(rng, i)`` as they are
-    (each source appends eos itself), and takes one Adam step on them; all
-    randomness comes from the one SplitMix64 stream."""
+    """The step loop both phases share. Each step picks source ``i`` by weight
+    and draws ``batch_size`` items from ``pools[i]``; ``make(rng, item)``
+    turns each into an (input ids, target ids) pair, which is batched as it
+    is (each phase appends eos itself), and one Adam step is taken on the
+    batch. All randomness comes from the one SplitMix64 stream: per step the
+    source, then per sample its item and whatever ``make`` draws."""
     lr = train_cfg.learning_rate
     with np.errstate(over="ignore"):  # step 1 scales the update by lr / (1 - beta1), its largest factor
         if np.isinf(model_cfg.np_dtype(lr / (1.0 - ADAM_BETA1))):
@@ -391,11 +424,14 @@ def _train(
             save_checkpoint(os.path.join(out_dir, tag), params, model_cfg, moments if step else None,
                             rng.getstate(), step)
 
+    names, weights = [e.name for e in sources], [e.weight for e in sources]
     result = TrainResult(params=params, loss_curves={n: [] for n in names})
     with _freed_memory_kept():
         for step in range(start_step, train_cfg.num_steps):
             i = weighted_index(rng, weights)
-            batch = make_batch(draw(rng, i), ensure_eos=False)
+            pool = pools[i]
+            batch = make_batch([make(rng, pool[rng.next_below(len(pool))]) for _ in range(train_cfg.batch_size)],
+                               ensure_eos=False)
             try:
                 loss, _ = loss_and_grads(params, model_cfg, batch, out=grads)
                 optimizer_step(p, g, m, v, step + 1, lr)
@@ -426,27 +462,12 @@ def pretrain(
     out_dir: str | None = None,
     resume: str | None = None,
 ) -> TrainResult:
-    """Span-infilling pretraining over a weighted corpus mixture; a corpus is
-    named by its file name without the extension. Before any corpus is read,
-    an ``input_len`` window must fit ``max_seq_len`` with eos, and so must
-    the longest target its corruption rate can make, and the vocabulary
-    needs a sentinel for each span such a window can have and the final
-    one."""
-    if not corpus_mix:
-        raise ConfigError("corpus mixture must contain at least one corpus")
-    if v.size != model_cfg.vocab_size:
-        raise ConfigError(f"model.vocab_size {model_cfg.vocab_size} is not the vocabulary's size {v.size}")
-    names: list[str] = []
-    for entry in corpus_mix:
-        if not (entry.weight >= 0 and math.isfinite(entry.weight)):
-            raise ConfigError(f"corpus weight for {entry.path} must be finite and non-negative")
-        name = os.path.splitext(os.path.basename(entry.path))[0]
-        if name in names:
-            other = corpus_mix[names.index(name)].path
-            raise ConfigError(f"corpora {other} and {entry.path} share the name {name!r}")
-        names.append(name)
-    if not any(e.weight > 0 for e in corpus_mix):
-        raise ConfigError("corpora: every corpus weight is 0; at least one must be positive")
+    """Span-infilling pretraining over a weighted corpus mixture. Before any
+    corpus is read, the sources must pass ``_check_sources``, an
+    ``input_len`` window must fit ``max_seq_len`` with eos, and so must the
+    longest target its corruption rate can make, and the vocabulary needs a
+    sentinel for each span such a window can have and the final one."""
+    _check_sources("corpora", corpus_mix, v, model_cfg)
     cap = model_cfg.max_seq_len
     if train_cfg.input_len + 1 > cap:  # with eos
         raise ConfigError(f"train.input_len {train_cfg.input_len} + 1 exceeds model.max_seq_len {cap}")
@@ -460,19 +481,12 @@ def pretrain(
                           f"of a {train_cfg.input_len}-token window, which with the final sentinel need "
                           f"{spans + 1} sentinels; the vocabulary has {v.num_sentinels}")
 
+    def make(rng: SplitMix64, tokens: list[int]) -> tuple[list[int], list[int]]:
+        ex = corrupt(tokens, corruption_cfg, v, rng.next_u64())
+        return [*ex.input_ids, EOS_ID], list(ex.target_ids)  # corrupt's target ends in eos
+
     windows = load_corpus_windows(corpus_mix, v, train_cfg.input_len)
-
-    def draw(rng: SplitMix64, i: int) -> list[tuple[list[int], list[int]]]:
-        pool = windows[i]
-        pairs = []
-        for _ in range(train_cfg.batch_size):
-            tokens = pool[rng.next_below(len(pool))]
-            ex = corrupt(tokens, corruption_cfg, v, rng.next_u64())
-            pairs.append(([*ex.input_ids, EOS_ID], list(ex.target_ids)))  # corrupt's target ends in eos
-        return pairs
-
-    weights = [e.weight for e in corpus_mix]
-    return _train(params, model_cfg, train_cfg, names, weights, draw, out_dir=out_dir, resume=resume)
+    return _train(params, model_cfg, train_cfg, corpus_mix, windows, make, out_dir=out_dir, resume=resume)
 
 
 def finetune(
@@ -486,9 +500,7 @@ def finetune(
 ) -> TrainResult:
     """Supervised fine-tuning over a weighted task mixture (single-task is the
     one-entry case). Task prefixes are already baked into the datasets."""
-    validate_mixture(mixture)
-    if v.size != model_cfg.vocab_size:
-        raise ConfigError(f"model.vocab_size {model_cfg.vocab_size} is not the vocabulary's size {v.size}")
+    _check_sources("mixture", mixture, v, model_cfg)
     for name, cap in (("input_len", train_cfg.input_len), ("target_len", train_cfg.target_len)):
         if cap > model_cfg.max_seq_len:
             raise ConfigError(f"train.{name} {cap} exceeds model.max_seq_len {model_cfg.max_seq_len}")
@@ -501,13 +513,7 @@ def finetune(
             entry, v, train_cfg.input_len, train_cfg.target_len
         )
         datasets.append(pairs)
-
-    def draw(rng: SplitMix64, i: int) -> list[tuple[list[int], list[int]]]:
-        pool = datasets[i]
-        return [pool[rng.next_below(len(pool))] for _ in range(train_cfg.batch_size)]
-
-    names = [e.task_name for e in mixture]
-    weights = [e.weight for e in mixture]
-    result = _train(params, model_cfg, train_cfg, names, weights, draw, out_dir=out_dir, resume=resume)
+    result = _train(params, model_cfg, train_cfg, mixture, datasets, lambda rng, pair: pair,
+                    out_dir=out_dir, resume=resume)
     result.truncated, result.dropped = truncated, dropped
     return result

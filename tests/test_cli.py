@@ -617,6 +617,34 @@ class TestRunConfigErrors:
         assert "Traceback" not in proc.stderr
 
 
+class TestRunConfigErrorsStartWithTheFile:
+    """A value that a section's own check rejects exits 1 with an error that
+    starts with the config's path and names the key, whichever command is
+    run, before anything is written."""
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"corruption": {"corruption_rate": 1.5}}, "corruption: corruption_rate must be in [0, 1)"),
+            ({"train": {**TRAIN, "batch_size": 0}}, "train: batch_size must be positive and num_steps non-negative"),
+            ({"mixture": [{"task": "a", "path": "a.jsonl", "weight": 0}]},
+             "mixture[0]: weight for task 'a' must be positive and finite"),
+            ({"corpora": [{"path": "c.txt", "weight": -1}]},
+             "corpora[0]: corpus weight for c.txt must be finite and non-negative"),
+        ],
+        ids=["corruption-rate", "batch-size", "mixture-weight", "corpus-weight"],
+    )
+    def test_exits_1(self, tmp_path, caplog, command, overrides, message):
+        payload = {"vocab_path": str(tmp_path / "vocab.txt"), "out_dir": str(tmp_path / "out"), "model": MODEL,
+                   "train": TRAIN, **overrides}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        assert run([command, "--config", str(config)]) == EXIT_DATA_ERROR
+        assert caplog.records[-1].getMessage() == f"{config}: {message}"
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 NOT_UTF8 = b"\xff\xfe not UTF-8\n"
 HUGE_INT_JSON = b'{"prediction": ' + b"9" * 5000 + b"}\n"  # beyond Python's 4300-digit limit
 DEEP_JSON = b"[" * 5000 + b"\n"  # nested beyond Python's recursion limit

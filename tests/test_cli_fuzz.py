@@ -4,7 +4,9 @@ QA JSON), TaskExample JSONL, corpora and run configs are damaged: a line cut
 short, dropped, repeated, swapped or nested too deep to parse, a character
 inserted, a number rewritten, or a JSON value deleted or replaced at any
 depth. ``cli.run`` returns an exit code, 0 to 3, and never raises. Standard
-output is a strict UTF-8 stream, as a terminal's is.
+output is a strict UTF-8 stream, as a terminal's is. A run config with values
+deleted or replaced either loads or raises a ConfigError that starts with its
+path.
 
 Every number a draw writes is small. A run config that would still train more
 than a few tiny steps is reported as a hypothesis event and not run."""
@@ -19,12 +21,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from t2tbio.checkpoint import save_checkpoint
 from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, load_config, run
-from t2tbio.errors import T2TBioError
+from t2tbio.errors import ConfigError, T2TBioError
 from t2tbio.model import ModelConfig, init_params
 from t2tbio.vocab import save_vocab
 
@@ -213,6 +215,20 @@ def too_big(cfg) -> str | None:
         if value > limit:
             return f"{what} {value} > {limit}"
     return None
+
+
+@settings(max_examples=500)  # no run: each example only loads a config
+@given(data=st.data())
+def test_a_run_config_loads_or_its_error_starts_with_the_path(data):
+    config = [copy.deepcopy(RUN_CONFIG)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(config, data, SMALL_VALUE)
+    with scratch_dir():
+        write("config.json", json.dumps(config[0], indent=1))
+        try:
+            load_config("config.json")
+        except ConfigError as e:
+            assert str(e).startswith("config.json: "), str(e)
 
 
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])

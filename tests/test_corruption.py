@@ -16,7 +16,7 @@ from t2tbio.corruption import (
     max_target_len,
     write_shard,
 )
-from t2tbio.errors import CorruptionError, DataFormatError
+from t2tbio.errors import ConfigError, CorruptionError, DataFormatError
 from t2tbio.rng import SplitMix64
 from t2tbio.vocab import EOS_ID, PAD_ID
 
@@ -243,12 +243,13 @@ def test_shard_reader_rejects_bad_manifest(tmp_path, manifest):
 
 @pytest.mark.parametrize("mean_span", [math.inf, math.nan])
 def test_mean_span_length_must_be_finite(mean_span):
-    with pytest.raises(CorruptionError, match="mean_span_length"):
+    with pytest.raises(ConfigError, match="mean_span_length"):
         SpanCorruptionConfig(mean_span_length=mean_span)
 
 
 def test_config_validation():
-    with pytest.raises(CorruptionError):
+    # a bad objective is a config error; CorruptionError is left to the data
+    with pytest.raises(ConfigError, match=r"^corruption_rate must be in \[0, 1\)$"):
         SpanCorruptionConfig(corruption_rate=1.0)
-    with pytest.raises(CorruptionError):
+    with pytest.raises(ConfigError, match="^mean_span_length must be finite and >= 1$"):
         SpanCorruptionConfig(mean_span_length=0.5)

@@ -93,6 +93,20 @@ class TestConllReader:
             read_conll_ner(path)
         assert exc.value.line == 2
 
+    def test_a_next_line_character_stays_inside_its_token(self, tmp_path):
+        # columns split at ASCII spaces and tabs only, as encode_ner joins words
+        path = tmp_path / "nel.conll"
+        path.write_text("Lupus\x85erythematosus\tB-Disease\nis O\n \t\nIt\f \tO\n", encoding="utf-8")
+        assert read_conll_ner(path) == [(["Lupus\x85erythematosus", "is"], [EntitySpan(0, 0, "Disease")]),
+                                        (["It\f"], [])]
+
+    def test_a_line_of_unicode_whitespace_is_not_a_sentence_break(self, tmp_path):
+        path = tmp_path / "ff.conll"
+        path.write_text("a\tO\n\x0c\nb\tO\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="expected at least a token and a tag column") as exc:
+            read_conll_ner(path)
+        assert exc.value.line == 2
+
     def test_bad_tag_rejected(self, tmp_path):
         path = tmp_path / "bad2.conll"
         path.write_text("word\tB-\n", encoding="utf-8")
@@ -212,8 +226,9 @@ class TestTaskExamples:
             ({"task": "t", "input": "t: a", "target": None}, ":1: target: expected a string, got None"),
             ({"task": "t", "input": "t: a", "target": "x", "gold": []}, ":1: gold: expected a JSON object, got []"),
             ({"task": "t", "target": "x"}, ":1: missing field 'input'"),
+            ({"task": "t", "input": "t:a", "target": "x"}, ":1: input_text must begin with the task prefix 't: '"),
         ],
-        ids=["int-task", "null-target", "list-gold", "missing-input"],
+        ids=["int-task", "null-target", "list-gold", "missing-input", "no-prefix"],
     )
     def test_a_bad_field_is_named_at_its_line(self, tmp_path, record, message):
         path = tmp_path / "ex.jsonl"
@@ -370,6 +385,35 @@ class TestRunConfig:
         path = minimal_config(tmp_path, corruption={"corruption_rate": 0.2, "max_sentinels": 16})
         with pytest.raises(ConfigError, match="unknown key 'max_sentinels' in corruption"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"corruption": {"corruption_rate": 1.5}}, "corruption: corruption_rate must be in [0, 1)"),
+            ({"corruption": {"mean_span_length": 0.5}}, "corruption: mean_span_length must be finite and >= 1"),
+            ({"train": {"batch_size": 0}}, "train: batch_size must be positive and num_steps non-negative"),
+            ({"model": {"vocab_size": 64, "d_model": 16, "n_heads": 3}}, "model: d_model must be divisible by n_heads"),
+            ({"mixture": [{"task": "a", "path": "a.jsonl", "weight": 0}]},
+             "mixture[0]: weight for task 'a' must be positive and finite"),
+            ({"corpora": [{"path": "c.txt"}, {"path": "d.txt", "weight": -1}]},
+             "corpora[1]: corpus weight for d.txt must be finite and non-negative"),
+        ],
+        ids=["corruption-rate", "mean-span-length", "batch-size", "n-heads", "mixture-weight", "corpus-weight"],
+    )
+    def test_a_record_s_own_check_names_the_file_and_the_key(self, tmp_path, section, message):
+        path = minimal_config(tmp_path, **section)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_an_out_dir_no_file_can_have_names_where_it_came_from(self, tmp_path):
+        path = minimal_config(tmp_path, out_dir="o\x00ut")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value).startswith(f"{path}: out_dir 'o\\x00ut': ")
+        with pytest.raises(ConfigError) as exc:
+            load_config(minimal_config(tmp_path), out_dir="a\x00b")  # the override's, not the file's
+        assert str(exc.value).startswith("out_dir 'a\\x00b': ")
 
     def test_mixture_entries(self, tmp_path):
         path = minimal_config(

@@ -80,6 +80,19 @@ class TestNerDecode:
         out = decode_ner("*{ Lupus definitely }* is a disease", ["Lupus", "is", "a", "disease"])
         assert out.spans == [EntitySpan(0, 0, "ENT")]
 
+    @pytest.mark.parametrize("word", ["Lupus\x85erythematosus", "Lupus\x0cerythematosus"], ids=["nel", "form-feed"])
+    def test_a_word_holding_unicode_whitespace_round_trips(self, word):
+        # encode_ner joins words with spaces, so decode_ner splits at those
+        # alone; a word holding other whitespace is still one word
+        words = [word, "is", "a", "disease"]
+        ex = encode_ner(words, [EntitySpan(0, 0, "Disease")], "t")
+        out = decode_ner(ex.target_text, words, entity_type="Disease")
+        assert (out.spans, out.dropped_markers) == ([EntitySpan(0, 0, "Disease")], 0)
+
+    def test_tabs_separate_generated_words(self):
+        out = decode_ner("*{\tLupus }*\tis", ["Lupus", "is"])
+        assert (out.spans, out.dropped_markers) == ([EntitySpan(0, 0, "ENT")], 0)
+
     def test_stray_close_marker_counted(self):
         out = decode_ner("}* hello", ["hello"])
         assert out.spans == []

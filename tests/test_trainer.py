@@ -25,7 +25,6 @@ from t2tbio.trainer import (
     load_corpus_windows,
     optimizer_step,
     pretrain,
-    validate_mixture,
     weighted_index,
 )
 from t2tbio.vocab import train_vocab
@@ -214,13 +213,34 @@ class TestSampling:
         for _ in range(2000):
             assert weighted_index(rng, [1.0, 0.0]) == 0
 
-    def test_mixture_validation(self):
-        with pytest.raises(ConfigError, match="at least one task"):
-            validate_mixture([])
-        with pytest.raises(ConfigError, match="unique"):
-            validate_mixture([MixtureEntry("a", "p"), MixtureEntry("a", "q")])
-        with pytest.raises(ConfigError, match="positive"):
-            validate_mixture([MixtureEntry("a", "p", weight=0.0)])
+    def test_source_checks(self):
+        v = word_vocab(["a"])
+        cfg = small_cfg(v.size)
+        with pytest.raises(ConfigError, match="^mixture must list at least one source$"):
+            trainer._check_sources("mixture", [], v, cfg)
+        with pytest.raises(ConfigError, match="^mixture: p and q share the name 'a'$"):
+            trainer._check_sources("mixture", [MixtureEntry("a", "p"), MixtureEntry("a", "q")], v, cfg)
+        with pytest.raises(ConfigError, match="^weight for task 'a' must be positive and finite$"):
+            MixtureEntry("a", "p", weight=0.0)
+
+    @pytest.mark.parametrize("weight", [-1.0, math.inf, math.nan])
+    def test_a_corpus_weight_must_be_finite_and_non_negative(self, weight):
+        with pytest.raises(ConfigError, match="^corpus weight for d/c.txt must be finite and non-negative$"):
+            CorpusEntry("d/c.txt", weight)
+
+    @pytest.mark.parametrize("weight", [0.0, math.inf, math.nan])
+    def test_a_task_weight_must_be_finite_and_positive(self, weight):
+        with pytest.raises(ConfigError, match="^weight for task 'a' must be positive and finite$"):
+            MixtureEntry("a", "p", weight)
+
+    def test_a_source_is_named_by_its_task_or_its_file_name(self):
+        assert CorpusEntry("d/pubmed.txt", 0.0).name == "pubmed"
+        assert MixtureEntry("ner", "d/train.jsonl").name == "ner"
+
+    def test_the_vocabulary_must_be_the_model_s_size(self):
+        v = word_vocab(["a"])
+        with pytest.raises(ConfigError, match=f"^model.vocab_size {v.size + 1} is not the vocabulary's size {v.size}$"):
+            trainer._check_sources("corpora", [CorpusEntry("c.txt")], v, small_cfg(v.size + 1))
 
 
 class TestWindowing:
@@ -440,7 +460,7 @@ class TestPretrain:
         _, v = corpus_fixture(tmp_path)
         cfg = small_cfg(v.size)
         missing = [CorpusEntry(str(tmp_path / "absent" / f"{name}.txt"), 0.0) for name in ("a", "b")]
-        with pytest.raises(ConfigError, match="^corpora: every corpus weight is 0"):
+        with pytest.raises(ConfigError, match="^corpora: every weight is 0; at least one must be positive$"):
             pretrain(
                 cfg,
                 init_params(cfg, seed=0),
@@ -475,6 +495,29 @@ class TestPretrain:
         for name in sorted(r.params):
             digest.update(r.params[name].tobytes())
         assert digest.hexdigest() == "50e15bd7b87b89c7cb21b5abe05bd859708c7c75b0ecfa4c13cbe528083bb617"
+
+    def test_a_two_corpus_mixture_is_pinned(self, tmp_path):
+        # the draw order across sources: per step a corpus by weight, per
+        # sample a window of it and then the seed corrupt gets
+        path, v = corpus_fixture(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        other = tmp_path / "other.txt"
+        other.write_text("".join(" ".join(reversed(line.split())) + "\n" for line in reversed(lines)),
+                         encoding="utf-8")
+        cfg = replace(small_cfg(v.size), dtype="float64")
+        t_cfg = TrainConfig(num_steps=6, input_len=24, target_len=24, batch_size=2, seed=3)
+        r = pretrain(cfg, init_params(cfg, seed=1), [CorpusEntry(str(path), 1.0), CorpusEntry(str(other), 3.0)],
+                     SpanCorruptionConfig(), t_cfg, v)
+        assert {name: len(curve) for name, curve in r.loss_curves.items()} == {"corpus": 1, "other": 5}
+        assert run_digest(r) == "4258492e3c89c19ce7e8e393ef6eec66480f4a047b58f15636b62ca656dfde8c"
+
+
+def run_digest(result) -> str:
+    """sha256 of a run's losses as JSON and its final params in name order."""
+    digest = hashlib.sha256(json.dumps(result.losses).encode())
+    for name in sorted(result.params):
+        digest.update(result.params[name].tobytes())
+    return digest.hexdigest()
 
 
 def task_entry(tmp_path, name, n=6, weight=1.0):
@@ -516,7 +559,7 @@ class TestFinetune:
     def test_empty_mixture_rejected(self, tmp_path):
         v = word_vocab(["a"])
         cfg = small_cfg(v.size)
-        with pytest.raises(ConfigError, match="at least one task"):
+        with pytest.raises(ConfigError, match="^mixture must list at least one source$"):
             finetune(init_params(cfg, 0), [], cfg, TrainConfig(num_steps=1), v)
 
     def test_runs_and_logs_curves(self, tmp_path):
@@ -544,6 +587,17 @@ class TestFinetune:
         t_cfg = TrainConfig(num_steps=1, batch_size=2, input_len=16, target_len=8, seed=0)
         result = finetune(init_params(cfg, 0), [MixtureEntry("t", str(path))], cfg, t_cfg, v)
         assert result.dropped["t"] == 1
+
+    def test_a_two_task_mixture_is_pinned(self, tmp_path):
+        # the draw order across sources: per step a task by weight, per
+        # sample a pair of it
+        v = word_vocab([f"w{i}" for i in range(10)] + ["copy:", "other:"])
+        cfg = replace(small_cfg(v.size), dtype="float64")
+        mixture = [task_entry(tmp_path, "copy"), task_entry(tmp_path, "other", weight=2.0)]
+        t_cfg = TrainConfig(num_steps=6, batch_size=2, input_len=16, target_len=16, seed=3)
+        r = finetune(init_params(cfg, seed=1), mixture, cfg, t_cfg, v)
+        assert {name: len(curve) for name, curve in r.loss_curves.items()} == {"copy": 3, "other": 3}
+        assert run_digest(r) == "9b08e2f7aeaf4783f30c2d3f0a2d7552c32cf5c06ecc1c223e68b231a96f202f"
 
 
 def opt_entry(manifest, name):

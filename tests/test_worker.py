@@ -20,7 +20,7 @@ from t2tbio.checkpoint import views
 from t2tbio.errors import ModelError
 from t2tbio.model import MIN_HALF_ROWS, Batch, expected_shapes, forward, init_params, loss_and_grads
 from t2tbio.rng import SplitMix64
-from t2tbio.trainer import NonFiniteUpdate, TrainConfig, arena, optimizer_step
+from t2tbio.trainer import MixtureEntry, NonFiniteUpdate, TrainConfig, arena, optimizer_step
 
 from oracles import normal_array, normal_one_shot
 from reference_model import scalar_init_params
@@ -308,17 +308,19 @@ class TestSplitForward:
         monkeypatch.setattr(trainer, "optimizer_step", lambda *args: None)
         cfg, z = replace(SMOKE, dtype="float32"), 200
         params = self.overflowing(cfg, z)
-        steps = []
+        samples = []
 
-        def draw(rng, i):
-            batch = full_batch(seed=len(steps), b=4, s=12, t=9, cfg=cfg)
-            if steps:
+        def make(rng, item):  # sample k is row k % 4 of step k // 4's batch
+            step, row = divmod(len(samples), 4)
+            batch = full_batch(seed=step, b=4, s=12, t=9, cfg=cfg)
+            if step:
                 batch.encoder_ids[3, 0] = z
-            steps.append(1)
-            return [(list(e), list(t)) for e, t in zip(batch.encoder_ids, batch.target_ids)]
+            samples.append(1)
+            return list(batch.encoder_ids[row]), list(batch.target_ids[row])
 
         with np.errstate(all="ignore"), pytest.raises(ModelError) as info:
-            trainer._train(params, cfg, TrainConfig(num_steps=3, batch_size=4), ["only"], [1.0], draw, None, None)
+            trainer._train(params, cfg, TrainConfig(num_steps=3, batch_size=4), [MixtureEntry("only", "only.jsonl")],
+                           [[None]], make, None, None)
         assert str(info.value) == (
             "step 1: numeric overflow: non-finite logits; first non-finite tensor: enc.0.attn.q"
         )
