@@ -20,7 +20,9 @@ from ``load_optimizer`` to ``save_checkpoint``, which writes its bytes as
 ``v.*`` name, so the two rows are the halves of the blob.
 Another entry list, a blob of another size or a non-finite value raises
 ``CheckpointError`` naming the blob, and a manifest that ``read_record`` or
-``Manifest`` rejects raises it naming ``manifest.json`` and the key.
+``Manifest`` rejects raises it naming ``manifest.json`` and the key. The
+format is checked first: a manifest of any format but ``CHECKPOINT_FORMAT``
+raises it naming ``manifest.json``, the key ``format`` and the value found.
 ``save_checkpoint`` builds its ``Manifest`` and compares its tensors with
 the same entries before it writes or creates anything, so it cannot write a
 checkpoint that its loader rejects. Save/load round trips are bit-exact.
@@ -29,13 +31,10 @@ A checkpoint always holds the whole training state (weights, Adam state, rng
 state, step), since resuming needs each part: ``save_checkpoint`` takes them
 all, and a manifest that lacks one does not load.
 
-A v1 checkpoint (this format before its step and rng state moved into one
-manifest) still loads: ``_as_v2`` maps its directory onto a v2 manifest.
-
 Each manifest's ``runtime`` records the numpy version, the BLAS build and
 the BLAS thread variables of the process that wrote it, since a model's bits
-depend on them (see the package docstring). The loaders do not read it, and
-a manifest without it loads with ``runtime`` None.
+depend on them (see the package docstring). The loaders do not read it, but
+a manifest without it does not load.
 """
 
 from __future__ import annotations
@@ -57,16 +56,13 @@ MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.bin"
 OPTIMIZER_NAME = "optimizer.bin"
 CHECKPOINT_FORMAT = "t2tbio-checkpoint v2"
-V1_FORMAT = "t2tbio-checkpoint v1"
 
 
 @dataclass(frozen=True)
 class Manifest:
     """A checkpoint's ``manifest.json``: the model, the step the state is at,
     the rng state after it, the entries of ``weights.bin`` and of
-    ``optimizer.bin`` and the writer's ``runtime``. ``format`` is the one the
-    directory was written in; ``_as_v2`` has mapped a v1 directory onto the
-    other fields."""
+    ``optimizer.bin`` and the writer's ``runtime``."""
 
     format: str
     model: ModelConfig
@@ -74,11 +70,9 @@ class Manifest:
     rng_state: int
     weights: list[dict]
     moments: list[dict]
-    runtime: dict | None = None
+    runtime: dict
 
     def __post_init__(self):
-        if self.format not in (CHECKPOINT_FORMAT, V1_FORMAT):
-            raise ConfigError(f"format: unknown format {self.format!r}")
         if self.step < 0:
             raise ConfigError(f"step: {self.step} is negative")
         if not 0 <= self.rng_state < 2**64:
@@ -174,41 +168,6 @@ def save_checkpoint(
     write_json(os.path.join(out_dir, MANIFEST_NAME), asdict(manifest), indent=2)
 
 
-def _read_json(path: str):
-    try:
-        return read_json(path)
-    except DataFormatError as e:
-        raise CheckpointError(str(e)) from e
-
-
-def _as_v2(ckpt_dir, doc):
-    """``doc``, the JSON of the manifest of the checkpoint at ``ckpt_dir``,
-    with a v1 checkpoint's fields moved to where a v2 manifest holds them: the
-    rng state from the file ``rng_state`` and the moments' entries from the
-    optimizer record. A v1 record also names the optimizer and repeats the
-    step, and a v1 model holds ``dropout_rate``; these are checked here (Adam,
-    the manifest's step, 0) and dropped. Any other ``doc`` is returned as it
-    is, for ``Manifest`` to check."""
-    if not (isinstance(doc, dict) and doc.get("format") == V1_FORMAT):
-        return doc
-    rng_path = os.path.join(ckpt_dir, "rng_state")
-    rng = _read_json(rng_path)
-    if not (isinstance(rng, dict) and rng.get("algo") == "splitmix64"):
-        raise CheckpointError(f"{rng_path}: not a splitmix64 rng state")
-    opt, model = doc.pop("optimizer", None), doc.get("model")
-    if not isinstance(opt, dict):
-        raise ConfigError("optimizer must be a JSON object")
-    if opt.get("name") != "adam":
-        raise ConfigError(f"optimizer.name: {opt.get('name')!r}, not 'adam'")
-    if not (type(opt.get("step")) is int and opt["step"] == doc.get("step")):
-        raise ConfigError(f"optimizer.step: {opt.get('step')!r}, not the manifest's step {doc.get('step')!r}")
-    dropout = model.pop("dropout_rate", 0) if isinstance(model, dict) else 0
-    if not (type(dropout) in (int, float) and dropout == 0):
-        raise ConfigError(f"model.dropout_rate: {dropout!r}, not 0")
-    doc["weights"], doc["moments"], doc["rng_state"] = doc.pop("tensors", None), opt.get("tensors"), rng.get("state")
-    return doc
-
-
 def _check_entries(path: str, what: str, listed: list, expected: list[dict]) -> None:
     """Raise ``CheckpointError`` at the first of the entries ``listed`` for
     the blob at ``path`` that is not the one ``expected`` (compared as JSON)."""
@@ -252,17 +211,33 @@ def _read_blob(path: str, listed: list[dict], expected: list[dict]) -> memoryvie
 
 
 def load_checkpoint(ckpt_dir) -> tuple[dict[str, np.ndarray], ModelConfig, Manifest]:
-    """Returns (params, model config, manifest), from a checkpoint of either
-    format. The params are views of one array over ``weights.bin``, laid out
-    as the manifest's model config lays them out."""
+    """Returns (params, model config, manifest). The params are views of one
+    array over ``weights.bin``, laid out as the manifest's model config lays
+    them out."""
     path = os.path.join(ckpt_dir, MANIFEST_NAME)
     try:
-        manifest = read_record(Manifest, _as_v2(ckpt_dir, _read_json(path)), "")
+        doc = read_json(path)
+        if isinstance(doc, dict) and doc.get("format", CHECKPOINT_FORMAT) != CHECKPOINT_FORMAT:
+            raise ConfigError(f"format: unknown format {doc['format']!r}, expected {CHECKPOINT_FORMAT!r}")
+        manifest = read_record(Manifest, doc, "")
+    except DataFormatError as e:
+        raise CheckpointError(str(e)) from e
     except ConfigError as e:
         raise CheckpointError(f"{path}: {e}") from e
     cfg = manifest.model
     buf = _read_blob(os.path.join(ckpt_dir, WEIGHTS_NAME), manifest.weights, layout(cfg)[0])
     return views(np.frombuffer(buf, cfg.np_dtype), expected_shapes(cfg)), cfg, manifest
+
+
+def check_model(ckpt_dir, found: ModelConfig, configured: ModelConfig, what: str) -> None:
+    """Raise ``ConfigError`` starting with the manifest of the checkpoint at
+    ``ckpt_dir`` and then ``what``, naming the first field in which its model
+    ``found`` differs from the ``configured`` one, if any does."""
+    a, b = found.to_dict(), configured.to_dict()
+    key = next((k for k in a if a[k] != b[k]), None)
+    if key is not None:
+        raise ConfigError(f"{os.path.join(ckpt_dir, MANIFEST_NAME)}: {what}: model.{key} is {a[key]!r}, "
+                          f"the configured model's is {b[key]!r}")
 
 
 def load_optimizer(ckpt_dir, manifest: Manifest) -> np.ndarray | None:

@@ -31,7 +31,7 @@ import typing
 from dataclasses import dataclass, field, replace
 
 from . import data_io, metrics, task_codec
-from .checkpoint import load_checkpoint, load_optimizer
+from .checkpoint import MANIFEST_NAME, check_model, load_checkpoint, load_optimizer
 from .corruption import SpanCorruptionConfig, corrupt, derive_seed, write_shard
 from .errors import ConfigError, CorruptionError, DataFormatError, T2TBioError
 from .model import ModelConfig, greedy_decode, init_params, param_count
@@ -130,14 +130,24 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+def _corruption_float(name: str):
+    """An argparse type: a finite number that ``SpanCorruptionConfig``
+    accepts as its field ``name``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        try:
+            SpanCorruptionConfig(**{name: value})
+        except ConfigError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,8 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True, help="vocabulary file")
     p.add_argument("--in", dest="input", required=True, help="corpus text file, one document per line")
     p.add_argument("--out", required=True, help="output shard file (sidecar manifest is added)")
-    p.add_argument("--rate", type=_finite_float, default=0.15, help="fraction of tokens to mask")
-    p.add_argument("--mean-span", type=_finite_float, default=3.0, help="mean masked span length")
+    p.add_argument("--rate", type=_corruption_float("corruption_rate"), default=0.15,
+                   help="fraction of tokens to mask, in [0, 1)")
+    p.add_argument("--mean-span", type=_corruption_float("mean_span_length"), default=3.0,
+                   help="mean masked span length (at least 1)")
     p.add_argument("--input-len", type=_positive_int, default=None,
                    help="truncate documents to this many tokens (at least 1)")
     p.add_argument("--seed", type=int, default=0, help="base seed of the per-record corruption seeds")
@@ -288,8 +300,7 @@ def _cmd_encode_task(args) -> int:
 def _initial_params(cfg: RunConfig, warm_start: str | None):
     if warm_start is not None:
         params, model_cfg, _ = load_checkpoint(warm_start)
-        if model_cfg != cfg.model:
-            raise ConfigError("warm-start checkpoint does not match the configured model")
+        check_model(warm_start, model_cfg, cfg.model, "warm-start checkpoint does not match the configured model")
         return params
     return init_params(cfg.model, seed=cfg.seed)
 
@@ -297,7 +308,7 @@ def _initial_params(cfg: RunConfig, warm_start: str | None):
 def _cmd_train(args) -> int:
     cfg = load_config(args.config, out_dir=args.out_dir, seed=args.seed)
     if not cfg.vocab_path:
-        raise ConfigError(f"config needs vocab_path for {args.command}")
+        raise ConfigError(f"{args.config}: config needs vocab_path for {args.command}")
     v = load_vocab(cfg.vocab_path)
     params = None if args.resume else _initial_params(cfg, args.warm_start)
     io = {"out_dir": cfg.out_dir, "resume": args.resume}
@@ -313,9 +324,8 @@ def _cmd_predict(args) -> int:
     params, model_cfg, _ = load_checkpoint(args.checkpoint)
     v = load_vocab(args.vocab)
     if v.size != model_cfg.vocab_size:
-        raise ConfigError(
-            f"vocabulary size {v.size} does not match checkpoint vocab_size {model_cfg.vocab_size}"
-        )
+        raise ConfigError(f"{args.vocab}: vocabulary size {v.size} does not match model.vocab_size "
+                          f"{model_cfg.vocab_size} in {os.path.join(args.checkpoint, MANIFEST_NAME)}")
     records = []
     for ex in data_io.read_task_examples(args.input):
         ids = v.encode(ex.input_text) + [EOS_ID]
@@ -435,9 +445,8 @@ def _cmd_evaluate(args) -> int:
     preds = read_predictions(args.pred)
     golds = data_io.read_task_examples(args.gold)
     if len(preds) != len(golds):
-        raise DataFormatError(
-            f"prediction file has {len(preds)} records, gold file has {len(golds)}"
-        )
+        raise DataFormatError(f"prediction file has {len(preds)} records, gold file {args.gold} has {len(golds)}",
+                              path=str(args.pred))
     report = _evaluate_report(args, preds, golds)
     payload = report.to_dict()
     payload["task_type"] = args.task_type

@@ -14,7 +14,12 @@ class ConfigError(T2TBioError):
 
 
 class VocabError(T2TBioError):
-    """Vocabulary training, lookup, or file-format failure."""
+    """Vocabulary training, lookup, or file-format failure. A rule that one
+    piece breaks carries that piece's id as ``piece_id``."""
+
+    def __init__(self, message: str, piece_id: int | None = None):
+        self.piece_id = piece_id
+        super().__init__(message)
 
 
 class CorruptionError(T2TBioError):

@@ -59,6 +59,7 @@ import numpy as np
 
 from . import data_io, worker
 from .checkpoint import (
+    check_model,
     layout,
     load_checkpoint,
     load_optimizer,
@@ -400,8 +401,7 @@ def _train(
     moments, start_step = None, 0
     if resume is not None:
         params, cfg, manifest = load_checkpoint(resume)
-        if cfg != model_cfg:
-            raise ConfigError("resume checkpoint was written with a different model config")
+        check_model(resume, cfg, model_cfg, "resume checkpoint was written with a different model config")
         moments, start_step = load_optimizer(resume, manifest), manifest.step
         rng.setstate(manifest.rng_state)
         if start_step > train_cfg.num_steps:

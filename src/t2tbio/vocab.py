@@ -21,8 +21,8 @@ words holding the merged pair. Merges stay within a word unit, so a learned
 piece holds the boundary marker at index 0 or not at all.
 Under that invariant greedy longest-match never crosses a word, a text's ids
 are the concatenation of its words' ids, and ``encode`` memoizes them per
-word. A vocabulary loaded from a file may break the invariant; it is checked
-once per ``Vocabulary`` and, if broken, ``encode`` runs without the memo.
+word. ``Vocabulary`` rejects a learned piece that breaks the invariant, so a
+vocabulary loaded from a file keeps it too.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class Vocabulary:
     num_sentinels: int
     piece_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     _max_piece_len: int = field(init=False, repr=False, compare=False)
-    _memo: dict[str, list[int]] | None = field(init=False, repr=False, compare=False)
+    _memo: dict[str, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pieces) < 3 + self.num_sentinels:
@@ -89,21 +89,21 @@ class Vocabulary:
         size = len(self.pieces)
         for k in range(self.num_sentinels):
             if self.pieces[size - 1 - k] != sentinel_piece(k):
-                raise VocabError(f"sentinel {k} must sit at id {size - 1 - k}")
+                raise VocabError(f"sentinel {k} must sit at id {size - 1 - k}", size - 1 - k)
         mapping: dict[str, int] = {}
         for i, p in enumerate(self.pieces):
             if p in mapping:
-                raise VocabError(f"duplicate piece {p!r}")
+                raise VocabError(f"duplicate piece {p!r}", i)
             mapping[p] = i
-        for p in self.learned_pieces():
-            if _is_reserved_piece(p):
-                raise VocabError(f"reserved string {p!r} among learned pieces")
-        object.__setattr__(self, "piece_to_id", mapping)
         learned = self.learned_pieces()
+        for i, p in enumerate(learned, start=3):
+            if _is_reserved_piece(p):
+                raise VocabError(f"reserved string {p!r} among learned pieces", i)
+            if BOUNDARY in p[1:]:
+                raise VocabError(f"learned piece {p!r} holds a word boundary past its first character", i)
+        object.__setattr__(self, "piece_to_id", mapping)
         object.__setattr__(self, "_max_piece_len", max((len(p) for p in learned), default=1))
-        # per-word memo, exact only while no learned piece spans a boundary
-        word_local = all(BOUNDARY not in p[1:] for p in learned)
-        object.__setattr__(self, "_memo", {} if word_local else None)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def size(self) -> int:
@@ -132,8 +132,6 @@ class Vocabulary:
         if not text:
             return []
         memo = self._memo
-        if memo is None:
-            return self._segment(BOUNDARY + text.replace(" ", BOUNDARY))
         ids: list[int] = []
         for word in text.replace(" ", BOUNDARY).split(BOUNDARY):
             word_ids = memo.get(word)
@@ -314,6 +312,8 @@ def save_vocab(v: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
+    """The vocabulary in the file at ``path``. An error names the path, and
+    for a rule that one piece breaks, the line of that piece."""
     try:
         with open(path, encoding="utf-8") as f:
             # pieces always follow the header, so a valid one ends in a
@@ -321,11 +321,13 @@ def load_vocab(path) -> Vocabulary:
             header = f.readline(_HEADER_MAX)
             m = VOCAB_HEADER_RE.match(header[:-1]) if header.endswith("\n") else None
             if not m:
-                raise VocabError(f"{path}: bad vocabulary header starting {header[:_HEADER_ECHO]!r}")
+                raise VocabError(f"bad vocabulary header starting {header[:_HEADER_ECHO]!r}")
             size, sentinels = int(m.group(1)), int(m.group(2))
             pieces = [_unescape(line.rstrip("\n")) for line in f]
-    except ValueError as e:  # not UTF-8
+        if len(pieces) != size:
+            raise VocabError(f"vocabulary file lists {len(pieces)} pieces, header says {size}")
+        return Vocabulary(pieces=tuple(pieces), num_sentinels=sentinels)
+    except ValueError as e:  # not UTF-8, or a count past int's digit limit
         raise VocabError(f"{path}: {e}") from e
-    if len(pieces) != size:
-        raise VocabError(f"{path}: vocabulary file lists {len(pieces)} pieces, header says {size}")
-    return Vocabulary(pieces=tuple(pieces), num_sentinels=sentinels)
+    except VocabError as e:  # piece i is on line i + 2, after the header
+        raise VocabError(f"{path}: {e}" if e.piece_id is None else f"{path}:{e.piece_id + 2}: {e}") from e

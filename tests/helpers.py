@@ -1,8 +1,8 @@
 """Shared test utilities: hand-built vocabularies, random example builders,
 the closed-form parameter count, the greedy exact-match rate, the shard
 reader, the scripts loaded as modules, Adam's moments array built from
-per-tensor moments, and a checkpoint with one part removed, its optimizer
-blob rewritten or itself rewritten in the v1 format."""
+per-tensor moments, and a checkpoint with one part removed or its optimizer
+blob rewritten."""
 
 from __future__ import annotations
 
@@ -141,15 +141,6 @@ def smoke_script():
 # the parts of the training state that a manifest holds besides the weights
 CHECKPOINT_PARTS = ["rng_state", "moments", "step"]
 
-# a step-5 checkpoint in the v1 format, as that format's writer wrote it: the
-# tiny model V1_MODEL, ``init_params(V1_MODEL, seed=3)``, the moments
-# ``adam_moments(params, params * 0.5, params * params)`` and the rng state
-# 2**64 - 3, in manifest.json, weights.bin, optimizer.bin and rng_state
-V1_CHECKPOINT = Path(__file__).resolve().parent / "data" / "v1_checkpoint"
-V1_MODEL = ModelConfig(vocab_size=12, d_model=8, n_heads=2, d_ff=8, n_encoder_layers=1, n_decoder_layers=1,
-                       rel_pos_buckets=4, rel_pos_max_distance=8, max_seq_len=16)
-
-
 def remove_checkpoint_part(ckpt: Path, part: str) -> Path:
     """Delete the key ``part`` from the manifest of the checkpoint at
     ``ckpt``. Returns the manifest's path."""
@@ -158,29 +149,6 @@ def remove_checkpoint_part(ckpt: Path, part: str) -> Path:
     del manifest[part]
     path.write_text(json.dumps(manifest), encoding="utf-8")
     return path
-
-
-def as_v1(ckpt: Path) -> Path:
-    """Rewrite the v2 checkpoint at ``ckpt`` in place as the v1 writer wrote
-    the same state: the rng state in a file ``rng_state``, the weights'
-    entries under ``tensors``, the moments' entries in an Adam record that
-    repeats the step, and a model ``dropout_rate`` of 0. The blobs are the
-    same. Returns ``ckpt``."""
-    path = ckpt / "manifest.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    v1 = {
-        "format": "t2tbio-checkpoint v1",
-        "model": {**manifest["model"], "dropout_rate": 0.0},
-        "tensors": manifest["weights"],
-        "step": manifest["step"],
-        "optimizer": {"name": "adam", "step": manifest["step"], "tensors": manifest["moments"]},
-        "runtime": manifest["runtime"],
-    }
-    (ckpt / "rng_state").write_text(
-        json.dumps({"algo": "splitmix64", "state": manifest["rng_state"]}, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    path.write_text(json.dumps(v1, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return ckpt
 
 
 def adam_moments(params: dict[str, np.ndarray], m: dict[str, np.ndarray], v: dict[str, np.ndarray]) -> np.ndarray:

@@ -9,7 +9,9 @@ input sentinels by scanning, sharing no code with ``corrupt``.
 blocked draw must match bit for bit, ``normal_array`` the draw of a
 generator's next normals that it takes, and ``next_normal`` the scalar draw
 ``normal_array`` follows; ``u64_array`` is the vectorised ``next_u64``.
-``sentinel_index`` is the inverse of ``Vocabulary.sentinel_id``.
+``sentinel_index`` is the inverse of ``Vocabulary.sentinel_id``, and
+``greedy_segment`` the greedy longest-match over a whole text that
+``Vocabulary.encode``'s per-word memo must agree with.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from t2tbio.corruption import CorruptionExample
 from t2tbio.errors import CorruptionError, VocabError
 from t2tbio.rng import _GAMMA, SplitMix64, _mix, draw_normals, jump
-from t2tbio.vocab import EOS_ID, Vocabulary
+from t2tbio.vocab import BOUNDARY, EOS_ID, UNK_ID, Vocabulary
 
 
 def prf_from_counts(tp, fp, fn):
@@ -106,6 +108,24 @@ def sentinel_index(v: Vocabulary, token_id: int) -> int:
     if not v.is_sentinel(token_id):
         raise VocabError(f"id {token_id} is not a sentinel")
     return v.size - 1 - token_id
+
+
+def greedy_segment(v: Vocabulary, text: str) -> list[int]:
+    """The ids of ``text`` by greedy longest-match over the whole text, after
+    each space becomes a word boundary and one boundary leads: at each
+    position the longest learned piece, or unk for one character that starts
+    none. Words are not split first, so nothing here relies on pieces
+    staying inside a word."""
+    if not text:
+        return []
+    learned = {p: i for i, p in enumerate(v.pieces) if 3 <= i < v.first_sentinel_id}
+    s = BOUNDARY + text.replace(" ", BOUNDARY)
+    ids, at = [], 0
+    while at < len(s):
+        end = next((end for end in range(len(s), at, -1) if s[at:end] in learned), None)
+        ids.append(UNK_ID if end is None else learned[s[at:end]])
+        at = at + 1 if end is None else end
+    return ids
 
 
 def reconstruct(example: CorruptionExample, v: Vocabulary) -> list[int]:

@@ -1,12 +1,11 @@
 """Fuzzed checkpoints. Every mutated field of every manifest entry, swapped
 entries, and a blob cut at or next to any tensor boundary or one byte too long
 raise ``CheckpointError`` naming the blob; byte flips in the manifest of a
-v2 save or of the committed v1 checkpoint raise nothing but ``T2TBioError``.
-All draws come from a seeded SplitMix64."""
+save raise nothing but ``T2TBioError``. All draws come from a seeded
+SplitMix64."""
 
 import json
 import os
-import shutil
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from t2tbio.errors import CheckpointError, T2TBioError
 from t2tbio.model import ModelConfig, init_params
 from t2tbio.rng import SplitMix64
 
-from helpers import V1_CHECKPOINT, adam_moments
+from helpers import adam_moments
 
 # the model of scripts/run_smoke.py, whose vocabulary has 253 pieces
 SMOKE = ModelConfig(vocab_size=253, d_model=64, n_heads=4, d_ff=128, n_encoder_layers=2, n_decoder_layers=2,
@@ -106,10 +105,7 @@ def test_blob_of_another_size_names_it(ckpt, blob):
         raises_naming(path, lambda: load_optimizer(ckpt, load_checkpoint(ckpt)[2]))
 
 
-@pytest.mark.parametrize("fmt", ["v1", "v2"])
-def test_manifest_byte_flips_raise_only_t2tbio_errors(ckpt, tmp_path, fmt):
-    if fmt == "v1":
-        ckpt = shutil.copytree(V1_CHECKPOINT, tmp_path / "v1")
+def test_manifest_byte_flips_raise_only_t2tbio_errors(ckpt):
     rng = SplitMix64(15)
     original = (ckpt / "manifest.json").read_bytes()
     loaded = 0

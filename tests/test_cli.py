@@ -4,7 +4,6 @@ import io
 import json
 import os
 import shlex
-import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,15 +14,15 @@ import pytest
 
 import t2tbio
 from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, build_parser, load_config, run
-from t2tbio.checkpoint import layout, load_checkpoint, load_optimizer, save_checkpoint
+from t2tbio.checkpoint import layout, load_checkpoint, save_checkpoint
 from t2tbio.corruption import SpanCorruptionConfig
 from t2tbio.data_io import read_task_examples
+from t2tbio.model import param_count
 from t2tbio.trainer import TrainConfig
-from t2tbio.vocab import EOS_ID, load_vocab, save_vocab
+from t2tbio.vocab import BOUNDARY, EOS_ID, load_vocab, save_vocab
 
 from helpers import (
     CHECKPOINT_PARTS,
-    V1_CHECKPOINT,
     read_shard,
     remove_checkpoint_part,
     smoke_script,
@@ -496,7 +495,7 @@ class TestEvaluate:
         assert rc == EXIT_OK
         assert json.loads(report_path.read_text(encoding="utf-8"))["sample_average_f1"] == 1.0
 
-    def test_length_mismatch_is_data_error(self, tmp_path, fixtures_dir):
+    def test_length_mismatch_is_data_error(self, tmp_path, fixtures_dir, caplog):
         gold = tmp_path / "gold.jsonl"
         run(
             [
@@ -515,6 +514,8 @@ class TestEvaluate:
         write_predictions(preds, [{"prediction": "x"}])
         rc = run(["evaluate", "--task-type", "nli", "--pred", str(preds), "--gold", str(gold)])
         assert rc == EXIT_DATA_ERROR
+        n = len(read_task_examples(gold))
+        assert caplog.records[-1].getMessage() == f"{preds}: prediction file has 1 records, gold file {gold} has {n}"
 
     @pytest.mark.parametrize(
         "task_type, prediction, bad, where",
@@ -770,6 +771,20 @@ class TestCorruptFloats:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, rule",
+        [("--rate", "1.5", "corruption_rate must be in [0, 1)"), ("--rate", "-0.1", "corruption_rate must be in [0, 1)"),
+         ("--rate", "1", "corruption_rate must be in [0, 1)"),
+         ("--mean-span", "0.5", "mean_span_length must be finite and >= 1")],
+        ids=["rate-1.5", "rate--0.1", "rate-1", "mean-span-0.5"],
+    )
+    def test_out_of_range_is_a_usage_error_naming_the_flag(self, tmp_path, flag, value, rule):
+        proc, out = run_corrupt(tmp_path, flag, value)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert f"argument {flag}: {rule}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestFloat64Pretrain:
     def test_writes_float64_checkpoints_and_exits_0(self, tmp_path, fixtures_dir, trained_vocab):
@@ -932,6 +947,75 @@ class TestVocabSize:
         assert not (tmp_path / "out").exists()
 
 
+class TestErrorsNameTheirFiles:
+    """An error about a file's contents names the file; one comparing a
+    checkpoint's model with the configured one names the first field that
+    differs."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """(vocabulary, run config payload, the tiny model of both) for a
+        one-task finetune."""
+        vocab = word_vocab(["alpha", "beta"])
+        save_vocab(vocab, tmp_path / "vocab.txt")
+        (tmp_path / "t.jsonl").write_text('{"task": "t", "input": "t: alpha", "target": "beta"}\n', encoding="utf-8")
+        payload = {
+            "vocab_path": str(tmp_path / "vocab.txt"),
+            "out_dir": str(tmp_path / "out"),
+            "model": {**MODEL, "vocab_size": vocab.size},
+            "train": TRAIN,
+            "mixture": [{"task": "t", "path": str(tmp_path / "t.jsonl")}],
+        }
+        return vocab, payload, t2tbio.ModelConfig(**payload["model"])
+
+    def test_warm_start_from_another_model(self, tmp_path, caplog, files):
+        _, payload, cfg = files
+        other = replace(cfg, d_ff=2 * cfg.d_ff)
+        save_checkpoint(tmp_path / "warm", t2tbio.init_params(other, 0), other, None, rng_state=0, step=0)
+        (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["finetune", "--config", str(tmp_path / "config.json"), "--warm-start", str(tmp_path / "warm")]
+        assert run(argv) == EXIT_DATA_ERROR
+        assert caplog.records[-1].getMessage() == (
+            f"{tmp_path / 'warm' / 'manifest.json'}: warm-start checkpoint does not match the configured model: "
+            f"model.d_ff is {other.d_ff}, the configured model's is {cfg.d_ff}"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_predict_with_a_vocabulary_of_another_size(self, tmp_path, caplog, files):
+        vocab, _, cfg = files
+        other = replace(cfg, vocab_size=vocab.size + 1)
+        save_checkpoint(tmp_path / "ck", t2tbio.init_params(other, 0), other, None, rng_state=0, step=0)
+        argv = ["predict", "--checkpoint", str(tmp_path / "ck"), "--vocab", str(tmp_path / "vocab.txt"),
+                "--in", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "preds.jsonl")]
+        assert run(argv) == EXIT_DATA_ERROR
+        assert caplog.records[-1].getMessage() == (
+            f"{tmp_path / 'vocab.txt'}: vocabulary size {vocab.size} does not match model.vocab_size "
+            f"{vocab.size + 1} in {tmp_path / 'ck' / 'manifest.json'}"
+        )
+        assert not (tmp_path / "preds.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_a_config_without_vocab_path(self, tmp_path, caplog, files, command):
+        _, payload, _ = files
+        del payload["vocab_path"]
+        (tmp_path / "config.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert run([command, "--config", str(tmp_path / "config.json")]) == EXIT_DATA_ERROR
+        assert caplog.records[-1].getMessage() == f"{tmp_path / 'config.json'}: config needs vocab_path for {command}"
+
+    def test_a_vocabulary_piece_spanning_a_word_boundary(self, tmp_path):
+        vocab = tmp_path / "bad_vocab.txt"
+        pieces = ["<pad>", "</s>", "<unk>", BOUNDARY, "a", "b", "a" + BOUNDARY + "b"]
+        vocab.write_text(f"t2tbio-vocab v1 size={len(pieces)} sentinels=0\n" + "\n".join(pieces) + "\n",
+                         encoding="utf-8")
+        (tmp_path / "c.txt").write_text("a b\n", encoding="utf-8")
+        proc = run_entry_point(["corrupt", "--vocab", str(vocab), "--in", str(tmp_path / "c.txt"),
+                                "--out", str(tmp_path / "s.tsv")])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert f"{vocab}:8: learned piece 'a\\ue000b' holds a word boundary past its first character" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "s.tsv").exists()
+
+
 class TestPathsNoFileCanHave:
     """A run-config path holding a NUL or a lone surrogate (a valid JSON
     escape) names no file: a data error naming it, and nothing written."""
@@ -960,9 +1044,9 @@ class TestPathsNoFileCanHave:
 
 
 class TestMalformedOptimizerState:
-    """A checkpoint whose model record, weights, moments or rng state do not
-    fit its config, or a v1 checkpoint whose optimizer record or rng state file
-    is bad, is a data error naming the file, never a traceback."""
+    """A checkpoint whose format, model record, weights, moments or rng state
+    do not fit its config is a data error naming the file, never a
+    traceback."""
 
     @pytest.fixture
     def checkpoint(self, tmp_path):
@@ -991,12 +1075,42 @@ class TestMalformedOptimizerState:
 
     @staticmethod
     def argv(ckpt, command) -> list[str]:
-        """``predict`` or ``inspect-checkpoint`` on ``ckpt``."""
+        """``predict``, ``inspect-checkpoint`` or ``finetune --resume`` on
+        ``ckpt``."""
         if command == "inspect-checkpoint":
             return ["inspect-checkpoint", "--checkpoint", str(ckpt)]
         root = ckpt.parent.parent
+        if command == "resume":
+            return ["finetune", "--config", str(root / "config.json"), "--resume", str(ckpt)]
         return ["predict", "--checkpoint", str(ckpt), "--vocab", str(root / "vocab.txt"),
                 "--in", str(root / "t.jsonl"), "--out", str(root / "preds.jsonl")]
+
+    @pytest.mark.parametrize("command", ["predict", "inspect-checkpoint", "resume"])
+    def test_a_v1_checkpoint_exits_1_naming_its_format(self, checkpoint, command):
+        """The layout of the v1 writer: the weights' entries under
+        ``tensors``, the moments' entries in an Adam record and the rng state
+        in a file of its own."""
+
+        def v1_layout(manifest):
+            rng = {"algo": "splitmix64", "state": manifest.pop("rng_state")}
+            (checkpoint / "rng_state").write_text(json.dumps(rng), encoding="utf-8")
+            manifest["model"]["dropout_rate"] = 0.0
+            manifest.update(format="t2tbio-checkpoint v1", tensors=manifest.pop("weights"),
+                            optimizer={"name": "adam", "step": manifest["step"], "tensors": manifest.pop("moments")})
+
+        self.mutate(checkpoint, v1_layout)
+        proc = run_entry_point(self.argv(checkpoint, command))
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert f"{checkpoint / 'manifest.json'}: format: unknown format 't2tbio-checkpoint v1'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["predict", "inspect-checkpoint", "resume"])
+    def test_a_manifest_without_runtime_exits_1_naming_it(self, checkpoint, command):
+        self.mutate(checkpoint, lambda m: m.pop("runtime"))
+        proc = run_entry_point(self.argv(checkpoint, command))
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert f"{checkpoint / 'manifest.json'}: the document needs 'runtime'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["predict", "inspect-checkpoint"])
     def test_a_float_head_count_exits_1(self, checkpoint, command):
@@ -1013,18 +1127,9 @@ class TestMalformedOptimizerState:
             entry["shape"] = [4, 4]
 
         self.mutate(checkpoint, reshape)
-        config = checkpoint.parent.parent / "config.json"
-        proc = run_entry_point(["finetune", "--config", str(config), "--resume", str(checkpoint)])
+        proc = run_entry_point(self.argv(checkpoint, "resume"))
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
         assert str(checkpoint / "optimizer.bin") in proc.stderr and "m.enc.norm" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_inspect_with_a_non_object_optimizer_record_exits_1(self, tmp_path):
-        ckpt = shutil.copytree(V1_CHECKPOINT, tmp_path / "v1")
-        self.mutate(ckpt, lambda m: m.update(optimizer=[1]))
-        proc = run_entry_point(["inspect-checkpoint", "--checkpoint", str(ckpt)])
-        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
-        assert str(ckpt / "manifest.json") in proc.stderr and "optimizer must be a JSON object" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_resume_with_moments_missing_past_step_0_exits_1(self, checkpoint):
@@ -1032,18 +1137,9 @@ class TestMalformedOptimizerState:
             manifest["moments"] = [e for e in manifest["moments"] if e["name"][2:] != "enc.norm"]
 
         self.mutate(checkpoint, drop)
-        config = checkpoint.parent.parent / "config.json"
-        proc = run_entry_point(["finetune", "--config", str(config), "--resume", str(checkpoint)])
+        proc = run_entry_point(self.argv(checkpoint, "resume"))
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
         assert str(checkpoint / "optimizer.bin") in proc.stderr and "enc.norm" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_inspect_with_an_unreadable_rng_state_exits_1(self, tmp_path):
-        ckpt = shutil.copytree(V1_CHECKPOINT, tmp_path / "v1")
-        (ckpt / "rng_state").write_text("{not json", encoding="utf-8")
-        proc = run_entry_point(["inspect-checkpoint", "--checkpoint", str(ckpt)])
-        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
-        assert str(ckpt / "rng_state") in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_inspect_with_weights_too_large_to_allocate_exits_1(self, checkpoint):
@@ -1074,31 +1170,30 @@ class TestMalformedOptimizerState:
 
 
 class TestInspectCheckpoint:
-    """``inspect-checkpoint`` prints the same fields for a checkpoint of
-    either format, after loading both of its blobs."""
+    """``inspect-checkpoint`` loads both of a checkpoint's blobs."""
 
-    def test_a_v1_checkpoint_and_a_v2_save_of_its_state_differ_only_in_format(self, tmp_path, capsys):
-        params, cfg, manifest = load_checkpoint(V1_CHECKPOINT)
-        moments = load_optimizer(V1_CHECKPOINT, manifest)
-        save_checkpoint(tmp_path / "v2", params, cfg, moments, rng_state=manifest.rng_state, step=manifest.step)
-        summaries = []
-        for ckpt in (V1_CHECKPOINT, tmp_path / "v2"):
-            assert run(["inspect-checkpoint", "--checkpoint", str(ckpt)]) == EXIT_OK
-            summaries.append(json.loads(capsys.readouterr().out))
-        v1, v2 = summaries
-        assert sorted(v1) == sorted(v2) == ["format", "model", "parameters", "runtime", "step", "tensors"]
-        assert (v1["format"], v2["format"]) == ("t2tbio-checkpoint v1", "t2tbio-checkpoint v2")
-        assert v1["runtime"] == json.loads((V1_CHECKPOINT / "manifest.json").read_bytes())["runtime"]
-        assert {**v1, "format": None, "runtime": None} == {**v2, "format": None, "runtime": None}
+    def test_prints_the_saved_state(self, tmp_path, capsys):
+        cfg = t2tbio.ModelConfig(**MODEL)
+        params = t2tbio.init_params(cfg, seed=3)
+        moments = np.ones((2, sum(x.size for x in params.values())), cfg.np_dtype)
+        ckpt = tmp_path / "ck"
+        save_checkpoint(ckpt, params, cfg, moments, rng_state=2**64 - 3, step=5)
+        assert run(["inspect-checkpoint", "--checkpoint", str(ckpt)]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert sorted(summary) == ["format", "model", "parameters", "runtime", "step", "tensors"]
+        assert summary["format"] == "t2tbio-checkpoint v2"
+        assert summary["model"] == cfg.to_dict()
+        assert summary["step"] == 5
+        assert summary["tensors"] == len(params)
+        assert summary["parameters"] == param_count(params)
+        assert summary["runtime"] == json.loads((ckpt / "manifest.json").read_bytes())["runtime"]
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
-    def test_a_cut_optimizer_blob_exits_1(self, tmp_path, fmt):
-        ckpt = shutil.copytree(V1_CHECKPOINT, tmp_path / "ck")
-        if fmt == "v2":
-            params, cfg, manifest = load_checkpoint(ckpt)
-            moments = load_optimizer(ckpt, manifest)
-            shutil.rmtree(ckpt)
-            save_checkpoint(ckpt, params, cfg, moments, rng_state=manifest.rng_state, step=manifest.step)
+    def test_a_cut_optimizer_blob_exits_1(self, tmp_path):
+        cfg = t2tbio.ModelConfig(**MODEL)
+        params = t2tbio.init_params(cfg, seed=3)
+        moments = np.ones((2, sum(x.size for x in params.values())), cfg.np_dtype)
+        ckpt = tmp_path / "ck"
+        save_checkpoint(ckpt, params, cfg, moments, rng_state=2**64 - 3, step=5)
         os.truncate(ckpt / "optimizer.bin", 8)
         proc = run_entry_point(["inspect-checkpoint", "--checkpoint", str(ckpt)])
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr

@@ -190,8 +190,8 @@ def test_corrupt(data):
     bad = data.draw(st.sampled_from(sorted(files)))
     files[bad] = damaged(files[bad], data)
     argv = ["corrupt", "--vocab", "vocab.txt", "--in", "c.txt", "--out", "shard.tsv",
-            f"--rate={data.draw(st.floats(-1, 2) | st.sampled_from([0.0, 0.15, 0.5, 0.99]))!r}",
-            f"--mean-span={data.draw(st.floats(-1, 1e6))!r}",
+            f"--rate={data.draw(st.floats(0, 1, exclude_max=True) | st.sampled_from([0.0, 0.15, 0.5, 0.99]))!r}",
+            f"--mean-span={data.draw(st.floats(1, 1e6))!r}",
             f"--seed={data.draw(st.integers(-(2**70), 2**70))}"]
     if data.draw(st.booleans()):
         argv += ["--input-len", str(data.draw(st.integers(1, 64)))]

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import json
 import math
-import shutil
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,10 +30,7 @@ from t2tbio.vocab import train_vocab
 
 from helpers import (
     CHECKPOINT_PARTS,
-    V1_CHECKPOINT,
-    V1_MODEL,
     adam_moments,
-    as_v1,
     optimizer_tensors,
     remove_checkpoint_part,
     word_vocab,
@@ -680,21 +676,17 @@ class TestCheckpointing:
         assert cli.run(["inspect-checkpoint", "--checkpoint", str(tmp_path / "ck")]) == 0
         assert json.loads(capsys.readouterr().out)["runtime"] == first
 
-    def test_manifest_without_runtime_loads(self, tmp_path, capsys):
+    def test_manifest_without_runtime_is_rejected(self, tmp_path, caplog):
         cfg = small_cfg(31)
         params = init_params(cfg, seed=4)
         moments = adam_moments(params, params, {k: x * x for k, x in params.items()})
         save_checkpoint(tmp_path / "ck", params, cfg, moments, rng_state=123, step=2)
-        path = tmp_path / "ck" / "manifest.json"
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        del manifest["runtime"]  # as the manifests written before the field
-        path.write_text(json.dumps(manifest), encoding="utf-8")
-        loaded, _, manifest = load_checkpoint(tmp_path / "ck")
-        for name in params:
-            assert loaded[name].tobytes() == params[name].tobytes()
-        assert load_optimizer(tmp_path / "ck", manifest).tobytes() == moments.tobytes()
-        assert cli.run(["inspect-checkpoint", "--checkpoint", str(tmp_path / "ck")]) == 0
-        assert json.loads(capsys.readouterr().out)["runtime"] is None
+        path = remove_checkpoint_part(tmp_path / "ck", "runtime")
+        with pytest.raises(CheckpointError, match="needs 'runtime'") as info:
+            load_checkpoint(tmp_path / "ck")
+        assert str(path) in str(info.value)
+        assert cli.run(["inspect-checkpoint", "--checkpoint", str(tmp_path / "ck")]) == cli.EXIT_DATA_ERROR
+        assert caplog.records[-1].getMessage() == str(info.value)
 
     def test_non_finite_rejected_on_load(self, tmp_path):
         cfg = small_cfg(31)
@@ -719,6 +711,11 @@ class TestCheckpointing:
                          id="model-dropout-rate"),
             pytest.param(lambda m: m.update(format="t2tbio-checkpoint v3"), "manifest.json", "unknown format",
                          id="unknown-format"),
+            pytest.param(lambda m: m.update(format="t2tbio-checkpoint v1"), "manifest.json",
+                         "format: unknown format 't2tbio-checkpoint v1'", id="v1-format"),
+            pytest.param(lambda m: m.update(format=2), "manifest.json", "format: unknown format 2",
+                         id="int-format"),
+            pytest.param(lambda m: m.pop("format"), "manifest.json", "needs 'format'", id="no-format"),
             pytest.param(lambda m: m.update(optimizer={"name": "adam"}), "manifest.json", "'optimizer'",
                          id="v1-key-in-a-v2-manifest"),
             pytest.param(lambda m: m.update(step=-1), "manifest.json", "step", id="negative-step"),
@@ -843,20 +840,16 @@ class TestCheckpointing:
         assert str(tmp_path / "ck" / blob) in str(info.value) and names in str(info.value), str(info.value)
         assert not (tmp_path / "ck").exists()
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
     @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
-    def test_resume_equivalence(self, tmp_path, phase, fmt):
-        """Resuming from a step-6 checkpoint, v2 as saved or rewritten by
-        ``as_v1``, ends with the final blobs of an uninterrupted run, and its
-        ``loss_curve.json`` holds that run's steps from 6 on, byte for byte
-        as the writer writes them."""
+    def test_resume_equivalence(self, tmp_path, phase):
+        """Resuming from a step-6 checkpoint ends with the final blobs of an
+        uninterrupted run, and its ``loss_curve.json`` holds that run's steps
+        from 6 on, byte for byte as the writer writes them."""
         cfg, train = phase_fixture(tmp_path, phase)
         full_cfg = TrainConfig(num_steps=10, input_len=24, target_len=24, batch_size=2, seed=9)
         full = train(init_params(cfg, 2), full_cfg, "full")
         train(init_params(cfg, 2), replace(full_cfg, num_steps=6, checkpoint_every=6), "part")
         ckpt = tmp_path / "part" / "step_000006"
-        if fmt == "v1":
-            as_v1(ckpt)
         resumed = train(None, full_cfg, "resumed", resume=str(ckpt))
         assert resumed.losses == full.losses[6:]
         for name in full.params:
@@ -879,6 +872,20 @@ class TestCheckpointing:
         with pytest.raises(ConfigError, match="dtype mismatch for enc.norm: got float64, expected float32"):
             train(params, t_cfg, "run")
         assert not (tmp_path / "run" / "final").exists()
+
+    @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+    def test_resume_from_another_model_names_the_manifest_and_the_field(self, tmp_path, phase):
+        cfg, train = phase_fixture(tmp_path, phase)
+        other = replace(cfg, d_ff=2 * cfg.d_ff)
+        save_checkpoint(tmp_path / "other", init_params(other, 0), other, None, rng_state=0, step=0)
+        t_cfg = TrainConfig(num_steps=2, input_len=24, target_len=24, batch_size=2)
+        with pytest.raises(ConfigError) as info:
+            train(None, t_cfg, "again", resume=str(tmp_path / "other"))
+        assert str(info.value) == (
+            f"{tmp_path / 'other' / 'manifest.json'}: resume checkpoint was written with a different model config: "
+            f"model.d_ff is {other.d_ff}, the configured model's is {cfg.d_ff}"
+        )
+        assert not (tmp_path / "again").exists()
 
     @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
     def test_resume_past_num_steps_rejected(self, tmp_path, phase):
@@ -938,98 +945,6 @@ class TestCheckpointing:
         curve = json.loads((out / "loss_curve.json").read_text(encoding="utf-8"))
         assert len(curve["losses"]) == 3
         assert curve["curves"] == {"corpus": [[step, loss] for step, loss in enumerate(curve["losses"])]}
-
-
-class TestV1Checkpoint:
-    """The committed v1 checkpoint, written by the v1 writer, loads as the
-    state it was written from, and every fact that only a v1 checkpoint can
-    get wrong raises ``CheckpointError`` naming its file."""
-
-    @staticmethod
-    def state():
-        params = init_params(V1_MODEL, seed=3)
-        return params, adam_moments(params, {k: x * 0.5 for k, x in params.items()},
-                                    {k: x * x for k, x in params.items()})
-
-    def test_loads_as_the_state_it_was_written_from(self):
-        params, moments = self.state()
-        loaded, cfg, manifest = load_checkpoint(V1_CHECKPOINT)
-        assert cfg == V1_MODEL
-        assert (manifest.format, manifest.step, manifest.rng_state) == ("t2tbio-checkpoint v1", 5, 2**64 - 3)
-        assert all(loaded[name].tobytes() == params[name].tobytes() for name in params)
-        assert load_optimizer(V1_CHECKPOINT, manifest).tobytes() == moments.tobytes()
-
-    def test_as_v1_of_a_v2_save_is_the_fixture(self, tmp_path):
-        params, moments = self.state()
-        save_checkpoint(tmp_path / "ck", params, V1_MODEL, moments, rng_state=2**64 - 3, step=5)
-        _, _, v2 = load_checkpoint(tmp_path / "ck")
-        as_v1(tmp_path / "ck")
-        names = sorted(p.name for p in V1_CHECKPOINT.iterdir())
-        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == names
-        for name in names:
-            got, want = (tmp_path / "ck" / name).read_bytes(), (V1_CHECKPOINT / name).read_bytes()
-            if name == "manifest.json":  # the runtime is the writing process's
-                got, want = (json.loads(x) for x in (got, want))
-                got["runtime"] = want["runtime"]
-            assert got == want, name
-        _, _, v1 = load_checkpoint(tmp_path / "ck")
-        assert replace(v1, format=v2.format) == v2
-
-    @pytest.mark.parametrize(
-        "mutate, names",
-        [
-            pytest.param(lambda m: m["optimizer"].update(name="sgd"), "optimizer.name: 'sgd', not 'adam'",
-                         id="optimizer-not-adam"),
-            pytest.param(lambda m: m["optimizer"].update(step=99), "optimizer.step: 99, not the manifest's step 5",
-                         id="optimizer-step-unlike-the-manifest"),
-            pytest.param(lambda m: m["optimizer"].update(step="5"), "optimizer.step", id="string-optimizer-step"),
-            pytest.param(lambda m: m["optimizer"].update(step=True), "optimizer.step", id="bool-optimizer-step"),
-            pytest.param(lambda m: m.pop("step"), "optimizer.step", id="no-step"),
-            pytest.param(lambda m: m.update(optimizer=[1]), "optimizer must be a JSON object",
-                         id="optimizer-record-not-an-object"),
-            pytest.param(lambda m: m.pop("optimizer"), "optimizer must be a JSON object", id="no-optimizer-record"),
-            pytest.param(lambda m: m["model"].update(dropout_rate=0.1), "model.dropout_rate: 0.1, not 0",
-                         id="dropout"),
-            pytest.param(lambda m: m["model"].update(dropout_rate=False), "model.dropout_rate", id="bool-dropout"),
-            pytest.param(lambda m: m.pop("tensors"), "weights", id="no-tensors"),
-        ],
-    )
-    def test_mutated_v1_manifest_raises_checkpoint_error(self, tmp_path, mutate, names):
-        ckpt = shutil.copytree(V1_CHECKPOINT, tmp_path / "ck")
-        manifest = json.loads((ckpt / "manifest.json").read_text(encoding="utf-8"))
-        mutate(manifest)
-        (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError) as info:
-            load_checkpoint(ckpt)
-        message = str(info.value)
-        assert str(ckpt / "manifest.json") in message and names in message, message
-
-    @pytest.mark.parametrize(
-        "payload, file",
-        [
-            pytest.param(None, "rng_state", id="missing"),
-            pytest.param(b'\xff\xfe{"algo": "splitmix64"}', "rng_state", id="not-utf8"),
-            pytest.param(b'{"algo": "splitmix64", "state": ' + b"9" * 5000 + b"}", "rng_state", id="5000-digit-int"),
-            pytest.param(b"[1]", "rng_state", id="not-an-object"),
-            pytest.param(b'{"state": 12}', "rng_state", id="no-algo"),
-            pytest.param(b'{"algo": "splitmix64", "state": "12"}', "manifest.json", id="string-state"),
-            pytest.param(b'{"algo": "splitmix64"}', "manifest.json", id="no-state"),
-            pytest.param(b'{"algo": "splitmix64", "state": 18446744073709551616}', "manifest.json",
-                         id="state-past-64-bits"),
-        ],
-    )
-    def test_bad_rng_state_file_raises_checkpoint_error(self, tmp_path, payload, file):
-        """A missing or unreadable file names itself; a state that is not a
-        64-bit count names the manifest's key ``rng_state`` it maps onto."""
-        ckpt = shutil.copytree(V1_CHECKPOINT, tmp_path / "ck")
-        if payload is None:
-            (ckpt / "rng_state").unlink()
-        else:
-            (ckpt / "rng_state").write_bytes(payload)
-        with pytest.raises(CheckpointError) as info:
-            load_checkpoint(ckpt)
-        message = str(info.value)
-        assert str(ckpt / file) in message and "rng_state" in message, message
 
 
 class FakeLibc:

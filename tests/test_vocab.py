@@ -23,6 +23,7 @@ from t2tbio.vocab import (
 )
 
 from helpers import word_vocab
+from oracles import greedy_segment
 from reference_model import recount_train_vocab
 
 
@@ -290,52 +291,90 @@ def test_incremental_training_matches_oracle_on_fixture_corpus(fixtures_dir, siz
 # -- the per-word encode memo ------------------------------------------------
 
 
-def _without_memo(v: Vocabulary) -> Vocabulary:
-    u = Vocabulary(pieces=v.pieces, num_sentinels=v.num_sentinels)
-    object.__setattr__(u, "_memo", None)
-    return u
-
-
 MEMO_VOCAB = train_vocab(["abc abd cab  ab", "a bb c", "<unk> ca"], target_size=40, num_sentinels=2)
 
 
 @given(st.lists(st.text(alphabet="abcdx <>" + BOUNDARY, max_size=20), min_size=1, max_size=6))
 def test_memo_encode_matches_uncached_encode(texts):
-    plain = _without_memo(MEMO_VOCAB)
     for _ in range(2):  # the second pass reads every word from the memo
-        assert [MEMO_VOCAB.encode(t) for t in texts] == [plain.encode(t) for t in texts]
+        assert [MEMO_VOCAB.encode(t) for t in texts] == [greedy_segment(MEMO_VOCAB, t) for t in texts]
 
 
-def test_piece_spanning_a_boundary_disables_the_memo(tmp_path):
-    pieces = ["<pad>", "</s>", "<unk>", BOUNDARY, "a", "b", "a" + BOUNDARY + "b"]
+def test_greedy_segment_oracle_on_known_ids():
+    v = train_vocab(["abab"], target_size=7, num_sentinels=0)  # one merge: "ab"
+    boundary, a, b, ab = (v.piece_to_id[p] for p in (BOUNDARY, "a", "b", "ab"))
+    assert greedy_segment(v, "abab xa") == [boundary, ab, ab, boundary, UNK_ID, a]
+    assert greedy_segment(v, "b") == [boundary, b]
+    assert greedy_segment(v, "") == []
+
+
+@pytest.mark.parametrize("piece", ["a" + BOUNDARY + "b", "a" + BOUNDARY, BOUNDARY + BOUNDARY],
+                         ids=["inside", "last", "after-a-leading-one"])
+def test_piece_spanning_a_boundary_is_rejected(piece):
+    pieces = ("<pad>", "</s>", "<unk>", BOUNDARY, "a", "b", piece)
+    with pytest.raises(VocabError, match="holds a word boundary past its first character") as info:
+        Vocabulary(pieces=pieces, num_sentinels=0)
+    assert info.value.piece_id == 6
+
+
+SPECIALS = ["<pad>", "</s>", "<unk>"]
+
+
+@pytest.mark.parametrize(
+    "pieces, sentinels, line, message",
+    [
+        pytest.param(SPECIALS + ["a", "b", "a"], 0, 7, "duplicate piece 'a'", id="duplicate"),
+        pytest.param(SPECIALS + ["a", "<extra_id_3>", "b"], 0, 6, "reserved string '<extra_id_3>' among learned pieces",
+                     id="reserved-string"),
+        pytest.param(SPECIALS + ["a", sentinel_piece(0), sentinel_piece(1)], 2, 7, "sentinel 0 must sit at id 5",
+                     id="misplaced-sentinel"),
+        pytest.param(SPECIALS + [BOUNDARY, "a", "b", "a" + BOUNDARY + "b"], 0, 8,
+                     "learned piece 'a\\ue000b' holds a word boundary past its first character", id="boundary"),
+        pytest.param(SPECIALS, 1, None, "vocabulary too small for specials and sentinels", id="too-small"),
+    ],
+)
+def test_load_names_the_path_and_the_line_of_a_broken_rule(tmp_path, pieces, sentinels, line, message):
+    """A piece's line is its id + 2, after the header; a rule of the whole
+    vocabulary names only the path."""
     path = tmp_path / "vocab.txt"
-    path.write_text(f"t2tbio-vocab v1 size={len(pieces)} sentinels=0\n" + "\n".join(pieces) + "\n", encoding="utf-8")
-    v = load_vocab(path)
-    assert v._memo is None
-    boundary, a, b, ab = 3, 4, 5, 6
-    # greedy longest-match runs across the space: "x" is unk, then "a b" is one piece
-    assert v.encode("xa b") == [boundary, UNK_ID, ab]
-    assert v.encode("a b a") == [boundary, ab, boundary, a]
-    assert v.encode("b") == [boundary, b]
+    path.write_text(f"t2tbio-vocab v1 size={len(pieces)} sentinels={sentinels}\n" + "\n".join(pieces) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(VocabError) as info:
+        load_vocab(path)
+    assert str(info.value) == (f"{path}: {message}" if line is None else f"{path}:{line}: {message}")
+    if line is not None:  # the line named is the one that holds the piece
+        assert path.read_text(encoding="utf-8").splitlines()[line - 1] == pieces[line - 2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(corpus_lines, min_size=1, max_size=8), st.integers(10, 120), st.integers(0, 6))
+def test_trained_pieces_hold_a_boundary_only_first(lines, size, sentinels):
+    """The invariant the per-word memo rests on, and that ``Vocabulary``
+    checks, holds for every vocabulary ``train_vocab`` returns, also from
+    corpora holding a literal boundary marker."""
+    try:
+        v = train_vocab(lines, target_size=size, num_sentinels=sentinels)
+    except VocabError as e:
+        assert str(e).startswith(("empty corpus", "vocab size below floor")), e
+        return
+    assert all(BOUNDARY not in p[1:] for p in v.learned_pieces())
 
 
 def test_memo_never_grows_past_its_cap(monkeypatch):
     monkeypatch.setattr(vocab_module, "ENCODE_MEMO_MAX", 8)
     v = Vocabulary(pieces=MEMO_VOCAB.pieces, num_sentinels=MEMO_VOCAB.num_sentinels)
-    plain = _without_memo(v)
     words = ["".join("abc"[(i >> k) % 3] for k in range(4)) for i in range(60)]
     for i in range(0, len(words), 5):
         text = " ".join(words[i : i + 5])
-        assert v.encode(text) == plain.encode(text)
+        assert v.encode(text) == greedy_segment(v, text)
         assert 0 < len(v._memo) <= 8
 
 
 def test_memo_shared_across_threads_gives_the_uncached_ids(monkeypatch):
     monkeypatch.setattr(vocab_module, "ENCODE_MEMO_MAX", 8)
     v = Vocabulary(pieces=MEMO_VOCAB.pieces, num_sentinels=MEMO_VOCAB.num_sentinels)
-    plain = _without_memo(v)
     texts = [" ".join("abc"[(i * 7 + k) % 3] * (1 + (i + k) % 4) for k in range(6)) for i in range(40)]
-    expected = [plain.encode(t) for t in texts]
+    expected = [greedy_segment(v, t) for t in texts]
     n_threads = 6  # with a 1 us switch interval their misses interleave
     results: list = [None] * n_threads
     sizes: list[int] = []
