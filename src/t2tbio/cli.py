@@ -338,13 +338,22 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def read_predictions(path) -> list[dict]:
-    records = []
-    for lineno, record in data_io.read_jsonl(path):
-        if not isinstance(record.get("prediction"), str):
-            raise DataFormatError("prediction record needs a string 'prediction'", path=str(path), line=lineno)
-        records.append(record)
-    return records
+def read_predictions(path, golds: list[task_codec.TaskExample]) -> list[str]:
+    """The prediction of each record of the JSONL file at ``path``. Record i
+    is scored against ``golds[i]``, so it needs that record's ``input``, and
+    its ``task`` where it has one; a record that names another gold record is
+    a DataFormatError at its line."""
+    predictions = []
+    for i, (lineno, record) in enumerate(data_io.read_jsonl(path)):
+        for key in ("prediction", "input"):
+            if not isinstance(record.get(key), str):
+                raise DataFormatError(f"prediction record needs a string {key!r}", path=str(path), line=lineno)
+        if i < len(golds):
+            for key, gold in (("input", golds[i].input_text), ("task", golds[i].task_name)):
+                if key in record and record[key] != gold:
+                    raise DataFormatError(f"{key} is not gold record {i + 1}'s", path=str(path), line=lineno)
+        predictions.append(record["prediction"])
+    return predictions
 
 
 # the gold fields each task type's report reads, with their JSON types
@@ -357,7 +366,7 @@ _GOLD_FIELDS = {
 }
 
 
-def _evaluate_report(args, preds: list[dict], golds) -> metrics.MetricsReport:
+def _evaluate_report(args, predictions: list[str], golds) -> metrics.MetricsReport:
     for i, ex in enumerate(golds, start=1):
         for name, kind in _GOLD_FIELDS.get(args.task_type, ()):
             try:
@@ -366,7 +375,6 @@ def _evaluate_report(args, preds: list[dict], golds) -> metrics.MetricsReport:
                 raise DataFormatError(
                     f"gold record {i}: a {args.task_type} report needs {name!r} of type "
                     f"{kind if typing.get_args(kind) else kind.__name__}", path=str(args.gold)) from e
-    predictions = [p["prediction"] for p in preds]
     if args.task_type == "ner":
         gold_spans = []
         pred_spans = []
@@ -442,8 +450,8 @@ def _parse_floors(raw: list[str]) -> dict[str, float]:
 
 def _cmd_evaluate(args) -> int:
     floors = _parse_floors(args.floor)
-    preds = read_predictions(args.pred)
     golds = data_io.read_task_examples(args.gold)
+    preds = read_predictions(args.pred, golds)
     if len(preds) != len(golds):
         raise DataFormatError(f"prediction file has {len(preds)} records, gold file {args.gold} has {len(golds)}",
                               path=str(args.pred))

@@ -79,9 +79,10 @@ def read_jsonl(path):
 def write_json(path, *docs, indent: int | None = None) -> None:
     """Write each of ``docs`` as JSON with sorted keys, a newline after each:
     one document makes a JSON file, one per record a JSONL file."""
+    encoder = json.JSONEncoder(indent=indent, sort_keys=True)  # json.dumps would build one per doc
     with open(path, "w", encoding="utf-8") as f:
         for doc in docs:
-            f.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+            f.write(encoder.encode(doc) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +320,11 @@ def json_value(kind, value, where: str):
     number, a str a string, a dict any JSON object, a dataclass a JSON object
     read by ``read_record``, ``list[X]`` a JSON list of X, ``tuple[X, Y,
     ...]`` a JSON list of exactly those items and ``X | None`` null or an
-    X."""
+    X. A value whose type is ``kind`` itself, unless that is float, is
+    returned before the dataclass and generic-type checks: the fast path for
+    the strings and objects that make up most of a record."""
+    if type(value) is kind and kind is not float:
+        return value
     if is_dataclass(kind):
         return read_record(kind, value, where)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
@@ -334,8 +339,6 @@ def json_value(kind, value, where: str):
         return [json_value(item, x, f"{where}[{i}]") for i, (item, x) in enumerate(zip(items, value))]
     if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)
-    if kind is not float and type(value) is kind:
-        return value
     raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
 
 

@@ -16,9 +16,10 @@ single leading one.
 Training is the incremental pair-merge update (Sennrich et al., arXiv
 1508.07909) over the corpus's distinct words, each with its count: the
 adjacent-pair counts, an index from each pair to the words that hold it, and
-a heap of (-count, pair) live across merges, and a merge re-counts only the
-words holding the merged pair. Merges stay within a word unit, so a learned
-piece holds the boundary marker at index 0 or not at all.
+a heap of (-count, pair) live across merges. A merge of (a, b) into ab
+changes only the counts beside each merge site: (a, b) itself, (left, a) ->
+(left, ab) and (b, right) -> (ab, right). Merges stay within a word unit, so
+a learned piece holds the boundary marker at index 0 or not at all.
 Under that invariant greedy longest-match never crosses a word, a text's ids
 are the concatenation of its words' ids, and ``encode`` memoizes them per
 word. ``Vocabulary`` rejects a learned piece that breaks the invariant, so a
@@ -29,8 +30,9 @@ from __future__ import annotations
 
 import heapq
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import VocabError
 
@@ -191,25 +193,28 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
     ``target_size`` total pieces or when no merge candidates remain, so the
     returned size is at most ``target_size``.
 
-    Each distinct word is held once, as its symbols led by a boundary
-    marker, with the number of times it occurs. A merge visits the words the
-    pair index lists under the merged pair and skips those that lack the
-    pair's first symbol: the index still lists a word under the pairs that
-    earlier merges took from it. A changed word is indexed under its new
-    pairs that hold the merged piece; it held its other pairs before the
-    merge and is listed under them already.
+    Each distinct word is held once, as a list of its symbols led by a
+    boundary marker, with the number of times it occurs. A merge visits the
+    words the pair index lists under the merged pair (a, b); the index still
+    lists a word under the pairs that earlier merges took from it, so a word
+    may hold no site. In each word it finds the sites left to right without
+    overlap, as ``list.index`` finds a, and merges each in place. A site
+    changes only the counts beside it: (a, b) loses one, (left, a) becomes
+    (left, ab) and (b, right) becomes (ab, right), weighted by the word's
+    count. A left neighbour is ab already when the site before it ended
+    there. The word is indexed under those two new pairs; it held its other
+    pairs before the merge and is listed under them already.
     """
-    lines = list(corpus)
-    if not lines or all(line == "" for line in lines):
+    lines = [line for line in corpus if line]
+    if not lines:
         raise VocabError("empty corpus")
     if num_sentinels < 0:
         raise VocabError("num_sentinels must be non-negative")
 
-    # word -> frequency, in first-seen order
-    counts: Counter[str] = Counter()
-    for line in lines:
-        if line:
-            counts.update(line.replace(" ", BOUNDARY).split(BOUNDARY))
+    # word -> frequency, in first-seen order, in one count over the lines'
+    # words; a line's words are split only when the count reaches it, so
+    # the corpus's words are never all held at once
+    counts = Counter(chain.from_iterable(line.replace(" ", BOUNDARY).split(BOUNDARY) for line in lines))
     alphabet = {BOUNDARY}.union(*counts)
 
     floor = 3 + num_sentinels + len(alphabet)
@@ -221,18 +226,18 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
 
     learned: list[str] = sorted(alphabet)
     budget = target_size - 3 - num_sentinels - len(learned)
-    # each word's symbols, led by its boundary marker
-    words = [(BOUNDARY, *word) for word in counts]
+    # each word's symbols, led by its boundary marker, merged in place
+    words = [[BOUNDARY, *word] for word in counts]
     freqs = list(counts.values())
     # adjacent-pair counts, the words that may hold each pair (a superset:
     # merges do not remove stale entries) and a max-heap of (-count, pair)
     # whose entries go stale when a count changes and are skipped on pop
     pair_counts: dict[tuple[str, str], int] = {}
-    holders: dict[tuple[str, str], set[int]] = {}
+    holders: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
     for w, (word, freq) in enumerate(zip(words, freqs)):
         for pair in zip(word, word[1:]):
             pair_counts[pair] = pair_counts.get(pair, 0) + freq
-            holders.setdefault(pair, set()).add(w)
+            holders[pair].add(w)
     heap = [(-count, pair) for pair, count in pair_counts.items()]
     heapq.heapify(heap)
 
@@ -241,25 +246,33 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
         neg_count, best = heapq.heappop(heap)
         if pair_counts.get(best) != -neg_count:
             continue
-        merged = best[0] + best[1]
+        a, b = best
+        merged = a + b
         if _is_reserved_piece(merged):  # never learned: this entry and any later one are dropped
             continue
-        delta: dict[tuple[str, str], int] = {}
+        delta: defaultdict[tuple[str, str], int] = defaultdict(int)
         for w in holders.pop(best):
-            word = words[w]
-            if best[0] not in word:
-                continue
-            new = _apply_merge(word, best, merged)
-            if len(new) == len(word):
-                continue
-            freq = freqs[w]
-            for pair in zip(word, word[1:]):
-                delta[pair] = delta.get(pair, 0) - freq
-            for pair in zip(new, new[1:]):
-                delta[pair] = delta.get(pair, 0) + freq
-                if merged in pair:
-                    holders.setdefault(pair, set()).add(w)
-            words[w] = new
+            word, freq = words[w], freqs[w]
+            i = 0
+            while True:
+                try:  # the next a that has a symbol after it
+                    i = word.index(a, i, len(word) - 1)
+                except ValueError:
+                    break
+                if word[i + 1] == b:  # a site: (left, a, b, right) becomes (left, ab, right)
+                    delta[best] -= freq
+                    if i:  # the left neighbour is ab already if a site ended there
+                        left = word[i - 1]
+                        delta[left, a] -= freq
+                        delta[left, merged] += freq
+                        holders[left, merged].add(w)
+                    if i + 2 < len(word):
+                        right = word[i + 2]
+                        delta[b, right] -= freq
+                        delta[merged, right] += freq
+                        holders[merged, right].add(w)
+                    word[i : i + 2] = [merged]
+                i += 1
         for pair, d in delta.items():
             if d:
                 count = pair_counts.get(pair, 0) + d
@@ -274,21 +287,6 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
     pieces = [PAD_PIECE, EOS_PIECE, UNK_PIECE] + learned
     pieces += [sentinel_piece(k) for k in range(num_sentinels - 1, -1, -1)]
     return Vocabulary(pieces=tuple(pieces), num_sentinels=num_sentinels)
-
-
-def _apply_merge(unit: tuple[str, ...], pair: tuple[str, str], merged: str) -> tuple[str, ...]:
-    if len(unit) < 2:
-        return unit
-    out: list[str] = []
-    i = 0
-    while i < len(unit):
-        if i + 1 < len(unit) and unit[i] == pair[0] and unit[i + 1] == pair[1]:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(unit[i])
-            i += 1
-    return tuple(out)
 
 
 def _escape(piece: str) -> str:

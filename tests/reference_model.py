@@ -34,7 +34,6 @@ from t2tbio.vocab import (
     PAD_PIECE,
     UNK_PIECE,
     Vocabulary,
-    _apply_merge,
     _is_reserved_piece,
     sentinel_piece,
 )
@@ -240,6 +239,21 @@ def scan_split_units(normalized: str) -> list[tuple[str, ...]]:
     return out
 
 
+def apply_merge(unit: tuple[str, ...], pair: tuple[str, str], merged: str) -> tuple[str, ...]:
+    """``unit`` with each occurrence of ``pair``, found left to right without
+    overlap, replaced by ``merged``."""
+    out: list[str] = []
+    i = 0
+    while i < len(unit):
+        if unit[i : i + 2] == pair:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(unit[i])
+            i += 1
+    return tuple(out)
+
+
 def recount_train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabulary:
     """Train a greedy pair-merge subword vocabulary.
 
@@ -293,7 +307,7 @@ def recount_train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> V
         if _is_reserved_piece(merged):
             banned.add(best)
             continue
-        working = {_apply_merge(unit, best, merged): freq for unit, freq in working.items()}
+        working = {apply_merge(unit, best, merged): freq for unit, freq in working.items()}
         learned.append(merged)
         budget -= 1
 

@@ -2,6 +2,7 @@
 metric, the CPU time it reports per run, the two trees it exports and the
 pairs it makes of their runs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -82,19 +83,21 @@ def test_export_worktree_copies_edits_and_untracked_files_but_not_ignored_ones(t
     assert (tmp_path / "base" / "pkg" / "mod.py").read_text(encoding="utf-8") == "x = 1\n"
 
 
+def mark(side):
+    """An export that writes a file naming ``side`` into its destination."""
+    def export(*args):
+        with open(os.path.join(args[-1], "side"), "w", encoding="utf-8") as f:
+            f.write(side)
+    return export
+
+
 def test_every_pair_holds_one_run_of_each_side(monkeypatch, capsys):
     # each side's export holds a file naming it; every run reports the side
     # it ran in, so a pair that ran one side twice shows in the output
-    def mark(side):
-        def export(*args):
-            with open(os.path.join(args[-1], "side"), "w", encoding="utf-8") as f:
-                f.write(side)
-        return export
-
     def fake_run(tree, workload, seed, seconds):
         with open(os.path.join(tree, "side"), encoding="utf-8") as f:
             side = f.read()
-        return {"tokens_per_s": {"base": 1.0, "tree": 2.0}[side], "fail_rate": 0.0, "cpu_s": 0.0}, side
+        return {"tokens_per_s": {"base": 1.0, "tree": 2.0}[side], "fail_rate": 0.0, "cpu_s": 0.0}, side, None
 
     monkeypatch.setattr(bench_pairs, "export_revision", mark("base"))
     monkeypatch.setattr(bench_pairs, "export_worktree", mark("tree"))
@@ -104,3 +107,62 @@ def test_every_pair_holds_one_run_of_each_side(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count(": tokens_per_s 1 -> 2,") == 3
     assert "tree won 3/3" in out
+
+
+def seeded_run(tree, workload, seed, seconds):
+    """A run that reports the side it ran in: its tokens_per_s, digest and env."""
+    with open(os.path.join(tree, "side"), encoding="utf-8") as f:
+        side = f.read()
+    tokens = {"base": 1.0, "tree": 2.0}[side] * seed
+    return {"tokens_per_s": tokens, "fail_rate": 0.0, "cpu_s": 0.0}, f"d{seed}", {"side": side, "seed": seed}
+
+
+def bench(monkeypatch, *argv):
+    monkeypatch.setattr(bench_pairs, "export_revision", mark("base"))
+    monkeypatch.setattr(bench_pairs, "export_worktree", mark("tree"))
+    monkeypatch.setattr(bench_pairs, "run", seeded_run)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--base", "HEAD", *argv])
+    return bench_pairs.main()
+
+
+def test_out_writes_the_series_under_its_workload_and_keeps_the_others(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"other": {"kept": True}, "w": {"replaced": True}}), encoding="utf-8")
+    assert bench(monkeypatch, "--workload", "w", "--seeds", "1", "2", "4", "--out", str(out)) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(doc) == ["other", "w"] and doc["other"] == {"kept": True}
+    series = doc["w"]
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=bench_pairs.ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+    assert series["base"] == series["tree"] == head
+    assert series["seeds"] == [1, 2, 4] and series["workload"] == "w" and series["failed"] == []
+    assert [r["seed"] for r in series["runs"]] == [1, 2, 4]
+    assert [r["first"] for r in series["runs"]] == ["base", "tree", "base"]
+    assert all(r[side] == {"digest": f"d{r['seed']}", "env": {"side": side, "seed": r["seed"]}}
+               for r in series["runs"] for side in ("base", "tree"))
+    tokens = series["metrics"]["tokens_per_s"]
+    assert tokens["seeds"] == [1, 2, 4] and tokens["base"] == [1.0, 2.0, 4.0] and tokens["tree"] == [2.0, 4.0, 8.0]
+    assert tokens["quartiles"] == {"base": [1.5, 2.0, 3.0], "tree": [3.0, 4.0, 6.0]}
+    assert tokens["won"] == 3 and tokens["better"] == "higher"
+    assert tokens["verdict"] == "gain" and tokens["bound"] == 0.24
+    assert "verdict" not in series["metrics"]["cpu_s"]  # cpu_s has no bound
+
+
+@pytest.mark.parametrize("content", ["[]", "{not json"], ids=["a-list", "not-json"])
+def test_out_that_holds_no_json_object_is_a_usage_error_before_any_run(monkeypatch, tmp_path, capsys, content):
+    out = tmp_path / "BENCH.json"
+    out.write_text(content, encoding="utf-8")
+    monkeypatch.setattr(bench_pairs, "run", lambda *args: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exc:
+        bench(monkeypatch, "--workload", "w", "--seeds", "1", "2", "--out", str(out))
+    assert exc.value.code == 2
+    assert out.read_text(encoding="utf-8") == content
+
+
+def test_run_reads_the_metrics_the_digest_and_the_env_line(monkeypatch):
+    stdout = ('env {"nproc": 2, "numpy": "2.0"}\ndigest=abc\n'
+              '{"metrics": {"setup_s": {"value": 0.1}}, "failed": 1, "attempted": 4}\n')
+    monkeypatch.setattr(bench_pairs, "run_child", lambda argv, cwd: (stdout, 1.5))
+    values, digest, env = bench_pairs.run(".", "w", 1, 10)
+    assert values == {"setup_s": 0.1, "fail_rate": 0.25, "cpu_s": 1.5}
+    assert digest == "abc" and env == {"nproc": 2, "numpy": "2.0"}

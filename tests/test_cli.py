@@ -511,11 +511,49 @@ class TestEvaluate:
             ]
         )
         preds = tmp_path / "preds.jsonl"
-        write_predictions(preds, [{"prediction": "x"}])
+        examples = read_task_examples(gold)
+        write_predictions(preds, [{"input": examples[0].input_text, "prediction": "x"}])
         rc = run(["evaluate", "--task-type", "nli", "--pred", str(preds), "--gold", str(gold)])
         assert rc == EXIT_DATA_ERROR
-        n = len(read_task_examples(gold))
+        n = len(examples)
         assert caplog.records[-1].getMessage() == f"{preds}: prediction file has 1 records, gold file {gold} has {n}"
+
+    def test_predictions_out_of_gold_order_are_a_data_error(self, tmp_path, fixtures_dir, caplog):
+        # each record carries its own gold record's task and input, in reverse
+        # order: scored in file order, two of six would match by chance
+        gold, preds = tmp_path / "gold.jsonl", tmp_path / "preds.jsonl"
+        argv = ["--task-type", "nli", "--task-name", "mednli", "--out", str(gold)]
+        assert run(["encode-task", *argv, "--in", str(fixtures_dir / "nli_synthetic.tsv")]) == EXIT_OK
+        examples = read_task_examples(gold)
+        rows = [{"task": ex.task_name, "input": ex.input_text, "prediction": ex.target_text} for ex in examples]
+        write_predictions(preds, rows[::-1])
+        rc = run(["evaluate", "--task-type", "nli", "--pred", str(preds), "--gold", str(gold)])
+        assert rc == EXIT_DATA_ERROR
+        assert caplog.records[-1].getMessage() == f"{preds}:1: input is not gold record 1's"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("input", None, "prediction record needs a string 'input'"),  # None: the key is deleted
+            ("input", 7, "prediction record needs a string 'input'"),
+            ("task", "other", "task is not gold record 2's"),
+        ],
+        ids=["no-input", "number-input", "other-task"],
+    )
+    def test_a_prediction_not_paired_with_its_gold_record_is_a_data_error(self, tmp_path, fixtures_dir, caplog,
+                                                                            key, value, message):
+        gold, preds = tmp_path / "gold.jsonl", tmp_path / "preds.jsonl"
+        argv = ["--task-type", "nli", "--task-name", "mednli", "--out", str(gold)]
+        assert run(["encode-task", *argv, "--in", str(fixtures_dir / "nli_synthetic.tsv")]) == EXIT_OK
+        rows = [{"task": ex.task_name, "input": ex.input_text, "prediction": "x"} for ex in read_task_examples(gold)]
+        if value is None:
+            del rows[1][key]
+        else:
+            rows[1][key] = value
+        write_predictions(preds, rows)
+        rc = run(["evaluate", "--task-type", "nli", "--pred", str(preds), "--gold", str(gold)])
+        assert rc == EXIT_DATA_ERROR
+        assert caplog.records[-1].getMessage() == f"{preds}:2: {message}"
 
     @pytest.mark.parametrize(
         "task_type, prediction, bad, where",
@@ -533,8 +571,10 @@ class TestEvaluate:
         files = {"gold": tmp_path / "gold.jsonl", "pred": tmp_path / "preds.jsonl"}
         argv = ["--task-type", "ner", "--task-name", "ner", "--out", str(files["gold"])]
         assert run(["encode-task", *argv, "--in", str(fixtures_dir / "ner_synthetic.conll")]) == EXIT_OK
-        n = len(read_task_examples(files["gold"]))
-        write_predictions(files["pred"], [{"prediction": prediction}] + [{"prediction": "x"}] * (n - 1))
+        examples = read_task_examples(files["gold"])
+        rows = [{"input": ex.input_text, "prediction": "x"} for ex in examples]
+        rows[0]["prediction"] = prediction
+        write_predictions(files["pred"], rows)
         rc = run(["evaluate", "--task-type", task_type, "--pred", str(files["pred"]), "--gold", str(files["gold"])])
         assert rc == EXIT_DATA_ERROR
         assert str(files[bad]) + where in caplog.text
@@ -544,7 +584,7 @@ class TestEvaluate:
         gold, preds = tmp_path / "gold.jsonl", tmp_path / "preds.jsonl"
         record = {"task": "t", "input": "t: Lupus", "target": "x", "gold": {"words": ["Lupus"], "spans": [span]}}
         gold.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        write_predictions(preds, [{"prediction": "x"}])
+        write_predictions(preds, [{"input": "t: Lupus", "prediction": "x"}])
         rc = run(["evaluate", "--task-type", "ner", "--pred", str(preds), "--gold", str(gold)])
         assert rc == EXIT_DATA_ERROR
         assert f"{gold}: gold record 1: a ner report needs 'spans' of type list[tuple[int, int, str]]" in caplog.text
@@ -554,7 +594,7 @@ class TestEvaluate:
         gold, preds = tmp_path / "gold.jsonl", tmp_path / "preds.jsonl"
         gold.write_text(json.dumps({"task": "t", "input": "t: a", "target": "x", "gold": {"label": "\ud800"}}) + "\n",
                         encoding="utf-8")
-        write_predictions(preds, [{"prediction": "x"}])
+        write_predictions(preds, [{"input": "t: a", "prediction": "x"}])
         stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")  # as a terminal's
         with contextlib.redirect_stdout(stdout):
             rc = run(["evaluate", "--task-type", "re", "--pred", str(preds), "--gold", str(gold)])
@@ -691,7 +731,7 @@ class TestUnreadableInputs:
         }
         files["corpus"].write_text("alpha beta\n", encoding="utf-8")
         save_vocab(word_vocab(["alpha", "beta"]), files["vocab"])
-        write_predictions(files["pred"], [{"prediction": "beta"}])
+        write_predictions(files["pred"], [{"input": "t: alpha", "prediction": "beta"}])
         files["gold"].write_text('{"task": "t", "input": "t: alpha", "target": "beta"}\n', encoding="utf-8")
         files["qa"].write_text('{"questions": []}', encoding="utf-8")
         files["manifest"].parent.mkdir()
@@ -1290,7 +1330,7 @@ class TestFloorValues:
     )
     def test_exits_1(self, tmp_path, floor, message):
         pred, gold, report = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl", tmp_path / "report.json"
-        write_predictions(pred, [{"prediction": "beta"}])
+        write_predictions(pred, [{"input": "t: alpha", "prediction": "beta"}])
         gold.write_text('{"task": "t", "input": "t: alpha", "target": "beta"}\n', encoding="utf-8")
         argv = EVALUATE.format(pred=pred, gold=gold).split() + ["--out", str(report), "--floor", floor]
         proc = run_entry_point(argv)

@@ -71,7 +71,7 @@ def test_mutated_inputs_exit_with_a_code(task_type, data):
     files = {
         "gold": [{"task": "t", "input": "t: the p53 gene", "target": prediction, "gold": json.loads(json.dumps(gold))}
                  for _ in range(RECORDS)],
-        "pred": [{"prediction": prediction} for _ in range(RECORDS)],
+        "pred": [{"input": "t: the p53 gene", "prediction": prediction} for _ in range(RECORDS)],
     }
     for _ in range(data.draw(st.integers(1, 3))):
         mutate(files[data.draw(st.sampled_from(["gold", "gold", "pred"]))], data)

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from t2tbio import vocab as vocab_module
 from t2tbio.errors import VocabError
+from t2tbio.rng import SplitMix64
 from t2tbio.vocab import (
     BOUNDARY,
     EOS_ID,
@@ -286,6 +288,44 @@ def test_incremental_training_matches_recount_oracle(lines, size, sentinels):
 def test_incremental_training_matches_oracle_on_fixture_corpus(fixtures_dir, size):
     lines = (fixtures_dir / "pretrain_corpus.txt").read_text(encoding="utf-8").splitlines()
     assert train_vocab(lines, size, 16).pieces == recount_train_vocab(lines, size, 16).pieces
+
+
+def long_tail_corpus(seed: int, lines: int, words_per_line: int = 12) -> list[str]:
+    """Lines of words drawn from SplitMix64: runs of one letter and two-letter
+    cycles, whose merge sites touch or overlap, among random letter strings."""
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(lines):
+        words = []
+        for _ in range(words_per_line):
+            kind, n = rng.next_below(4), 2 + rng.next_below(9)
+            if kind == 0:  # aaaa
+                word = "abcde"[rng.next_below(5)] * n
+            elif kind == 1:  # abab
+                x, y = "abcde"[rng.next_below(5)], "abcde"[rng.next_below(5)]
+                word = (x + y) * (n // 2) + x * (n % 2)
+            else:
+                word = "".join("abcdefgh"[rng.next_below(8)] for _ in range(n))
+            words.append(word)
+        out.append(" ".join(words))
+    return out
+
+
+# sha256 of the pieces, one a line, as the recounting trainer learned them
+LONG_TAIL_SHA256 = "e24c8bc7a6c51febb5c626e11ad872f3fe3c86dc502812e633c8455062cd07c8"
+
+
+def test_long_merge_tail_matches_its_pinned_digest():
+    lines = long_tail_corpus(37, 400)
+    assert len(set(" ".join(lines).split(" "))) >= 1000
+    v = train_vocab(lines, 2000, 8)
+    assert v.size == 2000  # 1980 merges over the 9-symbol alphabet
+    assert hashlib.sha256("\n".join(v.pieces).encode("utf-8")).hexdigest() == LONG_TAIL_SHA256
+
+
+def test_long_tail_corpus_matches_recount_oracle():
+    lines = long_tail_corpus(37, 200)
+    assert train_vocab(lines, 400, 8).pieces == recount_train_vocab(lines, 400, 8).pieces
 
 
 # -- the per-word encode memo ------------------------------------------------
