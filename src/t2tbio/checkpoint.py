@@ -27,6 +27,18 @@ raises it naming ``manifest.json``, the key ``format`` and the value found.
 the same entries before it writes or creates anything, so it cannot write a
 checkpoint that its loader rejects. Save/load round trips are bit-exact.
 
+``save_checkpoint`` writes each blob from one buffer and the manifest last:
+``weights.bin`` straight from the flat array whose views the parameters
+are (``arena_of``), as the trainer's are, or else from a copy of them, and
+``optimizer.bin`` from the moments array. A buffer that starts on a page
+boundary is written with ``O_DIRECT`` (``_write_blob``), so the kernel
+copies none of it into the page cache, and ``page_aligned`` hands out such
+buffers: the trainer's weight arena and zero moments, and the buffers the
+loaders read blobs into, so a resumed run's saves are direct too. The last
+partial page of a blob, and the whole of it on a platform without
+``O_DIRECT``, on a filesystem that rejects it or from a buffer off a page
+boundary, is written through the page cache. The bytes are the same.
+
 A checkpoint always holds the whole training state (weights, Adam state, rng
 state, step), since resuming needs each part: ``save_checkpoint`` takes them
 all, and a manifest that lacks one does not load.
@@ -39,14 +51,21 @@ a manifest without it does not load.
 
 from __future__ import annotations
 
+import errno
 import functools
 import itertools
 import json
 import math
+import mmap
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # not POSIX, so no O_DIRECT either
+    fcntl = None
 
 from .data_io import read_json, read_record, write_json
 from .errors import CheckpointError, ConfigError, DataFormatError
@@ -56,6 +75,12 @@ MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.bin"
 OPTIMIZER_NAME = "optimizer.bin"
 CHECKPOINT_FORMAT = "t2tbio-checkpoint v2"
+PAGE = mmap.PAGESIZE
+O_DIRECT = getattr(os, "O_DIRECT", 0) if fcntl else 0  # 0 where the platform has none
+# Bytes per write of a blob. A medium save (19 + 38 MB) wrote in 20-25 ms at
+# 16 MiB, 21-27 ms at 1 MiB, with O_DIRECT; through the page cache 1 and 16
+# MiB took the same 17 ms.
+WRITE_CHUNK = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -124,6 +149,30 @@ def views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.
     return out
 
 
+def arena_of(tensors: dict[str, np.ndarray]) -> np.ndarray | None:
+    """The flat array that the values of ``tensors`` cover as the views that
+    ``views`` places at their names, if they are such views; else None."""
+    flat = next(iter(tensors.values())).base
+    if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.size == sum(t.size for t in tensors.values())):
+        return None
+    placed = views(flat, {name: t.shape for name, t in tensors.items()})
+    # each value has its view's address, shape, strides, dtype and writability
+    if all(t.__array_interface__ == placed[name].__array_interface__ for name, t in tensors.items()):
+        return flat
+    return None
+
+
+def page_aligned(nbytes: int) -> memoryview:
+    """A new buffer of ``nbytes`` uninitialised bytes that starts on a page
+    boundary, as ``O_DIRECT`` needs: a slice of one array a page longer,
+    which it keeps alive. An array that ``np.frombuffer`` makes of it is the
+    base of its own views, since a memoryview stops numpy's walk to the
+    array under it."""
+    raw = np.empty(nbytes + PAGE, np.uint8)  # not bytearray, which zero-fills
+    start = -raw.ctypes.data % PAGE
+    return memoryview(raw[start : start + nbytes])
+
+
 def layout(cfg: ModelConfig) -> tuple[list[dict], list[dict]]:
     """The manifest entries of ``cfg``'s weights and of Adam's moments of
     them, ``m.*`` then ``v.*``: the layouts of ``weights.bin`` and of
@@ -154,18 +203,51 @@ def save_checkpoint(
     opt = [] if moments is None else moment_entries
     manifest = Manifest(CHECKPOINT_FORMAT, cfg, step, rng_state, weights, opt, runtime())
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, WEIGHTS_NAME), "wb") as f:
-        for e in weights:
-            f.write(memoryview(np.ascontiguousarray(params[e["name"]], e["dtype"])).cast("B"))
-    with open(os.path.join(out_dir, OPTIMIZER_NAME), "wb") as f:
-        if opt:
-            # the array's bytes, one tensor per write: a single write of the
-            # whole array (38 MB for the medium model) made a save take 55-60
-            # ms in place of 30 on a 2-core host
-            blob = memoryview(np.ascontiguousarray(moments, opt[0]["dtype"])).cast("B")
-            for e in opt:
-                f.write(blob[e["offset"] : e["offset"] + e["nbytes"]])
-    write_json(os.path.join(out_dir, MANIFEST_NAME), asdict(manifest), indent=2)
+    blob = arena_of(params)
+    if blob is None or blob.dtype != weights[0]["dtype"]:
+        blob = np.frombuffer(page_aligned(sum(e["nbytes"] for e in weights)), weights[0]["dtype"])
+        for name, t in views(blob, {e["name"]: e["shape"] for e in weights}).items():
+            t[...] = params[name]
+    _write_blob(os.path.join(out_dir, WEIGHTS_NAME), blob)
+    _write_blob(os.path.join(out_dir, OPTIMIZER_NAME),
+                np.ascontiguousarray(moments, opt[0]["dtype"]) if opt else np.empty(0, np.uint8))
+    # the fields as they are, not asdict's deep copy of every entry, which
+    # took 2.8 ms of a medium save's 7.7 ms of CPU time
+    write_json(os.path.join(out_dir, MANIFEST_NAME), vars(manifest) | {"model": cfg.to_dict()}, indent=2)
+
+
+def _write_blob(path: str, a: np.ndarray) -> None:
+    """Write the bytes of the C-contiguous array ``a`` into a new file at
+    ``path``, ``WRITE_CHUNK`` bytes per write.
+
+    If ``a`` starts on a page boundary, the file is opened with ``O_DIRECT``
+    and the whole pages of ``a`` go from it to the disk: the kernel copies
+    none of them into the page cache, a copy that cost a medium save 14-18
+    ms of system time on ext4, against 1-2 ms direct. ``O_DIRECT`` is then
+    cleared for the last partial page. On a platform without ``O_DIRECT``, a filesystem that
+    rejects it (``EINVAL``) or an array off a page boundary, the same bytes
+    are written through the page cache."""
+    data = memoryview(a).cast("B")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    direct = len(data) - len(data) % PAGE if O_DIRECT and a.ctypes.data % PAGE == 0 else 0
+    if direct:
+        try:
+            fd = os.open(path, flags | O_DIRECT, 0o666)
+        except OSError as e:
+            if e.errno != errno.EINVAL:
+                raise
+            direct = 0
+    if not direct:
+        fd = os.open(path, flags, 0o666)
+    try:
+        done = 0
+        while done < len(data):
+            if direct and done == direct:  # the last partial page
+                fcntl.fcntl(fd, fcntl.F_SETFL, fcntl.fcntl(fd, fcntl.F_GETFL) & ~O_DIRECT)
+                direct = 0
+            done += os.write(fd, data[done : min(done + WRITE_CHUNK, direct or len(data))])
+    finally:
+        os.close(fd)
 
 
 def _check_entries(path: str, what: str, listed: list, expected: list[dict]) -> None:
@@ -182,20 +264,20 @@ def _check_entries(path: str, what: str, listed: list, expected: list[dict]) -> 
 
 
 def _read_blob(path: str, listed: list[dict], expected: list[dict]) -> memoryview:
-    """The bytes of the blob at ``path``, read once into one new buffer, after
-    checking that its manifest entries ``listed`` are ``expected`` (compared
-    as JSON), that the file holds exactly their bytes and that every value is
-    finite. The file's size is compared before the buffer is allocated, so a
-    manifest cannot ask for more memory than its blob holds. Arrays made from
-    the buffer by ``np.frombuffer`` are the base of their views (a memoryview
-    stops numpy's walk to the array under it)."""
+    """The bytes of the blob at ``path``, read once into one new buffer from
+    ``page_aligned``, after checking that its manifest entries ``listed`` are
+    ``expected`` (compared as JSON), that the file holds exactly their bytes
+    and that every value is finite. The file's size is compared before the
+    buffer is allocated, so a manifest cannot ask for more memory than its
+    blob holds. Arrays made from the buffer by ``np.frombuffer`` are the base
+    of their views."""
     _check_entries(path, "manifest entry", listed, expected)
     nbytes = sum(e["nbytes"] for e in expected)
     try:
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
             if size == nbytes:
-                buf = memoryview(np.empty(nbytes, np.uint8))  # not bytearray, which zero-fills
+                buf = page_aligned(nbytes)
                 size = f.readinto(buf)
             if size != nbytes:
                 raise CheckpointError(f"{path}: {size} bytes, but its manifest entries list {nbytes}")

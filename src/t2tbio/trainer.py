@@ -27,7 +27,10 @@ and ``v`` are the two rows of one ``[2, n]`` array, each row of that layout:
 zeros, or on resume the array that ``load_optimizer`` read ``optimizer.bin``
 into. Resumed weights already are views of the array that ``weights.bin``
 was read into. Neither is copied, and every save hands ``save_checkpoint``
-the same moments array, whose bytes it writes as ``optimizer.bin``.
+the weights' arena and the same moments array, whose bytes it writes as
+``weights.bin`` and ``optimizer.bin``. The new arena, the zero moments and
+the loaders' buffers all come from ``checkpoint.page_aligned``, so those
+writes go to disk with direct I/O, without a copy into the page cache.
 Only the loop counts steps. Each step ``optimizer_step`` updates the four
 flat arrays slice by slice, and a non-finite update raises ``ModelError``
 naming the step and the tensor, found in ``checkpoint.layout``'s weight
@@ -40,7 +43,15 @@ the first step. While the steps run, glibc's malloc keeps the memory a step
 frees for the next one (see ``_freed_memory_kept``).
 
 With an ``out_dir``, a run writes ``step_<n>/`` every ``checkpoint_every``
-steps, ``final/``, and ``loss_curve.json``:
+steps, ``final/``, and ``loss_curve.json``. Each ``step_<n>/`` is written
+by the run's one writer thread ("t2tbio-save"), with the rng state taken
+when it is handed over, while the next step draws its batch and runs
+``loss_and_grads``, which only reads the weights. The loop waits for the
+save before that step's ``optimizer_step``, the first call that writes the
+arenas, and before it writes ``final/`` on the calling thread; a step that
+raises waits for it too. So a run never returns or raises with a save in
+flight, and a save's error (``OSError``, ``CheckpointError``) reaches the
+caller as it was raised, at the first of those waits. The loss curve is
 ``{"curves": {source: [[step, loss], ...]}, "losses": [loss, ...]}``, where
 ``losses`` holds every step this call ran, in order. Corpora and task files
 are read, and ``loss_curve.json`` written, through ``data_io``.
@@ -49,9 +60,11 @@ are read, and ``loss_curve.json`` written, through ``data_io``.
 from __future__ import annotations
 
 import ctypes
+import functools
 import logging
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -59,10 +72,12 @@ import numpy as np
 
 from . import data_io, worker
 from .checkpoint import (
+    arena_of,
     check_model,
     layout,
     load_checkpoint,
     load_optimizer,
+    page_aligned,
     save_checkpoint,
     tensor_at,
     views,
@@ -224,18 +239,16 @@ def arena(tensors: dict[str, np.ndarray]) -> np.ndarray:
     ``checkpoint.views``: the layout of the checkpoint blobs.
 
     Unless every value already is the view ``views`` places at its name in
-    one flat array that they cover, the tensors are copied into a new one
-    and the dict's values are rebound to its views."""
-    shapes = {name: t.shape for name, t in tensors.items()}
-    size, first = sum(t.size for t in tensors.values()), next(iter(tensors.values()))
-    flat = first.base
-    if flat is not None and flat.ndim == 1 and flat.size == size:
-        placed = views(flat, shapes)
-        # each value has its view's address, shape, strides, dtype and writability
-        if all(t.__array_interface__ == placed[name].__array_interface__ for name, t in tensors.items()):
-            return flat
-    flat = np.empty(size, first.dtype)
-    placed = views(flat, shapes)
+    one flat array that they cover (``checkpoint.arena_of``), the tensors are
+    copied into a new one that starts on a page boundary, so that
+    ``save_checkpoint`` writes it with direct I/O, and the dict's values are
+    rebound to its views."""
+    flat = arena_of(tensors)
+    if flat is not None:
+        return flat
+    first = next(iter(tensors.values()))
+    flat = np.frombuffer(page_aligned(sum(t.size for t in tensors.values()) * first.itemsize), first.dtype)
+    placed = views(flat, {name: t.shape for name, t in tensors.items()})
     for name, t in tensors.items():
         placed[name][...] = t
     tensors.update(placed)
@@ -416,37 +429,54 @@ def _train(
     g = np.empty_like(p)
     grads = views(g, shapes)
     if moments is None:  # no step has run: the moments start at zero
-        moments = np.zeros((2, p.size), p.dtype)
+        moments = np.frombuffer(page_aligned(2 * p.nbytes), p.dtype).reshape(2, -1)
+        moments.fill(0)
     m, v = moments
 
-    def save(tag: str, step: int) -> None:
-        if out_dir is not None:  # a step-0 checkpoint holds no moments
-            save_checkpoint(os.path.join(out_dir, tag), params, model_cfg, moments if step else None,
-                            rng.getstate(), step)
+    def save(tag: str, step: int) -> functools.partial:
+        """The ``save_checkpoint`` call that writes the state at ``step`` as
+        ``tag``, with the rng state of now (a step-0 checkpoint holds no
+        moments)."""
+        return functools.partial(save_checkpoint, os.path.join(out_dir, tag), params, model_cfg,
+                                 moments if step else None, rng.getstate(), step)
 
     names, weights = [e.name for e in sources], [e.weight for e in sources]
     result = TrainResult(params=params, loss_curves={n: [] for n in names})
-    with _freed_memory_kept():
-        for step in range(start_step, train_cfg.num_steps):
-            i = weighted_index(rng, weights)
-            pool = pools[i]
-            batch = make_batch([make(rng, pool[rng.next_below(len(pool))]) for _ in range(train_cfg.batch_size)],
-                               ensure_eos=False)
-            try:
-                loss, _ = loss_and_grads(params, model_cfg, batch, out=grads)
-                optimizer_step(p, g, m, v, step + 1, lr)
-            except NonFiniteUpdate as e:
-                name = tensor_at(layout(model_cfg)[0], e.at * p.itemsize)
-                raise ModelError(f"step {step}: non-finite Adam update in tensor {name}") from e
-            except ModelError as e:
-                raise ModelError(f"step {step}: {e}") from e
-            result.losses.append(loss)
-            result.loss_curves[names[i]].append((step, loss))
-            log.info("step=%d task=%s loss=%.6f", step, names[i], loss)
-            if train_cfg.checkpoint_every and (step + 1) % train_cfg.checkpoint_every == 0:
-                save(f"step_{step + 1:06d}", step + 1)
-    save("final", train_cfg.num_steps)
+    every = train_cfg.checkpoint_every if out_dir is not None else 0  # steps per periodic save, 0 for none
+    saving = None  # the writer's future for the periodic save in flight
+
+    def saved() -> None:
+        """Wait for the save in flight, if any; its error is raised here."""
+        nonlocal saving
+        if saving is not None:
+            done, saving = saving, None
+            done.result()
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="t2tbio-save") as writer, _freed_memory_kept():
+        try:
+            for step in range(start_step, train_cfg.num_steps):
+                i = weighted_index(rng, weights)
+                pool = pools[i]
+                batch = make_batch([make(rng, pool[rng.next_below(len(pool))])
+                                    for _ in range(train_cfg.batch_size)], ensure_eos=False)
+                try:
+                    loss, _ = loss_and_grads(params, model_cfg, batch, out=grads)
+                    saved()  # the save reads the arenas that the Adam step writes
+                    optimizer_step(p, g, m, v, step + 1, lr)
+                except NonFiniteUpdate as e:
+                    name = tensor_at(layout(model_cfg)[0], e.at * p.itemsize)
+                    raise ModelError(f"step {step}: non-finite Adam update in tensor {name}") from e
+                except ModelError as e:
+                    raise ModelError(f"step {step}: {e}") from e
+                result.losses.append(loss)
+                result.loss_curves[names[i]].append((step, loss))
+                log.info("step=%d task=%s loss=%.6f", step, names[i], loss)
+                if every and (step + 1) % every == 0:
+                    saving = writer.submit(save(f"step_{step + 1:06d}", step + 1))
+        finally:
+            saved()
     if out_dir is not None:
+        save("final", train_cfg.num_steps)()
         curves = {n: [[s, x] for s, x in curve] for n, curve in result.loss_curves.items()}
         data_io.write_json(os.path.join(out_dir, "loss_curve.json"), {"curves": curves, "losses": result.losses})
     return result

@@ -1,5 +1,11 @@
-"""One worker thread beside the calling thread, for work off the critical path
-of a training step.
+"""One worker thread beside the calling thread, for the computation of a
+training step that is off its critical path.
+
+It is not the only thread a run starts: ``trainer._train`` writes each
+periodic checkpoint on a writer thread of its own while the next step
+computes. The saves do not come here, because the next step's forward
+hands its ``halves`` to this worker, and they would queue behind a write
+of 20-25 ms.
 
 A caller opens ``joined(size)`` and hands calls to the ``Jobs`` it yields;
 the worker runs them in the order they were handed over, and the block does

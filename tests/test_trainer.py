@@ -1,7 +1,13 @@
+import errno
 import hashlib
 import itertools
 import json
 import math
+import mmap
+import os
+import sys
+import threading
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -626,6 +632,56 @@ class TestCheckpointing:
             expected = b"".join(tensors[name].astype("<f4").tobytes() for name in sorted(tensors))
             assert (tmp_path / "ck" / blob).read_bytes() == expected
 
+    @pytest.mark.parametrize("case", ["arena", "separate tensors", "unaligned", "EINVAL", "short writes"])
+    def test_every_write_path_writes_the_same_bytes(self, tmp_path, monkeypatch, case):
+        """``weights.bin`` and ``optimizer.bin`` hold the same bytes whether
+        they are written with ``O_DIRECT`` from a page-aligned arena and
+        moments, from a page-aligned copy of separate tensors, through the
+        page cache from an arena and moments off a page boundary or from a
+        filesystem that rejects ``O_DIRECT``, or in writes shorter than asked
+        for. Both blobs have whole pages and a last partial page."""
+        cfg = small_cfg(31)
+        params = init_params(cfg, seed=4)
+        m, v = {k: x + 0.5 for k, x in params.items()}, {k: x * x for k, x in params.items()}
+        opt = {f"m.{k}": x for k, x in m.items()} | {f"v.{k}": x for k, x in v.items()}
+        want = {blob: b"".join(tensors[name].astype("<f4").tobytes() for name in sorted(tensors))
+                for blob, tensors in (("weights.bin", params), ("optimizer.bin", opt))}
+        assert all(len(b) > checkpoint.PAGE and len(b) % checkpoint.PAGE for b in want.values())
+        shapes, n = {k: x.shape for k, x in params.items()}, sum(x.size for x in params.values())
+        if case == "unaligned":  # 4 bytes past a page boundary
+            flat, moments = (np.frombuffer(memoryview(np.empty(4 * k * n + 4, np.uint8)[4:]), np.float32)
+                             for k in (1, 2))
+            placed = views(flat, shapes)
+            for name, t in placed.items():
+                t[...] = params[name]
+            params, moments = placed, moments.reshape(2, n)
+            assert checkpoint.arena_of(params) is flat
+        else:
+            moments = np.frombuffer(checkpoint.page_aligned(8 * n), np.float32).reshape(2, n)
+            if case != "separate tensors":
+                arena(params)
+        moments[...] = adam_moments(params, m, v)
+        real_open, real_write, opened = os.open, os.write, []
+
+        def recording_open(path, flags, mode=0o777):
+            direct = bool(flags & checkpoint.O_DIRECT)
+            opened.append((os.path.basename(path), direct))
+            if direct and case == "EINVAL":
+                raise OSError(errno.EINVAL, os.strerror(errno.EINVAL), path)
+            return real_open(path, flags, mode)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        if case == "short writes":
+            monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[: checkpoint.PAGE]))
+        save_checkpoint(tmp_path / "ck", params, cfg, moments, rng_state=123, step=2)
+        for blob, data in want.items():
+            assert (tmp_path / "ck" / blob).read_bytes() == data, blob
+        direct = bool(checkpoint.O_DIRECT) and case != "unaligned"
+        assert dict(reversed(opened)) == {"weights.bin": direct, "optimizer.bin": direct}  # each blob's first open
+        if case == "EINVAL" and direct:
+            assert opened == [("weights.bin", True), ("weights.bin", False),
+                              ("optimizer.bin", True), ("optimizer.bin", False)]
+
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_the_moments_blob_is_the_one_array(self, tmp_path, dtype):
         """``optimizer.bin`` holds the little-endian bytes of the ``[2, n]``
@@ -1140,6 +1196,125 @@ class TestArenas:
         assert got is reordered and got.keys() == want.keys()
         assert all(got[name].tobytes() == want[name].tobytes() for name in want)
         assert flat.tobytes() == before.tobytes()  # the caller's array is not written
+
+
+    def test_the_arenas_and_the_loaded_buffers_start_on_a_page_boundary(self, tmp_path, monkeypatch):
+        """``arena``'s new flat array, the moments that ``_train`` starts at
+        zero and the buffer that ``_read_blob`` reads a blob into start on a
+        page boundary, so ``save_checkpoint`` writes them with direct I/O;
+        a resumed run's arenas are the loaded buffers."""
+        cfg, train = phase_fixture(tmp_path, "finetune")
+        seen = []
+        step = trainer.optimizer_step
+
+        def recording_step(p, g, m, v, t, lr):
+            seen.append((p, m))
+            step(p, g, m, v, t, lr)
+
+        monkeypatch.setattr(trainer, "optimizer_step", recording_step)
+        t_cfg = TrainConfig(num_steps=2, input_len=24, target_len=24, batch_size=2, checkpoint_every=1)
+        train(init_params(cfg, 0), t_cfg, "run")
+        train(None, t_cfg, "resumed", resume=str(tmp_path / "run" / "step_000001"))
+        params, _, manifest = load_checkpoint(tmp_path / "run" / "final")
+        arrays = [arena(init_params(cfg, 0)), *seen[0], *seen[-1], next(iter(params.values())).base,
+                  load_optimizer(tmp_path / "run" / "final", manifest)]
+        assert [a.ctypes.data % mmap.PAGESIZE for a in arrays] == [0] * 7
+
+
+def save_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("t2tbio-save")]
+
+
+class TestCheckpointWriter:
+    """``_train`` hands each periodic save to a writer thread, waits for it
+    before the next Adam step and never returns or raises with it running."""
+
+    @pytest.mark.parametrize("saved_at", [2, 4])
+    @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+    def test_a_failed_save_raises_its_own_error_before_the_next_adam_step(self, tmp_path, monkeypatch, phase,
+                                                                          saved_at):
+        """A periodic save whose directory is taken by a file raises the
+        writer's ``FileExistsError`` before the next Adam step, or before
+        ``final/`` when it is the last step's save."""
+        cfg, train = phase_fixture(tmp_path, phase)
+        tag = f"step_{saved_at:06d}"
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / tag).write_bytes(b"")
+        steps = []
+        step = trainer.optimizer_step
+
+        def recording_step(p, g, m, v, t, lr):
+            steps.append(t)
+            step(p, g, m, v, t, lr)
+
+        monkeypatch.setattr(trainer, "optimizer_step", recording_step)
+        t_cfg = TrainConfig(num_steps=4, input_len=24, target_len=24, batch_size=2, checkpoint_every=2)
+        with pytest.raises(FileExistsError) as info:
+            train(init_params(cfg, 0), t_cfg, "run")
+        assert info.value.filename == str(tmp_path / "run" / tag)
+        assert steps == list(range(1, saved_at + 1))
+        assert save_threads() == []
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["step_000002", "step_000004"][: saved_at // 2]
+
+    def test_each_periodic_checkpoint_holds_the_state_after_its_step(self, tmp_path, monkeypatch):
+        """With a slow save after every step and the interpreter switching
+        threads as often as it can, each ``step_<n>/`` holds the arenas as
+        they were after Adam step n: no Adam step writes them during a save."""
+        cfg, train = phase_fixture(tmp_path, "pretrain")
+        save, step, after = trainer.save_checkpoint, trainer.optimizer_step, {}
+
+        def slow_save(*args):
+            time.sleep(0.02)
+            save(*args)
+
+        def recording_step(p, g, m, v, t, lr):
+            step(p, g, m, v, t, lr)
+            after[t] = (p.tobytes(), m.tobytes() + v.tobytes())
+
+        monkeypatch.setattr(trainer, "save_checkpoint", slow_save)
+        monkeypatch.setattr(trainer, "optimizer_step", recording_step)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            train(init_params(cfg, 0),
+                  TrainConfig(num_steps=8, input_len=24, target_len=24, batch_size=2, checkpoint_every=1), "run")
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(after) == list(range(1, 9))
+        for t, (weights, moments) in after.items():
+            ckpt = tmp_path / "run" / f"step_{t:06d}"
+            assert (ckpt / "weights.bin").read_bytes() == weights, t
+            assert (ckpt / "optimizer.bin").read_bytes() == moments, t
+
+    @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+    def test_a_step_that_raises_during_a_save_leaves_it_complete(self, tmp_path, monkeypatch, phase):
+        cfg, train = phase_fixture(tmp_path, phase)
+        t_cfg = TrainConfig(num_steps=3, input_len=24, target_len=24, batch_size=2, checkpoint_every=2)
+        train(init_params(cfg, 0), t_cfg, "clean")
+        save, loss_and_grads, saving = trainer.save_checkpoint, trainer.loss_and_grads, threading.Event()
+
+        def slow_save(*args):
+            saving.set()
+            time.sleep(0.2)
+            save(*args)
+
+        def failing_third_step(*args, **kwargs):
+            if len(calls) == 2:
+                assert saving.wait(10)
+                raise ModelError("no gradient")
+            calls.append(None)
+            return loss_and_grads(*args, **kwargs)
+
+        calls = []
+        monkeypatch.setattr(trainer, "save_checkpoint", slow_save)
+        monkeypatch.setattr(trainer, "loss_and_grads", failing_third_step)
+        with pytest.raises(ModelError, match="^step 2: no gradient$"):
+            train(init_params(cfg, 0), t_cfg, "run")
+        assert save_threads() == []
+        load_checkpoint(tmp_path / "run" / "step_000002")
+        for part in ("manifest.json", "weights.bin", "optimizer.bin"):
+            want = (tmp_path / "clean" / "step_000002" / part).read_bytes()
+            assert (tmp_path / "run" / "step_000002" / part).read_bytes() == want, part
 
 
 class TestLoadedLayout:
