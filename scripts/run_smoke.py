@@ -27,7 +27,7 @@ OUT = os.path.join(ROOT, "runs", "smoke")
 def commands(out: str) -> list[list[str]]:
     """The argv of each CLI stage, in order, writing under ``out``; finetune
     reads ``<out>/config.json``, which ``main`` writes once the vocabulary exists."""
-    vocab_path = os.path.join(out, "vocab.txt")
+    vocab_path = os.path.join(out, "vocab.json")
     train_path = os.path.join(out, "train.jsonl")
     preds_path = os.path.join(out, "preds.jsonl")
     return [
@@ -64,7 +64,7 @@ def commands(out: str) -> list[list[str]]:
 
 
 def write_config(out: str) -> None:
-    vocab_path = os.path.join(out, "vocab.txt")
+    vocab_path = os.path.join(out, "vocab.json")
     config = {
         "seed": 0,
         "out_dir": os.path.join(out, "run"),

@@ -12,6 +12,8 @@ the objective. The vocabulary bounds the spans: at most ``num_sentinels - 1``,
 since the final sentinel closes every target. The caller passes each sample's
 seed. ``max_spans`` and ``max_target_len`` give the worst case for a window
 length, which ``trainer.pretrain`` checks before its first step.
+``write_shard`` lays out a shard's records and manifest; ``data_io`` writes
+them to disk.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data_io import write_json
+from .data_io import write_json, write_lines
 from .errors import ConfigError, CorruptionError
 from .rng import SplitMix64
 from .vocab import EOS_ID, PAD_ID, Vocabulary
@@ -153,15 +155,9 @@ def _runs(masked: np.ndarray) -> list[tuple[int, int]]:
 def write_shard(path, examples: list[CorruptionExample], cfg: SpanCorruptionConfig, seed: int) -> None:
     """Line-delimited "INPUT<TAB>TARGET" records of space-joined decimal ids,
     plus a ``<path>.manifest.json`` sidecar recording the config, the base
-    seed and the count."""
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            f.write(
-                " ".join(str(i) for i in ex.input_ids)
-                + "\t"
-                + " ".join(str(i) for i in ex.target_ids)
-                + "\n"
-            )
+    seed and the count, both written by ``data_io``."""
+    write_lines(path, (" ".join(map(str, ex.input_ids)) + "\t" + " ".join(map(str, ex.target_ids))
+                       for ex in examples))
     manifest = {
         "format": SHARD_FORMAT,
         "config": {**asdict(cfg), "seed": seed},

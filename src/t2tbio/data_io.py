@@ -3,12 +3,16 @@ and typed records.
 
 Readers are total over arbitrary byte streams: they either return parsed
 records or raise DataFormatError with the path and line number; they never
-crash with an undeclared exception type. ``read_lines`` holds the one rule
-for splitting a text file into lines. ``read_json``/``read_jsonl`` and
-``write_json`` hold the one rule for parsing and for writing every JSON and
-JSONL artifact. ``json_value`` holds the one rule for a JSON value's type,
-which run configs, checkpoint manifests, TaskExample records and the gold
-fields a report reads are all checked by;
+crash with an undeclared exception type. ``read_text`` and ``write_lines``
+are the package's only way to read and to write a text file: only the
+checkpoint blobs, which ``checkpoint`` reads and writes as bytes, bypass
+them. ``read_lines`` holds the one rule for splitting a text file into
+lines. ``parse_json``/``read_json``/``read_jsonl`` and ``write_json`` hold
+the one rule for parsing and for writing every JSON and JSONL artifact:
+run configs, checkpoint and shard manifests, vocabularies, TaskExample and
+prediction files. ``json_value`` holds the one rule for a JSON value's type,
+which run configs, checkpoint manifests, vocabulary files, TaskExample
+records and the gold fields a report reads are all checked by;
 ``read_record`` builds a dataclass from a JSON object through it, checking
 each value against its field's type. This is the bottom file layer:
 from the package it imports only ``errors`` and ``task_codec``. The repo ships
@@ -53,7 +57,9 @@ def read_lines(path) -> list[str]:
     return lines
 
 
-def _parse_json(text: str, path, line: int | None = None):
+def parse_json(text: str, path, line: int | None = None):
+    """The JSON value ``text`` holds; DataFormatError naming ``path`` (and
+    ``line``, if given) if it is not JSON."""
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as e:  # also an integer beyond Python's digit limit, or deep nesting
@@ -63,26 +69,32 @@ def _parse_json(text: str, path, line: int | None = None):
 def read_json(path):
     """The JSON document that makes up the file; DataFormatError naming the
     path if it cannot be read or parsed."""
-    return _parse_json(read_text(path), path)
+    return parse_json(read_text(path), path)
 
 
 def read_jsonl(path):
     """(line number, object) for each non-blank line of a JSONL file."""
     for lineno, line in enumerate(read_lines(path), start=1):
         if line.strip():
-            record = _parse_json(line, path, lineno)
+            record = parse_json(line, path, lineno)
             if not isinstance(record, dict):
                 raise DataFormatError("record must be an object", path=str(path), line=lineno)
             yield lineno, record
+
+
+def write_lines(path, lines) -> None:
+    """Write the file at ``path`` as UTF-8 text, each of ``lines`` followed
+    by a newline. Every text artifact the package writes is written here."""
+    with open(path, "w", encoding="utf-8") as f:
+        for line in lines:
+            f.write(line + "\n")
 
 
 def write_json(path, *docs, indent: int | None = None) -> None:
     """Write each of ``docs`` as JSON with sorted keys, a newline after each:
     one document makes a JSON file, one per record a JSONL file."""
     encoder = json.JSONEncoder(indent=indent, sort_keys=True)  # json.dumps would build one per doc
-    with open(path, "w", encoding="utf-8") as f:
-        for doc in docs:
-            f.write(encoder.encode(doc) + "\n")
+    write_lines(path, map(encoder.encode, docs))
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +102,14 @@ def write_json(path, *docs, indent: int | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def read_conll_ner(path, diagnostics: dict | None = None) -> list[tuple[list[str], list[EntitySpan]]]:
+def read_conll_ner(path) -> list[tuple[list[str], list[EntitySpan]]]:
     """Token-per-line BIO file with blank-line sentence separators.
 
     Columns are separated by ASCII spaces and tabs
     (``task_codec.split_fields``), and a line with none is a sentence break.
     The token is the first column, the tag the last.
     An I- tag without a preceding B- of the same type is healed to a span
-    start (counted under ``healed_i_tags`` in ``diagnostics``).
+    start.
     """
     sentences: list[tuple[list[str], list[EntitySpan]]] = []
     words: list[str] = []
@@ -105,7 +117,7 @@ def read_conll_ner(path, diagnostics: dict | None = None) -> list[tuple[list[str
 
     def flush():
         if words:
-            sentences.append((list(words), _bio_to_spans(tags, diagnostics)))
+            sentences.append((list(words), _bio_to_spans(tags)))
             words.clear()
             tags.clear()
 
@@ -127,7 +139,7 @@ def read_conll_ner(path, diagnostics: dict | None = None) -> list[tuple[list[str
     return sentences
 
 
-def _bio_to_spans(tags: list[str], diagnostics: dict | None) -> list[EntitySpan]:
+def _bio_to_spans(tags: list[str]) -> list[EntitySpan]:
     spans: list[EntitySpan] = []
     start: int | None = None
     current_type: str | None = None
@@ -149,8 +161,6 @@ def _bio_to_spans(tags: list[str], diagnostics: dict | None) -> list[EntitySpan]
             if start is None or current_type != t:
                 close(i - 1)
                 start, current_type = i, t
-                if diagnostics is not None:
-                    diagnostics["healed_i_tags"] = diagnostics.get("healed_i_tags", 0) + 1
     close(len(tags) - 1)
     return spans
 
@@ -184,13 +194,12 @@ def read_tsv_pairs(path, columns: list[str]) -> list[dict[str, str]]:
 # ---------------------------------------------------------------------------
 
 
-def read_qa_json(path, diagnostics: dict | None = None) -> list[QAExample]:
+def read_qa_json(path) -> list[QAExample]:
     """Factoid QA JSON: {"questions": [{id, body, snippets, exact_answer}]}.
 
     Snippets may be plain strings or {"text": ...} objects; exact answers may
     be a string, a list, or a list of synonym lists (flattened). Questions with
-    no snippets are skipped with a warning count; duplicate ids merge snippet
-    and answer lists.
+    no snippets are skipped; duplicate ids merge snippet and answer lists.
     """
     payload = read_json(path)
     if isinstance(payload, dict):
@@ -232,8 +241,6 @@ def read_qa_json(path, diagnostics: dict | None = None) -> list[QAExample]:
     for qid in order:
         slot = merged[qid]
         if not slot["snippets"]:
-            if diagnostics is not None:
-                diagnostics["skipped_no_snippets"] = diagnostics.get("skipped_no_snippets", 0) + 1
             continue
         if not slot["answers"]:
             raise DataFormatError(f"question {qid!r} has no gold answers", path=str(path))

@@ -3,10 +3,12 @@ sample-average F1 for multi-label documents, and lenient accuracy for QA.
 
 Zero-division convention throughout: precision or recall with an empty
 denominator is 0, and a document whose gold and predicted label sets are both
-empty scores a per-document F1 of 1. Lenient accuracy uses a deterministic
-normalized-string-match protocol (lowercase, strip punctuation, collapse
-whitespace, drop leading articles) in place of human assessment; reports carry
-the protocol name so the numbers are never mistaken for expert-scored ones.
+empty scores a per-document F1 of 1. Every metric raises MetricsError on an
+empty list, which has no score, not a score of 0. Lenient accuracy uses a
+deterministic normalized-string-match protocol (lowercase, strip punctuation,
+collapse whitespace, drop leading articles) in place of human assessment;
+reports carry the protocol name so the numbers are never mistaken for
+expert-scored ones.
 """
 
 from __future__ import annotations
@@ -100,6 +102,8 @@ def entity_prf(
     """
     if len(gold) != len(pred):
         raise MetricsError(f"gold has {len(gold)} sentences, pred has {len(pred)}")
+    if not gold:
+        raise MetricsError("cannot score an empty list")
     tp = fp = fn = 0
     for g_spans, p_spans in zip(gold, pred):
         g = Counter((s.start_word, s.end_word, s.entity_type) for s in g_spans)
@@ -128,6 +132,8 @@ def classification_f1(
     """
     if len(gold) != len(pred):
         raise MetricsError(f"gold has {len(gold)} labels, pred has {len(pred)}")
+    if not gold:
+        raise MetricsError("cannot score an empty list")
     if positive_classes is None:
         positive_classes = list(classes)
     per_class: dict[str, ClassMetrics] = {}

@@ -24,6 +24,12 @@ Under that invariant greedy longest-match never crosses a word, a text's ids
 are the concatenation of its words' ids, and ``encode`` memoizes them per
 word. ``Vocabulary`` rejects a learned piece that breaks the invariant, so a
 vocabulary loaded from a file keeps it too.
+
+A vocabulary file is one JSON document, ``{"format": "t2tbio-vocab v2",
+"num_sentinels": k, "pieces": [...]}`` with the pieces in id order, one a
+line. ``data_io`` writes and reads it by the rules every JSON file of the
+package follows, ``read_record`` checking its keys and types; JSON's escapes
+carry any piece. The size is the number of pieces.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import VocabError
+from .data_io import parse_json, read_record, read_text, write_json
+from .errors import ConfigError, DataFormatError, VocabError
 
 PAD_ID = 0
 EOS_ID = 1
@@ -51,12 +58,9 @@ BOUNDARY = "\ue000"
 # Words whose ids one Vocabulary keeps; the memo is emptied when it fills.
 ENCODE_MEMO_MAX = 1 << 16
 
-VOCAB_HEADER_RE = re.compile(r"^t2tbio-vocab v1 size=(\d+) sentinels=(\d+)$")
-_HEADER_MAX = 64  # characters of the header line read, its newline included
-_HEADER_ECHO = 20  # characters of a bad header its error repeats
+VOCAB_FORMAT = "t2tbio-vocab v2"
 _SENTINEL_RE = re.compile(r"^<extra_id_(\d+)>$")
-_ESCAPE_RE = re.compile(r"\\([nr\\])")  # the escapes _escape writes
-_UNESCAPES = {"n": "\n", "r": "\r", "\\": "\\"}
+_SURROGATE_PAIR_RE = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
 def sentinel_piece(k: int) -> str:
@@ -84,6 +88,8 @@ class Vocabulary:
     _memo: dict[str, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.num_sentinels < 0:
+            raise VocabError("num_sentinels must be non-negative")
         if len(self.pieces) < 3 + self.num_sentinels:
             raise VocabError("vocabulary too small for specials and sentinels")
         if self.pieces[:3] != (PAD_PIECE, EOS_PIECE, UNK_PIECE):
@@ -289,43 +295,41 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
     return Vocabulary(pieces=tuple(pieces), num_sentinels=num_sentinels)
 
 
-def _escape(piece: str) -> str:
-    return piece.replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r")
+@dataclass(frozen=True)
+class _VocabDocument:
+    """A vocabulary file's JSON document, read by ``data_io.read_record``."""
 
+    format: str
+    num_sentinels: int
+    pieces: list[str]
 
-def _unescape(line: str) -> str:
-    return _ESCAPE_RE.sub(lambda m: _UNESCAPES[m[1]], line)
+    def __post_init__(self):
+        if self.format != VOCAB_FORMAT:
+            raise ConfigError(f"format: unknown format {self.format!r}, expected {VOCAB_FORMAT!r}")
 
 
 def save_vocab(v: Vocabulary, path) -> None:
-    """Write 't2tbio-vocab v1' format: header line, then one piece per id.
-
-    Newlines/CRs/backslashes inside pieces are backslash-escaped so the file
-    stays strictly line-oriented.
-    """
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"t2tbio-vocab v1 size={v.size} sentinels={v.num_sentinels}\n")
-        for piece in v.pieces:
-            f.write(_escape(piece) + "\n")
+    """Write ``v`` to ``path`` as a vocabulary file (see the module docstring).
+    A piece holding a high surrogate and then a low one raises VocabError,
+    since JSON reads the two back as the one character they encode."""
+    paired = [i for i, p in enumerate(v.pieces) if _SURROGATE_PAIR_RE.search(p)]
+    if paired:
+        raise VocabError(f"{path}: pieces[{paired[0]}] holds a surrogate pair, which JSON reads back as one character")
+    write_json(path, {"format": VOCAB_FORMAT, "num_sentinels": v.num_sentinels, "pieces": v.pieces}, indent=1)
 
 
 def load_vocab(path) -> Vocabulary:
     """The vocabulary in the file at ``path``. An error names the path, and
-    for a rule that one piece breaks, the line of that piece."""
+    for a rule that one piece breaks, that piece as ``pieces[i]``."""
     try:
-        with open(path, encoding="utf-8") as f:
-            # pieces always follow the header, so a valid one ends in a
-            # newline; a line cut short by the cap does not
-            header = f.readline(_HEADER_MAX)
-            m = VOCAB_HEADER_RE.match(header[:-1]) if header.endswith("\n") else None
-            if not m:
-                raise VocabError(f"bad vocabulary header starting {header[:_HEADER_ECHO]!r}")
-            size, sentinels = int(m.group(1)), int(m.group(2))
-            pieces = [_unescape(line.rstrip("\n")) for line in f]
-        if len(pieces) != size:
-            raise VocabError(f"vocabulary file lists {len(pieces)} pieces, header says {size}")
-        return Vocabulary(pieces=tuple(pieces), num_sentinels=sentinels)
-    except ValueError as e:  # not UTF-8, or a count past int's digit limit
+        text = read_text(path)
+        if text.startswith("t2tbio-vocab v1 "):
+            raise VocabError("a t2tbio-vocab v1 text file, which this version no longer reads: run vocab-train again")
+        doc = read_record(_VocabDocument, parse_json(text, path), "")
+        return Vocabulary(pieces=tuple(doc.pieces), num_sentinels=doc.num_sentinels)
+    except DataFormatError as e:  # cannot be read, not UTF-8 or not JSON; the message names the path
+        raise VocabError(str(e)) from e
+    except ConfigError as e:  # a key missing, unknown or of the wrong type, or another format
         raise VocabError(f"{path}: {e}") from e
-    except VocabError as e:  # piece i is on line i + 2, after the header
-        raise VocabError(f"{path}: {e}" if e.piece_id is None else f"{path}:{e.piece_id + 2}: {e}") from e
+    except VocabError as e:
+        raise VocabError(f"{path}: {e}" if e.piece_id is None else f"{path}: pieces[{e.piece_id}]: {e}") from e

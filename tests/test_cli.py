@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import t2tbio
-from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, build_parser, load_config, run
+from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, TASK_TYPES, build_parser, load_config, run
 from t2tbio.checkpoint import layout, load_checkpoint, save_checkpoint
 from t2tbio.corruption import SpanCorruptionConfig
 from t2tbio.data_io import read_task_examples
@@ -184,9 +184,14 @@ class TestVocabAndCorrupt:
         assert v.num_sentinels == 16
 
     def test_vocab_train_output_bytes_are_pinned(self, trained_vocab):
-        # any change to the merge order or tie-break changes these bytes
+        # any change to the merge order or tie-break changes the pieces; the
+        # pieces' digest is the one the t2tbio-vocab v1 text file held too
+        pieces = load_vocab(trained_vocab).pieces
+        assert hashlib.sha256("\n".join(pieces).encode("utf-8")).hexdigest() == (
+            "3a6cb101874b1fb5f9c34d443c7722321a0228017c69d1a3dcd9d1fb7a3bc417")
+        # and any change to the file's layout changes these bytes
         digest = hashlib.sha256(trained_vocab.read_bytes()).hexdigest()
-        assert digest == "3c4d91abae1d18eac29d84da6fb966589b9c12654b03ab7917b4efe598001c41"
+        assert digest == "34d0d47e4f71502ed1d3efa69703468d3e0b3a84949cde3b60476e83cecd5a62"
 
     def test_corrupt_rate_zero(self, tmp_path, fixtures_dir, trained_vocab):
         out = tmp_path / "shard.tsv"
@@ -588,6 +593,15 @@ class TestEvaluate:
         rc = run(["evaluate", "--task-type", "ner", "--pred", str(preds), "--gold", str(gold)])
         assert rc == EXIT_DATA_ERROR
         assert f"{gold}: gold record 1: a ner report needs 'spans' of type list[tuple[int, int, str]]" in caplog.text
+
+    @pytest.mark.parametrize("task_type", TASK_TYPES)
+    def test_empty_files_have_no_score(self, tmp_path, caplog, task_type):
+        gold, preds = tmp_path / "gold.jsonl", tmp_path / "preds.jsonl"
+        gold.write_text("", encoding="utf-8")
+        preds.write_text("", encoding="utf-8")
+        argv = ["evaluate", "--task-type", task_type, "--pred", str(preds), "--gold", str(gold), "--floor", "f1=0"]
+        assert run(argv) == EXIT_DATA_ERROR
+        assert caplog.records[-1].getMessage().endswith("cannot score an empty list")
 
     def test_a_label_stdout_cannot_encode_is_printed_escaped(self, tmp_path):
         # a lone surrogate is a valid JSON escape but no UTF-8 text
@@ -1043,15 +1057,29 @@ class TestErrorsNameTheirFiles:
         assert caplog.records[-1].getMessage() == f"{tmp_path / 'config.json'}: config needs vocab_path for {command}"
 
     def test_a_vocabulary_piece_spanning_a_word_boundary(self, tmp_path):
-        vocab = tmp_path / "bad_vocab.txt"
+        vocab = tmp_path / "bad_vocab.json"
         pieces = ["<pad>", "</s>", "<unk>", BOUNDARY, "a", "b", "a" + BOUNDARY + "b"]
-        vocab.write_text(f"t2tbio-vocab v1 size={len(pieces)} sentinels=0\n" + "\n".join(pieces) + "\n",
+        vocab.write_text(json.dumps({"format": "t2tbio-vocab v2", "num_sentinels": 0, "pieces": pieces}),
                          encoding="utf-8")
         (tmp_path / "c.txt").write_text("a b\n", encoding="utf-8")
         proc = run_entry_point(["corrupt", "--vocab", str(vocab), "--in", str(tmp_path / "c.txt"),
                                 "--out", str(tmp_path / "s.tsv")])
         assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
-        assert f"{vocab}:8: learned piece 'a\\ue000b' holds a word boundary past its first character" in proc.stderr
+        assert (f"{vocab}: pieces[6]: learned piece 'a\\ue000b' holds a word boundary past its first character"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "s.tsv").exists()
+
+    def test_a_v1_vocabulary_text_file(self, tmp_path):
+        vocab = tmp_path / "v1_vocab.txt"
+        pieces = ["<pad>", "</s>", "<unk>", BOUNDARY, "a", "b", "<extra_id_0>"]
+        vocab.write_text(f"t2tbio-vocab v1 size={len(pieces)} sentinels=1\n" + "\n".join(pieces) + "\n",
+                         encoding="utf-8")
+        (tmp_path / "c.txt").write_text("a b\n", encoding="utf-8")
+        proc = run_entry_point(["corrupt", "--vocab", str(vocab), "--in", str(tmp_path / "c.txt"),
+                                "--out", str(tmp_path / "s.tsv")])
+        assert proc.returncode == EXIT_DATA_ERROR, proc.stderr
+        assert f"{vocab}: a t2tbio-vocab v1 text file, which this version no longer reads" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "s.tsv").exists()
 

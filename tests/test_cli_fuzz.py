@@ -61,8 +61,8 @@ NO_FILE_NAME = st.sampled_from(["\x00", "o\x00ut", "\ud800"])
 SMALL_VALUE = (ODD_TEXT | NO_FILE_NAME | st.none() | st.booleans() | SMALL_INT | st.floats()
                | st.lists(SMALL_INT | ODD_TEXT, max_size=3)
                | st.dictionaries(st.text(max_size=4), SMALL_INT | ODD_TEXT, max_size=2))
-# characters a line may gain: a column or tag separator, a vocabulary escape,
-# a lone surrogate (no UTF-8 then), a BIO prefix, a reserved piece
+# characters a line may gain: a column or tag separator, a JSON escape, quote
+# or bracket, a lone surrogate (no UTF-8 then), a BIO prefix, a reserved piece
 INSERTED = st.sampled_from(["\t", " ", "\\", "\ud800", "\r", "B-", "I-", "O", "<extra_id_0>", "", '"', "{"])
 DEPTH = 5000  # brackets: beyond the JSON decoder's recursion limit
 

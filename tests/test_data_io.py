@@ -15,7 +15,7 @@ from t2tbio.data_io import (
     write_task_examples,
 )
 from t2tbio.errors import ConfigError, DataFormatError, T2TBioError
-from t2tbio.task_codec import EntitySpan, TaskExample
+from t2tbio.task_codec import EntitySpan, QAExample, TaskExample
 
 
 # every separator ``str.splitlines`` breaks at besides the three line ends
@@ -73,18 +73,12 @@ class TestConllReader:
     def test_orphan_i_tag_healed(self, tmp_path):
         path = tmp_path / "heal.conll"
         path.write_text("word\tI-Disease\nnext\tO\n", encoding="utf-8")
-        diags = {}
-        sentences = read_conll_ner(path, diagnostics=diags)
-        assert sentences[0][1] == [EntitySpan(0, 0, "Disease")]
-        assert diags["healed_i_tags"] == 1
+        assert read_conll_ner(path) == [(["word", "next"], [EntitySpan(0, 0, "Disease")])]
 
     def test_i_tag_type_switch_healed(self, tmp_path):
         path = tmp_path / "heal2.conll"
         path.write_text("a\tB-Gene\nb\tI-Disease\n", encoding="utf-8")
-        diags = {}
-        sentences = read_conll_ner(path, diagnostics=diags)
-        assert sentences[0][1] == [EntitySpan(0, 0, "Gene"), EntitySpan(1, 1, "Disease")]
-        assert diags["healed_i_tags"] == 1
+        assert read_conll_ner(path) == [(["a", "b"], [EntitySpan(0, 0, "Gene"), EntitySpan(1, 1, "Disease")])]
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.conll"
@@ -170,10 +164,7 @@ class TestQaReader:
             ),
             encoding="utf-8",
         )
-        diags = {}
-        questions = read_qa_json(path, diagnostics=diags)
-        assert len(questions) == 1
-        assert diags["skipped_no_snippets"] == 1
+        assert read_qa_json(path) == [QAExample(question="q2", snippets=("s",), gold_answers=("y",))]
 
     def test_duplicate_ids_merge_snippets(self, tmp_path):
         path = tmp_path / "qa.json"

@@ -247,3 +247,14 @@ def test_report_serialization_round_trip():
     assert payload["f1"] == 2 / 3
     table = report.format_table()
     assert "precision" in table and "0.5000" in table
+
+
+@pytest.mark.parametrize(
+    "score",
+    [lambda: entity_prf([], []), lambda: classification_f1([], [], ["x"]), lambda: accuracy([], []),
+     lambda: sample_average_f1([], []), lambda: lenient_accuracy([])],
+    ids=["entity_prf", "classification_f1", "accuracy", "sample_average_f1", "lenient_accuracy"],
+)
+def test_an_empty_list_has_no_score(score):
+    with pytest.raises(MetricsError, match="cannot score an empty list"):
+        score()

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 import threading
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t2tbio import vocab as vocab_module
+from t2tbio.data_io import read_json
 from t2tbio.errors import VocabError
 from t2tbio.rng import SplitMix64
 from t2tbio.vocab import (
@@ -162,65 +164,49 @@ def test_id_bijection():
 
 def test_save_load_round_trip(tmp_path):
     v = train_vocab(["the cat sat on the mat", "a cat"], target_size=50, num_sentinels=8)
-    path = tmp_path / "vocab.txt"
+    path = tmp_path / "vocab.json"
     save_vocab(v, path)
     loaded = load_vocab(path)
     assert loaded.pieces == v.pieces
     assert loaded.num_sentinels == v.num_sentinels
-    header = path.read_text(encoding="utf-8").splitlines()[0]
-    assert header == f"t2tbio-vocab v1 size={v.size} sentinels={v.num_sentinels}"
+    assert read_json(path) == {"format": "t2tbio-vocab v2", "num_sentinels": v.num_sentinels, "pieces": list(v.pieces)}
 
 
-# pieces built from the characters the file format escapes and their escape letters
-escape_prone_pieces = st.lists(
-    st.lists(st.sampled_from(["\\", "n", "r", "\n", "\r", "a", "b"]), min_size=1, max_size=8).map("".join),
+# pieces built from characters a text file or a JSON string treats specially:
+# line ends, backslashes and quotes, escape letters, the word-boundary marker
+# (which a learned piece may hold only first), a character beyond the BMP and
+# lone surrogates, which UTF-8 cannot encode but a JSON escape can
+piece_characters = st.sampled_from(["\\", "n", "r", "u", "\n", "\r", '"', "\U0001F9EC", "\ud800", "\udfff", "a"])
+any_pieces = st.lists(
+    st.builds(lambda first, rest: first + "".join(rest), st.sampled_from(["", BOUNDARY]),
+              st.lists(piece_characters, min_size=1, max_size=8)),
     max_size=12,
     unique=True,
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(escape_prone_pieces)
-def test_save_load_round_trips_escaped_characters(tmp_path_factory, learned):
-    v = Vocabulary(pieces=(PAD_PIECE, EOS_PIECE, UNK_PIECE, *learned, sentinel_piece(0)), num_sentinels=1)
-    path = tmp_path_factory.getbasetemp() / "escaped_vocab.txt"  # rewritten by every example
+@given(any_pieces, st.integers(0, 3))
+def test_save_load_round_trips_any_piece(tmp_path_factory, learned, sentinels):
+    pieces = (PAD_PIECE, EOS_PIECE, UNK_PIECE, *learned, *(sentinel_piece(k) for k in reversed(range(sentinels))))
+    v = Vocabulary(pieces=pieces, num_sentinels=sentinels)
+    path = tmp_path_factory.getbasetemp() / "any_vocab.json"  # rewritten by every example
+    paired = [i for i, p in enumerate(pieces)
+              if any("\ud800" <= a <= "\udbff" and "\udc00" <= b <= "\udfff" for a, b in zip(p, p[1:]))]
+    if paired:  # JSON would read the pair back as the one character it encodes
+        with pytest.raises(VocabError, match=rf"pieces\[{paired[0]}\] holds a surrogate pair"):
+            save_vocab(v, path)
+        return
     save_vocab(v, path)
-    assert load_vocab(path) == v
+    loaded = load_vocab(path)
+    assert (loaded.pieces, loaded.num_sentinels) == (v.pieces, v.num_sentinels)
 
 
-def test_load_rejects_bad_header(tmp_path):
-    path = tmp_path / "vocab.txt"
-    path.write_text("not a vocab\nx\n", encoding="utf-8")
-    with pytest.raises(VocabError, match="bad vocabulary header"):
-        load_vocab(path)
-
-
-@pytest.mark.parametrize(
-    "content",
-    ["[" * 5000 + "\nx\n", "[" * (1 << 20)],
-    ids=["5000-bracket-line", "1MB-line-no-newline"],
-)
-def test_a_long_bad_header_is_not_echoed_whole(tmp_path, content):
-    path = tmp_path / "vocab.txt"
-    path.write_text(content, encoding="utf-8")
-    with pytest.raises(VocabError, match="bad vocabulary header") as info:
-        load_vocab(path)
-    assert len(str(info.value)) < 200
-
-
-def test_a_header_cut_by_the_read_cap_is_rejected(tmp_path):
-    # the first 64 characters would match the header pattern on their own
-    path = tmp_path / "vocab.txt"
-    path.write_text("t2tbio-vocab v1 size=3 sentinels=" + "0" * 100 + "\n<pad>\n</s>\n<unk>\n", encoding="utf-8")
-    with pytest.raises(VocabError, match="bad vocabulary header"):
-        load_vocab(path)
-
-
-def test_load_rejects_wrong_count(tmp_path):
-    path = tmp_path / "vocab.txt"
-    path.write_text("t2tbio-vocab v1 size=5 sentinels=0\n<pad>\n</s>\n<unk>\n", encoding="utf-8")
-    with pytest.raises(VocabError, match="lists 3 pieces"):
-        load_vocab(path)
+def test_a_trained_piece_holding_a_lone_surrogate_round_trips(tmp_path):
+    v = train_vocab(["ab\ud800c ab\ud800c"], 12, 2)
+    assert any("\ud800" in p and len(p) > 1 for p in v.learned_pieces())
+    save_vocab(v, tmp_path / "vocab.json")
+    assert load_vocab(tmp_path / "vocab.json") == v
 
 
 @pytest.mark.parametrize(
@@ -233,6 +219,11 @@ def test_load_rejects_unreadable_file_naming_it(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(VocabError, match="vocab.txt"):
         load_vocab(path)
+
+
+def test_a_negative_sentinel_count_is_rejected():
+    with pytest.raises(VocabError, match="num_sentinels must be non-negative"):
+        Vocabulary(pieces=("<pad>", "</s>", "<unk>", "a", "b"), num_sentinels=-1)
 
 
 def test_vocabulary_invariants_enforced():
@@ -360,30 +351,96 @@ def test_piece_spanning_a_boundary_is_rejected(piece):
 SPECIALS = ["<pad>", "</s>", "<unk>"]
 
 
+def write_vocab_document(path, doc) -> None:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
 @pytest.mark.parametrize(
-    "pieces, sentinels, line, message",
+    "pieces, sentinels, piece, message",
     [
-        pytest.param(SPECIALS + ["a", "b", "a"], 0, 7, "duplicate piece 'a'", id="duplicate"),
-        pytest.param(SPECIALS + ["a", "<extra_id_3>", "b"], 0, 6, "reserved string '<extra_id_3>' among learned pieces",
+        pytest.param(SPECIALS + ["a", "b", "a"], 0, 5, "duplicate piece 'a'", id="duplicate"),
+        pytest.param(SPECIALS + ["a", "<extra_id_3>", "b"], 0, 4, "reserved string '<extra_id_3>' among learned pieces",
                      id="reserved-string"),
-        pytest.param(SPECIALS + ["a", sentinel_piece(0), sentinel_piece(1)], 2, 7, "sentinel 0 must sit at id 5",
+        pytest.param(SPECIALS + ["a", sentinel_piece(0), sentinel_piece(1)], 2, 5, "sentinel 0 must sit at id 5",
                      id="misplaced-sentinel"),
-        pytest.param(SPECIALS + [BOUNDARY, "a", "b", "a" + BOUNDARY + "b"], 0, 8,
+        pytest.param(SPECIALS + [BOUNDARY, "a", "b", "a" + BOUNDARY + "b"], 0, 6,
                      "learned piece 'a\\ue000b' holds a word boundary past its first character", id="boundary"),
         pytest.param(SPECIALS, 1, None, "vocabulary too small for specials and sentinels", id="too-small"),
     ],
 )
-def test_load_names_the_path_and_the_line_of_a_broken_rule(tmp_path, pieces, sentinels, line, message):
-    """A piece's line is its id + 2, after the header; a rule of the whole
-    vocabulary names only the path."""
-    path = tmp_path / "vocab.txt"
-    path.write_text(f"t2tbio-vocab v1 size={len(pieces)} sentinels={sentinels}\n" + "\n".join(pieces) + "\n",
-                    encoding="utf-8")
+def test_load_names_the_path_and_the_piece_of_a_broken_rule(tmp_path, pieces, sentinels, piece, message):
+    """A rule that one piece breaks names it as ``pieces[i]``, i its id; a
+    rule of the whole vocabulary names only the path."""
+    path = tmp_path / "vocab.json"
+    write_vocab_document(path, {"format": "t2tbio-vocab v2", "num_sentinels": sentinels, "pieces": pieces})
     with pytest.raises(VocabError) as info:
         load_vocab(path)
-    assert str(info.value) == (f"{path}: {message}" if line is None else f"{path}:{line}: {message}")
-    if line is not None:  # the line named is the one that holds the piece
-        assert path.read_text(encoding="utf-8").splitlines()[line - 1] == pieces[line - 2]
+    assert str(info.value) == (f"{path}: {message}" if piece is None else f"{path}: pieces[{piece}]: {message}")
+
+
+VALID_DOCUMENT = {"format": "t2tbio-vocab v2", "num_sentinels": 1, "pieces": SPECIALS + ["a", sentinel_piece(0)]}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("pieces", "<pad> </s> <unk>", "pieces must be a JSON list"),
+        ("pieces", {"0": "<pad>"}, "pieces must be a JSON list"),
+        ("pieces", [*SPECIALS, 7, sentinel_piece(0)], "pieces[3]: expected a string, got 7"),
+        ("pieces", [*SPECIALS, None, sentinel_piece(0)], "pieces[3]: expected a string, got None"),
+        ("num_sentinels", -1, "num_sentinels must be non-negative"),
+        ("num_sentinels", True, "num_sentinels: expected an integer, got True"),
+        ("num_sentinels", 1.0, "num_sentinels: expected an integer, got 1.0"),
+        ("num_sentinels", None, "the document needs 'num_sentinels'"),  # None: the key is deleted
+        ("pieces", None, "the document needs 'pieces'"),
+        ("format", None, "the document needs 'format'"),
+        ("size", 5, "unknown key 'size' in the document"),
+        ("format", "t2tbio-vocab v1", "format: unknown format 't2tbio-vocab v1', expected 't2tbio-vocab v2'"),
+        ("format", 2, "format: expected a string, got 2"),
+    ],
+    ids=["pieces-string", "pieces-object", "pieces-number", "pieces-null", "negative-sentinels", "bool-sentinels",
+         "float-sentinels", "no-sentinels", "no-pieces", "no-format", "unknown-key", "other-format",
+         "number-format"],
+)
+def test_a_mutated_document_raises_vocab_error_naming_the_path(tmp_path, key, value, message):
+    path = tmp_path / "vocab.json"
+    doc = dict(VALID_DOCUMENT)
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    write_vocab_document(path, doc)
+    with pytest.raises(VocabError) as info:
+        load_vocab(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("doc", [[], "t2tbio-vocab v2", None], ids=["list", "string", "null"])
+def test_a_document_that_is_not_an_object_is_rejected(tmp_path, doc):
+    path = tmp_path / "vocab.json"
+    write_vocab_document(path, doc)
+    with pytest.raises(VocabError) as info:
+        load_vocab(path)
+    assert str(info.value) == f"{path}: the document must be a JSON object"
+
+
+def test_every_cut_of_a_saved_file_raises_vocab_error_naming_the_path(tmp_path):
+    path = tmp_path / "vocab.json"
+    save_vocab(Vocabulary(tuple(VALID_DOCUMENT["pieces"]), 1), path)
+    data = path.read_bytes()
+    for cut in range(len(data) - 1):  # the last byte is the newline after the document
+        path.write_bytes(data[:cut])
+        with pytest.raises(VocabError) as info:
+            load_vocab(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
+def test_a_v1_text_file_is_rejected_naming_its_format(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("t2tbio-vocab v1 size=4 sentinels=1\n<pad>\n</s>\n<unk>\n<extra_id_0>\n", encoding="utf-8")
+    with pytest.raises(VocabError) as info:
+        load_vocab(path)
+    assert str(info.value).startswith(f"{path}: a t2tbio-vocab v1 text file")
 
 
 @settings(max_examples=300, deadline=None)
