@@ -1,8 +1,9 @@
 """Checkpoint directory layout: manifest.json, weights.bin, optimizer.bin.
 
-The manifest, a ``Manifest`` read by ``data_io.read_record``, records the
-format, the model config, the step, the SplitMix64 rng state, the entries of
-each blob and, under ``runtime``, the process that wrote it. A blob entry is
+The manifest, a ``Manifest`` read by ``data_io.read_document`` under the
+format ``CHECKPOINT_FORMAT``, records the model config, the step, the
+SplitMix64 rng state, the entries of each blob and, under ``runtime``, the
+process that wrote it. A blob entry is
 a tensor's name, shape, little-endian dtype code, byte offset and byte count;
 the binary blobs are the raw tensor bytes concatenated in manifest order.
 ``views`` owns that layout: it lays tensors out in one flat array by
@@ -19,21 +20,21 @@ from ``load_optimizer`` to ``save_checkpoint``, which writes its bytes as
 ``views`` as the weights are, and every ``m.*`` name sorts before every
 ``v.*`` name, so the two rows are the halves of the blob.
 Another entry list, a blob of another size or a non-finite value raises
-``CheckpointError`` naming the blob, and a manifest that ``read_record`` or
-``Manifest`` rejects raises it naming ``manifest.json`` and the key. The
-format is checked first: a manifest of any format but ``CHECKPOINT_FORMAT``
-raises it naming ``manifest.json``, the key ``format`` and the value found.
+``CheckpointError`` naming the blob, and a manifest that ``read_document``
+or ``Manifest`` rejects raises it naming ``manifest.json`` and the key; a
+manifest of any other format is rejected by its ``format`` before any other
+key is read.
 ``save_checkpoint`` builds its ``Manifest`` and compares its tensors with
 the same entries before it writes or creates anything, so it cannot write a
 checkpoint that its loader rejects. Save/load round trips are bit-exact.
 
 ``save_checkpoint`` writes each blob from one buffer and the manifest last:
-``weights.bin`` straight from the flat array whose views the parameters
-are (``arena_of``), as the trainer's are, or else from a copy of them, and
-``optimizer.bin`` from the moments array. A buffer that starts on a page
-boundary is written with ``O_DIRECT`` (``_write_blob``), so the kernel
-copies none of it into the page cache, and ``page_aligned`` hands out such
-buffers: the trainer's weight arena and zero moments, and the buffers the
+``weights.bin`` from the parameters' ``packed`` array, which is the flat
+array whose views they are when they are such views (``arena_of``), as the
+trainer's are, and ``optimizer.bin`` from the moments array. A buffer that
+starts on a page boundary is written with ``O_DIRECT`` (``_write_blob``),
+so the kernel copies none of it into the page cache, and ``page_aligned``
+hands out such buffers: the trainer's weight arena and zero moments, and the buffers the
 loaders read blobs into, so a resumed run's saves are direct too. The last
 partial page of a blob, and the whole of it on a platform without
 ``O_DIRECT``, on a filesystem that rejects it or from a buffer off a page
@@ -67,7 +68,7 @@ try:
 except ImportError:  # not POSIX, so no O_DIRECT either
     fcntl = None
 
-from .data_io import read_json, read_record, write_json
+from .data_io import read_document, write_document
 from .errors import CheckpointError, ConfigError, DataFormatError
 from .model import ModelConfig, expected_shapes
 
@@ -85,11 +86,10 @@ WRITE_CHUNK = 16 << 20
 
 @dataclass(frozen=True)
 class Manifest:
-    """A checkpoint's ``manifest.json``: the model, the step the state is at,
-    the rng state after it, the entries of ``weights.bin`` and of
-    ``optimizer.bin`` and the writer's ``runtime``."""
+    """A checkpoint's ``manifest.json`` but for its ``format``: the model, the
+    step the state is at, the rng state after it, the entries of
+    ``weights.bin`` and of ``optimizer.bin`` and the writer's ``runtime``."""
 
-    format: str
     model: ModelConfig
     step: int
     rng_state: int
@@ -162,6 +162,21 @@ def arena_of(tensors: dict[str, np.ndarray]) -> np.ndarray | None:
     return None
 
 
+def packed(tensors: dict[str, np.ndarray], dtype=None) -> np.ndarray:
+    """One flat array of ``dtype`` (by default the tensors' own) whose views,
+    placed by ``views``, hold the values of ``tensors``: the one that they
+    already are views of (``arena_of``), if it is of ``dtype``, or else a new
+    one from ``page_aligned`` that they are copied into."""
+    flat = arena_of(tensors)
+    dtype = next(iter(tensors.values())).dtype if dtype is None else np.dtype(dtype)
+    if flat is not None and flat.dtype == dtype:
+        return flat
+    flat = np.frombuffer(page_aligned(sum(t.size for t in tensors.values()) * dtype.itemsize), dtype)
+    for name, t in views(flat, {name: t.shape for name, t in tensors.items()}).items():
+        t[...] = tensors[name]
+    return flat
+
+
 def page_aligned(nbytes: int) -> memoryview:
     """A new buffer of ``nbytes`` uninitialised bytes that starts on a page
     boundary, as ``O_DIRECT`` needs: a slice of one array a page longer,
@@ -201,19 +216,15 @@ def save_checkpoint(
             f"{moments.dtype}, expected {(2, n)} and {cfg.dtype}"
         )
     opt = [] if moments is None else moment_entries
-    manifest = Manifest(CHECKPOINT_FORMAT, cfg, step, rng_state, weights, opt, runtime())
+    manifest = Manifest(cfg, step, rng_state, weights, opt, runtime())
     os.makedirs(out_dir, exist_ok=True)
-    blob = arena_of(params)
-    if blob is None or blob.dtype != weights[0]["dtype"]:
-        blob = np.frombuffer(page_aligned(sum(e["nbytes"] for e in weights)), weights[0]["dtype"])
-        for name, t in views(blob, {e["name"]: e["shape"] for e in weights}).items():
-            t[...] = params[name]
-    _write_blob(os.path.join(out_dir, WEIGHTS_NAME), blob)
+    _write_blob(os.path.join(out_dir, WEIGHTS_NAME), packed(params, weights[0]["dtype"]))
     _write_blob(os.path.join(out_dir, OPTIMIZER_NAME),
                 np.ascontiguousarray(moments, opt[0]["dtype"]) if opt else np.empty(0, np.uint8))
     # the fields as they are, not asdict's deep copy of every entry, which
     # took 2.8 ms of a medium save's 7.7 ms of CPU time
-    write_json(os.path.join(out_dir, MANIFEST_NAME), vars(manifest) | {"model": cfg.to_dict()}, indent=2)
+    write_document(os.path.join(out_dir, MANIFEST_NAME), CHECKPOINT_FORMAT,
+                   vars(manifest) | {"model": cfg.to_dict()}, indent=2)
 
 
 def _write_blob(path: str, a: np.ndarray) -> None:
@@ -296,16 +307,10 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, np.ndarray], ModelConfig, Manif
     """Returns (params, model config, manifest). The params are views of one
     array over ``weights.bin``, laid out as the manifest's model config lays
     them out."""
-    path = os.path.join(ckpt_dir, MANIFEST_NAME)
     try:
-        doc = read_json(path)
-        if isinstance(doc, dict) and doc.get("format", CHECKPOINT_FORMAT) != CHECKPOINT_FORMAT:
-            raise ConfigError(f"format: unknown format {doc['format']!r}, expected {CHECKPOINT_FORMAT!r}")
-        manifest = read_record(Manifest, doc, "")
-    except DataFormatError as e:
+        manifest = read_document(os.path.join(ckpt_dir, MANIFEST_NAME), Manifest, CHECKPOINT_FORMAT)
+    except (DataFormatError, ConfigError) as e:  # the message names the manifest
         raise CheckpointError(str(e)) from e
-    except ConfigError as e:
-        raise CheckpointError(f"{path}: {e}") from e
     cfg = manifest.model
     buf = _read_blob(os.path.join(ckpt_dir, WEIGHTS_NAME), manifest.weights, layout(cfg)[0])
     return views(np.frombuffer(buf, cfg.np_dtype), expected_shapes(cfg)), cfg, manifest

@@ -8,7 +8,7 @@ tested and replaced independently. Exit codes: 0 success, 1 data error,
 
 The run config that drives ``pretrain`` and ``finetune`` is defined here
 (``RunConfig``, read by ``load_config``); its JSON layout and the type of each
-value come from its dataclasses through ``data_io.read_record``. The gold
+value come from its dataclasses through ``data_io.read_document``. The gold
 fields that ``evaluate`` reads are checked by the same type rule,
 ``data_io.json_value``, against the types listed in ``_GOLD_FIELDS``.
 
@@ -31,9 +31,9 @@ import typing
 from dataclasses import dataclass, field, replace
 
 from . import data_io, metrics, task_codec
-from .checkpoint import MANIFEST_NAME, check_model, load_checkpoint, load_optimizer
+from .checkpoint import CHECKPOINT_FORMAT, MANIFEST_NAME, check_model, load_checkpoint, load_optimizer
 from .corruption import SpanCorruptionConfig, corrupt, derive_seed, write_shard
-from .errors import ConfigError, CorruptionError, DataFormatError, T2TBioError
+from .errors import CodecError, ConfigError, CorruptionError, DataFormatError, T2TBioError
 from .model import ModelConfig, greedy_decode, init_params, param_count
 from .trainer import CorpusEntry, MixtureEntry, TrainConfig, finetune, pretrain
 from .vocab import EOS_ID, load_vocab, save_vocab, train_vocab
@@ -81,10 +81,7 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ru
     ``T2TBIO_SEED`` environment variables, override the config's; a seed
     override sets both ``seed`` and ``train.seed``.
     """
-    try:
-        cfg = data_io.read_record(RunConfig, data_io.read_json(path), "")
-    except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from e
+    cfg = data_io.read_document(path, RunConfig)
     if out_dir is None:
         out_dir = os.environ.get(ENV_OUT_DIR, cfg.out_dir)
     try:
@@ -264,34 +261,40 @@ def _parse_label_flag(raw: str | None) -> list[str] | None:
     labels = [x.strip() for x in raw.split(",") if x.strip()]
     if not labels:
         raise ConfigError("--labels must list at least one label")
+    repeated = next((x for i, x in enumerate(labels) if x in labels[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"--labels lists {repeated!r} more than once")
     return labels
 
 
 def _cmd_encode_task(args) -> int:
     examples: list[task_codec.TaskExample] = []
-    if args.task_type == "ner":
-        for words, spans in data_io.read_conll_ner(args.input):
-            examples.append(task_codec.encode_ner(words, spans, args.task_name))
-    elif args.task_type == "re":
-        records = data_io.read_tsv_pairs(args.input, ["sentence", "label"])
-        labels = _parse_label_flag(args.labels)
-        if labels is None:
-            labels = sorted({r["label"] for r in records})
-        for r in records:
-            examples.append(task_codec.encode_re(r["sentence"], r["label"], args.task_name, labels))
-    elif args.task_type == "nli":
-        for r in data_io.read_tsv_pairs(args.input, ["premise", "hypothesis", "label"]):
-            examples.append(
-                task_codec.encode_nli(r["premise"], r["hypothesis"], r["label"], args.task_name)
-            )
-    elif args.task_type == "doc":
-        for r in data_io.read_tsv_pairs(args.input, ["text", "labels"]):
-            labels = {x.strip() for x in r["labels"].split("|") if x.strip()}
-            examples.append(task_codec.encode_doc(r["text"], labels, args.task_name))
-    elif args.task_type == "qa":
-        for q in data_io.read_qa_json(args.input):
-            for i in range(len(q.snippets)):
-                examples.append(task_codec.encode_qa(q, i, args.task_name))
+    try:
+        if args.task_type == "ner":
+            for words, spans in data_io.read_conll_ner(args.input):
+                examples.append(task_codec.encode_ner(words, spans, args.task_name))
+        elif args.task_type == "re":
+            records = data_io.read_tsv_pairs(args.input, ["sentence", "label"])
+            labels = _parse_label_flag(args.labels)
+            if labels is None:
+                labels = sorted({r["label"] for r in records})
+            for r in records:
+                examples.append(task_codec.encode_re(r["sentence"], r["label"], args.task_name, labels))
+        elif args.task_type == "nli":
+            for r in data_io.read_tsv_pairs(args.input, ["premise", "hypothesis", "label"]):
+                examples.append(
+                    task_codec.encode_nli(r["premise"], r["hypothesis"], r["label"], args.task_name)
+                )
+        elif args.task_type == "doc":
+            for r in data_io.read_tsv_pairs(args.input, ["text", "labels"]):
+                labels = {x.strip() for x in r["labels"].split("|") if x.strip()}
+                examples.append(task_codec.encode_doc(r["text"], labels, args.task_name))
+        elif args.task_type == "qa":
+            for q in data_io.read_qa_json(args.input):
+                for i in range(len(q.snippets)):
+                    examples.append(task_codec.encode_qa(q, i, args.task_name))
+    except CodecError as e:  # each record before it gave one example; no qa question fails
+        raise CodecError(f"{args.input}: record {len(examples) + 1}: {e}") from e
     data_io.write_task_examples(args.out, examples)
     log.info("wrote %d task examples -> %s", len(examples), args.out)
     return EXIT_OK
@@ -486,7 +489,7 @@ def _cmd_inspect_checkpoint(args) -> int:
         "tensors": len(manifest.weights),
         "parameters": param_count(params),
         "step": manifest.step,
-        "format": manifest.format,
+        "format": CHECKPOINT_FORMAT,
         "runtime": manifest.runtime,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))

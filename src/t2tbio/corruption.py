@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data_io import write_json, write_lines
+from .data_io import write_document, write_lines
 from .errors import ConfigError, CorruptionError
 from .rng import SplitMix64
 from .vocab import EOS_ID, PAD_ID, Vocabulary
@@ -158,12 +158,8 @@ def write_shard(path, examples: list[CorruptionExample], cfg: SpanCorruptionConf
     seed and the count, both written by ``data_io``."""
     write_lines(path, (" ".join(map(str, ex.input_ids)) + "\t" + " ".join(map(str, ex.target_ids))
                        for ex in examples))
-    manifest = {
-        "format": SHARD_FORMAT,
-        "config": {**asdict(cfg), "seed": seed},
-        "records": len(examples),
-    }
-    write_json(str(path) + ".manifest.json", manifest, indent=2)
+    write_document(str(path) + ".manifest.json", SHARD_FORMAT,
+                   {"config": {**asdict(cfg), "seed": seed}, "records": len(examples)}, indent=2)
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -10,14 +10,17 @@ them. ``read_lines`` holds the one rule for splitting a text file into
 lines. ``parse_json``/``read_json``/``read_jsonl`` and ``write_json`` hold
 the one rule for parsing and for writing every JSON and JSONL artifact:
 run configs, checkpoint and shard manifests, vocabularies, TaskExample and
-prediction files. ``json_value`` holds the one rule for a JSON value's type,
-which run configs, checkpoint manifests, vocabulary files, TaskExample
-records and the gold fields a report reads are all checked by;
-``read_record`` builds a dataclass from a JSON object through it, checking
-each value against its field's type. This is the bottom file layer:
-from the package it imports only ``errors`` and ``task_codec``. The repo ships
-only small synthetic fixtures in these formats; real benchmark data is
-supplied by path.
+prediction files. ``read_document`` is the one reader of a JSON document
+that a dataclass describes (a run config, a checkpoint manifest, a
+vocabulary), and with ``write_document`` the one place a versioned
+document's ``format`` is read and written. ``json_value`` holds the one
+rule for a JSON value's type, which run configs, checkpoint manifests,
+vocabulary files, TaskExample records and the gold fields a report reads
+are all checked by; ``read_record`` builds a dataclass from a JSON object
+through it, checking each value against its field's type. This is the
+bottom file layer: from the package it imports only ``errors`` and
+``task_codec``. The repo ships only small synthetic fixtures in these
+formats; real benchmark data is supplied by path.
 """
 
 from __future__ import annotations
@@ -95,6 +98,31 @@ def write_json(path, *docs, indent: int | None = None) -> None:
     one document makes a JSON file, one per record a JSONL file."""
     encoder = json.JSONEncoder(indent=indent, sort_keys=True)  # json.dumps would build one per doc
     write_lines(path, map(encoder.encode, docs))
+
+
+def write_document(path, fmt: str, fields: dict, indent: int | None = None) -> None:
+    """Write the versioned JSON document of format ``fmt``: ``fields`` and,
+    under ``format``, ``fmt``, as ``write_json`` writes one document."""
+    write_json(path, {"format": fmt, **fields}, indent=indent)
+
+
+def read_document(path, cls, fmt: str | None = None):
+    """``cls``, a dataclass, from the JSON document in the file at ``path``,
+    read by ``read_record``. A versioned document, of format ``fmt``, has its
+    ``format`` checked before any other key, and ``cls`` is built from the
+    rest: a document of another format is rejected as that, whatever keys it
+    holds. A ConfigError starts with the path; a file that cannot be read
+    or parsed raises DataFormatError, which names it too."""
+    doc = read_json(path)
+    try:
+        if fmt is not None and isinstance(doc, dict):
+            found = doc.pop("format", MISSING)
+            if found != fmt:
+                raise ConfigError("the document needs 'format'" if found is MISSING
+                                  else f"format: unknown format {found!r}, expected {fmt!r}")
+        return read_record(cls, doc, "")
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------

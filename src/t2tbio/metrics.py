@@ -128,7 +128,8 @@ def classification_f1(
     """Per-class P/R/F1 plus micro-F1 over the positive classes.
 
     ``positive_classes`` defaults to all classes; pass the label set minus the
-    negative/"false" class to match the relation-extraction convention.
+    negative/"false" class to match the relation-extraction convention. A
+    class listed twice raises MetricsError.
     """
     if len(gold) != len(pred):
         raise MetricsError(f"gold has {len(gold)} labels, pred has {len(pred)}")
@@ -139,6 +140,8 @@ def classification_f1(
     per_class: dict[str, ClassMetrics] = {}
     micro_tp = micro_fp = micro_fn = 0
     for c in classes:
+        if c in per_class:  # its counts would enter the micro sums twice
+            raise MetricsError(f"class {c!r} is listed more than once")
         tp = sum(1 for g, p in zip(gold, pred) if g == c and p == c)
         fp = sum(1 for g, p in zip(gold, pred) if g != c and p == c)
         fn = sum(1 for g, p in zip(gold, pred) if g == c and p != c)

@@ -72,11 +72,11 @@ import numpy as np
 
 from . import data_io, worker
 from .checkpoint import (
-    arena_of,
     check_model,
     layout,
     load_checkpoint,
     load_optimizer,
+    packed,
     page_aligned,
     save_checkpoint,
     tensor_at,
@@ -238,20 +238,13 @@ def arena(tensors: dict[str, np.ndarray]) -> np.ndarray:
     """The flat array whose views the values of ``tensors`` are, laid out by
     ``checkpoint.views``: the layout of the checkpoint blobs.
 
-    Unless every value already is the view ``views`` places at its name in
-    one flat array that they cover (``checkpoint.arena_of``), the tensors are
-    copied into a new one that starts on a page boundary, so that
-    ``save_checkpoint`` writes it with direct I/O, and the dict's values are
-    rebound to its views."""
-    flat = arena_of(tensors)
-    if flat is not None:
-        return flat
-    first = next(iter(tensors.values()))
-    flat = np.frombuffer(page_aligned(sum(t.size for t in tensors.values()) * first.itemsize), first.dtype)
-    placed = views(flat, {name: t.shape for name, t in tensors.items()})
-    for name, t in tensors.items():
-        placed[name][...] = t
-    tensors.update(placed)
+    That is ``checkpoint.packed``'s array: the one the values already are
+    views of, or else a new one that starts on a page boundary, so that
+    ``save_checkpoint`` writes it with direct I/O, and that they are copied
+    into. In that case the dict's values are rebound to its views."""
+    flat = packed(tensors)
+    if next(iter(tensors.values())).base is not flat:
+        tensors.update(views(flat, {name: t.shape for name, t in tensors.items()}))
     return flat
 
 

@@ -28,8 +28,9 @@ vocabulary loaded from a file keeps it too.
 A vocabulary file is one JSON document, ``{"format": "t2tbio-vocab v2",
 "num_sentinels": k, "pieces": [...]}`` with the pieces in id order, one a
 line. ``data_io`` writes and reads it by the rules every JSON file of the
-package follows, ``read_record`` checking its keys and types; JSON's escapes
-carry any piece. The size is the number of pieces.
+package follows, ``read_document`` checking its format first and then its
+keys and types; JSON's escapes carry any piece. The size is the number of
+pieces.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .data_io import parse_json, read_record, read_text, write_json
+from .data_io import read_document, write_document
 from .errors import ConfigError, DataFormatError, VocabError
 
 PAD_ID = 0
@@ -97,18 +98,18 @@ class Vocabulary:
         size = len(self.pieces)
         for k in range(self.num_sentinels):
             if self.pieces[size - 1 - k] != sentinel_piece(k):
-                raise VocabError(f"sentinel {k} must sit at id {size - 1 - k}", size - 1 - k)
+                raise VocabError(f"pieces[{size - 1 - k}]: sentinel {k} must sit at id {size - 1 - k}")
         mapping: dict[str, int] = {}
         for i, p in enumerate(self.pieces):
             if p in mapping:
-                raise VocabError(f"duplicate piece {p!r}", i)
+                raise VocabError(f"pieces[{i}]: duplicate piece {p!r}")
             mapping[p] = i
         learned = self.learned_pieces()
         for i, p in enumerate(learned, start=3):
             if _is_reserved_piece(p):
-                raise VocabError(f"reserved string {p!r} among learned pieces", i)
+                raise VocabError(f"pieces[{i}]: reserved string {p!r} among learned pieces")
             if BOUNDARY in p[1:]:
-                raise VocabError(f"learned piece {p!r} holds a word boundary past its first character", i)
+                raise VocabError(f"pieces[{i}]: learned piece {p!r} holds a word boundary past its first character")
         object.__setattr__(self, "piece_to_id", mapping)
         object.__setattr__(self, "_max_piece_len", max((len(p) for p in learned), default=1))
         object.__setattr__(self, "_memo", {})
@@ -297,15 +298,11 @@ def train_vocab(corpus, target_size: int, num_sentinels: int = 100) -> Vocabular
 
 @dataclass(frozen=True)
 class _VocabDocument:
-    """A vocabulary file's JSON document, read by ``data_io.read_record``."""
+    """A vocabulary file's JSON document but for its ``format``, read by
+    ``data_io.read_document``."""
 
-    format: str
     num_sentinels: int
     pieces: list[str]
-
-    def __post_init__(self):
-        if self.format != VOCAB_FORMAT:
-            raise ConfigError(f"format: unknown format {self.format!r}, expected {VOCAB_FORMAT!r}")
 
 
 def save_vocab(v: Vocabulary, path) -> None:
@@ -315,21 +312,20 @@ def save_vocab(v: Vocabulary, path) -> None:
     paired = [i for i, p in enumerate(v.pieces) if _SURROGATE_PAIR_RE.search(p)]
     if paired:
         raise VocabError(f"{path}: pieces[{paired[0]}] holds a surrogate pair, which JSON reads back as one character")
-    write_json(path, {"format": VOCAB_FORMAT, "num_sentinels": v.num_sentinels, "pieces": v.pieces}, indent=1)
+    write_document(path, VOCAB_FORMAT, {"num_sentinels": v.num_sentinels, "pieces": v.pieces}, indent=1)
 
 
 def load_vocab(path) -> Vocabulary:
     """The vocabulary in the file at ``path``. An error names the path, and
     for a rule that one piece breaks, that piece as ``pieces[i]``."""
     try:
-        text = read_text(path)
-        if text.startswith("t2tbio-vocab v1 "):
-            raise VocabError("a t2tbio-vocab v1 text file, which this version no longer reads: run vocab-train again")
-        doc = read_record(_VocabDocument, parse_json(text, path), "")
+        doc = read_document(path, _VocabDocument, VOCAB_FORMAT)
         return Vocabulary(pieces=tuple(doc.pieces), num_sentinels=doc.num_sentinels)
-    except DataFormatError as e:  # cannot be read, not UTF-8 or not JSON; the message names the path
+    except (DataFormatError, ConfigError) as e:  # the message names the path
+        # a v1 file is not JSON: its text is the json.JSONDecodeError's doc
+        if getattr(e.__cause__, "doc", "").startswith("t2tbio-vocab v1 "):
+            raise VocabError(f"{path}: a t2tbio-vocab v1 text file, which this version no longer reads: "
+                             "run vocab-train again") from e
         raise VocabError(str(e)) from e
-    except ConfigError as e:  # a key missing, unknown or of the wrong type, or another format
-        raise VocabError(f"{path}: {e}") from e
     except VocabError as e:
-        raise VocabError(f"{path}: {e}" if e.piece_id is None else f"{path}: pieces[{e.piece_id}]: {e}") from e
+        raise VocabError(f"{path}: {e}") from e

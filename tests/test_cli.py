@@ -16,7 +16,8 @@ import t2tbio
 from t2tbio.cli import EXIT_DATA_ERROR, EXIT_FLOOR, EXIT_OK, EXIT_USAGE, TASK_TYPES, build_parser, load_config, run
 from t2tbio.checkpoint import layout, load_checkpoint, save_checkpoint
 from t2tbio.corruption import SpanCorruptionConfig
-from t2tbio.data_io import read_task_examples
+from t2tbio import task_codec
+from t2tbio.data_io import read_task_examples, write_task_examples
 from t2tbio.model import param_count
 from t2tbio.trainer import TrainConfig
 from t2tbio.vocab import BOUNDARY, EOS_ID, load_vocab, save_vocab
@@ -327,6 +328,28 @@ class TestEncodeTask:
         )
         assert rc == EXIT_DATA_ERROR
 
+    @pytest.mark.parametrize(
+        "task_type, lines, labels, message",
+        [
+            ("re", ["a sentence\ttrue", "another one\tmaybe"], "false,true",
+             "unknown label 'maybe' (declared set: ['false', 'true'])"),
+            ("nli", ["p\th\tentailment", "p\th\tperhaps"], None, "unknown label 'perhaps' (expected one of"),
+            ("ner", ["Lupus\tB-D", "is\tO", "", "*{\tO", "x\tO"], None,
+             "marker collision: sentence already contains a marker token"),
+        ],
+        ids=["re", "nli", "ner"],
+    )
+    def test_a_codec_error_names_the_file_and_the_record(self, tmp_path, caplog, task_type, lines, labels, message):
+        """The second record fails: the message starts with the input file
+        and the record's 1-based number."""
+        path = tmp_path / f"data.{task_type}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["encode-task", "--task-type", task_type, "--task-name", "t", "--in", str(path),
+                "--out", str(tmp_path / "out.jsonl")]
+        assert run(argv + (["--labels", labels] if labels else [])) == EXIT_DATA_ERROR
+        assert caplog.records[-1].getMessage().startswith(f"{path}: record 2: {message}")
+        assert not (tmp_path / "out.jsonl").exists()
+
 
 def write_predictions(path, rows):
     with open(path, "w", encoding="utf-8") as f:
@@ -602,6 +625,23 @@ class TestEvaluate:
         argv = ["evaluate", "--task-type", task_type, "--pred", str(preds), "--gold", str(gold), "--floor", "f1=0"]
         assert run(argv) == EXIT_DATA_ERROR
         assert caplog.records[-1].getMessage().endswith("cannot score an empty list")
+
+    @pytest.mark.parametrize("command", ["evaluate", "encode-task"])
+    def test_a_repeated_label_exits_1_naming_it(self, tmp_path, caplog, command):
+        """A label listed twice would be counted twice in the micro sums."""
+        golds = [task_codec.encode_nli("p", "h", label, "t") for label in ("entailment", "neutral", "contradiction")]
+        write_task_examples(tmp_path / "gold.jsonl", golds)
+        write_predictions(tmp_path / "pred.jsonl", [{"input": ex.input_text, "prediction": p}
+                                                    for ex, p in zip(golds, ["entailment", "entailment", "neutral"])])
+        (tmp_path / "re.tsv").write_text("a sentence\tentailment\n", encoding="utf-8")
+        flags = {"evaluate": ["--task-type", "nli", "--pred", str(tmp_path / "pred.jsonl"),
+                              "--gold", str(tmp_path / "gold.jsonl")],
+                 "encode-task": ["--task-type", "re", "--task-name", "t", "--in", str(tmp_path / "re.tsv")]}
+        argv = [command, *flags[command], "--out", str(tmp_path / "out.json"),
+                "--labels", "entailment,entailment,neutral,contradiction"]
+        assert run(argv) == EXIT_DATA_ERROR
+        assert caplog.records[-1].getMessage() == "--labels lists 'entailment' more than once"
+        assert not (tmp_path / "out.json").exists()
 
     def test_a_label_stdout_cannot_encode_is_printed_escaped(self, tmp_path):
         # a lone surrogate is a valid JSON escape but no UTF-8 text

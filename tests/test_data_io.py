@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
@@ -8,10 +9,12 @@ from t2tbio.cli import load_config
 from t2tbio.data_io import (
     json_value,
     read_conll_ner,
+    read_document,
     read_lines,
     read_qa_json,
     read_task_examples,
     read_tsv_pairs,
+    write_document,
     write_task_examples,
 )
 from t2tbio.errors import ConfigError, DataFormatError, T2TBioError
@@ -287,6 +290,59 @@ class TestJsonValue:
         with pytest.raises(ConfigError) as exc:
             json_value(kind, value, "f")
         assert str(exc.value) == message
+
+
+@dataclass(frozen=True)
+class Pair:
+    name: str
+    count: int = 0
+
+
+class TestReadDocument:
+    """``read_document`` checks a versioned document's ``format`` before any
+    other key, builds the dataclass from the rest and starts every
+    ConfigError with the path."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"format": "pair v1", "name": "a", "count": 2}, None),
+            ({"format": "pair v2", "name": "a", "extra": 1}, "format: unknown format 'pair v2', expected 'pair v1'"),
+            ({"format": 1, "name": "a"}, "format: unknown format 1, expected 'pair v1'"),
+            ({"name": "a", "extra": 1}, "the document needs 'format'"),
+            (["format", "pair v1"], "the document must be a JSON object"),
+        ],
+        ids=["valid", "other-format-with-a-new-key", "number-format", "no-format", "list"],
+    )
+    def test_a_versioned_document(self, tmp_path, doc, message):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        if message is None:
+            assert read_document(path, Pair, "pair v1") == Pair("a", 2)
+            return
+        with pytest.raises(ConfigError) as exc:
+            read_document(path, Pair, "pair v1")
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_without_a_format_format_is_an_unknown_key(self, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text('{"format": "pair v1", "name": "a"}', encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            read_document(path, Pair)
+        assert str(exc.value) == f"{path}: unknown key 'format' in the document"
+
+    def test_a_file_that_is_not_json_is_a_data_format_error_naming_it(self, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text('{"format": ', encoding="utf-8")
+        with pytest.raises(DataFormatError, match="bad JSON") as exc:
+            read_document(path, Pair, "pair v1")
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_write_document_round_trips_with_the_format_key_sorted_in(self, tmp_path):
+        path = tmp_path / "pair.json"
+        write_document(path, "pair v1", {"name": "a", "count": 2}, indent=1)
+        assert path.read_text(encoding="utf-8") == '{\n "count": 2,\n "format": "pair v1",\n "name": "a"\n}\n'
+        assert read_document(path, Pair, "pair v1") == Pair("a", 2)
 
 
 def minimal_config(tmp_path, **overrides):

@@ -258,3 +258,10 @@ def test_report_serialization_round_trip():
 def test_an_empty_list_has_no_score(score):
     with pytest.raises(MetricsError, match="cannot score an empty list"):
         score()
+
+
+def test_a_class_listed_twice_is_rejected():
+    """A repeated class would enter the micro sums twice."""
+    gold, pred = ["entailment", "neutral", "contradiction"], ["entailment", "entailment", "neutral"]
+    with pytest.raises(MetricsError, match="class 'entailment' is listed more than once"):
+        classification_f1(gold, pred, ["entailment", "entailment", "neutral", "contradiction"])

@@ -343,9 +343,9 @@ def test_greedy_segment_oracle_on_known_ids():
                          ids=["inside", "last", "after-a-leading-one"])
 def test_piece_spanning_a_boundary_is_rejected(piece):
     pieces = ("<pad>", "</s>", "<unk>", BOUNDARY, "a", "b", piece)
-    with pytest.raises(VocabError, match="holds a word boundary past its first character") as info:
+    with pytest.raises(VocabError) as info:
         Vocabulary(pieces=pieces, num_sentinels=0)
-    assert info.value.piece_id == 6
+    assert str(info.value) == f"pieces[6]: learned piece {piece!r} holds a word boundary past its first character"
 
 
 SPECIALS = ["<pad>", "</s>", "<unk>"]
@@ -396,7 +396,7 @@ VALID_DOCUMENT = {"format": "t2tbio-vocab v2", "num_sentinels": 1, "pieces": SPE
         ("format", None, "the document needs 'format'"),
         ("size", 5, "unknown key 'size' in the document"),
         ("format", "t2tbio-vocab v1", "format: unknown format 't2tbio-vocab v1', expected 't2tbio-vocab v2'"),
-        ("format", 2, "format: expected a string, got 2"),
+        ("format", 2, "format: unknown format 2, expected 't2tbio-vocab v2'"),
     ],
     ids=["pieces-string", "pieces-object", "pieces-number", "pieces-null", "negative-sentinels", "bool-sentinels",
          "float-sentinels", "no-sentinels", "no-pieces", "no-format", "unknown-key", "other-format",
